@@ -11,7 +11,9 @@ report so kernel work starts from measurements instead of guesses::
     PYTHONPATH=src python scripts/profile.py --quick        # check.sh step
 
 The report lands in ``PROFILE_report.txt`` (override with ``--out``); the
-console gets each backend's total time plus its top self-time frames.
+console gets each backend's total time plus its top self-time frames, and
+both get the kernels' own work counts per query (``BatchRun.rounds`` /
+``edges_gathered`` / ``peak_frontier_rows``) beside the timings.
 Stdlib only — ``cProfile``/``pstats`` ship with CPython.
 """
 
@@ -33,7 +35,7 @@ import io  # noqa: E402
 import pstats  # noqa: E402
 import random  # noqa: E402
 
-from repro.engine.executor import available_backends  # noqa: E402
+from repro.engine.executor import available_backends, run_batch  # noqa: E402
 from repro.engine.session import Engine  # noqa: E402
 from repro.graph.instance import Instance  # noqa: E402
 
@@ -63,8 +65,10 @@ def profile_backend(
     sources: "list[str]",
     repeats: int,
     top: int,
-) -> "tuple[pstats.Stats, float]":
-    """One warm profile: compile caches hot, only the kernel in the loop."""
+) -> "tuple[pstats.Stats, float, list[str]]":
+    """One warm profile: compile caches hot, only the kernel in the loop.
+
+    Returns the stats, the profiled seconds and the kernel-work lines."""
     engine = Engine.open(instance, backend=backend)
     for query in QUERIES:  # warm the compile + successor caches
         engine.query_batch(query, sources)
@@ -77,13 +81,29 @@ def profile_backend(
     stats = pstats.Stats(profiler)
     total = stats.total_tt
     stats.sort_stats("tottime")
-    return stats, total
+    return stats, total, kernel_work(engine, sources)
 
 
-def render_report(backend: str, stats: pstats.Stats, total: float, top: int) -> str:
+def kernel_work(engine: Engine, sources: "list[str]") -> "list[str]":
+    """Per query, the kernel's own work counts for one (unprofiled) batch —
+    what the time in the cProfile table was spent *on*."""
+    graph, backend = engine.graph, engine.backend
+    node_ids = [graph.node_id(source) for source in sources]
+    lines = []
+    for query in QUERIES:
+        run = run_batch(graph, engine.compiled(query), node_ids, backend=backend)
+        counts = " ".join(f"{name}={value}" for name, value in run.work_counts().items())
+        lines.append(f"  {query:<10} visited_pairs={run.visited_pairs} {counts}")
+    return lines
+
+
+def render_report(
+    backend: str, stats: pstats.Stats, total: float, top: int, work: "list[str]"
+) -> str:
     buffer = io.StringIO()
     stats.stream = buffer
     print(f"== backend: {backend} ({total:.4f}s profiled) ==", file=buffer)
+    print("kernel work per batch:", *work, sep="\n", file=buffer)
     stats.sort_stats("tottime").print_stats(top)
     stats.sort_stats("cumulative").print_stats(top)
     return buffer.getvalue()
@@ -120,10 +140,10 @@ def main() -> int:
 
     sections: "list[str]" = []
     for backend in backends:
-        stats, total = profile_backend(
+        stats, total, work = profile_backend(
             backend, instance, sources, args.repeats, args.top
         )
-        sections.append(render_report(backend, stats, total, args.top))
+        sections.append(render_report(backend, stats, total, args.top, work))
         # Console summary: the three hottest self-time frames.
         rows = sorted(
             stats.stats.items(), key=lambda item: item[1][2], reverse=True
@@ -133,6 +153,7 @@ def main() -> int:
             for func, stat in rows
         )
         print(f"{backend}: {total:.4f}s profiled; hottest: {frames}")
+        print(*work, sep="\n")
 
     report = Path(args.out)
     report.write_text("\n".join(sections), encoding="utf-8")

@@ -39,7 +39,7 @@ from .conjunctive import (
     parse_crpq,
     plan_join,
 )
-from .csr import CompiledGraph, LabelEdges
+from .csr import CompiledGraph, LabelEdges, ProductCSR
 from .request import CRPQRequest, QueryRequest, normalize
 from .executor import (
     BACKENDS,
@@ -117,6 +117,7 @@ __all__ = [
     "MetricsRegistry",
     "NULL_SPAN",
     "PlanExecution",
+    "ProductCSR",
     "QueryCompiler",
     "AnswerStream",
     "QueryRequest",

@@ -25,8 +25,9 @@ the pure-CSR invariant.
 
 For the vectorized executor (:mod:`repro.engine.executor_np`) the per-label
 adjacency is additionally lowered, lazily and cached per version, to flat
-numpy ``(source, target)`` edge arrays plus a target-grouped view that
-``np.bitwise_or.reduceat`` can scatter-reduce over.
+numpy ``(source, target)`` edge arrays (:class:`LabelEdges`), and from
+those — per compiled query — to a :class:`ProductCSR`: the adjacency of the
+DFA x graph product itself, which the batched kernel pushes frontiers over.
 
 The whole compiled state round-trips through :meth:`CompiledGraph.to_parts`
 / :meth:`CompiledGraph.from_parts` — the exchange format the snapshot codecs
@@ -36,8 +37,10 @@ The whole compiled state round-trips through :meth:`CompiledGraph.to_parts`
 from __future__ import annotations
 
 from array import array
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+from ..analysis.annotations import guarded_by
 from ..exceptions import InstanceError
 from ..graph.instance import Instance, Oid
 from .interning import Interner
@@ -50,26 +53,40 @@ _EMPTY = array("q")
 _EMPTY_DEAD: frozenset[int] = frozenset()
 
 
+# Product lowerings kept per graph version: one per distinct transition
+# structure served since the last mutation.  A serving session cycles
+# through a handful of hot queries; anything colder re-lowers on demand.
+_PRODUCT_CACHE_SIZE = 8
+
+
 class LabelEdges:
-    """One label's live edges lowered to flat numpy arrays.
+    """One label's live edges lowered to flat numpy ``src``/``dst`` arrays
+    (CSR order, then overflow)."""
 
-    ``src``/``dst`` list the edges in arbitrary order; ``src_by_dst``,
-    ``dst_unique`` and ``group_starts`` give the same edge set sorted and
-    grouped by target, the shape ``np.bitwise_or.reduceat`` needs to reduce
-    all sources of each target in one vectorized call.
-    """
-
-    __slots__ = ("src", "dst", "src_by_dst", "dst_unique", "group_starts")
+    __slots__ = ("src", "dst")
 
     def __init__(self, src: "numpy.ndarray", dst: "numpy.ndarray") -> None:
-        import numpy as np
-
         self.src = src
         self.dst = dst
-        order = np.argsort(dst, kind="stable")
-        self.src_by_dst = src[order]
-        dst_sorted = dst[order]
-        self.dst_unique, self.group_starts = np.unique(dst_sorted, return_index=True)
+
+
+class ProductCSR:
+    """The DFA x graph product's adjacency in compressed-sparse-row form.
+
+    A product pair ``(state, node)`` has the flat key ``state * num_nodes +
+    node``; ``dst[indptr[key]:indptr[key + 1]]`` are the keys of its
+    successors — for every live move ``(label, next_state)`` of ``state``
+    and every ``label`` edge ``node -> target``, the key ``next_state *
+    num_nodes + target``.  One gather over the rows of a frontier therefore
+    advances every state and label at once.  Both arrays are ``int32``
+    whenever the key space and the edge count fit (``int64`` otherwise).
+    """
+
+    __slots__ = ("indptr", "dst")
+
+    def __init__(self, indptr: "numpy.ndarray", dst: "numpy.ndarray") -> None:
+        self.indptr = indptr
+        self.dst = dst
 
 
 class CompiledGraph:
@@ -81,6 +98,7 @@ class CompiledGraph:
     GUARDED_BY = {
         "_np_version": "_np_lock",
         "_np_edges": "_np_lock",
+        "_np_products": "_np_lock",
     }
 
     __slots__ = (
@@ -96,6 +114,7 @@ class CompiledGraph:
         "_dead_edges",
         "_np_version",
         "_np_edges",
+        "_np_products",
         "_np_lock",
         "auto_compact_ratio",
         "version",
@@ -114,20 +133,26 @@ class CompiledGraph:
         # Per label id: {source node -> [target nodes]} for post-build adds.
         self._overflow: list[dict[int, list[int]]] = []
         self._overflow_edges = 0
-        # ``None`` after a snapshot restore: the set is fully derivable from
-        # CSR − tombstones + overflow, and a read-only serving session never
-        # needs it, so materialization is deferred to first use (mutation,
-        # edge_count, iter_edges) — see :meth:`_edges`.
+        # ``None`` after a build or a snapshot restore: the set is fully
+        # derivable from CSR − tombstones + overflow, and a read-only serving
+        # session never needs it (one boxed triple per edge — the largest
+        # structure a compiled graph would otherwise hold), so
+        # materialization is deferred to first use (mutation, edge_count,
+        # iter_edges) — see :meth:`_edges`.
         self._edge_set: "set[tuple[int, int, int]] | None" = set()
         # Per label id: CSR positions of incrementally removed edges.
         self._dead: list[set[int]] = []
         self._dead_edges = 0
-        # Lazily built numpy edge arrays, valid only for _np_version.  The
-        # lock keeps the build-and-cache step safe under concurrent *reads*
-        # (the serving layer runs per-shard supersteps and admission-queue
+        # Lazily built numpy lowerings, valid only for _np_version: per-label
+        # edge arrays, and a small LRU of product CSRs keyed by ``(moves,
+        # num_nodes)`` (``ensure_nodes`` grows the id space without a
+        # version bump, and flat product keys depend on it).  The lock keeps
+        # the build-and-cache step safe under concurrent *reads* (the
+        # serving layer runs per-shard supersteps and admission-queue
         # flushes on threads); mutation is still the caller's to serialize.
         self._np_version = -1
         self._np_edges: list["LabelEdges | None"] = []
+        self._np_products: "OrderedDict[tuple, ProductCSR]" = OrderedDict()
         self._np_lock = witnessed_lock("CompiledGraph._np_lock")
         # Auto-compaction fires when overflow edges (on add) or tombstones
         # (on remove) outgrow ``max(64, edge_count // auto_compact_ratio)``
@@ -194,7 +219,9 @@ class CompiledGraph:
             did = graph.nodes.intern(destination)
             lid = graph.labels.intern(label)
             buckets.setdefault(lid, []).append((sid, did))
-            graph._edge_set.add((sid, lid, did))
+        # An Instance's edges are a set already: nothing to deduplicate, so
+        # the edge set stays unmaterialized (see ``__init__``).
+        graph._edge_set = None
         graph._build_csr(buckets)
         return graph
 
@@ -493,6 +520,35 @@ class CompiledGraph:
         return self._dead[label_id]
 
     # -- numpy lowering -------------------------------------------------------
+    @guarded_by("_np_lock")
+    def _np_sync(self) -> int:
+        """Drop every cached lowering of an older version; returns the
+        version a caller about to build is building for."""
+        if self._np_version != self.version:
+            self._np_edges = []
+            self._np_products = OrderedDict()
+            self._np_version = self.version
+        if len(self._np_edges) < len(self._overflow):
+            self._np_edges.extend(
+                [None] * (len(self._overflow) - len(self._np_edges))
+            )
+        return self.version
+
+    @guarded_by("_np_lock")
+    def _np_current(self, built_for: int) -> bool:
+        """Whether a lowering built for ``built_for`` may be cached.
+
+        Two readers may race on the same first use; both lower the
+        identical edge set, so the second write is a harmless no-op —
+        unless a mutation slipped in since ``built_for`` was read, in which
+        case the arrays are (or may be) stale and must not be cached.  Both
+        sides of the check compare against the version the *builder* saw:
+        comparing ``_np_version`` to the live ``self.version`` alone would
+        readmit stale arrays whenever a concurrent reader already reset the
+        cache for the new version (ABA).
+        """
+        return self._np_version == built_for and self.version == built_for
+
     def numpy_label_edges(self, label_id: int) -> LabelEdges:
         """One label's live edges as flat numpy arrays, cached per version.
 
@@ -504,15 +560,8 @@ class CompiledGraph:
         import numpy as np
 
         with self._np_lock:
-            if self._np_version != self.version:
-                self._np_edges = [None] * len(self._overflow)
-                self._np_version = self.version
-            elif len(self._np_edges) < len(self._overflow):
-                self._np_edges.extend(
-                    [None] * (len(self._overflow) - len(self._np_edges))
-                )
+            built_for = self._np_sync()
             cached = self._np_edges[label_id]
-            built_for = self.version
         if cached is not None:
             return cached
         indptr = np.frombuffer(self._indptr[label_id], dtype=np.int64)
@@ -538,18 +587,64 @@ class CompiledGraph:
             dst = np.concatenate([dst, np.asarray(extra_dst, dtype=np.int64)])
         edges = LabelEdges(src, dst)
         with self._np_lock:
-            # Two readers may race on the same label's first use; both lower
-            # the identical edge set, so the second write is a harmless no-op
-            # — unless a mutation slipped in since ``built_for`` was read, in
-            # which case the arrays are (or may be) stale and must not be
-            # cached.  Both sides of the check compare against the version
-            # the *builder* saw: comparing ``_np_version`` to the live
-            # ``self.version`` alone would readmit stale arrays whenever a
-            # concurrent reader already reset the cache for the new version
-            # (ABA).
-            if self._np_version == built_for and self.version == built_for:
+            if self._np_current(built_for):
                 self._np_edges[label_id] = edges
         return edges
+
+    def numpy_product_csr(
+        self, moves: "tuple[tuple[tuple[int, int], ...], ...]"
+    ) -> ProductCSR:
+        """The product adjacency of a compiled query's ``moves`` over the
+        live edges, cached per version in a small LRU.
+
+        Keyed by the (hashable) move table itself, never by query identity:
+        two compiled queries with equal transition structure share one
+        lowering, and a recycled object id can never serve another query's
+        product.  Lowered from :meth:`numpy_label_edges`, so it sees CSR −
+        tombstones + overflow exactly as the scalar traversals do.
+        """
+        import numpy as np
+
+        n = len(self.nodes)
+        key = (moves, n)
+        with self._np_lock:
+            built_for = self._np_sync()
+            cached = self._np_products.get(key)
+            if cached is not None:
+                self._np_products.move_to_end(key)
+        if cached is not None:
+            return cached
+        blocks = [
+            (self.numpy_label_edges(label_id), state * n, next_state * n)
+            for state, row in enumerate(moves)
+            for label_id, next_state in row
+        ]
+        size = len(moves) * n
+        total = sum(edges.src.size for edges, _, _ in blocks)
+        # ``int32`` whenever keys and edge slots fit: it halves both the
+        # resident lowering (a serving session keeps several) and the
+        # scratch arrays of this build.
+        dtype = np.int32 if max(size, total) < 2**31 else np.int64
+        src = np.empty(total, dtype=dtype)
+        dst = np.empty(total, dtype=dtype)
+        filled = 0
+        for edges, src_base, dst_base in blocks:
+            stop = filled + edges.src.size
+            np.add(edges.src, src_base, out=src[filled:stop], casting="unsafe")
+            np.add(edges.dst, dst_base, out=dst[filled:stop], casting="unsafe")
+            filled = stop
+        # Each label block arrives sorted by source already (CSR order), so
+        # the stable sort mostly merges runs.
+        dst = dst[np.argsort(src, kind="stable")]
+        indptr = np.zeros(size + 1, dtype=dtype)
+        np.cumsum(np.bincount(src, minlength=size), out=indptr[1:])
+        product = ProductCSR(indptr, dst)
+        with self._np_lock:
+            if self._np_current(built_for):
+                self._np_products[key] = product
+                while len(self._np_products) > _PRODUCT_CACHE_SIZE:
+                    self._np_products.popitem(last=False)
+        return product
 
     def out_edges(self, node: int) -> Iterator[tuple[int, int]]:
         """All ``(label_id, target)`` pairs of one node (any label)."""

@@ -9,9 +9,10 @@ structures:
   arbitrary-precision masks advanced in delta-driven rounds that propagate
   whole packed words per edge visit, with per-run adjacency caching —
   faster than the reference on mid-size and wide batches, pure Python;
-* :mod:`repro.engine.executor_np` — the vectorized twin: boolean frontier
-  matrices and packed ``uint64`` mask tensors advanced with numpy
-  gather/scatter over flat per-label edge arrays.
+* :mod:`repro.engine.executor_np` — the vectorized twin: packed ``uint64``
+  mask tensors advanced by a frontier-proportional sparse push over a
+  cached product-graph CSR (gather the frontier rows' out-edges, sort by
+  target, ``bitwise_or.reduceat``, keep what grew).
 
 This module is the only place that decides between them.  ``backend="auto"``
 (the default everywhere) picks numpy when it imports; without numpy it
@@ -26,6 +27,11 @@ the environment variable ``REPRO_DISABLE_NUMPY`` (to any non-empty value)
 makes the dispatcher treat numpy as absent, which is how
 ``scripts/check.sh`` exercises the fallback paths on machines that do
 have numpy installed.
+
+Every batched run reports what its kernel did — ``rounds``,
+``edges_gathered``, ``peak_frontier_rows`` on :class:`BatchRun` — and this
+module copies those counts onto the telemetry span the run executed under,
+so "why was this batch slow" is answerable per backend from a trace.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .compiled_query import CompiledQuery
 from .csr import CompiledGraph
 from . import executor_pb, executor_py
 from .executor_py import BatchRun, SingleRun
+from .telemetry import current_span
 
 try:  # pragma: no cover - exercised via both arms of scripts/check.sh
     from . import executor_np as _executor_np
@@ -175,7 +182,15 @@ def run_batch(
         graph, query, sources, witnesses=witnesses, seeds=seeds, known=known,
         num_bits=num_bits, answer_sink=answer_sink,
     )
+    return _stamp(run, started)
+
+
+def _stamp(run: BatchRun, started: float) -> BatchRun:
+    """Stamp a batched run with its wall time and hand its kernel work
+    counts to the span it ran under (``engine.run`` on a session,
+    ``sharded.local_fixpoint`` on a shard; a no-op outside any span)."""
     run.elapsed = perf_counter() - started
+    current_span().set(**run.work_counts())
     return run
 
 
@@ -191,5 +206,4 @@ def run_all_pairs(
     run = _batch_module(backend, (), graph.num_nodes).run_all_pairs(
         graph, query, witnesses=witnesses
     )
-    run.elapsed = perf_counter() - started
-    return run
+    return _stamp(run, started)

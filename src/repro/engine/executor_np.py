@@ -9,11 +9,17 @@ node at a time; this module advances *whole frontiers* instead:
   a level-synchronous BFS whose parent arrays still yield shortest witnesses
   (any parent written in the discovering level is at minimal distance);
 * :func:`run_batch` packs the per-pair source bitmasks into a
-  ``(num_states, num_nodes, num_words)`` ``uint64`` tensor and iterates a
-  delta-driven fixpoint: only bits that changed in the previous round are
-  propagated, using ``np.bitwise_or.reduceat`` over the target-grouped edge
-  arrays (:class:`repro.engine.csr.LabelEdges`) so the per-edge OR-scatter
-  runs entirely inside numpy;
+  ``(num_states, num_nodes, num_words)`` ``uint64`` tensor and runs a
+  **sparse push** over the product graph's own CSR
+  (:class:`repro.engine.csr.ProductCSR`, flat key ``state * n + node``,
+  lowered once per graph version and move table): the frontier travels
+  between rounds as ``(rows, bits)`` arrays, a round gathers the out-edges
+  of those rows only, sorts the pushed bits by target,
+  ``np.bitwise_or.reduceat``s them per target, masks against what the
+  target already holds, and the survivors are the next frontier.  The
+  paper's ``p(o, I)`` is reachability in this product, and the push costs
+  what the sources reach — edges out of the frontier per round, not edges
+  of the graph per round (:attr:`BatchRun.edges_gathered` counts them);
 * :func:`run_all_pairs` is the batch mode over every node.
 
 Results are bit-for-bit identical to the pure-Python executor (the
@@ -28,7 +34,7 @@ pair membership directly against the packed mask tensor.
 from __future__ import annotations
 
 import sys
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -113,31 +119,118 @@ def run_single(
     return run
 
 
-def _scatter_bits(accept_mask: "np.ndarray", num_bits: int) -> dict[int, set[int]]:
-    """Unpack a ``(num_nodes, num_words)`` uint64 mask into per-bit node sets.
+_WORD = (1 << 64) - 1
 
-    One ``unpackbits`` + one ``nonzero`` + one stable sort replace the
-    per-source column scans: the (node, bit) coordinates of every set bit
-    are grouped by bit position in a single vectorized pass.
+
+def _any_bit(values: "np.ndarray") -> "np.ndarray":
+    """Per row, whether any bit is set — rows are scalars in the one-word
+    layout (1-D) and word vectors otherwise."""
+    return values != 0 if values.ndim == 1 else values.any(axis=1)
+
+
+def _group_or(keys: "np.ndarray", values: "np.ndarray"):
+    """OR together the ``values`` rows that share a key.
+
+    Returns ``(unique keys ascending, OR-reduced rows)`` — the scatter step
+    of a push round, done as sort + ``bitwise_or.reduceat`` so it never
+    touches a row that nothing was pushed to.
     """
-    n = accept_mask.shape[0]
-    per_bit: dict[int, set[int]] = {bit: set() for bit in range(num_bits)}
-    if not accept_mask.any():
+    # An OR is order-blind, so stability is not needed for correctness; the
+    # default introsort is measurably faster here and is held back only by
+    # a benchmark artifact — see ROADMAP, "Collapse the executor zoo".
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return keys[starts], np.bitwise_or.reduceat(values[order], starts, axis=0)
+
+
+def _pack_masks(mapping: "Mapping[int, int]", words: int):
+    """Arbitrary-precision masks keyed by flat pair key, as kernel arrays:
+    ``(keys ascending, one uint64 row per key)`` — rows are scalars when
+    ``words == 1`` (see :func:`_any_bit`)."""
+    keys = sorted(mapping)
+    values = [mapping[key] for key in keys]
+    if values and max(values) >> (64 * words):
+        raise ValueError(
+            f"a frontier mask is wider than the batch's {64 * words} bits "
+            "(size the run with num_bits)"
+        )
+    rows = np.array(keys, dtype=np.int64)
+    if words == 1:
+        return rows, np.array(values, dtype=np.uint64)
+    packed = np.empty((len(keys), words), dtype=np.uint64)
+    for word in range(words):
+        shift = 64 * word
+        packed[:, word] = np.array(
+            [(value >> shift) & _WORD for value in values], dtype=np.uint64
+        )
+    return rows, packed
+
+
+def _scatter_bits(
+    nodes: "np.ndarray", reached: "np.ndarray", num_bits: int
+) -> "list[set[int]]":
+    """Unpack the uint64 mask rows ``reached`` (one per entry of ``nodes``)
+    into per-bit node sets.
+
+    The caller passes the reached nodes only, and the transposed
+    ``nonzero`` walks the bit matrix bit-major, so the coordinates come out
+    grouped by bit already — no sort, and no work for the unreached bulk of
+    the graph.
+    """
+    per_bit: "list[set[int]]" = [set() for _ in range(num_bits)]
+    if not num_bits or not nodes.size:
         return per_bit
-    if sys.byteorder == "little":
-        as_bytes = accept_mask.view(np.uint8).reshape(n, -1)
-    else:  # pragma: no cover - byteswap makes each word little-endian in memory
-        as_bytes = accept_mask.byteswap().view(np.uint8).reshape(n, -1)
-    bits = np.unpackbits(as_bytes, axis=1, bitorder="little")[:, :num_bits]
-    nodes, positions = np.nonzero(bits)
-    order = np.argsort(positions, kind="stable")
-    nodes = nodes[order]
-    boundaries = np.searchsorted(positions[order], np.arange(num_bits + 1))
+    if sys.byteorder != "little":  # pragma: no cover - words become LE in memory
+        reached = reached.byteswap()
+    bits = np.unpackbits(
+        reached.view(np.uint8).reshape(nodes.size, -1), axis=1, bitorder="little"
+    )[:, :num_bits]
+    positions, members = np.nonzero(bits.T)
+    nodes = nodes[members]
+    boundaries = np.searchsorted(positions, np.arange(num_bits + 1)).tolist()
     for bit in range(num_bits):
         lo, hi = boundaries[bit], boundaries[bit + 1]
         if lo != hi:
             per_bit[bit] = set(nodes[lo:hi].tolist())
     return per_bit
+
+
+def _on_accepting(
+    rows: "np.ndarray",
+    values: "np.ndarray",
+    n: int,
+    accepting_states: "Sequence[int]",
+):
+    """The accepting-state part of ``rows`` (flat pair keys, ascending, one
+    ``values`` row each), per node: ``(nodes, OR of the node's rows)`` —
+    ``None`` when no row lies in an accepting state."""
+    pieces = []
+    for state in accepting_states:
+        lo, hi = np.searchsorted(rows, (state * n, (state + 1) * n)).tolist()
+        if lo != hi:
+            pieces.append((rows[lo:hi] - state * n, values[lo:hi]))
+    if len(pieces) > 1:
+        return _group_or(
+            np.concatenate([piece[0] for piece in pieces]),
+            np.concatenate([piece[1] for piece in pieces]),
+        )
+    return pieces[0] if pieces else None
+
+
+def _accept_union(masks: "np.ndarray", accepting) -> "np.ndarray":
+    """Per node, the bits reached in any accepting state (a view of the
+    tensor when one state accepts — the common case — else a fresh OR)."""
+    states = [state for state, accepts in enumerate(accepting) if accepts]
+    if len(states) == 1:
+        return masks[states[0]]
+    union = np.zeros(masks.shape[1:], dtype=np.uint64)
+    for state in states:
+        union |= masks[state]
+    return union
 
 
 class NpFrontier:
@@ -202,56 +295,26 @@ class NpFrontier:
 
     def per_bit_answers(self, accepting, num_bits: int, skip_nodes=()):
         """Per source bit, the nodes reached in an accepting state."""
-        accept = np.zeros(self.masks.shape[1:], dtype=np.uint64)
-        for state, accepts in enumerate(accepting):
-            if accepts:
-                accept |= self.masks[state]
-        if skip_nodes:
-            accept[np.fromiter(skip_nodes, dtype=np.int64, count=len(skip_nodes))] = 0
-        per_bit = _scatter_bits(accept, num_bits)
-        return [per_bit[bit] for bit in range(num_bits)]
+        accept = _accept_union(self.masks, accepting)
+        nodes = np.flatnonzero(accept.any(axis=1))
+        if skip_nodes and nodes.size:
+            skipped = np.fromiter(skip_nodes, dtype=np.int64, count=len(skip_nodes))
+            nodes = nodes[~np.isin(nodes, skipped)]
+        return _scatter_bits(nodes, accept[nodes], num_bits)
 
     def counts(self, skip_nodes=()) -> "tuple[int, int]":
         """``(nonzero pairs, touched nodes)``, skipping the given nodes."""
         nonzero = self.masks.any(axis=2)
         if skip_nodes:
-            nonzero = nonzero.copy()
             nonzero[
                 :, np.fromiter(skip_nodes, dtype=np.int64, count=len(skip_nodes))
             ] = False
         return int(nonzero.sum()), int(nonzero.any(axis=0).sum())
 
 
-def _inject_mask(
-    masks: "np.ndarray",
-    delta: "np.ndarray | None",
-    touched: "np.ndarray | None",
-    state: int,
-    node: int,
-    mask: int,
-) -> None:
-    """OR an arbitrary-precision ``mask`` into the packed uint64 tensor.
-
-    Bits already present are skipped in ``delta`` so seeded supersteps only
-    propagate genuinely new information (the numpy half of semi-naive).
-    """
-    word = 0
-    while mask:
-        chunk = np.uint64(mask & 0xFFFFFFFFFFFFFFFF)
-        if chunk:
-            new = chunk & ~masks[state, node, word]
-            if new:
-                masks[state, node, word] |= new
-                if delta is not None:
-                    delta[state, node, word] |= new
-                if touched is not None:
-                    touched[state, node] = True
-        mask >>= 64
-        word += 1
-
-
-def _emit_bit_groups(answer_sink, fresh: "np.ndarray") -> None:
-    """Call ``answer_sink(bit, nodes)`` for every source bit set in ``fresh``.
+def _emit_bit_groups(answer_sink, nodes: "np.ndarray", fresh: "np.ndarray") -> None:
+    """Call ``answer_sink(bit, nodes)`` for every source bit set in ``fresh``
+    (one row per node: the bits that node newly accepts).
 
     The grouping runs vectorized: per present bit, one masked select over
     the round's fresh rows — the only per-node Python is the final
@@ -259,28 +322,8 @@ def _emit_bit_groups(answer_sink, fresh: "np.ndarray") -> None:
     is what lets a streaming evaluation hand thousands of facts to the
     serving layer without holding the GIL through per-fact bookkeeping.
     """
-    words = fresh.shape[1]
-    if words == 1:
-        column = fresh[:, 0]
-        nodes = np.nonzero(column)[0]
-        if nodes.size == 0:
-            return
-        values = column[nodes]
-        present = int(np.bitwise_or.reduce(values))
-        while present:
-            low = present & -present
-            members = nodes[(values & np.uint64(low)) != 0]
-            answer_sink(low.bit_length() - 1, members.tolist())
-            present ^= low
-        return
-    # Wide batches (> 64 sources): per-word pass, same per-bit selects.
-    for word in range(words):
-        column = fresh[:, word]
-        nodes = np.nonzero(column)[0]
-        if nodes.size == 0:
-            continue
-        values = column[nodes]
-        present = int(np.bitwise_or.reduce(values))
+    for word, values in enumerate((fresh,) if fresh.ndim == 1 else fresh.T):
+        present = int(np.bitwise_or.reduce(values)) if values.size else 0
         base = word << 6
         while present:
             low = present & -present
@@ -291,31 +334,30 @@ def _emit_bit_groups(answer_sink, fresh: "np.ndarray") -> None:
 
 def _emit_new_accepting(
     answer_sink,
-    accept_union: "np.ndarray",
-    delta: "np.ndarray",
-    query: CompiledQuery,
-    states: "Iterable[int] | None" = None,
+    cells: "np.ndarray",
+    rows: "np.ndarray",
+    new: "np.ndarray",
+    n: int,
+    accepting_states: "Sequence[int]",
 ) -> None:
-    """Stream the round's newly accepting facts and fold them into the union.
+    """Stream the answers among one round's survivors.
 
-    ``states`` restricts the scan to accepting states known to have
-    received bits this round (the caller's active set) — the per-round
-    cost of a pure-propagation round is then a set intersection, not a
-    per-state array scan.
+    ``rows``/``new`` are the pairs about to grow and the bits they gain,
+    ``cells`` the masks *before* that growth.  A fact ``(bit, node)`` is an
+    answer the first time any accepting state holds it, so with several
+    accepting states the round's gains are merged per node and stripped of
+    what an accepting state already held.
     """
-    if states is None:
-        states = [s for s in range(query.num_states) if query.accepting[s]]
-    fresh: "np.ndarray | None" = None
-    for state in states:
-        block = delta[state]
-        fresh = block if fresh is None else fresh | block
-    if fresh is None:
+    found = _on_accepting(rows, new, n, accepting_states)
+    if found is None:
         return
-    fresh = fresh & ~accept_union
-    if not fresh.any():
-        return
-    accept_union |= fresh
-    _emit_bit_groups(answer_sink, fresh)
+    nodes, fresh = found
+    if len(accepting_states) > 1:
+        for state in accepting_states:
+            fresh = fresh & ~cells[nodes + state * n]
+        keep = _any_bit(fresh)
+        nodes, fresh = nodes[keep], fresh[keep]
+    _emit_bit_groups(answer_sink, nodes, fresh)
 
 
 def run_batch(
@@ -329,7 +371,14 @@ def run_batch(
     num_bits: "int | None" = None,
     answer_sink=None,
 ) -> BatchRun:
-    """Delta-driven vectorized fixpoint of the batched bitmask traversal.
+    """Sparse-push fixpoint of the batched bitmask traversal.
+
+    The frontier is a pair of arrays — ``rows``, the flat keys of the
+    product pairs that gained bits last round, and ``new``, the bits each
+    gained — and one round gathers the product-CSR out-edges of exactly
+    those rows, ORs the pushed bits per target, and keeps the targets that
+    gained something: they are the next frontier.  Nothing in a round is
+    sized by the graph.
 
     ``seeds``/``known``/``num_bits`` mirror the pure-Python executor: seeds
     inject (and propagate) imported frontier bits at arbitrary pairs, known
@@ -342,10 +391,9 @@ def run_batch(
     ``answer_sink`` streams accepting facts per fixpoint round, with the
     scalar executor's contract (``answer_sink(bit, nodes)`` per source bit
     with fresh facts, each ``(bit, node)`` fact at most once,
-    continued-frontier facts never re-reported): after seeding and again
-    after every delta round, the bits that newly landed on accepting
-    states — beyond the cumulative accepting union — go out grouped by
-    source bit.
+    continued-frontier facts never re-reported): the bits a round's
+    survivors newly land on accepting states — beyond what any accepting
+    state of the node already held — go out grouped by source bit.
     """
     n = graph.num_nodes
     run = BatchRun(sources=tuple(sources), backend="numpy")
@@ -382,85 +430,90 @@ def run_batch(
         words = known.words
     else:
         masks = np.zeros((num_states, n, words), dtype=np.uint64)
-        if known:
-            for (state, node), mask in known.items():
-                _inject_mask(masks, None, None, state, node, mask)
-    # Streaming: the per-node union of bits already known to be accepting,
-    # seeded from the pre-run masks so continued frontiers only report
-    # genuinely new facts (the semi-naive property, for answers).
-    accept_union: "np.ndarray | None" = None
-    accepting_states: "frozenset[int]" = frozenset()
-    if answer_sink is not None:
-        accepting_states = frozenset(
-            state for state in range(num_states) if query.accepting[state]
+    # The kernel addresses pairs by flat key ``state * n + node``.  The flat
+    # view must alias the tensor — a continued handle (including the steal
+    # path's ``masks[:, :, w:w+1]`` column views) is updated in place.
+    cells = masks.reshape(num_states * n, words)
+    assert np.shares_memory(cells, masks), "flat view of the mask tensor copied"
+    if words == 1:
+        cells = cells[:, 0]  # scalar rows: every round op runs 1-D
+    if known and not isinstance(known, NpFrontier):
+        rows, held = _pack_masks(
+            {state * n + node: mask for (state, node), mask in known.items()}, words
         )
-        accept_union = np.zeros((n, words), dtype=np.uint64)
-        for state in accepting_states:
-            accept_union |= masks[state]
-    delta = np.zeros_like(masks)
-    touched = np.zeros((num_states, n), dtype=bool)
-    for source, bit in bit_of.items():
-        _inject_mask(masks, delta, touched, query.initial, source, 1 << bit)
+        cells[rows] = held
+
+    # Injection: the sources' own bits at the initial state, plus imported
+    # seeds, as the candidate frontier of round zero.
+    inject = {query.initial * n + source: 1 << bit for source, bit in bit_of.items()}
     if seeds:
         for (state, node), mask in seeds.items():
-            _inject_mask(masks, delta, touched, state, node, mask)
-    if accept_union is not None:
-        # Injected bits landing on accepting pairs are answers already.
-        _emit_new_accepting(answer_sink, accept_union, delta, query)
+            key = state * n + node
+            inject[key] = inject.get(key, 0) | mask
+    rows, pushed = _pack_masks(inject, words)
 
-    # Delta-driven rounds: only bits that appeared in the previous round are
-    # propagated, and only states that received bits are revisited.
-    next_delta = np.zeros_like(masks)
-    active = {
-        state for state in range(num_states) if delta[state].any()
-    }
-    while active:
-        next_active: set[int] = set()
-        for state in active:
-            block = delta[state]
-            for label_id, next_state in query.moves[state]:
-                edges = graph.numpy_label_edges(label_id)
-                if edges.src.size == 0:
-                    continue
-                gathered = block[edges.src_by_dst]
-                if not gathered.any():
-                    continue
-                reduced = np.bitwise_or.reduceat(gathered, edges.group_starts, axis=0)
-                new_bits = reduced & ~masks[next_state][edges.dst_unique]
-                grew = new_bits.any(axis=1)
-                if not grew.any():
-                    continue
-                masks[next_state][edges.dst_unique] |= new_bits
-                next_delta[next_state][edges.dst_unique] |= new_bits
-                touched[next_state][edges.dst_unique[grew]] = True
-                next_active.add(next_state)
-        if accept_union is not None:
-            emit_states = accepting_states & next_active
-            if emit_states:
-                _emit_new_accepting(
-                    answer_sink, accept_union, next_delta, query, emit_states
-                )
-        # Swap the two round buffers; only the old round's active states can
-        # hold stale bits, so clearing those rows resets the next buffer.
-        delta, next_delta = next_delta, delta
-        for state in active:
-            next_delta[state].fill(0)
-        active = next_active
+    accepting_states = [
+        state for state in range(num_states) if query.accepting[state]
+    ]
+    touched = np.zeros(num_states * n, dtype=bool)
+    product = graph.numpy_product_csr(query.moves)
+    indptr, dst = product.indptr, product.dst
+    rounds = edges_gathered = peak_rows = 0
+    while rows.size:
+        # Semi-naive: only bits a pair does not hold yet survive, and only
+        # pairs that gained a bit are expanded.
+        held = cells[rows]
+        new = pushed & ~held
+        grew = _any_bit(new)
+        if not grew.all():
+            rows, new, held = rows[grew], new[grew], held[grew]
+            if not rows.size:
+                break
+        if answer_sink is not None:
+            _emit_new_accepting(answer_sink, cells, rows, new, n, accepting_states)
+        cells[rows] = held | new
+        touched[rows] = True
+        rounds += 1
+        peak_rows = max(peak_rows, rows.size)
+        # Push: gather the out-edges of the frontier rows only.  (The
+        # lowering is usually int32; index arithmetic stays int64.)
+        starts = indptr[rows].astype(np.int64, copy=False)
+        counts = indptr[rows + 1] - starts
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        if not total:
+            break
+        edges_gathered += total
+        edge_index = np.arange(total) + np.repeat(starts - ends + counts, counts)
+        rows, pushed = _group_or(dst[edge_index], np.repeat(new, counts, axis=0))
+        rows = rows.astype(np.int64, copy=False)
+    run.rounds = rounds
+    run.edges_gathered = edges_gathered
+    run.peak_frontier_rows = peak_rows
 
-    accept_mask = np.zeros((n, words), dtype=np.uint64)
-    for state in range(num_states):
-        if query.accepting[state]:
-            accept_mask |= masks[state]
-    per_bit = _scatter_bits(accept_mask, len(bit_of))
-    # Pairs expanded by *this* run (the scalar executor's semantics): on a
-    # plain run every nonzero pair grew here, so the counts coincide; on a
-    # known-continuation only the newly grown pairs count.
-    run.visited_pairs = int(touched.sum())
-    run.visited_objects = int(masks.any(axis=(0, 2)).sum())
-    for position, source in enumerate(run.sources):
-        run.answers[position] = per_bit[bit_of[source]]
+    # Pairs expanded by *this* run count as visited (the scalar executor's
+    # semantics).  On a fresh tensor they are also exactly the nonzero
+    # pairs, so the epilogue reads the one-byte ``touched`` flags and then
+    # only the reached rows, never the 8-bytes-a-word tensor; a continued
+    # tensor also holds what it came with and is scanned once.
+    grown = np.flatnonzero(touched)
+    run.visited_pairs = int(grown.size)
+    if isinstance(known, NpFrontier) or known:
+        reached = np.flatnonzero(_any_bit(cells))
+        run.visited_objects = int(masks.any(axis=(0, 2)).sum())
+    else:
+        reached = grown
+        run.visited_objects = int(
+            np.count_nonzero(touched.reshape(num_states, n).any(axis=0))
+        )
+    if bit_of:
+        found = _on_accepting(reached, cells[reached], n, accepting_states)
+        if found is not None:
+            per_bit = _scatter_bits(*found, len(bit_of))
+            for position, source in enumerate(run.sources):
+                run.answers[position] = per_bit[bit_of[source]]
 
-    run.frontier = NpFrontier(masks, touched, graph.version)
+    run.frontier = NpFrontier(masks, touched.reshape(num_states, n), graph.version)
     if witnesses:
         bits = dict(bit_of)
         snapshot_version = graph.version

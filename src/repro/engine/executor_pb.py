@@ -255,13 +255,18 @@ def run_batch(
         return flat
 
     current = delta
+    edges_gathered = 0
     while current:
+        run.rounds += 1
+        if len(current) > run.peak_frontier_rows:
+            run.peak_frontier_rows = len(current)
         next_delta: dict[int, int] = {}
         if streaming:
             for key, bits in current.items():
                 successors = succ_get(key)
                 if successors is None:
                     successors = build_successors(key)
+                edges_gathered += len(successors)
                 for successor_key, target, accepts in successors:
                     old = masks[successor_key]
                     merged = old | bits
@@ -294,6 +299,7 @@ def run_batch(
                 successors = succ_get(key)
                 if successors is None:
                     successors = build_successors(key)
+                edges_gathered += len(successors)
                 for successor_key in successors:
                     old = masks[successor_key]
                     merged = old | bits
@@ -309,6 +315,7 @@ def run_batch(
                         changed.add(successor_key)
                         next_delta[successor_key] = merged
         current = next_delta
+    run.edges_gathered = edges_gathered
 
     # A pair is "visited" on its first activation — one expansion per pair,
     # which is exactly what the queue executor's ``expanded`` flags count.

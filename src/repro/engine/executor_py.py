@@ -86,6 +86,22 @@ class BatchRun:
     # Backend-native cumulative mask state (PyFrontier / NpFrontier): the
     # sharded engine's handle for exporting facts and re-seeding supersteps.
     frontier: "object | None" = field(default=None, repr=False, compare=False)
+    # Kernel work counts, set once per run (never per edge) and copied onto
+    # the run's telemetry span by the dispatcher: the frontier expansions
+    # the fixpoint took (level-synchronous rounds on the numpy and packed
+    # kernels, BFS levels of the queue on this one), the product edges
+    # those expansions read, and the widest frontier — in product pairs —
+    # any of them carried.  Executor-specific, so never compared.
+    rounds: int = field(default=0, compare=False)
+    edges_gathered: int = field(default=0, compare=False)
+    peak_frontier_rows: int = field(default=0, compare=False)
+
+    def work_counts(self) -> "dict[str, int]":
+        return {
+            "rounds": self.rounds,
+            "edges_gathered": self.edges_gathered,
+            "peak_frontier_rows": self.peak_frontier_rows,
+        }
 
     def witness(self, source: int, target: int) -> "tuple[int, ...] | None":
         """A witness label-id word for ``target in answers-of(source)``.
@@ -482,7 +498,16 @@ def run_batch(
         if sink_bucket:
             flush_sink()
 
+    # Work counts: a "round" is one generation of the queue (the pairs
+    # enqueued while the previous generation was being expanded).
+    rounds = edges_gathered = peak_rows = generation_left = 0
     while queue:
+        if not generation_left:
+            generation_left = len(queue)
+            rounds += 1
+            if generation_left > peak_rows:
+                peak_rows = generation_left
+        generation_left -= 1
         key = queue.popleft()
         pending[key] = 0
         if sink_bucket:
@@ -508,6 +533,7 @@ def run_batch(
             extra = graph.overflow_successors(node, label_id)
             if extra is not None:
                 targets = list(targets) + extra
+            edges_gathered += len(targets)
             for target in targets:
                 successor_key = base + target
                 if masks[successor_key] | mask != masks[successor_key]:
@@ -529,6 +555,9 @@ def run_batch(
 
     if sink_bucket:
         flush_sink()
+    run.rounds = rounds
+    run.edges_gathered = edges_gathered
+    run.peak_frontier_rows = peak_rows
 
     # Combine accepting states into one answer mask per node, then scatter
     # the bits back into per-source answer sets.  Seeded runs may carry

@@ -21,7 +21,11 @@ independent halves:
   ``query_batch`` evaluation under a **max-batch-size / max-delay** policy:
   a bucket flushes as soon as it holds ``max_batch`` requests (futures —
   duplicate sources count, matching the stats; see :class:`ServingStats`),
-  or ``max_delay`` seconds after its first request, whichever comes first.
+  or ``max_delay`` seconds after its first request, whichever comes first
+  — except that a delay that runs out while every evaluation worker is
+  busy keeps the bucket open (and coalescing) until one frees up, so the
+  number of batches a burst costs does not grow with how many timers a
+  slow moment lets expire (see :meth:`QueryServer._flush`).
   Flushes execute on a small thread pool so the event loop never blocks on
   an engine round-trip, and the per-source answer sets are fanned back out
   to the waiting futures.  The batched bitmask executor makes the shared
@@ -538,7 +542,8 @@ class QueryServer:
     (futures — duplicate sources count; see :class:`ServingStats`) or
     ``max_delay`` seconds after its first request.  Flushes run
     on a ``concurrency``-wide thread pool (default 1), so distinct-DFA
-    batches can evaluate in parallel while the event loop keeps admitting.
+    batches can evaluate in parallel while the event loop keeps admitting;
+    a delay flush that finds every worker busy waits for one, coalescing.
     :meth:`submit_stream` admits identically but returns an
     :class:`AnswerStream` that yields answers as the engine derives them.
     A request whose source is already covered by an *in-flight* batch of
@@ -603,6 +608,11 @@ class QueryServer:
         # target for requests whose source an in-flight batch already covers.
         self._serving: "dict[str, list[_Bucket]]" = {}
         self._inflight: "set[asyncio.Task]" = set()
+        # Evaluation workers not claimed by a flushed batch (negative while
+        # size/close flushes queue in the pool), and the pending buckets
+        # whose delay expired with none free — see _flush.
+        self._free_workers = concurrency or 1
+        self._ripe: "deque[tuple[str, _Bucket]]" = deque()
         self._pool = ThreadPoolExecutor(
             max_workers=concurrency or 1, thread_name_prefix="repro-serve"
         )
@@ -988,9 +998,21 @@ class QueryServer:
 
     # -- flushing -------------------------------------------------------------
     def _flush(self, key: str, reason: str) -> None:
+        if reason == "delay" and self._free_workers <= 0:
+            # Every evaluation worker is busy, so a flush now would only
+            # queue behind them.  The bucket waits for a worker instead and
+            # keeps coalescing meanwhile: under load batches widen (and
+            # their count stops depending on how many timers a slow moment
+            # lets expire) while the evaluation starts no later than it
+            # would have from the pool's queue.
+            bucket = self._buckets.get(key)
+            if bucket is not None:
+                self._ripe.append((key, bucket))
+            return
         bucket = self._buckets.pop(key, None)
         if bucket is None:  # raced with another flush path; nothing to do
             return
+        self._free_workers -= 1
         if bucket.timer is not None:
             bucket.timer.cancel()
         self.stats.batches += 1
@@ -1028,6 +1050,16 @@ class QueryServer:
         task = asyncio.get_running_loop().create_task(self._serve(key, bucket))
         self._inflight.add(task)
         task.add_done_callback(self._inflight.discard)
+
+    def _worker_freed(self) -> None:
+        """An evaluation returned (event-loop only): hand the freed worker
+        the buckets whose delay ran out while it was busy, oldest first."""
+        self._free_workers += 1
+        while self._ripe and self._free_workers > 0:
+            key, bucket = self._ripe.popleft()
+            # A size or close flush may have taken the bucket meanwhile.
+            if self._buckets.get(key) is bucket:
+                self._flush(key, "delay")
 
     def _unserve(self, key: str, bucket: _Bucket) -> None:
         """Withdraw a batch from the merge-target index (event-loop only).
@@ -1129,7 +1161,10 @@ class QueryServer:
                         eval_span.end()
 
         try:
-            results = await loop.run_in_executor(self._pool, evaluate)
+            try:
+                results = await loop.run_in_executor(self._pool, evaluate)
+            finally:
+                self._worker_freed()
         except BaseException as error:
             self._unserve(key, bucket)
             for waiting in bucket.waiters.values():

@@ -1149,18 +1149,21 @@ class ShardedEngine(ServingSurface):
                             superstep_span, "sharded.local_fixpoint", shard=shard
                         )
                         try:
-                            frontier, exports, backend = self._local_fixpoint(
-                                shard,
-                                pending[shard],
-                                frontiers[shard],
-                                compiled[shard],
-                                num_bits,
-                                answer_sink=(
-                                    sink_factory(shard)
-                                    if sink_factory is not None
-                                    else None
-                                ),
-                            )
+                            # Current for the run, so the dispatcher lands
+                            # the kernel's work counts on this span.
+                            with tele.under(local_span):
+                                frontier, exports, backend = self._local_fixpoint(
+                                    shard,
+                                    pending[shard],
+                                    frontiers[shard],
+                                    compiled[shard],
+                                    num_bits,
+                                    answer_sink=(
+                                        sink_factory(shard)
+                                        if sink_factory is not None
+                                        else None
+                                    ),
+                                )
                         finally:
                             local_span.end()
                         local_span.set(

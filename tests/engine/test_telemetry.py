@@ -685,3 +685,31 @@ class TestHTTPServer:
             assert "engine_single_evaluations 0" in scrape()
             engine.query("a b*", "o1")
             assert "engine_single_evaluations 1" in scrape()
+
+    def test_importing_the_engine_does_not_import_http_server(self):
+        # ``http.server`` pulls in email/html/mimetypes/socketserver (~2.4 MB
+        # resident); only a process that starts the exporter should pay.
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        probe = (
+            "import sys, repro.engine\n"
+            "assert 'http.server' not in sys.modules, 'imported eagerly'\n"
+            "from repro.engine import Engine, TelemetryHTTPServer\n"
+            "from repro.graph import figure2_graph\n"
+            "TelemetryHTTPServer(Engine.open(figure2_graph()[0]).metrics).close()\n"
+            "assert 'http.server' in sys.modules, 'exporter never imported it'\n"
+        )
+        source_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [source_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
