@@ -511,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine_parser.add_argument(
         "--backend", choices=("auto", "python", "packed", "numpy"), default="auto",
-        help="executor backend: auto picks numpy when available, else the "
-        "packed-bitset fallback for wide batches (default: auto)",
+        help="batch kernel: auto picks numpy when available, else the "
+        "packed-bitset one; python is the scalar oracle (default: auto)",
     )
     engine_parser.add_argument(
         "--compact", action="store_true",

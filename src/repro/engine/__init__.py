@@ -6,10 +6,11 @@ labels and object ids are interned to dense integers
 label-partitioned CSR adjacency with incremental adds *and* deletes
 (:mod:`~repro.engine.csr`), queries are lowered to integer DFA transition
 tables with an LRU compile cache (:mod:`~repro.engine.compiled_query`), and
-execution shares work across batched sources via bitmask frontiers — served
-by either the pure-Python executor (:mod:`~repro.engine.executor_py`) or the
-numpy-vectorized one (:mod:`~repro.engine.executor_np`), selected by the
-backend dispatcher (:mod:`~repro.engine.executor`).  The
+execution shares work across batched sources via bitmask frontiers — one
+driver (:mod:`~repro.engine.executor`) around the numpy kernel
+(:mod:`~repro.engine.executor_np`) or, without numpy, the packed one
+(:mod:`~repro.engine.executor_pb`), with the scalar kernels of
+:mod:`~repro.engine.executor_py` serving single sources and oracle duty.  The
 :class:`~repro.engine.session.Engine` façade ties it together and is what
 callers — the CLI's ``engine`` subcommand, the planner's engine backend, and
 the transparent delegation inside ``query.evaluation.evaluate`` — build on.

@@ -23,11 +23,12 @@ instead of a full rebuild.  Re-adding a tombstoned edge revives its CSR slot
 in place; compaction folds overflow in and drops tombstones out, restoring
 the pure-CSR invariant.
 
-For the vectorized executor (:mod:`repro.engine.executor_np`) the per-label
-adjacency is additionally lowered, lazily and cached per version, to flat
-numpy ``(source, target)`` edge arrays (:class:`LabelEdges`), and from
-those — per compiled query — to a :class:`ProductCSR`: the adjacency of the
-DFA x graph product itself, which the batched kernel pushes frontiers over.
+For the numpy kernel (:mod:`repro.engine.executor_np`) the adjacency is
+additionally lowered, lazily and cached per version, to a
+:class:`ProductCSR` per compiled query: the adjacency of the DFA x graph
+product itself, which the batched kernel pushes frontiers over.  The
+per-label flat ``(source, target)`` edge arrays (:class:`LabelEdges`) are
+that build's intermediate and have no other reader — no kernel walks them.
 
 The whole compiled state round-trips through :meth:`CompiledGraph.to_parts`
 / :meth:`CompiledGraph.from_parts` — the exchange format the snapshot codecs
@@ -553,9 +554,10 @@ class CompiledGraph:
         """One label's live edges as flat numpy arrays, cached per version.
 
         The arrays merge the CSR slice (minus tombstones) with the overflow
-        adjacency, so the vectorized executor sees exactly the edge set the
-        scalar traversals see.  The cache is invalidated by any mutation
-        (``version`` bump) and rebuilt lazily, one label at a time.
+        adjacency, so the product lowering built from them
+        (:meth:`numpy_product_csr`, their one reader) sees exactly the edge
+        set the scalar traversals see.  The cache is invalidated by any
+        mutation (``version`` bump) and rebuilt lazily, one label at a time.
         """
         import numpy as np
 

@@ -1,50 +1,50 @@
-"""Backend dispatch for product-BFS execution: numpy when possible.
+"""The execution contract: one driver, one kernel per job.
 
-Three executors implement the same entry points over the same compiled
-structures:
+Evaluating ``p(o, I)`` is reachability in the DFA × graph product.  This
+module owns everything about that which is not a fixpoint loop, and is the
+only place that picks a kernel:
 
-* :mod:`repro.engine.executor_py` — the pure-Python reference: scalar BFS
-  with bytearray visited sets and arbitrary-precision bitmask frontiers;
-* :mod:`repro.engine.executor_pb` — the packed-bitset fallback: the same
-  arbitrary-precision masks advanced in delta-driven rounds that propagate
-  whole packed words per edge visit, with per-run adjacency caching —
-  faster than the reference on mid-size and wide batches, pure Python;
-* :mod:`repro.engine.executor_np` — the vectorized twin: packed ``uint64``
-  mask tensors advanced by a frontier-proportional sparse push over a
-  cached product-graph CSR (gather the frontier rows' out-edges, sort by
-  target, ``bitwise_or.reduceat``, keep what grew).
+* **Single-source runs** (:func:`run_single`) have one kernel, the scalar
+  parent-pointer BFS of :mod:`repro.engine.executor_py`, under every
+  backend name: one source is one mask bit, so no batched kernel has
+  anything to amortize.  ``backend=`` is validated and otherwise ignored;
+  the run is stamped with the kernel that ran (``"python"``).
+* **Batched runs** (:func:`run_batch`, :func:`run_all_pairs`) share the
+  driver below — source → bit assignment, range and handle validation, the
+  witness resolver, work-count stamping — around one of three fixpoint
+  loops: :mod:`repro.engine.executor_np` (sparse push over the product
+  CSR), :mod:`repro.engine.executor_pb` (whole-word delta rounds over
+  Python ints) and the queue kernel of :mod:`repro.engine.executor_py`.
 
-This module is the only place that decides between them.  ``backend="auto"``
-(the default everywhere) picks numpy when it imports; without numpy it
-picks the packed-bitset executor for batches at least
-``REPRO_PACKED_MIN_BATCH`` bits wide (default 16 — measured in mask bits,
-so the choice is stable across a sharded evaluation's supersteps, whose
-``num_bits`` is fixed up front) and the scalar reference below that —
-numpy is strictly optional.  ``backend="python"``, ``backend="packed"``
-and ``backend="numpy"`` force a specific executor; forcing numpy when it
-is not importable raises :class:`~repro.exceptions.ReproError`.  Setting
-the environment variable ``REPRO_DISABLE_NUMPY`` (to any non-empty value)
+``backend="auto"`` (the default everywhere) is the numpy kernel when numpy
+imports and the packed kernel when it does not — numpy is strictly
+optional.  ``"numpy"`` and ``"packed"`` force a kernel; ``"python"`` forces
+the queue kernel, which ``auto`` never picks: it is the differential
+oracle the other two are tested against.  Forcing numpy when it is not
+importable raises :class:`~repro.exceptions.ReproError`.  Setting the
+environment variable ``REPRO_DISABLE_NUMPY`` (to any non-empty value)
 makes the dispatcher treat numpy as absent, which is how
 ``scripts/check.sh`` exercises the fallback paths on machines that do
 have numpy installed.
 
 Every batched run reports what its kernel did — ``rounds``,
-``edges_gathered``, ``peak_frontier_rows`` on :class:`BatchRun` — and this
-module copies those counts onto the telemetry span the run executed under,
+``edges_gathered``, ``peak_frontier_rows`` on :class:`BatchRun` — and the
+driver copies those counts onto the telemetry span the run executed under,
 so "why was this batch slow" is answerable per backend from a trace.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping, Sequence
 from time import perf_counter
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING
 
 from ..exceptions import ReproError
 from .compiled_query import CompiledQuery
 from .csr import CompiledGraph
 from . import executor_pb, executor_py
-from .executor_py import BatchRun, SingleRun
+from .executor_py import BatchRun, PyFrontier, SingleRun, restricted_witness
 from .telemetry import current_span
 
 try:  # pragma: no cover - exercised via both arms of scripts/check.sh
@@ -52,13 +52,18 @@ try:  # pragma: no cover - exercised via both arms of scripts/check.sh
 except ImportError:  # pragma: no cover
     _executor_np = None
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .executor_np import NpFrontier
+
 BACKENDS = ("auto", "python", "packed", "numpy")
 
-# Batch width (in mask bits) from which ``auto`` without numpy prefers the
-# packed-bitset executor over the scalar reference.  Below this the queue
-# executor's lighter per-pair bookkeeping wins; above it, whole-word
-# propagation amortizes each edge visit across the batch.
-_PACKED_MIN_BATCH = 16
+# Per backend name: the fixpoint loop and the frontier handle it continues.
+_KERNELS = {
+    "python": (executor_py.fixpoint, PyFrontier),
+    "packed": (executor_pb.fixpoint, PyFrontier),
+}
+if _executor_np is not None:
+    _KERNELS["numpy"] = (_executor_np.fixpoint, _executor_np.NpFrontier)
 
 
 def numpy_available() -> bool:
@@ -70,68 +75,20 @@ def available_backends() -> tuple[str, ...]:
     return ("python", "packed", "numpy") if numpy_available() else ("python", "packed")
 
 
-def packed_min_batch() -> int:
-    """The auto-selection width threshold, env-overridable for benches/CI."""
-    raw = os.environ.get("REPRO_PACKED_MIN_BATCH")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return _PACKED_MIN_BATCH
-
-
 def resolve_backend(backend: str = "auto") -> str:
-    """Map a requested backend to the executor family that will serve it.
-
-    ``auto`` resolves to the *fallback family* when numpy is absent: the
-    dispatcher still picks packed vs. scalar per batch (by width), so the
-    resolved name describes capability ("python executors will run"), not
-    the exact module of every future call.
-    """
+    """Map a requested backend to the batch kernel that will serve it."""
     if backend not in BACKENDS:
         raise ReproError(
             f"unknown engine backend {backend!r}; expected one of {BACKENDS}"
         )
     if backend == "auto":
-        return "numpy" if numpy_available() else "python"
+        return "numpy" if numpy_available() else "packed"
     if backend == "numpy" and not numpy_available():
         raise ReproError(
             "numpy backend requested but numpy is not available "
             "(not importable, or disabled via REPRO_DISABLE_NUMPY)"
         )
     return backend
-
-
-_MODULES = {"python": executor_py, "packed": executor_pb}
-
-
-def _module(backend: str):
-    resolved = resolve_backend(backend)
-    if resolved == "numpy":
-        return _executor_np
-    return _MODULES[resolved]
-
-
-def _batch_module(
-    backend: str,
-    sources: Sequence[int],
-    num_bits: "int | None",
-):
-    """Pick the executor for one batched run.
-
-    Forced backends map straight to their module.  ``auto`` without numpy
-    weighs the batch width — ``num_bits`` when the caller sized the mask
-    universe (the sharded engine does, identically for every superstep of
-    an evaluation), the distinct-source count otherwise — against
-    :func:`packed_min_batch`.
-    """
-    if backend == "auto" and not numpy_available():
-        width = num_bits if num_bits else len(set(sources))
-        if width >= packed_min_batch():
-            return executor_pb
-        return executor_py
-    return _module(backend)
 
 
 def run_single(
@@ -141,17 +98,35 @@ def run_single(
     *,
     backend: str = "auto",
 ) -> SingleRun:
-    """Single-source product BFS with witnesses, on the chosen backend.
+    """Single-source product BFS with witnesses (one kernel, any backend).
 
     Every dispatched run is stamped with its wall-clock ``elapsed`` seconds
     (likewise below) — the timing hook the telemetry layer's
-    ``engine_run_seconds`` histogram reads, kept here so both executors are
-    measured identically without timing code in their hot loops.
+    ``engine_run_seconds`` histogram reads, kept here so every kernel is
+    measured identically without timing code in its hot loop.
     """
+    resolve_backend(backend)
     started = perf_counter()
-    run = _module(backend).run_single(graph, query, source)
+    run = executor_py.run_single(graph, query, source)
     run.elapsed = perf_counter() - started
     return run
+
+
+def _flat_facts(
+    facts: "Mapping[tuple[int, int], int] | None", what: str, num_states: int, n: int
+) -> "dict[int, int]":
+    """``(state, node) -> mask`` facts re-keyed by flat pair key
+    ``state * n + node``.  A pair outside the product raises: its flat key
+    would silently alias some other state's row."""
+    flat: "dict[int, int]" = {}
+    for (state, node), mask in (facts or {}).items():
+        if not (0 <= state < num_states and 0 <= node < n):
+            raise ValueError(
+                f"{what} key {(state, node)!r} is outside the "
+                f"{num_states}-state x {n}-node product"
+            )
+        flat[state * n + node] = mask
+    return flat
 
 
 def run_batch(
@@ -161,37 +136,109 @@ def run_batch(
     *,
     witnesses: bool = False,
     seeds: "Mapping[tuple[int, int], int] | None" = None,
-    known: "Mapping[tuple[int, int], int] | None" = None,
+    known: "Mapping[tuple[int, int], int] | PyFrontier | NpFrontier | None" = None,
     num_bits: "int | None" = None,
     answer_sink=None,
     backend: str = "auto",
 ) -> BatchRun:
-    """Shared multi-source traversal, on the chosen backend.
+    """Evaluate one query from many sources in a single shared traversal.
 
-    ``seeds`` injects source bits at arbitrary ``(state, node)`` pairs and
-    ``known`` pre-loads prior facts without re-propagating them — the
-    import half of the sharded engine's superstep exchange; ``num_bits``
-    sizes the mask universe for the *global* batch when the local sources
-    do not span it; ``answer_sink(bit, nodes)`` streams newly accepting
-    facts out of the fixpoint as they land, grouped by source bit (both
-    backends honor the same at-most-once contract).  See
-    :func:`repro.engine.executor_py.run_batch`.
+    Every visited product pair carries the bitmask of the sources that
+    reach it, so shared graph regions are traversed once for the whole
+    batch.  Distinct sources take mask bits in order of first appearance
+    (duplicates share the bit and the result set); a source that is not a
+    node id of the graph keeps its bit but never enters the fixpoint and
+    answers empty, as in :func:`run_single`.
+
+    ``seeds`` maps ``(state, node)`` pairs to source bitmasks injected on
+    top of the sources' initial-state bits — the sharded engine's imported
+    cross-shard frontier.  ``known`` pre-loads masks derived by earlier
+    supersteps *without* propagating them again (semi-naive); passing the
+    previous run's :attr:`BatchRun.frontier` continues that state in place
+    (no conversion; the prior run must not be reused), and is refused when
+    its shape does not match or the graph mutated since it was derived.  A
+    ``seeds``/``known`` key outside the product raises ``ValueError``.
+    ``num_bits`` sizes the mask universe for the *global* batch when seeds
+    carry bit positions beyond the local sources.
+
+    ``answer_sink(bit, nodes)`` streams accepting facts *during* the
+    fixpoint — one source bit, the nodes that bit newly reached in an
+    accepting state.  Each ``(bit, node)`` fact is reported at most once
+    per run, and facts a continued ``known`` frontier already held are
+    never re-reported, so across a chain of continued runs the union of
+    everything streamed equals the final accepting facts.  The sink runs
+    on the executor's thread and must be cheap; exceptions it raises abort
+    the run.
+
+    With ``witnesses=True`` (fresh runs only) :meth:`BatchRun.witness`
+    rebuilds, on demand, a shortest label word for any answer pair from
+    the per-bit reachability the masks record.
     """
     started = perf_counter()
-    run = _batch_module(backend, sources, num_bits).run_batch(
-        graph, query, sources, witnesses=witnesses, seeds=seeds, known=known,
-        num_bits=num_bits, answer_sink=answer_sink,
-    )
-    return _stamp(run, started)
-
-
-def _stamp(run: BatchRun, started: float) -> BatchRun:
-    """Stamp a batched run with its wall time and hand its kernel work
-    counts to the span it ran under (``engine.run`` on a session,
-    ``sharded.local_fixpoint`` on a shard; a no-op outside any span)."""
+    name = resolve_backend(backend)
+    fixpoint, frontier_class = _KERNELS[name]
+    n = graph.num_nodes
+    num_states = query.num_states
+    run = BatchRun(sources=tuple(sources), backend=name)
+    bit_of: "dict[int, int]" = {}
+    for source in run.sources:
+        bit_of.setdefault(source, len(bit_of))
+    per_bit: "list[set[int]]" = [set() for _ in bit_of]
+    # A run given only ``known`` still validates and re-exports the handle
+    # (the fixpoint just has nothing new to expand).
+    if n and (bit_of or seeds or known is not None):
+        if witnesses and (seeds or known):
+            raise ValueError(
+                "witnesses=True is not supported with seeds/known frontiers"
+            )
+        inject = {
+            query.initial * n + source: 1 << bit
+            for source, bit in bit_of.items()
+            if 0 <= source < n
+        }
+        for key, mask in _flat_facts(seeds, "seeds", num_states, n).items():
+            inject[key] = inject.get(key, 0) | mask
+        if known is None or isinstance(known, Mapping):
+            known = _flat_facts(known, "known", num_states, n)
+        elif not (isinstance(known, frontier_class) and known.fits(num_states, n)):
+            raise ValueError("known frontier does not match this graph/query")
+        elif known.version is not None and known.version != graph.version:
+            raise ValueError(
+                "known frontier is stale: the graph mutated since it was "
+                "derived (re-run the batch instead of continuing the handle)"
+            )
+        per_bit = fixpoint(
+            run, graph, query, inject, known, num_bits, len(bit_of), answer_sink
+        )
+        if witnesses:
+            run.witness_resolver = _witness_resolver(graph, query, bit_of, run.frontier)
+    run.answers = [per_bit[bit_of[source]] for source in run.sources]
     run.elapsed = perf_counter() - started
+    # The span the run executed under (``engine.run`` on a session,
+    # ``sharded.local_fixpoint`` on a shard; a no-op outside any span).
     current_span().set(**run.work_counts())
     return run
+
+
+def _witness_resolver(graph, query, bit_of, frontier):
+    """``BatchRun.witness`` for a finished run: replay one source bit's
+    reached region (``frontier.has_bit``) against the live adjacency, which
+    is only sound while the graph is the one the run saw."""
+    n = graph.num_nodes
+    version = graph.version
+
+    def resolver(source: int, target: int) -> "tuple[int, ...] | None":
+        if graph.version != version:
+            raise ValueError(
+                "graph mutated since the batched run; resolve witnesses "
+                "before add_edge/remove_edge (or re-run the batch)"
+            )
+        bit = bit_of.get(source)
+        if bit is None or not 0 <= source < n:
+            return None
+        return restricted_witness(graph, query, frontier.has_bit(bit), source, target)
+
+    return resolver
 
 
 def run_all_pairs(
@@ -201,9 +248,10 @@ def run_all_pairs(
     witnesses: bool = False,
     backend: str = "auto",
 ) -> BatchRun:
-    """Batched evaluation from every node, on the chosen backend."""
-    started = perf_counter()
-    run = _batch_module(backend, (), graph.num_nodes).run_all_pairs(
-        graph, query, witnesses=witnesses
+    """Batched evaluation from every node: node ids double as mask bit
+    positions, so ``answers[i]`` is the answer set of node ``i``.  Backs
+    ``Engine.query_all`` (and through it ``evaluate_all_sources``, which
+    constraint-satisfaction checking uses to quantify over sites)."""
+    return run_batch(
+        graph, query, range(graph.num_nodes), witnesses=witnesses, backend=backend
     )
-    return _stamp(run, started)

@@ -1,122 +1,42 @@
-"""Numpy-vectorized frontier execution over a compiled graph and query.
+"""The numpy kernel: a sparse push over the product graph's own CSR.
 
-The scalar executor (:mod:`repro.engine.executor_py`) walks CSR slices one
-node at a time; this module advances *whole frontiers* instead:
+What ``auto`` runs for batches whenever numpy imports.  The per-pair source
+bitmasks are packed into a ``(num_states, num_nodes, num_words)`` ``uint64``
+tensor, and :func:`fixpoint` pushes frontiers over
+:class:`repro.engine.csr.ProductCSR` (flat key ``state * n + node``,
+lowered once per graph version and move table): the frontier travels
+between rounds as ``(rows, bits)`` arrays, a round gathers the out-edges of
+those rows only, sorts the pushed bits by target,
+``np.bitwise_or.reduceat``s them per target, masks against what the target
+already holds, and the survivors are the next frontier.  The paper's
+``p(o, I)`` is reachability in this product, and the push costs what the
+sources reach — edges out of the frontier per round, not edges of the graph
+per round (:attr:`BatchRun.edges_gathered` counts them).
 
-* :func:`run_single` keeps a ``(num_states, num_nodes)`` boolean frontier
-  matrix and, per live ``(label, next_state)`` move, gathers the frontier
-  over the label's flat edge arrays and scatters into the next state's row —
-  a level-synchronous BFS whose parent arrays still yield shortest witnesses
-  (any parent written in the discovering level is at minimal distance);
-* :func:`run_batch` packs the per-pair source bitmasks into a
-  ``(num_states, num_nodes, num_words)`` ``uint64`` tensor and runs a
-  **sparse push** over the product graph's own CSR
-  (:class:`repro.engine.csr.ProductCSR`, flat key ``state * n + node``,
-  lowered once per graph version and move table): the frontier travels
-  between rounds as ``(rows, bits)`` arrays, a round gathers the out-edges
-  of those rows only, sorts the pushed bits by target,
-  ``np.bitwise_or.reduceat``s them per target, masks against what the
-  target already holds, and the survivors are the next frontier.  The
-  paper's ``p(o, I)`` is reachability in this product, and the push costs
-  what the sources reach — edges out of the frontier per round, not edges
-  of the graph per round (:attr:`BatchRun.edges_gathered` counts them);
-* :func:`run_all_pairs` is the batch mode over every node.
+This module is that loop plus :class:`NpFrontier`, the tensor's exchange
+handle; bit assignment, handle validation, witnesses and work-count
+stamping are the driver's (:mod:`repro.engine.executor`).  There is no
+single-source kernel here: one source is one bit, nothing to vectorize
+over, and the dense level-pull that used to serve it lost to the scalar
+BFS (:func:`repro.engine.executor_py.run_single`) on every shape measured.
 
-Results are bit-for-bit identical to the pure-Python executor (the
+Results are bit-for-bit identical to the pure-Python kernels (the
 differential fuzz harness in ``tests/engine/test_engine_fuzz.py`` enforces
 this), including the ``visited_pairs``/``visited_objects`` statistics: a
 pair counts as visited exactly when some source's bit reaches it, which is
-the same set the scalar BFS expands.  Witness reconstruction for batched
-runs reuses :func:`repro.engine.executor_py.restricted_witness`, testing
-pair membership directly against the packed mask tensor.
+the same set the scalar BFS expands.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .compiled_query import CompiledQuery
 from .csr import CompiledGraph
-from .executor_py import BatchRun, SingleRun, restricted_witness
-
-
-def run_single(
-    graph: CompiledGraph, query: CompiledQuery, source: int
-) -> SingleRun:
-    """Level-synchronous vectorized BFS from one source, with witnesses."""
-    n = graph.num_nodes
-    run = SingleRun(backend="numpy")
-    if n == 0 or source < 0 or source >= n:
-        return run
-    num_states = query.num_states
-    accepting = query.accepting
-    moves = query.moves
-
-    visited = np.zeros((num_states, n), dtype=bool)
-    parent_state = np.full((num_states, n), -1, dtype=np.int64)
-    parent_node = np.full((num_states, n), -1, dtype=np.int64)
-    parent_label = np.full((num_states, n), -1, dtype=np.int64)
-    answered = np.zeros(n, dtype=bool)
-    # The accepting state through which each answer was first reached.
-    accept_state = np.full(n, -1, dtype=np.int64)
-
-    visited[query.initial, source] = True
-    frontier = np.zeros((num_states, n), dtype=bool)
-    frontier[query.initial, source] = True
-    if accepting[query.initial]:
-        answered[source] = True
-        accept_state[source] = query.initial
-
-    while frontier.any():
-        next_frontier = np.zeros((num_states, n), dtype=bool)
-        for state in range(num_states):
-            row = frontier[state]
-            if not row.any():
-                continue
-            for label_id, next_state in moves[state]:
-                edges = graph.numpy_label_edges(label_id)
-                if edges.src.size == 0:
-                    continue
-                selected = row[edges.src]
-                if not selected.any():
-                    continue
-                targets = edges.dst[selected]
-                origins = edges.src[selected]
-                fresh = ~visited[next_state][targets]
-                if not fresh.any():
-                    continue
-                targets = targets[fresh]
-                origins = origins[fresh]
-                # Duplicate targets keep the last writer's parent; every
-                # writer is in the current level, so the witness stays
-                # shortest either way.
-                visited[next_state][targets] = True
-                parent_state[next_state][targets] = state
-                parent_node[next_state][targets] = origins
-                parent_label[next_state][targets] = label_id
-                next_frontier[next_state][targets] = True
-                if accepting[next_state]:
-                    new_answers = targets[~answered[targets]]
-                    if new_answers.size:
-                        answered[new_answers] = True
-                        accept_state[new_answers] = next_state
-        frontier = next_frontier
-
-    run.visited_pairs = int(visited.sum())
-    run.visited_objects = int(visited.any(axis=0).sum())
-    run.answers = set(np.nonzero(answered)[0].tolist())
-    for target in run.answers:
-        state, node = int(accept_state[target]), target
-        labels: list[int] = []
-        while parent_label[state, node] != -1:
-            labels.append(int(parent_label[state, node]))
-            state, node = int(parent_state[state, node]), int(parent_node[state, node])
-        labels.reverse()
-        run.witness_paths[target] = tuple(labels)
-    return run
+from .executor_py import BatchRun
 
 
 _WORD = (1 << 64) - 1
@@ -137,7 +57,7 @@ def _group_or(keys: "np.ndarray", values: "np.ndarray"):
     """
     # An OR is order-blind, so stability is not needed for correctness; the
     # default introsort is measurably faster here and is held back only by
-    # a benchmark artifact — see ROADMAP, "Collapse the executor zoo".
+    # a benchmark artifact — see ROADMAP, "Land what PR 15 held back".
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.empty(keys.size, dtype=bool)
@@ -242,7 +162,7 @@ class NpFrontier:
     grew during the last run.  The exchange interface speaks
     arbitrary-precision int masks so the sharded engine never sees words.
     ``version`` stamps the graph version the masks were derived against;
-    :func:`run_batch` refuses to continue a stale handle (see
+    the driver refuses to continue a stale handle (see
     :class:`repro.engine.executor_py.PyFrontier`).
     """
 
@@ -258,6 +178,17 @@ class NpFrontier:
         self.touched = touched
         self.words = masks.shape[2]
         self.version = version
+
+    def fits(self, num_states: int, n: int) -> bool:
+        """Whether the tensor spans exactly this ``num_states x n`` product."""
+        return self.masks.shape[:2] == (num_states, n)
+
+    def has_bit(self, bit: int) -> "Callable[[int], bool]":
+        """The membership test of one source bit's region, by flat key."""
+        column = self.masks[:, :, bit >> 6]
+        n = column.shape[1]
+        flag = np.uint64(1 << (bit & 63))
+        return lambda key: bool(column[key // n, key % n] & flag)
 
     def _int_at(self, state: int, node: int) -> int:
         row = self.masks[state, node]
@@ -360,18 +291,17 @@ def _emit_new_accepting(
     _emit_bit_groups(answer_sink, nodes, fresh)
 
 
-def run_batch(
+def fixpoint(
+    run: BatchRun,
     graph: CompiledGraph,
     query: CompiledQuery,
-    sources: Sequence[int],
-    *,
-    witnesses: bool = False,
-    seeds: "Mapping[tuple[int, int], int] | None" = None,
-    known: "Mapping[tuple[int, int], int] | NpFrontier | None" = None,
-    num_bits: "int | None" = None,
-    answer_sink=None,
-) -> BatchRun:
-    """Sparse-push fixpoint of the batched bitmask traversal.
+    inject: "Mapping[int, int]",
+    known: "Mapping[int, int] | NpFrontier | None",
+    num_bits: "int | None",
+    local_bits: int,
+    answer_sink: "Callable[[int, Sequence[int]], None] | None",
+) -> "list[set[int]]":
+    """The sparse-push kernel behind ``run_batch`` (contract: see the driver).
 
     The frontier is a pair of arrays — ``rows``, the flat keys of the
     product pairs that gained bits last round, and ``new``, the bits each
@@ -380,55 +310,27 @@ def run_batch(
     gained something: they are the next frontier.  Nothing in a round is
     sized by the graph.
 
-    ``seeds``/``known``/``num_bits`` mirror the pure-Python executor: seeds
-    inject (and propagate) imported frontier bits at arbitrary pairs, known
-    pre-loads prior supersteps' facts without re-propagating them — passing
-    the previous run's :class:`NpFrontier` continues its mask tensor in
-    place, paying zero conversion — and ``num_bits`` sizes the packed word
-    dimension for the global batch width when it exceeds the local source
-    count.
+    A ``known`` :class:`NpFrontier` is continued in place, paying zero
+    conversion; ``num_bits`` sizes the packed word dimension for the global
+    batch width when it exceeds the local source count (unsized runs are
+    as wide as their widest injected or known mask).
 
-    ``answer_sink`` streams accepting facts per fixpoint round, with the
-    scalar executor's contract (``answer_sink(bit, nodes)`` per source bit
-    with fresh facts, each ``(bit, node)`` fact at most once,
-    continued-frontier facts never re-reported): the bits a round's
+    ``answer_sink`` streams per fixpoint round: the bits a round's
     survivors newly land on accepting states — beyond what any accepting
     state of the node already held — go out grouped by source bit.
     """
     n = graph.num_nodes
-    run = BatchRun(sources=tuple(sources), backend="numpy")
-    run.answers = [set() for _ in sources]
-    # A run given only ``known`` still validates and re-exports the handle
-    # (the fixpoint just has nothing new to expand).
-    if n == 0 or (not sources and not seeds and known is None):
-        return run
-    if witnesses and (seeds or known):
-        raise ValueError("witnesses=True is not supported with seeds/known frontiers")
-    bit_of: dict[int, int] = {}
-    for source in sources:
-        if source not in bit_of:
-            bit_of[source] = len(bit_of)
     num_states = query.num_states
-    width = len(bit_of) if num_bits is None else max(num_bits, len(bit_of))
-    if num_bits is None and not isinstance(known, NpFrontier):
-        for mapping in (seeds, known):
-            if mapping:
-                width = max(
-                    width, max(mask.bit_length() for mask in mapping.values())
-                )
-    words = max(1, (width + 63) >> 6)
-
     if isinstance(known, NpFrontier):
-        if known.masks.shape[:2] != (num_states, n):
-            raise ValueError("known frontier does not match this graph/query")
-        if known.version is not None and known.version != graph.version:
-            raise ValueError(
-                "known frontier is stale: the graph mutated since it was "
-                "derived (re-run the batch instead of continuing the handle)"
-            )
         masks = known.masks  # ownership transfer: continued in place
         words = known.words
     else:
+        width = max(num_bits or 0, local_bits)
+        if num_bits is None:
+            for mapping in (inject, known):
+                if mapping:
+                    width = max(width, max(mapping.values()).bit_length())
+        words = max(1, (width + 63) >> 6)
         masks = np.zeros((num_states, n, words), dtype=np.uint64)
     # The kernel addresses pairs by flat key ``state * n + node``.  The flat
     # view must alias the tensor — a continued handle (including the steal
@@ -437,21 +339,13 @@ def run_batch(
     assert np.shares_memory(cells, masks), "flat view of the mask tensor copied"
     if words == 1:
         cells = cells[:, 0]  # scalar rows: every round op runs 1-D
-    if known and not isinstance(known, NpFrontier):
-        rows, held = _pack_masks(
-            {state * n + node: mask for (state, node), mask in known.items()}, words
-        )
+    continued = bool(known)
+    if continued and not isinstance(known, NpFrontier):
+        rows, held = _pack_masks(known, words)
         cells[rows] = held
 
-    # Injection: the sources' own bits at the initial state, plus imported
-    # seeds, as the candidate frontier of round zero.
-    inject = {query.initial * n + source: 1 << bit for source, bit in bit_of.items()}
-    if seeds:
-        for (state, node), mask in seeds.items():
-            key = state * n + node
-            inject[key] = inject.get(key, 0) | mask
+    # The injected bits are the candidate frontier of round zero.
     rows, pushed = _pack_masks(inject, words)
-
     accepting_states = [
         state for state in range(num_states) if query.accepting[state]
     ]
@@ -490,6 +384,7 @@ def run_batch(
     run.rounds = rounds
     run.edges_gathered = edges_gathered
     run.peak_frontier_rows = peak_rows
+    run.frontier = NpFrontier(masks, touched.reshape(num_states, n), graph.version)
 
     # Pairs expanded by *this* run count as visited (the scalar executor's
     # semantics).  On a fresh tensor they are also exactly the nonzero
@@ -498,49 +393,19 @@ def run_batch(
     # tensor also holds what it came with and is scanned once.
     grown = np.flatnonzero(touched)
     run.visited_pairs = int(grown.size)
-    if isinstance(known, NpFrontier) or known:
+    if continued:
         reached = np.flatnonzero(_any_bit(cells))
         run.visited_objects = int(masks.any(axis=(0, 2)).sum())
     else:
         reached = grown
         run.visited_objects = int(
-            np.count_nonzero(touched.reshape(num_states, n).any(axis=0))
+            np.count_nonzero(run.frontier.touched.any(axis=0))
         )
-    if bit_of:
-        found = _on_accepting(reached, cells[reached], n, accepting_states)
-        if found is not None:
-            per_bit = _scatter_bits(*found, len(bit_of))
-            for position, source in enumerate(run.sources):
-                run.answers[position] = per_bit[bit_of[source]]
-
-    run.frontier = NpFrontier(masks, touched.reshape(num_states, n), graph.version)
-    if witnesses:
-        bits = dict(bit_of)
-        snapshot_version = graph.version
-
-        def resolver(source: int, target: int) -> "tuple[int, ...] | None":
-            if graph.version != snapshot_version:
-                raise ValueError(
-                    "graph mutated since the batched run; resolve witnesses "
-                    "before add_edge/remove_edge (or re-run the batch)"
-                )
-            bit = bits.get(source)
-            if bit is None:
-                return None
-            word, flag = bit >> 6, np.uint64(1 << (bit & 63))
-
-            def has_pair(key: int) -> bool:
-                state, node = divmod(key, n)
-                return bool(masks[state, node, word] & flag)
-
-            return restricted_witness(graph, query, has_pair, source, target)
-
-        run.witness_resolver = resolver
-    return run
-
-
-def run_all_pairs(
-    graph: CompiledGraph, query: CompiledQuery, *, witnesses: bool = False
-) -> BatchRun:
-    """Batched evaluation from every node; node ids double as bit positions."""
-    return run_batch(graph, query, tuple(range(graph.num_nodes)), witnesses=witnesses)
+    found = (
+        _on_accepting(reached, cells[reached], n, accepting_states)
+        if local_bits
+        else None
+    )
+    if found is None:
+        return [set() for _ in range(local_bits)]
+    return _scatter_bits(*found, local_bits)

@@ -1,41 +1,36 @@
-"""Pure-Python product-BFS execution over a compiled graph and query.
+"""The scalar kernels, and what every kernel shares.
 
-This module is the fallback (and reference) implementation behind the
-backend dispatcher in :mod:`repro.engine.executor`; the numpy-vectorized
-twin lives in :mod:`repro.engine.executor_np` and must return identical
-results.  Three entry points, all working purely on dense integers:
+Everything here works purely on dense integers, with product pairs packed
+as ``state * num_nodes + node`` into flat ``bytearray``/list structures and
+the graph's per-label tombstone sets consulted so incrementally deleted
+edges are never traversed.  Callers go through the driver in
+:mod:`repro.engine.executor`; this module holds
 
-* :func:`run_single` — BFS over the DFA × graph product for one source,
-  recording parent pointers so a shortest witness path can be rebuilt for
-  every answer (mirroring the baseline evaluator's witnesses);
-* :func:`run_batch` — the batched mode that makes the engine worth having:
-  every visited product pair ``(state, node)`` carries a *bitmask* of the
-  sources that reach it, so the traversal of shared graph regions is done
-  once for the whole batch instead of once per source.  With
-  ``witnesses=True`` the returned :class:`BatchRun` can additionally
-  reconstruct, on demand, a witness path for any reached ``(source,
-  target)`` pair from the per-bit reachability the masks record.  The
-  ``seeds``/``known`` parameters open the same traversal to the sharded
-  engine's supersteps: ``seeds`` injects source bits at arbitrary ``(state,
-  node)`` pairs (imported cross-shard frontiers), ``known`` pre-loads
-  already-derived facts *without* re-enqueueing them (the semi-naive
-  initialization that stops a superstep from re-flooding earlier rounds'
-  work — pass the previous run's :class:`PyFrontier` to continue its state
-  in place), and :attr:`BatchRun.frontier` exports the final facts;
-* :func:`run_all_pairs` — the batch mode applied to every node, backing
-  ``Engine.query_all`` (and through it ``evaluate_all_sources``, which
-  constraint-satisfaction checking uses to quantify over sites).
-
-Product pairs are packed as ``state * num_nodes + node`` into flat
-``bytearray``/list structures; no per-step hashing or tuple boxing survives
-into the hot loops.  Both executors consult the graph's per-label tombstone
-sets so incrementally deleted edges are never traversed.
+* the result types :class:`SingleRun` / :class:`BatchRun`, and
+  :func:`restricted_witness`, the one witness reconstruction every batched
+  kernel's reachability feeds;
+* :func:`run_single` — *the* single-source kernel: a BFS over the DFA ×
+  graph product recording parent pointers, so a shortest witness path can
+  be rebuilt for every answer (mirroring the baseline evaluator's
+  witnesses).  One source is one mask bit: no batched kernel has anything
+  to amortize, and the dense numpy level-pull this replaced lost to it on
+  every shape measured;
+* :class:`PyFrontier` with :func:`open_frontier` / :func:`close_frontier` —
+  the arbitrary-precision mask state both pure-Python batch kernels (the
+  queue below and :mod:`repro.engine.executor_pb`) start from and hand
+  back, including the at-most-once bookkeeping of a streaming
+  ``answer_sink``;
+* :func:`fixpoint` — the queue kernel: every visited pair carries the
+  *bitmask* of the sources that reach it and re-enters a FIFO whenever the
+  mask grows.  It is the differential oracle (``backend="python"``), never
+  picked by ``auto``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .compiled_query import CompiledQuery
@@ -118,24 +113,40 @@ class BatchRun:
         return self.witness_resolver(source, target)
 
 
+def _node_union(masks: "list[int]", n: int, states: "Iterable[int]") -> "list[int]":
+    """Per node, the OR of its masks over ``states`` (one C-level ``map``
+    per state row, no per-pair bytecode)."""
+    union = [0] * n
+    for state in states:
+        union = list(map(or_, union, masks[state * n:(state + 1) * n]))
+    return union
+
+
+def _accepting_union(masks: "list[int]", n: int, accepting) -> "list[int]":
+    """Per node, the bits reached in any accepting state."""
+    return _node_union(
+        masks, n, (state for state, accepts in enumerate(accepting) if accepts)
+    )
+
+
 class PyFrontier:
     """Cumulative mask state of one (or a chain of) batched runs.
 
     The sharded engine's unit of exchange: ``masks`` holds, per packed
     ``(state, node)`` pair, the arbitrary-precision bitmask of sources that
     reach it; ``changed`` remembers which pairs grew during the *last* run.
-    Passing a frontier back into :func:`run_batch` as ``known`` transfers
-    ownership of the state — the executor continues the fixpoint in place
+    Passing a frontier back into ``run_batch`` as ``known`` transfers
+    ownership of the state — the kernel continues the fixpoint in place
     (semi-naive: known bits never re-propagate), so supersteps pay no
     conversion at all.  The numpy twin is
-    :class:`repro.engine.executor_np.NpFrontier`; both expose the same four
+    :class:`repro.engine.executor_np.NpFrontier`; both expose the same
     methods, always speaking arbitrary-precision int masks.
 
     ``version`` stamps the graph version the masks were derived against.
-    :func:`run_batch` refuses to continue a frontier whose stamp no longer
-    matches the live graph — facts derived before an ``add_edge`` /
-    ``remove_edge`` may be wrong afterwards, so reuse across a version bump
-    raises instead of silently serving a mix of old and new reachability.
+    The driver refuses to continue a frontier whose stamp no longer matches
+    the live graph — facts derived before an ``add_edge`` / ``remove_edge``
+    may be wrong afterwards, so reuse across a version bump raises instead
+    of silently serving a mix of old and new reachability.
     """
 
     __slots__ = ("masks", "n", "changed", "version", "accept_union")
@@ -157,6 +168,16 @@ class PyFrontier:
         # reporting without rescanning every accepting pair (None when
         # the producing run had no ``answer_sink``).
         self.accept_union = accept_union
+
+    def fits(self, num_states: int, n: int) -> bool:
+        """Whether the masks span exactly this ``num_states x n`` product."""
+        return self.n == n and len(self.masks) == num_states * n
+
+    def has_bit(self, bit: int) -> "Callable[[int], bool]":
+        """The membership test of one source bit's region, by flat key."""
+        masks = self.masks
+        flag = 1 << bit
+        return lambda key: bool(masks[key] & flag)
 
     def mask_at(self, state: int, node: int) -> int:
         """The current source bitmask of one product pair."""
@@ -190,40 +211,42 @@ class PyFrontier:
         num_bits: int,
         skip_nodes: "frozenset[int] | set[int]" = frozenset(),
     ) -> "list[set[int]]":
-        """Per source bit, the nodes reached in an accepting state."""
+        """Per source bit below ``num_bits``, the nodes reached in an
+        accepting state.
+
+        Collected word-at-a-time: union the accepting masks per node, group
+        nodes by *identical* mask words, and expand each distinct word's
+        bits once for its whole node group (a ``set.update`` per bit
+        instead of a ``set.add`` per (bit, node) — reachability is
+        clustered, so distinct words are few compared to accepting pairs).
+        """
+        wanted = (1 << num_bits) - 1
+        groups: "dict[int, list[int]]" = {}
+        for node, mask in enumerate(_accepting_union(self.masks, self.n, accepting)):
+            mask &= wanted
+            if mask and node not in skip_nodes:
+                groups.setdefault(mask, []).append(node)
         per_bit: "list[set[int]]" = [set() for _ in range(num_bits)]
-        n = self.n
-        masks = self.masks
-        for state, accepts in enumerate(accepting):
-            if not accepts:
-                continue
-            base = state * n
-            for node in range(n):
-                mask = masks[base + node]
-                if not mask or node in skip_nodes:
-                    continue
-                while mask:
-                    low = mask & -mask
-                    per_bit[low.bit_length() - 1].add(node)
-                    mask ^= low
+        for mask, nodes in groups.items():
+            while mask:
+                low = mask & -mask
+                per_bit[low.bit_length() - 1].update(nodes)
+                mask ^= low
         return per_bit
 
     def counts(
         self, skip_nodes: "frozenset[int] | set[int]" = frozenset()
     ) -> "tuple[int, int]":
         """``(nonzero pairs, touched nodes)``, skipping the given nodes."""
-        pairs = 0
-        touched: set[int] = set()
         n = self.n
-        for key, mask in enumerate(self.masks):
-            if not mask:
-                continue
-            node = key % n
-            if node in skip_nodes:
-                continue
-            pairs += 1
-            touched.add(node)
-        return pairs, len(touched)
+        masks = self.masks
+        pairs = len(masks) - masks.count(0)
+        touched = n - _node_union(masks, n, range(len(masks) // n)).count(0)
+        for node in skip_nodes:
+            held = sum(1 for key in range(node, len(masks), n) if masks[key])
+            pairs -= held
+            touched -= bool(held)
+        return pairs, touched
 
 
 def _targets_of(graph: CompiledGraph, node: int, label_id: int) -> "Sequence[int]":
@@ -354,150 +377,131 @@ def run_single(
     return run
 
 
-def run_batch(
-    graph: CompiledGraph,
+def stream_fresh(
+    bucket: "dict[int, list[int]]", accept_union: "list[int]", node: int, mask: int
+) -> None:
+    """Queue the accepting bits of ``mask`` that ``node`` has not reported
+    yet, grouped by source bit, and record them as reported."""
+    fresh = mask & ~accept_union[node]
+    if fresh:
+        accept_union[node] |= fresh
+        while fresh:
+            low = fresh & -fresh
+            bucket.setdefault(low.bit_length() - 1, []).append(node)
+            fresh ^= low
+
+
+def flush_sink(answer_sink, bucket: "dict[int, list[int]]") -> None:
+    """Hand every queued bit group downstream, one call per source bit."""
+    for bit, group in bucket.items():
+        answer_sink(bit, group)
+    bucket.clear()
+
+
+def open_frontier(
     query: CompiledQuery,
-    sources: Sequence[int],
-    *,
-    witnesses: bool = False,
-    seeds: "Mapping[tuple[int, int], int] | None" = None,
-    known: "Mapping[tuple[int, int], int] | PyFrontier | None" = None,
-    num_bits: "int | None" = None,
-    answer_sink: "Callable[[int, Sequence[int]], None] | None" = None,
-) -> BatchRun:
-    """Evaluate one query from many sources in a single shared traversal.
+    n: int,
+    inject: "Mapping[int, int]",
+    known: "Mapping[int, int] | PyFrontier | None",
+    answer_sink,
+) -> "tuple[list[int], dict[int, int], list[int] | None]":
+    """The state a pure-Python fixpoint starts from: ``(masks, delta,
+    accept_union)``.
 
-    ``seeds`` maps ``(state, node)`` pairs to source bitmasks injected (and
-    enqueued) on top of the sources' initial-state bits — the sharded
-    engine's imported cross-shard frontier.  ``known`` pre-loads masks that
-    were already derived by earlier supersteps *without* enqueueing them, so
-    propagation stops as soon as it re-enters known territory (semi-naive);
-    passing the previous run's :attr:`BatchRun.frontier` transfers that
-    state wholesale (no conversion, the prior run must not be reused).
-    ``num_bits`` widens the mask universe beyond ``len(sources)`` for seeds
-    carrying higher global bit positions (the pure-Python masks are
-    arbitrary-precision ints, so it is accepted for API symmetry with the
-    numpy executor and otherwise ignored).
-
-    ``answer_sink`` streams accepting facts *during* the fixpoint: it is
-    called as ``answer_sink(bit, nodes)`` — one source bit, the nodes that
-    bit newly reached in an accepting state.  Facts are buffered and
-    flushed in per-bit groups every ``_SINK_FLUSH_EVERY`` queue
-    expansions (and at the fixpoint's end), so the per-call cost
-    downstream is amortized across many facts without holding answers
-    back longer than a sliver of the traversal.  Each ``(bit, node)``
-    fact is reported at most once per run, and bits that were already
-    accepting in a continued ``known`` frontier are never re-reported —
-    so across a chain of continued runs the union of everything streamed
-    equals the final accepting facts.  The sink runs on the executor's
-    thread and must be cheap; exceptions it raises abort the run.
+    ``masks`` is the continued handle's list (ownership transfer, grown in
+    place) or a fresh one pre-loaded with the ``known`` facts; ``delta``
+    maps every injected pair that gained a bit to its full mask — a pair's
+    first activation pushes everything it holds, known bits included — and
+    is the first frontier; ``accept_union`` (streaming runs only) is the
+    per-node union of bits already reported as accepting.  Seeding it from
+    the pre-run masks is what makes continued frontiers report only
+    genuinely new facts; injected bits landing on accepting pairs are
+    answers already (a source whose initial state accepts, an imported
+    seed on an accepting state) and stream here, before the fixpoint.
     """
-    n = graph.num_nodes
-    run = BatchRun(sources=tuple(sources))
-    run.answers = [set() for _ in sources]
-    # A run given only ``known`` still validates and re-exports the handle
-    # (the fixpoint just has nothing new to expand).
-    if n == 0 or (not sources and not seeds and known is None):
-        return run
-    if witnesses and (seeds or known):
-        raise ValueError("witnesses=True is not supported with seeds/known frontiers")
-    # Distinct sources share one bitmask bit; duplicate entries in the input
-    # share the same result set object at collection time.
-    bit_of: dict[int, int] = {}
-    for source in sources:
-        if source not in bit_of:
-            bit_of[source] = len(bit_of)
-
-    num_states = query.num_states
-    moves = query.moves
     accepting = query.accepting
-    dead_of = graph.dead_positions
     if isinstance(known, PyFrontier):
-        if known.n != n or len(known.masks) != num_states * n:
-            raise ValueError("known frontier does not match this graph/query")
-        if known.version is not None and known.version != graph.version:
-            raise ValueError(
-                "known frontier is stale: the graph mutated since it was "
-                "derived (re-run the batch instead of continuing the handle)"
-            )
-        masks = known.masks  # ownership transfer: continued in place
+        masks = known.masks
     else:
-        masks = [0] * (num_states * n)
-        if known:
-            for (state, node), mask in known.items():
-                masks[state * n + node] |= mask
-    # Streaming: the per-node union of bits already known to be accepting.
-    # Seeding it from the pre-run masks is what makes continued frontiers
-    # report only genuinely new facts (the semi-naive property, for answers).
+        masks = [0] * (query.num_states * n)
+        for key, mask in (known or {}).items():
+            masks[key] |= mask
     accept_union: "list[int] | None" = None
-    # Newly accepting facts gather here between sink flushes, grouped by
-    # source bit; a flush hands each group downstream in one call.
-    sink_bucket: "dict[int, list[int]]" = {}
-    since_flush = 0
-
-    def flush_sink() -> None:
-        for bit, group in sink_bucket.items():
-            answer_sink(bit, group)
-        sink_bucket.clear()
-
     if answer_sink is not None:
         if isinstance(known, PyFrontier):
             accept_union = known.accept_union
         if accept_union is None:
-            accept_union = [0] * n
-            # A fresh run's masks are still empty here (sources and seeds
-            # inject below); only a continued/known frontier without a
-            # carried union needs the full rescan.
-            if known is not None:
-                for state in range(num_states):
-                    if accepting[state]:
-                        base = state * n
-                        for node, mask in enumerate(masks[base:base + n]):
-                            if mask:
-                                accept_union[node] |= mask
-    changed: set[int] = set()
-    pending = bytearray(num_states * n)
+            # Only a known frontier without a carried union needs the
+            # rescan; a fresh run's masks are still empty here.
+            accept_union = _accepting_union(masks, n, accepting) if known else [0] * n
+    delta: "dict[int, int]" = {}
+    for key, mask in inject.items():
+        if mask & ~masks[key]:
+            masks[key] |= mask
+            delta[key] = masks[key]
+    if accept_union is not None:
+        bucket: "dict[int, list[int]]" = {}
+        for key in sorted(delta):
+            state, node = divmod(key, n)
+            if accepting[state]:
+                stream_fresh(bucket, accept_union, node, masks[key])
+        flush_sink(answer_sink, bucket)
+    return masks, delta, accept_union
+
+
+def close_frontier(
+    run: BatchRun,
+    graph: CompiledGraph,
+    query: CompiledQuery,
+    masks: "list[int]",
+    changed: "set[int]",
+    accept_union: "list[int] | None",
+    local_bits: int,
+) -> "list[set[int]]":
+    """Wrap a finished pure-Python fixpoint: export the handle, count the
+    touched nodes, and scatter the local bits into per-bit answer sets
+    (foreign bits of a seeded run are read through the handle instead)."""
+    frontier = PyFrontier(masks, graph.num_nodes, changed, graph.version, accept_union)
+    run.frontier = frontier
+    run.visited_objects = frontier.counts()[1]
+    return frontier.per_bit_answers(query.accepting, local_bits)
+
+
+def fixpoint(
+    run: BatchRun,
+    graph: CompiledGraph,
+    query: CompiledQuery,
+    inject: "Mapping[int, int]",
+    known: "Mapping[int, int] | PyFrontier | None",
+    num_bits: "int | None",
+    local_bits: int,
+    answer_sink: "Callable[[int, Sequence[int]], None] | None",
+) -> "list[set[int]]":
+    """The queue kernel behind ``run_batch`` (contract: see the driver).
+
+    A pair re-enters the FIFO whenever its mask grows and pushes its full
+    mask on every expansion.  Streamed facts are buffered and flushed in
+    per-bit groups every ``_SINK_FLUSH_EVERY`` expansions (and at the
+    fixpoint's end), so the per-call cost downstream is amortized without
+    holding answers back longer than a sliver of the traversal.
+    ``num_bits`` is ignored: Python ints are arbitrary-precision.
+    """
+    n = graph.num_nodes
+    moves = query.moves
+    accepting = query.accepting
+    dead_of = graph.dead_positions
+    masks, delta, accept_union = open_frontier(query, n, inject, known, answer_sink)
+    changed = set(delta)
+    pending = bytearray(query.num_states * n)
+    for key in delta:
+        pending[key] = 1
     # A pair re-enters the queue whenever its source mask grows, so count a
     # pair as "visited" only on its first expansion to keep the stat
     # comparable with the single-source mode.
-    expanded = bytearray(num_states * n)
-    queue: deque[int] = deque()
-    initial_base = query.initial * n
-    for source, bit in bit_of.items():
-        key = initial_base + source
-        masks[key] |= 1 << bit
-        changed.add(key)
-        if not pending[key]:
-            pending[key] = 1
-            queue.append(key)
-    if seeds:
-        for (state, node), mask in seeds.items():
-            key = state * n + node
-            if masks[key] | mask != masks[key]:
-                masks[key] |= mask
-                changed.add(key)
-                if not pending[key]:
-                    pending[key] = 1
-                    queue.append(key)
-    if accept_union is not None:
-        # Injected bits landing on accepting pairs are answers already
-        # (a source whose initial state accepts; an imported seed on an
-        # accepting state) — stream them before the fixpoint starts.
-        for key in sorted(changed):
-            state, node = divmod(key, n)
-            if accepting[state]:
-                fresh = masks[key] & ~accept_union[node]
-                if fresh:
-                    accept_union[node] |= fresh
-                    while fresh:
-                        low = fresh & -fresh
-                        sink_bucket.setdefault(
-                            low.bit_length() - 1, []
-                        ).append(node)
-                        fresh ^= low
-        if sink_bucket:
-            flush_sink()
-
+    expanded = bytearray(query.num_states * n)
+    queue: deque[int] = deque(delta)
+    sink_bucket: "dict[int, list[int]]" = {}
+    since_flush = 0
     # Work counts: a "round" is one generation of the queue (the pairs
     # enqueued while the previous generation was being expanded).
     rounds = edges_gathered = peak_rows = generation_left = 0
@@ -514,7 +518,7 @@ def run_batch(
             since_flush += 1
             if since_flush >= _SINK_FLUSH_EVERY:
                 since_flush = 0
-                flush_sink()
+                flush_sink(answer_sink, sink_bucket)
         mask = masks[key]
         if not expanded[key]:
             expanded[key] = 1
@@ -540,80 +544,15 @@ def run_batch(
                     masks[successor_key] |= mask
                     changed.add(successor_key)
                     if accept_union is not None and accepting[next_state]:
-                        fresh = masks[successor_key] & ~accept_union[target]
-                        if fresh:
-                            accept_union[target] |= fresh
-                            while fresh:
-                                low = fresh & -fresh
-                                sink_bucket.setdefault(
-                                    low.bit_length() - 1, []
-                                ).append(target)
-                                fresh ^= low
+                        stream_fresh(
+                            sink_bucket, accept_union, target, masks[successor_key]
+                        )
                     if not pending[successor_key]:
                         pending[successor_key] = 1
                         queue.append(successor_key)
-
     if sink_bucket:
-        flush_sink()
+        flush_sink(answer_sink, sink_bucket)
     run.rounds = rounds
     run.edges_gathered = edges_gathered
     run.peak_frontier_rows = peak_rows
-
-    # Combine accepting states into one answer mask per node, then scatter
-    # the bits back into per-source answer sets.  Seeded runs may carry
-    # global bits beyond the local sources; only local bits scatter here
-    # (the caller reads foreign bits through mask_items instead).
-    per_source: dict[int, set[int]] = {bit: set() for bit in bit_of.values()}
-    local_bits = (1 << len(bit_of)) - 1
-    touched = bytearray(n)
-    for state in range(num_states):
-        base = state * n
-        state_accepts = accepting[state]
-        for node in range(n):
-            mask = masks[base + node]
-            if not mask:
-                continue
-            touched[node] = 1
-            if not state_accepts:
-                continue
-            mask &= local_bits
-            while mask:
-                low = mask & -mask
-                per_source[low.bit_length() - 1].add(node)
-                mask ^= low
-    run.visited_objects = sum(touched)
-    for position, source in enumerate(sources):
-        run.answers[position] = per_source[bit_of[source]]
-
-    run.frontier = PyFrontier(masks, n, changed, graph.version, accept_union)
-    if witnesses:
-        bits = dict(bit_of)
-        snapshot_version = graph.version
-
-        def resolver(source: int, target: int) -> "tuple[int, ...] | None":
-            if graph.version != snapshot_version:
-                raise ValueError(
-                    "graph mutated since the batched run; resolve witnesses "
-                    "before add_edge/remove_edge (or re-run the batch)"
-                )
-            bit = bits.get(source)
-            if bit is None:
-                return None
-            flag = 1 << bit
-            return restricted_witness(
-                graph, query, lambda key: bool(masks[key] & flag), source, target
-            )
-
-        run.witness_resolver = resolver
-    return run
-
-
-def run_all_pairs(
-    graph: CompiledGraph, query: CompiledQuery, *, witnesses: bool = False
-) -> BatchRun:
-    """Evaluate the query from every node of the graph in one batch.
-
-    This is what ``Engine.query_all`` runs; node ids double as bitmask bit
-    positions, so ``answers[i]`` is the answer set of node ``i``.
-    """
-    return run_batch(graph, query, tuple(range(graph.num_nodes)), witnesses=witnesses)
+    return close_frontier(run, graph, query, masks, changed, accept_union, local_bits)

@@ -20,8 +20,8 @@ concerns that individual executors should not:
   :mod:`repro.engine.snapshot`);
 * **backend selection** — every evaluation is dispatched through
   :mod:`repro.engine.executor` with the session's ``backend`` setting
-  (``auto``/``python``/``numpy``); which executor actually served each run
-  is tallied in :attr:`EngineStats.backend_runs`;
+  (``auto``/``python``/``packed``/``numpy``); which kernel actually served
+  each run is tallied in :attr:`EngineStats.backend_runs`;
 * **constraint pre-rewrite** — when opened with a
   :class:`~repro.constraints.constraint.ConstraintSet`, each query is first
   handed to :func:`repro.optimize.rewriter.rewrite_query` and the provably
@@ -756,7 +756,7 @@ class Engine(ServingSurface):
 
     @property
     def resolved_backend(self) -> str:
-        """The executor ``backend="auto"`` resolves to right now."""
+        """The batch kernel this session's ``backend`` resolves to right now."""
         return resolve_backend(self.backend)
 
     def refresh(self) -> bool:

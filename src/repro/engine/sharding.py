@@ -941,7 +941,6 @@ class ShardedEngine(ServingSurface):
                 pool.queue.put(
                     shard,
                     self._chunk_task(
-                        executor_np,
                         graph,
                         compiled[shard],
                         masks,
@@ -954,18 +953,19 @@ class ShardedEngine(ServingSurface):
         return pool
 
     @staticmethod
-    def _chunk_task(
-        executor_np, graph, query, masks, word: int, chunk_seeds, sink, chunk_runs
-    ):
+    def _chunk_task(graph, query, masks, word: int, chunk_seeds, sink, chunk_runs):
         """One stealable unit: the fixpoint of a single 64-bit word column.
 
         Chunks of one shard write disjoint word columns of the shared
         tensor, so any two chunks — same shard or not — run on different
         workers without synchronization.  Seeds arrive pre-shifted into the
         chunk's local bit space; streamed answer bits shift back before
-        reaching the shard sink, and the chunk's ``touched`` matrix lands in
-        ``chunk_runs`` for the barrier's OR-merge.
+        reaching the shard sink, and the chunk's run (its ``touched`` matrix
+        and kernel work counts) lands in ``chunk_runs`` for the barrier's
+        merge.
         """
+        from . import executor_np
+
         np = executor_np.np
         version = graph.version
         base = word << 6
@@ -980,26 +980,31 @@ class ShardedEngine(ServingSurface):
             known = executor_np.NpFrontier(
                 view, np.zeros(view.shape[:2], dtype=bool), version
             )
-            run = executor_np.run_batch(
-                graph,
-                query,
-                (),
-                seeds=chunk_seeds,
-                known=known,
-                answer_sink=chunk_sink,
+            chunk_runs.append(
+                run_batch(
+                    graph,
+                    query,
+                    (),
+                    seeds=chunk_seeds,
+                    known=known,
+                    answer_sink=chunk_sink,
+                    backend="numpy",
+                )
             )
-            chunk_runs.append(run.frontier.touched)
 
         return task
 
-    def _finalize_steal_shard(self, pool: _StealPool, shard: int, previous):
+    def _finalize_steal_shard(self, pool: _StealPool, shard: int, previous, span):
         """Merge one shard's chunk runs into a superstep result triple.
 
         Runs at the barrier, after every chunk has completed: the per-chunk
         ``touched`` matrices OR into the merged frontier's fresh set (a pair
         is fresh iff *any* word column grew there — exactly the monolithic
         kernel's semantics), and ghost exports are computed off the merged
-        handle so each fact ships its full cross-column mask once.
+        handle so each fact ships its full cross-column mask once.  The
+        chunks' kernel work counts total onto ``span``, the shard's
+        ``sharded.local_fixpoint`` span: chunks run side by side, so rounds
+        and the widest frontier are maxima, gathered edges a sum.
         """
         entry = pool.shards.get(shard)
         if entry is None:
@@ -1007,9 +1012,14 @@ class ShardedEngine(ServingSurface):
         from . import executor_np
 
         masks, chunk_runs, graph, version = entry
-        touched = chunk_runs[0]
+        span.set(
+            rounds=max(run.rounds for run in chunk_runs),
+            edges_gathered=sum(run.edges_gathered for run in chunk_runs),
+            peak_frontier_rows=max(run.peak_frontier_rows for run in chunk_runs),
+        )
+        touched = chunk_runs[0].frontier.touched
         for extra in chunk_runs[1:]:
-            touched = touched | extra
+            touched = touched | extra.frontier.touched
         frontier = executor_np.NpFrontier(masks, touched, version)
         exports = self._fresh_exports(shard, graph, frontier)
         return frontier, exports, "numpy"
@@ -1116,10 +1126,11 @@ class ShardedEngine(ServingSurface):
 
             if pool is not None:
                 queue = pool.queue
+                local_spans: dict = {}
 
                 def make_steal_step(shard: int):
                     def step():
-                        local_span = tele.span_under(
+                        local_span = local_spans[shard] = tele.span_under(
                             superstep_span, "sharded.local_fixpoint", shard=shard
                         )
                         try:
@@ -1134,7 +1145,9 @@ class ShardedEngine(ServingSurface):
 
                 self._scheduler.run([make_steal_step(shard) for shard in active])
                 results = [
-                    self._finalize_steal_shard(pool, shard, frontiers[shard])
+                    self._finalize_steal_shard(
+                        pool, shard, frontiers[shard], local_spans[shard]
+                    )
                     for shard in active
                 ]
                 stolen_chunks = queue.steals

@@ -168,17 +168,12 @@ class TestEngineBackendFlag:
 
     def test_auto_backend_matches_availability(self, graph_file, query_file, capsys):
         from repro.engine import resolve_backend
-        from repro.engine.executor import packed_min_batch
 
         code = main(
             ["engine", graph_file, query_file, "-s", "o1", "--backend", "auto", "--stats"]
         )
         assert code == 0
         expected = resolve_backend("auto")
-        if expected == "python" and packed_min_batch() <= 1:
-            # REPRO_PACKED_MIN_BATCH forces the packed executor into every
-            # auto dispatch (the CI no-numpy leg runs the suite this way).
-            expected = "packed"
         assert f"engine_backend_runs{{{expected}}}" in capsys.readouterr().err
 
     def test_unknown_backend_rejected_by_argparse(self, graph_file, query_file, capsys):

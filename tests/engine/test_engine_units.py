@@ -3,15 +3,20 @@
 import pytest
 
 from repro.engine import (
+    BACKENDS,
     CompiledGraph,
     Engine,
     Interner,
     QueryCompiler,
+    available_backends,
     lower_query,
+    resolve_backend,
+    run_all_pairs,
+    run_batch,
     run_single,
 )
-from repro.exceptions import InstanceError
-from repro.graph import Instance, figure2_graph, random_graph
+from repro.exceptions import InstanceError, ReproError
+from repro.graph import Instance, figure2_graph, random_graph, web_like_graph
 from repro.query import evaluate_baseline
 
 
@@ -261,6 +266,52 @@ class TestEngineSession:
         engine.query("a", source)
         text = engine.describe()
         assert "cache hits: 1" in text
+
+
+class TestKernelDispatch:
+    """One kernel per job: which loop serves which call, under which name."""
+
+    def web(self):
+        instance, _ = web_like_graph(90, ["a", "b", "c"], seed=4)
+        graph = CompiledGraph.from_instance(instance)
+        return graph, lower_query("(a + b)* c", graph)
+
+    def test_auto_without_numpy_is_the_packed_kernel_at_every_width(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_DISABLE_NUMPY", "1")
+        graph, compiled = self.web()
+        assert resolve_backend("auto") == "packed"
+        assert run_batch(graph, compiled, [3]).backend == "packed"
+        assert run_batch(graph, compiled, list(range(64))).backend == "packed"
+        seeds = {(compiled.initial, 3): 1}
+        assert run_batch(graph, compiled, (), seeds=seeds).backend == "packed"
+        assert run_batch(graph, compiled, (), seeds=seeds, num_bits=64).backend == (
+            "packed"
+        )
+        assert run_all_pairs(graph, compiled).backend == "packed"
+        # The queue kernel stays reachable, by name only.
+        assert run_batch(graph, compiled, [3], backend="python").backend == "python"
+        with pytest.raises(ReproError, match="numpy"):
+            run_batch(graph, compiled, [3], backend="numpy")
+
+    def test_single_source_runs_are_one_kernel_under_every_backend_name(self):
+        graph, compiled = self.web()
+        names = [name for name in BACKENDS if name in ("auto", *available_backends())]
+        for node in (0, 17, 89, graph.num_nodes + 5):
+            runs = [run_single(graph, compiled, node, backend=name) for name in names]
+            for run in runs:
+                assert run.answers == runs[0].answers
+                assert run.visited_pairs == runs[0].visited_pairs
+                assert run.visited_objects == runs[0].visited_objects
+                assert run.witness_paths == runs[0].witness_paths
+                assert run.backend == "python"  # stamped with what ran
+        with pytest.raises(ReproError, match="unknown engine backend"):
+            run_single(graph, compiled, 0, backend="rust")
+
+    def test_the_numpy_module_has_no_single_source_kernel(self):
+        executor_np = pytest.importorskip("repro.engine.executor_np")
+        assert not hasattr(executor_np, "run_single")
 
 
 class TestPlannerBackend:

@@ -53,7 +53,8 @@ def test_single_source_witnesses_replay(backend):
         rpq = RegularPathQuery.of(text)
         result = engine.query(rpq, source)
         assert_result_witnesses_real(result, rpq, source, instance)
-    assert set(engine.stats.backend_runs) == {backend}
+    # One single-source kernel under every backend name, stamped as itself.
+    assert set(engine.stats.backend_runs) == {"python"}
 
 
 @given(small_instances(max_nodes=6, max_edges=12), regexes(max_leaves=5))

@@ -1,28 +1,27 @@
 """Unit tests for the ``seeds=`` / ``known=`` executor parameters.
 
-PR 4 grew both executors a superstep-continuation surface — ``seeds``
-injects source bits at arbitrary ``(state, node)`` pairs, ``known``
-pre-loads (or, given a frontier handle, *continues*) previously derived
-facts without re-propagating them, and ``BatchRun.frontier`` exports the
-cumulative state.  The sharded engine is its main consumer, but the
-parameters are public API on :func:`repro.engine.executor.run_batch`;
-these tests pin their semantics directly, on both backends:
+``run_batch`` has a superstep-continuation surface — ``seeds`` injects
+source bits at arbitrary ``(state, node)`` pairs, ``known`` pre-loads (or,
+given a frontier handle, *continues*) previously derived facts without
+re-propagating them, and ``BatchRun.frontier`` exports the cumulative
+state.  The sharded engine is its main consumer, but the parameters are
+public API on :func:`repro.engine.executor.run_batch`; these tests pin
+their semantics directly, on every kernel:
 
 * empty / no-op seeds,
 * seeds interacting with tombstoned (incrementally removed) edges,
 * semi-naive ``known`` (facts never re-propagate),
 * frontier-handle continuation across runs,
-* stale handles — ``known`` reuse across a graph version bump must raise.
+* stale handles — ``known`` reuse across a graph version bump must raise,
+* node ids outside the graph — never aliased into another state's row.
 """
 
 import pytest
 
-from repro.engine import CompiledGraph, lower_query, numpy_available, run_batch
+from repro.engine import CompiledGraph, available_backends, lower_query, run_batch
 from repro.graph import Instance
 
-EXECUTOR_BACKENDS = ("python", "numpy") if numpy_available() else ("python",)
-
-pytestmark = pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+pytestmark = pytest.mark.parametrize("backend", available_backends())
 
 
 def chain_graph():
@@ -247,3 +246,55 @@ class TestKnown:
                 seeds={(compiled.initial, ids["y"]): 1},
                 backend=backend,
             )
+
+
+class TestOutOfRangeIds:
+    # Pairs are addressed by the flat key ``state * n + node``, so an
+    # unchecked node id lands in some *other* state's row: on the 3-node,
+    # 4-state product below, source ``n + 1`` at the initial state used to
+    # read as ``(next state, y)`` and answer ``{z}``.
+    def product(self):
+        graph, ids = chain_graph()
+        compiled = lower_query("a b", graph)
+        assert (graph.num_nodes, compiled.num_states) == (3, 4)
+        return graph, ids, compiled
+
+    @pytest.mark.parametrize("stray", [4, 3, -1, 10**6])
+    def test_out_of_range_source_answers_empty(self, backend, stray):
+        graph, ids, compiled = self.product()
+        streamed = []
+        run = run_batch(
+            graph,
+            compiled,
+            [stray, ids["x"]],
+            answer_sink=lambda bit, nodes: streamed.append((bit, list(nodes))),
+            backend=backend,
+        )
+        alone = run_batch(graph, compiled, [ids["x"]], backend=backend)
+        assert run.answers == [set(), {ids["z"]}]
+        assert run.visited_pairs == alone.visited_pairs == 3
+        assert run.visited_objects == alone.visited_objects
+        # The stray source keeps its bit: the numbering callers map
+        # streamed facts back through does not shift.
+        assert streamed == [(1, [ids["z"]])]
+        witnessed = run_batch(
+            graph, compiled, [stray, ids["x"]], witnesses=True, backend=backend
+        )
+        assert witnessed.witness(stray, ids["z"]) is None
+        assert witnessed.witness(ids["x"], ids["z"]) is not None
+
+    def test_only_out_of_range_sources_visit_nothing(self, backend):
+        graph, _, compiled = self.product()
+        run = run_batch(graph, compiled, [4, -1], backend=backend)
+        assert run.answers == [set(), set()]
+        assert (run.visited_pairs, run.visited_objects, run.rounds) == (0, 0, 0)
+
+    @pytest.mark.parametrize("parameter", ["seeds", "known"])
+    @pytest.mark.parametrize("key", [(0, 3), (0, -1), (4, 0), (-1, 0)])
+    def test_out_of_range_fact_key_raises(self, backend, parameter, key):
+        graph, _, compiled = self.product()
+        with pytest.raises(ValueError, match=parameter) as excinfo:
+            run_batch(
+                graph, compiled, (), num_bits=1, backend=backend, **{parameter: {key: 1}}
+            )
+        assert repr(key) in str(excinfo.value)

@@ -23,7 +23,6 @@ from repro.engine import (
     partition_instance,
     shard_graph,
 )
-from repro.engine.executor import packed_min_batch
 from repro.engine.sharding import MANIFEST_NAME
 from repro.exceptions import ReproError
 from repro.graph import Instance, figure2_graph, web_like_graph
@@ -336,10 +335,6 @@ class TestShardedStatsAccounting:
         mono.query_batch("a (b + c)*", sources)
         sharded.query_batch("a (b + c)*", sources)
         backend = mono.resolved_backend
-        if backend == "python" and packed_min_batch() <= 1:
-            # REPRO_PACKED_MIN_BATCH forces the packed executor into every
-            # auto dispatch (the CI no-numpy leg runs the suite this way).
-            backend = "packed"
         assert mono.stats.backend_runs == {backend: 1}
         # One logical evaluation: comparable 1:1 with the monolithic count.
         assert sharded.stats.backend_evaluations == {backend: 1}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import Engine, ShardedEngine
+from repro.engine import Engine, ShardedEngine, set_telemetry_enabled
 from repro.engine.executor import numpy_available
 from repro.engine.serving import StealQueue
 from repro.engine.sharding import ExplicitShardMap
@@ -176,6 +176,35 @@ class TestChunkedStealParity:
             )
             for oid, answers in final.items():
                 assert streamed.get(oid, set()) == set(answers), (query, oid)
+
+    def test_chunk_runs_report_kernel_counts_on_the_shard_span(self):
+        # Chunks go through the dispatcher like every other run, and the
+        # barrier totals their work counts onto the owning shard's span.
+        instance, shard_map, sources = skewed_fixture()
+        engine = ShardedEngine.open(instance, shard_map=shard_map, concurrency=2)
+        previous = set_telemetry_enabled(True)
+        try:
+            engine.query_batch("a*.b", sources)
+        finally:
+            set_telemetry_enabled(previous)
+            engine.close()
+        spans = engine.metrics.tracer.last().spans
+        [first] = [
+            span
+            for span in spans
+            if span.name == "sharded.superstep" and span.attributes["round"] == 1
+        ]
+        fixpoints = [span for span in spans if span.parent_id == first.span_id]
+        # Round one seeds word 0 on both shards and word 1 on shard 0, so
+        # it is chunked, and both shards' spans total their own chunks —
+        # whichever worker ended up running them.
+        assert sorted(span.attributes["shard"] for span in fixpoints) == [0, 1]
+        for span in fixpoints:
+            assert span.name == "sharded.local_fixpoint"
+            assert "chunks" in span.attributes and "stolen" in span.attributes
+            assert span.attributes["edges_gathered"] > 0
+            assert span.attributes["rounds"] > 0
+            assert span.attributes["peak_frontier_rows"] > 0
 
     def test_narrow_batches_never_chunk(self):
         # One mask word: below every threshold, so the monolithic local

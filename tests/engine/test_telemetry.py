@@ -431,7 +431,9 @@ class TestSessionInstrumentation:
             span.parent_id == trace.root.span_id for span in trace.spans[1:]
         )
         run = next(s for s in trace.spans if s.name == "engine.run")
-        assert run.attributes["backend"] == backend
+        # Single-source runs have one kernel whatever the session's backend,
+        # and the span names the kernel that ran.
+        assert run.attributes["backend"] == "python"
 
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     def test_engine_histograms_fill(self, telemetry_on, backend):
