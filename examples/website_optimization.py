@@ -50,8 +50,13 @@ def main() -> None:
     print(f"  visited (object, state) pairs : {report.original_visited_pairs} -> {report.optimized_visited_pairs}")
     print(f"  protocol messages             : {report.original_messages} -> {report.optimized_messages}")
 
-    print("\ncandidates considered:")
-    for candidate in report.rewrite.candidates:
+    rewrite = report.rewrite
+    print(
+        f"\ncandidates: {rewrite.generated} generated, "
+        f"{rewrite.skipped_by_cost} no cheaper than the query, "
+        f"{rewrite.proofs_attempted} sent to the prover; proved:"
+    )
+    for candidate in rewrite.candidates:
         print(f"  - {candidate}")
 
 

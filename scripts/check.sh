@@ -19,7 +19,8 @@
 #           /healthz over HTTP (both numpy arms)
 #   smoke   the benchmark harness smokes (tiny sizes)
 #   profile the cProfile harness over the warm batched kernels, one pass
-#           per available backend (quick sizes); writes the gitignored
+#           per available backend, then over the query rewriter on the
+#           site-rewrite-cold texts (quick sizes); each writes the gitignored
 #           PROFILE_report.txt so perf work starts from measurements
 #   all     everything, in order (the default — bare ./scripts/check.sh)
 #
@@ -179,6 +180,10 @@ run_profile() {
     echo
     echo "== profile: cProfile, pure-Python arm (quick) =="
     REPRO_DISABLE_NUMPY=1 python scripts/profile.py --quick
+
+    echo
+    echo "== profile: cProfile over rewrite_query on the CS-department texts (quick) =="
+    python scripts/profile.py --target rewrite --quick
 }
 
 step="${1:-all}"

@@ -1,19 +1,25 @@
-"""cProfile harness for the engine's hot kernels.
+"""cProfile harness for the engine's hot kernels and the query rewriter.
 
-Profiles the warm batched evaluation path — the loop the throughput
-benchmark gates — once per requested backend, over the same mid-size
-random-graph workload flavor ``bench_engine_throughput.py`` times, and
-writes the top-N frames (by cumulative and by self time) to a gitignored
-report so kernel work starts from measurements instead of guesses::
+``--target kernels`` (the default) profiles the warm batched evaluation path
+— the loop the throughput benchmark gates — once per requested backend, over
+the same mid-size random-graph workload flavor ``bench_engine_throughput.py``
+times.  ``--target rewrite`` profiles ``rewrite_query`` over the query texts
+of the ``site-rewrite-cold`` benchmark workload under the CS-department word
+equalities.  Either way the top-N frames (by cumulative and by self time) go
+to a gitignored report so perf work starts from measurements instead of
+guesses::
 
     PYTHONPATH=src python scripts/profile.py                # all backends
     PYTHONPATH=src python scripts/profile.py --backend packed
+    PYTHONPATH=src python scripts/profile.py --target rewrite
     PYTHONPATH=src python scripts/profile.py --quick        # check.sh step
 
-The report lands in ``PROFILE_report.txt`` (override with ``--out``); the
-console gets each backend's total time plus its top self-time frames, and
-both get the kernels' own work counts per query (``BatchRun.rounds`` /
-``edges_gathered`` / ``peak_frontier_rows``) beside the timings.
+The report lands in ``PROFILE_report.txt`` (override with ``--out``).  The
+console gets each section's total time plus its top self-time frames, and
+both get the work counts beside the timings: per query the kernels' own
+``BatchRun.rounds`` / ``edges_gathered`` / ``peak_frontier_rows``; per text
+the rewriter's ``generated`` / ``proofs_attempted`` / ``skipped_by_cost``,
+split into the texts it improved and the ones it returned unchanged.
 Stdlib only — ``cProfile``/``pstats`` ship with CPython.
 """
 
@@ -26,18 +32,22 @@ from pathlib import Path
 # drop the script directory from the import path so cProfile finds the
 # real one (running ``python scripts/profile.py`` puts scripts/ first).
 _HERE = str(Path(__file__).resolve().parent)
+_ROOT = Path(__file__).resolve().parent.parent
 sys.path = [entry for entry in sys.path if entry not in ("", _HERE)]
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+sys.path.insert(0, str(_ROOT / "src"))
 
 import argparse  # noqa: E402
 import cProfile  # noqa: E402
 import io  # noqa: E402
 import pstats  # noqa: E402
 import random  # noqa: E402
+import time  # noqa: E402
 
 from repro.engine.executor import available_backends, run_batch  # noqa: E402
 from repro.engine.session import Engine  # noqa: E402
 from repro.graph.instance import Instance  # noqa: E402
+from repro.optimize.rewriter import rewrite_query  # noqa: E402
+from repro.workloads import cs_department_site  # noqa: E402
 
 del _HERE
 
@@ -98,19 +108,91 @@ def kernel_work(engine: Engine, sources: "list[str]") -> "list[str]":
 
 
 def render_report(
-    backend: str, stats: pstats.Stats, total: float, top: int, work: "list[str]"
+    title: str, stats: pstats.Stats, total: float, top: int, work: "list[str]"
 ) -> str:
     buffer = io.StringIO()
     stats.stream = buffer
-    print(f"== backend: {backend} ({total:.4f}s profiled) ==", file=buffer)
-    print("kernel work per batch:", *work, sep="\n", file=buffer)
+    print(f"== {title} ({total:.4f}s profiled) ==", file=buffer)
+    print(*work, sep="\n", file=buffer)
     stats.sort_stats("tottime").print_stats(top)
     stats.sort_stats("cumulative").print_stats(top)
     return buffer.getvalue()
 
 
+def hottest_frames(stats: pstats.Stats, count: int = 3) -> str:
+    rows = sorted(stats.stats.items(), key=lambda item: item[1][2], reverse=True)
+    return ", ".join(
+        f"{Path(func[0]).name}:{func[1]}:{func[2]} {stat[2]:.3f}s"
+        for func, stat in rows[:count]
+    )
+
+
+def site_rewrite_texts() -> "tuple[object, list[str]]":
+    """The constraint set and query texts of ``site-rewrite-cold``, from the
+    benchmark's own workload module (without its 20 000-node web graph)."""
+    sys.path.insert(0, str(_ROOT / "benchmarks" / "e2e"))
+    from workloads.site_rewrite_cold import SiteRewriteCold
+
+    workload = SiteRewriteCold(seed=0)
+    workload.site = cs_department_site(*workload.SITE, seed=0)
+    return workload.site.constraints, workload.texts()
+
+
+def profile_rewrite(
+    quick: bool, repeats: int
+) -> "tuple[pstats.Stats, float, list[str], list[str]]":
+    """Profile cold rewrites; the constraint set's prepared view is warm, as
+    it is for every text after a session's first.
+
+    Returns the stats, the profiled seconds, the improved/unimproved summary
+    lines and the per-text work lines (timed in a separate, unprofiled pass)."""
+    constraints, texts = site_rewrite_texts()
+    if quick:
+        texts = texts[: len(texts) // 6]  # the first faculty member's texts
+    rewrite_query(texts[0], constraints)
+
+    rows = []
+    for text in texts:
+        started = time.perf_counter()
+        outcome = rewrite_query(text, constraints)
+        rows.append((time.perf_counter() - started, outcome, text))
+    summary = []
+    for title, improved in (("improved", True), ("unimproved", False)):
+        group = [(seconds, outcome) for seconds, outcome, _ in rows if outcome.improved is improved]
+        if not group:
+            continue
+        count = len(group)
+        summary.append(
+            f"{title}: {count} texts, mean {sum(s for s, _ in group) / count * 1e3:.2f} ms, "
+            f"generated {sum(o.generated for _, o in group) / count:.2f}, "
+            f"proved {sum(o.proofs_attempted for _, o in group) / count:.2f}, "
+            f"skipped by cost {sum(o.skipped_by_cost for _, o in group) / count:.2f}"
+        )
+    per_text = [
+        f"  {seconds * 1e3:7.2f} ms  {'improved ' if outcome.improved else 'unchanged'}"
+        f" generated={outcome.generated} proofs_attempted={outcome.proofs_attempted}"
+        f" skipped_by_cost={outcome.skipped_by_cost}  {text}"
+        for seconds, outcome, text in rows
+    ]
+
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for _ in range(repeats):
+        for text in texts:
+            rewrite_query(text, constraints)
+    profiler.disable()
+    stats = pstats.Stats(profiler)
+    return stats, stats.total_tt, summary, per_text
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--target",
+        choices=("kernels", "rewrite"),
+        default="kernels",
+        help="what to profile: the batch kernels or the query rewriter",
+    )
     parser.add_argument(
         "--backend",
         action="append",
@@ -134,30 +216,33 @@ def main() -> int:
     if args.quick:
         args.nodes, args.edges, args.sources, args.repeats = 120, 480, 48, 3
 
-    backends = tuple(args.backend) if args.backend else available_backends()
-    instance = build_instance(args.nodes, args.edges, args.seed)
-    sources = [f"n{index}" for index in range(min(args.sources, args.nodes))]
-
     sections: "list[str]" = []
-    for backend in backends:
-        stats, total, work = profile_backend(
-            backend, instance, sources, args.repeats, args.top
-        )
-        sections.append(render_report(backend, stats, total, args.top, work))
-        # Console summary: the three hottest self-time frames.
-        rows = sorted(
-            stats.stats.items(), key=lambda item: item[1][2], reverse=True
-        )[:3]
-        frames = ", ".join(
-            f"{Path(func[0]).name}:{func[1]}:{func[2]} {stat[2]:.3f}s"
-            for func, stat in rows
-        )
-        print(f"{backend}: {total:.4f}s profiled; hottest: {frames}")
-        print(*work, sep="\n")
+    if args.target == "rewrite":
+        stats, total, summary, per_text = profile_rewrite(args.quick, args.repeats)
+        work = [*summary, "per text (unprofiled):", *per_text]
+        sections.append(render_report("target: rewrite", stats, total, args.top, work))
+        print(f"rewrite: {total:.4f}s profiled; hottest: {hottest_frames(stats)}")
+        print(*summary, sep="\n")
+    else:
+        backends = tuple(args.backend) if args.backend else available_backends()
+        instance = build_instance(args.nodes, args.edges, args.seed)
+        sources = [f"n{index}" for index in range(min(args.sources, args.nodes))]
+        for backend in backends:
+            stats, total, work = profile_backend(
+                backend, instance, sources, args.repeats, args.top
+            )
+            sections.append(
+                render_report(
+                    f"backend: {backend}", stats, total, args.top,
+                    ["kernel work per batch:", *work],
+                )
+            )
+            print(f"{backend}: {total:.4f}s profiled; hottest: {hottest_frames(stats)}")
+            print(*work, sep="\n")
 
     report = Path(args.out)
     report.write_text("\n".join(sections), encoding="utf-8")
-    print(f"wrote {report} ({len(backends)} backend section(s), top {args.top})")
+    print(f"wrote {report} ({len(sections)} section(s), top {args.top})")
     return 0
 
 

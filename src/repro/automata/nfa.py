@@ -135,6 +135,26 @@ class NFA:
                 return frozenset()
         return current
 
+    def run_shared(
+        self, word: tuple[str, ...], after: dict[tuple[str, ...], frozenset[State]]
+    ) -> frozenset[State]:
+        """:meth:`run` for a batch of words that share prefixes.
+
+        ``after`` maps every prefix read so far to its state set; the longest
+        known prefix of ``word`` is the starting point and the table is
+        extended with the rest.  The caller owns the table (start from ``{}``)
+        and must drop it once the automaton gains a transition.
+        """
+        known = len(word)
+        while known and word[:known] not in after:
+            known -= 1
+        current = after[word[:known]] if known else self.initial_closure()
+        for end in range(known + 1, len(word) + 1):
+            if current:
+                current = self.step(current, word[end - 1])
+            after[word[:end]] = current
+        return current
+
     def accepts(self, word: Iterable[str]) -> bool:
         """Membership test: does the automaton accept ``word``?"""
         return bool(self.run(word) & self.accepting)

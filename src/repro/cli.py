@@ -122,6 +122,12 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     if args.verbose:
         for candidate in outcome.candidates:
             print(f"# {candidate}", file=sys.stderr)
+        print(
+            f"# generated={outcome.generated} "
+            f"proofs_attempted={outcome.proofs_attempted} "
+            f"skipped_by_cost={outcome.skipped_by_cost}",
+            file=sys.stderr,
+        )
     return 0 if outcome.improved else 1
 
 

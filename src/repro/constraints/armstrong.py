@@ -27,7 +27,6 @@ from ..automata import shortest_accepted_word
 from ..exceptions import ConstraintError
 from ..graph.instance import Instance, LazyInstance, Oid
 from .constraint import ConstraintSet, Word
-from .rewrite_system import PrefixRewriteSystem
 from .rewrite_to import rewrite_to_word_nfa
 
 
@@ -46,7 +45,7 @@ class WordEqualityTheory:
         self.constraints = constraints
         # Equalities normalize to inclusions in both directions, so the rewrite
         # system is already symmetric and →* coincides with ↔*.
-        self.system = PrefixRewriteSystem.from_constraints(constraints)
+        self.system = constraints.prepared.system
         self.alphabet: frozenset[str] = frozenset(alphabet) if alphabet else constraints.alphabet()
         self._canonical = lru_cache(maxsize=None)(self._compute_canonical)
 

@@ -17,10 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..exceptions import ConstraintError
-from ..regex import Regex, parse, simplify, to_string, word as word_expr
+from ..regex import Regex, Star, parse, simplify, to_string, word as word_expr
+
+if TYPE_CHECKING:
+    from ..automata import NFA
+    from .rewrite_system import PrefixRewriteSystem
 
 Word = tuple[str, ...]
 
@@ -133,7 +137,8 @@ class ConstraintSet:
         if not isinstance(constraint, PathConstraint):
             raise ConstraintError(f"not a constraint: {constraint!r}")
         self._constraints.append(constraint)
-        self.__dict__.pop("inclusions", None)  # invalidate cached_property
+        for derived in ("inclusions", "prepared"):  # invalidate cached_property
+            self.__dict__.pop(derived, None)
 
     def __iter__(self) -> Iterator[PathConstraint]:
         return iter(self._constraints)
@@ -175,16 +180,23 @@ class ConstraintSet:
                     push(PathInclusion(word_expr(()), word_expr(lhs)))
         return tuple(result)
 
+    @cached_property
+    def prepared(self) -> "PreparedConstraints":
+        """Everything the decision procedures derive from ``E`` alone.
+
+        Built on first use and dropped by :meth:`add`, like ``inclusions``:
+        the paper's procedures are polynomial *because* ``E`` is fixed, so
+        what depends only on ``E`` is constructed once, not once per query.
+        """
+        return PreparedConstraints(self)
+
     def is_word_constraint_set(self) -> bool:
         """True iff every constraint is a word constraint (Section 4.2 case)."""
-        return all(c.is_word_constraint() for c in self._constraints)
+        return self.prepared.is_word_constraint_set
 
     def is_word_equality_set(self) -> bool:
         """True iff every constraint is a word *equality* (Section 4.3 case)."""
-        return all(
-            isinstance(c, PathEquality) and c.is_word_constraint()
-            for c in self._constraints
-        )
+        return self.prepared.is_word_equality_set
 
     def word_inclusion_pairs(self) -> list[tuple[Word, Word]]:
         """All (lhs, rhs) word pairs from the normalized inclusions.
@@ -199,10 +211,7 @@ class ConstraintSet:
         return pairs
 
     def alphabet(self) -> frozenset[str]:
-        result: frozenset[str] = frozenset()
-        for constraint in self._constraints:
-            result |= constraint.alphabet()
-        return result
+        return self.prepared.alphabet
 
     def max_word_length(self) -> int:
         """``M``: the maximum length of a word occurring in a word constraint."""
@@ -213,3 +222,97 @@ class ConstraintSet:
                 if as_word is not None:
                     longest = max(longest, len(as_word))
         return longest
+
+
+@dataclass(frozen=True)
+class EqualitySide:
+    """One direction of a path equality ``side = other`` as the rewriter reads
+    it: a query that factors through ``side`` may use ``other`` instead.
+
+    ``word`` is ``side.as_word()``, ``nfa`` the side's Thompson automaton, and
+    ``star_body_nfa`` the automaton of ``u`` when the side simplifies to
+    ``u*`` (the cached recursive expressions of Section 3.2, Example 3).
+    """
+
+    index: int
+    equality: PathEquality
+    other: Regex
+    word: "Word | None"
+    nfa: "NFA"
+    star_body_nfa: "NFA | None"
+
+
+class PreparedConstraints:
+    """The view of a fixed :class:`ConstraintSet` that queries are decided against.
+
+    The flags and the alphabet are one scan of the constraints; the prefix
+    rewrite system and the equality sides are built the first time a
+    procedure asks for them.  Nothing here is mutated after construction, so
+    concurrent readers (the engine rewrites outside its memo lock) share it.
+    """
+
+    def __init__(self, constraints: ConstraintSet) -> None:
+        self._constraints = constraints
+        members = constraints.constraints
+        self.is_word_constraint_set = all(c.is_word_constraint() for c in members)
+        self.is_word_equality_set = self.is_word_constraint_set and all(
+            isinstance(c, PathEquality) for c in members
+        )
+        self.alphabet: frozenset[str] = frozenset().union(
+            *(c.alphabet() for c in members)
+        )
+
+    @cached_property
+    def system(self) -> "PrefixRewriteSystem":
+        """The prefix rewrite system →E.
+
+        Raises :class:`~repro.exceptions.ConstraintError` unless every
+        constraint is a word constraint.
+        """
+        from .rewrite_system import PrefixRewriteSystem
+
+        return PrefixRewriteSystem.from_constraints(self._constraints)
+
+    @cached_property
+    def equality_sides(self) -> tuple[EqualitySide, ...]:
+        """Both directions of every equality, in constraint order."""
+        from ..automata import regex_to_nfa
+
+        sides: list[EqualitySide] = []
+        for equality in self._constraints:
+            if not isinstance(equality, PathEquality):
+                continue
+            for side, other in (
+                (equality.lhs, equality.rhs),
+                (equality.rhs, equality.lhs),
+            ):
+                simplified = simplify(side)
+                sides.append(
+                    EqualitySide(
+                        index=len(sides),
+                        equality=equality,
+                        other=other,
+                        word=side.as_word(),
+                        nfa=regex_to_nfa(side),
+                        star_body_nfa=(
+                            regex_to_nfa(simplified.inner)
+                            if isinstance(simplified, Star)
+                            else None
+                        ),
+                    )
+                )
+        return tuple(sides)
+
+    @cached_property
+    def sides_by_word(self) -> dict[Word, tuple[EqualitySide, ...]]:
+        """The equality sides that are plain words, keyed by that word."""
+        index: dict[Word, list[EqualitySide]] = {}
+        for side in self.equality_sides:
+            if side.word is not None:
+                index.setdefault(side.word, []).append(side)
+        return {word: tuple(sides) for word, sides in index.items()}
+
+    @cached_property
+    def non_word_sides(self) -> tuple[EqualitySide, ...]:
+        """The equality sides only an automaton can compare."""
+        return tuple(side for side in self.equality_sides if side.word is None)

@@ -25,10 +25,8 @@ from ..automata import (
     regex_to_nfa,
     union_nfa,
 )
-from ..exceptions import ConstraintError
 from ..regex import Regex, parse
 from .constraint import ConstraintSet, PathConstraint, PathEquality, PathInclusion
-from .rewrite_system import PrefixRewriteSystem
 from .rewrite_to import rewrite_to_language_nfa
 
 
@@ -49,19 +47,13 @@ def _coerce(expression: "Regex | str") -> Regex:
     return expression if isinstance(expression, Regex) else parse(expression)
 
 
-def _require_word_constraints(constraints: ConstraintSet) -> PrefixRewriteSystem:
-    if not constraints.is_word_constraint_set():
-        raise ConstraintError(
-            "this procedure requires word constraints; use "
-            "repro.constraints.general_implication for general path constraints"
-        )
-    return PrefixRewriteSystem.from_constraints(constraints)
-
-
 def rewrite_target_nfa(constraints: ConstraintSet, rhs: "Regex | str") -> NFA:
-    """The ``RewriteTo(q)`` automaton used by the inclusion test (Lemma 4.7)."""
-    system = _require_word_constraints(constraints)
-    return rewrite_to_language_nfa(system, _coerce(rhs))
+    """The ``RewriteTo(q)`` automaton used by the inclusion test (Lemma 4.7).
+
+    Raises :class:`~repro.exceptions.ConstraintError` unless ``constraints``
+    is a set of word constraints.
+    """
+    return rewrite_to_language_nfa(constraints.prepared.system, _coerce(rhs))
 
 
 def implies_path_inclusion(

@@ -62,7 +62,8 @@ class PrefixRewriteSystem:
         """
         if not constraints.is_word_constraint_set():
             raise ConstraintError(
-                "the prefix rewrite system is defined only for word constraints"
+                "the prefix rewrite system is defined only for word constraints; "
+                "use repro.constraints.general_implication for general path constraints"
             )
         rules = [RewriteRule(lhs, rhs) for lhs, rhs in constraints.word_inclusion_pairs()]
         return cls(rules)

@@ -17,7 +17,9 @@ implement directly:
    in state ``q``, add the final edge completing an ``x``-path from ``ι`` to
    ``q`` (an ε-edge if ``x = ε``, a direct edge if ``|x| = 1``, the last
    chain edge otherwise);
-4. repeat until no edge can be added.
+4. repeat until no edge can be added.  Within one round the right-hand sides
+   are read through a shared table of their prefixes' state sets, so rules
+   with a common prefix step it once.
 
 The number of candidate edges is ``O(|rules| · |states|)``, so saturation is
 polynomial; the resulting automaton accepts exactly
@@ -86,9 +88,14 @@ def saturate_pre_star(
     while changed:
         changed = False
         stats.rounds += 1
+        # δ(ι, w) for every prefix w of a right-hand side, read once per round:
+        # the rules of one site share long prefixes.  An entry may predate an
+        # edge added later in the same round; that only defers the edges it
+        # would have produced to the next round, and the loop ends on a round
+        # that added nothing — one that read no stale entry.
+        after: dict[Word, frozenset] = {}
         for rule_index, rule in enumerate(system.rules):
-            reachable = nfa.run(rule.rhs)
-            for q in reachable:
+            for q in nfa.run_shared(rule.rhs, after):
                 source, label, destination = final_edge(rule_index, rule, q)
                 if destination in nfa.transitions.get(source, {}).get(label, set()):
                     continue

@@ -24,7 +24,6 @@ from itertools import product
 
 from ..graph.instance import Instance, Oid
 from .constraint import ConstraintSet, Word, word_inclusion
-from .rewrite_system import PrefixRewriteSystem
 from .rewrite_to import rewrite_to_word_nfa
 
 
@@ -81,7 +80,7 @@ def lemma44_witness(
     re-validate with :func:`repro.constraints.satisfaction.satisfies_all`
     and fall back gracefully when validation fails.
     """
-    system = PrefixRewriteSystem.from_constraints(constraints)
+    system = constraints.prepared.system
     labels = frozenset(alphabet) if alphabet is not None else constraints.alphabet()
     if not labels:
         labels = system.alphabet()

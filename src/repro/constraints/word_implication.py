@@ -16,27 +16,16 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ..exceptions import ConstraintError
 from .constraint import ConstraintSet, Word
 from .rewrite_system import PrefixRewriteSystem, RewriteStep
 from .rewrite_to import rewrite_to_word_nfa
-
-
-def _system_for(constraints: ConstraintSet) -> PrefixRewriteSystem:
-    if not constraints.is_word_constraint_set():
-        raise ConstraintError(
-            "word-constraint implication requires a set of word constraints; "
-            "use repro.constraints.general_implication for the general case"
-        )
-    return PrefixRewriteSystem.from_constraints(constraints)
 
 
 def implies_word_inclusion(
     constraints: ConstraintSet, lhs: Word, rhs: Word
 ) -> bool:
     """Decide ``E ⊨ lhs ⊆ rhs`` in polynomial time."""
-    system = _system_for(constraints)
-    automaton = rewrite_to_word_nfa(system, tuple(rhs))
+    automaton = rewrite_to_word_nfa(constraints.prepared.system, tuple(rhs))
     return automaton.accepts(tuple(lhs))
 
 
@@ -66,7 +55,7 @@ def explain_word_inclusion(
     """
     if not implies_word_inclusion(constraints, lhs, rhs):
         return None
-    system = _system_for(constraints)
+    system = constraints.prepared.system
     if max_word_length is None:
         # A generous default: derivations never need words much longer than
         # the start/goal plus the largest right-hand side.
@@ -80,17 +69,20 @@ def explain_word_inclusion(
 
 
 class WordImplicationOracle:
-    """Amortized interface: one constraint set, many implication queries.
+    """Amortized interface: one constraint set, many word-implication queries.
 
     The saturated ``RewriteTo(v)`` automaton depends only on ``E`` and ``v``,
-    so an oracle caches it per right-hand side.  This is the interface used
-    by the optimizer, which probes many candidate rewritings against the same
-    constraint set.
+    so the oracle keeps one per right-hand side it has been asked about, on
+    top of the rewrite system ``E`` has already prepared
+    (:attr:`ConstraintSet.prepared`).  It is a library convenience for callers
+    that probe many *word* pairs against one ``E``; the query rewriter proves
+    *path* equalities and goes through
+    :func:`repro.constraints.decide_implication` instead.  The oracle reads
+    ``constraints`` as they were when it was built.
     """
 
     def __init__(self, constraints: ConstraintSet) -> None:
-        self._constraints = constraints
-        self._system = _system_for(constraints)
+        self._system = constraints.prepared.system
         self._automaton_for = lru_cache(maxsize=None)(self._build_automaton)
 
     def _build_automaton(self, rhs: Word):

@@ -309,7 +309,12 @@ class ServingSurface:
                 constraints,
                 self.cost_model or DEFAULT_COST_MODEL,
             )
-            rewrite_span.set(improved=outcome.improved)
+            rewrite_span.set(
+                improved=outcome.improved,
+                generated=outcome.generated,
+                proofs_attempted=outcome.proofs_attempted,
+                skipped_by_cost=outcome.skipped_by_cost,
+            )
         self._hist_rewrite.observe(rewrite_span.duration)
         best_key = query_key(outcome.best)
         with self._rewrite_lock:

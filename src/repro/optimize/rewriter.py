@@ -7,13 +7,20 @@ below implements that loop:
 1. generate candidate rewritings of the input query — prefix substitutions
    using the constraints (sound by right-congruence), recursion elimination
    via the boundedness procedure when the constraints are word equalities,
-   and the candidates contributed by cached-query labels;
-2. keep only candidates that are *provably* equivalent to the original under
-   the constraints (using the implication machinery — the tiered general
-   procedure, or the complete word-constraint procedures when applicable);
-3. rank the surviving candidates with the cost model and return the best.
+   and the candidates contributed by cached-query labels — reading the
+   constraint sides from the set's prepared view
+   (:attr:`repro.constraints.ConstraintSet.prepared`) instead of rebuilding
+   their automata per query;
+2. rank the distinct candidates with the cost model and drop every one that
+   is not strictly cheaper than the original (the original wins ties, so
+   such a candidate could never be returned);
+3. *prove* the remaining candidates equivalent to the original under the
+   constraints, cheapest first (the tiered general procedure, or the complete
+   word-constraint procedures when applicable), and stop at the first proof:
+   every candidate after it costs at least as much.
 
-Every returned rewrite therefore comes with the evidence used to justify it.
+Every returned rewrite therefore comes with the evidence used to justify it,
+and a candidate that cannot win is never proved.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..constraints.boundedness import decide_boundedness
-from ..constraints.constraint import ConstraintSet, PathEquality
+from ..constraints.constraint import ConstraintSet, EqualitySide, PathEquality
 from ..constraints.general_implication import (
     ImplicationResult,
     SearchBudget,
@@ -48,7 +55,15 @@ class RewriteCandidate:
 
 @dataclass
 class RewriteOutcome:
-    """Result of optimizing one query under one constraint set."""
+    """Result of optimizing one query under one constraint set.
+
+    ``candidates`` is the original plus every candidate that was *proved*
+    equivalent to it — at most one, the adopted rewrite, since proving stops
+    at the first success and candidates that cannot win are not proved.  The
+    three counters say what the search cost: ``generated`` distinct candidates
+    (the original excluded), of which ``skipped_by_cost`` were no cheaper than
+    the original and ``proofs_attempted`` went to the implication procedure.
+    """
 
     original: Regex
     best: Regex
@@ -56,6 +71,9 @@ class RewriteOutcome:
     best_cost: float
     improved: bool
     candidates: list[RewriteCandidate] = field(default_factory=list)
+    generated: int = 0
+    proofs_attempted: int = 0
+    skipped_by_cost: int = 0
 
     def summary(self) -> str:
         arrow = "=>" if self.improved else "(unchanged)"
@@ -81,26 +99,51 @@ def _prefix_substitution_candidates(
     an equivalence-preserving rewrite (the implication check would reject it
     anyway; skipping it avoids wasted work).
     """
-    from ..automata import equivalent as nfa_equivalent, regex_to_nfa
-
     candidates: list[tuple[Regex, str]] = []
     factors = _factors(expression)
-    equalities = [c for c in constraints if isinstance(c, PathEquality)]
     for split in range(1, len(factors) + 1):
         prefix = simplify(concat_all(factors[:split]))
         suffix = simplify(concat_all(factors[split:]))
-        prefix_nfa = regex_to_nfa(prefix)
-        for equality in equalities:
-            for one_side, other_side in (
-                (equality.lhs, equality.rhs),
-                (equality.rhs, equality.lhs),
-            ):
-                if nfa_equivalent(prefix_nfa, regex_to_nfa(one_side)):
-                    rewritten = simplify(concat(other_side, suffix))
-                    candidates.append(
-                        (rewritten, f"prefix-substitution via {equality}")
-                    )
+        for side in _sides_denoting(prefix, constraints):
+            rewritten = simplify(concat(side.other, suffix))
+            candidates.append(
+                (rewritten, f"prefix-substitution via {side.equality}")
+            )
     return candidates
+
+
+def _sides_denoting(prefix: Regex, constraints: ConstraintSet) -> list[EqualitySide]:
+    """The equality sides whose language is ``L(prefix)``, in constraint order.
+
+    Two plain words denote the same language iff they are the same word, which
+    is a dictionary lookup.  When only one of the two is a word, it has to be
+    accepted by the other's automaton before the full equivalence test is
+    worth running.
+    """
+    from ..automata import equivalent as nfa_equivalent, regex_to_nfa
+
+    prepared = constraints.prepared
+    prefix_word = prefix.as_word()
+    if prefix_word is None:
+        matched: list[EqualitySide] = []
+        undecided = prepared.equality_sides
+    else:
+        matched = list(prepared.sides_by_word.get(prefix_word, ()))
+        undecided = prepared.non_word_sides
+    if undecided:
+        prefix_nfa = regex_to_nfa(prefix)
+        after: dict = {}
+        for side in undecided:
+            if side.word is not None and not (
+                prefix_nfa.run_shared(side.word, after) & prefix_nfa.accepting
+            ):
+                continue
+            if prefix_word is not None and not side.nfa.accepts(prefix_word):
+                continue
+            if nfa_equivalent(prefix_nfa, side.nfa):
+                matched.append(side)
+        matched.sort(key=lambda side: side.index)
+    return matched
 
 
 def concat_all(factors: list[Regex]) -> Regex:
@@ -137,42 +180,45 @@ def _cached_decomposition_candidates(
         regex_to_nfa,
         star_nfa,
     )
-    from ..regex.ast import Star, Symbol, union_all
+    from ..regex.ast import Symbol, union_all
 
     candidates: list[tuple[Regex, str]] = []
-    expression_nfa = regex_to_nfa(expression)
-    alphabet = sorted(expression.alphabet() | constraints.alphabet())
+    prepared = constraints.prepared
+    alphabet = sorted(expression.alphabet() | prepared.alphabet)
     if not alphabet:
         return candidates
-    sigma_star = star_nfa(regex_to_nfa(union_all([Symbol(label) for label in alphabet])))
+    expression_nfa = regex_to_nfa(expression)
+    sigma_star = None  # built when the first starred side needs it
+    after: dict = {}
 
-    equalities = [c for c in constraints if isinstance(c, PathEquality)]
-    for equality in equalities:
-        for cached_side, replacement in (
-            (equality.lhs, equality.rhs),
-            (equality.rhs, equality.lhs),
-        ):
-            cached_nfa = regex_to_nfa(cached_side)
-            quotient = left_quotient_by_language_nfa(expression_nfa, cached_nfa)
-            if is_empty(quotient):
+    for side in prepared.equality_sides:
+        # No word of L(expression) starts with a word side the automaton cannot
+        # read: the quotient below would be empty.
+        if side.word is not None and not expression_nfa.run_shared(side.word, after):
+            continue
+        quotient = left_quotient_by_language_nfa(expression_nfa, side.nfa)
+        if is_empty(quotient):
+            continue
+        remainders = [quotient]
+        if side.star_body_nfa is not None:
+            if sigma_star is None:
+                sigma_star = star_nfa(
+                    regex_to_nfa(union_all([Symbol(label) for label in alphabet]))
+                )
+            stripped = difference_nfa(
+                quotient, concat_nfa(side.star_body_nfa, sigma_star)
+            )
+            if not is_empty(stripped):
+                remainders.insert(0, stripped)
+        for remainder in remainders:
+            if not nfa_equivalent(concat_nfa(side.nfa, remainder), expression_nfa):
                 continue
-            remainders = [quotient]
-            if isinstance(simplify(cached_side), Star):
-                body = simplify(cached_side).inner  # type: ignore[union-attr]
-                stripped = difference_nfa(
-                    quotient, concat_nfa(regex_to_nfa(body), sigma_star)
-                )
-                if not is_empty(stripped):
-                    remainders.insert(0, stripped)
-            for remainder in remainders:
-                if not nfa_equivalent(concat_nfa(cached_nfa, remainder), expression_nfa):
-                    continue
-                remainder_expression = simplify(nfa_to_regex(remainder))
-                rewritten = simplify(concat(replacement, remainder_expression))
-                candidates.append(
-                    (rewritten, f"cached-decomposition via {equality}")
-                )
-                break
+            remainder_expression = simplify(nfa_to_regex(remainder))
+            rewritten = simplify(concat(side.other, remainder_expression))
+            candidates.append(
+                (rewritten, f"cached-decomposition via {side.equality}")
+            )
+            break
     return candidates
 
 
@@ -208,15 +254,17 @@ def rewrite_query(
     constraints: ConstraintSet,
     cost_model: CostModel = DEFAULT_COST_MODEL,
     budget: SearchBudget | None = None,
-    require_proof: bool = True,
 ) -> RewriteOutcome:
     """Optimize ``query`` under ``constraints``; return the best justified rewrite.
 
-    With ``require_proof`` (the default) a candidate is adopted only when the
-    implication machinery *proves* equivalence under the constraints; when the
-    proof attempt returns ``UNKNOWN`` the candidate is dropped.  Setting it to
-    ``False`` keeps candidates whose equivalence proof is pending, which is
-    only appropriate for exploratory use.
+    A candidate is adopted only when the implication machinery *proves* it
+    equivalent to the query under the constraints; ``NOT_IMPLIED`` and
+    ``UNKNOWN`` both drop it and the next-cheapest candidate is tried.
+    Candidates are proved in order of estimated cost (ties in generation
+    order) and only while strictly cheaper than the query itself, so the
+    result is the cheapest provable candidate — the same ``best`` a
+    prove-everything search would pick — at the price of the proofs up to and
+    including the first that succeeds.
     """
     expression = simplify(query if isinstance(query, Regex) else parse(query))
     original_cost = cost_model.estimate(expression)
@@ -226,39 +274,39 @@ def rewrite_query(
     raw_candidates.extend(_cached_decomposition_candidates(expression, constraints))
     raw_candidates.extend(_boundedness_candidate(expression, constraints))
 
-    candidates: list[RewriteCandidate] = [
-        RewriteCandidate(expression, "original", original_cost)
-    ]
-    seen = {to_string(expression)}
+    original_key = to_string(expression)
+    distinct: dict[str, RewriteCandidate] = {}
     for candidate_expression, origin in raw_candidates:
         key = to_string(candidate_expression)
-        if key in seen:
-            continue
-        seen.add(key)
-        evidence: ImplicationResult | None = None
-        if require_proof:
-            evidence = decide_implication(
-                constraints,
-                PathEquality(expression, candidate_expression),
-                budget,
+        if key != original_key and key not in distinct:
+            distinct[key] = RewriteCandidate(
+                candidate_expression, origin, cost_model.estimate(candidate_expression)
             )
-            if evidence.verdict is not Verdict.IMPLIED:
-                continue
-        candidates.append(
-            RewriteCandidate(
-                candidate_expression,
-                origin,
-                cost_model.estimate(candidate_expression),
-                evidence,
-            )
-        )
-
-    best = min(candidates, key=lambda candidate: candidate.cost)
-    return RewriteOutcome(
-        original=expression,
-        best=best.query,
-        original_cost=original_cost,
-        best_cost=best.cost,
-        improved=best.cost < original_cost,
-        candidates=candidates,
+    # sorted() is stable: equal costs stay in generation order.
+    contenders = sorted(
+        (c for c in distinct.values() if c.cost < original_cost),
+        key=lambda candidate: candidate.cost,
     )
+
+    outcome = RewriteOutcome(
+        original=expression,
+        best=expression,
+        original_cost=original_cost,
+        best_cost=original_cost,
+        improved=False,
+        candidates=[RewriteCandidate(expression, "original", original_cost)],
+        generated=len(distinct),
+        skipped_by_cost=len(distinct) - len(contenders),
+    )
+    for candidate in contenders:
+        outcome.proofs_attempted += 1
+        candidate.evidence = decide_implication(
+            constraints, PathEquality(expression, candidate.query), budget
+        )
+        if candidate.evidence.verdict is Verdict.IMPLIED:
+            outcome.candidates.append(candidate)
+            outcome.best, outcome.best_cost, outcome.improved = (
+                candidate.query, candidate.cost, True
+            )
+            break
+    return outcome

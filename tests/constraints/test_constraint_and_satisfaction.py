@@ -95,6 +95,50 @@ class TestConstraintSet:
             ConstraintSet([42])  # type: ignore[list-item]
 
 
+class TestPreparedView:
+    def test_built_once_and_dropped_by_add(self):
+        constraints = ConstraintSet([word_equality("a b", "c")])
+        prepared = constraints.prepared
+        assert constraints.prepared is prepared
+        assert prepared.system is constraints.prepared.system
+        assert prepared.is_word_equality_set and prepared.alphabet == frozenset("abc")
+
+        constraints.add(word_inclusion("d", "a"))
+        assert constraints.prepared is not prepared
+        assert constraints.is_word_constraint_set()
+        assert not constraints.is_word_equality_set()
+        assert constraints.alphabet() == frozenset("abcd")
+        assert len(constraints.prepared.system) == 3
+
+        constraints.add(path_inclusion("a*", "b"))
+        assert not constraints.is_word_constraint_set()
+        with pytest.raises(ConstraintError):
+            constraints.prepared.system
+
+    def test_implication_sees_a_constraint_added_later(self):
+        from repro.constraints import decide_implication, implies_word_inclusion
+
+        constraints = ConstraintSet([word_inclusion("a", "b")])
+        assert not implies_word_inclusion(constraints, ("a",), ("c",))
+        assert not decide_implication(constraints, "a d <= c d").implied
+        constraints.add(word_inclusion("b", "c"))
+        assert implies_word_inclusion(constraints, ("a",), ("c",))
+        assert decide_implication(constraints, "a d <= c d").implied
+
+    def test_equality_sides_in_constraint_order(self):
+        constraints = ConstraintSet(
+            [word_equality("a b", "c"), word_inclusion("x", "y"), path_equality("l", "(a b)*")]
+        )
+        sides = constraints.prepared.equality_sides
+        assert [side.index for side in sides] == [0, 1, 2, 3]
+        assert [side.word for side in sides] == [("a", "b"), ("c",), ("l",), None]
+        assert [side.other.as_word() for side in sides] == [("c",), ("a", "b"), None, ("l",)]
+        assert [side.star_body_nfa is not None for side in sides] == [False, False, False, True]
+        assert all(side.nfa.accepts(side.word) for side in sides if side.word is not None)
+        assert constraints.prepared.sides_by_word[("c",)] == (sides[1],)
+        assert constraints.prepared.non_word_sides == (sides[3],)
+
+
 class TestSatisfaction:
     def test_inclusion_satisfaction(self, figure2):
         instance, source = figure2

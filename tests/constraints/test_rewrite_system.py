@@ -1,8 +1,18 @@
 """Tests for the prefix rewrite system →E and the RewriteTo automata."""
 
 import pytest
+from _strategies import words as drawn_words
+from hypothesis import given, strategies as st
 
-from repro.automata import accepted_language_up_to, enumerate_accepted_words
+from repro.automata import (
+    EPSILON,
+    NFA,
+    accepted_language_up_to,
+    enumerate_accepted_words,
+    equivalent,
+    regex_to_nfa,
+    single_word_nfa,
+)
 from repro.constraints import (
     ConstraintSet,
     PrefixRewriteSystem,
@@ -10,6 +20,7 @@ from repro.constraints import (
     rewrite_to_language_nfa,
     rewrite_to_with_statistics,
     rewrite_to_word_nfa,
+    saturate_pre_star,
     word_equality,
     word_inclusion,
 )
@@ -159,3 +170,99 @@ class TestRewriteToAutomata:
         assert ("a", "a", "b") in words
         assert ("a", "a", "a", "b") in words
         assert ("b",) not in words
+
+
+def reference_saturate(system, target):
+    """The saturation as first written: every right-hand side is run from
+    scratch, against the automaton as it stands at that moment.  Returns the
+    automaton and the number of edges added."""
+    nfa = NFA(initial=("t", target.initial), alphabet=set(target.alphabet))
+    for source, label, destination in target.iter_transitions():
+        nfa.add_transition(("t", source), label, ("t", destination))
+    nfa.accepting = {("t", state) for state in target.accepting}
+    final_edge_source = {}
+    for index, rule in enumerate(system.rules):
+        current = nfa.initial
+        for position, label in enumerate(rule.lhs[:-1]):
+            nfa.add_transition(current, label, ("chain", index, position))
+            current = ("chain", index, position)
+        final_edge_source[index] = current
+    edges_added = 0
+    changed = True
+    while changed:
+        changed = False
+        for index, rule in enumerate(system.rules):
+            label = rule.lhs[-1] if rule.lhs else EPSILON
+            source = final_edge_source[index]
+            for q in nfa.run(rule.rhs):
+                if q not in nfa.transitions.get(source, {}).get(label, set()):
+                    nfa.add_transition(source, label, q)
+                    edges_added += 1
+                    changed = True
+    return nfa, edges_added
+
+
+class TestSaturationSharesPrefixes:
+    """Right-hand sides are read through a per-round table of their prefixes'
+    state sets; the fixpoint must not depend on it."""
+
+    FIXTURES = [
+        ([(("a", "a"), ("a",))], ("a",)),
+        ([(("a", "a"), ("a",)), (("b",), ("a", "b"))], ("a", "b")),
+        ([(("a", "b"), ("b", "a")), (("b", "b"), ())], ("b", "a")),
+        ([(("a",), ()), ((), ("b",))], ()),
+        ([((), ("b",))], ("b", "b", "a")),
+        ([(("a", "b", "c"), ("z",))], ("z", "q")),
+        ([(("a",), ("b",)), (("b", "b"), ("c",))], ("c",)),
+    ]
+
+    @pytest.mark.parametrize("pairs, target", FIXTURES)
+    def test_edges_added_as_before_on_the_existing_fixtures(self, pairs, target):
+        system = PrefixRewriteSystem.from_pairs(pairs)
+        saturated, stats = saturate_pre_star(system, single_word_nfa(target))
+        reference, edges_added = reference_saturate(system, single_word_nfa(target))
+        assert stats.edges_added == edges_added
+        assert equivalent(saturated, reference)
+
+    def test_edge_added_mid_round_extends_an_earlier_prefix(self):
+        # Round 1: z -> a b caches δ(ι, a) and δ(ι, a b); a -> e then adds an
+        # a-edge from ι, which enlarges both; y -> a b reads the stale entry.
+        # Only a further round gives y its second edge, the one that accepts
+        # y c  (y c -> a b c -> e b c).
+        system = PrefixRewriteSystem.from_pairs(
+            [(("z",), ("a", "b")), (("a",), ("e",)), (("y",), ("a", "b"))]
+        )
+        target = regex_to_nfa(parse("a b + e b c"))
+        saturated, stats = saturate_pre_star(system, target)
+        assert saturated.accepts(("y", "c")) and saturated.accepts(("z", "c"))
+        assert stats.rounds >= 3
+        reference, edges_added = reference_saturate(system, target)
+        assert stats.edges_added == edges_added
+        goals = [("a", "b"), ("e", "b", "c")]
+        for word in enumerate_accepted_words(
+            regex_to_nfa(parse("(a + e + y + z) (% + b + c) (% + c)")), 3
+        ):
+            expected = any(system.rewrites_to(word, goal) for goal in goals)
+            assert saturated.accepts(word) == expected, word
+
+    @given(
+        rules=st.lists(
+            st.tuples(
+                drawn_words(("a", "b"), max_size=2),
+                drawn_words(("a", "b"), max_size=2).map(lambda rest: ("a", "b") + rest),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        target=drawn_words(("a", "b"), max_size=3),
+    )
+    def test_shared_prefix_right_hand_sides_match_the_reference(self, rules, target):
+        system = PrefixRewriteSystem.from_pairs(rules)
+        saturated, stats = saturate_pre_star(system, single_word_nfa(target))
+        reference, edges_added = reference_saturate(system, single_word_nfa(target))
+        assert stats.edges_added == edges_added
+        assert equivalent(saturated, reference)
+        for word in [(), ("a",), ("b",), ("a", "b"), ("b", "a"), ("a", "b", "a")]:
+            # The bounded search is a semi-decision: what it finds must be accepted.
+            if system.rewrites_to(word, target, max_steps=500, max_word_length=8):
+                assert saturated.accepts(word)

@@ -460,6 +460,24 @@ class TestSessionInstrumentation:
         ]
         assert [span.attributes["cached"] for span in compiles] == [False, True]
 
+    def test_rewrite_span_says_what_the_search_cost(self, telemetry_on):
+        from repro.constraints import ConstraintSet, word_equality
+
+        instance, _ = figure2_graph()
+        constraints = ConstraintSet([word_equality("a b", "c"), word_equality("a", "d e")])
+        engine = Engine.open(instance, constraints=constraints)
+        engine.query("a b b", "o1")  # candidates: c b (cheaper), d e b b (dearer)
+        engine.query("a b b", "o1")  # memo hit: no second search
+        rewrites = [
+            span
+            for trace in engine.metrics.tracer.traces()
+            for span in trace.spans
+            if span.name == "engine.rewrite"
+        ]
+        assert [span.attributes for span in rewrites] == [
+            {"improved": True, "generated": 2, "proofs_attempted": 1, "skipped_by_cost": 1}
+        ]
+
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     def test_sharded_trace_has_superstep_tree(self, telemetry_on, backend):
         instance = web(30)
