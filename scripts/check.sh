@@ -20,7 +20,9 @@
 #   smoke   the benchmark harness smokes (tiny sizes)
 #   profile the cProfile harness over the warm batched kernels, one pass
 #           per available backend, then over the query rewriter on the
-#           site-rewrite-cold texts (quick sizes); each writes the gitignored
+#           site-rewrite-cold texts, then over ShardedEngine.query_conjunctive
+#           on the clustered-sharded-crpq ops with the superstep worker
+#           threads included (quick sizes); each writes the gitignored
 #           PROFILE_report.txt so perf work starts from measurements
 #   all     everything, in order (the default — bare ./scripts/check.sh)
 #
@@ -184,6 +186,10 @@ run_profile() {
     echo
     echo "== profile: cProfile over rewrite_query on the CS-department texts (quick) =="
     python scripts/profile.py --target rewrite --quick
+
+    echo
+    echo "== profile: cProfile over sharded CRPQs, superstep workers included (quick) =="
+    python scripts/profile.py --target crpq --quick
 }
 
 step="${1:-all}"

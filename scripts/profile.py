@@ -1,17 +1,22 @@
-"""cProfile harness for the engine's hot kernels and the query rewriter.
+"""cProfile harness for the engine's hot kernels, the query rewriter and
+the sharded CRPQ path.
 
 ``--target kernels`` (the default) profiles the warm batched evaluation path
 — the loop the throughput benchmark gates — once per requested backend, over
 the same mid-size random-graph workload flavor ``bench_engine_throughput.py``
 times.  ``--target rewrite`` profiles ``rewrite_query`` over the query texts
 of the ``site-rewrite-cold`` benchmark workload under the CS-department word
-equalities.  Either way the top-N frames (by cumulative and by self time) go
+equalities.  ``--target crpq`` profiles ``ShardedEngine.query_conjunctive``
+over the op list of the ``clustered-sharded-crpq`` benchmark workload, on
+the workload's own two-worker session, the superstep worker threads
+included.  Either way the top-N frames (by cumulative and by self time) go
 to a gitignored report so perf work starts from measurements instead of
 guesses::
 
     PYTHONPATH=src python scripts/profile.py                # all backends
     PYTHONPATH=src python scripts/profile.py --backend packed
     PYTHONPATH=src python scripts/profile.py --target rewrite
+    PYTHONPATH=src python scripts/profile.py --target crpq
     PYTHONPATH=src python scripts/profile.py --quick        # check.sh step
 
 The report lands in ``PROFILE_report.txt`` (override with ``--out``).  The
@@ -19,7 +24,9 @@ console gets each section's total time plus its top self-time frames, and
 both get the work counts beside the timings: per query the kernels' own
 ``BatchRun.rounds`` / ``edges_gathered`` / ``peak_frontier_rows``; per text
 the rewriter's ``generated`` / ``proofs_attempted`` / ``skipped_by_cost``,
-split into the texts it improved and the ones it returned unchanged.
+split into the texts it improved and the ones it returned unchanged; per
+CRPQ template the op's milliseconds, and per op the supersteps, local runs
+and exchanged facts plus the join steps' q-error.
 Stdlib only — ``cProfile``/``pstats`` ship with CPython.
 """
 
@@ -41,6 +48,7 @@ import cProfile  # noqa: E402
 import io  # noqa: E402
 import pstats  # noqa: E402
 import random  # noqa: E402
+import threading  # noqa: E402
 import time  # noqa: E402
 
 from repro.engine.executor import available_backends, run_batch  # noqa: E402
@@ -185,13 +193,105 @@ def profile_rewrite(
     return stats, stats.total_tt, summary, per_text
 
 
+class WorkerProfiles:
+    """cProfile on the threads a session starts (``threading.setprofile``).
+
+    ``cProfile.Profile`` sees the thread that enabled it only, and a sharded
+    session runs its local fixpoints on superstep workers.  Installed before
+    the session opens, :meth:`_hook` becomes every new thread's profile
+    function; once :attr:`recording` is set, the thread's next call event
+    hands the thread to a ``Profile`` of its own (``enable`` replaces the
+    hook there).  Read the profiles after the session has closed its threads.
+    """
+
+    def __init__(self) -> None:
+        self.recording = False
+        self.profiles: "list[cProfile.Profile]" = []
+
+    def _hook(self, frame, event, arg) -> None:
+        if self.recording:
+            profile = cProfile.Profile()
+            self.profiles.append(profile)
+            profile.enable()
+
+    def __enter__(self) -> "WorkerProfiles":
+        threading.setprofile(self._hook)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        threading.setprofile(None)
+
+
+def profile_crpq(
+    quick: bool, repeats: int
+) -> "tuple[pstats.Stats, float, list[str]]":
+    """Profile the ``clustered-sharded-crpq`` op list, all threads merged.
+
+    The data set, shard map, session options and op generator are the
+    benchmark workload's own; ``quick`` uses its smoke sizes.  Returns the
+    stats, the profiled seconds and the per-template / per-op work lines
+    (timed in a separate, unprofiled pass)."""
+    sys.path.insert(0, str(_ROOT / "benchmarks" / "e2e"))
+    from workloads.clustered_sharded_crpq import TEMPLATES, ClusteredShardedCrpq
+
+    workload = ClusteredShardedCrpq(seed=0, smoke=quick)
+    workload.generate(None)
+    ops = workload.make_ops(12 if quick else workload.lap_ops)
+    with WorkerProfiles() as workers:
+        workload.open_cold(None)
+        engine = workload.cold
+        try:
+            for text in ops:  # warm the compile caches and the lowerings
+                engine.query_conjunctive(text)
+            stats = engine.stats
+            before = (stats.supersteps, stats.local_runs, stats.exchanged_facts)
+            by_template: "dict[str, list[float]]" = {}
+            for text in ops:
+                started = time.perf_counter()
+                engine.query_conjunctive(text)
+                head = text.split(" WHERE ")[0]
+                by_template.setdefault(head, []).append(time.perf_counter() - started)
+            supersteps, local_runs, exchanged = (
+                (after - start) / len(ops)
+                for start, after in zip(
+                    before, (stats.supersteps, stats.local_runs, stats.exchanged_facts)
+                )
+            )
+            q_error = engine.telemetry()["crpq_q_error"]
+            work = [
+                f"{len(ops)} ops over {len(TEMPLATES)} templates; per op: "
+                f"{supersteps:.2f} supersteps, {local_runs:.2f} local runs, "
+                f"{exchanged:.1f} exchanged facts; join-step q-error "
+                f"p50 {q_error['p50']:.2f} p95 {q_error['p95']:.2f} "
+                f"({q_error['count']} steps)",
+                "per template (unprofiled):",
+                *(
+                    f"  {sum(times) / len(times) * 1e3:7.2f} ms x {len(times):<3} {head}"
+                    for head, times in by_template.items()
+                ),
+            ]
+            profiler = cProfile.Profile()
+            workers.recording = True
+            profiler.enable()
+            for _ in range(repeats):
+                for text in ops:
+                    engine.query_conjunctive(text)
+            profiler.disable()
+        finally:
+            engine.close()  # joins the workers: their profiles are complete
+    merged = pstats.Stats(profiler, *workers.profiles)
+    work.insert(1, f"threads profiled: caller + {len(workers.profiles)} superstep workers")
+    return merged, merged.total_tt, work
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--target",
-        choices=("kernels", "rewrite"),
+        choices=("kernels", "rewrite", "crpq"),
         default="kernels",
-        help="what to profile: the batch kernels or the query rewriter",
+        help="what to profile: the batch kernels, the query rewriter, or "
+        "sharded conjunctive queries",
     )
     parser.add_argument(
         "--backend",
@@ -223,6 +323,11 @@ def main() -> int:
         sections.append(render_report("target: rewrite", stats, total, args.top, work))
         print(f"rewrite: {total:.4f}s profiled; hottest: {hottest_frames(stats)}")
         print(*summary, sep="\n")
+    elif args.target == "crpq":
+        stats, total, work = profile_crpq(args.quick, 1 if args.quick else 3)
+        sections.append(render_report("target: crpq", stats, total, args.top, work))
+        print(f"crpq: {total:.4f}s profiled; hottest: {hottest_frames(stats)}")
+        print(*work, sep="\n")
     else:
         backends = tuple(args.backend) if args.backend else available_backends()
         instance = build_instance(args.nodes, args.edges, args.seed)

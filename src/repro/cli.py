@@ -321,6 +321,15 @@ def _cmd_crpq(args: argparse.Namespace) -> int:
                     f"~{step['estimated_pairs']:.0f} pairs)",
                     file=sys.stderr,
                 )
+            # How the estimates held up: per executed step, the planner's
+            # number scaled to the sources it ran from, beside the actual.
+            for step in result.steps:
+                print(
+                    f"# ran: {step.atom} from {step.sources} sources: "
+                    f"{step.pairs} pairs (estimated {step.estimated_pairs:.1f}, "
+                    f"q-error {step.q_error:.2f}), {step.rows_out} rows out",
+                    file=sys.stderr,
+                )
         print("# " + ", ".join(result.variables), file=sys.stderr)
         for row in result.rows:
             print(",".join(map(str, row)))
@@ -618,7 +627,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     crpq_parser.add_argument(
         "--plan", "--explain", action="store_true",
-        help="print the chosen join order with cardinality estimates to stderr",
+        help="print the chosen join order with cardinality estimates, and per "
+        "executed step the estimate beside the actual pairs (q-error), to stderr",
     )
     crpq_parser.add_argument(
         "--stats", action="store_true",

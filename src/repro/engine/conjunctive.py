@@ -37,19 +37,22 @@ only extra restriction is that it may not contain the ``]->`` terminator.
 from __future__ import annotations
 
 import re
+from collections.abc import Collection
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..exceptions import RegexSyntaxError, ReproError
 from ..optimize.cost import DEFAULT_COST_MODEL, DegreeStats, estimate_cardinality
 from ..regex import Regex, parse
 from ..regex.printer import to_string
+from .telemetry import DEFAULT_SIZE_BUCKETS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..graph.instance import Instance, Oid
     from ..optimize.cost import CostModel
 
 __all__ = [
+    "ActiveDomain",
     "Atom",
     "AtomRequest",
     "ConjunctiveQuery",
@@ -62,6 +65,7 @@ __all__ = [
     "nested_loop_rows",
     "parse_crpq",
     "plan_join",
+    "record_join",
 ]
 
 
@@ -295,6 +299,36 @@ class PlannedAtom:
     estimated_cost: float
 
 
+class ActiveDomain(Collection):
+    """An instance's objects as a plan's domain: read through, never copied.
+
+    The paper's instance may be infinite (Remark 2.1), so nothing a request
+    does may enumerate the objects unless the query itself ranges over
+    them.  ``oid in domain`` and ``len(domain)`` are the instance's own O(1)
+    reads; iterating — which only :meth:`PlanExecution.pending` does, to
+    seed an atom whose source no earlier atom bound — yields the objects
+    sorted by ``repr``, as answered by ``sorted_objects`` (the session's
+    per-``instance.version`` cache).
+    """
+
+    __slots__ = ("_instance", "_sorted_objects")
+
+    def __init__(
+        self, instance: "Instance", sorted_objects: "Callable[[], tuple[Oid, ...]]"
+    ) -> None:
+        self._instance = instance
+        self._sorted_objects = sorted_objects
+
+    def __contains__(self, oid: object) -> bool:
+        return oid in self._instance
+
+    def __len__(self) -> int:
+        return len(self._instance)
+
+    def __iter__(self) -> "Iterator[Oid]":
+        return iter(self._sorted_objects())
+
+
 @dataclass(frozen=True)
 class JoinPlan:
     """A left-deep join order over a CRPQ's atoms.
@@ -302,8 +336,10 @@ class JoinPlan:
     ``acyclic`` records whether the variable graph (distinct endpoint pairs
     as edges) is a forest — the semantic-tree-width-friendly case where a
     connected ear ordering exists and no step needs a cartesian product.
-    ``domain`` is the active domain the planner assumed; execution seeds
-    unbound-source atoms from it.
+    ``domain`` is the active domain the planner assumed — a session's plan
+    carries an :class:`ActiveDomain` view, a hand-made one any collection —
+    and execution seeds unbound-source atoms from it; ``num_nodes`` is the
+    domain size the cardinality estimates were made against.
     """
 
     query: ConjunctiveQuery
@@ -311,7 +347,8 @@ class JoinPlan:
     acyclic: bool
     estimated_cost: float
     strategy: str
-    domain: "tuple[Oid, ...]" = ()
+    domain: "Collection[Oid]" = ()
+    num_nodes: int = 1
 
     def describe(self) -> "list[dict]":
         """JSON-ready per-step view (CLI ``--plan``, bench artifacts)."""
@@ -368,7 +405,7 @@ def plan_join(
     *,
     strategy: str = "optimized",
     prepared: "Sequence[object] | None" = None,
-    domain: "tuple[Oid, ...]" = (),
+    domain: "Collection[Oid]" = (),
 ) -> JoinPlan:
     """Choose a left-deep join order for ``query``.
 
@@ -450,6 +487,7 @@ def plan_join(
         estimated_cost=total,
         strategy=strategy,
         domain=domain,
+        num_nodes=nodes,
     )
 
 
@@ -470,13 +508,57 @@ class AtomRequest:
 
 @dataclass(slots=True)
 class JoinStep:
-    """Accounting for one executed join step (telemetry + plan reports)."""
+    """Accounting for one executed join step (telemetry + plan reports).
+
+    ``estimated_pairs`` is the planner's number for the quantity ``pairs``
+    measures: :func:`~repro.optimize.estimate_cardinality`'s whole-domain
+    estimate for the atom, scaled to the share of the domain this step
+    actually evaluated from (``sources / num_nodes``).
+    """
 
     atom: str
     sources: int
     pairs: int
     rows_in: int
     rows_out: int
+    estimated_pairs: float = 0.0
+
+    @property
+    def q_error(self) -> float:
+        """``max(est/act, act/est)`` with both sides floored at 1 — how many
+        times off the estimate was, in whichever direction."""
+        estimated = max(1.0, self.estimated_pairs)
+        actual = max(1.0, float(self.pairs))
+        return max(estimated / actual, actual / estimated)
+
+    def span_attributes(self) -> "dict[str, object]":
+        """What a ``crpq.join`` span says about this step."""
+        return {
+            "atom": self.atom,
+            "pairs": self.pairs,
+            "estimated_pairs": round(self.estimated_pairs, 1),
+            "q_error": round(self.q_error, 2),
+            "rows_out": self.rows_out,
+        }
+
+
+def record_join(registry, steps: "Sequence[JoinStep]") -> None:
+    """Count one finished CRPQ in ``registry``: the ``crpq_*`` counters and
+    one ``crpq_q_error`` observation per executed step."""
+    registry.counter("crpq_queries", "conjunctive queries evaluated").inc()
+    registry.counter(
+        "crpq_atom_batches", "per-atom batch evaluations run for CRPQs"
+    ).inc(len(steps))
+    registry.counter(
+        "crpq_join_rows", "rows produced across CRPQ join steps"
+    ).inc(sum(step.rows_out for step in steps))
+    q_error = registry.histogram(
+        "crpq_q_error",
+        "per join step, max(estimated/actual, actual/estimated) atom pairs",
+        buckets=DEFAULT_SIZE_BUCKETS,
+    )
+    for step in steps:
+        q_error.observe(step.q_error)
 
 
 def _row_key(row: "tuple[Oid, ...]") -> "tuple[str, ...]":
@@ -499,22 +581,23 @@ class PlanExecution:
     is a set-projection anyway.
     """
 
-    def __init__(self, plan: JoinPlan, domain: "tuple[Oid, ...] | None" = None):
+    def __init__(self, plan: JoinPlan, domain: "Collection[Oid] | None" = None):
         self.plan = plan
-        self._domain = tuple(domain) if domain is not None else tuple(plan.domain)
+        self._domain = plan.domain if domain is None else domain
         self._columns: "tuple[str, ...]" = tuple(
             var for var, _value in plan.query.bindings
         )
         self._rows: "list[tuple[Oid, ...]]" = [
             tuple(value for _var, value in plan.query.bindings)
         ]
-        if self._domain:
-            # A WHERE constant naming no object matches nothing — filter it
-            # here rather than letting a nullable atom manufacture a phantom
-            # ε self-answer from a source the graph never held.
-            members = set(self._domain)
-            if any(value not in members for value in self._rows[0]):
-                self._rows = []
+        # A WHERE constant naming no object matches nothing — filter it here
+        # rather than letting a nullable atom manufacture a phantom ε
+        # self-answer from a source the graph never held.  Membership only:
+        # a bound query never enumerates the domain.
+        if self._domain and any(
+            value not in self._domain for value in self._rows[0]
+        ):
+            self._rows = []
         self._index = 0
         self.steps: "list[JoinStep]" = []
         # Variables still needed at step i: everything a later atom touches
@@ -550,7 +633,7 @@ class PlanExecution:
                     f"atom {step.atom.text()!r} starts unbound and the plan "
                     "carries no domain to seed it from"
                 )
-            sources = self._domain
+            sources = tuple(self._domain)
         return AtomRequest(step=step, expression=step.prepared, sources=sources)
 
     def feed(self, pairs: "Mapping[Oid, Iterable[Oid]]") -> JoinStep:
@@ -606,6 +689,7 @@ class PlanExecution:
             pairs=sum(len(ts) for ts in sets.values()),
             rows_in=len(rows),
             rows_out=len(out),
+            estimated_pairs=step.estimated_pairs * len(sets) / self.plan.num_nodes,
         )
         self.steps.append(report)
         self._columns = new_columns
@@ -682,7 +766,7 @@ def nested_loop_rows(
         for row in rows:
             sources = [row[atom.source]] if atom.source in row else domain
             for source in sources:
-                if source not in instance.objects:
+                if source not in instance:
                     continue  # a WHERE constant naming no object matches nothing
                 found = answers(index, source)
                 if atom.source == atom.target:

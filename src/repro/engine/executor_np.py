@@ -14,7 +14,10 @@ sources reach — edges out of the frontier per round, not edges of the graph
 per round (:attr:`BatchRun.edges_gathered` counts them).
 
 This module is that loop plus :class:`NpFrontier`, the tensor's exchange
-handle; bit assignment, handle validation, witnesses and work-count
+handle — which also carries the flat keys of the rows each run grew, so
+that reading a finished frontier (a run's own answers and statistics, the
+sharded engine's gather) costs what was reached, never a scan of the
+tensor; bit assignment, handle validation, witnesses and work-count
 stamping are the driver's (:mod:`repro.engine.executor`).  There is no
 single-source kernel here: one source is one bit, nothing to vectorize
 over, and the dense level-pull that used to serve it lost to the scalar
@@ -44,8 +47,23 @@ _WORD = (1 << 64) - 1
 
 def _any_bit(values: "np.ndarray") -> "np.ndarray":
     """Per row, whether any bit is set — rows are scalars in the one-word
-    layout (1-D) and word vectors otherwise."""
-    return values != 0 if values.ndim == 1 else values.any(axis=1)
+    layout (1-D) and word vectors along the last axis otherwise.  A
+    length-1 word axis is compared, not reduced: ``any`` over it is a
+    per-element reduce."""
+    if values.ndim == 1:
+        return values != 0
+    if values.shape[-1] == 1:
+        return values[..., 0] != 0
+    return values.any(axis=-1)
+
+
+def _run_heads(keys: "np.ndarray") -> "np.ndarray":
+    """Per entry of the ascending, non-empty ``keys``, whether it opens a
+    run of equal keys."""
+    first = np.empty(keys.size, dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
 
 
 def _group_or(keys: "np.ndarray", values: "np.ndarray"):
@@ -57,13 +75,10 @@ def _group_or(keys: "np.ndarray", values: "np.ndarray"):
     """
     # An OR is order-blind, so stability is not needed for correctness; the
     # default introsort is measurably faster here and is held back only by
-    # a benchmark artifact — see ROADMAP, "Land what PR 15 held back".
+    # a benchmark artifact — see ROADMAP item 1, "flip ``_group_or``".
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    first = np.empty(keys.size, dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = np.flatnonzero(_run_heads(keys))
     return keys[starts], np.bitwise_or.reduceat(values[order], starts, axis=0)
 
 
@@ -141,16 +156,15 @@ def _on_accepting(
     return pieces[0] if pieces else None
 
 
-def _accept_union(masks: "np.ndarray", accepting) -> "np.ndarray":
-    """Per node, the bits reached in any accepting state (a view of the
-    tensor when one state accepts — the common case — else a fresh OR)."""
-    states = [state for state, accepts in enumerate(accepting) if accepts]
-    if len(states) == 1:
-        return masks[states[0]]
-    union = np.zeros(masks.shape[1:], dtype=np.uint64)
-    for state in states:
-        union |= masks[state]
-    return union
+def _flat_cells(masks: "np.ndarray") -> "np.ndarray":
+    """The mask tensor addressed by flat pair key ``state * n + node``:
+    scalar rows in the one-word layout (every op on them runs 1-D), word
+    vectors otherwise.  Always a view — a continued handle, including the
+    steal path's ``masks[:, :, w:w+1]`` column views, is updated in place."""
+    num_states, n, words = masks.shape
+    cells = masks.reshape(num_states * n, words)
+    assert np.shares_memory(cells, masks), "flat view of the mask tensor copied"
+    return cells[:, 0] if words == 1 else cells
 
 
 class NpFrontier:
@@ -164,20 +178,50 @@ class NpFrontier:
     ``version`` stamps the graph version the masks were derived against;
     the driver refuses to continue a stale handle (see
     :class:`repro.engine.executor_py.PyFrontier`).
+
+    ``reached`` is what makes reading a finished frontier cost what the
+    runs reached instead of the size of the tensor: the flat keys of the
+    rows this handle accounts for, one ascending array per run of the
+    chain, exactly as each kernel run reported the rows it grew.
+    :meth:`rows` (and through it :meth:`gather` and a continued run's own
+    statistics) covers those rows plus whatever a further run grows.
+    ``None`` — a handle assembled without them — means "whatever the
+    tensor holds", found by one scan; ``()`` says the rows already in the
+    tensor are someone else's to account for (the sharded engine's
+    per-word column views: the shard's merged handle carries them).
     """
 
-    __slots__ = ("masks", "touched", "words", "version")
+    __slots__ = ("masks", "touched", "words", "version", "reached")
 
     def __init__(
         self,
         masks: "np.ndarray",
         touched: "np.ndarray",
         version: "int | None" = None,
+        reached: "tuple[np.ndarray, ...] | None" = None,
     ) -> None:
         self.masks = masks
         self.touched = touched
         self.words = masks.shape[2]
         self.version = version
+        self.reached = reached
+
+    def rows(self) -> "np.ndarray":
+        """Flat keys of the rows this handle accounts for, ascending and
+        duplicate-free (merged once per chain link, then kept)."""
+        reached = self.reached
+        if reached is None:
+            merged = np.flatnonzero(_any_bit(_flat_cells(self.masks)))
+        elif len(reached) == 1:
+            return reached[0]
+        elif not reached:
+            merged = np.empty(0, dtype=np.int64)
+        else:
+            merged = np.sort(np.concatenate(reached))
+            if merged.size:
+                merged = merged[_run_heads(merged)]
+        self.reached = (merged,)
+        return merged
 
     def fits(self, num_states: int, n: int) -> bool:
         """Whether the tensor spans exactly this ``num_states x n`` product."""
@@ -206,7 +250,7 @@ class NpFrontier:
     def items(self, fresh_only: bool = False, restrict=None):
         """Nonzero ``(state, node, mask)`` facts; optionally only pairs that
         grew during the last run, and/or only the given nodes."""
-        base = self.touched if fresh_only else self.masks.any(axis=2)
+        base = self.touched if fresh_only else _any_bit(self.masks)
         if restrict is not None:
             index = np.asarray(restrict, dtype=np.int64)
             states, positions = np.nonzero(base[:, index])
@@ -224,23 +268,35 @@ class NpFrontier:
                 if value:
                     yield state, node, value
 
-    def per_bit_answers(self, accepting, num_bits: int, skip_nodes=()):
-        """Per source bit, the nodes reached in an accepting state."""
-        accept = _accept_union(self.masks, accepting)
-        nodes = np.flatnonzero(accept.any(axis=1))
-        if skip_nodes and nodes.size:
-            skipped = np.fromiter(skip_nodes, dtype=np.int64, count=len(skip_nodes))
-            nodes = nodes[~np.isin(nodes, skipped)]
-        return _scatter_bits(nodes, accept[nodes], num_bits)
+    def gather(self, accepting, num_bits: int, skip: "np.ndarray | None" = None):
+        """``(nonzero pairs, touched nodes, per-bit accepting node sets)``
+        over the nodes ``skip`` — one boolean per node — does not flag.
 
-    def counts(self, skip_nodes=()) -> "tuple[int, int]":
-        """``(nonzero pairs, touched nodes)``, skipping the given nodes."""
-        nonzero = self.masks.any(axis=2)
-        if skip_nodes:
-            nonzero[
-                :, np.fromiter(skip_nodes, dtype=np.int64, count=len(skip_nodes))
-            ] = False
-        return int(nonzero.sum()), int(nonzero.any(axis=0).sum())
+        Read off :meth:`rows`: work per reached pair, none per pair of the
+        product that nothing reached.
+        """
+        n = self.masks.shape[1]
+        rows = self.rows()
+        nodes = rows % n
+        if skip is not None:
+            keep = ~skip[nodes]
+            rows, nodes = rows[keep], nodes[keep]
+        seen = np.zeros(n, dtype=bool)
+        seen[nodes] = True
+        found = None
+        if num_bits:
+            found = _on_accepting(
+                rows,
+                _flat_cells(self.masks)[rows],
+                n,
+                [state for state, accepts in enumerate(accepting) if accepts],
+            )
+        per_bit = (
+            [set() for _ in range(num_bits)]
+            if found is None
+            else _scatter_bits(*found, num_bits)
+        )
+        return int(rows.size), int(np.count_nonzero(seen)), per_bit
 
 
 def _emit_bit_groups(answer_sink, nodes: "np.ndarray", fresh: "np.ndarray") -> None:
@@ -324,6 +380,7 @@ def fixpoint(
     if isinstance(known, NpFrontier):
         masks = known.masks  # ownership transfer: continued in place
         words = known.words
+        prior = known.reached
     else:
         width = max(num_bits or 0, local_bits)
         if num_bits is None:
@@ -332,17 +389,12 @@ def fixpoint(
                     width = max(width, max(mapping.values()).bit_length())
         words = max(1, (width + 63) >> 6)
         masks = np.zeros((num_states, n, words), dtype=np.uint64)
-    # The kernel addresses pairs by flat key ``state * n + node``.  The flat
-    # view must alias the tensor — a continued handle (including the steal
-    # path's ``masks[:, :, w:w+1]`` column views) is updated in place.
-    cells = masks.reshape(num_states * n, words)
-    assert np.shares_memory(cells, masks), "flat view of the mask tensor copied"
-    if words == 1:
-        cells = cells[:, 0]  # scalar rows: every round op runs 1-D
-    continued = bool(known)
-    if continued and not isinstance(known, NpFrontier):
+        prior = ()
+    cells = _flat_cells(masks)
+    if known and not isinstance(known, NpFrontier):
         rows, held = _pack_masks(known, words)
         cells[rows] = held
+        prior = (rows[_any_bit(held)],)
 
     # The injected bits are the candidate frontier of round zero.
     rows, pushed = _pack_masks(inject, words)
@@ -384,28 +436,17 @@ def fixpoint(
     run.rounds = rounds
     run.edges_gathered = edges_gathered
     run.peak_frontier_rows = peak_rows
-    run.frontier = NpFrontier(masks, touched.reshape(num_states, n), graph.version)
-
     # Pairs expanded by *this* run count as visited (the scalar executor's
-    # semantics).  On a fresh tensor they are also exactly the nonzero
-    # pairs, so the epilogue reads the one-byte ``touched`` flags and then
-    # only the reached rows, never the 8-bytes-a-word tensor; a continued
-    # tensor also holds what it came with and is scanned once.
+    # semantics); the touched nodes and the answers are read off the rows
+    # the chain of runs reached — this run's ``grown`` and what the handle
+    # it continued came with — never off the 8-bytes-a-word tensor.
     grown = np.flatnonzero(touched)
     run.visited_pairs = int(grown.size)
-    if continued:
-        reached = np.flatnonzero(_any_bit(cells))
-        run.visited_objects = int(masks.any(axis=(0, 2)).sum())
-    else:
-        reached = grown
-        run.visited_objects = int(
-            np.count_nonzero(run.frontier.touched.any(axis=0))
-        )
-    found = (
-        _on_accepting(reached, cells[reached], n, accepting_states)
-        if local_bits
-        else None
+    run.frontier = NpFrontier(
+        masks,
+        touched.reshape(num_states, n),
+        graph.version,
+        None if prior is None else prior + (grown,),
     )
-    if found is None:
-        return [set() for _ in range(local_bits)]
-    return _scatter_bits(*found, local_bits)
+    _, run.visited_objects, answers = run.frontier.gather(query.accepting, local_bits)
+    return answers

@@ -50,8 +50,10 @@ from .executor_py import (
 
 # Flattened product adjacency, memoized across runs: per graph (weakly
 # held), per compiled query, the successor tuples ``build_successors``
-# resolves — stamped with the graph version they were derived against and
-# discarded wholesale when it moves on.  Warm repeated batches (the
+# resolves — stamped with the graph version *and node count* they were
+# derived against (the memo is keyed by flat ``state * n + node`` keys, and
+# ``ensure_nodes`` grows ``n`` without a version bump) and discarded
+# wholesale when either moves on.  Warm repeated batches (the
 # serving layer's steady state) then run the fixpoint as pure whole-word
 # merges with zero adjacency work.  Queries are keyed by identity (their
 # ``array`` fields are unhashable); each entry holds a weak reference to
@@ -74,16 +76,13 @@ def _kernel_cache(graph: CompiledGraph, query: CompiledQuery) -> dict:
         per_graph = {}
         _SUCC_MEMO[graph] = per_graph
     entry = per_graph.get(id(query))
-    if (
-        entry is None
-        or entry["ref"]() is not query
-        or entry["version"] != graph.version
-    ):
+    stamp = (graph.version, graph.num_nodes)
+    if entry is None or entry["ref"]() is not query or entry["stamp"] != stamp:
         if len(per_graph) >= _MEMO_QUERIES:
             per_graph.clear()
         entry = {
             "ref": weakref.ref(query),
-            "version": graph.version,
+            "stamp": stamp,
             "adj": {},
             "plain": {},
             "stream": {},

@@ -248,6 +248,22 @@ class PyFrontier:
             touched -= bool(held)
         return pairs, touched
 
+    def gather(
+        self,
+        accepting: "Sequence[bool]",
+        num_bits: int,
+        skip_nodes: "frozenset[int] | set[int]" = frozenset(),
+    ) -> "tuple[int, int, list[set[int]]]":
+        """``(nonzero pairs, touched nodes, per-bit accepting node sets)``
+        over the nodes outside ``skip_nodes`` — everything a finished
+        frontier is read for, behind one call (the numpy handle answers it
+        from its reached rows, this one from :meth:`counts` and
+        :meth:`per_bit_answers`)."""
+        return (
+            *self.counts(skip_nodes),
+            self.per_bit_answers(accepting, num_bits, skip_nodes),
+        )
+
 
 def _targets_of(graph: CompiledGraph, node: int, label_id: int) -> "Sequence[int]":
     """All live targets of one node under one label (CSR − tombstones + overflow)."""
@@ -463,8 +479,8 @@ def close_frontier(
     (foreign bits of a seeded run are read through the handle instead)."""
     frontier = PyFrontier(masks, graph.num_nodes, changed, graph.version, accept_union)
     run.frontier = frontier
-    run.visited_objects = frontier.counts()[1]
-    return frontier.per_bit_answers(query.accepting, local_bits)
+    _, run.visited_objects, answers = frontier.gather(query.accepting, local_bits)
+    return answers
 
 
 def fixpoint(

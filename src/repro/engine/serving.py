@@ -97,6 +97,7 @@ from .conjunctive import (
     ConjunctiveResult,
     PlanExecution,
     is_crpq_text,
+    record_join,
 )
 from .request import CRPQRequest, QueryRequest, normalize
 from .telemetry import (
@@ -973,20 +974,11 @@ class QueryServer:
                 report = await loop.run_in_executor(
                     self._pool, execution.feed, pairs
                 )
-                join_span.end(
-                    atom=report.atom, pairs=report.pairs, rows_out=report.rows_out
-                )
+                join_span.end(**report.span_attributes())
             rows = await loop.run_in_executor(self._pool, execution.result_rows)
             root.set(rows=len(rows))
             self.stats.crpq_served += 1
-            registry = self.metrics.registry
-            registry.counter("crpq_queries", "conjunctive queries evaluated").inc()
-            registry.counter(
-                "crpq_atom_batches", "per-atom batch evaluations run for CRPQs"
-            ).inc(len(execution.steps))
-            registry.counter(
-                "crpq_join_rows", "rows produced across CRPQ join steps"
-            ).inc(sum(step.rows_out for step in execution.steps))
+            record_join(self.metrics.registry, execution.steps)
             return ConjunctiveResult(
                 variables=plan.query.returns,
                 rows=rows,

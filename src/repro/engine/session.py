@@ -53,6 +53,7 @@ from ..query.path_query import RegularPathQuery
 from ..regex import Regex
 from .compiled_query import CompiledQuery, QueryCompiler, query_key
 from .conjunctive import (
+    ActiveDomain,
     Atom,
     ConjunctiveQuery,
     ConjunctiveResult,
@@ -61,6 +62,7 @@ from .conjunctive import (
     is_crpq_text,
     parse_crpq,
     plan_join,
+    record_join,
 )
 from .csr import CompiledGraph
 from .request import CRPQRequest, QueryRequest, normalize
@@ -270,8 +272,13 @@ class ServingSurface:
     """
 
     # The rewrite memo lives on the host session; every touch of the
-    # OrderedDict goes through the host's dedicated ``_rewrite_lock``.
-    GUARDED_BY = {"_rewrites": "_rewrite_lock"}
+    # OrderedDict goes through the host's dedicated ``_rewrite_lock``.  The
+    # planner-input caches are published under the host's session ``_lock``.
+    GUARDED_BY = {
+        "_rewrites": "_rewrite_lock",
+        "_degree_stats": "_lock:mutate",
+        "_domain_cache": "_lock:mutate",
+    }
 
     @property
     def _rewrite_capacity(self) -> int:
@@ -367,13 +374,47 @@ class ServingSurface:
 
     # -- conjunctive queries ---------------------------------------------------
 
+    # Planner inputs, each a ``(version stamp, immutable value)`` pair swapped
+    # in by one reference assignment: a request pays for them once per
+    # instance version, not once per query.
+    _degree_stats: "tuple[int, DegreeStats] | None" = None
+    _domain_cache: "tuple[int, tuple[Oid, ...]] | None" = None
+
     def degree_stats(self) -> DegreeStats:
-        """Per-label live edge counts feeding the CRPQ join planner."""
+        """Per-label live edge counts feeding the CRPQ join planner, counted
+        once per instance version (hosts supply :meth:`_count_degrees`)."""
+        with self._lock:
+            self.refresh()
+            version = self._instance_version
+            cached = self._degree_stats
+            if cached is None or cached[0] != version:
+                cached = self._degree_stats = (version, self._count_degrees())
+        return cached[1]
+
+    def _count_degrees(self) -> DegreeStats:
         raise NotImplementedError  # pragma: no cover - hosts override
 
-    def _conjunctive_domain(self) -> "tuple[Oid, ...]":
-        """The active domain unbound-source atoms are seeded from."""
-        return tuple(sorted(self.instance.objects, key=repr))
+    def _active_domain(self) -> "tuple[Oid, ...]":
+        """Every object sorted by ``repr``: what unbound-source atoms (and
+        ``query_all``) range over, sorted once per instance version.
+
+        ``crpq_domain_materializations`` counts the sorts, so "a bound
+        query never enumerates the objects" is checkable from outside.
+        """
+        with self._lock:
+            instance = self.instance
+            version = instance.version
+            cached = self._domain_cache
+            if cached is None or cached[0] != version:
+                cached = self._domain_cache = (
+                    version,
+                    tuple(sorted(instance.objects, key=repr)),
+                )
+                self.metrics.registry.counter(
+                    "crpq_domain_materializations",
+                    "times the active domain was enumerated and sorted",
+                ).inc()
+        return cached[1]
 
     def prepare_conjunctive(self, query) -> ConjunctiveQuery:
         """Parse + constraint-rewrite a conjunctive query.
@@ -403,17 +444,19 @@ class ServingSurface:
 
     def plan_conjunctive(self, query, *, strategy: str = "optimized") -> JoinPlan:
         """The join order :meth:`query_conjunctive` would run, with estimates."""
-        crpq = self.prepare_conjunctive(query)
+        return self._plan_prepared(self.prepare_conjunctive(query), strategy)
+
+    def _plan_prepared(self, crpq: ConjunctiveQuery, strategy: str) -> JoinPlan:
+        """Plan an already-prepared query (see :meth:`prepare_conjunctive`)."""
         with self.metrics.span(
             "crpq.plan", atoms=len(crpq.atoms), strategy=strategy
         ) as plan_span:
-            stats = self.degree_stats()
             plan = plan_join(
                 crpq,
-                stats,
+                self.degree_stats(),
                 self.cost_model,
                 strategy=strategy,
-                domain=self._conjunctive_domain(),
+                domain=ActiveDomain(self.instance, self._active_domain),
             )
             plan_span.set(
                 acyclic=plan.acyclic, estimated_cost=plan.estimated_cost
@@ -428,12 +471,13 @@ class ServingSurface:
         shared-traversal machinery scalar requests use — and the pair maps
         are hash-joined by :class:`~repro.engine.conjunctive.PlanExecution`
         in the planner's order.  Emits ``crpq.plan`` / ``crpq.atom`` /
-        ``crpq.join`` spans and bumps the ``crpq_*`` join-cardinality
-        counters (see README "Observability").
+        ``crpq.join`` spans (the last with the step's estimated beside its
+        actual pairs) and bumps the ``crpq_*`` join-cardinality counters and
+        the ``crpq_q_error`` histogram (see README "Observability").
         """
         crpq = self.prepare_conjunctive(query)
         with self.metrics.span("crpq.query", atoms=len(crpq.atoms)) as root:
-            plan = self.plan_conjunctive(crpq, strategy=strategy)
+            plan = self._plan_prepared(crpq, strategy)
             execution = PlanExecution(plan)
             while (request := execution.pending()) is not None:
                 with self.metrics.span(
@@ -443,22 +487,10 @@ class ServingSurface:
                 ):
                     pairs = self.query_batch(request.expression, request.sources)
                 with self.metrics.span("crpq.join") as join_span:
-                    report = execution.feed(pairs)
-                    join_span.set(
-                        atom=report.atom,
-                        pairs=report.pairs,
-                        rows_out=report.rows_out,
-                    )
+                    join_span.set(**execution.feed(pairs).span_attributes())
             rows = execution.result_rows()
             root.set(rows=len(rows))
-        registry = self.metrics.registry
-        registry.counter("crpq_queries", "conjunctive queries evaluated").inc()
-        registry.counter(
-            "crpq_atom_batches", "per-atom batch evaluations run for CRPQs"
-        ).inc(len(execution.steps))
-        registry.counter(
-            "crpq_join_rows", "rows produced across CRPQ join steps"
-        ).inc(sum(step.rows_out for step in execution.steps))
+        record_join(self.metrics.registry, execution.steps)
         return ConjunctiveResult(
             variables=crpq.returns,
             rows=rows,
@@ -987,15 +1019,13 @@ class Engine(ServingSurface):
                 known_oids.append(source)
         return known, known_oids, unknown
 
-    def degree_stats(self) -> DegreeStats:
+    def _count_degrees(self) -> DegreeStats:
         """Per-label live edge counts from the CSR arrays (planner input).
 
         Derived from the compiled graph (CSR − tombstones + overflow), so
         incremental edits are reflected without a recount of the instance.
         """
-        with self._lock:
-            self.refresh()
-            graph = self._graph
+        graph = self._graph
         return DegreeStats(
             num_nodes=graph.num_nodes, label_counts=graph.label_edge_counts()
         )

@@ -59,6 +59,7 @@ from .compiled_query import query_key
 from .csr import CompiledGraph
 from ..optimize.cost import DegreeStats
 from .executor import BACKENDS, available_backends, resolve_backend, run_batch
+from .executor_py import PyFrontier
 from .session import Engine, ServingSurface, _lower_batch_request
 from .telemetry import MetricsRegistry, Telemetry, witnessed_lock
 
@@ -595,6 +596,8 @@ class ShardedEngine(ServingSurface):
         self._ghost_lists: "list[list[int]]" = [[] for _ in range(count)]
         self._ghost_seen = [0] * count
         self._ghost_graphs: "list[CompiledGraph | None]" = [None] * count
+        # The same sets as one boolean per local node, for the numpy gather.
+        self._ghost_masks: list = [None] * count
 
     def _sync_labels(self, labels: Iterable[str]) -> bool:
         """Append any new labels to the shared order and to every shard graph.
@@ -624,6 +627,7 @@ class ShardedEngine(ServingSurface):
             self._ghosts[shard] = set()
             self._ghost_lists[shard] = []
             self._ghost_seen[shard] = 0
+            self._ghost_masks[shard] = None
         values = graph.nodes.backing_list()
         shard_of = self._map.shard_of
         for node in range(self._ghost_seen[shard], len(values)):
@@ -632,6 +636,23 @@ class ShardedEngine(ServingSurface):
                 self._ghost_lists[shard].append(node)
         self._ghost_seen[shard] = len(values)
         return self._ghosts[shard]
+
+    def _ghost_mask(self, shard: int):
+        """:meth:`_ghost_nodes` as a boolean per local node id (numpy).
+
+        A node's owner never changes and node ids are append-only, so the
+        mask is rebuilt only when the shard's graph interned new nodes.
+        """
+        from .executor_np import np
+
+        self._ghost_nodes(shard)
+        size = self._ghost_seen[shard]
+        mask = self._ghost_masks[shard]
+        if mask is None or mask.size != size:
+            mask = np.zeros(size, dtype=bool)
+            mask[np.array(self._ghost_lists[shard], dtype=np.int64)] = True
+            self._ghost_masks[shard] = mask
+        return mask
 
     # -- introspection --------------------------------------------------------
     @property
@@ -960,9 +981,12 @@ class ShardedEngine(ServingSurface):
         tensor, so any two chunks — same shard or not — run on different
         workers without synchronization.  Seeds arrive pre-shifted into the
         chunk's local bit space; streamed answer bits shift back before
-        reaching the shard sink, and the chunk's run (its ``touched`` matrix
-        and kernel work counts) lands in ``chunk_runs`` for the barrier's
-        merge.
+        reaching the shard sink, and the chunk's run (its ``touched`` matrix,
+        the rows it grew and its kernel work counts) lands in ``chunk_runs``
+        for the barrier's merge.  The column's handle carries no reached
+        rows of its own (``reached=()``): what the tensor already held is
+        the shard handle's to account for, so a chunk's epilogue reads only
+        what the chunk grew.
         """
         from . import executor_np
 
@@ -978,7 +1002,7 @@ class ShardedEngine(ServingSurface):
         def task() -> None:
             view = masks[:, :, word : word + 1]
             known = executor_np.NpFrontier(
-                view, np.zeros(view.shape[:2], dtype=bool), version
+                view, np.zeros(view.shape[:2], dtype=bool), version, ()
             )
             chunk_runs.append(
                 run_batch(
@@ -1000,8 +1024,9 @@ class ShardedEngine(ServingSurface):
         Runs at the barrier, after every chunk has completed: the per-chunk
         ``touched`` matrices OR into the merged frontier's fresh set (a pair
         is fresh iff *any* word column grew there — exactly the monolithic
-        kernel's semantics), and ghost exports are computed off the merged
-        handle so each fact ships its full cross-column mask once.  The
+        kernel's semantics), the rows each chunk grew join the reached rows
+        the shard's handle came with, and ghost exports are computed off the
+        merged handle so each fact ships its full cross-column mask once.  The
         chunks' kernel work counts total onto ``span``, the shard's
         ``sharded.local_fixpoint`` span: chunks run side by side, so rounds
         and the widest frontier are maxima, gathered edges a sum.
@@ -1020,7 +1045,10 @@ class ShardedEngine(ServingSurface):
         touched = chunk_runs[0].frontier.touched
         for extra in chunk_runs[1:]:
             touched = touched | extra.frontier.touched
-        frontier = executor_np.NpFrontier(masks, touched, version)
+        reached = () if previous is None else previous.reached
+        if reached is not None:
+            reached += tuple(run.frontier.reached[-1] for run in chunk_runs)
+        frontier = executor_np.NpFrontier(masks, touched, version, reached)
         exports = self._fresh_exports(shard, graph, frontier)
         return frontier, exports, "numpy"
 
@@ -1246,15 +1274,17 @@ class ShardedEngine(ServingSurface):
             frontier = frontiers[shard]
             if frontier is None:
                 continue
-            graph = self._shards[shard].graph
-            ghosts = self._ghost_nodes(shard)
-            oid_of = graph.nodes.backing_list()
-            pairs, objects = frontier.counts(skip_nodes=ghosts)
+            oid_of = self._shards[shard].graph.nodes.backing_list()
+            # Each kernel family reads the ghost set in its own form.
+            ghosts = (
+                self._ghost_nodes(shard)
+                if isinstance(frontier, PyFrontier)
+                else self._ghost_mask(shard)
+            )
+            pairs, objects, answers = frontier.gather(accepting, num_bits, ghosts)
             visited_pairs += pairs
             visited_objects += objects
-            for bit, nodes in enumerate(
-                frontier.per_bit_answers(accepting, num_bits, skip_nodes=ghosts)
-            ):
+            for bit, nodes in enumerate(answers):
                 if nodes:
                     per_bit[bit].update({oid_of[node] for node in nodes})
         self.stats.visited_pairs += visited_pairs
@@ -1268,7 +1298,8 @@ class ShardedEngine(ServingSurface):
             visited_objects=visited_objects,
         )
 
-    def degree_stats(self) -> DegreeStats:
+    @guarded_by("_lock")
+    def _count_degrees(self) -> DegreeStats:
         """Per-label live edge counts summed across shard CSRs.
 
         Each edge lives on the shard owning its source, so summing the
@@ -1277,15 +1308,11 @@ class ShardedEngine(ServingSurface):
         instance (shard graphs also intern ghost frontier nodes, which must
         not inflate the domain size the planner divides by).
         """
-        with self._lock:
-            self.refresh()
-            counts: "dict[str, int]" = {}
-            for engine in self._shards:
-                for label, count in engine.graph.label_edge_counts().items():
-                    counts[label] = counts.get(label, 0) + count
-            return DegreeStats(
-                num_nodes=len(self._instance.objects), label_counts=counts
-            )
+        counts: "dict[str, int]" = {}
+        for engine in self._shards:
+            for label, count in engine.graph.label_edge_counts().items():
+                counts[label] = counts.get(label, 0) + count
+        return DegreeStats(num_nodes=len(self._instance), label_counts=counts)
 
     def query_batch(
         self,
@@ -1411,7 +1438,7 @@ class ShardedEngine(ServingSurface):
 
     def query_all(self, query) -> "dict[Oid, set[Oid]]":
         """All-pairs evaluation: the answer set of every object of the graph."""
-        return self.query_batch(query, sorted(self._instance.objects, key=repr))
+        return self.query_batch(query, self._active_domain())
 
     def query(self, query, source: Oid) -> EvaluationResult:
         """Single-source evaluation with witnesses, as an ``EvaluationResult``."""

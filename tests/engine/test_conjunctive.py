@@ -324,6 +324,36 @@ class TestPlanExecution:
         with pytest.raises(ReproError, match="pending"):
             PlanExecution(plan).result_rows()
 
+    def test_domain_override_seeds_and_filters(self):
+        # ``PlanExecution(plan, domain=...)`` replaces the plan's domain for
+        # both of its jobs: seeding an unbound atom and the WHERE filter.
+        query = parse_crpq("MATCH x -[a]-> y RETURN y")
+        plan = plan_join(query, DegreeStats(num_nodes=2, label_counts={}))
+        assert PlanExecution(plan, domain=("t", "s")).pending().sources == ("t", "s")
+        bound = parse_crpq("MATCH x -[a]-> y WHERE x = nobody RETURN y")
+        plan = plan_join(bound, DegreeStats(num_nodes=2, label_counts={}))
+        assert PlanExecution(plan, domain=("s", "t")).done  # filtered to no rows
+        assert not PlanExecution(plan).done  # no domain: nothing to filter by
+
+    def test_step_reports_estimate_scaled_to_the_sources_it_ran_from(self):
+        # 40 a-edges over 10 nodes: 40 estimated pairs from the whole
+        # domain, so 8 from the two sources this step evaluated.
+        query = parse_crpq("MATCH x -[a]-> y RETURN y")
+        stats = DegreeStats(num_nodes=10, label_counts={"a": 40})
+        plan = plan_join(query, stats, domain=("s", "t"))
+        step = PlanExecution(plan).feed({"s": {"t"}, "t": {"s", "t", "u"}})
+        assert (step.pairs, step.estimated_pairs) == (4, 8.0)
+        assert step.q_error == 2.0
+        assert step.span_attributes()["q_error"] == 2.0
+
+    def test_q_error_floors_both_sides_at_one(self):
+        query = parse_crpq("MATCH x -[a]-> y RETURN y")
+        plan = plan_join(
+            query, DegreeStats(num_nodes=10, label_counts={}), domain=("s",)
+        )
+        step = PlanExecution(plan).feed({"s": set()})
+        assert (step.pairs, step.estimated_pairs, step.q_error) == (0, 0.0, 1.0)
+
 
 # ---------------------------------------------------------------------------
 # Engine integration: equivalence, request forms, telemetry.
@@ -403,6 +433,25 @@ class TestQueryConjunctive:
             step.rows_out for step in result.steps
         )
 
+    def test_join_spans_and_histogram_carry_the_estimate_error(self):
+        instance, _ = web(30)
+        engine = Engine.open(instance)
+        result = engine.query_conjunctive(self.CHAIN)
+        joins = [
+            span
+            for span in engine.metrics.tracer.last().spans
+            if span.name == "crpq.join"
+        ]
+        for span, step in zip(joins, result.steps):
+            assert span.attributes["pairs"] == step.pairs
+            assert span.attributes["estimated_pairs"] == round(step.estimated_pairs, 1)
+            assert span.attributes["q_error"] == round(step.q_error, 2) >= 1.0
+        histogram = engine.telemetry()["crpq_q_error"]
+        assert histogram["count"] == len(result.steps)
+        assert histogram["sum"] == pytest.approx(
+            sum(step.q_error for step in result.steps)
+        )
+
     def test_plan_reflects_constraint_rewrite(self):
         # Under a b = c the prepared atom is the rewritten expression; the
         # plan must estimate and report what will actually run.
@@ -422,6 +471,139 @@ class TestQueryConjunctive:
             {"x": row[0], "y": row[1]} for row in result.rows
         ]
         assert len(result) == len(result.rows)
+
+
+# ---------------------------------------------------------------------------
+# The lazy active domain and the per-version planner inputs.
+# ---------------------------------------------------------------------------
+def open_sessions(instance):
+    """``(name, session)`` for every kind of session a CRPQ can run on: the
+    monolithic engine and the sharded one at ``concurrency`` 1 and 2, each
+    per available batch kernel, each over its own copy of ``instance``."""
+    from repro.engine import available_backends
+
+    for backend in available_backends():
+        yield f"engine/{backend}", Engine.open(instance.copy(), backend=backend)
+        for concurrency in (1, 2):
+            yield f"sharded/{backend}/c{concurrency}", ShardedEngine.open(
+                instance.copy(), shards=3, backend=backend, concurrency=concurrency
+            )
+
+
+def close(session):
+    if isinstance(session, ShardedEngine):
+        session.close()
+
+
+def materializations(session) -> int:
+    return session.telemetry().get("crpq_domain_materializations", 0)
+
+
+class TestLazyActiveDomain:
+    #: bound, unbound-source, self-loop, disconnected (cartesian), and a
+    #: WHERE constant naming no object (``b*`` accepts ε: a phantom
+    #: self-answer is exactly what the membership filter must prevent).
+    QUERIES = (
+        "MATCH x -[a (b + c)*]-> y, y -[c]-> z WHERE x = p0 RETURN y, z",
+        "MATCH x -[a]-> y, y -[b]-> z RETURN x, z",
+        "MATCH x -[(a + b)^+]-> x RETURN x",
+        "MATCH x -[a]-> y, u -[c c]-> v WHERE x = p1 RETURN y, v",
+        "MATCH x -[b*]-> y WHERE x = nobody RETURN y",
+    )
+
+    def check_all(self, session, mirror, name):
+        for text in self.QUERIES:
+            expected = nested_loop_rows(parse_crpq(text), mirror)
+            assert session.query_conjunctive(text).rows == expected, (name, text)
+
+    def test_engines_match_nested_loop_before_and_after_edits(self):
+        instance, _ = web(24, seed=3)
+        for name, session in open_sessions(instance):
+            mirror = session.instance
+            try:
+                self.check_all(session, mirror, name)
+                # Out of band: the domain and the planner's node count must
+                # follow ``instance.version`` (``p1 -[a]-> newcomer`` below
+                # makes the newcomer an answer of the unbound queries).
+                mirror.add_object("newcomer")
+                self.check_all(session, mirror, name)
+                assert session.degree_stats().num_nodes == len(mirror)
+                session.add_edge("p1", "a", "newcomer")
+                session.add_edge("newcomer", "b", "p0")
+                self.check_all(session, mirror, name)
+                session.remove_edge("newcomer", "b", "p0")
+                self.check_all(session, mirror, name)
+                stats = session.degree_stats()
+                assert stats.num_edges == mirror.edge_count(), name
+                assert stats == DegreeStats.from_instance(mirror), name
+            finally:
+                close(session)
+
+    def test_bound_query_never_enumerates_the_domain(self, monkeypatch):
+        from repro.graph import Instance
+
+        instance, _ = web(24, seed=3)
+        sessions = list(open_sessions(instance))
+        enumerations = []
+        objects = Instance.objects
+        monkeypatch.setattr(
+            Instance,
+            "objects",
+            property(lambda self: enumerations.append(1) or objects.fget(self)),
+        )
+        for name, session in sessions:
+            try:
+                for _ in range(3):
+                    session.query_conjunctive(self.QUERIES[0])
+                    session.query_conjunctive(self.QUERIES[4])
+                assert materializations(session) == 0, name
+                assert not enumerations, name  # ``Instance.objects`` copies
+            finally:
+                close(session)
+
+    def test_unbound_query_sorts_the_domain_once_per_version(self):
+        instance, _ = web(24, seed=3)
+        for name, session in open_sessions(instance):
+            try:
+                for _ in range(3):
+                    session.query_conjunctive(self.QUERIES[1])
+                    session.query_conjunctive(self.QUERIES[2])
+                assert materializations(session) == 1, name
+                session.add_edge("p0", "c", "p5000")  # a new object, too
+                request = PlanExecution(
+                    session.plan_conjunctive(self.QUERIES[1])
+                ).pending()
+                assert "p5000" in request.sources
+                assert request.sources == tuple(
+                    sorted(session.instance.objects, key=repr)
+                )
+                session.query_conjunctive(self.QUERIES[1])
+                assert materializations(session) == 2, name
+            finally:
+                close(session)
+
+    def test_plan_domain_is_a_view_not_a_copy(self):
+        instance, _ = web(24, seed=3)
+        engine = Engine.open(instance)
+        plan = engine.plan_conjunctive(self.QUERIES[0])
+        assert "p0" in plan.domain and "nobody" not in plan.domain
+        assert len(plan.domain) == len(instance)
+        assert materializations(engine) == 0
+        instance.add_object("late")  # the view reads the live instance
+        assert "late" in plan.domain
+        assert list(plan.domain) == sorted(instance.objects, key=repr)
+        assert materializations(engine) == 1
+
+    def test_degree_stats_are_counted_once_per_version(self):
+        instance, _ = web(24, seed=3)
+        for name, session in open_sessions(instance):
+            try:
+                first = session.degree_stats()
+                assert session.degree_stats() is first, name
+                session.add_edge("p0", "a", "p5000")
+                assert session.degree_stats().count("a") == first.count("a") + 1, name
+            finally:
+                close(session)
 
 
 # ---------------------------------------------------------------------------

@@ -387,6 +387,10 @@ class TestCrpqCommand:
         err = capsys.readouterr().err
         assert "# plan: strategy=optimized acyclic=True" in err
         assert "# step 0:" in err and "# step 1:" in err
+        # ... and, per executed step, the estimate beside the actual pairs.
+        ran = [line for line in err.splitlines() if line.startswith("# ran: ")]
+        assert len(ran) == 2
+        assert all("pairs (estimated " in line and "q-error " in line for line in ran)
 
     def test_sharded_and_strategy_flags(self, chain_file, capsys):
         code = main(

@@ -353,6 +353,88 @@ class TestKernelCornerCases:
             assert run_batch(graph, compiled, sources, backend=backend).answers == whole.answers
 
     @needs_numpy
+    def test_reached_row_gather_equals_the_dense_scan(self):
+        # ``NpFrontier.gather`` reads the rows the chain of runs reported;
+        # the reference scans the whole tensor.  Fresh, continued, and
+        # merged from per-word column chunks the way the steal path merges
+        # them — three words wide, with a third of the nodes skipped.
+        import numpy as np
+
+        from repro.engine.executor_np import NpFrontier
+
+        instance, _ = web_like_graph(180, ["a", "b", "c"], seed=6)
+        graph = CompiledGraph.from_instance(instance)
+        compiled = lower_query("(a + b)* c + a", graph)  # two accepting states
+        assert sum(compiled.accepting) == 2
+        n, num_bits = graph.num_nodes, 130
+        skip = np.zeros(n, dtype=bool)
+        skip[::3] = True
+
+        def dense(frontier):
+            nonzero = frontier.masks.any(axis=2)
+            nonzero[:, skip] = False
+            per_bit = [set() for _ in range(num_bits)]
+            for state in np.flatnonzero(compiled.accepting):
+                for node in np.flatnonzero(nonzero[state]).tolist():
+                    mask = frontier.mask_at(int(state), node)
+                    for bit in range(num_bits):
+                        if mask >> bit & 1:
+                            per_bit[bit].add(node)
+            return int(nonzero.sum()), int(nonzero.any(axis=0).sum()), per_bit
+
+        def seeds_of(sources):
+            return {(compiled.initial, source): 1 << source for source in sources}
+
+        fresh = run_batch(
+            graph, compiled, (), seeds=seeds_of(range(0, 130, 2)),
+            num_bits=num_bits, backend="numpy",
+        ).frontier
+        assert fresh.gather(compiled.accepting, num_bits, skip) == dense(fresh)
+
+        continued = run_batch(
+            graph, compiled, (), seeds=seeds_of(range(1, 130, 2)), known=fresh,
+            num_bits=num_bits, backend="numpy",
+        ).frontier
+        assert continued.gather(compiled.accepting, num_bits, skip) == dense(continued)
+        whole = run_batch(graph, compiled, list(range(130)), backend="numpy")
+        assert np.array_equal(continued.masks, whole.frontier.masks)
+        assert continued.gather(compiled.accepting, num_bits) == (
+            whole.visited_pairs, whole.visited_objects, whole.answers
+        )
+
+        # Steal-merged: a first superstep's handle, then one chunk per word
+        # column writing into its tensor; the merged handle's reached rows
+        # are what it came with plus what each chunk grew.
+        first = run_batch(
+            graph, compiled, (), seeds=seeds_of(range(0, 130, 2)),
+            num_bits=num_bits, backend="numpy",
+        ).frontier
+        grown = []
+        for word in range(first.words):
+            view = first.masks[:, :, word:word + 1]
+            chunk = run_batch(
+                graph, compiled, (),
+                seeds={
+                    (compiled.initial, source): 1 << (source - 64 * word)
+                    for source in range(1, 130, 2)
+                    if source >> 6 == word
+                },
+                known=NpFrontier(
+                    view, np.zeros(view.shape[:2], dtype=bool), graph.version, ()
+                ),
+                backend="numpy",
+            )
+            grown.append(chunk.frontier.reached[-1])
+        merged = NpFrontier(
+            first.masks, first.touched, graph.version, first.reached + tuple(grown)
+        )
+        assert np.array_equal(merged.masks, whole.frontier.masks)
+        assert merged.gather(compiled.accepting, num_bits, skip) == dense(merged)
+        # A handle assembled without reached rows finds them by one scan.
+        bare = NpFrontier(merged.masks, merged.touched, graph.version)
+        assert bare.gather(compiled.accepting, num_bits, skip) == dense(merged)
+
+    @needs_numpy
     def test_seed_wider_than_the_batch_is_refused(self):
         graph = CompiledGraph.from_instance(Instance([("u", "a", "v")]))
         compiled = lower_query("a", graph)

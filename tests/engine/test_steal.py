@@ -206,6 +206,65 @@ class TestChunkedStealParity:
             assert span.attributes["rounds"] > 0
             assert span.attributes["peak_frontier_rows"] > 0
 
+    def bridged_fixture(self):
+        """``skewed_fixture`` plus cross-cluster links, so every shard holds
+        ghost nodes and the supersteps exchange facts."""
+        instance, shard_map, sources = skewed_fixture()
+        for index in range(0, 30, 3):
+            instance.add_edge(f"s0:p{index}", "a", f"s1:p{index + 1}")
+            instance.add_edge(f"s1:p{index + 2}", "b", f"s0:p{index}")
+        instance.add_edge("s0:chain005", "a", "s1:p7")
+        return instance, shard_map, sources
+
+    def test_gather_over_steal_merged_frontiers_with_ghosts(self):
+        # The numpy gather reads the rows the chunks reported; the python
+        # kernel's set-based gather behind the same call is the reference —
+        # answers and the visited counts (owned pairs and objects only: a
+        # ghost's facts are its owner's) must agree through fresh, continued
+        # and steal-merged frontiers alike.
+        instance, shard_map, sources = self.bridged_fixture()
+        arms = {
+            "stealing": dict(concurrency=2),
+            "continued": dict(concurrency=2, steal_threshold=None),
+            "sequential": dict(),
+            "reference": dict(backend="python"),
+        }
+        observed = {}
+        for name, options in arms.items():
+            engine = ShardedEngine.open(instance, shard_map=shard_map, **options)
+            try:
+                answers = self.serve(engine, sources)
+                last = engine.stats.last_run
+                assert last.supersteps > 1 and last.exchanged_facts > 0, name
+                observed[name] = (
+                    answers, engine.stats.visited_pairs, engine.stats.visited_objects
+                )
+            finally:
+                engine.close()
+        assert observed["reference"][0] == self.serve(Engine.open(instance), sources)
+        for name in ("stealing", "continued", "sequential"):
+            assert observed[name] == observed["reference"], name
+
+    def test_streaming_delivers_each_pair_at_most_once_with_ghosts(self):
+        instance, shard_map, sources = self.bridged_fixture()
+        engine = ShardedEngine.open(instance, shard_map=shard_map, concurrency=2)
+        try:
+            for query in self.QUERIES:
+                delivered: list = []
+                final = engine.query_batch_streaming(
+                    query,
+                    sources,
+                    lambda oid, answers: delivered.extend(
+                        (oid, answer) for answer in answers
+                    ),
+                )
+                assert len(delivered) == len(set(delivered)), query
+                assert set(delivered) == {
+                    (oid, answer) for oid, answers in final.items() for answer in answers
+                }, query
+        finally:
+            engine.close()
+
     def test_narrow_batches_never_chunk(self):
         # One mask word: below every threshold, so the monolithic local
         # fixpoint serves and no steal events can appear.
