@@ -27,20 +27,15 @@
 #   all     everything, in order (the default — bare ./scripts/check.sh)
 #
 # Exits non-zero if any step fails.  The REPRO_DISABLE_NUMPY passes make
-# the backend dispatcher (repro.engine.executor) — and the snapshot codec
-# picker (repro.engine.snapshot) — treat numpy as absent, which keeps the
-# pure-Python fallback executor AND the stdlib binary snapshot codec from
-# silently rotting on machines where numpy is installed; the snapshot
-# round-trip suite (tests/engine/test_snapshot*.py) therefore runs in both
-# arms.  The benchmark smoke runs use tiny sizes — they verify the
+# the backend dispatcher (repro.engine.executor) treat numpy as absent,
+# which keeps the pure-Python fallback executor from silently rotting on
+# machines where numpy is installed.  The benchmark smoke runs use tiny sizes — they verify the
 # harnesses end to end (and that engine answers still match the baseline
 # evaluator), not the performance numbers; smoke artifacts go to
 # BENCH_*_smoke.json paths so the committed full-run artifacts stay owned
 # by real --check runs:
 #   python benchmarks/bench_engine_throughput.py --check   (>= 3x warm
 #     cache over baseline, >= 2x numpy over python)
-#   python benchmarks/bench_snapshot.py --check            (>= 5x warm
-#     start over cold recompile)
 #   python benchmarks/bench_sharded.py --check             (sharded warm
 #     serving within 1.5x of monolithic; per-shard warm start)
 #   python benchmarks/bench_serving.py --check             (shared-batch
@@ -137,15 +132,6 @@ run_smoke() {
     echo "== bench smoke: engine throughput harness (pure-Python executors) =="
     REPRO_DISABLE_NUMPY=1 python benchmarks/bench_engine_throughput.py --smoke \
         --json BENCH_throughput_nonumpy_smoke.json
-
-    echo
-    echo "== bench smoke: snapshot warm-start harness (npz codec when available) =="
-    python benchmarks/bench_snapshot.py --smoke --json BENCH_snapshot_smoke.json
-
-    echo
-    echo "== bench smoke: snapshot warm-start harness (stdlib binary codec) =="
-    REPRO_DISABLE_NUMPY=1 python benchmarks/bench_snapshot.py --smoke \
-        --json BENCH_snapshot_nonumpy_smoke.json
 
     echo
     echo "== bench smoke: sharded scatter-gather harness =="

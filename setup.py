@@ -19,7 +19,7 @@ setup(
     packages=find_packages(where="src"),
     python_requires=">=3.10",
     # The library itself is stdlib-only; numpy is a strictly optional
-    # accelerator (the engine's executor/codec dispatchers fall back to the
+    # accelerator (the engine's executor dispatcher falls back to the
     # pure-Python paths without it).  CI installs both matrix arms from
     # these extras instead of ad-hoc pip lines.
     extras_require={

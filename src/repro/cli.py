@@ -268,10 +268,10 @@ def _cmd_engine(args: argparse.Namespace) -> int:
                         print(f"# {line}", file=sys.stderr)
         if sharded and args.snapshot_dir:
             # Saved after serving, so every shard ships a warm query cache.
-            engine.save(args.snapshot_dir, codec=args.snapshot_codec)
+            engine.save(args.snapshot_dir)
         elif args.save_snapshot:
             # Saved after serving, so the snapshot ships a warm query cache.
-            engine.save(args.save_snapshot, codec=args.snapshot_codec)
+            engine.save(args.save_snapshot)
         if args.stats:
             _print_stats_snapshot(engine.telemetry())
     finally:
@@ -547,10 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--load-snapshot", metavar="PATH",
         help="warm-start from a snapshot written by --save-snapshot; falls back "
         "to a fresh compile when the snapshot does not match the graph file",
-    )
-    engine_parser.add_argument(
-        "--snapshot-codec", choices=("auto", "binary", "npz"), default="auto",
-        help="snapshot writer: auto picks npz when numpy is available (default: auto)",
     )
     engine_parser.add_argument(
         "--shards", type=int, metavar="N",

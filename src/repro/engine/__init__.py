@@ -88,13 +88,11 @@ from .telemetry import (
     enabled as telemetry_enabled,
 )
 from .snapshot import (
-    CODECS as SNAPSHOT_CODECS,
     FORMAT_VERSION as SNAPSHOT_FORMAT_VERSION,
     SnapshotPayload,
     SnapshotStamp,
     load_engine,
     load_payload,
-    resolve_codec,
     save_engine,
 )
 
@@ -123,7 +121,6 @@ __all__ = [
     "AnswerStream",
     "QueryRequest",
     "QueryServer",
-    "SNAPSHOT_CODECS",
     "SNAPSHOT_FORMAT_VERSION",
     "ServingStats",
     "ShardMap",
@@ -152,7 +149,6 @@ __all__ = [
     "query_key",
     "render_text",
     "resolve_backend",
-    "resolve_codec",
     "run_all_pairs",
     "run_batch",
     "run_single",

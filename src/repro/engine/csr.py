@@ -31,8 +31,8 @@ per-label flat ``(source, target)`` edge arrays (:class:`LabelEdges`) are
 that build's intermediate and have no other reader — no kernel walks them.
 
 The whole compiled state round-trips through :meth:`CompiledGraph.to_parts`
-/ :meth:`CompiledGraph.from_parts` — the exchange format the snapshot codecs
-(:mod:`repro.engine.snapshot`) serialize, tombstones and overflow included.
+/ :meth:`CompiledGraph.from_parts` — the exchange format the snapshot file
+(:mod:`repro.engine.snapshot`) serializes, tombstones and overflow included.
 """
 
 from __future__ import annotations

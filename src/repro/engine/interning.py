@@ -24,12 +24,11 @@ class Interner(Generic[Value]):
     __slots__ = ("_ids", "_values", "_fingerprint", "_fingerprint_len")
 
     def __init__(self, values: Iterable[Value] = ()) -> None:
-        self._ids: dict[Value, int] = {}
-        self._values: list[Value] = []
+        # First occurrence wins, as a loop of ``intern`` calls would have it.
+        self._values: list[Value] = list(dict.fromkeys(values))
+        self._ids: dict[Value, int] = dict(zip(self._values, range(len(self._values))))
         self._fingerprint: tuple[Value, ...] = ()
         self._fingerprint_len = 0
-        for value in values:
-            self.intern(value)
 
     def intern(self, value: Value) -> int:
         """Return the id of ``value``, assigning the next free id if new."""

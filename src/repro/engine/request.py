@@ -11,10 +11,8 @@ that lowers every accepted input shape (bare strings, :class:`Regex`,
 :class:`~repro.engine.conjunctive.ConjunctiveQuery`, :class:`CRPQRequest`,
 or an existing :class:`QueryRequest`) to its canonical form.
 
-``ServingSurface.admission`` and the ``QueryServer.submit*`` family accept
-these natively; the legacy positional-string signatures remain as thin
-shims that emit :class:`DeprecationWarning` for one release (see
-``repro.engine.serving``).
+``ServingSurface.admission`` accepts these natively, and the
+``QueryServer.submit*`` family accepts nothing else.
 """
 
 from __future__ import annotations

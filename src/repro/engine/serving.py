@@ -12,10 +12,8 @@ independent halves:
   :class:`~repro.engine.session.Engine` or
   :class:`~repro.engine.sharding.ShardedEngine`.  Requests arrive as
   ``await server.submit(QueryRequest(query=..., sources=(source,)))`` (one
-  structured :class:`~repro.engine.request.QueryRequest`; the legacy
-  positional pair remains a one-release ``DeprecationWarning`` shim);
-  in-flight requests whose queries
-  compile to the *same DFA* (same
+  structured :class:`~repro.engine.request.QueryRequest`); in-flight
+  requests whose queries compile to the *same DFA* (same
   :meth:`~repro.engine.session.Engine.admission_key` — the canonical
   constraint-rewritten expression) are coalesced into one shared
   ``query_batch`` evaluation under a **max-batch-size / max-delay** policy:
@@ -83,7 +81,6 @@ import base64
 import hashlib
 import json
 import threading
-import warnings
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -628,25 +625,20 @@ class QueryServer:
         self._closed = False
 
     # -- admission ------------------------------------------------------------
-    def _lower(self, query, source, signature: str) -> QueryRequest:
-        """Lower a ``submit*`` argument pair to a canonical request.
+    @staticmethod
+    def _lower(query, source: "Oid | None" = None) -> QueryRequest:
+        """Lower a ``submit*`` argument to a canonical request.
 
-        Structured shapes (:class:`~repro.engine.request.QueryRequest`,
-        ``CRPQRequest``, ``ConjunctiveQuery``) pass through
-        :func:`~repro.engine.request.normalize` untouched; the legacy
-        positional ``(query string, source)`` form still works but emits a
-        :class:`DeprecationWarning` naming ``signature`` — it remains a
-        thin shim over the structured path for one release.
+        Only the structured shapes are admitted
+        (:class:`~repro.engine.request.QueryRequest`, ``CRPQRequest``,
+        ``ConjunctiveQuery``); a bare query string is refused.
         """
-        if isinstance(query, (QueryRequest, CRPQRequest, ConjunctiveQuery)):
-            return normalize(query) if source is None else normalize(query, source)
-        warnings.warn(
-            f"{signature} with a positional query is deprecated; pass a "
-            "repro.engine.request.QueryRequest (the shim lasts one release)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return normalize(query, source)
+        if not isinstance(query, (QueryRequest, CRPQRequest, ConjunctiveQuery)):
+            raise ReproError(
+                "QueryServer.submit* takes a repro.engine.request.QueryRequest "
+                f"(or a CRPQRequest / ConjunctiveQuery), not {type(query).__name__}"
+            )
+        return normalize(query) if source is None else normalize(query, source)
 
     @staticmethod
     def _single_source(request: QueryRequest, method: str) -> "Oid":
@@ -660,9 +652,8 @@ class QueryServer:
     def submit_nowait(self, query, source: "Oid | None" = None) -> "asyncio.Future":
         """Admit one scalar request; returns the future of its answer set.
 
-        Accepts a scalar :class:`~repro.engine.request.QueryRequest` (the
-        structured form) or the deprecated positional ``(query, source)``
-        pair.  Conjunctive requests need the awaitable paths
+        Accepts a scalar :class:`~repro.engine.request.QueryRequest`.
+        Conjunctive requests need the awaitable paths
         (:meth:`submit` / :meth:`submit_conjunctive`) — their joins cannot
         resolve synchronously.
 
@@ -673,7 +664,7 @@ class QueryServer:
         sees a new query — the rewrite memo's lock is never held across
         that search, so admissions don't stall behind each other.
         """
-        request = self._lower(query, source, "QueryServer.submit_nowait(query, source)")
+        request = self._lower(query, source)
         if request.is_conjunctive:
             raise ReproError(
                 "conjunctive requests resolve through submit()/submit_conjunctive()"
@@ -797,16 +788,15 @@ class QueryServer:
     async def submit(self, query, source: "Oid | None" = None):
         """Admit one request and await its result.
 
-        Takes a :class:`~repro.engine.request.QueryRequest` (or the
-        deprecated positional pair).  A scalar request resolves to its
-        answer set; a conjunctive request is delegated to
-        :meth:`submit_conjunctive` and resolves to a
+        Takes a :class:`~repro.engine.request.QueryRequest`.  A scalar
+        request resolves to its answer set; a conjunctive request is
+        delegated to :meth:`submit_conjunctive` and resolves to a
         :class:`~repro.engine.conjunctive.ConjunctiveResult`.  Unlike
         :meth:`submit_nowait` (synchronous contract, admission inline), a
         cold constrained admission here runs off the event loop — see
         :meth:`_admitted`.
         """
-        request = self._lower(query, source, "QueryServer.submit(query, source)")
+        request = self._lower(query, source)
         if request.is_conjunctive:
             return await self.submit_conjunctive(request.query)
         key, prepared = await self._admitted(request.query, 1)
@@ -828,11 +818,10 @@ class QueryServer:
         bucket.
 
         Accepts a scalar :class:`~repro.engine.request.QueryRequest` (its
-        ``stream`` flag is implied) or the deprecated positional pair.
-        Conjunctive requests cannot stream — a join's rows are not known
-        until its last atom resolves.
+        ``stream`` flag is implied).  Conjunctive requests cannot stream —
+        a join's rows are not known until its last atom resolves.
         """
-        request = self._lower(query, source, "QueryServer.submit_stream(query, source)")
+        request = self._lower(query, source)
         if request.is_conjunctive:
             raise ReproError("conjunctive requests cannot stream (rows land at join completion)")
         query = request.query
@@ -871,31 +860,18 @@ class QueryServer:
         """Admit one request per *distinct* source and await them all.
 
         Takes a scalar :class:`~repro.engine.request.QueryRequest` whose
-        ``sources`` field carries the fan-out (or the deprecated positional
-        ``(query, sources)`` pair).  The admission key is computed once for
-        the whole group (off the event loop on a constrained session, like
-        :meth:`submit`).  Sources are deduplicated first
-        (order-preserving): the returned mapping has one entry per distinct
+        ``sources`` field carries the fan-out.  The admission key is
+        computed once for the whole group (off the event loop on a
+        constrained session, like :meth:`submit`).  Sources are
+        deduplicated first (order-preserving): the returned mapping has one entry per distinct
         source either way, so admitting a request per duplicate only
         inflated ``submitted``/``served`` with phantom requests no caller
         could observe — deduplicating keeps ``submitted == served + failed``
         an exact invariant under repeated sources.
         """
-        if isinstance(query, (QueryRequest, CRPQRequest, ConjunctiveQuery)):
-            if sources is not None:
-                raise ReproError(
-                    "pass sources inside the QueryRequest, not alongside it"
-                )
-            request = normalize(query)
-        else:
-            warnings.warn(
-                "QueryServer.submit_many(query, sources) with a positional "
-                "query is deprecated; pass a repro.engine.request."
-                "QueryRequest (the shim lasts one release)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            request = normalize(query, sources=tuple(sources or ()))
+        request = self._lower(query)
+        if sources is not None:
+            raise ReproError("pass sources inside the QueryRequest, not alongside it")
         if request.is_conjunctive:
             raise ReproError(
                 "a conjunctive request answers one relation, not a per-source "

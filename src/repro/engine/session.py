@@ -772,19 +772,17 @@ class Engine(ServingSurface):
             labels=labels,
         )
 
-    def save(self, path: "str | os.PathLike", *, codec: str = "auto") -> None:
+    def save(self, path: "str | os.PathLike") -> None:
         """Persist the compiled graph and warm query cache to ``path``.
 
         The engine refreshes first, so the snapshot always reflects the live
-        instance; see :mod:`repro.engine.snapshot` for the format and codecs
-        (``auto`` picks the numpy ``.npz`` fast path when available, else
-        the stdlib binary writer).
+        instance; see :mod:`repro.engine.snapshot` for the format.
         """
         from .snapshot import save_engine
 
         with self._lock:
             self.refresh()
-            save_engine(self, path, codec=codec)
+            save_engine(self, path)
 
     # -- graph lifecycle ------------------------------------------------------
     @property

@@ -61,6 +61,7 @@ from ..optimize.cost import DegreeStats
 from .executor import BACKENDS, available_backends, resolve_backend, run_batch
 from .executor_py import PyFrontier
 from .session import Engine, ServingSurface, _lower_batch_request
+from .snapshot import stored_digest, write_replacing
 from .telemetry import MetricsRegistry, Telemetry, witnessed_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,7 +71,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .serving import SuperstepScheduler
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_FORMAT_VERSION = 1
+MANIFEST_FORMAT_VERSION = 2
 
 
 def _oid_digest(oid: Oid) -> int:
@@ -1557,28 +1558,30 @@ class ShardedEngine(ServingSurface):
         return words
 
     # -- persistence ----------------------------------------------------------
-    def save(self, directory: "str | os.PathLike", *, codec: str = "auto") -> None:
+    def save(self, directory: "str | os.PathLike") -> None:
         """Persist one snapshot per shard plus a manifest into ``directory``.
 
         Each shard file is an ordinary engine snapshot of that shard's
         compiled graph and warm query cache; the manifest records the shard
         map spec, the shared label order, and per-shard sub-instance
         fingerprints so :meth:`open` can warm-start shards independently.
+        The manifest is written last and records every shard file's digest
+        trailer, so a save that was interrupted between two files is
+        refused by :meth:`open` instead of mixing two generations of shards.
         """
-        from .snapshot import resolve_codec
-
         with self._lock:
             self.refresh()
-            resolved = resolve_codec(codec)
             os.makedirs(directory, exist_ok=True)
             shard_entries = []
             for shard, engine in enumerate(self._shards):
                 filename = f"shard-{shard:04d}.snap"
-                engine.save(os.path.join(directory, filename), codec=codec)
+                path = os.path.join(directory, filename)
+                engine.save(path)
                 sub = self._subs[shard]
                 shard_entries.append(
                     {
                         "file": filename,
+                        "digest": stored_digest(path),
                         "fingerprint": sub.content_fingerprint(),
                         "objects": len(sub),
                         "edges": sub.edge_count(),
@@ -1586,19 +1589,16 @@ class ShardedEngine(ServingSurface):
                 )
             manifest = {
                 "format_version": MANIFEST_FORMAT_VERSION,
-                "codec": resolved,
                 "shard_map": self._map.spec(),
                 "shard_map_fingerprint": self._map.fingerprint(),
                 "labels": list(self._labels),
                 "instance_fingerprint": self._instance.content_fingerprint(),
                 "shards": shard_entries,
             }
-            manifest_path = os.path.join(directory, MANIFEST_NAME)
-            staging = manifest_path + ".tmp"
-            with open(staging, "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, indent=2)
-                handle.write("\n")
-            os.replace(staging, manifest_path)
+            write_replacing(
+                os.path.join(directory, MANIFEST_NAME),
+                (json.dumps(manifest, indent=2) + "\n").encode("utf-8"),
+            )
 
     @classmethod
     def open(
@@ -1718,12 +1718,21 @@ class ShardedEngine(ServingSurface):
                 f"manifest, or rebuild from an instance)"
             )
         labels = [str(label) for label in manifest.get("labels", [])]
-        files = [entry["file"] for entry in manifest.get("shards", [])]
+        entries = manifest.get("shards", [])
+        files = [entry["file"] for entry in entries]
         if len(files) != resolved_map.num_shards:
             raise ReproError(
                 f"manifest lists {len(files)} shard files for "
                 f"{resolved_map.num_shards} shards"
             )
+        for entry in entries:
+            shard_path = os.path.join(os.fspath(directory), entry["file"])
+            if stored_digest(shard_path) != entry.get("digest"):
+                raise ReproError(
+                    f"shard file {shard_path!r} is not the one its manifest "
+                    f"records (damaged, or a save was interrupted); save the "
+                    f"directory again"
+                )
         # Shard engines are always constraint-free: the sharded session owns
         # the single pre-rewrite (see ``_prepared``).
         if instance is None:

@@ -7,18 +7,31 @@ store, so a serving process should be able to write it once and warm-start
 any number of later sessions from disk (``Engine.save(path)`` /
 ``Engine.open(path, instance=...)``).
 
-Mirroring the dual-executor pattern, two interchangeable codecs write the
-same logical payload:
+There is one format, written and read with the standard library only, so
+the same engine saves the same bytes with and without numpy::
 
-* ``binary`` — a stdlib-only format: a magic header, struct-packed framing,
-  zlib-compressed ``int64`` array sections.  Always available.
-* ``npz`` — a numpy ``savez_compressed`` archive holding the same arrays,
-  used by ``codec="auto"`` whenever the numpy executor is available (the
-  ``REPRO_DISABLE_NUMPY`` gate applies here too, so the stdlib codec is
-  exercised on the same CI arm as the pure-Python executor).
+    MAGIC | version, header length | header | nodes | integers | digest
 
-Either file is self-describing: loading sniffs the header, so a snapshot
-written with one codec loads on any machine that can read it.
+* *header* — one JSON object: the stamp, the graph's version, ``csr_nodes``
+  and labels, the metadata of every cache entry, how the node table is
+  encoded and how long it is, and the item size and chunk offsets of the
+  integer section.
+* *nodes* — the oid list, zlib-compressed: one JSON array when every oid is
+  a ``str``, a :mod:`pickle` blob otherwise.
+* *integers* — every integer array (per label: CSR index, targets,
+  tombstones, overflow sources and destinations; per cache entry: the
+  transition table and the accepting flags) concatenated into one
+  little-endian array, 32-bit when every value fits and 64-bit otherwise,
+  zlib-compressed.
+* *digest* — a blake2b digest of all preceding bytes.  ``load_payload``
+  checks it before it decodes, decompresses or unpickles anything, so a
+  truncated or damaged file is refused instead of answering wrongly.
+
+A snapshot is a rebuildable cache, not an archive: a file of any other
+format version (including the ``.npz`` archives older builds wrote) is
+refused with an error that says to save it again.  Files are written to
+``path + ".tmp"`` and moved into place, so a crash leaves the previous
+snapshot, never half of the new one.
 
 Staleness is handled with a *stamp*: the instance's version counters plus a
 process-stable content fingerprint (the XOR of one ``repr``-based blake2b
@@ -33,15 +46,18 @@ label-id assignment, not on the edge set).
 
 Object identifiers are arbitrary hashables; when they are not all strings
 they are embedded with :mod:`pickle`, so snapshots — like pickle files —
-should only be loaded from trusted sources.
+should only be loaded from trusted sources (the digest detects damage, not
+forgery).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
 import struct
+import sys
 import zlib
 from array import array
 from dataclasses import dataclass
@@ -49,30 +65,22 @@ from typing import TYPE_CHECKING
 
 from ..exceptions import ReproError
 from ..graph.instance import Instance
-from .compiled_query import CompiledQuery
+from .compiled_query import DEAD, CompiledQuery
 from .csr import CompiledGraph
-from .executor import numpy_available
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .session import Engine
 
 MAGIC = b"RPQSNAP\x01"
-FORMAT_VERSION = 1
-CODECS = ("auto", "binary", "npz")
-
-
-def resolve_codec(codec: str = "auto") -> str:
-    """Map a requested codec name to the one that will actually write."""
-    if codec not in CODECS:
-        raise ReproError(f"unknown snapshot codec {codec!r}; expected one of {CODECS}")
-    if codec == "auto":
-        return "npz" if numpy_available() else "binary"
-    if codec == "npz" and not numpy_available():
-        raise ReproError(
-            "npz snapshot codec requested but numpy is not available "
-            "(not importable, or disabled via REPRO_DISABLE_NUMPY)"
-        )
-    return codec
+FORMAT_VERSION = 2
+DIGEST_SIZE = 16
+_PREFIX = struct.Struct("<II")  # format version, header length; follows MAGIC
+# The integer section is written 32-bit when every value is below this.
+_NARROW_LIMIT = 2**32
+_RESAVE = (
+    "a snapshot is a rebuildable cache, not an archive: files of other builds "
+    "(format version 1, .npz archives) are not read, re-save it from the graph"
+)
 
 
 @dataclass(frozen=True)
@@ -89,432 +97,238 @@ class SnapshotStamp:
     fingerprint: str
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    """One warm compile-cache entry: the query key and its lowered table."""
-
-    key: str
-    expression: str
-    initial: int
-    dfa_size: int
-    label_count: int
-    accepting: tuple[bool, ...]
-    table: tuple[array, ...]
-
-
 @dataclass
 class SnapshotPayload:
-    """The codec-independent logical content of a snapshot file."""
+    """The decoded content of a snapshot file."""
 
-    format_version: int
     stamp: SnapshotStamp
     graph_parts: dict
-    cache: list[CacheEntry]
+    cache: "list[tuple[str, CompiledQuery]]"
 
 
-def payload_from_engine(engine: "Engine") -> SnapshotPayload:
-    """Collect everything a warm-start needs from a (refreshed) engine."""
+def _digest(data) -> bytes:
+    return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
+
+
+def _encode(engine: "Engine") -> bytes:
     instance = engine.instance
     graph = engine.graph
-    stamp = SnapshotStamp(
-        instance_version=instance.version,
-        edge_version=instance.edge_version,
-        fingerprint=instance.content_fingerprint(),
-    )
-    cache = [
-        CacheEntry(
-            key=key,
-            expression=compiled.expression,
-            initial=compiled.initial,
-            dfa_size=compiled.dfa_size,
-            label_count=compiled.label_count,
-            accepting=compiled.accepting,
-            table=compiled.table,
-        )
-        for key, compiled in engine.compiler.warm_entries(graph)
-    ]
-    return SnapshotPayload(FORMAT_VERSION, stamp, graph.to_parts(), cache)
-
-
-# -- binary codec (stdlib only) ------------------------------------------------
-def _put_bytes(out: bytearray, blob: bytes) -> None:
-    out += struct.pack("<Q", len(blob))
-    out += blob
-
-
-def _put_str(out: bytearray, text: str) -> None:
-    _put_bytes(out, text.encode("utf-8"))
-
-
-def _put_i64s(out: bytearray, values: array) -> None:
-    _put_bytes(out, zlib.compress(values.tobytes()))
-
-
-def _flatten_overflow(overflow: dict) -> tuple[array, array]:
-    sources = array("q")
-    destinations = array("q")
-    for source, targets in overflow.items():
-        sources.extend([source] * len(targets))
-        destinations.extend(targets)
-    return sources, destinations
-
-
-def _encode_binary(payload: SnapshotPayload) -> bytes:
-    parts = payload.graph_parts
-    labels: list[str] = parts["labels"]
+    parts = graph.to_parts()
     nodes: list = parts["nodes"]
-    out = bytearray(MAGIC)
-    out += struct.pack("<I", payload.format_version)
-    out += struct.pack(
-        "<qq", payload.stamp.instance_version, payload.stamp.edge_version
+    entries = engine.compiler.warm_entries(graph)
+    tables = [compiled.table for _, compiled in entries]
+    sources: list[list[int]] = []
+    destinations: list[list[int]] = []
+    for adjacency in parts["overflow"]:
+        sources.append([s for s, targets in adjacency.items() for _ in targets])
+        destinations.append([d for targets in adjacency.values() for d in targets])
+    # Chunk ``section * len(labels) + lid`` holds section ``section`` of label
+    # ``lid`` in the order below; then one table and one accepting vector per
+    # cache entry.  Tables are stored less ``DEAD`` (-1), so that no stored
+    # integer is negative.
+    chunks = (
+        parts["indptr"]
+        + parts["targets"]
+        + [sorted(dead) for dead in parts["dead"]]
+        + sources
+        + destinations
+        + [[value - DEAD for row in table for value in row] for table in tables]
+        + [[int(flag) for flag in compiled.accepting] for _, compiled in entries]
     )
-    _put_str(out, payload.stamp.fingerprint)
-    out += struct.pack("<qqq", parts["version"], parts["csr_nodes"], len(labels))
-    for label in labels:
-        _put_str(out, label)
-    if all(isinstance(oid, str) for oid in nodes):
-        out += b"\x00"
-        out += struct.pack("<Q", len(nodes))
-        for oid in nodes:
-            _put_str(out, oid)
+    flat = array("q")
+    offsets = [0]
+    for chunk in chunks:
+        flat.extend(chunk)
+        offsets.append(len(flat))
+    if sys.byteorder == "big":
+        flat.byteswap()
+    # Every stored integer is a node id, a slot of one label's targets, a DFA
+    # state plus one, or a flag; none exceeds the largest of these counts.
+    largest = max(
+        [len(nodes)]
+        + [len(targets) for targets in parts["targets"]]
+        + [len(table) for table in tables]
+    )
+    narrow = bool(flat) and largest < _NARROW_LIMIT
+    if narrow:
+        # The low half of each little-endian item, copied at C speed
+        # (``array("I", flat)`` would box every value).
+        integers = memoryview(flat).cast("B").cast("I")[::2].tobytes()
     else:
-        out += b"\x01"
-        _put_bytes(out, zlib.compress(pickle.dumps(nodes, protocol=4)))
-    for lid in range(len(labels)):
-        _put_i64s(out, parts["indptr"][lid])
-        _put_i64s(out, parts["targets"][lid])
-        _put_i64s(out, array("q", sorted(parts["dead"][lid])))
-        overflow_src, overflow_dst = _flatten_overflow(parts["overflow"][lid])
-        _put_i64s(out, overflow_src)
-        _put_i64s(out, overflow_dst)
-    out += struct.pack("<I", len(payload.cache))
-    for entry in payload.cache:
-        _put_str(out, entry.key)
-        _put_str(out, entry.expression)
-        out += struct.pack(
-            "<qqq", entry.initial, entry.dfa_size, entry.label_count
-        )
-        _put_bytes(out, bytes(bytearray(int(flag) for flag in entry.accepting)))
-        flat = array("q")
-        for row in entry.table:
-            flat.extend(row)
-        _put_i64s(out, flat)
-    return bytes(out)
-
-
-class _Reader:
-    """Cursor over an encoded binary snapshot."""
-
-    def __init__(self, blob: bytes) -> None:
-        self.blob = blob
-        self.pos = 0
-
-    def unpack(self, fmt: str) -> tuple:
-        values = struct.unpack_from(fmt, self.blob, self.pos)
-        self.pos += struct.calcsize(fmt)
-        return values
-
-    def take(self, count: int) -> bytes:
-        chunk = self.blob[self.pos : self.pos + count]
-        if len(chunk) != count:
-            raise ReproError("truncated snapshot file")
-        self.pos += count
-        return chunk
-
-    def bytes_(self) -> bytes:
-        (length,) = self.unpack("<Q")
-        return self.take(length)
-
-    def str_(self) -> str:
-        return self.bytes_().decode("utf-8")
-
-    def i64s(self) -> array:
-        values = array("q")
-        values.frombytes(zlib.decompress(self.bytes_()))
-        return values
-
-
-def _decode_binary(blob: bytes) -> SnapshotPayload:
-    reader = _Reader(blob)
-    if reader.take(len(MAGIC)) != MAGIC:  # pragma: no cover - sniffed upstream
-        raise ReproError("not a repro engine snapshot (bad magic)")
-    (format_version,) = reader.unpack("<I")
-    if format_version != FORMAT_VERSION:
-        raise ReproError(
-            f"unsupported snapshot format version {format_version} "
-            f"(this build reads version {FORMAT_VERSION})"
-        )
-    instance_version, edge_version = reader.unpack("<qq")
-    fingerprint = reader.str_()
-    graph_version, csr_nodes, label_count = reader.unpack("<qqq")
-    labels = [reader.str_() for _ in range(label_count)]
-    (node_tag,) = reader.unpack("<B")
-    if node_tag == 0:
-        (node_count,) = reader.unpack("<Q")
-        nodes: list = [reader.str_() for _ in range(node_count)]
+        integers = flat.tobytes()
+    if set(map(type, nodes)) <= {str}:
+        encoding = "json"
+        node_bytes = json.dumps(nodes, separators=(",", ":")).encode("ascii")
     else:
-        nodes = pickle.loads(zlib.decompress(reader.bytes_()))
-    indptr: list[array] = []
-    targets: list[array] = []
-    dead: list[set[int]] = []
+        encoding = "pickle"
+        node_bytes = pickle.dumps(nodes, protocol=4)
+    node_blob = zlib.compress(node_bytes)
+    header = json.dumps(
+        {
+            "stamp": {
+                "instance_version": instance.version,
+                "edge_version": instance.edge_version,
+                "fingerprint": instance.content_fingerprint(),
+            },
+            "graph": {
+                "version": parts["version"],
+                "csr_nodes": parts["csr_nodes"],
+                "labels": parts["labels"],
+            },
+            "cache": [
+                {
+                    "key": key,
+                    "expression": compiled.expression,
+                    "initial": compiled.initial,
+                    "dfa_size": compiled.dfa_size,
+                    "label_count": compiled.label_count,
+                }
+                for key, compiled in entries
+            ],
+            "nodes": {"encoding": encoding, "bytes": len(node_blob)},
+            "integers": {"itemsize": 4 if narrow else 8, "offsets": offsets},
+        }
+    ).encode("ascii")
+    body = b"".join(
+        (
+            MAGIC,
+            _PREFIX.pack(FORMAT_VERSION, len(header)),
+            header,
+            node_blob,
+            zlib.compress(integers),
+        )
+    )
+    return body + _digest(body)
+
+
+def _decode(blob: bytes) -> SnapshotPayload:
+    """Decode a file whose magic, version and digest have been checked."""
+    view = memoryview(blob)
+    start = len(MAGIC) + _PREFIX.size
+    _, header_length = _PREFIX.unpack_from(blob, len(MAGIC))
+    header = json.loads(bytes(view[start : start + header_length]))
+    start += header_length
+    node_bytes = zlib.decompress(view[start : start + header["nodes"]["bytes"]])
+    start += header["nodes"]["bytes"]
+    if header["nodes"]["encoding"] == "json":
+        nodes: list = json.loads(node_bytes)
+    else:
+        nodes = pickle.loads(node_bytes)
+    narrow = header["integers"]["itemsize"] == 4
+    integers = memoryview(zlib.decompress(view[start:-DIGEST_SIZE]))
+    offsets = header["integers"]["offsets"]
+    chunks: list[array] = []
+    for begin, end in zip(offsets, offsets[1:]):
+        chunk = array("q", (0,)) * (end - begin)
+        if chunk:  # memoryview refuses to cast an empty buffer
+            target = memoryview(chunk)
+            if narrow:  # the stored words are the low halves of the items
+                target = target.cast("B").cast("I")[::2]
+            target[:] = integers.cast(target.format)[begin:end]
+            if sys.byteorder == "big":
+                chunk.byteswap()
+        chunks.append(chunk)
+    labels: list[str] = header["graph"]["labels"]
+    count = len(labels)
+    indptr, targets, dead, sources, destinations = (
+        chunks[section * count : (section + 1) * count] for section in range(5)
+    )
     overflow: list[dict[int, list[int]]] = []
-    for _ in range(label_count):
-        indptr.append(reader.i64s())
-        targets.append(reader.i64s())
-        dead.append(set(reader.i64s()))
-        overflow_src = reader.i64s()
-        overflow_dst = reader.i64s()
+    for overflow_src, overflow_dst in zip(sources, destinations):
         adjacency: dict[int, list[int]] = {}
         for source, destination in zip(overflow_src, overflow_dst):
             adjacency.setdefault(source, []).append(destination)
         overflow.append(adjacency)
-    (entry_count,) = reader.unpack("<I")
-    cache: list[CacheEntry] = []
-    for _ in range(entry_count):
-        key = reader.str_()
-        expression = reader.str_()
-        initial, dfa_size, entry_labels = reader.unpack("<qqq")
-        accepting = tuple(bool(flag) for flag in reader.bytes_())
-        flat = reader.i64s()
-        table = tuple(
-            flat[row * entry_labels : (row + 1) * entry_labels]
-            for row in range(len(accepting))
+    entries = header["cache"]
+    tables = chunks[5 * count : 5 * count + len(entries)]
+    accepts = chunks[5 * count + len(entries) :]
+    cache: list[tuple[str, CompiledQuery]] = []
+    for meta, table, accept in zip(entries, tables, accepts):
+        width = meta["label_count"]
+        compiled = CompiledQuery.from_table(
+            expression=meta["expression"],
+            initial=meta["initial"],
+            accepting=tuple(bool(flag) for flag in accept),
+            table=tuple(
+                array("q", [value + DEAD for value in table[row * width : (row + 1) * width]])
+                for row in range(len(accept))
+            ),
+            label_count=width,
+            dfa_size=meta["dfa_size"],
         )
-        cache.append(
-            CacheEntry(key, expression, initial, dfa_size, entry_labels, accepting, table)
-        )
-    stamp = SnapshotStamp(instance_version, edge_version, fingerprint)
+        cache.append((meta["key"], compiled))
     graph_parts = {
         "nodes": nodes,
         "labels": labels,
-        "csr_nodes": csr_nodes,
+        "csr_nodes": header["graph"]["csr_nodes"],
         "indptr": indptr,
         "targets": targets,
         "overflow": overflow,
-        "dead": dead,
-        "version": graph_version,
+        "dead": [set(chunk) for chunk in dead],
+        "version": header["graph"]["version"],
     }
-    return SnapshotPayload(format_version, stamp, graph_parts, cache)
-
-
-# -- npz codec (numpy fast path) -----------------------------------------------
-# All per-label sections are concatenated into a handful of large arrays with
-# explicit offset vectors: a .npz member costs a zip entry + header + crc per
-# access, so dozens of tiny arrays would make loading slower than the stdlib
-# codec instead of faster.
-
-
-def _encode_npz(payload: SnapshotPayload, path: "str | os.PathLike") -> None:
-    import numpy as np
-
-    def concat_with_offsets(chunks: "list[array]") -> "tuple[np.ndarray, np.ndarray]":
-        offsets = np.zeros(len(chunks) + 1, dtype=np.int64)
-        np.cumsum([len(chunk) for chunk in chunks], out=offsets[1:])
-        if chunks:
-            data = np.concatenate(
-                [np.asarray(chunk, dtype=np.int64) for chunk in chunks]
-            )
-        else:
-            data = np.empty(0, dtype=np.int64)
-        return data, offsets
-
-    parts = payload.graph_parts
-    labels: list[str] = parts["labels"]
-    nodes: list = parts["nodes"]
-    label_count = len(labels)
-    meta = {
-        "format_version": payload.format_version,
-        "stamp": {
-            "instance_version": payload.stamp.instance_version,
-            "edge_version": payload.stamp.edge_version,
-            "fingerprint": payload.stamp.fingerprint,
-        },
-        "graph": {
-            "version": parts["version"],
-            "csr_nodes": parts["csr_nodes"],
-            "labels": labels,
-        },
-        "cache": [
-            {
-                "key": entry.key,
-                "expression": entry.expression,
-                "initial": entry.initial,
-                "dfa_size": entry.dfa_size,
-                "label_count": entry.label_count,
-            }
-            for entry in payload.cache
-        ],
-        # numpy '<U' arrays silently drop *trailing* NUL characters on read,
-        # so such oids must take the pickle path to round-trip losslessly.
-        "nodes_encoding": (
-            "str"
-            if all(
-                isinstance(oid, str) and not oid.endswith("\x00") for oid in nodes
-            )
-            else "pickle"
-        ),
-    }
-    arrays: dict = {
-        "meta_json": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    }
-    if meta["nodes_encoding"] == "str":
-        arrays["nodes"] = np.array(nodes, dtype=np.str_)
-    else:
-        # A uint8 buffer, NOT an object array: np.load never needs
-        # allow_pickle=True — the pickling is explicit and ours.
-        arrays["nodes"] = np.frombuffer(
-            pickle.dumps(nodes, protocol=4), dtype=np.uint8
-        )
-    overflow_pairs = [
-        _flatten_overflow(parts["overflow"][lid]) for lid in range(label_count)
-    ]
-    # One flat (data, offsets) pair for all five graph sections: chunk
-    # ``section * label_count + lid`` holds section ``section`` of label
-    # ``lid``, in the order below.  Likewise one pair for the cache (tables
-    # first, then accepting vectors).
-    graph_chunks: list[array] = (
-        list(parts["indptr"])
-        + list(parts["targets"])
-        + [array("q", sorted(parts["dead"][lid])) for lid in range(label_count)]
-        + [pair[0] for pair in overflow_pairs]
-        + [pair[1] for pair in overflow_pairs]
-    )
-    arrays["graph_data"], arrays["graph_offsets"] = concat_with_offsets(graph_chunks)
-    cache_chunks = [
-        array("q", (value for row in entry.table for value in row))
-        for entry in payload.cache
-    ] + [array("q", (int(flag) for flag in entry.accepting)) for entry in payload.cache]
-    arrays["cache_data"], arrays["cache_offsets"] = concat_with_offsets(cache_chunks)
-    with open(path, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
-
-
-def _decode_npz(path: "str | os.PathLike") -> SnapshotPayload:
-    import numpy as np
-
-    def split(data: "np.ndarray", offsets: "np.ndarray") -> "list[array]":
-        blob = np.ascontiguousarray(data, dtype=np.int64).tobytes()
-        chunks: list[array] = []
-        for position in range(len(offsets) - 1):
-            chunk = array("q")
-            chunk.frombytes(blob[8 * int(offsets[position]) : 8 * int(offsets[position + 1])])
-            chunks.append(chunk)
-        return chunks
-
-    with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(data["meta_json"].tobytes().decode("utf-8"))
-        format_version = meta["format_version"]
-        if format_version != FORMAT_VERSION:
-            raise ReproError(
-                f"unsupported snapshot format version {format_version} "
-                f"(this build reads version {FORMAT_VERSION})"
-            )
-        labels: list[str] = list(meta["graph"]["labels"])
-        if meta["nodes_encoding"] == "str":
-            nodes: list = data["nodes"].tolist()  # C-speed '<U*' -> list[str]
-        else:
-            nodes = pickle.loads(data["nodes"].tobytes())
-        label_count = len(labels)
-        graph_chunks = split(data["graph_data"], data["graph_offsets"])
-        cache_chunks = split(data["cache_data"], data["cache_offsets"])
-    section = {
-        name: graph_chunks[index * label_count : (index + 1) * label_count]
-        for index, name in enumerate(
-            ("indptr", "targets", "dead", "overflow_src", "overflow_dst")
-        )
-    }
-    dead = [set(chunk) for chunk in section["dead"]]
-    overflow: list[dict[int, list[int]]] = []
-    for overflow_src, overflow_dst in zip(
-        section["overflow_src"], section["overflow_dst"]
-    ):
-        adjacency: dict[int, list[int]] = {}
-        for source, destination in zip(overflow_src, overflow_dst):
-            adjacency.setdefault(source, []).append(destination)
-        overflow.append(adjacency)
-    entry_count = len(meta["cache"])
-    tables = cache_chunks[:entry_count]
-    accepts = cache_chunks[entry_count:]
-    cache: list[CacheEntry] = []
-    for entry_meta, flat, accept in zip(meta["cache"], tables, accepts):
-        accepting = tuple(bool(flag) for flag in accept)
-        width = entry_meta["label_count"]
-        table = tuple(
-            flat[row * width : (row + 1) * width] for row in range(len(accepting))
-        )
-        cache.append(
-            CacheEntry(
-                key=entry_meta["key"],
-                expression=entry_meta["expression"],
-                initial=entry_meta["initial"],
-                dfa_size=entry_meta["dfa_size"],
-                label_count=width,
-                accepting=accepting,
-                table=table,
-            )
-        )
-    stamp = SnapshotStamp(
-        instance_version=meta["stamp"]["instance_version"],
-        edge_version=meta["stamp"]["edge_version"],
-        fingerprint=meta["stamp"]["fingerprint"],
-    )
-    graph_parts = {
-        "nodes": nodes,
-        "labels": labels,
-        "csr_nodes": meta["graph"]["csr_nodes"],
-        "indptr": section["indptr"],
-        "targets": section["targets"],
-        "overflow": overflow,
-        "dead": dead,
-        "version": meta["graph"]["version"],
-    }
-    return SnapshotPayload(format_version, stamp, graph_parts, cache)
+    return SnapshotPayload(SnapshotStamp(**header["stamp"]), graph_parts, cache)
 
 
 # -- top-level save / load -----------------------------------------------------
-def save_engine(engine: "Engine", path: "str | os.PathLike", *, codec: str = "auto") -> None:
+def write_replacing(path: "str | os.PathLike", data: bytes) -> None:
+    """Write ``data`` beside ``path`` and move it into place.
+
+    A crash leaves the previous file or the new one, never part of either.
+    """
+    staging = os.fspath(path) + ".tmp"
+    with open(staging, "wb") as handle:
+        handle.write(data)
+    os.replace(staging, path)
+
+
+def save_engine(engine: "Engine", path: "str | os.PathLike") -> None:
     """Write ``engine``'s compiled graph + warm query cache to ``path``.
 
     Callers normally go through :meth:`Engine.save`, which refreshes the
     engine first so the stamp matches the live instance.
     """
-    payload = payload_from_engine(engine)
-    if resolve_codec(codec) == "npz":
-        _encode_npz(payload, path)
-    else:
-        with open(path, "wb") as handle:
-            handle.write(_encode_binary(payload))
+    write_replacing(path, _encode(engine))
+
+
+def stored_digest(path: "str | os.PathLike") -> str:
+    """The digest trailer of the snapshot at ``path``, in hex, unverified."""
+    with open(path, "rb") as handle:
+        handle.seek(max(os.path.getsize(path) - DIGEST_SIZE, 0))
+        return handle.read().hex()
 
 
 def load_payload(path: "str | os.PathLike") -> SnapshotPayload:
-    """Read a snapshot file, sniffing which codec wrote it.
+    """Read and decode a snapshot file.
 
     Raises :class:`~repro.exceptions.ReproError` for anything that is not a
-    loadable snapshot — wrong magic, unsupported version, or a truncated /
-    corrupt file (the underlying ``struct``/``zlib``/zip errors are wrapped
-    so CLI callers get a clean diagnostic instead of a traceback).
+    loadable snapshot: wrong magic, another format version, or a file whose
+    digest trailer does not match its bytes (truncated, extended or
+    damaged).  Nothing is decompressed or unpickled before the digest holds.
     """
+    name = os.fspath(path)
     with open(path, "rb") as handle:
-        head = handle.read(len(MAGIC))
-    try:
-        if head == MAGIC:
-            with open(path, "rb") as handle:
-                return _decode_binary(handle.read())
-        if head[:2] == b"PK":  # npz archives are zip files
-            if not numpy_available():
-                raise ReproError(
-                    "this snapshot was written with the npz codec, which needs "
-                    "numpy to read; re-save it with codec='binary' on a numpy "
-                    "machine (or unset REPRO_DISABLE_NUMPY)"
-                )
-            return _decode_npz(path)
-    except ReproError:
-        raise
-    except Exception as error:
+        blob = handle.read()
+    if blob[: len(MAGIC)] != MAGIC:
+        raise ReproError(f"{name!r} is not a repro engine snapshot ({_RESAVE})")
+    prefix_end = len(MAGIC) + _PREFIX.size
+    if len(blob) >= prefix_end:
+        version, _ = _PREFIX.unpack_from(blob, len(MAGIC))
+        if version != FORMAT_VERSION:
+            raise ReproError(
+                f"{name!r}: unsupported snapshot format version {version} (this "
+                f"build reads version {FORMAT_VERSION}); {_RESAVE}"
+            )
+    body = memoryview(blob)[:-DIGEST_SIZE]
+    if len(body) < prefix_end or _digest(body) != blob[-DIGEST_SIZE:]:
         raise ReproError(
-            f"{os.fspath(path)!r} is a truncated or corrupt snapshot: {error}"
-        ) from error
-    raise ReproError(f"{os.fspath(path)!r} is not a repro engine snapshot")
+            f"{name!r} is a truncated or corrupt snapshot (its checksum does "
+            f"not match its bytes)"
+        )
+    try:
+        return _decode(blob)
+    except Exception as error:  # the bytes are intact: e.g. an unpicklable oid class
+        raise ReproError(f"snapshot {name!r} cannot be decoded: {error}") from error
 
 
 def instance_from_graph(graph: CompiledGraph) -> Instance:
@@ -570,14 +384,6 @@ def load_engine(
     )
     fingerprint = engine.graph.labels_fingerprint()
     if matches or fingerprint == tuple(payload.graph_parts["labels"]):
-        for entry in payload.cache:
-            compiled = CompiledQuery.from_table(
-                expression=entry.expression,
-                initial=entry.initial,
-                accepting=entry.accepting,
-                table=entry.table,
-                label_count=entry.label_count,
-                dfa_size=entry.dfa_size,
-            )
-            engine.compiler.seed(entry.key, compiled, fingerprint)
+        for key, compiled in payload.cache:
+            engine.compiler.seed(key, compiled, fingerprint)
     return engine

@@ -122,13 +122,10 @@ class TestEngineSnapshotFlags:
         assert "a b*\to1\to2 o3" in captured.out.splitlines()
         assert "engine_graph_builds 1" in captured.err
 
-    def test_binary_codec_flag(self, graph_file, query_file, tmp_path, capsys):
+    def test_saved_snapshot_is_the_stdlib_format(self, graph_file, query_file, tmp_path, capsys):
         snap = tmp_path / "graph.bin"
         assert main(
-            [
-                "engine", graph_file, query_file, "-s", "o1",
-                "--save-snapshot", str(snap), "--snapshot-codec", "binary",
-            ]
+            ["engine", graph_file, query_file, "-s", "o1", "--save-snapshot", str(snap)]
         ) == 0
         assert snap.read_bytes().startswith(b"RPQSNAP")
         assert main(

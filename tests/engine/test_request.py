@@ -129,58 +129,27 @@ class TestNormalize:
 
 
 # ---------------------------------------------------------------------------
-# The deprecation contract: legacy positional == structured, with a warning.
+# The positional shims are gone: strings are refused, requests never warn.
 # ---------------------------------------------------------------------------
 class TestDeprecationShims:
-    def test_submit_legacy_equals_structured_and_warns(self):
+    def test_positional_query_strings_are_refused(self):
         instance, _ = web()
         engine = Engine.open(instance)
         source = sorted(instance.objects, key=repr)[0]
 
         async def scenario():
             async with engine.as_server(max_delay=0.0) as server:
-                with pytest.warns(DeprecationWarning, match="QueryRequest"):
-                    legacy = await server.submit("a (b + c)*", source)
-                structured = await server.submit(
-                    QueryRequest(query="a (b + c)*", sources=(source,))
-                )
-                return legacy, structured
+                with pytest.raises(ReproError, match="QueryRequest"):
+                    await server.submit("a (b + c)*", source)
+                with pytest.raises(ReproError, match="QueryRequest"):
+                    await server.submit_many("a b", [source])
+                with pytest.raises(ReproError, match="QueryRequest"):
+                    server.submit_nowait("a", source)
+                with pytest.raises(ReproError, match="QueryRequest"):
+                    server.submit_stream("a", source)
+                return server.stats.submitted
 
-        legacy, structured = asyncio.run(scenario())
-        assert legacy == structured
-
-    def test_submit_many_legacy_equals_structured_and_warns(self):
-        instance, _ = web()
-        engine = Engine.open(instance)
-        sources = sorted(instance.objects, key=repr)[:5]
-
-        async def scenario():
-            async with engine.as_server(max_delay=0.01) as server:
-                with pytest.warns(DeprecationWarning, match="QueryRequest"):
-                    legacy = await server.submit_many("a b", sources)
-                structured = await server.submit_many(
-                    QueryRequest(query="a b", sources=tuple(sources))
-                )
-                return legacy, structured
-
-        legacy, structured = asyncio.run(scenario())
-        assert legacy == structured
-
-    def test_submit_nowait_and_stream_warn(self):
-        instance, _ = web()
-        engine = Engine.open(instance)
-        source = sorted(instance.objects, key=repr)[0]
-
-        async def scenario():
-            async with engine.as_server(max_delay=0.0) as server:
-                with pytest.warns(DeprecationWarning, match="QueryRequest"):
-                    nowait = await server.submit_nowait("a", source)
-                with pytest.warns(DeprecationWarning, match="QueryRequest"):
-                    streamed = await server.submit_stream("a", source).result()
-                return nowait, streamed
-
-        nowait, streamed = asyncio.run(scenario())
-        assert nowait == streamed
+        assert asyncio.run(scenario()) == 0
 
     def test_structured_requests_do_not_warn(self):
         import warnings

@@ -555,15 +555,17 @@ class TestShardedPersistence:
         with pytest.raises(ReproError, match="corrupt"):
             ShardedEngine.open(str(directory))
 
-    @pytest.mark.parametrize("codec", ["binary", "npz"])
-    def test_codec_choice_respected(self, tmp_path, codec):
-        if codec == "npz" and not numpy_available():
-            pytest.skip("numpy codec unavailable")
+    def test_directory_holds_the_one_format_and_no_staging_files(self, tmp_path):
         instance, _ = web(12)
         sharded = ShardedEngine.open(instance, shards=2)
-        directory = str(tmp_path / codec)
-        sharded.save(directory, codec=codec)
-        warm = ShardedEngine.open(directory, instance=instance)
+        directory = tmp_path / "snaps"
+        sharded.save(str(directory))
+        sharded.save(str(directory))  # a second save replaces every file in place
+        names = sorted(os.listdir(directory))
+        assert names == [MANIFEST_NAME, "shard-0000.snap", "shard-0001.snap"]
+        for name in names[1:]:
+            assert (directory / name).read_bytes().startswith(b"RPQSNAP")
+        warm = ShardedEngine.open(str(directory), instance=instance)
         assert warm.warm_shards == 2
 
     def test_mutate_then_save_then_reopen(self, tmp_path):

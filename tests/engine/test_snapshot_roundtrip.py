@@ -4,8 +4,8 @@ Hypothesis generates random instances, a pre-save edit script (driven
 through the engine so tombstones and overflow edges are live at save time),
 a query, and a post-load edit script.  Every example must satisfy: the
 loaded engine answers exactly like the baseline evaluator on the live
-instance — across every available executor backend and every available
-codec — both immediately after the load and after further incremental
+instance — across every available executor backend — both immediately
+after the load and after further incremental
 ``add_edge``/``remove_edge`` mutations of the restored structures.
 """
 
@@ -15,10 +15,8 @@ import tempfile
 from hypothesis import given, settings
 
 from _strategies import edit_scripts, regexes, small_instances
-from repro.engine import Engine, available_backends, numpy_available
+from repro.engine import Engine, available_backends
 from repro.query import RegularPathQuery, evaluate_baseline
-
-CODECS = ("binary", "npz") if numpy_available() else ("binary",)
 
 
 def apply_script(engine, script):
@@ -64,28 +62,24 @@ def test_snapshot_roundtrip_is_lossless(graph_and_source, before, after, express
     # Pre-save edits go through the engine, leaving live tombstones and
     # overflow edges in the compiled graph for the snapshot to capture.
     apply_script(engine, before)
+    engine.query(rpq, 0)  # so the snapshot ships a servable table for the query
     with tempfile.TemporaryDirectory() as workdir:
-        for codec in CODECS:
-            # Warm the compile cache against the *current* graph each round
-            # (a previous round's post-load edits may have rebuilt it), so
-            # every snapshot ships a servable table for the query.
-            engine.query(rpq, 0)
-            path = os.path.join(workdir, f"snap.{codec}")
-            engine.save(path, codec=codec)
+        path = os.path.join(workdir, "snap")
+        engine.save(path)
 
-            loaded = Engine.open(path, instance=instance)
-            assert loaded.stats.graph_builds == 0, codec
-            assert set(loaded.graph.iter_edges()) == set(engine.graph.iter_edges())
-            assert_engine_matches_baseline(loaded, rpq, ("fresh-load", codec))
-            assert loaded.compiler.misses == 0, codec
+        loaded = Engine.open(path, instance=instance)
+        assert loaded.stats.graph_builds == 0
+        assert set(loaded.graph.iter_edges()) == set(engine.graph.iter_edges())
+        assert_engine_matches_baseline(loaded, rpq, "fresh-load")
+        assert loaded.compiler.misses == 0
 
-            # Standalone load: the reconstructed instance must answer like
-            # the live one did at save time.
-            alone = Engine.open(path)
-            assert alone.instance == instance, codec
-            assert_engine_matches_baseline(alone, rpq, ("standalone", codec))
+        # Standalone load: the reconstructed instance must answer like
+        # the live one did at save time.
+        alone = Engine.open(path)
+        assert alone.instance == instance
+        assert_engine_matches_baseline(alone, rpq, "standalone")
 
-            # Post-load incremental edits on the restored structures.
-            apply_script(loaded, after)
-            assert loaded.stats.graph_builds == 0, codec
-            assert_engine_matches_baseline(loaded, rpq, ("post-load-edits", codec))
+        # Post-load incremental edits on the restored structures.
+        apply_script(loaded, after)
+        assert loaded.stats.graph_builds == 0
+        assert_engine_matches_baseline(loaded, rpq, "post-load-edits")
