@@ -163,8 +163,12 @@ def test_sharded_engine_matches_monolithic_and_baseline(graph_and_source, expres
     """``ShardedEngine`` ≡ monolithic ``Engine`` ≡ ``evaluate_baseline``.
 
     Every example is partitioned 1 / 2 / 7 ways (hash shard map) and served
-    through both executors; the gathered all-pairs answers must agree with
-    the monolithic engine, and the monolithic engine with the baseline.
+    through every executor, sequentially and on a two-worker superstep
+    scheduler; the gathered all-pairs answers must agree with the
+    monolithic engine, and the monolithic engine with the baseline.  The
+    exchange itself is pinned too: per shard count, every arm takes the
+    same supersteps and local runs, ships the same facts and visits the
+    same pairs and objects.
     """
     instance, _ = graph_and_source
     rpq = RegularPathQuery.of(expression)
@@ -173,9 +177,31 @@ def test_sharded_engine_matches_monolithic_and_baseline(graph_and_source, expres
     for oid in instance.objects:
         assert expected[oid] == evaluate_baseline(rpq, oid, instance).answers, oid
     for shards in SHARD_COUNTS:
+        counters = {}
         for backend in EXECUTOR_BACKENDS:
-            sharded = ShardedEngine.open(instance, shards=shards, backend=backend)
-            assert sharded.query_all(rpq) == expected, (shards, backend)
+            for concurrency in (None, 2):
+                arm = (shards, backend, concurrency)
+                sharded = ShardedEngine.open(
+                    instance, shards=shards, backend=backend, concurrency=concurrency
+                )
+                try:
+                    assert sharded.query_all(rpq) == expected, arm
+                finally:
+                    sharded.close()
+                counters[arm] = exchange_counters(sharded)
+        assert len(set(counters.values())) == 1, counters
+
+
+def exchange_counters(sharded):
+    """What one evaluation's superstep exchange did, arm-independently."""
+    last, stats = sharded.stats.last_run, sharded.stats
+    return (
+        last.supersteps,
+        last.local_runs,
+        last.exchanged_facts,
+        stats.visited_pairs,
+        stats.visited_objects,
+    )
 
 
 @given(

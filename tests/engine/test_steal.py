@@ -245,6 +245,32 @@ class TestChunkedStealParity:
         for name in ("stealing", "continued", "sequential"):
             assert observed[name] == observed["reference"], name
 
+    @pytest.mark.parametrize("steal_threshold", [2, None])
+    def test_exchange_counters_agree_across_kernels(self, steal_threshold):
+        # Over 64 sources, so with a threshold the numpy arm chunks and
+        # steals; per query, every kernel must take the same supersteps and
+        # local runs, ship the same facts and visit the same pairs/objects.
+        instance, shard_map, sources = self.bridged_fixture()
+        assert len(sources) > 64
+        for query in self.QUERIES:
+            counters = {}
+            for backend in ("python", "packed", "numpy"):
+                engine = ShardedEngine.open(
+                    instance, shard_map=shard_map, backend=backend,
+                    concurrency=2, steal_threshold=steal_threshold,
+                )
+                try:
+                    engine.query_batch(query, sources)
+                finally:
+                    engine.close()
+                last, stats = engine.stats.last_run, engine.stats
+                counters[backend] = (
+                    last.supersteps, last.local_runs, last.exchanged_facts,
+                    stats.visited_pairs, stats.visited_objects,
+                )
+            assert len(set(counters.values())) == 1, (query, counters)
+            assert counters["numpy"][2] > 0, query
+
     def test_streaming_delivers_each_pair_at_most_once_with_ghosts(self):
         instance, shard_map, sources = self.bridged_fixture()
         engine = ShardedEngine.open(instance, shard_map=shard_map, concurrency=2)
