@@ -46,10 +46,12 @@ sys.path.insert(0, str(_ROOT / "src"))
 import argparse  # noqa: E402
 import cProfile  # noqa: E402
 import io  # noqa: E402
+import os  # noqa: E402
 import pstats  # noqa: E402
 import random  # noqa: E402
 import threading  # noqa: E402
 import time  # noqa: E402
+from contextlib import contextmanager  # noqa: E402
 
 from repro.engine.executor import available_backends, run_batch  # noqa: E402
 from repro.engine.session import Engine  # noqa: E402
@@ -222,18 +224,82 @@ class WorkerProfiles:
         threading.setprofile(None)
 
 
+@contextmanager
+def counting_kernel_runs():
+    """Count every batched kernel run (the fixpoint loops the dispatcher
+    picks from), on any thread; yields the list whose length is the count."""
+    from repro.engine import executor
+
+    calls: "list[None]" = []
+    saved = dict(executor._KERNELS)
+
+    def counted(fixpoint):
+        def run(*args):
+            calls.append(None)  # list.append is atomic across threads
+            return fixpoint(*args)
+
+        return run
+
+    for name, (fixpoint, handle) in saved.items():
+        executor._KERNELS[name] = (counted(fixpoint), handle)
+    try:
+        yield calls
+    finally:
+        executor._KERNELS.update(saved)
+
+
+def time_templates(engine, ops: "list[str]") -> "dict[str, list[float]]":
+    """Per CRPQ template (the text before ``WHERE``), each op's seconds."""
+    by_template: "dict[str, list[float]]" = {}
+    for text in ops:
+        started = time.perf_counter()
+        engine.query_conjunctive(text)
+        head = text.split(" WHERE ")[0]
+        by_template.setdefault(head, []).append(time.perf_counter() - started)
+    return by_template
+
+
+def record_atoms(engine, ops: "list[str]") -> "list[tuple[str, tuple]]":
+    """Every atom evaluation the ops' join plans ask for, in order — the
+    ``query_batch`` calls whose time the benchmark trace sums as
+    ``conjunctive.atom_eval_ms``."""
+    from repro.engine import PlanExecution
+
+    atoms = []
+    for text in ops:
+        execution = PlanExecution(engine.plan_conjunctive(engine.prepare_conjunctive(text)))
+        while (request := execution.pending()) is not None:
+            atoms.append((request.expression, request.sources))
+            execution.feed(engine.query_batch(request.expression, request.sources))
+    return atoms
+
+
+def time_atoms(engine, atoms) -> float:
+    started = time.perf_counter()
+    for expression, sources in atoms:
+        engine.query_batch(expression, sources)
+    return time.perf_counter() - started
+
+
 def profile_crpq(
     quick: bool, repeats: int
 ) -> "tuple[pstats.Stats, float, list[str]]":
-    """Profile the ``clustered-sharded-crpq`` op list, all threads merged.
+    """Profile the ``clustered-sharded-crpq`` op list, all threads merged,
+    beside the same ops on one monolithic ``Engine``.
 
-    The data set, shard map, session options and op generator are the
-    benchmark workload's own; ``quick`` uses its smoke sizes.  Returns the
-    stats, the profiled seconds and the per-template / per-op work lines
-    (timed in a separate, unprofiled pass)."""
+    The data set, shard map, session options, op generator and CPU pinning
+    are the benchmark workload's own; ``quick`` uses its smoke sizes.  An
+    unprofiled pass times each template on the sharded session and on a
+    monolithic engine over the same instance, replays the ops' atoms on both
+    (their time ratio is the benchmark trace's ``sharding.overhead_ratio``)
+    and counts kernel runs per op.  Returns the stats, the profiled seconds
+    and those work lines."""
     sys.path.insert(0, str(_ROOT / "benchmarks" / "e2e"))
     from workloads.clustered_sharded_crpq import TEMPLATES, ClusteredShardedCrpq
 
+    if ClusteredShardedCrpq.pin_one_cpu and hasattr(os, "sched_setaffinity"):
+        # Before any session opens: worker threads inherit the caller's set.
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     workload = ClusteredShardedCrpq(seed=0, smoke=quick)
     workload.generate(None)
     ops = workload.make_ops(12 if quick else workload.lap_ops)
@@ -243,33 +309,20 @@ def profile_crpq(
         try:
             for text in ops:  # warm the compile caches and the lowerings
                 engine.query_conjunctive(text)
+            atoms = record_atoms(engine, ops)
             stats = engine.stats
             before = (stats.supersteps, stats.local_runs, stats.exchanged_facts)
-            by_template: "dict[str, list[float]]" = {}
-            for text in ops:
-                started = time.perf_counter()
-                engine.query_conjunctive(text)
-                head = text.split(" WHERE ")[0]
-                by_template.setdefault(head, []).append(time.perf_counter() - started)
+            with counting_kernel_runs() as runs:
+                sharded_templates = time_templates(engine, ops)
+            sharded_runs = len(runs)
             supersteps, local_runs, exchanged = (
                 (after - start) / len(ops)
                 for start, after in zip(
                     before, (stats.supersteps, stats.local_runs, stats.exchanged_facts)
                 )
             )
+            sharded_atom_s = time_atoms(engine, atoms)
             q_error = engine.telemetry()["crpq_q_error"]
-            work = [
-                f"{len(ops)} ops over {len(TEMPLATES)} templates; per op: "
-                f"{supersteps:.2f} supersteps, {local_runs:.2f} local runs, "
-                f"{exchanged:.1f} exchanged facts; join-step q-error "
-                f"p50 {q_error['p50']:.2f} p95 {q_error['p95']:.2f} "
-                f"({q_error['count']} steps)",
-                "per template (unprofiled):",
-                *(
-                    f"  {sum(times) / len(times) * 1e3:7.2f} ms x {len(times):<3} {head}"
-                    for head, times in by_template.items()
-                ),
-            ]
             profiler = cProfile.Profile()
             workers.recording = True
             profiler.enable()
@@ -279,9 +332,39 @@ def profile_crpq(
             profiler.disable()
         finally:
             engine.close()  # joins the workers: their profiles are complete
+    monolithic = Engine.open(workload.instance)
+    for text in ops:
+        monolithic.query_conjunctive(text)
+    with counting_kernel_runs() as runs:
+        mono_templates = time_templates(monolithic, ops)
+    mono_runs = len(runs)
+    mono_atom_s = time_atoms(monolithic, atoms)
+    pinned = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else "n/a"
+    work = [
+        f"{len(ops)} ops over {len(TEMPLATES)} templates, {len(atoms)} atoms; "
+        f"CPUs {pinned}; per op: {supersteps:.2f} supersteps, {local_runs:.2f} "
+        f"local runs, {exchanged:.1f} exchanged facts; join-step q-error "
+        f"p50 {q_error['p50']:.2f} p95 {q_error['p95']:.2f} "
+        f"({q_error['count']} steps)",
+        f"threads profiled: caller + {len(workers.profiles)} superstep workers",
+        f"kernel runs per op: sharded {sharded_runs / len(ops):.2f}, "
+        f"monolithic {mono_runs / len(ops):.2f}",
+        f"atom time (unprofiled): sharded {sharded_atom_s / len(ops) * 1e3:.3f} ms/op, "
+        f"monolithic {mono_atom_s / len(ops) * 1e3:.3f} ms/op, "
+        f"overhead ratio {sharded_atom_s / mono_atom_s:.2f}",
+        "per template (unprofiled): sharded ms | monolithic ms",
+        *(
+            f"  {mean_ms(times):7.2f} | {mean_ms(mono_templates[head]):7.2f}"
+            f"  x {len(times):<3} {head}"
+            for head, times in sharded_templates.items()
+        ),
+    ]
     merged = pstats.Stats(profiler, *workers.profiles)
-    work.insert(1, f"threads profiled: caller + {len(workers.profiles)} superstep workers")
     return merged, merged.total_tt, work
+
+
+def mean_ms(seconds: "list[float]") -> float:
+    return sum(seconds) / len(seconds) * 1e3
 
 
 def main() -> int:

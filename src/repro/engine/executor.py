@@ -129,13 +129,21 @@ def _flat_facts(
     return flat
 
 
+def frontier_class(backend: str = "auto") -> type:
+    """The frontier handle class of the batch kernel ``backend`` resolves
+    to — what its runs hand back and continue, and what answers the
+    sharded engine's exchange calls (``source_seeds``, ``exports``,
+    ``route``, ``assemble``) for that kernel family."""
+    return _KERNELS[resolve_backend(backend)][1]
+
+
 def run_batch(
     graph: CompiledGraph,
     query: CompiledQuery,
     sources: Sequence[int],
     *,
     witnesses: bool = False,
-    seeds: "Mapping[tuple[int, int], int] | None" = None,
+    seeds: "Mapping[tuple[int, int], int] | tuple | None" = None,
     known: "Mapping[tuple[int, int], int] | PyFrontier | NpFrontier | None" = None,
     num_bits: "int | None" = None,
     answer_sink=None,
@@ -151,8 +159,12 @@ def run_batch(
     answers empty, as in :func:`run_single`.
 
     ``seeds`` maps ``(state, node)`` pairs to source bitmasks injected on
-    top of the sources' initial-state bits — the sharded engine's imported
-    cross-shard frontier.  ``known`` pre-loads masks derived by earlier
+    top of the sources' initial-state bits.  A sourceless run may take them
+    kernel-native instead, as a ``(flat keys, rows)`` pair — keys
+    ``state * n + node`` ascending and unique, rows in the kernel's mask
+    form (uint64 rows for numpy, ints otherwise) — which is how the sharded
+    engine imports a cross-shard frontier without converting it (see
+    :meth:`NpFrontier.route`).  ``known`` pre-loads masks derived by earlier
     supersteps *without* propagating them again (semi-naive); passing the
     previous run's :attr:`BatchRun.frontier` continues that state in place
     (no conversion; the prior run must not be reused), and is refused when
@@ -173,10 +185,15 @@ def run_batch(
     With ``witnesses=True`` (fresh runs only) :meth:`BatchRun.witness`
     rebuilds, on demand, a shortest label word for any answer pair from
     the per-bit reachability the masks record.
+
+    The epilogue — answers and :attr:`BatchRun.visited_objects`, read off
+    the finished frontier — runs for runs with sources; a sourceless
+    continuation run has no answers of its own and counts its objects
+    only when they are read.
     """
     started = perf_counter()
     name = resolve_backend(backend)
-    fixpoint, frontier_class = _KERNELS[name]
+    fixpoint, handle_class = _KERNELS[name]
     n = graph.num_nodes
     num_states = query.num_states
     run = BatchRun(sources=tuple(sources), backend=name)
@@ -196,20 +213,30 @@ def run_batch(
             for source, bit in bit_of.items()
             if 0 <= source < n
         }
-        for key, mask in _flat_facts(seeds, "seeds", num_states, n).items():
-            inject[key] = inject.get(key, 0) | mask
+        if seeds is None or isinstance(seeds, Mapping):
+            for key, mask in _flat_facts(seeds, "seeds", num_states, n).items():
+                inject[key] = inject.get(key, 0) | mask
+        elif inject:
+            raise ValueError(
+                "kernel-native (flat keys, rows) seeds are for sourceless "
+                "runs; give (state, node) seeds to combine them with sources"
+            )
+        else:
+            inject = seeds  # the kernel checks and takes the arrays as they are
         if known is None or isinstance(known, Mapping):
             known = _flat_facts(known, "known", num_states, n)
-        elif not (isinstance(known, frontier_class) and known.fits(num_states, n)):
+        elif not (isinstance(known, handle_class) and known.fits(num_states, n)):
             raise ValueError("known frontier does not match this graph/query")
         elif known.version is not None and known.version != graph.version:
             raise ValueError(
                 "known frontier is stale: the graph mutated since it was "
                 "derived (re-run the batch instead of continuing the handle)"
             )
-        per_bit = fixpoint(
-            run, graph, query, inject, known, num_bits, len(bit_of), answer_sink
-        )
+        fixpoint(run, graph, query, inject, known, num_bits, len(bit_of), answer_sink)
+        if bit_of:
+            _, run.visited_objects, per_bit = run.frontier.gather(
+                query.accepting, len(bit_of)
+            )
         if witnesses:
             run.witness_resolver = _witness_resolver(graph, query, bit_of, run.frontier)
     run.answers = [per_bit[bit_of[source]] for source in run.sources]

@@ -43,6 +43,8 @@ from .executor_py import BatchRun
 
 
 _WORD = (1 << 64) - 1
+# The node half of a ``owner << 32 | node`` source home (see source_seeds).
+_NODE_MASK = (1 << 32) - 1
 
 
 def _any_bit(values: "np.ndarray") -> "np.ndarray":
@@ -66,6 +68,14 @@ def _run_heads(keys: "np.ndarray") -> "np.ndarray":
     return first
 
 
+def _union(arrays: "Sequence[np.ndarray]") -> "np.ndarray":
+    """The ascending, duplicate-free union of ascending key arrays."""
+    if len(arrays) == 1:
+        return arrays[0]
+    merged = np.sort(np.concatenate(arrays))
+    return merged[_run_heads(merged)] if merged.size else merged
+
+
 def _group_or(keys: "np.ndarray", values: "np.ndarray"):
     """OR together the ``values`` rows that share a key.
 
@@ -76,10 +86,14 @@ def _group_or(keys: "np.ndarray", values: "np.ndarray"):
     # An OR is order-blind, so stability is not needed for correctness; the
     # default introsort is measurably faster here and is held back only by
     # a benchmark artifact — see ROADMAP item 1, "flip ``_group_or``".
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(_run_heads(keys))
-    return keys[starts], np.bitwise_or.reduceat(values[order], starts, axis=0)
+    order = keys.argsort(kind="stable")
+    return _group_sorted(keys[order], values[order])
+
+
+def _group_sorted(keys: "np.ndarray", values: "np.ndarray"):
+    """:func:`_group_or` for ``keys`` already ascending (no sort)."""
+    starts = _run_heads(keys).nonzero()[0]
+    return keys[starts], np.bitwise_or.reduceat(values, starts, axis=0)
 
 
 def _pack_masks(mapping: "Mapping[int, int]", words: int):
@@ -105,6 +119,47 @@ def _pack_masks(mapping: "Mapping[int, int]", words: int):
     return rows, packed
 
 
+def _inject_rows(inject, words: int, size: int):
+    """The injected facts as kernel arrays ``(keys ascending, rows)``.
+
+    A flat-key dict is packed (:func:`_pack_masks`); a kernel-native
+    ``(keys, rows)`` pair is taken as it is, after checking what the push
+    relies on — keys ascending, unique and inside the ``size``-pair
+    product, rows no wider than ``words`` (narrower rows are widened).
+    """
+    if isinstance(inject, Mapping):
+        return _pack_masks(inject, words)
+    keys = np.asarray(inject[0], dtype=np.int64)
+    rows = np.asarray(inject[1], dtype=np.uint64)
+    if rows.shape[:1] != keys.shape:
+        raise ValueError("seeds keys and rows differ in length")
+    if keys.size:
+        if keys.size > 1 and not (keys[1:] > keys[:-1]).all():
+            raise ValueError("seeds keys must be ascending and unique")
+        if keys[0] < 0 or keys[-1] >= size:
+            raise ValueError(
+                f"seeds keys span {keys[0]}..{keys[-1]}, outside the "
+                f"{size}-pair product"
+            )
+    width = 1 if rows.ndim == 1 else rows.shape[1]
+    if width > words:
+        raise ValueError(
+            f"a frontier mask is wider than the batch's {64 * words} bits "
+            "(size the run with num_bits)"
+        )
+    if width < words:
+        widened = np.zeros((keys.size, words), dtype=np.uint64)
+        widened[:, :width] = rows.reshape(keys.size, width)
+        return keys, widened
+    return keys, rows[:, 0] if rows.ndim == 2 and words == 1 else rows
+
+
+def _row_words(inject) -> int:
+    """The packed width, in words, of a kernel-native ``(keys, rows)`` pair."""
+    rows = np.asarray(inject[1])
+    return 1 if rows.ndim == 1 else rows.shape[1]
+
+
 def _scatter_bits(
     nodes: "np.ndarray", reached: "np.ndarray", num_bits: int
 ) -> "list[set[int]]":
@@ -121,16 +176,16 @@ def _scatter_bits(
         return per_bit
     if sys.byteorder != "little":  # pragma: no cover - words become LE in memory
         reached = reached.byteswap()
-    bits = np.unpackbits(
-        reached.view(np.uint8).reshape(nodes.size, -1), axis=1, bitorder="little"
-    )[:, :num_bits]
+    # Only the bytes that hold the batch's bits are unpacked.
+    octets = reached.view(np.uint8).reshape(nodes.size, -1)[:, : (num_bits + 7) >> 3]
+    bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :num_bits]
     positions, members = np.nonzero(bits.T)
-    nodes = nodes[members]
+    nodes = nodes[members].tolist()  # one conversion, then list slices
     boundaries = np.searchsorted(positions, np.arange(num_bits + 1)).tolist()
     for bit in range(num_bits):
         lo, hi = boundaries[bit], boundaries[bit + 1]
         if lo != hi:
-            per_bit[bit] = set(nodes[lo:hi].tolist())
+            per_bit[bit] = set(nodes[lo:hi])
     return per_bit
 
 
@@ -139,15 +194,18 @@ def _on_accepting(
     values: "np.ndarray",
     n: int,
     accepting_states: "Sequence[int]",
+    by_key: bool = False,
 ):
     """The accepting-state part of ``rows`` (flat pair keys, ascending, one
-    ``values`` row each), per node: ``(nodes, OR of the node's rows)`` —
-    ``None`` when no row lies in an accepting state."""
+    ``values`` row each — or, ``by_key``, the flat cells to read them from),
+    per node: ``(nodes, OR of the node's rows)`` — ``None`` when no row lies
+    in an accepting state."""
     pieces = []
     for state in accepting_states:
         lo, hi = np.searchsorted(rows, (state * n, (state + 1) * n)).tolist()
         if lo != hi:
-            pieces.append((rows[lo:hi] - state * n, values[lo:hi]))
+            keys = rows[lo:hi]
+            pieces.append((keys - state * n, values[keys] if by_key else values[lo:hi]))
     if len(pieces) > 1:
         return _group_or(
             np.concatenate([piece[0] for piece in pieces]),
@@ -163,7 +221,9 @@ def _flat_cells(masks: "np.ndarray") -> "np.ndarray":
     steal path's ``masks[:, :, w:w+1]`` column views, is updated in place."""
     num_states, n, words = masks.shape
     cells = masks.reshape(num_states * n, words)
-    assert np.shares_memory(cells, masks), "flat view of the mask tensor copied"
+    # ``may_share_memory`` is a bounds check: enough to catch a copy, and
+    # (unlike the exact ``shares_memory``) it never drops the GIL.
+    assert np.may_share_memory(cells, masks), "flat view of the mask tensor copied"
     return cells[:, 0] if words == 1 else cells
 
 
@@ -171,10 +231,7 @@ class NpFrontier:
     """Cumulative packed mask state of one (or a chain of) batched runs.
 
     The vectorized twin of :class:`repro.engine.executor_py.PyFrontier`:
-    ``masks`` is the ``(num_states, num_nodes, num_words)`` uint64 tensor,
-    ``touched`` a boolean ``(num_states, num_nodes)`` matrix of pairs that
-    grew during the last run.  The exchange interface speaks
-    arbitrary-precision int masks so the sharded engine never sees words.
+    ``masks`` is the ``(num_states, num_nodes, num_words)`` uint64 tensor.
     ``version`` stamps the graph version the masks were derived against;
     the driver refuses to continue a stale handle (see
     :class:`repro.engine.executor_py.PyFrontier`).
@@ -182,44 +239,64 @@ class NpFrontier:
     ``reached`` is what makes reading a finished frontier cost what the
     runs reached instead of the size of the tensor: the flat keys of the
     rows this handle accounts for, one ascending array per run of the
-    chain, exactly as each kernel run reported the rows it grew.
+    chain, exactly as each kernel run reported the rows it grew — the last
+    one is what the latest run grew, which is what :meth:`exports` ships.
     :meth:`rows` (and through it :meth:`gather` and a continued run's own
     statistics) covers those rows plus whatever a further run grows.
     ``None`` — a handle assembled without them — means "whatever the
     tensor holds", found by one scan; ``()`` says the rows already in the
     tensor are someone else's to account for (the sharded engine's
     per-word column views: the shard's merged handle carries them).
+
+    The sharded engine's superstep exchange is four calls on this class —
+    :meth:`source_seeds`, :meth:`exports`, :meth:`route` and
+    :meth:`assemble` — speaking flat keys and uint64 rows throughout, so a
+    fact crosses shards without ever becoming a Python int;
+    :class:`~repro.engine.executor_py.PyFrontier` answers the same calls
+    from its int masks.
     """
 
-    __slots__ = ("masks", "touched", "words", "version", "reached")
+    __slots__ = ("masks", "words", "version", "reached", "_cells")
 
     def __init__(
         self,
         masks: "np.ndarray",
-        touched: "np.ndarray",
         version: "int | None" = None,
         reached: "tuple[np.ndarray, ...] | None" = None,
     ) -> None:
         self.masks = masks
-        self.touched = touched
         self.words = masks.shape[2]
         self.version = version
         self.reached = reached
+        self._cells = None
+
+    def cells(self) -> "np.ndarray":
+        """The tensor addressed by flat pair key (:func:`_flat_cells`)."""
+        if self._cells is None:
+            self._cells = _flat_cells(self.masks)
+        return self._cells
+
+    @classmethod
+    def from_chunks(cls, masks: "np.ndarray", version, previous, chunks) -> "NpFrontier":
+        """The handle of ``masks`` after chunk runs continued its word
+        columns (each through a column view): the rows ``previous`` (the
+        tensor's handle, or ``None``) accounted for, then — as the latest
+        run's — every row any chunk grew (a pair grew iff some column did)."""
+        prior = () if previous is None else previous.reached
+        return cls(masks, version, prior + (_union([chunk.reached[-1] for chunk in chunks]),))
 
     def rows(self) -> "np.ndarray":
         """Flat keys of the rows this handle accounts for, ascending and
         duplicate-free (merged once per chain link, then kept)."""
         reached = self.reached
         if reached is None:
-            merged = np.flatnonzero(_any_bit(_flat_cells(self.masks)))
+            merged = np.flatnonzero(_any_bit(self.cells()))
         elif len(reached) == 1:
             return reached[0]
         elif not reached:
             merged = np.empty(0, dtype=np.int64)
         else:
-            merged = np.sort(np.concatenate(reached))
-            if merged.size:
-                merged = merged[_run_heads(merged)]
+            merged = _union(reached)
         self.reached = (merged,)
         return merged
 
@@ -247,26 +324,16 @@ class NpFrontier:
             return int(self.masks[state, node, 0])
         return self._int_at(state, node)
 
-    def items(self, fresh_only: bool = False, restrict=None):
-        """Nonzero ``(state, node, mask)`` facts; optionally only pairs that
-        grew during the last run, and/or only the given nodes."""
-        base = self.touched if fresh_only else _any_bit(self.masks)
-        if restrict is not None:
-            index = np.asarray(restrict, dtype=np.int64)
-            states, positions = np.nonzero(base[:, index])
-            nodes = index[positions]
-        else:
-            states, nodes = np.nonzero(base)
+    def items(self):
+        """Every nonzero ``(state, node, mask)`` fact (one scan of the
+        tensor: the witness walks read it, the supersteps never do)."""
+        states, nodes = np.nonzero(_any_bit(self.masks))
         if self.words == 1:
             values = self.masks[states, nodes, 0].tolist()
-            for state, node, value in zip(states.tolist(), nodes.tolist(), values):
-                if value:
-                    yield state, node, value
-        else:
-            for state, node in zip(states.tolist(), nodes.tolist()):
-                value = self._int_at(state, node)
-                if value:
-                    yield state, node, value
+            yield from zip(states.tolist(), nodes.tolist(), values)
+            return
+        for state, node in zip(states.tolist(), nodes.tolist()):
+            yield state, node, self._int_at(state, node)
 
     def gather(self, accepting, num_bits: int, skip: "np.ndarray | None" = None):
         """``(nonzero pairs, touched nodes, per-bit accepting node sets)``
@@ -275,6 +342,11 @@ class NpFrontier:
         Read off :meth:`rows`: work per reached pair, none per pair of the
         product that nothing reached.
         """
+        return NpFrontier.assemble(((self, skip, None),), accepting, num_bits)
+
+    def _owned(self, accepting_states: "Sequence[int]", skip):
+        """:meth:`gather` of one handle before unpacking: ``(pairs, nodes,
+        found)`` with ``found`` the accepting ``(nodes, rows)`` per node."""
         n = self.masks.shape[1]
         rows = self.rows()
         nodes = rows % n
@@ -283,20 +355,124 @@ class NpFrontier:
             rows, nodes = rows[keep], nodes[keep]
         seen = np.zeros(n, dtype=bool)
         seen[nodes] = True
-        found = None
-        if num_bits:
-            found = _on_accepting(
-                rows,
-                _flat_cells(self.masks)[rows],
-                n,
-                [state for state, accepts in enumerate(accepting) if accepts],
-            )
-        per_bit = (
-            [set() for _ in range(num_bits)]
-            if found is None
-            else _scatter_bits(*found, num_bits)
+        found = _on_accepting(rows, self.cells(), n, accepting_states, by_key=True)
+        return int(rows.size), int(np.count_nonzero(seen)), found
+
+    # -- the sharded superstep exchange ---------------------------------------
+    @staticmethod
+    def source_seeds(homes: "Sequence[int]", initial: int, sizes: "Sequence[int]"):
+        """A batch's first seeds, per owner: ``homes[bit]`` packs the owner
+        of source bit ``bit`` and the source's node id there as ``owner <<
+        32 | node`` (distinct per source), and every source starts in the
+        ``initial`` state holding its own bit.  Returns ``{owner:
+        kernel-native seeds}``; the batch is ``len(homes)`` bits wide."""
+        if len(homes) <= 1:  # a CRPQ's bound source: nothing to sort
+            return {
+                home >> 32: (
+                    np.array([initial * sizes[home >> 32] + (home & _NODE_MASK)]),
+                    np.ones(1, dtype=np.uint64),
+                )
+                for home in homes
+            }
+        homes = np.asarray(homes, dtype=np.int64)
+        # Sorting the packed homes sorts by owner, then by flat key.
+        bits = homes.argsort()
+        homes = homes[bits]
+        flags = np.left_shift(np.uint64(1), (bits & 63).astype(np.uint64))
+        if homes.size > 64:
+            rows = np.zeros((homes.size, (homes.size + 63) >> 6), dtype=np.uint64)
+            rows[np.arange(homes.size), bits >> 6] = flags
+        else:
+            rows = flags
+        owners = homes >> 32
+        heads = _run_heads(owners).nonzero()[0].tolist()
+        seeds = {}
+        for lo, hi in zip(heads, heads[1:] + [homes.size]):
+            owner = int(owners[lo])
+            keys = (homes[lo:hi] & _NODE_MASK) + initial * sizes[owner]
+            seeds[owner] = keys, rows[lo:hi]
+        return seeds
+
+    def exports(self, owner: "np.ndarray", owner_node: "np.ndarray", ghost: "np.ndarray"):
+        """The rows the latest run grew on nodes another graph owns, as
+        ``(owners, states, owner-local nodes, rows)`` — ``None`` when it
+        grew none there.  Per local node id, ``ghost`` flags the nodes
+        another graph owns and ``owner``/``owner_node`` route them: the
+        owning graph and the node's id there."""
+        grown = self.reached[-1]
+        n = self.masks.shape[1]
+        nodes = grown % n
+        picked = ghost[nodes].nonzero()[0]
+        if not picked.size:
+            return None
+        grown, nodes = grown[picked], nodes[picked]
+        return owner[nodes], grown // n, owner_node[nodes], self.cells()[grown]
+
+    @staticmethod
+    def route(packets, frontiers, sizes: "Sequence[int]"):
+        """Deliver :meth:`exports` packets to their owners as next seeds.
+
+        ``frontiers[o]`` is owner ``o``'s handle (``None``: it holds nothing
+        yet) and ``sizes[o]`` its node count.  Every exported row keeps only
+        the bits its owner does not hold yet — the owner may have derived
+        the fact itself — and rows left empty are dropped; what survives is
+        merged per target.  Returns ``({owner: kernel-native seeds},
+        shipped)``, ``shipped`` counting the exported rows that carried a
+        new bit.
+        """
+        if len(packets) == 1:
+            owners, states, nodes, rows = packets[0]
+        else:
+            owners, states, nodes, rows = map(np.concatenate, zip(*packets))
+        keys = states * np.asarray(sizes, dtype=np.int64)[owners] + nodes
+        order = np.lexsort((keys, owners))
+        owners, keys, rows = owners[order], keys[order], rows[order]
+        heads = np.flatnonzero(_run_heads(owners)).tolist()
+        seeds: "dict[int, tuple[np.ndarray, np.ndarray]]" = {}
+        shipped = 0
+        for lo, hi in zip(heads, heads[1:] + [owners.size]):
+            owner = int(owners[lo])
+            targets, new = keys[lo:hi], rows[lo:hi]
+            held = frontiers[owner]
+            if held is not None:
+                new = new & ~held.cells()[targets]
+                fresh = _any_bit(new)
+                targets, new = targets[fresh], new[fresh]
+            if targets.size:
+                shipped += targets.size
+                seeds[owner] = _group_sorted(targets, new)
+        return seeds, shipped
+
+    @staticmethod
+    def assemble(parts, accepting, num_bits: int):
+        """One gather over several handles, each on its own graph.
+
+        ``parts`` holds ``(handle, skip, labels)``: the nodes ``skip`` flags
+        are left out, and ``labels`` (an object array by node id, or
+        ``None`` for the node ids themselves) names the answers.  Every
+        handle's accepting rows are read off its reached rows and the bits
+        are unpacked once for all of them.  Returns ``(nonzero pairs,
+        touched nodes, per-bit answer sets)`` over all parts.
+        """
+        accepting_states = (
+            [state for state, accepts in enumerate(accepting) if accepts]
+            if num_bits
+            else ()
         )
-        return int(rows.size), int(np.count_nonzero(seen)), per_bit
+        pairs = objects = 0
+        names, rows = [], []
+        for frontier, skip, labels in parts:
+            counted, touched, found = frontier._owned(accepting_states, skip)
+            pairs += counted
+            objects += touched
+            if found is not None:
+                names.append(found[0] if labels is None else labels[found[0]])
+                rows.append(found[1])
+        if not names:
+            return pairs, objects, [set() for _ in range(num_bits)]
+        if len(names) > 1:
+            names, rows = [np.concatenate(names)], [np.concatenate(rows)]
+        return pairs, objects, _scatter_bits(names[0], rows[0], num_bits)
 
 
 def _emit_bit_groups(answer_sink, nodes: "np.ndarray", fresh: "np.ndarray") -> None:
@@ -351,12 +527,12 @@ def fixpoint(
     run: BatchRun,
     graph: CompiledGraph,
     query: CompiledQuery,
-    inject: "Mapping[int, int]",
+    inject,
     known: "Mapping[int, int] | NpFrontier | None",
     num_bits: "int | None",
     local_bits: int,
     answer_sink: "Callable[[int, Sequence[int]], None] | None",
-) -> "list[set[int]]":
+) -> None:
     """The sparse-push kernel behind ``run_batch`` (contract: see the driver).
 
     The frontier is a pair of arrays — ``rows``, the flat keys of the
@@ -366,7 +542,9 @@ def fixpoint(
     gained something: they are the next frontier.  Nothing in a round is
     sized by the graph.
 
-    A ``known`` :class:`NpFrontier` is continued in place, paying zero
+    ``inject`` is a flat-key dict of int masks, or kernel-native ``(keys,
+    rows)`` arrays taken as they are (see :func:`_inject_rows`).  A
+    ``known`` :class:`NpFrontier` is continued in place, paying zero
     conversion; ``num_bits`` sizes the packed word dimension for the global
     batch width when it exceeds the local source count (unsized runs are
     as wide as their widest injected or known mask).
@@ -380,41 +558,50 @@ def fixpoint(
     if isinstance(known, NpFrontier):
         masks = known.masks  # ownership transfer: continued in place
         words = known.words
+        if known.reached is None:
+            known.rows()  # a bare handle: find what it holds, once
         prior = known.reached
+        cells = known.cells()
     else:
         width = max(num_bits or 0, local_bits)
         if num_bits is None:
-            for mapping in (inject, known):
-                if mapping:
-                    width = max(width, max(mapping.values()).bit_length())
+            for facts in (inject, known):
+                if isinstance(facts, Mapping) and facts:
+                    width = max(width, max(facts.values()).bit_length())
+            if not isinstance(inject, Mapping):
+                width = max(width, 64 * _row_words(inject))
         words = max(1, (width + 63) >> 6)
         masks = np.zeros((num_states, n, words), dtype=np.uint64)
         prior = ()
-    cells = _flat_cells(masks)
+        cells = _flat_cells(masks)
     if known and not isinstance(known, NpFrontier):
         rows, held = _pack_masks(known, words)
         cells[rows] = held
         prior = (rows[_any_bit(held)],)
 
     # The injected bits are the candidate frontier of round zero.
-    rows, pushed = _pack_masks(inject, words)
+    rows, pushed = _inject_rows(inject, words, num_states * n)
     accepting_states = [
         state for state in range(num_states) if query.accepting[state]
     ]
     touched = np.zeros(num_states * n, dtype=bool)
     product = graph.numpy_product_csr(query.moves)
     indptr, dst = product.indptr, product.dst
+    next_indptr = indptr[1:]
     rounds = edges_gathered = peak_rows = 0
+    # One round is a few dozen array calls on small arrays, so it calls
+    # the C methods (``a.cumsum()``, ``a.repeat()``, ``a.nonzero()``)
+    # rather than their module-level Python wrappers.
     while rows.size:
         # Semi-naive: only bits a pair does not hold yet survive, and only
         # pairs that gained a bit are expanded.
         held = cells[rows]
         new = pushed & ~held
-        grew = _any_bit(new)
-        if not grew.all():
-            rows, new, held = rows[grew], new[grew], held[grew]
-            if not rows.size:
+        grew = _any_bit(new).nonzero()[0]
+        if grew.size != rows.size:
+            if not grew.size:
                 break
+            rows, new, held = rows[grew], new[grew], held[grew]
         if answer_sink is not None:
             _emit_new_accepting(answer_sink, cells, rows, new, n, accepting_states)
         cells[rows] = held | new
@@ -422,31 +609,26 @@ def fixpoint(
         rounds += 1
         peak_rows = max(peak_rows, rows.size)
         # Push: gather the out-edges of the frontier rows only.  (The
-        # lowering is usually int32; index arithmetic stays int64.)
-        starts = indptr[rows].astype(np.int64, copy=False)
-        counts = indptr[rows + 1] - starts
-        ends = np.cumsum(counts)
+        # lowering is usually int32, rows included; ``cumsum`` widens the
+        # edge offsets to int64.)
+        starts = indptr[rows]
+        counts = next_indptr[rows] - starts
+        ends = counts.cumsum()
         total = int(ends[-1])
         if not total:
             break
         edges_gathered += total
-        edge_index = np.arange(total) + np.repeat(starts - ends + counts, counts)
-        rows, pushed = _group_or(dst[edge_index], np.repeat(new, counts, axis=0))
-        rows = rows.astype(np.int64, copy=False)
+        edge_index = np.arange(total) + (starts - ends + counts).repeat(counts)
+        rows, pushed = _group_or(dst[edge_index], new.repeat(counts, axis=0))
     run.rounds = rounds
     run.edges_gathered = edges_gathered
     run.peak_frontier_rows = peak_rows
     # Pairs expanded by *this* run count as visited (the scalar executor's
-    # semantics); the touched nodes and the answers are read off the rows
-    # the chain of runs reached — this run's ``grown`` and what the handle
-    # it continued came with — never off the 8-bytes-a-word tensor.
-    grown = np.flatnonzero(touched)
+    # semantics); what the chain of runs reached is this run's ``grown``
+    # plus what the handle it continued came with, and the driver reads the
+    # touched nodes and the answers off those rows, never off the
+    # 8-bytes-a-word tensor.
+    grown = touched.nonzero()[0]
     run.visited_pairs = int(grown.size)
-    run.frontier = NpFrontier(
-        masks,
-        touched.reshape(num_states, n),
-        graph.version,
-        None if prior is None else prior + (grown,),
-    )
-    _, run.visited_objects, answers = run.frontier.gather(query.accepting, local_bits)
-    return answers
+    run.frontier = NpFrontier(masks, graph.version, prior + (grown,))
+    run.frontier._cells = cells

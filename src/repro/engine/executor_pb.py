@@ -42,7 +42,6 @@ from .csr import CompiledGraph
 from .executor_py import (
     BatchRun,
     PyFrontier,
-    close_frontier,
     flush_sink,
     open_frontier,
     stream_fresh,
@@ -95,12 +94,12 @@ def fixpoint(
     run: BatchRun,
     graph: CompiledGraph,
     query: CompiledQuery,
-    inject: "Mapping[int, int]",
+    inject,
     known: "Mapping[int, int] | PyFrontier | None",
     num_bits: "int | None",
     local_bits: int,
     answer_sink: "Callable[[int, Sequence[int]], None] | None",
-) -> "list[set[int]]":
+) -> None:
     """The packed kernel behind ``run_batch`` (contract: see the driver):
     whole-word delta rounds.  ``num_bits`` is ignored — Python ints are
     arbitrary-precision."""
@@ -222,4 +221,4 @@ def fixpoint(
     # A pair is "visited" on its first activation — one expansion per pair,
     # which is exactly what the queue executor's ``expanded`` flags count.
     run.visited_pairs = len(changed)
-    return close_frontier(run, graph, query, masks, changed, accept_union, local_bits)
+    run.frontier = PyFrontier(masks, n, changed, graph.version, accept_union)

@@ -15,11 +15,11 @@ edges are never traversed.  Callers go through the driver in
   witnesses).  One source is one mask bit: no batched kernel has anything
   to amortize, and the dense numpy level-pull this replaced lost to it on
   every shape measured;
-* :class:`PyFrontier` with :func:`open_frontier` / :func:`close_frontier` —
-  the arbitrary-precision mask state both pure-Python batch kernels (the
-  queue below and :mod:`repro.engine.executor_pb`) start from and hand
-  back, including the at-most-once bookkeeping of a streaming
-  ``answer_sink``;
+* :class:`PyFrontier` with :func:`open_frontier` — the arbitrary-precision
+  mask state both pure-Python batch kernels (the queue below and
+  :mod:`repro.engine.executor_pb`) start from and hand back, including the
+  at-most-once bookkeeping of a streaming ``answer_sink`` and the sharded
+  engine's exchange calls;
 * :func:`fixpoint` — the queue kernel: every visited pair carries the
   *bitmask* of the sources that reach it and re-enters a FIFO whenever the
   mask grows.  It is the differential oracle (``backend="python"``), never
@@ -70,7 +70,6 @@ class BatchRun:
     sources: tuple[int, ...] = ()
     answers: list[set[int]] = field(default_factory=list)
     visited_pairs: int = 0
-    visited_objects: int = 0
     backend: str = "python"
     # Wall-clock seconds of the executor call, stamped by the dispatcher
     # (:mod:`repro.engine.executor`); telemetry-only, never compared.
@@ -90,6 +89,23 @@ class BatchRun:
     rounds: int = field(default=0, compare=False)
     edges_gathered: int = field(default=0, compare=False)
     peak_frontier_rows: int = field(default=0, compare=False)
+    # See :attr:`visited_objects`; ``None`` until counted.
+    _visited_objects: "int | None" = field(default=None, repr=False, compare=False)
+
+    @property
+    def visited_objects(self) -> int:
+        """Objects the run's frontier touched.  The epilogue of a run with
+        sources counts them; a sourceless continuation run (a sharded
+        superstep) skips that epilogue, and they are read off its handle on
+        first use instead."""
+        if self._visited_objects is None:
+            frontier = self.frontier
+            self._visited_objects = 0 if frontier is None else frontier.gather((), 0)[1]
+        return self._visited_objects
+
+    @visited_objects.setter
+    def visited_objects(self, count: int) -> None:
+        self._visited_objects = count
 
     def work_counts(self) -> "dict[str, int]":
         return {
@@ -183,25 +199,10 @@ class PyFrontier:
         """The current source bitmask of one product pair."""
         return self.masks[state * self.n + node]
 
-    def items(
-        self,
-        fresh_only: bool = False,
-        restrict: "Sequence[int] | None" = None,
-    ) -> "Iterable[tuple[int, int, int]]":
-        """Nonzero ``(state, node, mask)`` facts; optionally only pairs that
-        grew during the last run, and/or only the given nodes (the sharded
-        engine restricts exports to its ghost nodes)."""
+    def items(self) -> "Iterable[tuple[int, int, int]]":
+        """Every nonzero ``(state, node, mask)`` fact."""
         n = self.n
-        masks = self.masks
-        if fresh_only:
-            keys: "Iterable[int]" = sorted(self.changed)
-        else:
-            keys = (key for key, mask in enumerate(masks) if mask)
-        if restrict is not None:
-            wanted = set(restrict)
-            keys = (key for key in keys if key % n in wanted)
-        for key in keys:
-            mask = masks[key]
+        for key, mask in enumerate(self.masks):
             if mask:
                 yield key // n, key % n, mask
 
@@ -259,10 +260,86 @@ class PyFrontier:
         frontier is read for, behind one call (the numpy handle answers it
         from its reached rows, this one from :meth:`counts` and
         :meth:`per_bit_answers`)."""
-        return (
-            *self.counts(skip_nodes),
-            self.per_bit_answers(accepting, num_bits, skip_nodes),
+        answers = (
+            self.per_bit_answers(accepting, num_bits, skip_nodes) if num_bits else []
         )
+        return (*self.counts(skip_nodes), answers)
+
+    # -- the sharded superstep exchange (see NpFrontier) ----------------------
+    @staticmethod
+    def source_seeds(homes: "Sequence[int]", initial: int, sizes: "Sequence[int]"):
+        """A batch's first seeds, per owner (see
+        :meth:`NpFrontier.source_seeds`)."""
+        seeds: "dict[int, tuple[list[int], list[int]]]" = {}
+        for bit, home in enumerate(homes):
+            owner = home >> 32
+            keys, masks = seeds.setdefault(owner, ([], []))
+            keys.append(initial * sizes[owner] + (home & 0xFFFFFFFF))
+            masks.append(1 << bit)
+        return seeds
+
+    def exports(
+        self, owner: "Sequence[int]", owner_node: "Sequence[int]", ghost: "set[int]"
+    ):
+        """The pairs the latest run grew on nodes another graph owns, as
+        ``(owners, states, owner-local nodes, masks)`` lists — ``None`` when
+        it grew none there (see :meth:`NpFrontier.exports`; ``ghost`` is
+        the set of those nodes)."""
+        n = self.n
+        masks = self.masks
+        homes: "list[int]" = []
+        states: "list[int]" = []
+        nodes: "list[int]" = []
+        rows: "list[int]" = []
+        for key in sorted(self.changed):
+            state, node = divmod(key, n)
+            if node in ghost:
+                homes.append(owner[node])
+                states.append(state)
+                nodes.append(owner_node[node])
+                rows.append(masks[key])
+        return (homes, states, nodes, rows) if homes else None
+
+    @staticmethod
+    def route(packets, frontiers, sizes: "Sequence[int]"):
+        """Deliver :meth:`exports` packets to their owners as next seeds,
+        minus the bits each owner holds already; returns ``({owner:
+        kernel-native seeds}, shipped)`` like :meth:`NpFrontier.route`."""
+        merged: "dict[int, dict[int, int]]" = {}
+        shipped = 0
+        for homes, states, nodes, rows in packets:
+            for home, state, node, mask in zip(homes, states, nodes, rows):
+                key = state * sizes[home] + node
+                held = frontiers[home]
+                if held is not None:
+                    mask &= ~held.masks[key]
+                if mask:
+                    shipped += 1
+                    targets = merged.setdefault(home, {})
+                    targets[key] = targets.get(key, 0) | mask
+        seeds = {
+            home: (sorted(targets), [targets[key] for key in sorted(targets)])
+            for home, targets in merged.items()
+        }
+        return seeds, shipped
+
+    @staticmethod
+    def assemble(parts, accepting, num_bits: int):
+        """One gather over several handles, each on its own graph:
+        ``parts`` holds ``(handle, skip_nodes, labels)``, ``labels`` naming
+        each node id's answer; returns ``(nonzero pairs, touched nodes,
+        per-bit answer sets)`` over all parts, like
+        :meth:`NpFrontier.assemble`."""
+        pairs = objects = 0
+        per_bit: "list[set]" = [set() for _ in range(num_bits)]
+        for frontier, skip, labels in parts:
+            counted, touched, answers = frontier.gather(accepting, num_bits, skip)
+            pairs += counted
+            objects += touched
+            for bit, nodes in enumerate(answers):
+                if nodes:
+                    per_bit[bit].update(map(labels.__getitem__, nodes))
+        return pairs, objects, per_bit
 
 
 def _targets_of(graph: CompiledGraph, node: int, label_id: int) -> "Sequence[int]":
@@ -417,12 +494,13 @@ def flush_sink(answer_sink, bucket: "dict[int, list[int]]") -> None:
 def open_frontier(
     query: CompiledQuery,
     n: int,
-    inject: "Mapping[int, int]",
+    inject,
     known: "Mapping[int, int] | PyFrontier | None",
     answer_sink,
 ) -> "tuple[list[int], dict[int, int], list[int] | None]":
     """The state a pure-Python fixpoint starts from: ``(masks, delta,
-    accept_union)``.
+    accept_union)``.  ``inject`` is a flat-key dict of masks or the
+    kernel-native ``(keys, masks)`` pair; a key outside the product raises.
 
     ``masks`` is the continued handle's list (ownership transfer, grown in
     place) or a fresh one pre-loaded with the ``known`` facts; ``delta``
@@ -451,7 +529,16 @@ def open_frontier(
             # rescan; a fresh run's masks are still empty here.
             accept_union = _accepting_union(masks, n, accepting) if known else [0] * n
     delta: "dict[int, int]" = {}
-    for key, mask in inject.items():
+    if isinstance(inject, Mapping):
+        facts = inject.items()
+    elif len(inject[0]) != len(inject[1]):
+        raise ValueError("seeds keys and masks differ in length")
+    else:
+        facts = zip(*inject)
+    size = len(masks)
+    for key, mask in facts:
+        if not 0 <= key < size:
+            raise ValueError(f"seeds key {key} is outside the {size}-pair product")
         if mask & ~masks[key]:
             masks[key] |= mask
             delta[key] = masks[key]
@@ -465,34 +552,16 @@ def open_frontier(
     return masks, delta, accept_union
 
 
-def close_frontier(
-    run: BatchRun,
-    graph: CompiledGraph,
-    query: CompiledQuery,
-    masks: "list[int]",
-    changed: "set[int]",
-    accept_union: "list[int] | None",
-    local_bits: int,
-) -> "list[set[int]]":
-    """Wrap a finished pure-Python fixpoint: export the handle, count the
-    touched nodes, and scatter the local bits into per-bit answer sets
-    (foreign bits of a seeded run are read through the handle instead)."""
-    frontier = PyFrontier(masks, graph.num_nodes, changed, graph.version, accept_union)
-    run.frontier = frontier
-    _, run.visited_objects, answers = frontier.gather(query.accepting, local_bits)
-    return answers
-
-
 def fixpoint(
     run: BatchRun,
     graph: CompiledGraph,
     query: CompiledQuery,
-    inject: "Mapping[int, int]",
+    inject,
     known: "Mapping[int, int] | PyFrontier | None",
     num_bits: "int | None",
     local_bits: int,
     answer_sink: "Callable[[int, Sequence[int]], None] | None",
-) -> "list[set[int]]":
+) -> None:
     """The queue kernel behind ``run_batch`` (contract: see the driver).
 
     A pair re-enters the FIFO whenever its mask grows and pushes its full
@@ -571,4 +640,4 @@ def fixpoint(
     run.rounds = rounds
     run.edges_gathered = edges_gathered
     run.peak_frontier_rows = peak_rows
-    return close_frontier(run, graph, query, masks, changed, accept_union, local_bits)
+    run.frontier = PyFrontier(masks, n, changed, graph.version, accept_union)

@@ -81,9 +81,11 @@ import base64
 import hashlib
 import json
 import threading
+import weakref
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from queue import SimpleQueue
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
@@ -125,13 +127,20 @@ DRAIN_WAKE_INTERVAL_S = 0.002
 class SuperstepScheduler:
     """Runs the independent per-shard steps of one superstep on threads.
 
-    :meth:`run` is a fork-join barrier: every step of the superstep is
-    submitted to the pool, and the call returns only when all of them have
-    finished — which is exactly the bulk-synchronous contract the sharded
-    engine's frontier exchange needs.  The scheduler never reorders results
-    (``results[i]`` belongs to ``steps[i]``) and re-raises the first step
-    exception after the barrier, so a failing shard cannot leave a
-    half-joined superstep behind.
+    :meth:`run` is a fork-join barrier: the calling thread and up to
+    ``max_workers - 1`` worker threads — ``max_workers`` steps in flight at
+    most — claim the superstep's steps one at a time until none is left,
+    and the call returns only when every step has finished — which is
+    exactly the bulk-synchronous contract the sharded engine's frontier
+    exchange needs.  The caller works instead of waiting:
+    it blocks only on steps a worker claimed and is still running, so a
+    superstep with one step costs no cross-thread hand-off at all.  Waking
+    a worker is one put on a queue it blocks on (no future, no executor
+    bookkeeping): a worker that finds every step claimed already goes back
+    to sleep having cost little more than its wake-up.  The scheduler never
+    reorders results (``results[i]`` belongs to ``steps[i]``) and re-raises
+    the first step exception after the barrier, so a failing shard cannot
+    leave a half-joined superstep behind.
 
     Statistics: ``steps`` counts every step ever run, ``barriers`` every
     :meth:`run` call, and ``concurrent_steps`` is the *peak* number of steps
@@ -153,45 +162,41 @@ class SuperstepScheduler:
         if max_workers < 1:
             raise ReproError("a superstep scheduler needs at least one worker")
         self.max_workers = max_workers
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="repro-superstep"
-        )
-        # Spawn every worker now, not lazily at the first contended
-        # superstep (thread creation under a busy GIL stalls for
-        # milliseconds).
-        ready = threading.Barrier(max_workers + 1)
-        for _ in range(max_workers):
-            self._pool.submit(ready.wait)
-        ready.wait()
         self._lock = witnessed_lock("SuperstepScheduler._lock")
         self._in_flight = 0
-        self._closed = False
         self.steps = 0
         self.barriers = 0
         self.concurrent_steps = 0
+        # Workers block on this queue and help with each superstep put on
+        # it; ``None`` stops one.  They hold the queue, not the scheduler,
+        # so an unclosed scheduler is still collected (and its workers
+        # stopped by the finalizer).  All are started now, not lazily at
+        # the first contended superstep (thread creation under a busy GIL
+        # stalls for milliseconds).
+        self._wake: "SimpleQueue[_Superstep | None]" = SimpleQueue()
+        self._workers = [
+            threading.Thread(
+                target=_help, args=(self._wake,), name=f"repro-superstep-{index}",
+                daemon=True,
+            )
+            for index in range(max_workers - 1)
+        ]
+        for worker in self._workers:
+            worker.start()
+        self._stop = weakref.finalize(self, _stop_workers, self._wake, self._workers)
 
     def run(self, steps: "Sequence[Callable[[], T]]") -> "list[T]":
-        """Execute every thunk, in parallel, and join: the superstep barrier."""
-        if self._closed:
+        """Execute every thunk, the caller among the workers, and join:
+        the superstep barrier."""
+        if not self._stop.alive:
             raise ReproError("the superstep scheduler has been closed")
         with self._lock:
             self.barriers += 1
-        if len(steps) <= 1:
-            # One active shard: no parallelism to be had, skip the pool hop.
-            return [self._tracked(step) for step in steps]
-        futures = [self._pool.submit(self._tracked, step) for step in steps]
-        results: "list[T]" = []
-        error: "BaseException | None" = None
-        for future in futures:
-            try:
-                results.append(future.result())
-            except BaseException as exc:  # join every step before raising
-                if error is None:
-                    error = exc
-                results.append(None)  # type: ignore[arg-type]
-        if error is not None:
-            raise error
-        return results
+        superstep = _Superstep(self, steps)
+        for _ in range(min(len(self._workers), len(steps) - 1)):
+            self._wake.put(superstep)
+        superstep.work()
+        return superstep.join()
 
     def _tracked(self, step: "Callable[[], T]") -> T:
         with self._lock:
@@ -206,9 +211,8 @@ class SuperstepScheduler:
                 self._in_flight -= 1
 
     def close(self) -> None:
-        """Release the worker threads (idempotent)."""
-        self._closed = True
-        self._pool.shutdown(wait=True)
+        """Stop and join the worker threads (idempotent)."""
+        self._stop()
 
     def __enter__(self) -> "SuperstepScheduler":
         return self
@@ -222,6 +226,65 @@ class SuperstepScheduler:
             f"steps={self.steps}, barriers={self.barriers}, "
             f"concurrent_steps={self.concurrent_steps})"
         )
+
+
+def _help(wake: "SimpleQueue[_Superstep | None]") -> None:
+    """A superstep worker: help with every superstep handed over, until
+    told to stop."""
+    while (superstep := wake.get()) is not None:
+        superstep.work()
+
+
+def _stop_workers(wake, workers) -> None:
+    for _ in workers:
+        wake.put(None)
+    for worker in workers:
+        if worker is not threading.current_thread():
+            worker.join()
+
+
+class _Superstep:
+    """One :meth:`SuperstepScheduler.run` call: its steps, claimed in order
+    by whichever thread asks next (``deque.popleft`` is atomic), and the
+    countdown the caller joins on — ``_done`` is held until the last step
+    finishes, whichever thread runs it."""
+
+    def __init__(self, scheduler: SuperstepScheduler, steps) -> None:
+        self._scheduler = scheduler
+        self._claims = deque(enumerate(steps))
+        self._left = len(steps)
+        self._countdown = threading.Lock()
+        self._done = threading.Lock()
+        self._done.acquire()
+        self.results: list = [None] * len(steps)
+        self.error: "BaseException | None" = None
+
+    def work(self) -> None:
+        """Run steps until none is left to claim."""
+        while True:
+            try:
+                index, step = self._claims.popleft()
+            except IndexError:
+                return
+            try:
+                self.results[index] = self._scheduler._tracked(step)
+            except BaseException as exc:  # joined, then raised by join()
+                if self.error is None:
+                    self.error = exc
+            with self._countdown:
+                self._left -= 1
+                finished = not self._left
+            if finished:
+                self._done.release()
+
+    def join(self) -> list:
+        """Wait for steps still running on worker threads; re-raise the
+        first step exception once every step has finished."""
+        if self._left:
+            self._done.acquire()
+        if self.error is not None:
+            raise self.error
+        return self.results
 
 
 class StealQueue:

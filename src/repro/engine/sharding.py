@@ -47,8 +47,9 @@ import hashlib
 import json
 import os
 import threading
-from collections import OrderedDict, defaultdict, deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
+from itertools import count
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from ..analysis.annotations import acquires, guarded_by
@@ -58,7 +59,7 @@ from ..query.evaluation import EvaluationResult
 from .compiled_query import query_key
 from .csr import CompiledGraph
 from ..optimize.cost import DegreeStats
-from .executor import BACKENDS, available_backends, resolve_backend, run_batch
+from .executor import BACKENDS, frontier_class, resolve_backend, run_batch
 from .executor_py import PyFrontier
 from .session import Engine, ServingSurface, _lower_batch_request
 from .snapshot import stored_digest, write_replacing
@@ -293,9 +294,9 @@ class ShardedStats:
     # The most recent evaluation's superstep counters, reset per evaluation.
     last_run: SuperstepCounters = field(default_factory=SuperstepCounters)
 
-    def record_local_run(self, backend: str) -> None:
-        self.local_runs += 1
-        self.backend_runs[backend] = self.backend_runs.get(backend, 0) + 1
+    def record_local_runs(self, backend: str, count: int) -> None:
+        self.local_runs += count
+        self.backend_runs[backend] = self.backend_runs.get(backend, 0) + count
 
     def record_evaluation(self, backend: str) -> None:
         self.backend_evaluations[backend] = (
@@ -384,13 +385,12 @@ class _StealPool:
     """One superstep's chunked local fixpoints, shared across scheduler steps.
 
     ``queue`` holds the stealable chunk tasks
-    (:class:`~repro.engine.serving.StealQueue`); ``shards`` maps each shard
-    with unabsorbed seeds to ``(masks, chunk_runs, graph, version)`` — the
-    shared packed tensor its chunks write disjoint word columns of, the list
-    each finished chunk appends its ``touched`` matrix to (list appends are
-    atomic under the GIL; chunks of one shard may finish on different
-    workers), and the graph/version the merged frontier is stamped with.
-    A shard absent from ``shards`` absorbed its whole import already.
+    (:class:`~repro.engine.serving.StealQueue`); ``shards`` maps each
+    active shard to ``(masks, chunk_runs, version)`` — the shared packed
+    tensor its chunks write disjoint word columns of, the list each finished
+    chunk appends its run to (list appends are atomic under the GIL; chunks
+    of one shard may finish on different workers), and the graph version
+    the merged frontier is stamped with.
     """
 
     queue: object
@@ -409,6 +409,66 @@ class _GlobalRun:
     visited_objects: int = 0
 
 
+class _ShardIndex:
+    """One shard's local node ids as the superstep exchange reads them.
+
+    Per local id, ``owner`` is the shard that owns the node when it is a
+    ghost (``-1`` when this shard owns it) and ``owner_node`` its id in the
+    owner's graph: the route a fact landing on a ghost ships by.
+    ``ghosts`` is the same partition as a set.  Node ids are append-only,
+    so :meth:`extend` only looks at newly interned ones; :meth:`view`
+    hands the table out in a kernel family's form, the numpy one built
+    once per growth.
+    """
+
+    __slots__ = ("graph", "owner", "owner_node", "ghosts", "_vectors")
+
+    def __init__(self, graph: CompiledGraph) -> None:
+        self.graph = graph
+        self.owner: "list[int]" = []
+        self.owner_node: "list[int]" = []
+        self.ghosts: "set[int]" = set()
+        self._vectors: "tuple | None" = None
+
+    def extend(self, shard: int, shard_of, engines: "Sequence[Engine]") -> "_ShardIndex":
+        oids = self.graph.nodes.backing_list()
+        for node in range(len(self.owner), len(oids)):
+            home = shard_of(oids[node])
+            if home == shard:
+                self.owner.append(-1)
+                self.owner_node.append(node)
+                continue
+            home_node = engines[home].graph.node_id(oids[node])
+            if home_node is None:
+                raise ReproError(
+                    f"object {oids[node]!r} is not interned by its owner, shard {home}"
+                )
+            self.owner.append(home)
+            self.owner_node.append(home_node)
+            self.ghosts.add(node)
+        return self
+
+    def view(self, vectorized: bool) -> tuple:
+        """``(owner, owner_node, skip, labels)`` — the route table, the
+        ghosts to leave out of a gather and the oids by node id — as lists
+        and a set, or (``vectorized``) as numpy arrays: int routes, a
+        boolean ghost mask and an object array of oids."""
+        oids = self.graph.nodes.backing_list()
+        if not vectorized:
+            return self.owner, self.owner_node, self.ghosts, oids
+        if self._vectors is None or len(self._vectors[0]) != len(self.owner):
+            from .executor_np import np
+
+            owner = np.array(self.owner, dtype=np.int64)
+            self._vectors = (
+                owner,
+                np.array(self.owner_node, dtype=np.int64),
+                owner >= 0,
+                np.fromiter(oids, dtype=object, count=len(oids)),
+            )
+        return self._vectors
+
+
 class ShardedEngine(ServingSurface):
     """A sharded compiled-evaluation session with scatter-gather serving.
 
@@ -424,9 +484,12 @@ class ShardedEngine(ServingSurface):
     own compiled graph and frontier, and cross-shard facts exchange at the
     barrier — run on a thread-pool
     :class:`~repro.engine.serving.SuperstepScheduler` instead of
-    sequentially.  The numpy executor releases the GIL inside its
-    ``reduceat`` hot loops, so shard steps genuinely overlap; the python
-    backend still wins when steps interleave with I/O.
+    sequentially, the calling thread taking its share of them.  The numpy
+    executor releases the GIL inside its ``reduceat`` hot loops, so shard
+    steps overlap when the process has CPUs to spare; pinned to one CPU (as
+    the benchmark's sharded workload runs) they interleave instead, and the
+    caller usually runs most of a superstep itself.  :meth:`close` releases
+    the threads; the session keeps serving, sequentially.
 
     Thread-safety mirrors :class:`Engine`: concurrent callers are safe —
     evaluations serialize on an internal lock (the supersteps *within* one
@@ -442,6 +505,7 @@ class ShardedEngine(ServingSurface):
         "_subs": "_lock:mutate",
         "_shards": "_lock:mutate",
         "_instance_version": "_lock",
+        "_scheduler": "_lock:mutate",
     }
 
     def __init__(
@@ -554,7 +618,7 @@ class ShardedEngine(ServingSurface):
             self._label_set = set(labels)
             self._subs = subs
             self._shards = engines
-            self._reset_ghost_cache()
+            self._reset_indexes()
             # Stale shards may have rebuilt with labels the warm shards (or
             # the manifest) have never seen; level the universes.
             self._sync_labels(instance.labels())
@@ -588,17 +652,15 @@ class ShardedEngine(ServingSurface):
             )
             for sub in self._subs
         ]
-        self._reset_ghost_cache()
+        self._reset_indexes()
         self._instance_version = instance.version
 
-    def _reset_ghost_cache(self) -> None:
-        count = self._map.num_shards
-        self._ghosts: list[set[int]] = [set() for _ in range(count)]
-        self._ghost_lists: "list[list[int]]" = [[] for _ in range(count)]
-        self._ghost_seen = [0] * count
-        self._ghost_graphs: "list[CompiledGraph | None]" = [None] * count
-        # The same sets as one boolean per local node, for the numpy gather.
-        self._ghost_masks: list = [None] * count
+    def _reset_indexes(self) -> None:
+        # The shard graphs the indexes were built against: a ghost's
+        # owner-local id is only good while its owner's graph is.
+        self._index_graphs = tuple(engine.graph for engine in self._shards)
+        self._indexes: "list[_ShardIndex | None]" = [None] * self._map.num_shards
+        self._home_codes: "dict[Oid, int]" = {}
 
     def _sync_labels(self, labels: Iterable[str]) -> bool:
         """Append any new labels to the shared order and to every shard graph.
@@ -616,44 +678,33 @@ class ShardedEngine(ServingSurface):
                 engine.graph.ensure_label(label)
         return True
 
-    def _ghost_nodes(self, shard: int) -> set[int]:
-        """Local node ids of ``shard`` owned by *other* shards, cached.
+    def _known(self, oids: "list[Oid]") -> "list[Oid]":
+        """The ``oids`` that are objects of the instance (all of them, in one
+        C-level pass, when each has been a source before)."""
+        if all(map(self._home_codes.__contains__, oids)):
+            return oids
+        return [oid for oid in oids if oid in self._instance]
 
-        Node ids are append-only, so the cache only scans newly interned
-        oids; a replaced graph object (shard rebuild) resets the scan.
-        """
-        graph = self._shards[shard].graph
-        if self._ghost_graphs[shard] is not graph:
-            self._ghost_graphs[shard] = graph
-            self._ghosts[shard] = set()
-            self._ghost_lists[shard] = []
-            self._ghost_seen[shard] = 0
-            self._ghost_masks[shard] = None
-        values = graph.nodes.backing_list()
-        shard_of = self._map.shard_of
-        for node in range(self._ghost_seen[shard], len(values)):
-            if shard_of(values[node]) != shard:
-                self._ghosts[shard].add(node)
-                self._ghost_lists[shard].append(node)
-        self._ghost_seen[shard] = len(values)
-        return self._ghosts[shard]
+    def _homes(self, oids: "Iterable[Oid]") -> "list[int]":
+        """Per oid, its shard and its node id there as ``shard << 32 |
+        node`` — where a source's bit starts.  Cached like the indexes: a
+        steady batch maps its sources in one C-level pass."""
+        homes = self._home_codes
+        try:
+            return list(map(homes.__getitem__, oids))
+        except KeyError:
+            for oid in oids:
+                if oid not in homes:
+                    shard = self._map.shard_of(oid)
+                    homes[oid] = shard << 32 | self._shards[shard].graph.node_id(oid)
+            return list(map(homes.__getitem__, oids))
 
-    def _ghost_mask(self, shard: int):
-        """:meth:`_ghost_nodes` as a boolean per local node id (numpy).
-
-        A node's owner never changes and node ids are append-only, so the
-        mask is rebuilt only when the shard's graph interned new nodes.
-        """
-        from .executor_np import np
-
-        self._ghost_nodes(shard)
-        size = self._ghost_seen[shard]
-        mask = self._ghost_masks[shard]
-        if mask is None or mask.size != size:
-            mask = np.zeros(size, dtype=bool)
-            mask[np.array(self._ghost_lists[shard], dtype=np.int64)] = True
-            self._ghost_masks[shard] = mask
-        return mask
+    def _index(self, shard: int) -> _ShardIndex:
+        """``shard``'s :class:`_ShardIndex`, brought up to its graph's ids."""
+        index = self._indexes[shard]
+        if index is None:
+            index = self._indexes[shard] = _ShardIndex(self._shards[shard].graph)
+        return index.extend(shard, self._map.shard_of, self._shards)
 
     # -- introspection --------------------------------------------------------
     @property
@@ -693,9 +744,16 @@ class ShardedEngine(ServingSurface):
         self._steal_threshold = threshold
 
     def close(self) -> None:
-        """Release the superstep scheduler's worker threads (idempotent)."""
-        if self._scheduler is not None:
-            self._scheduler.close()
+        """Release the superstep scheduler's worker threads (idempotent).
+
+        The session stays usable: later evaluations run their supersteps
+        sequentially, as one opened without ``concurrency`` does, and
+        :attr:`scheduler` reads ``None``.
+        """
+        with self._lock:
+            scheduler, self._scheduler = self._scheduler, None
+        if scheduler is not None:
+            scheduler.close()
 
     @property
     def warm_shards(self) -> int:
@@ -826,10 +884,11 @@ class ShardedEngine(ServingSurface):
     def _local_fixpoint(
         self,
         shard: int,
-        pending: "Mapping[tuple[int, int], int]",
+        seeds,
         frontier,
         compiled: "CompiledQuery",
         num_bits: int,
+        route: tuple,
         answer_sink=None,
     ):
         """One shard's local superstep: drive the executor to a fixpoint.
@@ -837,18 +896,13 @@ class ShardedEngine(ServingSurface):
         Pure with respect to every *other* shard — the step touches only
         this shard's engine, compiled graph and frontier handle, which is
         what lets the scheduler run the steps of one superstep concurrently.
-        Returns ``(frontier, exports, backend)`` where ``exports`` lists the
-        ``(oid, state, mask)`` facts that grew onto ghost nodes this run
-        (owner routing happens at the barrier, where all frontiers are
-        stable), and ``backend`` is ``None`` when the imported frontier was
-        fully absorbed already and no executor run was needed.
+        ``seeds`` are kernel-native (what :meth:`NpFrontier.route` delivered),
+        so the run takes them as they are.  Returns ``(frontier, exports)``:
+        the continued handle and the facts that grew onto ghost nodes,
+        already routed to their owners' node ids (``None`` when none did).
         """
-        seeds = self._filter_seeds(pending, frontier)
-        if not seeds:
-            return frontier, (), None
-        graph = self._shards[shard].graph
         run = run_batch(
-            graph,
+            self._shards[shard].graph,
             compiled,
             (),
             seeds=seeds,
@@ -857,40 +911,10 @@ class ShardedEngine(ServingSurface):
             answer_sink=answer_sink,
             backend=self.backend,
         )
-        exports = self._fresh_exports(shard, graph, run.frontier)
-        return run.frontier, exports, run.backend
-
-    @staticmethod
-    def _filter_seeds(pending: "Mapping[tuple[int, int], int]", frontier) -> dict:
-        """Drop bits the shard absorbed since the export was computed (it
-        derived the same fact itself later that round); a fully absorbed
-        frontier costs no local run at all."""
-        seeds: "dict[tuple[int, int], int]" = {}
-        for (state, node), mask in pending.items():
-            absorbed = frontier.mask_at(state, node) if frontier else 0
-            new_bits = mask & ~absorbed
-            if new_bits:
-                seeds[(state, node)] = new_bits
-        return seeds
-
-    def _fresh_exports(
-        self, shard: int, graph: CompiledGraph, frontier
-    ) -> "list[tuple[Oid, int, int]]":
-        """The ``(oid, state, mask)`` facts that grew onto ghost nodes."""
-        self._ghost_nodes(shard)  # refresh the cache (this shard's only)
-        ghost_list = self._ghost_lists[shard]
-        if not ghost_list:
-            return []
-        oid_of = graph.nodes.backing_list()
-        return [
-            (oid_of[node], state, mask)
-            for state, node, mask in frontier.items(
-                fresh_only=True, restrict=ghost_list
-            )
-        ]
+        return run.frontier, run.frontier.exports(*route)
 
     def _build_steal_pool(
-        self, active, pending, frontiers, compiled, num_bits: int, sink_factory
+        self, backend: str, active, pending, frontiers, compiled, num_bits: int, sink_for
     ) -> "_StealPool | None":
         """Split this superstep's local fixpoints into stealable word chunks.
 
@@ -908,19 +932,16 @@ class ShardedEngine(ServingSurface):
           round count, ``O(edges x sum(R_chunk))``, which is strictly less
           whenever convergence is skewed across sources.
 
+        A chunk's seeds are one word column of the shard's seed rows.
         Returns ``None`` when chunking does not apply — stealing disabled,
         width under the threshold (or a single word: nothing to split), the
-        numpy executor unavailable or not selected, or a shard carrying a
+        evaluation's kernel (``backend``) not numpy, or a shard carrying a
         foreign/width-drifted frontier handle — in which case the caller
         falls back to the monolithic per-shard path.
         """
         threshold = self._steal_threshold
         words = max(1, (num_bits + 63) >> 6)
-        if threshold is None or words < max(2, threshold):
-            return None
-        if "numpy" not in available_backends():
-            return None
-        if resolve_backend(self.backend) != "numpy":
+        if threshold is None or words < max(2, threshold) or backend != "numpy":
             return None
         from . import executor_np
         from .serving import StealQueue
@@ -934,11 +955,8 @@ class ShardedEngine(ServingSurface):
             ):
                 return None
         pool = _StealPool(StealQueue())
-        word_mask = (1 << 64) - 1
         for shard in active:
-            seeds = self._filter_seeds(pending[shard], frontiers[shard])
-            if not seeds:
-                continue
+            keys, rows = pending[shard]
             graph = self._shards[shard].graph
             frontier = frontiers[shard]
             if frontier is None:
@@ -949,16 +967,12 @@ class ShardedEngine(ServingSurface):
             else:
                 masks = frontier.masks
             chunk_runs: list = []
-            pool.shards[shard] = (masks, chunk_runs, graph, graph.version)
-            sink = sink_factory(shard) if sink_factory is not None else None
+            pool.shards[shard] = (masks, chunk_runs, graph.version)
+            sink = sink_for(shard) if sink_for is not None else None
             for word in range(words):
-                lo_bit = word << 6
-                chunk_seeds = {
-                    key: bits
-                    for key, mask in seeds.items()
-                    if (bits := (mask >> lo_bit) & word_mask)
-                }
-                if not chunk_seeds:
+                column = rows[:, word]
+                picked = column.nonzero()[0]
+                if not picked.size:
                     continue
                 pool.queue.put(
                     shard,
@@ -967,7 +981,7 @@ class ShardedEngine(ServingSurface):
                         compiled[shard],
                         masks,
                         word,
-                        chunk_seeds,
+                        (keys[picked], column[picked]),
                         sink,
                         chunk_runs,
                     ),
@@ -980,18 +994,16 @@ class ShardedEngine(ServingSurface):
 
         Chunks of one shard write disjoint word columns of the shared
         tensor, so any two chunks — same shard or not — run on different
-        workers without synchronization.  Seeds arrive pre-shifted into the
-        chunk's local bit space; streamed answer bits shift back before
-        reaching the shard sink, and the chunk's run (its ``touched`` matrix,
-        the rows it grew and its kernel work counts) lands in ``chunk_runs``
-        for the barrier's merge.  The column's handle carries no reached
-        rows of its own (``reached=()``): what the tensor already held is
-        the shard handle's to account for, so a chunk's epilogue reads only
-        what the chunk grew.
+        workers without synchronization.  Seeds arrive as the column's own
+        rows, in the chunk's local bit space; streamed answer bits shift back
+        before reaching the shard sink, and the chunk's run (the rows it grew
+        and its kernel work counts) lands in ``chunk_runs`` for the barrier's
+        merge.  The column's handle carries no reached rows of its own
+        (``reached=()``): what the tensor already held is the shard handle's
+        to account for.
         """
         from . import executor_np
 
-        np = executor_np.np
         version = graph.version
         base = word << 6
         chunk_sink = None
@@ -1001,10 +1013,7 @@ class ShardedEngine(ServingSurface):
                 sink(bit + base, nodes)
 
         def task() -> None:
-            view = masks[:, :, word : word + 1]
-            known = executor_np.NpFrontier(
-                view, np.zeros(view.shape[:2], dtype=bool), version, ()
-            )
+            known = executor_np.NpFrontier(masks[:, :, word : word + 1], version, ())
             chunk_runs.append(
                 run_batch(
                     graph,
@@ -1019,39 +1028,31 @@ class ShardedEngine(ServingSurface):
 
         return task
 
-    def _finalize_steal_shard(self, pool: _StealPool, shard: int, previous, span):
-        """Merge one shard's chunk runs into a superstep result triple.
+    def _finalize_steal_shard(self, pool: _StealPool, shard: int, previous, span, route):
+        """Merge one shard's chunk runs into a superstep result pair.
 
-        Runs at the barrier, after every chunk has completed: the per-chunk
-        ``touched`` matrices OR into the merged frontier's fresh set (a pair
-        is fresh iff *any* word column grew there — exactly the monolithic
-        kernel's semantics), the rows each chunk grew join the reached rows
-        the shard's handle came with, and ghost exports are computed off the
-        merged handle so each fact ships its full cross-column mask once.  The
-        chunks' kernel work counts total onto ``span``, the shard's
-        ``sharded.local_fixpoint`` span: chunks run side by side, so rounds
-        and the widest frontier are maxima, gathered edges a sum.
+        Runs at the barrier, after every chunk has completed: the rows the
+        chunks grew (a pair grew iff *any* word column grew there — exactly
+        the monolithic kernel's semantics) become the merged handle's latest
+        reached rows, after the ones the shard's handle came with, and ghost
+        exports are read off the merged handle so each fact ships its full
+        cross-column mask once.  The chunks' kernel work counts total onto
+        ``span``, the shard's ``sharded.local_fixpoint`` span: chunks run
+        side by side, so rounds and the widest frontier are maxima, gathered
+        edges a sum.
         """
-        entry = pool.shards.get(shard)
-        if entry is None:
-            return previous, (), None
-        from . import executor_np
+        from .executor_np import NpFrontier
 
-        masks, chunk_runs, graph, version = entry
+        masks, chunk_runs, version = pool.shards[shard]
         span.set(
             rounds=max(run.rounds for run in chunk_runs),
             edges_gathered=sum(run.edges_gathered for run in chunk_runs),
             peak_frontier_rows=max(run.peak_frontier_rows for run in chunk_runs),
         )
-        touched = chunk_runs[0].frontier.touched
-        for extra in chunk_runs[1:]:
-            touched = touched | extra.frontier.touched
-        reached = () if previous is None else previous.reached
-        if reached is not None:
-            reached += tuple(run.frontier.reached[-1] for run in chunk_runs)
-        frontier = executor_np.NpFrontier(masks, touched, version, reached)
-        exports = self._fresh_exports(shard, graph, frontier)
-        return frontier, exports, "numpy"
+        frontier = NpFrontier.from_chunks(
+            masks, version, previous, [run.frontier for run in chunk_runs]
+        )
+        return frontier, frontier.exports(*route)
 
     def _evaluate(
         self, query, sources: "Sequence[Oid]", answer_sink=None
@@ -1061,13 +1062,17 @@ class ShardedEngine(ServingSurface):
         ``sources`` must be objects of the instance.  Each shard's state
         lives in a backend-native frontier (cumulative masks) that is handed
         back to :func:`run_batch` as ``known`` every superstep, so repeated
-        rounds neither re-flood earlier work nor pay any conversion; the
-        gathered per-bit answer sets come from the owned accepting facts.
+        rounds neither re-flood earlier work nor pay any conversion.
 
         The loop is a classic bulk-synchronous superstep: the independent
         per-shard :meth:`_local_fixpoint` steps (scheduled concurrently when
         a :attr:`scheduler` is installed), then a barrier that routes every
         exported ghost fact to its owner as the next round's seed frontier.
+        The exchange is the frontier family's own calls —
+        ``exports``/``route`` on the numpy handle are flat keys and uint64
+        rows end to end — so a superstep costs what it exchanges; the answers
+        are gathered once, over every shard's owned accepting rows, at the
+        end (the ``sharded.exchange`` and ``sharded.assemble`` spans).
 
         ``answer_sink(source_oid, answers)``, when given, streams *owned*
         accepting facts out of the supersteps as they land: each shard's
@@ -1080,6 +1085,12 @@ class ShardedEngine(ServingSurface):
         """
         self.refresh()
         compiled = self._compiled_everywhere(self._prepared(query))
+        graphs = tuple(engine.graph for engine in self._shards)
+        if graphs != self._index_graphs:
+            self._reset_indexes()
+        backend = resolve_backend(self.backend)
+        family = frontier_class(backend)
+        vectorized = family is not PyFrontier
         # The per-evaluation view accumulates in a *local* object and is
         # published into ``stats.last_run`` in one reference assignment at
         # the end: a concurrent ``summary()``/gauge read never sees the
@@ -1087,53 +1098,50 @@ class ShardedEngine(ServingSurface):
         # exposed mid-flight (it always reads the last finished evaluation).
         counters = SuperstepCounters()
         tele = self.metrics
-        bit_of: dict = {}
-        for oid in sources:
-            if oid not in bit_of:
-                bit_of[oid] = len(bit_of)
-        count = self._map.num_shards
-        frontiers: list = [None] * count
-        pending: "list[dict[tuple[int, int], int]]" = [
-            defaultdict(int) for _ in range(count)
-        ]
+        bit_of = dict(zip(dict.fromkeys(sources), count()))
+        num_bits = len(bit_of)
+        sizes = [graph.num_nodes for graph in graphs]
+        frontiers: list = [None] * len(graphs)
         # DFA state numbering is graph-independent (states are sorted before
         # indexing, and the shared label universe rules out cross-shard
         # liveness differences), so shard 0's automaton speaks for all.
-        initial = compiled[0].initial
-        num_bits = len(bit_of)
-        for oid, bit in bit_of.items():
-            shard = self._map.shard_of(oid)
-            node = self._shards[shard].graph.node_id(oid)
-            pending[shard][(initial, node)] |= 1 << bit
-
+        pending = family.source_seeds(self._homes(bit_of), compiled[0].initial, sizes)
         bit_to_oid = list(bit_of)  # insertion order: position == bit
+        views: "dict[int, tuple]" = {}
 
-        def make_shard_sink(shard: int):
-            """Adapt the executor's (node, bits) facts to (source oid, answer)."""
-            graph = self._shards[shard].graph
-            ghosts = self._ghost_nodes(shard)
-            oid_of = graph.nodes.backing_list()
+        def view(shard: int) -> tuple:
+            """``shard``'s index in the kernel family's form, once per evaluation."""
+            found = views.get(shard)
+            if found is None:
+                found = views[shard] = self._index(shard).view(vectorized)
+            return found
 
-            def sink(bit, nodes):
-                # The executor hands a whole round's facts for one source
-                # bit at a time; this runs inside the local fixpoint, so
-                # the ghost filter plus node→oid mapping is the only
-                # per-fact work left on the evaluation thread.
-                answers = [
-                    oid_of[node] for node in nodes if node not in ghosts
-                ]
-                if answers:
-                    answer_sink(bit_to_oid[bit], answers)
+        sink_for = None
+        if answer_sink is not None:
 
-            return sink
+            def sink_for(shard: int):
+                """Adapt the executor's (node, bits) facts to (source oid, answer)."""
+                index = self._index(shard)
+                ghosts = index.ghosts
+                oid_of = index.graph.nodes.backing_list()
 
-        evaluation_backend: "str | None" = None
-        while any(pending):
+                def sink(bit, nodes):
+                    # The executor hands a whole round's facts for one source
+                    # bit at a time; this runs inside the local fixpoint, so
+                    # the ghost filter plus node→oid mapping is the only
+                    # per-fact work left on the evaluation thread.
+                    answers = [oid_of[node] for node in nodes if node not in ghosts]
+                    if answers:
+                        answer_sink(bit_to_oid[bit], answers)
+
+                return sink
+
+        while pending:
             self.stats.supersteps += 1
             counters.supersteps += 1
-            active = [shard for shard in range(count) if pending[shard]]
+            active = sorted(pending)
             # The superstep span parents the per-shard fixpoint spans, which
-            # run on scheduler worker threads — the contextvar does not
+            # may run on scheduler worker threads — the contextvar does not
             # follow them there, so parentage is explicit (span_under).
             superstep_span = tele.span(
                 "sharded.superstep", round=counters.supersteps, shards=len(active)
@@ -1143,85 +1151,63 @@ class ShardedEngine(ServingSurface):
             # fixpoint splits into word-column chunks pooled in one steal
             # queue — populated *before* any step runs, so a worker going
             # idle immediately relieves the slowest shard.
-            sink_factory = make_shard_sink if answer_sink is not None else None
             pool = (
                 self._build_steal_pool(
-                    active, pending, frontiers, compiled, num_bits, sink_factory
+                    backend, active, pending, frontiers, compiled, num_bits, sink_for
                 )
                 if self._scheduler is not None and len(active) > 1
                 else None
             )
             durations: "list[float]" = []
+            local_spans: dict = {}
 
+            def make_step(shard: int):
+                seeds, frontier = pending[shard], frontiers[shard]
+                route = view(shard)[:3]
+                sink = sink_for(shard) if sink_for is not None else None
+
+                def step():
+                    local_span = local_spans[shard] = tele.span_under(
+                        superstep_span, "sharded.local_fixpoint", shard=shard
+                    )
+                    try:
+                        # Current for the runs, so the dispatcher lands the
+                        # kernel's work counts on this span (chunk counts
+                        # are totalled onto it at the barrier).
+                        with tele.under(local_span):
+                            if pool is not None:
+                                own, stolen = pool.queue.drain(shard)
+                                local_span.set(chunks=own, stolen=stolen)
+                                result = None
+                            else:
+                                result = self._local_fixpoint(
+                                    shard, seeds, frontier, compiled[shard],
+                                    num_bits, route, answer_sink=sink,
+                                )
+                    finally:
+                        local_span.end()
+                    local_span.set(backend=backend)
+                    self._hist_local.observe(local_span.duration)
+                    durations.append(local_span.duration)
+                    return result
+
+                return step
+
+            steps = [make_step(shard) for shard in active]
+            if self._scheduler is not None:
+                results = self._scheduler.run(steps)
+            else:
+                results = [step() for step in steps]
             if pool is not None:
-                queue = pool.queue
-                local_spans: dict = {}
-
-                def make_steal_step(shard: int):
-                    def step():
-                        local_span = local_spans[shard] = tele.span_under(
-                            superstep_span, "sharded.local_fixpoint", shard=shard
-                        )
-                        try:
-                            own, stolen = queue.drain(shard)
-                        finally:
-                            local_span.end()
-                        local_span.set(chunks=own, stolen=stolen, backend="numpy")
-                        self._hist_local.observe(local_span.duration)
-                        durations.append(local_span.duration)
-
-                    return step
-
-                self._scheduler.run([make_steal_step(shard) for shard in active])
                 results = [
                     self._finalize_steal_shard(
-                        pool, shard, frontiers[shard], local_spans[shard]
+                        pool, shard, frontiers[shard], local_spans[shard], view(shard)[:3]
                     )
                     for shard in active
                 ]
-                stolen_chunks = queue.steals
-                if stolen_chunks:
-                    self.stats.steal_events += stolen_chunks
-                    counters.steal_events += stolen_chunks
-            else:
-
-                def make_step(shard: int):
-                    def step():
-                        local_span = tele.span_under(
-                            superstep_span, "sharded.local_fixpoint", shard=shard
-                        )
-                        try:
-                            # Current for the run, so the dispatcher lands
-                            # the kernel's work counts on this span.
-                            with tele.under(local_span):
-                                frontier, exports, backend = self._local_fixpoint(
-                                    shard,
-                                    pending[shard],
-                                    frontiers[shard],
-                                    compiled[shard],
-                                    num_bits,
-                                    answer_sink=(
-                                        sink_factory(shard)
-                                        if sink_factory is not None
-                                        else None
-                                    ),
-                                )
-                        finally:
-                            local_span.end()
-                        local_span.set(
-                            exports=len(exports), backend=backend or "absorbed"
-                        )
-                        self._hist_local.observe(local_span.duration)
-                        durations.append(local_span.duration)
-                        return frontier, exports, backend
-
-                    return step
-
-                steps = [make_step(shard) for shard in active]
-                if self._scheduler is not None and len(steps) > 1:
-                    results = self._scheduler.run(steps)
-                else:
-                    results = [step() for step in steps]
+                if pool.queue.steals:
+                    self.stats.steal_events += pool.queue.steals
+                    counters.steal_events += pool.queue.steals
             # Superstep balance: max/mean per-step wall time (1.0 = even).
             if len(durations) > 1:
                 total = sum(durations)
@@ -1229,65 +1215,46 @@ class ShardedEngine(ServingSurface):
                     self.stats.superstep_skew_ratio = (
                         max(durations) * len(durations) / total
                     )
-            # Barrier, part 1: adopt every shard's new frontier before any
-            # absorbed-bit check reads one.
-            all_exports: "list[tuple[Oid, int, int]]" = []
-            for shard, (frontier, exports, backend) in zip(active, results):
+            # Barrier: adopt every shard's new frontier, then scatter — route
+            # each exported ghost fact to its owner, shipping only bits the
+            # owner has not absorbed yet (it may have derived the same fact
+            # itself this round).
+            packets = []
+            for shard, (frontier, exports) in zip(active, results):
                 frontiers[shard] = frontier
-                if backend is not None:
-                    self.stats.record_local_run(backend)
-                    counters.local_runs += 1
-                    evaluation_backend = backend
-                all_exports.extend(exports)
-            # Barrier, part 2: scatter — route each exported ghost fact to
-            # its owner, shipping only bits the owner has not absorbed yet
-            # (it may have derived the same fact itself this round).
-            next_pending: "list[dict[tuple[int, int], int]]" = [
-                defaultdict(int) for _ in range(count)
-            ]
-            for oid, state, mask in all_exports:
-                home = self._map.shard_of(oid)
-                home_node = self._shards[home].graph.node_id(oid)
-                home_frontier = frontiers[home]
-                absorbed = (
-                    home_frontier.mask_at(state, home_node)
-                    if home_frontier
-                    else 0
-                )
-                new_bits = mask & ~absorbed
-                if new_bits:
-                    next_pending[home][(state, home_node)] |= new_bits
-                    self.stats.exchanged_facts += 1
-                    counters.exchanged_facts += 1
-            pending = next_pending
+                local_spans[shard].set(exports=0 if exports is None else len(exports[0]))
+                if exports is not None:
+                    packets.append(exports)
+            self.stats.record_local_runs(backend, len(active))
+            counters.local_runs += len(active)
+            exchange_span = tele.span_under(superstep_span, "sharded.exchange")
+            pending, shipped = (
+                family.route(packets, frontiers, sizes) if packets else ({}, 0)
+            )
+            exported = sum(len(packet[0]) for packet in packets)
+            exchange_span.end(
+                exported=exported, shipped=shipped, absorbed=exported - shipped
+            )
+            self.stats.exchanged_facts += shipped
+            counters.exchanged_facts += shipped
             superstep_span.end(exchanged=counters.exchanged_facts)
             self._hist_superstep.observe(superstep_span.duration)
         self.stats.last_run = counters  # atomic publish (see above)
-        if evaluation_backend is not None:
-            self.stats.record_evaluation(evaluation_backend)
+        if counters.local_runs:
+            self.stats.record_evaluation(backend)
 
-        # Gather: accepting-state facts of each shard's owned nodes.
-        accepting = compiled[0].accepting
-        per_bit: "list[set]" = [set() for _ in range(num_bits)]
-        visited_pairs = 0
-        visited_objects = 0
-        for shard in range(count):
-            frontier = frontiers[shard]
-            if frontier is None:
-                continue
-            oid_of = self._shards[shard].graph.nodes.backing_list()
-            # Each kernel family reads the ghost set in its own form.
-            ghosts = (
-                self._ghost_nodes(shard)
-                if isinstance(frontier, PyFrontier)
-                else self._ghost_mask(shard)
-            )
-            pairs, objects, answers = frontier.gather(accepting, num_bits, ghosts)
-            visited_pairs += pairs
-            visited_objects += objects
-            for bit, nodes in enumerate(answers):
-                if nodes:
-                    per_bit[bit].update({oid_of[node] for node in nodes})
+        # Gather: accepting-state facts of each shard's owned nodes, in one
+        # pass over every shard's reached rows.
+        assemble_span = tele.span("sharded.assemble")
+        parts = [
+            (frontier, *view(shard)[2:])
+            for shard, frontier in enumerate(frontiers)
+            if frontier is not None
+        ]
+        visited_pairs, visited_objects, per_bit = family.assemble(
+            parts, compiled[0].accepting, num_bits
+        )
+        assemble_span.end(shards=len(parts), answers=sum(map(len, per_bit)))
         self.stats.visited_pairs += visited_pairs
         self.stats.visited_objects += visited_objects
         return _GlobalRun(
@@ -1365,8 +1332,10 @@ class ShardedEngine(ServingSurface):
             self.stats.batch_evaluations += 1
             self.stats.batched_sources += len(source_list)
             self.refresh()
-            known = [oid for oid in source_list if oid in self._instance]
+            known = self._known(source_list)
             run = self._evaluate(query, known, answer_sink=emit)
+            if len(known) == len(source_list):
+                return dict(zip(run.bit_of, run.per_bit))
             results: "dict[Oid, set[Oid]]" = {}
             accepts_empty = run.compiled[0].accepts_empty_word()
             for oid in source_list:
@@ -1412,7 +1381,7 @@ class ShardedEngine(ServingSurface):
             self.stats.batch_evaluations += 1
             self.stats.batched_sources += len(source_list)
             self.refresh()
-            known = [oid for oid in source_list if oid in self._instance]
+            known = self._known(source_list)
             run = self._evaluate(query, known)
             facts = self._fact_masks(run)
             accepts_empty = run.compiled[0].accepts_empty_word()
@@ -1486,9 +1455,9 @@ class ShardedEngine(ServingSurface):
         for shard, frontier in enumerate(run.frontiers):
             if frontier is None:
                 continue
-            graph = self._shards[shard].graph
-            ghosts = self._ghost_nodes(shard)
-            oid_of = graph.nodes.backing_list()
+            index = self._index(shard)
+            ghosts = index.ghosts
+            oid_of = index.graph.nodes.backing_list()
             for state, node, mask in frontier.items():
                 if node not in ghosts:
                     facts[(state, oid_of[node])] = mask

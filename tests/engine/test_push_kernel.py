@@ -337,7 +337,7 @@ class TestKernelCornerCases:
                 (compiled.initial, source): 1 << (source - 64 * word)
                 for source in sources[64 * word:64 * (word + 1)]
             }
-            known = NpFrontier(view, np.zeros(view.shape[:2], dtype=bool), graph.version)
+            known = NpFrontier(view, graph.version)
             run = run_batch(graph, compiled, (), seeds=chunk_seeds, known=known,
                             backend="numpy")
             assert np.shares_memory(run.frontier.masks, masks)
@@ -419,19 +419,15 @@ class TestKernelCornerCases:
                     for source in range(1, 130, 2)
                     if source >> 6 == word
                 },
-                known=NpFrontier(
-                    view, np.zeros(view.shape[:2], dtype=bool), graph.version, ()
-                ),
+                known=NpFrontier(view, graph.version, ()),
                 backend="numpy",
             )
             grown.append(chunk.frontier.reached[-1])
-        merged = NpFrontier(
-            first.masks, first.touched, graph.version, first.reached + tuple(grown)
-        )
+        merged = NpFrontier(first.masks, graph.version, first.reached + tuple(grown))
         assert np.array_equal(merged.masks, whole.frontier.masks)
         assert merged.gather(compiled.accepting, num_bits, skip) == dense(merged)
         # A handle assembled without reached rows finds them by one scan.
-        bare = NpFrontier(merged.masks, merged.touched, graph.version)
+        bare = NpFrontier(merged.masks, graph.version)
         assert bare.gather(compiled.accepting, num_bits, skip) == dense(merged)
 
     @needs_numpy
