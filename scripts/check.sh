@@ -22,8 +22,9 @@
 #           per available backend, then over the query rewriter on the
 #           site-rewrite-cold texts, then over ShardedEngine.query_conjunctive
 #           on the clustered-sharded-crpq ops with the superstep worker
-#           threads included (quick sizes); each writes the gitignored
-#           PROFILE_report.txt so perf work starts from measurements
+#           threads included, beside the same ops on a monolithic Engine
+#           (quick sizes); each writes the gitignored PROFILE_report.txt so
+#           perf work starts from measurements
 #   all     everything, in order (the default — bare ./scripts/check.sh)
 #
 # Exits non-zero if any step fails.  The REPRO_DISABLE_NUMPY passes make
@@ -174,7 +175,7 @@ run_profile() {
     python scripts/profile.py --target rewrite --quick
 
     echo
-    echo "== profile: cProfile over sharded CRPQs, superstep workers included (quick) =="
+    echo "== profile: cProfile over sharded CRPQs vs a monolithic engine (quick) =="
     python scripts/profile.py --target crpq --quick
 }
 

@@ -8,10 +8,12 @@ times.  ``--target rewrite`` profiles ``rewrite_query`` over the query texts
 of the ``site-rewrite-cold`` benchmark workload under the CS-department word
 equalities.  ``--target crpq`` profiles ``ShardedEngine.query_conjunctive``
 over the op list of the ``clustered-sharded-crpq`` benchmark workload, on
-the workload's own two-worker session, the superstep worker threads
-included.  Either way the top-N frames (by cumulative and by self time) go
-to a gitignored report so perf work starts from measurements instead of
-guesses::
+the workload's own two-worker session and pinned to one CPU when the
+workload pins itself, the superstep worker threads included — and, since
+what matters there is the gap to not sharding at all, times the same ops
+on a monolithic ``Engine`` over the same instance beside it.  Either way the
+top-N frames (by cumulative and by self time) go to a gitignored report so
+perf work starts from measurements instead of guesses::
 
     PYTHONPATH=src python scripts/profile.py                # all backends
     PYTHONPATH=src python scripts/profile.py --backend packed
@@ -25,8 +27,10 @@ both get the work counts beside the timings: per query the kernels' own
 ``BatchRun.rounds`` / ``edges_gathered`` / ``peak_frontier_rows``; per text
 the rewriter's ``generated`` / ``proofs_attempted`` / ``skipped_by_cost``,
 split into the texts it improved and the ones it returned unchanged; per
-CRPQ template the op's milliseconds, and per op the supersteps, local runs
-and exchanged facts plus the join steps' q-error.
+CRPQ template the op's milliseconds sharded and monolithic, per op the
+supersteps, local runs, exchanged facts and kernel runs (sharded and
+monolithic), the join steps' q-error, and the atom-time ratio the benchmark
+trace reports as ``sharding.overhead_ratio``.
 Stdlib only — ``cProfile``/``pstats`` ship with CPython.
 """
 

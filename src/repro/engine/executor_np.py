@@ -366,15 +366,9 @@ class NpFrontier:
         32 | node`` (distinct per source), and every source starts in the
         ``initial`` state holding its own bit.  Returns ``{owner:
         kernel-native seeds}``; the batch is ``len(homes)`` bits wide."""
-        if len(homes) <= 1:  # a CRPQ's bound source: nothing to sort
-            return {
-                home >> 32: (
-                    np.array([initial * sizes[home >> 32] + (home & _NODE_MASK)]),
-                    np.ones(1, dtype=np.uint64),
-                )
-                for home in homes
-            }
         homes = np.asarray(homes, dtype=np.int64)
+        if not homes.size:
+            return {}
         # Sorting the packed homes sorts by owner, then by flat key.
         bits = homes.argsort()
         homes = homes[bits]

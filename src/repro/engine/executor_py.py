@@ -155,8 +155,10 @@ class PyFrontier:
     ownership of the state — the kernel continues the fixpoint in place
     (semi-naive: known bits never re-propagate), so supersteps pay no
     conversion at all.  The numpy twin is
-    :class:`repro.engine.executor_np.NpFrontier`; both expose the same
-    methods, always speaking arbitrary-precision int masks.
+    :class:`repro.engine.executor_np.NpFrontier`; both answer the same
+    calls, including the sharded engine's exchange (``source_seeds``,
+    ``exports``, ``route``, ``assemble``) — this one with int masks, the
+    twin with uint64 rows.
 
     ``version`` stamps the graph version the masks were derived against.
     The driver refuses to continue a frontier whose stamp no longer matches

@@ -30,16 +30,16 @@ independent halves:
   run cost barely more than a single-source one, so a gateway serving many
   concurrent clients pays one traversal where naive serving pays dozens;
 
-* :class:`SuperstepScheduler` — a thread-pool **superstep scheduler** for
-  the sharded engine's scatter-gather fixpoint.  The per-shard local
-  fixpoints of one superstep are independent by construction (each touches
-  only its own shard's compiled graph and frontier; cross-shard facts
-  exchange at the barrier), so the scheduler runs them concurrently and
-  joins at the barrier.  The numpy executor releases the GIL inside its
-  ``bitwise_or.reduceat`` hot loops, so shard steps genuinely overlap on
-  cores; the pure-Python backend still wins when steps interleave with I/O.
-  Installed via ``ShardedEngine.open(..., concurrency=N)``; the observed
-  peak of simultaneously in-flight shard steps is exported as
+* :class:`SuperstepScheduler` — a thread **superstep scheduler** for the
+  sharded engine's scatter-gather fixpoint.  The per-shard local fixpoints
+  of one superstep are independent by construction (each touches only its
+  own shard's compiled graph and frontier; cross-shard facts exchange at
+  the barrier), so the calling thread and the scheduler's workers claim
+  them side by side and join at the barrier.  The numpy executor releases
+  the GIL inside its ``bitwise_or.reduceat`` hot loops, so shard steps
+  overlap when there are cores to run them on.  Installed via
+  ``ShardedEngine.open(..., concurrency=N)``; the observed peak of
+  simultaneously in-flight shard steps is exported as
   :attr:`SuperstepScheduler.concurrent_steps`.
 
 On top of the shared-batch core, answers also *stream*:

@@ -23,15 +23,20 @@ the slow baseline evaluator; this module is its compiled, batched analogue:
   Rounds repeat until no shard produces a fact the owner has not absorbed.
   Re-imports are *semi-naive*: previously derived facts are pre-loaded into
   the executor as ``known`` masks, so a superstep only expands genuinely
-  new information instead of re-flooding the shard;
+  new information instead of re-flooding the shard.  The exchange itself
+  is the kernel's frontier class's to do (``source_seeds``, ``exports``,
+  ``route``, ``assemble``): on the numpy kernel a fact travels from one
+  shard's tensor to its owner's as a flat key and a uint64 row, never as a
+  Python object, so a superstep costs what it exchanges;
 * every shard graph is built against the **shared global label universe**
   (one live label list passed to all shard engines), because shard-local
   DFA lowering would prune states whose continuation labels only occur on
   other shards.
 
 Answers are gathered from the accepting-state facts of each shard's *owned*
-nodes; a fact derived at a ghost node always reaches its owner (it is either
-exported, or the owner had already absorbed it), so nothing is lost.
+nodes, once per evaluation over all shards; a fact derived at a ghost node
+always reaches its owner (it is either exported, or the owner had already
+absorbed it), so nothing is lost.
 
 Persistence plugs into :mod:`repro.engine.snapshot`: :meth:`ShardedEngine.save`
 writes one snapshot file per shard plus a small JSON manifest (shard map
@@ -677,13 +682,6 @@ class ShardedEngine(ServingSurface):
             for label in fresh:
                 engine.graph.ensure_label(label)
         return True
-
-    def _known(self, oids: "list[Oid]") -> "list[Oid]":
-        """The ``oids`` that are objects of the instance (all of them, in one
-        C-level pass, when each has been a source before)."""
-        if all(map(self._home_codes.__contains__, oids)):
-            return oids
-        return [oid for oid in oids if oid in self._instance]
 
     def _homes(self, oids: "Iterable[Oid]") -> "list[int]":
         """Per oid, its shard and its node id there as ``shard << 32 |
@@ -1332,10 +1330,8 @@ class ShardedEngine(ServingSurface):
             self.stats.batch_evaluations += 1
             self.stats.batched_sources += len(source_list)
             self.refresh()
-            known = self._known(source_list)
+            known = [oid for oid in source_list if oid in self._instance]
             run = self._evaluate(query, known, answer_sink=emit)
-            if len(known) == len(source_list):
-                return dict(zip(run.bit_of, run.per_bit))
             results: "dict[Oid, set[Oid]]" = {}
             accepts_empty = run.compiled[0].accepts_empty_word()
             for oid in source_list:
@@ -1381,7 +1377,7 @@ class ShardedEngine(ServingSurface):
             self.stats.batch_evaluations += 1
             self.stats.batched_sources += len(source_list)
             self.refresh()
-            known = self._known(source_list)
+            known = [oid for oid in source_list if oid in self._instance]
             run = self._evaluate(query, known)
             facts = self._fact_masks(run)
             accepts_empty = run.compiled[0].accepts_empty_word()

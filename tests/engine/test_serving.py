@@ -11,6 +11,8 @@ with ``PYTHONASYNCIODEBUG=1`` in both numpy arms.
 """
 
 import asyncio
+import gc
+import sys
 import threading
 
 import pytest
@@ -383,6 +385,57 @@ class TestSuperstepScheduler:
         scheduler.close()
         with pytest.raises(ReproError, match="closed"):
             scheduler.run([lambda: 1])
+
+    def test_claims_and_countdown_hold_under_a_contended_interpreter(self):
+        # More threads than cores and a tiny switch interval: every run
+        # returns each step's own result in order, every step runs exactly
+        # once, and no barrier is left waiting on a lost countdown.
+        runs, width = 300, 9
+        ran: list = []
+        done: list = []
+
+        def hammer():
+            with SuperstepScheduler(8) as scheduler:
+                for _ in range(runs):
+                    results = scheduler.run(
+                        [lambda i=i: ran.append(i) or i for i in range(width)]
+                    )
+                    assert results == list(range(width))
+                done.append(scheduler.steps)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            thread = threading.Thread(target=hammer)
+            thread.start()
+            thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not thread.is_alive()
+        assert done == [runs * width]
+        assert sorted(ran) == sorted(list(range(width)) * runs)
+
+    def test_close_and_collection_stop_the_workers(self):
+        def workers():
+            return {
+                thread for thread in threading.enumerate()
+                if thread.name.startswith("repro-superstep")
+            }
+
+        before = workers()
+        scheduler = SuperstepScheduler(3)
+        started = workers() - before
+        assert len(started) == 2  # the caller is the third
+        scheduler.close()
+        scheduler.close()  # idempotent
+        assert not any(thread.is_alive() for thread in started)
+        forgotten = SuperstepScheduler(3)
+        started = workers() - before
+        del forgotten  # never closed: collecting it stops its workers
+        gc.collect()
+        for thread in started:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in started)
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ReproError):

@@ -263,6 +263,38 @@ class TestShardedEvaluation:
         assert "shards: 2" in text and "supersteps" in text
 
 
+class TestClose:
+    """``close()`` releases the superstep threads; the session keeps serving
+    every query shape, sequentially."""
+
+    def two_shards(self):
+        instance = Instance()
+        for edge in (("a0", "x", "a1"), ("a1", "x", "a2"), ("a2", "y", "b0"),
+                     ("b0", "x", "b1")):
+            instance.add_edge(*edge)
+        assignment = {"a0": 0, "a1": 0, "a2": 0, "b0": 1, "b1": 1}
+        return instance, ExplicitShardMap(assignment, num_shards=2)
+
+    def test_queries_after_close_answer_like_the_monolithic_engine(self):
+        instance, shard_map = self.two_shards()
+        mono = Engine.open(instance)
+        engine = ShardedEngine.open(instance, shard_map=shard_map, concurrency=2)
+        engine.query_batch("x* y x*", ["a0"])
+        engine.close()
+        assert engine.scheduler is None
+        # ``x*`` from a0 stays in shard 0; ``x* y x*`` crosses into shard 1
+        # and needs a barrier between the two shards' steps.
+        for query, supersteps in (("x*", 1), ("x* y x*", 2)):
+            assert engine.query_batch(query, ["a0", "b0"]) == mono.query_batch(
+                query, ["a0", "b0"]
+            ), query
+            assert engine.query(query, "a0").answers == mono.query(query, "a0").answers
+            assert engine.stats.last_run.supersteps == supersteps, query
+        engine.close()  # a second close is a no-op
+        assert engine.scheduler is None
+        assert engine.query_all("x* y x*") == mono.query_all("x* y x*")
+
+
 # ---------------------------------------------------------------------------
 # Batched cross-shard witnesses.
 # ---------------------------------------------------------------------------

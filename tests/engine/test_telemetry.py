@@ -494,6 +494,40 @@ class TestSessionInstrumentation:
         assert sharded.stats.last_run.supersteps == len(supersteps)
         assert {s.attributes["shard"] for s in locals_} <= set(range(3))
 
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_sharded_exchange_and_assemble_spans(self, telemetry_on, backend):
+        instance = web(30)
+        sharded = ShardedEngine.open(instance, shards=3, backend=backend)
+        sources = sorted(instance.objects, key=repr)[:6]
+        results = sharded.query_batch("a (b + c)*", sources)
+        trace = sharded.metrics.tracer.last()
+        by_id = {span.span_id: span for span in trace.spans}
+        exchanges = [s for s in trace.spans if s.name == "sharded.exchange"]
+        [assemble] = [s for s in trace.spans if s.name == "sharded.assemble"]
+        # One barrier per superstep, under it; one gather, under the query.
+        assert len(exchanges) == sharded.stats.last_run.supersteps
+        assert all(by_id[s.parent_id].name == "sharded.superstep" for s in exchanges)
+        assert by_id[assemble.parent_id] is trace.root
+        for span in exchanges:
+            attrs = span.attributes
+            assert attrs["exported"] == attrs["shipped"] + attrs["absorbed"]
+        assert sum(s.attributes["shipped"] for s in exchanges) == (
+            sharded.stats.last_run.exchanged_facts
+        ) > 0
+        assert assemble.attributes["shards"] >= 2
+        assert assemble.attributes["answers"] == sum(map(len, results.values()))
+        # Sequential supersteps: every parent outlasts its children together.
+        for parent in [trace.root, *(s for s in trace.spans if s.name == "sharded.superstep")]:
+            children = [s for s in trace.spans if s.parent_id == parent.span_id]
+            assert sum(s.duration for s in children) <= parent.duration + 1e-9
+
+    def test_sharded_spans_stay_null_when_disabled(self, telemetry_off):
+        instance = web(30)
+        sharded = ShardedEngine.open(instance, shards=3)
+        sharded.query_batch("a (b + c)*", sorted(instance.objects, key=repr)[:6])
+        assert sharded.metrics.span("sharded.exchange") is NULL_SPAN
+        assert sharded.metrics.tracer.recorded == 0
+
     def test_sharded_concurrent_scheduler_joins_trace(self, telemetry_on):
         instance = web(30)
         sharded = ShardedEngine.open(instance, shards=3, concurrency=2)
