@@ -271,7 +271,8 @@ def record_atoms(engine, ops: "list[str]") -> "list[tuple[str, tuple]]":
 
     atoms = []
     for text in ops:
-        execution = PlanExecution(engine.plan_conjunctive(engine.prepare_conjunctive(text)))
+        plan = engine.plan_conjunctive(engine.prepare_conjunctive(text))
+        execution = PlanExecution(plan)
         while (request := execution.pending()) is not None:
             atoms.append((request.expression, request.sources))
             execution.feed(engine.query_batch(request.expression, request.sources))
@@ -301,7 +302,8 @@ def profile_crpq(
     sys.path.insert(0, str(_ROOT / "benchmarks" / "e2e"))
     from workloads.clustered_sharded_crpq import TEMPLATES, ClusteredShardedCrpq
 
-    if ClusteredShardedCrpq.pin_one_cpu and hasattr(os, "sched_setaffinity"):
+    pinnable = hasattr(os, "sched_setaffinity")
+    if ClusteredShardedCrpq.pin_one_cpu and pinnable:
         # Before any session opens: worker threads inherit the caller's set.
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     workload = ClusteredShardedCrpq(seed=0, smoke=quick)
@@ -343,10 +345,10 @@ def profile_crpq(
         mono_templates = time_templates(monolithic, ops)
     mono_runs = len(runs)
     mono_atom_s = time_atoms(monolithic, atoms)
-    pinned = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else "n/a"
+    cpus = sorted(os.sched_getaffinity(0)) if pinnable else "n/a"
     work = [
         f"{len(ops)} ops over {len(TEMPLATES)} templates, {len(atoms)} atoms; "
-        f"CPUs {pinned}; per op: {supersteps:.2f} supersteps, {local_runs:.2f} "
+        f"CPUs {cpus}; per op: {supersteps:.2f} supersteps, {local_runs:.2f} "
         f"local runs, {exchanged:.1f} exchanged facts; join-step q-error "
         f"p50 {q_error['p50']:.2f} p95 {q_error['p95']:.2f} "
         f"({q_error['count']} steps)",

@@ -221,9 +221,7 @@ def _flat_cells(masks: "np.ndarray") -> "np.ndarray":
     steal path's ``masks[:, :, w:w+1]`` column views, is updated in place."""
     num_states, n, words = masks.shape
     cells = masks.reshape(num_states * n, words)
-    # ``may_share_memory`` is a bounds check: enough to catch a copy, and
-    # (unlike the exact ``shares_memory``) it never drops the GIL.
-    assert np.may_share_memory(cells, masks), "flat view of the mask tensor copied"
+    assert np.shares_memory(cells, masks), "flat view of the mask tensor copied"
     return cells[:, 0] if words == 1 else cells
 
 
@@ -277,13 +275,16 @@ class NpFrontier:
         return self._cells
 
     @classmethod
-    def from_chunks(cls, masks: "np.ndarray", version, previous, chunks) -> "NpFrontier":
+    def from_chunks(
+        cls, masks: "np.ndarray", version, previous, chunks
+    ) -> "NpFrontier":
         """The handle of ``masks`` after chunk runs continued its word
         columns (each through a column view): the rows ``previous`` (the
         tensor's handle, or ``None``) accounted for, then — as the latest
         run's — every row any chunk grew (a pair grew iff some column did)."""
         prior = () if previous is None else previous.reached
-        return cls(masks, version, prior + (_union([chunk.reached[-1] for chunk in chunks]),))
+        grown = _union([chunk.reached[-1] for chunk in chunks])
+        return cls(masks, version, prior + (grown,))
 
     def rows(self) -> "np.ndarray":
         """Flat keys of the rows this handle accounts for, ascending and
@@ -345,8 +346,9 @@ class NpFrontier:
         return NpFrontier.assemble(((self, skip, None),), accepting, num_bits)
 
     def _owned(self, accepting_states: "Sequence[int]", skip):
-        """:meth:`gather` of one handle before unpacking: ``(pairs, nodes,
-        found)`` with ``found`` the accepting ``(nodes, rows)`` per node."""
+        """:meth:`gather` of one handle before unpacking: ``(nonzero pairs,
+        touched nodes, found)``, ``found`` the accepting ``(nodes, rows)``
+        per node (``None`` when there are none)."""
         n = self.masks.shape[1]
         rows = self.rows()
         nodes = rows % n
@@ -387,7 +389,9 @@ class NpFrontier:
             seeds[owner] = keys, rows[lo:hi]
         return seeds
 
-    def exports(self, owner: "np.ndarray", owner_node: "np.ndarray", ghost: "np.ndarray"):
+    def exports(
+        self, owner: "np.ndarray", owner_node: "np.ndarray", ghost: "np.ndarray"
+    ):
         """The rows the latest run grew on nodes another graph owns, as
         ``(owners, states, owner-local nodes, rows)`` — ``None`` when it
         grew none there.  Per local node id, ``ghost`` flags the nodes
@@ -421,7 +425,7 @@ class NpFrontier:
         keys = states * np.asarray(sizes, dtype=np.int64)[owners] + nodes
         order = np.lexsort((keys, owners))
         owners, keys, rows = owners[order], keys[order], rows[order]
-        heads = np.flatnonzero(_run_heads(owners)).tolist()
+        heads = _run_heads(owners).nonzero()[0].tolist()
         seeds: "dict[int, tuple[np.ndarray, np.ndarray]]" = {}
         shipped = 0
         for lo, hi in zip(heads, heads[1:] + [owners.size]):
@@ -603,8 +607,9 @@ def fixpoint(
         rounds += 1
         peak_rows = max(peak_rows, rows.size)
         # Push: gather the out-edges of the frontier rows only.  (The
-        # lowering is usually int32, rows included; ``cumsum`` widens the
-        # edge offsets to int64.)
+        # lowering is usually int32; rows index as int64, which numpy would
+        # otherwise convert on each of this round's five fancy indexings,
+        # and ``cumsum`` widens the edge offsets.)
         starts = indptr[rows]
         counts = next_indptr[rows] - starts
         ends = counts.cumsum()
@@ -614,6 +619,7 @@ def fixpoint(
         edges_gathered += total
         edge_index = np.arange(total) + (starts - ends + counts).repeat(counts)
         rows, pushed = _group_or(dst[edge_index], new.repeat(counts, axis=0))
+        rows = rows.astype(np.int64, copy=False)
     run.rounds = rounds
     run.edges_gathered = edges_gathered
     run.peak_frontier_rows = peak_rows

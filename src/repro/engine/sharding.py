@@ -435,7 +435,9 @@ class _ShardIndex:
         self.ghosts: "set[int]" = set()
         self._vectors: "tuple | None" = None
 
-    def extend(self, shard: int, shard_of, engines: "Sequence[Engine]") -> "_ShardIndex":
+    def extend(
+        self, shard: int, shard_of, engines: "Sequence[Engine]"
+    ) -> "_ShardIndex":
         oids = self.graph.nodes.backing_list()
         for node in range(len(self.owner), len(oids)):
             home = shard_of(oids[node])
@@ -912,7 +914,7 @@ class ShardedEngine(ServingSurface):
         return run.frontier, run.frontier.exports(*route)
 
     def _build_steal_pool(
-        self, backend: str, active, pending, frontiers, compiled, num_bits: int, sink_for
+        self, backend: str, active, pending, frontiers, compiled, num_bits, sink_for
     ) -> "_StealPool | None":
         """Split this superstep's local fixpoints into stealable word chunks.
 
@@ -1026,7 +1028,9 @@ class ShardedEngine(ServingSurface):
 
         return task
 
-    def _finalize_steal_shard(self, pool: _StealPool, shard: int, previous, span, route):
+    def _finalize_steal_shard(
+        self, pool: _StealPool, shard: int, previous, span, route
+    ):
         """Merge one shard's chunk runs into a superstep result pair.
 
         Runs at the barrier, after every chunk has completed: the rows the
@@ -1199,7 +1203,8 @@ class ShardedEngine(ServingSurface):
             if pool is not None:
                 results = [
                     self._finalize_steal_shard(
-                        pool, shard, frontiers[shard], local_spans[shard], view(shard)[:3]
+                        pool, shard, frontiers[shard], local_spans[shard],
+                        view(shard)[:3],
                     )
                     for shard in active
                 ]
@@ -1220,7 +1225,9 @@ class ShardedEngine(ServingSurface):
             packets = []
             for shard, (frontier, exports) in zip(active, results):
                 frontiers[shard] = frontier
-                local_spans[shard].set(exports=0 if exports is None else len(exports[0]))
+                local_spans[shard].set(
+                    exports=0 if exports is None else len(exports[0])
+                )
                 if exports is not None:
                     packets.append(exports)
             self.stats.record_local_runs(backend, len(active))

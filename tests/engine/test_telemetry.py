@@ -517,7 +517,8 @@ class TestSessionInstrumentation:
         assert assemble.attributes["shards"] >= 2
         assert assemble.attributes["answers"] == sum(map(len, results.values()))
         # Sequential supersteps: every parent outlasts its children together.
-        for parent in [trace.root, *(s for s in trace.spans if s.name == "sharded.superstep")]:
+        supersteps = [s for s in trace.spans if s.name == "sharded.superstep"]
+        for parent in [trace.root, *supersteps]:
             children = [s for s in trace.spans if s.parent_id == parent.span_id]
             assert sum(s.duration for s in children) <= parent.duration + 1e-9
 
