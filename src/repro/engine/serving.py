@@ -85,8 +85,8 @@ import weakref
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from queue import SimpleQueue
 from dataclasses import dataclass, field
+from queue import SimpleQueue
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
 
@@ -128,19 +128,19 @@ class SuperstepScheduler:
     """Runs the independent per-shard steps of one superstep on threads.
 
     :meth:`run` is a fork-join barrier: the calling thread and up to
-    ``max_workers - 1`` worker threads — ``max_workers`` steps in flight at
-    most — claim the superstep's steps one at a time until none is left,
+    ``max_workers - 1`` worker threads (``max_workers`` steps in flight at
+    most) claim the superstep's steps one at a time until none is left,
     and the call returns only when every step has finished — which is
     exactly the bulk-synchronous contract the sharded engine's frontier
-    exchange needs.  The caller works instead of waiting:
-    it blocks only on steps a worker claimed and is still running, so a
-    superstep with one step costs no cross-thread hand-off at all.  Waking
-    a worker is one put on a queue it blocks on (no future, no executor
-    bookkeeping): a worker that finds every step claimed already goes back
-    to sleep having cost little more than its wake-up.  The scheduler never
-    reorders results (``results[i]`` belongs to ``steps[i]``) and re-raises
-    the first step exception after the barrier, so a failing shard cannot
-    leave a half-joined superstep behind.
+    exchange needs.  The caller works instead of waiting: it blocks only
+    on steps a worker claimed and is still running, so a superstep with one
+    step costs no cross-thread hand-off at all.  Waking a worker is one put
+    on a queue it blocks on (no future, no executor bookkeeping): a worker
+    that finds every step claimed already goes back to sleep having cost
+    little more than its wake-up.  The scheduler never reorders results
+    (``results[i]`` belongs to ``steps[i]``) and re-raises the first step
+    exception after the barrier, so a failing shard cannot leave a
+    half-joined superstep behind.
 
     Statistics: ``steps`` counts every step ever run, ``barriers`` every
     :meth:`run` call, and ``concurrent_steps`` is the *peak* number of steps
