@@ -1170,7 +1170,8 @@ class ShardedEngine(ServingSurface):
 
                 def step():
                     local_span = local_spans[shard] = tele.span_under(
-                        superstep_span, "sharded.local_fixpoint", shard=shard
+                        superstep_span, "sharded.local_fixpoint",
+                        shard=shard, backend=backend,
                     )
                     try:
                         # Current for the runs, so the dispatcher lands the
@@ -1188,7 +1189,6 @@ class ShardedEngine(ServingSurface):
                                 )
                     finally:
                         local_span.end()
-                    local_span.set(backend=backend)
                     self._hist_local.observe(local_span.duration)
                     durations.append(local_span.duration)
                     return result
