@@ -625,8 +625,8 @@ def fixpoint(
     run.peak_frontier_rows = peak_rows
     # Pairs expanded by *this* run count as visited (the scalar executor's
     # semantics); what the chain of runs reached is this run's ``grown``
-    # plus what the handle it continued came with, and the driver reads the
-    # touched nodes and the answers off those rows, never off the
+    # plus what the handle it continued came with, and ``run_batch`` reads
+    # the touched nodes and the answers off those rows, never off the
     # 8-bytes-a-word tensor.
     grown = touched.nonzero()[0]
     run.visited_pairs = int(grown.size)
