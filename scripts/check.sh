@@ -11,7 +11,8 @@
 #   tests   the tier-1 pytest suite, once per numpy arm
 #   serve   the async serving suite under PYTHONASYNCIODEBUG=1 (both numpy
 #           arms; includes the N-threads-x-M-queries stress test on one
-#           shared engine) plus a live streamed-TCP smoke: a STREAM
+#           shared engine), it and the sharded suite under the lock-order
+#           witness, plus a live streamed-TCP smoke: a STREAM
 #           request's chunk lines, a LIMIT/CURSOR page walk, and a forged
 #           cursor rejection against a real `serve --tcp` process
 #   obs     the telemetry suite plus a live `serve --metrics` smoke that
@@ -90,9 +91,11 @@ run_serve() {
         python -m pytest tests/engine/test_serving.py -q
 
     echo
-    echo "== serving: asyncio suite under the lock-order witness =="
+    # The session base creates both session kinds' locks, so the sharded
+    # suite runs under the witness beside the serving one.
+    echo "== serving: asyncio + sharded suites under the lock-order witness =="
     REPRO_LOCK_WITNESS=1 PYTHONASYNCIODEBUG=1 \
-        python -m pytest tests/engine/test_serving.py -q
+        python -m pytest tests/engine/test_serving.py tests/engine/test_sharding.py -q
 
     echo
     echo "== serving: live streamed TCP smoke (numpy arm) =="

@@ -303,6 +303,48 @@ class Project:
 
     def resolve_method(self, info: ClassInfo, name: str) -> MethodInfo | None:
         """Find ``name`` on the class or its project-known bases."""
+        for cls in self._lineage(info):
+            if name in cls.methods:
+                return cls.methods[name]
+        return None
+
+    def subclasses_or_self(self, name: str) -> list[ClassInfo]:
+        """``name`` plus every project class that (transitively) inherits it."""
+        # Preserve declaration order, dedupe by name.
+        unique: dict[str, ClassInfo] = {}
+        for entries in self.classes.values():
+            for _, info in entries:
+                if any(
+                    cls.name == name or name in cls.bases
+                    for cls in self._lineage(info)
+                ):
+                    unique.setdefault(info.name, info)
+        return list(unique.values())
+
+    def lock_owners(self, info: ClassInfo, attr: str) -> list[str]:
+        """Qualified ``Class.attr`` names for a lock acquired via ``self.attr``.
+
+        A base class's ``with self._rewrite_lock`` may run on any subclass
+        whose own or inherited ``__init__`` creates the lock, and a lock an
+        inherited ``__init__`` creates is witnessed under the concrete class
+        that runs it (``type(self).__name__``); qualify with the most derived
+        of those classes so the static graph nodes line up with runtime
+        witness names.
+        """
+        creators = [
+            cls
+            for cls in self.subclasses_or_self(info.name)
+            if any(attr in base.init_assigns for base in self._lineage(cls))
+        ]
+        bases = {base.name for cls in creators for base in self._lineage(cls)[1:]}
+        owners = [cls.name for cls in creators if cls.name not in bases]
+        if not owners:
+            owners = [info.name]
+        return [f"{owner}.{attr}" for owner in owners]
+
+    def _lineage(self, info: ClassInfo) -> list[ClassInfo]:
+        """``info`` followed by its project-known bases, transitively."""
+        lineage: list[ClassInfo] = []
         seen: set[str] = set()
         stack = [info]
         while stack:
@@ -310,57 +352,12 @@ class Project:
             if cls.name in seen:
                 continue
             seen.add(cls.name)
-            if name in cls.methods:
-                return cls.methods[name]
+            lineage.append(cls)
             for base in cls.bases:
                 parent = self.class_info(base)
                 if parent is not None:
                     stack.append(parent)
-        return None
-
-    def subclasses_or_self(self, name: str) -> list[ClassInfo]:
-        """``name`` plus every project class that (transitively) inherits it."""
-        out: list[ClassInfo] = []
-        for entries in self.classes.values():
-            for _, info in entries:
-                seen: set[str] = set()
-                stack = [info]
-                while stack:
-                    cls = stack.pop()
-                    if cls.name in seen:
-                        continue
-                    seen.add(cls.name)
-                    if cls.name == name:
-                        out.append(info)
-                        stack = []
-                        break
-                    for base in cls.bases:
-                        parent = self.class_info(base)
-                        if parent is not None:
-                            stack.append(parent)
-                        elif base == name:
-                            out.append(info)
-        # Preserve declaration order, dedupe by name.
-        unique: dict[str, ClassInfo] = {}
-        for info in out:
-            unique.setdefault(info.name, info)
-        return list(unique.values())
-
-    def lock_owners(self, info: ClassInfo, attr: str) -> list[str]:
-        """Qualified ``Class.attr`` names for a lock acquired via ``self.attr``.
-
-        A mixin's ``with self._rewrite_lock`` may run on any concrete subclass
-        that creates the lock in ``__init__``; qualify with each of those so
-        the static graph nodes line up with runtime witness names.
-        """
-        owners = [
-            cls.name
-            for cls in self.subclasses_or_self(info.name)
-            if attr in cls.init_assigns
-        ]
-        if not owners:
-            owners = [info.name]
-        return [f"{owner}.{attr}" for owner in owners]
+        return lineage
 
 
 # ---------------------------------------------------------------------------

@@ -162,9 +162,69 @@ def _read_query_file(path: str) -> list[str]:
     return queries
 
 
-def _cmd_engine(args: argparse.Namespace) -> int:
-    from .engine import Engine
+def _open_session(args: argparse.Namespace, instance):
+    """The session ``engine``, ``crpq`` and ``serve`` evaluate through.
 
+    ``--shards N`` (or ``engine``'s ``--snapshot-dir`` with a manifest)
+    opens a :class:`~repro.engine.sharding.ShardedEngine` whose supersteps
+    run on ``--concurrency`` worker threads; anything else opens a
+    monolithic :class:`~repro.engine.Engine`.  Prints the error and returns
+    ``None`` on a bad flag combination.
+    """
+    from .engine import Engine
+    from .engine.sharding import MANIFEST_NAME, ShardedEngine
+
+    constraints = _constraint_set(args.constraint) if args.constraint else None
+    # Only ``engine`` has the snapshot flags.
+    snapshot_dir = getattr(args, "snapshot_dir", None)
+    load_snapshot = getattr(args, "load_snapshot", None)
+    if args.shards is None and not snapshot_dir:
+        # ``serve`` also sizes its flush pool with --concurrency.
+        if args.concurrency is not None and args.command != "serve":
+            print(
+                "error: --concurrency schedules per-shard supersteps; it needs "
+                "--shards N",
+                file=sys.stderr,
+            )
+            return None
+        if load_snapshot:
+            # Warm-start from a persisted compiled graph + query cache; a
+            # stamp mismatch against the freshly loaded edge list silently
+            # falls back to an ordinary cold compile of that instance.
+            return Engine.open(
+                load_snapshot, instance=instance, constraints=constraints,
+                backend=args.backend,
+            )
+        return Engine.open(instance, constraints=constraints, backend=args.backend)
+    if load_snapshot or getattr(args, "save_snapshot", None):
+        print(
+            "error: --shards/--snapshot-dir persist one snapshot per shard; "
+            "they are incompatible with --save-snapshot/--load-snapshot",
+            file=sys.stderr,
+        )
+        return None
+    options = dict(
+        shards=args.shards,
+        constraints=constraints,
+        backend=args.backend,
+        concurrency=args.concurrency,
+        steal_threshold=getattr(args, "steal_threshold", 2) or None,
+    )
+    if snapshot_dir and (Path(snapshot_dir) / MANIFEST_NAME).is_file():
+        # Warm-start shard by shard: only shards whose partition of the
+        # freshly loaded edge list went stale are recompiled.
+        return ShardedEngine.open(snapshot_dir, instance=instance, **options)
+    if args.shards is None:
+        print(
+            "error: --snapshot-dir has no manifest yet; give --shards N "
+            "to build the sharded engine",
+            file=sys.stderr,
+        )
+        return None
+    return ShardedEngine.open(instance, **options)
+
+
+def _cmd_engine(args: argparse.Namespace) -> int:
     instance = _load_instance(args.graph)
     queries = _read_query_file(args.queries)
     if not queries:
@@ -180,68 +240,9 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     else:
         print("error: give at least one --source or use --all-sources", file=sys.stderr)
         return 2
-    constraints = _constraint_set(args.constraint) if args.constraint else None
-    sharded = args.shards is not None or args.snapshot_dir
-    if args.concurrency is not None and not sharded:
-        print(
-            "error: --concurrency schedules per-shard supersteps; it needs "
-            "--shards N (or a sharded --snapshot-dir)",
-            file=sys.stderr,
-        )
+    engine = _open_session(args, instance)
+    if engine is None:
         return 2
-    if sharded:
-        from .engine.sharding import MANIFEST_NAME, ShardedEngine
-
-        if args.load_snapshot or args.save_snapshot:
-            print(
-                "error: --shards/--snapshot-dir persist one snapshot per shard; "
-                "they are incompatible with --save-snapshot/--load-snapshot",
-                file=sys.stderr,
-            )
-            return 2
-        manifest_exists = args.snapshot_dir and (
-            Path(args.snapshot_dir) / MANIFEST_NAME
-        ).is_file()
-        if manifest_exists:
-            # Warm-start shard by shard: only shards whose partition of the
-            # freshly loaded edge list went stale are recompiled.
-            engine = ShardedEngine.open(
-                args.snapshot_dir,
-                instance=instance,
-                shards=args.shards,
-                constraints=constraints,
-                backend=args.backend,
-                concurrency=args.concurrency,
-                steal_threshold=args.steal_threshold or None,
-            )
-        elif args.shards is None:
-            print(
-                "error: --snapshot-dir has no manifest yet; give --shards N "
-                "to build the sharded engine",
-                file=sys.stderr,
-            )
-            return 2
-        else:
-            engine = ShardedEngine.open(
-                instance,
-                shards=args.shards,
-                constraints=constraints,
-                backend=args.backend,
-                concurrency=args.concurrency,
-                steal_threshold=args.steal_threshold or None,
-            )
-    elif args.load_snapshot:
-        # Warm-start from a persisted compiled graph + query cache; a stamp
-        # mismatch against the freshly loaded edge list silently falls back
-        # to an ordinary cold compile of that instance.
-        engine = Engine.open(
-            args.load_snapshot,
-            instance=instance,
-            constraints=constraints,
-            backend=args.backend,
-        )
-    else:
-        engine = Engine.open(instance, constraints=constraints, backend=args.backend)
     try:
         if args.compact_ratio is not None:
             # 0 means "never auto-compact"; anything else is the divisor of
@@ -266,7 +267,7 @@ def _cmd_engine(args: argparse.Namespace) -> int:
                 else:
                     for line in trace.render():
                         print(f"# {line}", file=sys.stderr)
-        if sharded and args.snapshot_dir:
+        if args.snapshot_dir:
             # Saved after serving, so every shard ships a warm query cache.
             engine.save(args.snapshot_dir)
         elif args.save_snapshot:
@@ -275,35 +276,16 @@ def _cmd_engine(args: argparse.Namespace) -> int:
         if args.stats:
             _print_stats_snapshot(engine.telemetry())
     finally:
-        if sharded:
-            engine.close()  # release the superstep scheduler's threads
+        engine.close()  # release a sharded session's superstep threads
     return 0
 
 
 def _cmd_crpq(args: argparse.Namespace) -> int:
-    from .engine import Engine
     from .engine.request import CRPQRequest, normalize
 
-    instance = _load_instance(args.graph)
-    constraints = _constraint_set(args.constraint) if args.constraint else None
-    if args.concurrency is not None and args.shards is None:
-        print(
-            "error: --concurrency schedules per-shard supersteps; it needs --shards N",
-            file=sys.stderr,
-        )
+    engine = _open_session(args, _load_instance(args.graph))
+    if engine is None:
         return 2
-    if args.shards is not None:
-        from .engine.sharding import ShardedEngine
-
-        engine = ShardedEngine.open(
-            instance,
-            shards=args.shards,
-            constraints=constraints,
-            backend=args.backend,
-            concurrency=args.concurrency,
-        )
-    else:
-        engine = Engine.open(instance, constraints=constraints, backend=args.backend)
     try:
         request = normalize(CRPQRequest(query=args.query, source=args.source))
         result = engine.query_conjunctive(request.query, strategy=args.strategy)
@@ -336,8 +318,7 @@ def _cmd_crpq(args: argparse.Namespace) -> int:
         if args.stats:
             _print_stats_snapshot(engine.telemetry())
     finally:
-        if args.shards is not None:
-            engine.close()  # release the superstep scheduler's threads
+        engine.close()  # release a sharded session's superstep threads
     return 0
 
 
@@ -346,42 +327,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from .engine.serving import serve_stream, serve_tcp
 
-    instance = _load_instance(args.graph)
-    constraints = _constraint_set(args.constraint) if args.constraint else None
-    if args.shards is not None:
-        from .engine.sharding import ShardedEngine
+    engine = _open_session(args, _load_instance(args.graph))
+    if engine is None:
+        return 2
+    metrics_server = None
 
-        engine = ShardedEngine.open(
-            instance,
-            shards=args.shards,
-            constraints=constraints,
-            backend=args.backend,
+    def open_server():
+        return engine.as_server(
+            max_batch=args.max_batch,
+            max_delay=args.max_delay,
             concurrency=args.concurrency,
         )
-    else:
-        from .engine import Engine
-
-        engine = Engine.open(
-            instance, constraints=constraints, backend=args.backend
-        )
-
-    metrics_server = None
-    if args.metrics:
-        parsed = _parse_host_port(args.metrics, "--metrics")
-        if parsed is None:
-            return 2
-        from .engine.telemetry import TelemetryHTTPServer
-
-        try:
-            metrics_server = TelemetryHTTPServer(engine.metrics, *parsed)
-        except OSError as error:
-            print(
-                f"error: cannot serve metrics on {args.metrics}: {error}",
-                file=sys.stderr,
-            )
-            return 2
-        bound_host, bound_port = metrics_server.start()
-        print(f"metrics on {bound_host}:{bound_port}", file=sys.stderr, flush=True)
 
     def print_stats(server) -> None:
         if args.stats:
@@ -401,22 +357,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         async def readline() -> str:
             return await loop.run_in_executor(None, sys.stdin.readline)
 
-        async with engine.as_server(
-            max_batch=args.max_batch,
-            max_delay=args.max_delay,
-            concurrency=args.concurrency,
-        ) as server:
+        async with open_server() as server:
             await serve_stream(
                 server, readline, lambda response: print(response, flush=True)
             )
             print_stats(server)
 
     async def run_tcp(host: str, port: int) -> None:
-        async with engine.as_server(
-            max_batch=args.max_batch,
-            max_delay=args.max_delay,
-            concurrency=args.concurrency,
-        ) as server:
+        async with open_server() as server:
             listener = await serve_tcp(server, host, port)
             bound = listener.sockets[0].getsockname()
             # repro: allow(LoopNeverBlocks) one-line startup banner before any request is served; stderr is line-buffered and the loop is otherwise idle
@@ -428,6 +376,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 print_stats(server)
 
     try:
+        if args.metrics:
+            parsed = _parse_host_port(args.metrics, "--metrics")
+            if parsed is None:
+                return 2
+            from .engine.telemetry import TelemetryHTTPServer
+
+            try:
+                metrics_server = TelemetryHTTPServer(engine.metrics, *parsed)
+            except OSError as error:
+                print(
+                    f"error: cannot serve metrics on {args.metrics}: {error}",
+                    file=sys.stderr,
+                )
+                return 2
+            bound_host, bound_port = metrics_server.start()
+            print(f"metrics on {bound_host}:{bound_port}", file=sys.stderr, flush=True)
         if args.tcp:
             parsed = _parse_host_port(args.tcp, "--tcp")
             if parsed is None:
@@ -447,8 +411,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if metrics_server is not None:
             metrics_server.close()
-        if args.shards is not None:
-            engine.close()  # release the superstep scheduler's threads
+        engine.close()  # release a sharded session's superstep threads
     return 0
 
 
@@ -467,6 +430,26 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
     print(f"messages: {result.message_counts()} (total {result.messages_delivered})")
     print(f"terminated: {result.terminated}")
     return 0
+
+
+def _add_session_flags(parser: argparse.ArgumentParser, concurrency_help: str) -> None:
+    """The flags :func:`_open_session` reads, shared by ``engine``, ``crpq``
+    and ``serve``."""
+    parser.add_argument(
+        "--constraint", "-c", action="append",
+        help="a path constraint enabling pre-rewrite optimization (repeatable)",
+    )
+    parser.add_argument(
+        "--backend", choices=("auto", "python", "packed", "numpy"), default="auto",
+        help="batch kernel: auto picks numpy when available, else the "
+        "packed-bitset one; python is the scalar oracle (default: auto)",
+    )
+    parser.add_argument(
+        "--shards", type=int, metavar="N",
+        help="evaluate through the sharded scatter-gather engine with N hash "
+        "shards (one compiled graph per shard)",
+    )
+    parser.add_argument("--concurrency", type=int, metavar="N", help=concurrency_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -521,15 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--all-sources", action="store_true", help="evaluate from every object of the graph"
     )
     engine_parser.add_argument(
-        "--constraint", "-c", action="append",
-        help="a path constraint enabling pre-rewrite optimization (repeatable)",
-    )
-    engine_parser.add_argument(
-        "--backend", choices=("auto", "python", "packed", "numpy"), default="auto",
-        help="batch kernel: auto picks numpy when available, else the "
-        "packed-bitset one; python is the scalar oracle (default: auto)",
-    )
-    engine_parser.add_argument(
         "--compact", action="store_true",
         help="compact the compiled graph before serving (fold overflow in, "
         "tombstones out, sort per-label target runs)",
@@ -549,20 +523,15 @@ def build_parser() -> argparse.ArgumentParser:
         "to a fresh compile when the snapshot does not match the graph file",
     )
     engine_parser.add_argument(
-        "--shards", type=int, metavar="N",
-        help="serve through the sharded scatter-gather engine with N hash "
-        "shards (one compiled graph per shard)",
-    )
-    engine_parser.add_argument(
         "--snapshot-dir", metavar="DIR",
         help="sharded persistence: warm-start from DIR when its manifest "
         "exists (stale shards recompile alone), and write one snapshot per "
         "shard back to DIR after serving",
     )
-    engine_parser.add_argument(
-        "--concurrency", type=int, metavar="N",
-        help="run each superstep's per-shard local fixpoints on N worker "
-        "threads (requires --shards / a sharded --snapshot-dir)",
+    _add_session_flags(
+        engine_parser,
+        "run each superstep's per-shard local fixpoints on N worker threads "
+        "(requires --shards / a sharded --snapshot-dir)",
     )
     engine_parser.add_argument(
         "--steal-threshold", type=int, metavar="W", default=2,
@@ -597,23 +566,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind the first MATCH variable to this object (same slot the "
         "wire protocol's source column fills)",
     )
-    crpq_parser.add_argument(
-        "--constraint", "-c", action="append",
-        help="a path constraint enabling per-atom pre-rewrite (repeatable)",
-    )
-    crpq_parser.add_argument(
-        "--backend", choices=("auto", "python", "packed", "numpy"), default="auto",
-        help="executor backend: auto picks numpy when available (default: auto)",
-    )
-    crpq_parser.add_argument(
-        "--shards", type=int, metavar="N",
-        help="evaluate atoms through the sharded scatter-gather engine with "
-        "N hash shards",
-    )
-    crpq_parser.add_argument(
-        "--concurrency", type=int, metavar="N",
-        help="run each superstep's per-shard local fixpoints on N worker "
-        "threads (requires --shards)",
+    _add_session_flags(
+        crpq_parser,
+        "run each superstep's per-shard local fixpoints on N worker threads "
+        "(requires --shards)",
     )
     crpq_parser.add_argument(
         "--strategy", choices=("optimized", "declared", "worst"),
@@ -645,14 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen on TCP instead of answering stdin requests (PORT 0 "
         "binds an ephemeral port; the bound address is printed to stderr)",
     )
-    serve_parser.add_argument(
-        "--shards", type=int, metavar="N",
-        help="serve through the sharded scatter-gather engine with N hash shards",
-    )
-    serve_parser.add_argument(
-        "--concurrency", type=int, metavar="N",
-        help="worker threads for batch flushes (and, with --shards, for "
-        "per-shard supersteps)",
+    _add_session_flags(
+        serve_parser,
+        "worker threads for batch flushes (and, with --shards, for per-shard "
+        "supersteps)",
     )
     serve_parser.add_argument(
         "--max-batch", type=int, default=64, metavar="N",
@@ -663,14 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-delay", type=float, default=0.002, metavar="SECONDS",
         help="flush an admission bucket at most this long after its first "
         "request (default: 0.002; 0 disables coalescing)",
-    )
-    serve_parser.add_argument(
-        "--constraint", "-c", action="append",
-        help="a path constraint enabling pre-rewrite optimization (repeatable)",
-    )
-    serve_parser.add_argument(
-        "--backend", choices=("auto", "python", "packed", "numpy"), default="auto",
-        help="executor backend: auto picks numpy when available (default: auto)",
     )
     serve_parser.add_argument(
         "--stats", action="store_true",

@@ -11,7 +11,7 @@ that lowers every accepted input shape (bare strings, :class:`Regex`,
 :class:`~repro.engine.conjunctive.ConjunctiveQuery`, :class:`CRPQRequest`,
 or an existing :class:`QueryRequest`) to its canonical form.
 
-``ServingSurface.admission`` accepts these natively, and the
+``Session.admission`` accepts these natively, and the
 ``QueryServer.submit*`` family accepts nothing else.
 """
 

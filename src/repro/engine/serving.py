@@ -873,12 +873,10 @@ class QueryServer:
         coalesces with plain ``submit`` requests into the same shared
         batches — the whole bucket is then evaluated through the engine's
         ``query_batch_streaming``, so coalesced non-streaming requests cost
-        nothing extra and streamed requests see per-round answers.  On an
-        engine without ``query_batch_streaming`` the stream degrades
-        gracefully: all answers arrive at completion.  Streaming requests
-        never merge into an in-flight batch (its early rounds — and their
-        answers — already happened); they always join or open a pending
-        bucket.
+        nothing extra and streamed requests see per-round answers.
+        Streaming requests never merge into an in-flight batch (its early
+        rounds — and their answers — already happened); they always join or
+        open a pending bucket.
 
         Accepts a scalar :class:`~repro.engine.request.QueryRequest` (its
         ``stream`` flag is implied).  Conjunctive requests cannot stream —
@@ -960,7 +958,7 @@ class QueryServer:
         exactly like :meth:`submit_many`.  **Atoms get per-atom admission
         keys** (the canonical rewritten form of the atom's expression, the
         same key an identical scalar request gets — see
-        ``ServingSurface.admission``), so an atom's batch coalesces with
+        ``Session.admission``), so an atom's batch coalesces with
         concurrent scalar traffic of that key, merges into covering
         in-flight batches, and shares flushes with other CRPQs.  Hash
         joins between atoms run on the thread pool, never on the event
@@ -1116,9 +1114,7 @@ class QueryServer:
         # contextvars do not follow; the closure re-activates the batch's
         # evaluate span there so the engine's own spans nest beneath it.
         eval_span = tele.span_under(bucket.span, "evaluate")
-        streaming = bool(bucket.streams) and hasattr(
-            self.engine, "query_batch_streaming"
-        )
+        streaming = bool(bucket.streams)
         if streaming:
             stream_span = tele.span_under(
                 bucket.span, "serve.stream",

@@ -73,7 +73,7 @@ from .telemetry import MetricsRegistry, Telemetry, witnessed_lock
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..constraints.constraint import ConstraintSet
     from ..optimize.cost import CostModel
-    from .serving import QueryServer
+    from .serving import QueryServer, SuperstepScheduler
 
 _SHARED_ENGINE_ATTR = "_repro_shared_engine"
 
@@ -181,14 +181,13 @@ class _ReadWriteLock:
 
 
 @dataclass
-class EngineStats:
-    """Counters accumulated across the lifetime of one engine session."""
+class _SessionStats:
+    """The counters both session kinds keep, exposed as callback gauges.
 
-    graph_builds: int = 0
-    snapshot_restores: int = 0
-    interner_growths: int = 0
-    incremental_edges: int = 0
-    incremental_removals: int = 0
+    :class:`EngineStats` and :class:`~repro.engine.sharding.ShardedStats`
+    add their own counters (named in their ``_GAUGES``) on top of these.
+    """
+
     single_evaluations: int = 0
     batch_evaluations: int = 0
     batched_sources: int = 0
@@ -197,30 +196,27 @@ class EngineStats:
     # Which executor actually served each run, e.g. {"numpy": 12, "python": 1}.
     backend_runs: dict[str, int] = field(default_factory=dict)
 
-    def record_backend(self, backend: str) -> None:
-        self.backend_runs[backend] = self.backend_runs.get(backend, 0) + 1
-
     _GAUGES = (
-        ("graph_builds", "full compiled-graph builds"),
-        ("snapshot_restores", "sessions warm-started from a snapshot"),
-        ("interner_growths", "node-interner growths without rebuild"),
-        ("incremental_edges", "edges absorbed via the CSR overflow path"),
-        ("incremental_removals", "edges removed via the tombstone path"),
         ("single_evaluations", "single-source evaluations"),
         ("batch_evaluations", "batched evaluations"),
         ("batched_sources", "sources answered across batched evaluations"),
         ("visited_pairs", "(node, state) pairs visited by executor runs"),
         ("rewrites_applied", "queries improved by the constraint rewriter"),
     )
+    _BACKEND_RUNS_HELP = "evaluations served per executor backend"
 
-    def register(self, registry: MetricsRegistry, prefix: str = "engine") -> None:
+    def record_backend(self, backend: str) -> None:
+        self.backend_runs[backend] = self.backend_runs.get(backend, 0) + 1
+
+    def register(self, registry: MetricsRegistry, prefix: str) -> None:
         """Expose every counter through ``registry`` as a callback gauge.
 
         The callbacks close over this stats object (never over the owning
-        engine — gauge registration must not extend the engine's lifetime),
-        so snapshots always read the live values without a second write
-        path.  Metric names (``engine_graph_builds``, ...) are part of the
-        documented surface; see README "Observability".
+        session — gauge registration must not extend the session's
+        lifetime), so snapshots always read the live values without a
+        second write path.  Metric names (``engine_graph_builds``,
+        ``sharded_supersteps``, ...) are part of the documented surface; see
+        README "Observability".
         """
         for attr, help_text in self._GAUGES:
             registry.gauge(
@@ -228,10 +224,29 @@ class EngineStats:
             )
         registry.gauge(
             f"{prefix}_backend_runs",
-            "evaluations served per executor backend",
+            self._BACKEND_RUNS_HELP,
             lambda: dict(self.backend_runs),
             labelnames=("backend",),
         )
+
+
+@dataclass
+class EngineStats(_SessionStats):
+    """Counters accumulated across the lifetime of one engine session."""
+
+    graph_builds: int = 0
+    snapshot_restores: int = 0
+    interner_growths: int = 0
+    incremental_edges: int = 0
+    incremental_removals: int = 0
+
+    _GAUGES = (
+        ("graph_builds", "full compiled-graph builds"),
+        ("snapshot_restores", "sessions warm-started from a snapshot"),
+        ("interner_growths", "node-interner growths without rebuild"),
+        ("incremental_edges", "edges absorbed via the CSR overflow path"),
+        ("incremental_removals", "edges removed via the tombstone path"),
+    ) + _SessionStats._GAUGES
 
     def summary(self, engine: "Engine") -> str:
         compiler = engine.compiler
@@ -260,29 +275,137 @@ class EngineStats:
         )
 
 
-class ServingSurface:
-    """Admission + serving-handle surface shared by both session kinds.
+def _unknown_source(source: Oid, compiled: CompiledQuery) -> EvaluationResult:
+    """The answer of a source the graph does not hold.
 
-    Mixed into :class:`Engine` and
-    :class:`repro.engine.sharding.ShardedEngine`, so the serving layer's
-    coalescing semantics cannot drift between them; the only host
-    host requirements are the constraint/rewrite attributes
-    (``constraints``, ``cost_model``, ``_rewrites``, ``_rewrite_lock``,
-    ``stats.rewrites_applied``) plus the :attr:`_rewrite_capacity` hook.
+    An unknown source has an empty description: it answers itself exactly
+    when the query accepts the empty word, by the empty witness.
+    """
+    result = EvaluationResult(visited_pairs=1, visited_objects=1)
+    if compiled.accepts_empty_word():
+        result.answers.add(source)
+        result.witness_paths[source] = ()
+    return result
+
+
+class Session:
+    """One session API over two evaluators.
+
+    The paper defines one answer, ``p(o, I)``, however the evaluation is
+    distributed, so :class:`Engine` (one compiled graph) and
+    :class:`repro.engine.sharding.ShardedEngine` (superstep exchange across
+    shard graphs) share everything but the evaluation itself.  This base
+    owns the public API — ``query``, ``answer_set``, the ``query_batch``
+    family, ``query_all``, ``describe``, ``close``, the conjunctive
+    queries, admission, ``telemetry`` and ``as_server`` — together with
+    their spans and latency histograms, the unknown-source rule, answers
+    assembled in request order, the constraint-rewrite memo and the
+    session locks.
+
+    The host contract: a host sets ``_PREFIX`` (its span and metric prefix,
+    ``engine`` or ``sharded``), calls :meth:`__init__` with its stats
+    object, and supplies ``refresh()``, the ``_instance`` it serves with its
+    ``_instance_version`` stamp, :meth:`_count_degrees` and four evaluation
+    internals.  The first three answer only the sources the graph holds,
+    beside the compiled query they ran, which decides the rest:
+
+    * ``_query_single(query, source)`` -> ``(compiled, result or None)``;
+    * ``_query_batch(query, sources, emit)`` -> ``(compiled, {source: answers})``;
+    * ``_query_batch_results(query, sources)`` ->
+      ``(compiled, {source: EvaluationResult})``;
+    * ``_query_all(query)`` -> ``{object: answers}``.
     """
 
-    # The rewrite memo lives on the host session; every touch of the
-    # OrderedDict goes through the host's dedicated ``_rewrite_lock``.  The
-    # planner-input caches are published under the host's session ``_lock``.
+    _PREFIX: str
+
+    # The rewrite memo: every touch of the OrderedDict goes through the
+    # dedicated ``_rewrite_lock``.  The planner-input caches and the
+    # scheduler reference are published under the session ``_lock``.
     GUARDED_BY = {
         "_rewrites": "_rewrite_lock",
         "_degree_stats": "_lock:mutate",
         "_domain_cache": "_lock:mutate",
+        "_scheduler": "_lock:mutate",
     }
 
+    # A sharded session with ``concurrency=N`` runs its supersteps here;
+    # a monolithic one never has one, so its :meth:`close` is a no-op.
+    _scheduler: "SuperstepScheduler | None" = None
+
+    def __init__(
+        self,
+        *,
+        constraints: "ConstraintSet | None",
+        cost_model: "CostModel | None",
+        cache_capacity: int,
+        backend: str,
+        stats: _SessionStats,
+    ) -> None:
+        self.constraints = constraints
+        self.cost_model = cost_model
+        # Bounds the rewrite memo here, and each compile cache beside it.
+        self.cache_capacity = cache_capacity
+        # Validate the name eagerly ("numpy" on a numpy-less machine still
+        # fails lazily, at first evaluation, so sessions stay constructible
+        # before the availability question is settled).
+        if backend not in BACKENDS:
+            resolve_backend(backend)  # raises with the canonical message
+        self.backend = backend
+        self.stats = stats
+        # One telemetry bundle (metrics registry + trace ring) per session.
+        # The serving layer registers into this same registry, so one
+        # snapshot covers admission, compile and evaluation.
+        self.metrics = Telemetry()
+        registry = self.metrics.registry
+        prefix = self._PREFIX
+        stats.register(registry, prefix)
+        self._query_span = f"{prefix}.query"
+        self._hist_query = registry.histogram(
+            f"{prefix}_query_seconds", "end-to-end evaluation latency per call"
+        )
+        self._hist_rewrite = registry.histogram(
+            f"{prefix}_rewrite_seconds", "cold constraint-rewrite search latency"
+        )
+        # Guards refresh, mutation and the stats counters against concurrent
+        # server threads (see each host's docstring for what it serializes).
+        # Witnessed under the host's name: ``Engine._lock``,
+        # ``ShardedEngine._lock``.
+        name = type(self).__name__
+        self._lock = witnessed_lock(f"{name}._lock", threading.RLock)
+        # The rewrite memo gets its own short-lived lock: the serving
+        # layer's admission path (admission_key) runs on the event loop and
+        # must never wait behind an evaluation holding the session lock.
+        self._rewrite_lock = witnessed_lock(f"{name}._rewrite_lock")
+        # Rewrite memo, LRU-bounded like the compile cache so a long-lived
+        # constrained session does not grow without limit.
+        self._rewrites: "OrderedDict[str, Regex]" = OrderedDict()
+
     @property
-    def _rewrite_capacity(self) -> int:
-        raise NotImplementedError  # pragma: no cover - hosts override
+    def instance(self) -> Instance:
+        """The live instance; resolves the weakref held by shared engines.
+
+        Raises :class:`~repro.exceptions.ReproError` when a weakly-bound
+        engine outlived its instance.  Read paths never hit this — they
+        only consult the instance for staleness detection, and a dead
+        instance can no longer mutate, so :meth:`Engine.refresh` treats it
+        as final and queries keep serving the frozen compiled graph.  Only
+        operations that genuinely need the instance (``add_edge`` /
+        ``remove_edge`` / ``save``) surface the error.
+        """
+        instance = self._instance_or_none()
+        if instance is None:
+            raise ReproError(
+                "the engine's instance has been garbage-collected; the "
+                "compiled graph is frozen (queries still work, mutation "
+                "and save do not)"
+            )
+        return instance
+
+    def _instance_or_none(self) -> "Instance | None":
+        held = self._instance
+        if type(held) is weakref.ref:
+            return held()
+        return held
 
     def _prepared(self, query):
         """The constraint-rewritten form of ``query``, memoized (LRU).
@@ -329,7 +452,7 @@ class ServingSurface:
             self._rewrites[key] = outcome.best
             if best_key != key:
                 self._rewrites[best_key] = outcome.best
-            while len(self._rewrites) > self._rewrite_capacity:
+            while len(self._rewrites) > self.cache_capacity:
                 self._rewrites.popitem(last=False)
             if fresh and outcome.improved:
                 self.stats.rewrites_applied += 1
@@ -392,7 +515,7 @@ class ServingSurface:
         return cached[1]
 
     def _count_degrees(self) -> DegreeStats:
-        raise NotImplementedError  # pragma: no cover - hosts override
+        raise NotImplementedError  # pragma: no cover - hosts supply it
 
     def _active_domain(self) -> "tuple[Oid, ...]":
         """Every object sorted by ``repr``: what unbound-source atoms (and
@@ -533,8 +656,140 @@ class ServingSurface:
             self, max_batch=max_batch, max_delay=max_delay, concurrency=concurrency
         )
 
+    def close(self) -> None:
+        """Release the superstep scheduler's worker threads (idempotent).
 
-class Engine(ServingSurface):
+        The session stays usable: later evaluations run their supersteps
+        sequentially, as one opened without ``concurrency`` does, and
+        ``scheduler`` reads ``None``.  A no-op on a monolithic
+        :class:`Engine`, which never has worker threads.
+        """
+        with self._lock:
+            scheduler, self._scheduler = self._scheduler, None
+        if scheduler is not None:
+            scheduler.close()
+
+    def describe(self) -> str:
+        return self.stats.summary(self)
+
+    # -- evaluation -----------------------------------------------------------
+    def query(
+        self, query: "RegularPathQuery | Regex | str", source: Oid
+    ) -> EvaluationResult:
+        """Single-source evaluation with witnesses, as an ``EvaluationResult``."""
+        with self.metrics.span(self._query_span, mode="single") as query_span:
+            with self._lock:
+                self.stats.single_evaluations += 1
+            compiled, result = self._query_single(query, source)
+            if result is None:
+                result = _unknown_source(source, compiled)
+            query_span.set(answers=len(result.answers))
+        self._hist_query.observe(query_span.duration)
+        return result
+
+    def answer_set(
+        self, query: "RegularPathQuery | Regex | str", source: Oid
+    ) -> set[Oid]:
+        return self.query(query, source).answers
+
+    def query_batch(
+        self,
+        query: "QueryRequest | RegularPathQuery | Regex | str",
+        sources: "Sequence[Oid] | Iterable[Oid] | None" = None,
+    ) -> dict[Oid, set[Oid]]:
+        """Evaluate one query from many sources in one shared evaluation.
+
+        Accepts either the classic ``(expression, sources)`` pair or a
+        scalar :class:`~repro.engine.request.QueryRequest` (whose
+        ``sources`` field supplies the roots); conjunctive requests belong
+        to :meth:`query_conjunctive`.  The answers come back in request
+        order, one entry per distinct source.
+        """
+        query, sources = _lower_batch_request(query, sources)
+        return self._batch("batch", query, sources)
+
+    def query_batch_streaming(
+        self,
+        query: "RegularPathQuery | Regex | str",
+        sources: "Sequence[Oid] | Iterable[Oid]",
+        emit: "Callable[[Oid, Iterable[Oid]], None]",
+    ) -> dict[Oid, set[Oid]]:
+        """Batched evaluation that also streams answers as they land.
+
+        ``emit(source, answers)`` is called *during* the evaluation — from
+        the thread running it (a superstep worker, on a concurrent sharded
+        session), once per newly accepting fact (per fixpoint round on the
+        numpy backend) — and each ``(source, answer)`` pair is emitted at
+        most once; the union of everything emitted for a source equals its
+        entry of the returned dict, which is exactly what
+        :meth:`query_batch` returns.  ``emit`` must be cheap and
+        thread-safe (the serving layer hops it back onto its event loop);
+        exceptions it raises abort the run.
+        """
+        return self._batch("batch_streaming", query, sources, emit)
+
+    def query_batch_results(
+        self,
+        query: "RegularPathQuery | Regex | str",
+        sources: "Sequence[Oid] | Iterable[Oid]",
+    ) -> dict[Oid, EvaluationResult]:
+        """Batched evaluation that also reconstructs witness paths.
+
+        One shared evaluation answers every source (exactly like
+        :meth:`query_batch`), and each ``(source, answer)`` pair gets one
+        witness label word.  The traversal statistics are those of the
+        whole batch, mirrored into every per-source result.
+        """
+        return self._batch("batch_results", query, sources)
+
+    def _batch(self, mode: str, query, sources, emit=None) -> dict:
+        """One timed batched evaluation, assembled in request order.
+
+        The host answers the sources its graph holds; every other source
+        gets the unknown-source answer (streamed too, when ``emit`` is
+        given), and the dict follows the first occurrence of each source.
+        """
+        source_list = list(sources)
+        with self.metrics.span(self._query_span, mode=mode) as query_span:
+            self._count_batch(len(source_list))
+            witnesses = mode == "batch_results"
+            if witnesses:
+                compiled, found = self._query_batch_results(query, source_list)
+            else:
+                compiled, found = self._query_batch(query, source_list, emit)
+            results: dict = {}
+            for source in source_list:
+                if source in results:
+                    continue
+                answer = found.get(source)
+                if answer is None:
+                    unknown = _unknown_source(source, compiled)
+                    answer = unknown if witnesses else unknown.answers
+                    if emit is not None and unknown.answers:
+                        emit(source, (source,))
+                results[source] = answer
+            query_span.set(sources=len(results))
+        self._hist_query.observe(query_span.duration)
+        return results
+
+    def query_all(
+        self, query: "RegularPathQuery | Regex | str"
+    ) -> dict[Oid, set[Oid]]:
+        """All-pairs evaluation: the answer set of every object of the graph."""
+        with self.metrics.span(self._query_span, mode="all_pairs") as query_span:
+            results = self._query_all(query)
+            self._count_batch(len(results))
+            query_span.set(sources=len(results))
+        self._hist_query.observe(query_span.duration)
+        return results
+
+    def _count_batch(self, sources: int) -> None:
+        with self._lock:
+            self.stats.batch_evaluations += 1
+            self.stats.batched_sources += sources
+
+
+class Engine(Session):
     """A compiled-evaluation session bound to one :class:`Instance`.
 
     Thread-safety: concurrent *queries* against one engine are safe — the
@@ -560,8 +815,9 @@ class Engine(ServingSurface):
         "_graph": "_lock:mutate",
         "_instance_version": "_lock",
         "_edge_version": "_lock",
-        "_rewrites": "_rewrite_lock",
     }
+
+    _PREFIX = "engine"
 
     def __init__(
         self,
@@ -575,26 +831,19 @@ class Engine(ServingSurface):
         auto_compact_ratio: "int | None" = 4,
         _graph: "CompiledGraph | None" = None,
     ) -> None:
+        super().__init__(
+            constraints=constraints,
+            cost_model=cost_model,
+            cache_capacity=cache_capacity,
+            backend=backend,
+            stats=EngineStats(),
+        )
         self._instance: "Instance | weakref.ref[Instance]" = instance
-        self.constraints = constraints
-        self.cost_model = cost_model
-        # Validate the name eagerly ("numpy" on a numpy-less machine still
-        # fails lazily, at first evaluation, so sessions stay constructible
-        # before the availability question is settled).
-        if backend not in BACKENDS:
-            resolve_backend(backend)  # raises with the canonical message
-        self.backend = backend
         self.compiler = QueryCompiler(cache_capacity)
-        self.stats = EngineStats()
-        # One telemetry bundle (metrics registry + trace ring) per session.
-        # The serving layer registers into this same registry, so one
-        # snapshot covers admission, compile and evaluation.  Gauge
-        # callbacks close over the stats/compiler objects, never over the
-        # engine: ``shared_engine`` relies on plain refcounting to free the
-        # session, so no registry callback may point back at ``self``.
-        self.metrics = Telemetry()
+        # Gauge callbacks close over the stats/compiler objects, never over
+        # the engine: ``shared_engine`` relies on plain refcounting to free
+        # the session, so no registry callback may point back at ``self``.
         registry = self.metrics.registry
-        self.stats.register(registry)
         compiler = self.compiler
         registry.gauge(
             "engine_compile_hits", "query-cache hits", lambda: compiler.hits
@@ -607,17 +856,11 @@ class Engine(ServingSurface):
             "engine_cached_queries", "compiled tables resident in the LRU",
             lambda: len(compiler),
         )
-        self._hist_query = registry.histogram(
-            "engine_query_seconds", "end-to-end evaluation latency per call"
-        )
         self._hist_run = registry.histogram(
             "engine_run_seconds", "executor run latency (traversal only)"
         )
         self._hist_compile = registry.histogram(
             "engine_compile_seconds", "DFA lookup/lowering latency per query"
-        )
-        self._hist_rewrite = registry.histogram(
-            "engine_rewrite_seconds", "cold constraint-rewrite search latency"
         )
         # Label-order seed for every graph build of this session.  The
         # sharded engine passes one *shared, live* list to all its shard
@@ -625,16 +868,6 @@ class Engine(ServingSurface):
         # (in the shared order) before the shard's own edge labels — which is
         # what keeps DFA liveness pruning correct across shard boundaries.
         self._label_seed = labels
-        # Rewrite memo, LRU-bounded like the compile cache so a long-lived
-        # constrained session does not grow without limit.
-        self._rewrites: "OrderedDict[str, Regex]" = OrderedDict()
-        # Guards refresh and the stats counters against concurrent server
-        # threads (see the class docstring).
-        self._lock = witnessed_lock("Engine._lock", threading.RLock)
-        # The rewrite memo gets its own short-lived lock: the serving
-        # layer's admission path (admission_key) runs on the event loop and
-        # must never wait behind an evaluation holding the session lock.
-        self._rewrite_lock = witnessed_lock("Engine._rewrite_lock")
         # Executor runs (shared) vs in-place graph mutation (exclusive):
         # add_edge/remove_edge mutate the live CSR overflow/tombstones/
         # interners that a concurrently running executor is reading, so
@@ -656,33 +889,6 @@ class Engine(ServingSurface):
         self._graph.auto_compact_ratio = auto_compact_ratio
         self._instance_version = instance.version
         self._edge_version = instance.edge_version
-
-    @property
-    def instance(self) -> Instance:
-        """The live instance; resolves the weakref held by shared engines.
-
-        Raises :class:`~repro.exceptions.ReproError` when a weakly-bound
-        engine outlived its instance.  Read paths never hit this — they
-        only consult the instance for staleness detection, and a dead
-        instance can no longer mutate, so :meth:`refresh` treats it as
-        final and queries keep serving the frozen compiled graph.  Only
-        operations that genuinely need the instance (``add_edge`` /
-        ``remove_edge`` / ``save``) surface the error.
-        """
-        instance = self._instance_or_none()
-        if instance is None:
-            raise ReproError(
-                "the engine's instance has been garbage-collected; the "
-                "compiled graph is frozen (queries still work, mutation "
-                "and save do not)"
-            )
-        return instance
-
-    def _instance_or_none(self) -> "Instance | None":
-        held = self._instance
-        if type(held) is weakref.ref:
-            return held()
-        return held
 
     def _hold_instance_weakly(self) -> None:
         """Swap the instance back-edge for a weakref.
@@ -909,10 +1115,6 @@ class Engine(ServingSurface):
             self._graph.auto_compact_ratio = ratio
 
     # -- query compilation ----------------------------------------------------
-    @property
-    def _rewrite_capacity(self) -> int:
-        return self.compiler.capacity
-
     def compiled(self, query: "RegularPathQuery | Regex | str") -> CompiledQuery:
         """The integer transition table for ``query`` on the current graph."""
         return self._compiled_on(query)[0]
@@ -944,32 +1146,14 @@ class Engine(ServingSurface):
         self._hist_compile.observe(compile_span.duration)
         return compiled, graph
 
-    # -- evaluation -----------------------------------------------------------
-    def query(
-        self, query: "RegularPathQuery | Regex | str", source: Oid
-    ) -> EvaluationResult:
-        """Single-source evaluation with witnesses, as an ``EvaluationResult``."""
-        with self.metrics.span("engine.query", mode="single") as query_span:
-            result = self._query_single(query, source)
-            query_span.set(answers=len(result.answers))
-        self._hist_query.observe(query_span.duration)
-        return result
-
+    # -- evaluation (the host half of the Session contract) -------------------
     def _query_single(
         self, query: "RegularPathQuery | Regex | str", source: Oid
-    ) -> EvaluationResult:
+    ) -> "tuple[CompiledQuery, EvaluationResult | None]":
         compiled, graph = self._compiled_on(query)
-        with self._lock:
-            self.stats.single_evaluations += 1
         node = graph.node_id(source)
         if node is None:
-            # Unknown sources have an empty description; they answer
-            # themselves exactly when the query accepts the empty word.
-            result = EvaluationResult(visited_pairs=1, visited_objects=1)
-            if compiled.accepts_empty_word():
-                result.answers.add(source)
-                result.witness_paths[source] = ()
-            return result
+            return compiled, None
         with self._run_lock.read():
             with self.metrics.span("engine.run", mode="single") as run_span:
                 run = run_single(graph, compiled, node, backend=self.backend)
@@ -988,34 +1172,22 @@ class Engine(ServingSurface):
             result.witness_paths[graph.oid_of(node_id)] = tuple(
                 label_of(label_id) for label_id in labels
             )
-        return result
+        return compiled, result
 
-    def answer_set(
-        self, query: "RegularPathQuery | Regex | str", source: Oid
-    ) -> set[Oid]:
-        return self.query(query, source).answers
-
-    def _partition_batch_sources(
-        self, graph: CompiledGraph, sources: "Sequence[Oid] | Iterable[Oid]"
-    ) -> "tuple[list[int], list[Oid], list[Oid]]":
-        """Split batch sources into (known node ids, their oids, unknown oids)
-        against the query's captured ``graph`` snapshot, bumping the shared
-        batch statistics once for the whole call."""
-        source_list = list(sources)
-        with self._lock:
-            self.stats.batch_evaluations += 1
-            self.stats.batched_sources += len(source_list)
+    @staticmethod
+    def _known_sources(
+        graph: CompiledGraph, sources: "list[Oid]"
+    ) -> "tuple[list[int], list[Oid]]":
+        """The batch sources ``graph`` holds: (their node ids, their oids),
+        against the query's captured ``graph`` snapshot."""
         known: list[int] = []
         known_oids: list[Oid] = []
-        unknown: list[Oid] = []
-        for source in source_list:
+        for source in sources:
             node = graph.node_id(source)
-            if node is None:
-                unknown.append(source)
-            else:
+            if node is not None:
                 known.append(node)
                 known_oids.append(source)
-        return known, known_oids, unknown
+        return known, known_oids
 
     def _count_degrees(self) -> DegreeStats:
         """Per-label live edge counts from the CSR arrays (planner input).
@@ -1028,65 +1200,19 @@ class Engine(ServingSurface):
             num_nodes=graph.num_nodes, label_counts=graph.label_edge_counts()
         )
 
-    def query_batch(
-        self,
-        query: "QueryRequest | RegularPathQuery | Regex | str",
-        sources: "Sequence[Oid] | Iterable[Oid] | None" = None,
-    ) -> dict[Oid, set[Oid]]:
-        """Evaluate one query from many sources in one shared traversal.
-
-        Accepts either the classic ``(expression, sources)`` pair or a
-        scalar :class:`~repro.engine.request.QueryRequest` (whose
-        ``sources`` field supplies the roots); conjunctive requests belong
-        to :meth:`query_conjunctive`.
-        """
-        query, sources = _lower_batch_request(query, sources)
-        with self.metrics.span("engine.query", mode="batch") as query_span:
-            results = self._query_batch(query, sources)
-            query_span.set(sources=len(results))
-        self._hist_query.observe(query_span.duration)
-        return results
-
-    def query_batch_streaming(
-        self,
-        query: "RegularPathQuery | Regex | str",
-        sources: "Sequence[Oid] | Iterable[Oid]",
-        emit: "Callable[[Oid, Iterable[Oid]], None]",
-    ) -> dict[Oid, set[Oid]]:
-        """Batched evaluation that also streams answers as they land.
-
-        ``emit(source, answers)`` is called *during* the evaluation — from
-        the thread running it, once per newly accepting fact (per fixpoint
-        round on the numpy backend) — and each ``(source, answer)`` pair is
-        emitted at most once; the union of everything emitted for a source
-        equals its entry of the returned dict, which is exactly what
-        :meth:`query_batch` returns.  ``emit`` must be cheap and
-        thread-safe (the serving layer hops it back onto its event loop);
-        exceptions it raises abort the run.
-        """
-        with self.metrics.span("engine.query", mode="batch_streaming") as query_span:
-            results = self._query_batch(query, sources, emit=emit)
-            query_span.set(sources=len(results))
-        self._hist_query.observe(query_span.duration)
-        return results
-
     def _query_batch(
         self,
         query: "RegularPathQuery | Regex | str",
-        sources: "Sequence[Oid] | Iterable[Oid]",
-        emit: "Callable[[Oid, Iterable[Oid]], None] | None" = None,
-    ) -> dict[Oid, set[Oid]]:
+        sources: "list[Oid]",
+        emit: "Callable[[Oid, Iterable[Oid]], None] | None",
+    ) -> "tuple[CompiledQuery, dict[Oid, set[Oid]]]":
         compiled, graph = self._compiled_on(query)
-        known, known_oids, unknown = self._partition_batch_sources(graph, sources)
-        results: dict[Oid, set[Oid]] = {}
-        for source in unknown:
-            # Unknown sources have an empty description; they answer
-            # themselves exactly when the query accepts the empty word.
-            results[source] = {source} if compiled.accepts_empty_word() else set()
-            if emit is not None and results[source]:
-                emit(source, (source,))
+        known, known_oids = self._known_sources(graph, sources)
+        found: dict[Oid, set[Oid]] = {}
+        if not known:
+            return compiled, found
         answer_sink = None
-        if emit is not None and known:
+        if emit is not None:
             # The executor assigns mask bits by first occurrence of each
             # source node; rebuild that order so streamed bits map back to
             # the oids the caller asked about (duplicate oids share a bit).
@@ -1104,87 +1230,62 @@ class Engine(ServingSurface):
                 # per-fact work left on the evaluation thread.
                 emit(order[bit], [oid_of[node] for node in nodes])
 
-        if known:
-            # Constant-time trichotomy check (Bagan et al.): wide batches of
-            # easy-shaped queries run the whole-graph kernel — node ids
-            # double as mask bits, so one all-pairs fixpoint replaces
-            # seeding most of the graph source by source.  Streaming stays
-            # per-source (its bit->oid mapping follows the request order).
-            strategy = choose_batch_strategy(
-                _strategy_expression(self._prepared(query)),
-                len(set(known)),
-                graph.num_nodes,
-            )
-            all_pairs = strategy.strategy == "all-pairs" and answer_sink is None
-            with self._run_lock.read():
-                with self.metrics.span("engine.run", mode="batch") as run_span:
-                    if all_pairs:
-                        run = run_all_pairs(graph, compiled, backend=self.backend)
-                    else:
-                        run = run_batch(
-                            graph, compiled, known, backend=self.backend,
-                            answer_sink=answer_sink,
-                        )
-                    run_span.set(
-                        backend=run.backend,
-                        visited=run.visited_pairs,
-                        strategy=strategy.strategy,
-                        shape=strategy.shape,
+        # Constant-time trichotomy check (Bagan et al.): wide batches of
+        # easy-shaped queries run the whole-graph kernel — node ids double
+        # as mask bits, so one all-pairs fixpoint replaces seeding most of
+        # the graph source by source.  Streaming stays per-source (its
+        # bit->oid mapping follows the request order).
+        strategy = choose_batch_strategy(
+            _strategy_expression(self._prepared(query)),
+            len(set(known)),
+            graph.num_nodes,
+        )
+        all_pairs = strategy.strategy == "all-pairs" and answer_sink is None
+        with self._run_lock.read():
+            with self.metrics.span("engine.run", mode="batch") as run_span:
+                if all_pairs:
+                    run = run_all_pairs(graph, compiled, backend=self.backend)
+                else:
+                    run = run_batch(
+                        graph, compiled, known, backend=self.backend,
+                        answer_sink=answer_sink,
                     )
-            self._hist_run.observe(run.elapsed)
-            with self._lock:
-                self.stats.visited_pairs += run.visited_pairs
-                self.stats.record_backend(run.backend)
-            if all_pairs:
-                # ``run_all_pairs`` answers are positioned by node id.
-                for oid, node in zip(known_oids, known):
-                    results[oid] = graph.oids_of(run.answers[node])
-            else:
-                for oid, answer_nodes in zip(known_oids, run.answers):
-                    results[oid] = graph.oids_of(answer_nodes)
-        return results
-
-    def query_batch_results(
-        self,
-        query: "RegularPathQuery | Regex | str",
-        sources: "Sequence[Oid] | Iterable[Oid]",
-    ) -> dict[Oid, EvaluationResult]:
-        """Batched evaluation that also reconstructs witness paths.
-
-        One shared traversal answers every source (exactly like
-        :meth:`query_batch`); the executor additionally keeps enough of the
-        per-source reachability to rebuild, on demand, one witness label
-        word per ``(source, answer)`` pair.  The traversal statistics are
-        those of the whole batch, mirrored into every per-source result.
-        """
-        with self.metrics.span("engine.query", mode="batch_results") as query_span:
-            results = self._query_batch_results(query, sources)
-            query_span.set(sources=len(results))
-        self._hist_query.observe(query_span.duration)
-        return results
+                run_span.set(
+                    backend=run.backend,
+                    visited=run.visited_pairs,
+                    strategy=strategy.strategy,
+                    shape=strategy.shape,
+                )
+        self._hist_run.observe(run.elapsed)
+        with self._lock:
+            self.stats.visited_pairs += run.visited_pairs
+            self.stats.record_backend(run.backend)
+        if all_pairs:
+            # ``run_all_pairs`` answers are positioned by node id.
+            for oid, node in zip(known_oids, known):
+                found[oid] = graph.oids_of(run.answers[node])
+        else:
+            for oid, answer_nodes in zip(known_oids, run.answers):
+                found[oid] = graph.oids_of(answer_nodes)
+        return compiled, found
 
     def _query_batch_results(
         self,
         query: "RegularPathQuery | Regex | str",
-        sources: "Sequence[Oid] | Iterable[Oid]",
-    ) -> dict[Oid, EvaluationResult]:
+        sources: "list[Oid]",
+    ) -> "tuple[CompiledQuery, dict[Oid, EvaluationResult]]":
         compiled, graph = self._compiled_on(query)
-        known, known_oids, unknown = self._partition_batch_sources(graph, sources)
-        results: dict[Oid, EvaluationResult] = {}
-        for source in unknown:
-            result = EvaluationResult(visited_pairs=1, visited_objects=1)
-            if compiled.accepts_empty_word():
-                result.answers.add(source)
-                result.witness_paths[source] = ()
-            results[source] = result
+        known, known_oids = self._known_sources(graph, sources)
+        found: dict[Oid, EvaluationResult] = {}
         if not known:
-            return results
+            return compiled, found
         label_of = graph.labels.value_of
         # One read section across the run AND the witness replay: the replay
         # walks the live adjacency against the run's version stamp, so a
         # mutation admitted between the two would turn this very call's
         # resolver stale (the stamp check is for callers who stash the run,
-        # not for the engine's own replay).
+        # not for the engine's own replay).  The executor keeps enough of
+        # the per-source reachability to rebuild one witness word per pair.
         with self._run_lock.read():
             with self.metrics.span("engine.run", mode="batch_results") as run_span:
                 run = run_batch(
@@ -1204,21 +1305,11 @@ class Engine(ServingSurface):
                         result.witness_paths[graph.oid_of(answer_node)] = tuple(
                             label_of(label_id) for label_id in word
                         )
-                results[oid] = result
+                found[oid] = result
         with self._lock:
             self.stats.visited_pairs += run.visited_pairs
             self.stats.record_backend(run.backend)
-        return results
-
-    def query_all(
-        self, query: "RegularPathQuery | Regex | str"
-    ) -> dict[Oid, set[Oid]]:
-        """All-pairs evaluation: the answer set of every object of the graph."""
-        with self.metrics.span("engine.query", mode="all_pairs") as query_span:
-            results = self._query_all(query)
-            query_span.set(sources=len(results))
-        self._hist_query.observe(query_span.duration)
-        return results
+        return compiled, found
 
     def _query_all(
         self, query: "RegularPathQuery | Regex | str"
@@ -1230,17 +1321,12 @@ class Engine(ServingSurface):
                 run_span.set(backend=run.backend, visited=run.visited_pairs)
         self._hist_run.observe(run.elapsed)
         with self._lock:
-            self.stats.batch_evaluations += 1
-            self.stats.batched_sources += graph.num_nodes
             self.stats.visited_pairs += run.visited_pairs
             self.stats.record_backend(run.backend)
         return {
             graph.oid_of(node): graph.oids_of(answers)
             for node, answers in zip(run.sources, run.answers)
         }
-
-    def describe(self) -> str:
-        return self.stats.summary(self)
 
     def __repr__(self) -> str:
         return f"Engine({self._graph!r}, cached_queries={len(self.compiler)})"

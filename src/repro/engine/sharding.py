@@ -51,8 +51,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import count
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -64,11 +63,11 @@ from ..query.evaluation import EvaluationResult
 from .compiled_query import query_key
 from .csr import CompiledGraph
 from ..optimize.cost import DegreeStats
-from .executor import BACKENDS, frontier_class, resolve_backend, run_batch
+from .executor import frontier_class, resolve_backend, run_batch
 from .executor_py import PyFrontier
-from .session import Engine, ServingSurface, _lower_batch_request
+from .session import Engine, Session, _SessionStats
 from .snapshot import stored_digest, write_replacing
-from .telemetry import MetricsRegistry, Telemetry, witnessed_lock
+from .telemetry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..constraints.constraint import ConstraintSet
@@ -263,7 +262,7 @@ class SuperstepCounters:
 
 
 @dataclass
-class ShardedStats:
+class ShardedStats(_SessionStats):
     """Counters accumulated across the lifetime of one sharded session.
 
     Two backend tallies exist because superstep re-seeding makes "a run"
@@ -278,22 +277,15 @@ class ShardedStats:
     recent evaluation's :class:`SuperstepCounters` in isolation.
     """
 
-    single_evaluations: int = 0
-    batch_evaluations: int = 0
-    batched_sources: int = 0
     supersteps: int = 0
     local_runs: int = 0
     exchanged_facts: int = 0
-    visited_pairs: int = 0
     visited_objects: int = 0
-    rewrites_applied: int = 0
     steal_events: int = 0
     # max/mean per-step wall time of the most recent multi-step superstep:
     # 1.0 means perfectly balanced shards, >>1 means one shard held the
     # barrier while the others idled (the skew work-stealing exists to fix).
     superstep_skew_ratio: float = 1.0
-    # Which executor served each local run (cumulative, one per run_batch).
-    backend_runs: dict[str, int] = field(default_factory=dict)
     # One count per logical evaluation — the monolithic-comparable tally.
     backend_evaluations: dict[str, int] = field(default_factory=dict)
     # The most recent evaluation's superstep counters, reset per evaluation.
@@ -308,37 +300,24 @@ class ShardedStats:
             self.backend_evaluations.get(backend, 0) + 1
         )
 
-    _GAUGES = (
-        ("single_evaluations", "single-source evaluations"),
-        ("batch_evaluations", "batched evaluations"),
-        ("batched_sources", "sources answered across batched evaluations"),
+    _GAUGES = _SessionStats._GAUGES + (
         ("supersteps", "bulk-synchronous superstep rounds"),
         ("local_runs", "per-shard local executor runs"),
         ("exchanged_facts", "cross-shard frontier facts shipped at barriers"),
-        ("visited_pairs", "(node, state) pairs visited across shards"),
         ("visited_objects", "objects visited across shards"),
-        ("rewrites_applied", "queries improved by the constraint rewriter"),
         ("steal_events", "superstep chunk tasks claimed by a non-owner worker"),
     )
+    _BACKEND_RUNS_HELP = "local executor runs per backend (superstep re-seeds count)"
 
-    def register(self, registry: MetricsRegistry, prefix: str = "sharded") -> None:
-        """Expose every counter through ``registry`` as a callback gauge.
+    def register(self, registry: MetricsRegistry, prefix: str) -> None:
+        """The shared gauges plus the per-evaluation and skew views.
 
-        Mirrors :meth:`EngineStats.register`; the ``last_run`` gauges read
-        the most recently *published* evaluation (see :meth:`ShardedEngine.
-        _evaluate` — the reference is swapped atomically, never mutated in
-        place), so a scrape racing an evaluation sees a consistent triple.
+        The ``last_run`` gauges read the most recently *published*
+        evaluation (see :meth:`ShardedEngine._evaluate` — the reference is
+        swapped atomically, never mutated in place), so a scrape racing an
+        evaluation sees a consistent triple.
         """
-        for attr, help_text in self._GAUGES:
-            registry.gauge(
-                f"{prefix}_{attr}", help_text, lambda a=attr: getattr(self, a)
-            )
-        registry.gauge(
-            f"{prefix}_backend_runs",
-            "local executor runs per backend (superstep re-seeds count)",
-            lambda: dict(self.backend_runs),
-            labelnames=("backend",),
-        )
+        super().register(registry, prefix)
         registry.gauge(
             f"{prefix}_backend_evaluations",
             "logical evaluations per backend (monolithic-comparable)",
@@ -476,13 +455,14 @@ class _ShardIndex:
         return self._vectors
 
 
-class ShardedEngine(ServingSurface):
+class ShardedEngine(Session):
     """A sharded compiled-evaluation session with scatter-gather serving.
 
-    Mirrors the :class:`Engine` surface — ``query`` / ``query_batch`` /
-    ``query_all`` / ``add_edge`` / ``remove_edge`` / ``save`` / ``stats`` —
-    but partitions the instance across ``num_shards`` compiled graphs and
-    evaluates by superstep frontier exchange (module docstring).  Construct
+    The same :class:`~repro.engine.session.Session` API as :class:`Engine`
+    — ``query`` / ``query_batch`` / ``query_all`` / ``add_edge`` /
+    ``remove_edge`` / ``save`` / ``stats`` — over a second evaluator: the
+    instance is partitioned across ``num_shards`` compiled graphs and
+    evaluated by superstep frontier exchange (module docstring).  Construct
     with :meth:`open` (an instance, or a snapshot directory written by
     :meth:`save`).
 
@@ -499,7 +479,7 @@ class ShardedEngine(ServingSurface):
     the threads; the session keeps serving, sequentially.
 
     Thread-safety mirrors :class:`Engine`: concurrent callers are safe —
-    evaluations serialize on an internal lock (the supersteps *within* one
+    evaluations serialize on the session lock (the supersteps *within* one
     evaluation are what parallelize) — and the serving layer's admission
     queue (:meth:`as_server`) batches concurrent requests in front of it.
     """
@@ -507,13 +487,14 @@ class ShardedEngine(ServingSurface):
     # ``_subs``/``_shards`` are rebuilt references, atomically published
     # under ``_lock``; read paths (properties, gauges, ghost cache) take
     # lock-free point reads of whichever build they land on.  ``_rewrites``
-    # is inherited from :class:`ServingSurface` under ``_rewrite_lock``.
+    # and ``_scheduler`` are the base's (see :class:`Session`).
     GUARDED_BY = {
         "_subs": "_lock:mutate",
         "_shards": "_lock:mutate",
         "_instance_version": "_lock",
-        "_scheduler": "_lock:mutate",
     }
+
+    _PREFIX = "sharded"
 
     def __init__(
         self,
@@ -530,22 +511,19 @@ class ShardedEngine(ServingSurface):
         _restored: "tuple[list[Instance], list[Engine], list[str]] | None" = None,
     ) -> None:
         self._map = self._resolve_map(shards, shard_map)
+        # Shard engines carry their own (never-snapshotted) registries; their
+        # *spans* still join this session's traces — span parentage follows
+        # the active context, not the owning session — so a trace shows
+        # shard compiles under the sharded evaluation that triggered them.
+        super().__init__(
+            constraints=constraints,
+            cost_model=cost_model,
+            cache_capacity=cache_capacity,
+            backend=backend,
+            stats=ShardedStats(),
+        )
         self._instance = instance
-        self.constraints = constraints
-        self.cost_model = cost_model
-        self.cache_capacity = cache_capacity
-        if backend not in BACKENDS:
-            resolve_backend(backend)  # raises with the canonical message
-        self.backend = backend
-        self.stats = ShardedStats()
-        # One telemetry bundle for the whole sharded session.  Shard engines
-        # carry their own (never-snapshotted) registries; their *spans* still
-        # join this session's traces — span parentage follows the active
-        # context, not the owning session — so a trace shows shard compiles
-        # under the sharded evaluation that triggered them.
-        self.metrics = Telemetry()
         registry = self.metrics.registry
-        self.stats.register(registry)
         registry.gauge(
             "sharded_shards", "shard count", self._map.num_shards.__int__
         )
@@ -557,64 +535,36 @@ class ShardedEngine(ServingSurface):
             "sharded_rebuilt_shards", "shards built from scratch",
             lambda: self.rebuilt_shards,
         )
-        self._hist_query = registry.histogram(
-            "sharded_query_seconds", "end-to-end evaluation latency per call"
-        )
         self._hist_superstep = registry.histogram(
             "sharded_superstep_seconds", "one bulk-synchronous superstep round"
         )
         self._hist_local = registry.histogram(
             "sharded_local_fixpoint_seconds", "one shard's local superstep"
         )
-        self._hist_rewrite = registry.histogram(
-            "sharded_rewrite_seconds", "cold constraint-rewrite search latency"
-        )
-        # Serializes evaluations and mutation against concurrent server
-        # threads; per-shard superstep work happens on scheduler threads
-        # *inside* an evaluation, while the caller's thread holds this lock.
-        self._lock = witnessed_lock("ShardedEngine._lock", threading.RLock)
-        # The rewrite memo gets its own short-lived lock so the serving
-        # layer's admission path (admission_key, on the event loop) never
-        # waits behind a whole scatter-gather evaluation holding _lock.
-        self._rewrite_lock = witnessed_lock("ShardedEngine._rewrite_lock")
         if concurrency is not None and concurrency < 1:
             raise ReproError("concurrency must be a positive worker count")
-        if steal_threshold is not None and steal_threshold < 1:
-            raise ReproError(
-                "steal_threshold must be a positive word count (or None "
-                "to disable superstep work-stealing)"
-            )
-        # Minimum packed width, in 64-bit words, before a shard's local
-        # fixpoint is split into stealable word-range chunks (None disables).
         # Chunking needs at least two words to split, so the effective floor
         # is max(2, steal_threshold).
-        self._steal_threshold = steal_threshold
-        self._scheduler: "SuperstepScheduler | None" = None
+        self.steal_threshold = steal_threshold
         if concurrency is not None and concurrency > 1:
             from .serving import SuperstepScheduler
 
-            self._scheduler = SuperstepScheduler(concurrency)
-            scheduler = self._scheduler
-            registry.gauge(
-                "sharded_scheduler_steps", "per-shard steps scheduled",
-                lambda: scheduler.steps,
-            )
-            registry.gauge(
-                "sharded_scheduler_barriers", "superstep barriers joined",
-                lambda: scheduler.barriers,
-            )
-            registry.gauge(
-                "sharded_scheduler_concurrent_steps",
-                "peak simultaneously in-flight shard steps",
-                lambda: scheduler.concurrent_steps,
-            )
+            self._scheduler = scheduler = SuperstepScheduler(concurrency)
+            for attr, help_text in (
+                ("steps", "per-shard steps scheduled"),
+                ("barriers", "superstep barriers joined"),
+                ("concurrent_steps", "peak simultaneously in-flight shard steps"),
+            ):
+                registry.gauge(
+                    f"sharded_scheduler_{attr}", help_text,
+                    lambda a=attr: getattr(scheduler, a),
+                )
         self._labels: list[str] = []
         self._label_set: set[str] = set()
-        # Constraint pre-rewrite happens ONCE here, not per shard: every
-        # shard must compile the *same* expression, or the exchanged DFA
-        # state ids would not line up.  Shard engines are therefore built
-        # constraint-free; the memo mirrors Engine's (LRU-bounded).
-        self._rewrites: "OrderedDict[str, object]" = OrderedDict()
+        # Constraint pre-rewrite happens ONCE, in the session's memo, not per
+        # shard: every shard must compile the *same* expression, or the
+        # exchanged DFA state ids would not line up.  Shard engines are
+        # therefore built constraint-free.
         if _restored is None:
             self._build()
         else:
@@ -708,10 +658,6 @@ class ShardedEngine(ServingSurface):
 
     # -- introspection --------------------------------------------------------
     @property
-    def instance(self) -> Instance:
-        return self._instance
-
-    @property
     def num_shards(self) -> int:
         return self._map.num_shards
 
@@ -743,18 +689,6 @@ class ShardedEngine(ServingSurface):
             )
         self._steal_threshold = threshold
 
-    def close(self) -> None:
-        """Release the superstep scheduler's worker threads (idempotent).
-
-        The session stays usable: later evaluations run their supersteps
-        sequentially, as one opened without ``concurrency`` does, and
-        :attr:`scheduler` reads ``None``.
-        """
-        with self._lock:
-            scheduler, self._scheduler = self._scheduler, None
-        if scheduler is not None:
-            scheduler.close()
-
     @property
     def warm_shards(self) -> int:
         return sum(1 for engine in self._shards if engine.stats.snapshot_restores)
@@ -762,9 +696,6 @@ class ShardedEngine(ServingSurface):
     @property
     def rebuilt_shards(self) -> int:
         return sum(1 for engine in self._shards if engine.stats.graph_builds)
-
-    def describe(self) -> str:
-        return self.stats.summary(self)
 
     def __repr__(self) -> str:
         return (
@@ -847,13 +778,9 @@ class ShardedEngine(ServingSurface):
                 engine.auto_compact_ratio = ratio
 
     # -- evaluation -----------------------------------------------------------
-    # _prepared comes from ServingSurface and runs exactly once for all
-    # shards: the rewritten expression is what every shard compiles, so the
-    # DFA state ids exchanged between shards always agree.
-    @property
-    def _rewrite_capacity(self) -> int:
-        return self.cache_capacity
-
+    # _prepared comes from Session and runs exactly once for all shards: the
+    # rewritten expression is what every shard compiles, so the DFA state
+    # ids exchanged between shards always agree.
     @acquires("Engine._lock")
     def _compiled_everywhere(self, prepared) -> list:
         """One compiled table per shard, compiled (at most) once overall.
@@ -1287,117 +1214,47 @@ class ShardedEngine(ServingSurface):
                 counts[label] = counts.get(label, 0) + count
         return DegreeStats(num_nodes=len(self._instance), label_counts=counts)
 
-    def query_batch(
-        self,
-        query,
-        sources: "Sequence[Oid] | Iterable[Oid] | None" = None,
-    ) -> "dict[Oid, set[Oid]]":
-        """Evaluate one query from many sources across all shards.
-
-        Like :meth:`Engine.query_batch`, also accepts a scalar
-        :class:`~repro.engine.request.QueryRequest` in place of the pair.
-        """
-        query, sources = _lower_batch_request(query, sources)
-        with self.metrics.span("sharded.query", mode="batch") as query_span:
-            results = self._query_batch(query, sources)
-            query_span.set(sources=len(results))
-        self._hist_query.observe(query_span.duration)
-        return results
-
-    def query_batch_streaming(
-        self,
-        query,
-        sources: "Sequence[Oid] | Iterable[Oid]",
-        emit,
-    ) -> "dict[Oid, set[Oid]]":
-        """Batched evaluation that also streams answers as they land.
-
-        The sharded twin of :meth:`Engine.query_batch_streaming`:
-        ``emit(source, answers)`` receives each ``(source, answer)`` pair at
-        most once, as the owning shard's local fixpoint derives it —
-        mid-superstep, from scheduler worker threads — and the union of
-        everything emitted equals the returned dict, which is exactly what
-        :meth:`query_batch` returns.  ``emit`` must be cheap and
-        thread-safe.
-        """
-        with self.metrics.span("sharded.query", mode="batch_streaming") as query_span:
-            results = self._query_batch(query, sources, emit=emit)
-            query_span.set(sources=len(results))
-        self._hist_query.observe(query_span.duration)
-        return results
-
-    def _query_batch(
-        self,
-        query,
-        sources: "Sequence[Oid] | Iterable[Oid]",
-        emit=None,
-    ) -> "dict[Oid, set[Oid]]":
+    # -- the host half of the Session contract --------------------------------
+    def _query_single(self, query, source: Oid):
         with self._lock:
-            source_list = list(sources)
-            self.stats.batch_evaluations += 1
-            self.stats.batched_sources += len(source_list)
             self.refresh()
-            known = [oid for oid in source_list if oid in self._instance]
+            if source not in self._instance:
+                return self._shards[0].compiled(self._prepared(query)), None
+            run = self._evaluate(query, [source])
+            result = EvaluationResult(
+                answers=set(run.per_bit[0]),
+                visited_pairs=run.visited_pairs,
+                visited_objects=run.visited_objects,
+            )
+            result.witness_paths.update(self._witness_words(run, source))
+            return run.compiled[0], result
+
+    def _query_batch(self, query, sources: "list[Oid]", emit):
+        """One scatter-gather fixpoint over the sources the instance holds.
+
+        ``emit`` receives each ``(source, answer)`` pair at most once, as
+        the owning shard's local fixpoint derives it — mid-superstep, from
+        scheduler worker threads.
+        """
+        with self._lock:
+            known = [oid for oid in sources if oid in self._instance]
             run = self._evaluate(query, known, answer_sink=emit)
-            results: "dict[Oid, set[Oid]]" = {}
-            accepts_empty = run.compiled[0].accepts_empty_word()
-            for oid in source_list:
-                bit = run.bit_of.get(oid)
-                if bit is not None:
-                    results[oid] = run.per_bit[bit]
-                else:
-                    # Unknown sources have an empty description; they answer
-                    # themselves exactly when the query accepts the empty word.
-                    results[oid] = {oid} if accepts_empty else set()
-                    if emit is not None and results[oid]:
-                        emit(oid, (oid,))
-            return results
+            return run.compiled[0], {
+                oid: run.per_bit[bit] for oid, bit in run.bit_of.items()
+            }
 
-    def query_batch_results(
-        self,
-        query,
-        sources: "Sequence[Oid] | Iterable[Oid]",
-    ) -> "dict[Oid, EvaluationResult]":
-        """Batched evaluation that also reconstructs cross-shard witnesses.
-
-        Mirrors :meth:`Engine.query_batch_results`: one scatter-gather
-        fixpoint answers every source, then each source's answers get one
+    def _query_batch_results(self, query, sources: "list[Oid]"):
+        """One scatter-gather fixpoint, then each source's answers get one
         witness label word apiece from the ``(state, oid)`` BFS stitched
         across shards — the same reconstruction single-source :meth:`query`
         uses, restricted per source to its own bit of the owned fact masks
-        (computed once for the whole batch).  The traversal statistics are
-        those of the whole batch, mirrored into every per-source result.
-        """
-        with self.metrics.span("sharded.query", mode="batch_results") as query_span:
-            results = self._query_batch_results(query, sources)
-            query_span.set(sources=len(results))
-        self._hist_query.observe(query_span.duration)
-        return results
-
-    def _query_batch_results(
-        self,
-        query,
-        sources: "Sequence[Oid] | Iterable[Oid]",
-    ) -> "dict[Oid, EvaluationResult]":
+        (computed once for the whole batch)."""
         with self._lock:
-            source_list = list(sources)
-            self.stats.batch_evaluations += 1
-            self.stats.batched_sources += len(source_list)
-            self.refresh()
-            known = [oid for oid in source_list if oid in self._instance]
+            known = [oid for oid in sources if oid in self._instance]
             run = self._evaluate(query, known)
             facts = self._fact_masks(run)
-            accepts_empty = run.compiled[0].accepts_empty_word()
-            results: "dict[Oid, EvaluationResult]" = {}
-            for oid in source_list:
-                bit = run.bit_of.get(oid)
-                if bit is None:
-                    result = EvaluationResult(visited_pairs=1, visited_objects=1)
-                    if accepts_empty:
-                        result.answers.add(oid)
-                        result.witness_paths[oid] = ()
-                    results[oid] = result
-                    continue
+            found: "dict[Oid, EvaluationResult]" = {}
+            for oid, bit in run.bit_of.items():
                 result = EvaluationResult(
                     answers=set(run.per_bit[bit]),
                     visited_pairs=run.visited_pairs,
@@ -1406,47 +1263,11 @@ class ShardedEngine(ServingSurface):
                 result.witness_paths.update(
                     self._witness_words(run, oid, bit, facts)
                 )
-                results[oid] = result
-            return results
+                found[oid] = result
+            return run.compiled[0], found
 
-    def query_all(self, query) -> "dict[Oid, set[Oid]]":
-        """All-pairs evaluation: the answer set of every object of the graph."""
-        return self.query_batch(query, self._active_domain())
-
-    def query(self, query, source: Oid) -> EvaluationResult:
-        """Single-source evaluation with witnesses, as an ``EvaluationResult``."""
-        with self.metrics.span("sharded.query", mode="single") as query_span:
-            result = self._query_single(query, source)
-            query_span.set(answers=len(result.answers))
-        self._hist_query.observe(query_span.duration)
-        return result
-
-    def _query_single(self, query, source: Oid) -> EvaluationResult:
-        with self._lock:
-            self.stats.single_evaluations += 1
-            self.refresh()
-            if source not in self._instance:
-                compiled = self._shards[0].compiled(self._prepared(query))
-                result = EvaluationResult(visited_pairs=1, visited_objects=1)
-                if compiled.accepts_empty_word():
-                    result.answers.add(source)
-                    result.witness_paths[source] = ()
-                return result
-            run = self._evaluate(query, [source])
-            result = EvaluationResult(
-                answers=set(run.per_bit[0]),
-                visited_pairs=run.visited_pairs,
-                visited_objects=run.visited_objects,
-            )
-            result.witness_paths.update(self._witness_words(run, source))
-            return result
-
-    def answer_set(self, query, source: Oid) -> "set[Oid]":
-        return self.query(query, source).answers
-
-    # admission / admission_key / as_server come from ServingSurface: the
-    # session-central ``_prepared`` is what keys coalescing, so the key
-    # matches what every shard compiles.
+    def _query_all(self, query) -> "dict[Oid, set[Oid]]":
+        return self._query_batch(query, self._active_domain(), None)[1]
 
     def _fact_masks(self, run: _GlobalRun) -> "dict[tuple[int, Oid], int]":
         """Every owned ``(state, oid)`` fact of a run with its source bitmask.

@@ -1046,37 +1046,6 @@ class TestStreaming:
         assert stats.failed == 1
         assert stats.submitted == stats.served + stats.failed
 
-    def test_stream_degrades_without_streaming_engine(self):
-        # An engine exposing only query_batch still serves streams: every
-        # answer arrives at completion, through the same iterator.
-        instance, _ = web(20)
-        engine = Engine.open(instance)
-        [source] = sources_of(instance, 1)
-        expected = engine.query_batch("a (b + c)*", [source])[source]
-
-        class BatchOnly:
-            def __init__(self, inner):
-                self._inner = inner
-                self.metrics = inner.metrics
-
-            def admission(self, query):
-                return self._inner.admission(query)
-
-            def query_batch(self, query, sources):
-                return self._inner.query_batch(query, sources)
-
-        async def scenario():
-            async with QueryServer(
-                BatchOnly(engine), max_delay=0.001
-            ) as server:
-                stream = server.submit_stream(QueryRequest(query="a (b + c)*", sources=(source,)))
-                streamed = [answer async for answer in stream]
-                return streamed, await stream.result()
-
-        streamed, answers = asyncio.run(scenario())
-        assert answers == expected
-        assert set(streamed) == {str(oid) for oid in expected}
-
     def test_first_answer_histogram_observed(self):
         from repro.engine import set_telemetry_enabled
 

@@ -23,6 +23,7 @@ from repro.engine import (
     partition_instance,
     shard_graph,
 )
+from repro.engine.session import Session
 from repro.engine.sharding import MANIFEST_NAME
 from repro.exceptions import ReproError
 from repro.graph import Instance, figure2_graph, web_like_graph
@@ -181,6 +182,17 @@ class TestShardedEvaluation:
         for query in ("a (b + c)*", "a* b", "(a + b) c*", "%"):
             assert sharded.query_all(query) == mono.query_all(query), query
         assert sharded.stats.supersteps >= 1
+        # Batches answer in request order (first occurrence), unknown
+        # sources included, on both sessions.
+        first, second = sorted(instance.objects, key=repr)[:2]
+        request = [first, "zz", second, first]
+        for session in (mono, sharded):
+            for result in (
+                session.query_batch("a*", request),
+                session.query_batch_results("a*", request),
+            ):
+                assert list(result) == [first, "zz", second], session
+        assert sharded.query_batch("a*", request) == mono.query_batch("a*", request)
 
     def test_cross_shard_label_split_is_not_pruned(self):
         # Shard 0 owns the only 'a' edge, shard 1 the only 'b' edge: a
@@ -261,6 +273,36 @@ class TestShardedEvaluation:
         sharded.query_batch("a b", sorted(instance.objects, key=repr)[:4])
         text = sharded.describe()
         assert "shards: 2" in text and "supersteps" in text
+
+
+class TestSessionParity:
+    """Both session kinds are one :class:`Session` API over two evaluators."""
+
+    API = (
+        "query", "answer_set", "query_batch", "query_batch_streaming",
+        "query_batch_results", "query_all", "describe", "close",
+        "telemetry", "as_server",
+    )
+    # What a host may define for itself: its lifecycle and mutation code.
+    HOST_OVERRIDES = {
+        "open", "save", "refresh", "add_edge", "remove_edge", "compact_now",
+        "auto_compact_ratio",
+    }
+
+    @pytest.mark.parametrize("host", [Engine, ShardedEngine])
+    def test_api_is_defined_once_on_the_base(self, host):
+        for name in self.API:
+            owners = [cls for cls in host.__mro__ if name in vars(cls)]
+            assert owners == [Session], (host.__name__, name, owners)
+
+    def test_hosts_share_no_public_method_beyond_the_override_list(self):
+        def public(cls):
+            return {
+                name for name in vars(cls)
+                if not name.startswith("_") and not name.isupper()
+            }
+
+        assert public(Engine) & public(ShardedEngine) <= self.HOST_OVERRIDES
 
 
 class TestClose:

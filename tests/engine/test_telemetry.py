@@ -434,6 +434,18 @@ class TestSessionInstrumentation:
         # Single-source runs have one kernel whatever the session's backend,
         # and the span names the kernel that ran.
         assert run.attributes["backend"] == "python"
+        # Both session kinds name each call by its mode on the root span.
+        sharded = ShardedEngine.open(instance, shards=2, backend=backend)
+        for session, prefix in ((engine, "engine"), (sharded, "sharded")):
+            session.query("a b*", "o1")
+            session.query_batch("a b*", ["o1", "o2"])
+            session.query_all("a b*")
+            roots = [t.root for t in session.metrics.tracer.traces()][-3:]
+            assert [(r.name, r.attributes["mode"]) for r in roots] == [
+                (f"{prefix}.query", "single"),
+                (f"{prefix}.query", "batch"),
+                (f"{prefix}.query", "all_pairs"),
+            ]
 
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     def test_engine_histograms_fill(self, telemetry_on, backend):
