@@ -9,15 +9,7 @@ Two questions the sharding layer (``repro.engine.sharding``) must answer:
   shard map aligned to the clusters — the deployment sharding is *for*);
 * **independent persistence** — ``save``/``open`` of a snapshot directory
   must warm-start every shard whose partition is unchanged, and recompile
-  *only* the shard whose data went stale;
-* **superstep work-stealing** — on a *skewed* workload (one heavy shard
-  carrying 3x the sources, including every deep label-chain source packed
-  into the second mask word) the word-column chunking plus the steal queue
-  must actually fire (``steal_events > 0``) and pay off: the steal-enabled
-  engine's warm wall-clock must be at most 0.8x the steal-disabled engine
-  on the identical workload.  The win is algorithmic, not parallelism:
-  each word-column chunk's fixpoint terminates at its own round count, so
-  the fast word stops paying for the slow word's long tail.
+  *only* the shard whose data went stale.
 
 Answers of the sharded engine are checked against the monolithic engine
 before any timing is trusted, and the run always writes a machine-readable
@@ -29,8 +21,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_sharded.py --smoke   # CI-sized
     PYTHONPATH=src python benchmarks/bench_sharded.py --check   # gate:
         sharded warm batched serving <= 1.5x monolithic time, all-warm
-        reopen, single-stale-shard recompile, and (numpy arm) skewed-shard
-        stealing: steal_events > 0 and steal wall-clock <= 0.8x disabled
+        reopen, single-stale-shard recompile
 """
 
 from __future__ import annotations
@@ -43,19 +34,12 @@ import sys
 import tempfile
 import time
 
-from repro.engine import Engine, ShardedEngine, available_backends
+from repro.engine import Engine, ShardedEngine
 from repro.engine.sharding import ExplicitShardMap
 from repro.graph import Instance, web_like_graph
 from repro.workloads import random_path_query, star_chain_query
 
 OVERHEAD_BOUND = 1.5
-# Steal-enabled warm serving must finish in at most this fraction of the
-# steal-disabled engine's time on the skewed workload below.
-STEAL_RATIO_BOUND = 0.8
-# Star-heavy queries whose ``l0`` component walks the deep chain: the chain
-# word's sub-fixpoint runs for ~chain_depth rounds while the regular word
-# converges in the graph's diameter.
-SKEW_QUERIES = ("l0*.l1", "(l0|l1)*.l2")
 
 
 def build_workload(cluster_nodes: int, clusters: int, query_count: int, seed: int):
@@ -102,55 +86,6 @@ def build_workload(cluster_nodes: int, clusters: int, query_count: int, seed: in
     step = max(1, len(objects) // 32)
     sources = objects[::step][:32]
     return instance, shard_map, queries, sources
-
-
-def build_skew_workload(cluster_nodes: int, clusters: int, chain_depth: int, seed: int):
-    """A deliberately *unbalanced* sharded workload for the steal gates.
-
-    ``clusters`` web-like clusters, one shard each, no bridges — plus a
-    ``chain_depth``-deep ``l0`` chain living entirely in shard 0.  The 96
-    batched sources are arranged so the two 64-bit mask words converge at
-    very different rates: word 0 holds 64 fast web sources spread
-    round-robin across every cluster (every shard active in the
-    superstep), word 1 holds 32 chain sources, all owned by shard 0.
-    Shard 0 therefore carries 3x the sources of any other shard and all
-    of the long-tail rounds — the shape where chunking
-    the fixpoint by mask word and letting idle workers steal the heavy
-    shard's chunks pays.
-    """
-    labels = ["l0", "l1", "l2"]
-    instance = Instance()
-    assignment: dict = {}
-    for cluster in range(clusters):
-        part, _ = web_like_graph(cluster_nodes, labels, seed=seed + 50 + cluster)
-        mapped = part.map_objects(lambda oid, cluster=cluster: f"s{cluster}:{oid}")
-        for oid in mapped.objects:
-            instance.add_object(oid)
-            assignment[oid] = cluster
-        for edge in mapped.edges():
-            instance.add_edge(*edge)
-    previous = None
-    for index in range(chain_depth):
-        node = f"s0:chain{index:04d}"
-        instance.add_object(node)
-        assignment[node] = 0
-        if previous is not None:
-            instance.add_edge(previous, "l0", node)
-        previous = node
-    instance.add_edge(previous, "l1", "s0:chain0000")  # chain walks answer l0*.l1
-    shard_map = ExplicitShardMap(assignment, num_shards=clusters)
-    need = -(-64 // clusters)  # fill word 0 round-robin across every shard
-    per_cluster = []
-    for cluster in range(clusters):
-        pool = sorted(
-            oid for oid in instance.objects
-            if assignment[oid] == cluster and "chain" not in oid
-        )
-        step = max(1, len(pool) // need)
-        per_cluster.append(pool[::step][:need])
-    word0 = [per_cluster[i % clusters][i // clusters] for i in range(64)]
-    word1 = [f"s0:chain{i:04d}" for i in range(32)]
-    return instance, shard_map, word0 + word1
 
 
 def serve(engine, queries, sources):
@@ -264,55 +199,6 @@ def main(argv=None) -> int:
             failures.append("stale-reopened answers diverge from a fresh engine")
         instance.add_edge(victim, label, destination)  # restore the workload
 
-    # Superstep work-stealing A/B on the skewed workload (numpy only: the
-    # word-column chunking is a property of the vectorized executor).
-    steal_block = None
-    if "numpy" in available_backends():
-        skew_nodes = 60 if args.smoke else 400
-        chain_depth = 40 if args.smoke else 160
-        skew_instance, skew_map, skew_sources = build_skew_workload(
-            skew_nodes, args.clusters, chain_depth, args.seed
-        )
-        skew_mono = Engine.open(skew_instance)
-        skew_reference = serve(skew_mono, SKEW_QUERIES, skew_sources)
-        stealing = ShardedEngine.open(
-            skew_instance, shard_map=skew_map, concurrency=args.clusters
-        )
-        disabled = ShardedEngine.open(
-            skew_instance, shard_map=skew_map, concurrency=args.clusters,
-            steal_threshold=None,
-        )
-        for name, engine in (("stealing", stealing), ("steal-disabled", disabled)):
-            if serve(engine, SKEW_QUERIES, skew_sources) != skew_reference:
-                failures.append(f"{name} skew answers diverge from monolithic")
-        steal_best = {"stealing": float("inf"), "disabled": float("inf")}
-        for _ in range(args.repeat):  # interleaved best-of
-            for name, engine in (("stealing", stealing), ("disabled", disabled)):
-                _, elapsed = timed(serve, engine, SKEW_QUERIES, skew_sources)
-                steal_best[name] = min(steal_best[name], elapsed)
-        steal_ratio = (
-            steal_best["stealing"] / steal_best["disabled"]
-            if steal_best["disabled"]
-            else float("inf")
-        )
-        steal_block = {
-            "skew_cluster_nodes": skew_nodes,
-            "chain_depth": chain_depth,
-            "skew_sources": len(skew_sources),
-            "stealing_s": steal_best["stealing"],
-            "disabled_s": steal_best["disabled"],
-            "steal_ratio": steal_ratio,
-            "steal_ratio_bound": STEAL_RATIO_BOUND,
-            "steal_events": stealing.stats.steal_events,
-            "disabled_steal_events": disabled.stats.steal_events,
-            "superstep_skew_ratio": stealing.stats.superstep_skew_ratio,
-        }
-        if disabled.stats.steal_events:
-            failures.append(
-                "steal_threshold=None engine still recorded "
-                f"{disabled.stats.steal_events} steal events"
-            )
-
     print(f"{'mode':<30}{'time (s)':>10}{'ratio':>8}")
     print(f"{'monolithic warm batch':<30}{mono_s:>10.4f}{1.0:>7.2f}x")
     print(f"{'sharded warm batch':<30}{sharded_s:>10.4f}{ratio:>7.2f}x")
@@ -321,16 +207,6 @@ def main(argv=None) -> int:
         f"warm open {open_warm_s:.4f}s, stale open {open_stale_s:.4f}s"
     )
     print(f"sharded stats: {sharded.describe()}")
-    if steal_block is not None:
-        print(
-            f"skewed-shard stealing: {steal_block['stealing_s']:.4f}s vs "
-            f"{steal_block['disabled_s']:.4f}s disabled "
-            f"({steal_block['steal_ratio']:.2f}x), "
-            f"{steal_block['steal_events']} steal events, "
-            f"skew {steal_block['superstep_skew_ratio']:.2f}"
-        )
-    else:
-        print("skewed-shard stealing: skipped (numpy unavailable)")
 
     artifact = {
         "benchmark": "sharded_scatter_gather",
@@ -355,7 +231,6 @@ def main(argv=None) -> int:
         "save_s": save_s,
         "open_warm_s": open_warm_s,
         "open_stale_s": open_stale_s,
-        "steal": steal_block,
         "failures": failures,
     }
     with open(args.json, "w", encoding="utf-8") as handle:
@@ -368,42 +243,15 @@ def main(argv=None) -> int:
     if failures:
         return 1
     if args.check:
-        check_failed = False
         if ratio > OVERHEAD_BOUND:
             print(
                 f"CHECK FAILED: sharded serving {ratio:.2f}x > "
                 f"{OVERHEAD_BOUND}x monolithic",
                 file=sys.stderr,
             )
-            check_failed = True
-        if steal_block is not None:
-            if steal_block["steal_events"] <= 0:
-                print(
-                    "CHECK FAILED: skewed workload recorded no steal events",
-                    file=sys.stderr,
-                )
-                check_failed = True
-            if steal_block["steal_ratio"] > STEAL_RATIO_BOUND:
-                print(
-                    "CHECK FAILED: stealing wall-clock "
-                    f"{steal_block['steal_ratio']:.2f}x > {STEAL_RATIO_BOUND}x "
-                    "the steal-disabled engine",
-                    file=sys.stderr,
-                )
-                check_failed = True
-        else:
-            print(
-                "CHECK NOTE: numpy unavailable, stealing gates skipped",
-                file=sys.stderr,
-            )
-        if check_failed:
             return 1
         print(f"CHECK OK: sharded serving {ratio:.2f}x <= {OVERHEAD_BOUND}x "
-              f"monolithic; per-shard warm start verified" + (
-                  f"; stealing {steal_block['steal_ratio']:.2f}x <= "
-                  f"{STEAL_RATIO_BOUND}x with "
-                  f"{steal_block['steal_events']} steal events"
-                  if steal_block is not None else ""))
+              f"monolithic; per-shard warm start verified")
     return 0
 
 

@@ -74,7 +74,7 @@ def check_sharded_gauges() -> None:
 
     Runs in-process (the TCP smoke serves the monolithic engine): one
     scatter-gather evaluation, then the snapshot is checked for the
-    work-stealing counter and the skew gauge the README documents.
+    skew gauge the README documents.
     """
     from repro.engine.sharding import ShardedEngine
     from repro.graph import figure2_graph
@@ -84,13 +84,8 @@ def check_sharded_gauges() -> None:
     try:
         engine.query_batch("a.b*", sorted(instance.objects, key=str))
         snapshot = engine.metrics.registry.snapshot()
-        for needle in (
-            "sharded_steal_events",
-            "sharded_superstep_skew_ratio",
-            "sharded_last_run_steal_events",
-        ):
-            if needle not in snapshot:
-                fail(f"sharded registry snapshot missing {needle!r}")
+        if "sharded_superstep_skew_ratio" not in snapshot:
+            fail("sharded registry snapshot missing 'sharded_superstep_skew_ratio'")
         if snapshot["sharded_superstep_skew_ratio"] < 1.0:
             fail(
                 "superstep_skew_ratio below 1.0: "
@@ -192,7 +187,7 @@ def main() -> int:
     print(
         "obs smoke ok: served 2 queries, !stats arithmetic holds, "
         f"{len(traces)} slow traces sum within totals, /metrics + /healthz "
-        "live, sharded steal/skew gauges exported"
+        "live, sharded skew gauge exported"
     )
     return 0
 

@@ -208,7 +208,6 @@ def _open_session(args: argparse.Namespace, instance):
         constraints=constraints,
         backend=args.backend,
         concurrency=args.concurrency,
-        steal_threshold=getattr(args, "steal_threshold", 2) or None,
     )
     if snapshot_dir and (Path(snapshot_dir) / MANIFEST_NAME).is_file():
         # Warm-start shard by shard: only shards whose partition of the
@@ -532,12 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
         engine_parser,
         "run each superstep's per-shard local fixpoints on N worker threads "
         "(requires --shards / a sharded --snapshot-dir)",
-    )
-    engine_parser.add_argument(
-        "--steal-threshold", type=int, metavar="W", default=2,
-        help="split sharded local fixpoints into stealable word-column "
-        "chunks once the packed batch spans W 64-bit words (0 disables "
-        "work-stealing; default 2)",
     )
     engine_parser.add_argument(
         "--stats", action="store_true",

@@ -70,8 +70,6 @@ def _run_heads(keys: "np.ndarray") -> "np.ndarray":
 
 def _union(arrays: "Sequence[np.ndarray]") -> "np.ndarray":
     """The ascending, duplicate-free union of ascending key arrays."""
-    if len(arrays) == 1:
-        return arrays[0]
     merged = np.sort(np.concatenate(arrays))
     return merged[_run_heads(merged)] if merged.size else merged
 
@@ -217,8 +215,8 @@ def _on_accepting(
 def _flat_cells(masks: "np.ndarray") -> "np.ndarray":
     """The mask tensor addressed by flat pair key ``state * n + node``:
     scalar rows in the one-word layout (every op on them runs 1-D), word
-    vectors otherwise.  Always a view — a continued handle, including the
-    steal path's ``masks[:, :, w:w+1]`` column views, is updated in place."""
+    vectors otherwise.  Always a view — a continued handle is updated in
+    place."""
     num_states, n, words = masks.shape
     cells = masks.reshape(num_states * n, words)
     assert np.shares_memory(cells, masks), "flat view of the mask tensor copied"
@@ -242,9 +240,7 @@ class NpFrontier:
     :meth:`rows` (and through it :meth:`gather` and a continued run's own
     statistics) covers those rows plus whatever a further run grows.
     ``None`` — a handle assembled without them — means "whatever the
-    tensor holds", found by one scan; ``()`` says the rows already in the
-    tensor are someone else's to account for (the sharded engine's
-    per-word column views: the shard's merged handle carries them).
+    tensor holds", found by one scan.
 
     The sharded engine's superstep exchange is four calls on this class —
     :meth:`source_seeds`, :meth:`exports`, :meth:`route` and
@@ -274,18 +270,6 @@ class NpFrontier:
             self._cells = _flat_cells(self.masks)
         return self._cells
 
-    @classmethod
-    def from_chunks(
-        cls, masks: "np.ndarray", version, previous, chunks
-    ) -> "NpFrontier":
-        """The handle of ``masks`` after chunk runs continued its word
-        columns (each through a column view): the rows ``previous`` (the
-        tensor's handle, or ``None``) accounted for, then — as the latest
-        run's — every row any chunk grew (a pair grew iff some column did)."""
-        prior = () if previous is None else previous.reached
-        grown = _union([chunk.reached[-1] for chunk in chunks])
-        return cls(masks, version, prior + (grown,))
-
     def rows(self) -> "np.ndarray":
         """Flat keys of the rows this handle accounts for, ascending and
         duplicate-free (merged once per chain link, then kept)."""
@@ -294,8 +278,6 @@ class NpFrontier:
             merged = np.flatnonzero(_any_bit(self.cells()))
         elif len(reached) == 1:
             return reached[0]
-        elif not reached:
-            merged = np.empty(0, dtype=np.int64)
         else:
             merged = _union(reached)
         self.reached = (merged,)

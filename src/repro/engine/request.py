@@ -55,7 +55,9 @@ class QueryRequest:
         if not isinstance(self.sources, tuple):
             object.__setattr__(self, "sources", tuple(self.sources))
         if self.limit is not None and (
-            not isinstance(self.limit, int) or self.limit <= 0
+            not isinstance(self.limit, int)
+            or isinstance(self.limit, bool)
+            or self.limit <= 0
         ):
             raise ReproError(f"limit must be a positive integer, got {self.limit!r}")
         if self.cursor is not None and self.limit is None:

@@ -32,12 +32,13 @@ independent halves:
 
 * :class:`SuperstepScheduler` — a thread **superstep scheduler** for the
   sharded engine's scatter-gather fixpoint.  The per-shard local fixpoints
-  of one superstep are independent by construction (each touches only its
-  own shard's compiled graph and frontier; cross-shard facts exchange at
-  the barrier), so the calling thread and the scheduler's workers claim
-  them side by side and join at the barrier.  The numpy executor releases
-  the GIL inside its ``bitwise_or.reduceat`` hot loops, so shard steps
-  overlap when there are cores to run them on.  Installed via
+  of one superstep — one per active shard — are independent by
+  construction (each touches only its own shard's compiled graph and
+  frontier; cross-shard facts exchange at the barrier), so the calling
+  thread and the scheduler's workers claim them side by side and join at
+  the barrier.  The numpy executor releases the GIL inside its
+  ``bitwise_or.reduceat`` hot loops, so shard steps overlap when there
+  are cores to run them on.  Installed via
   ``ShardedEngine.open(..., concurrency=N)``; the observed peak of
   simultaneously in-flight shard steps is exported as
   :attr:`SuperstepScheduler.concurrent_steps`.
@@ -285,83 +286,6 @@ class _Superstep:
         if self.error is not None:
             raise self.error
         return self.results
-
-
-class StealQueue:
-    """A work-stealing pool of chunk tasks for one superstep.
-
-    The sharded engine splits an oversized shard-local fixpoint into
-    word-aligned bit-range chunks (disjoint word columns of the packed mask
-    tensor, so chunks of the same shard never write the same memory) and
-    tags each task with the shard that owns it.  Every superstep step drains
-    the queue through :meth:`drain`: a claimant takes its *own* oldest task
-    first (FIFO — owners work through their chunks in seeding order), and
-    only once its own work is gone does it **steal** the newest foreign task
-    from the tail — the classic deque discipline, which keeps thieves away
-    from the cache lines the owner is about to touch.  A claim whose owner
-    differs from the claimant counts as one steal event
-    (``sharded_steal_events``); that is the observable proof that an idle
-    worker relieved the slowest shard instead of waiting at the barrier.
-
-    Tasks run *outside* the queue lock (claims are O(queue) pointer moves),
-    so the pool never serializes the fixpoints it exists to parallelize.
-    """
-
-    # ``puts``/``steals`` are written under the lock and point-read by the
-    # superstep barrier and gauges after the pool has drained.
-    GUARDED_BY = {
-        "_tasks": "_lock",
-        "puts": "_lock:mutate",
-        "steals": "_lock:mutate",
-    }
-
-    def __init__(self) -> None:
-        self._lock = witnessed_lock("StealQueue._lock")
-        self._tasks: "deque[tuple[int, Callable[[], None]]]" = deque()
-        self.puts = 0
-        self.steals = 0
-
-    def put(self, owner: int, task: "Callable[[], None]") -> None:
-        """Enqueue one chunk task on behalf of ``owner``."""
-        with self._lock:
-            self._tasks.append((owner, task))
-            self.puts += 1
-
-    def claim(self, claimant: int) -> "tuple[int, Callable[[], None]] | None":
-        """Pop one task: the claimant's own oldest, else steal the newest.
-
-        Returns ``(owner, task)`` or ``None`` when the pool is empty; a
-        foreign claim increments :attr:`steals`.
-        """
-        with self._lock:
-            if not self._tasks:
-                return None
-            for index, (owner, task) in enumerate(self._tasks):
-                if owner == claimant:
-                    del self._tasks[index]
-                    return owner, task
-            owner, task = self._tasks.pop()
-            self.steals += 1
-            return owner, task
-
-    def drain(self, claimant: int) -> "tuple[int, int]":
-        """Run tasks until the pool is empty; returns ``(own, stolen)``.
-
-        Tasks execute outside the lock; an exception aborts this claimant's
-        drain (the raising task's superstep step re-raises at the barrier)
-        while other steps keep draining what remains.
-        """
-        own = stolen = 0
-        while True:
-            claimed = self.claim(claimant)
-            if claimed is None:
-                return own, stolen
-            owner, task = claimed
-            if owner == claimant:
-                own += 1
-            else:
-                stolen += 1
-            task()
 
 
 @dataclass
@@ -1508,6 +1432,8 @@ def _parse_v2(line: str) -> "tuple[str, QueryRequest | None, str | None]":
             raise ValueError("'sources' must be a list")
         if sources is None and "source" in payload:
             sources = [payload["source"]]
+        if sources is not None and any(oid is None for oid in sources):
+            raise ValueError("a source may not be null")
         stream = payload.get("stream", False)
         if not isinstance(stream, bool):
             raise ValueError("'stream' must be a boolean")

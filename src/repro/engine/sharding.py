@@ -15,11 +15,12 @@ the slow baseline evaluator; this module is its compiled, batched analogue:
   per-shard query caches, staleness stamps and snapshots all come for free).
   Edge targets owned by other shards are interned locally as **ghost**
   nodes: reachable, never expanded;
-* a query runs as **supersteps**: every shard drives the ordinary
-  :func:`~repro.engine.executor.run_batch` executor to a local fixpoint,
-  then the ``(state, node)`` facts that landed on ghost nodes are scattered
-  to the owning shards — the compiled analogue of the paper's ``subquery``
-  messages — and imported there as the next superstep's seed frontier.
+* a query runs as **supersteps**: every active shard runs the ordinary
+  :func:`~repro.engine.executor.run_batch` executor once, to a local
+  fixpoint, then the ``(state, node)`` facts that landed on ghost nodes
+  are scattered to the owning shards — the compiled analogue of the
+  paper's ``subquery`` messages — and imported there as the next
+  superstep's seed frontier.
   Rounds repeat until no shard produces a fact the owner has not absorbed.
   Re-imports are *semi-naive*: previously derived facts are pre-loaded into
   the executor as ``known`` masks, so a superstep only expands genuinely
@@ -252,13 +253,6 @@ class SuperstepCounters:
     supersteps: int = 0
     local_runs: int = 0
     exchanged_facts: int = 0
-    steal_events: int = 0
-
-    def reset(self) -> None:
-        self.supersteps = 0
-        self.local_runs = 0
-        self.exchanged_facts = 0
-        self.steal_events = 0
 
 
 @dataclass
@@ -281,10 +275,11 @@ class ShardedStats(_SessionStats):
     local_runs: int = 0
     exchanged_facts: int = 0
     visited_objects: int = 0
+    # Always 0; kept only because the e2e benchmark's ``--trace 1`` reads it.
     steal_events: int = 0
     # max/mean per-step wall time of the most recent multi-step superstep:
     # 1.0 means perfectly balanced shards, >>1 means one shard held the
-    # barrier while the others idled (the skew work-stealing exists to fix).
+    # barrier while the others idled.
     superstep_skew_ratio: float = 1.0
     # One count per logical evaluation — the monolithic-comparable tally.
     backend_evaluations: dict[str, int] = field(default_factory=dict)
@@ -305,7 +300,6 @@ class ShardedStats(_SessionStats):
         ("local_runs", "per-shard local executor runs"),
         ("exchanged_facts", "cross-shard frontier facts shipped at barriers"),
         ("visited_objects", "objects visited across shards"),
-        ("steal_events", "superstep chunk tasks claimed by a non-owner worker"),
     )
     _BACKEND_RUNS_HELP = "local executor runs per backend (superstep re-seeds count)"
 
@@ -324,7 +318,7 @@ class ShardedStats(_SessionStats):
             lambda: dict(self.backend_evaluations),
             labelnames=("backend",),
         )
-        for attr in ("supersteps", "local_runs", "exchanged_facts", "steal_events"):
+        for attr in ("supersteps", "local_runs", "exchanged_facts"):
             registry.gauge(
                 f"{prefix}_last_run_{attr}",
                 f"{attr} of the most recent evaluation, in isolation",
@@ -355,30 +349,12 @@ class ShardedStats(_SessionStats):
             f"evaluations: {self.single_evaluations} single, "
             f"{self.batch_evaluations} batched ({self.batched_sources} sources); "
             f"supersteps: {self.supersteps} ({self.local_runs} local runs, "
-            f"{self.exchanged_facts} cross-shard frontier exports, "
-            f"{self.steal_events} chunk steals; last "
+            f"{self.exchanged_facts} cross-shard frontier exports; last "
             f"evaluation {last.supersteps} supersteps / "
             f"{last.local_runs} runs); "
             f"backend evaluations/runs: {backends}; "
             f"visited pairs: {self.visited_pairs}"
         )
-
-
-@dataclass
-class _StealPool:
-    """One superstep's chunked local fixpoints, shared across scheduler steps.
-
-    ``queue`` holds the stealable chunk tasks
-    (:class:`~repro.engine.serving.StealQueue`); ``shards`` maps each
-    active shard to ``(masks, chunk_runs, version)`` — the shared packed
-    tensor its chunks write disjoint word columns of, the list each finished
-    chunk appends its run to (list appends are atomic under the GIL; chunks
-    of one shard may finish on different workers), and the graph version
-    the merged frontier is stamped with.
-    """
-
-    queue: object
-    shards: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -507,7 +483,6 @@ class ShardedEngine(Session):
         cache_capacity: int = 128,
         backend: str = "auto",
         concurrency: "int | None" = None,
-        steal_threshold: "int | None" = 2,
         _restored: "tuple[list[Instance], list[Engine], list[str]] | None" = None,
     ) -> None:
         self._map = self._resolve_map(shards, shard_map)
@@ -543,9 +518,6 @@ class ShardedEngine(Session):
         )
         if concurrency is not None and concurrency < 1:
             raise ReproError("concurrency must be a positive worker count")
-        # Chunking needs at least two words to split, so the effective floor
-        # is max(2, steal_threshold).
-        self.steal_threshold = steal_threshold
         if concurrency is not None and concurrency > 1:
             from .serving import SuperstepScheduler
 
@@ -673,21 +645,6 @@ class ShardedEngine(Session):
     def scheduler(self) -> "SuperstepScheduler | None":
         """The concurrent superstep scheduler, or ``None`` when sequential."""
         return self._scheduler
-
-    @property
-    def steal_threshold(self) -> "int | None":
-        """Minimum packed width (64-bit words) before local fixpoints are
-        split into stealable word-range chunks; ``None`` disables stealing."""
-        return self._steal_threshold
-
-    @steal_threshold.setter
-    def steal_threshold(self, threshold: "int | None") -> None:
-        if threshold is not None and threshold < 1:
-            raise ReproError(
-                "steal_threshold must be a positive word count (or None "
-                "to disable superstep work-stealing)"
-            )
-        self._steal_threshold = threshold
 
     @property
     def warm_shards(self) -> int:
@@ -840,149 +797,6 @@ class ShardedEngine(Session):
         )
         return run.frontier, run.frontier.exports(*route)
 
-    def _build_steal_pool(
-        self, backend: str, active, pending, frontiers, compiled, num_bits, sink_for
-    ) -> "_StealPool | None":
-        """Split this superstep's local fixpoints into stealable word chunks.
-
-        The packed fixpoint is bitwise-parallel: every source bit's
-        reachability closure is independent of every other's, so a word-
-        aligned column slice ``masks[:, :, lo:hi]`` of a shard's tensor is a
-        complete, self-contained sub-fixpoint.  Splitting pays off twice:
-
-        * **balance** — chunks go into one :class:`StealQueue`, so a worker
-          whose shard converged early steals columns from the slowest shard
-          instead of idling at the barrier;
-        * **early exit** — the monolithic kernel moves *all* ``W`` words per
-          edge visit until the *last* bit converges, paying
-          ``O(edges x W x R_max)``; per-word chunks each stop at their own
-          round count, ``O(edges x sum(R_chunk))``, which is strictly less
-          whenever convergence is skewed across sources.
-
-        A chunk's seeds are one word column of the shard's seed rows.
-        Returns ``None`` when chunking does not apply — stealing disabled,
-        width under the threshold (or a single word: nothing to split), the
-        evaluation's kernel (``backend``) not numpy, or a shard carrying a
-        foreign/width-drifted frontier handle — in which case the caller
-        falls back to the monolithic per-shard path.
-        """
-        threshold = self._steal_threshold
-        words = max(1, (num_bits + 63) >> 6)
-        if threshold is None or words < max(2, threshold) or backend != "numpy":
-            return None
-        from . import executor_np
-        from .serving import StealQueue
-
-        np = executor_np.np
-        for shard in active:
-            frontier = frontiers[shard]
-            if frontier is not None and (
-                not isinstance(frontier, executor_np.NpFrontier)
-                or frontier.words != words
-            ):
-                return None
-        pool = _StealPool(StealQueue())
-        for shard in active:
-            keys, rows = pending[shard]
-            graph = self._shards[shard].graph
-            frontier = frontiers[shard]
-            if frontier is None:
-                masks = np.zeros(
-                    (compiled[shard].num_states, graph.num_nodes, words),
-                    dtype=np.uint64,
-                )
-            else:
-                masks = frontier.masks
-            chunk_runs: list = []
-            pool.shards[shard] = (masks, chunk_runs, graph.version)
-            sink = sink_for(shard) if sink_for is not None else None
-            for word in range(words):
-                column = rows[:, word]
-                picked = column.nonzero()[0]
-                if not picked.size:
-                    continue
-                pool.queue.put(
-                    shard,
-                    self._chunk_task(
-                        graph,
-                        compiled[shard],
-                        masks,
-                        word,
-                        (keys[picked], column[picked]),
-                        sink,
-                        chunk_runs,
-                    ),
-                )
-        return pool
-
-    @staticmethod
-    def _chunk_task(graph, query, masks, word: int, chunk_seeds, sink, chunk_runs):
-        """One stealable unit: the fixpoint of a single 64-bit word column.
-
-        Chunks of one shard write disjoint word columns of the shared
-        tensor, so any two chunks — same shard or not — run on different
-        workers without synchronization.  Seeds arrive as the column's own
-        rows, in the chunk's local bit space; streamed answer bits shift back
-        before reaching the shard sink, and the chunk's run (the rows it grew
-        and its kernel work counts) lands in ``chunk_runs`` for the barrier's
-        merge.  The column's handle carries no reached rows of its own
-        (``reached=()``): what the tensor already held is the shard handle's
-        to account for.
-        """
-        from . import executor_np
-
-        version = graph.version
-        base = word << 6
-        chunk_sink = None
-        if sink is not None:
-
-            def chunk_sink(bit, nodes):
-                sink(bit + base, nodes)
-
-        def task() -> None:
-            known = executor_np.NpFrontier(masks[:, :, word : word + 1], version, ())
-            chunk_runs.append(
-                run_batch(
-                    graph,
-                    query,
-                    (),
-                    seeds=chunk_seeds,
-                    known=known,
-                    answer_sink=chunk_sink,
-                    backend="numpy",
-                )
-            )
-
-        return task
-
-    def _finalize_steal_shard(
-        self, pool: _StealPool, shard: int, previous, span, route
-    ):
-        """Merge one shard's chunk runs into a superstep result pair.
-
-        Runs at the barrier, after every chunk has completed: the rows the
-        chunks grew (a pair grew iff *any* word column grew there — exactly
-        the monolithic kernel's semantics) become the merged handle's latest
-        reached rows, after the ones the shard's handle came with, and ghost
-        exports are read off the merged handle so each fact ships its full
-        cross-column mask once.  The chunks' kernel work counts total onto
-        ``span``, the shard's ``sharded.local_fixpoint`` span: chunks run
-        side by side, so rounds and the widest frontier are maxima, gathered
-        edges a sum.
-        """
-        from .executor_np import NpFrontier
-
-        masks, chunk_runs, version = pool.shards[shard]
-        span.set(
-            rounds=max(run.rounds for run in chunk_runs),
-            edges_gathered=sum(run.edges_gathered for run in chunk_runs),
-            peak_frontier_rows=max(run.peak_frontier_rows for run in chunk_runs),
-        )
-        frontier = NpFrontier.from_chunks(
-            masks, version, previous, [run.frontier for run in chunk_runs]
-        )
-        return frontier, frontier.exports(*route)
-
     def _evaluate(
         self, query, sources: "Sequence[Oid]", answer_sink=None
     ) -> _GlobalRun:
@@ -1022,9 +836,8 @@ class ShardedEngine(Session):
         vectorized = family is not PyFrontier
         # The per-evaluation view accumulates in a *local* object and is
         # published into ``stats.last_run`` in one reference assignment at
-        # the end: a concurrent ``summary()``/gauge read never sees the
-        # half-reset, half-accumulated state the old in-place ``reset()``
-        # exposed mid-flight (it always reads the last finished evaluation).
+        # the end: a concurrent ``summary()``/gauge read never sees a
+        # half-accumulated evaluation (it always reads the last finished one).
         counters = SuperstepCounters()
         tele = self.metrics
         bit_of = dict(zip(dict.fromkeys(sources), count()))
@@ -1075,20 +888,7 @@ class ShardedEngine(Session):
             superstep_span = tele.span(
                 "sharded.superstep", round=counters.supersteps, shards=len(active)
             )
-            # Chunked, work-stealing supersteps: when the packed width spans
-            # several words and the numpy kernel serves, each shard's local
-            # fixpoint splits into word-column chunks pooled in one steal
-            # queue — populated *before* any step runs, so a worker going
-            # idle immediately relieves the slowest shard.
-            pool = (
-                self._build_steal_pool(
-                    backend, active, pending, frontiers, compiled, num_bits, sink_for
-                )
-                if self._scheduler is not None and len(active) > 1
-                else None
-            )
             durations: "list[float]" = []
-            local_spans: dict = {}
 
             def make_step(shard: int):
                 seeds, frontier = pending[shard], frontiers[shard]
@@ -1096,24 +896,22 @@ class ShardedEngine(Session):
                 sink = sink_for(shard) if sink_for is not None else None
 
                 def step():
-                    local_span = local_spans[shard] = tele.span_under(
+                    local_span = tele.span_under(
                         superstep_span, "sharded.local_fixpoint",
                         shard=shard, backend=backend,
                     )
                     try:
-                        # Current for the runs, so the dispatcher lands the
-                        # kernel's work counts on this span (chunk counts
-                        # are totalled onto it at the barrier).
+                        # Current for the run, so the dispatcher lands the
+                        # kernel's work counts on this span.
                         with tele.under(local_span):
-                            if pool is not None:
-                                own, stolen = pool.queue.drain(shard)
-                                local_span.set(chunks=own, stolen=stolen)
-                                result = None
-                            else:
-                                result = self._local_fixpoint(
-                                    shard, seeds, frontier, compiled[shard],
-                                    num_bits, route, answer_sink=sink,
-                                )
+                            result = self._local_fixpoint(
+                                shard, seeds, frontier, compiled[shard],
+                                num_bits, route, answer_sink=sink,
+                            )
+                        exports = result[1]
+                        local_span.set(
+                            exports=0 if exports is None else len(exports[0])
+                        )
                     finally:
                         local_span.end()
                     self._hist_local.observe(local_span.duration)
@@ -1127,17 +925,6 @@ class ShardedEngine(Session):
                 results = self._scheduler.run(steps)
             else:
                 results = [step() for step in steps]
-            if pool is not None:
-                results = [
-                    self._finalize_steal_shard(
-                        pool, shard, frontiers[shard], local_spans[shard],
-                        view(shard)[:3],
-                    )
-                    for shard in active
-                ]
-                if pool.queue.steals:
-                    self.stats.steal_events += pool.queue.steals
-                    counters.steal_events += pool.queue.steals
             # Superstep balance: max/mean per-step wall time (1.0 = even).
             if len(durations) > 1:
                 total = sum(durations)
@@ -1152,9 +939,6 @@ class ShardedEngine(Session):
             packets = []
             for shard, (frontier, exports) in zip(active, results):
                 frontiers[shard] = frontier
-                local_spans[shard].set(
-                    exports=0 if exports is None else len(exports[0])
-                )
                 if exports is not None:
                     packets.append(exports)
             self.stats.record_local_runs(backend, len(active))
@@ -1406,7 +1190,6 @@ class ShardedEngine(Session):
         cache_capacity: int = 128,
         backend: str = "auto",
         concurrency: "int | None" = None,
-        steal_threshold: "int | None" = 2,
     ) -> "ShardedEngine":
         """Return a ready-to-serve sharded session.
 
@@ -1430,7 +1213,6 @@ class ShardedEngine(Session):
                 cache_capacity=cache_capacity,
                 backend=backend,
                 concurrency=concurrency,
-                steal_threshold=steal_threshold,
             )
         if instance is not None:
             raise ReproError(
@@ -1445,7 +1227,6 @@ class ShardedEngine(Session):
             cache_capacity=cache_capacity,
             backend=backend,
             concurrency=concurrency,
-            steal_threshold=steal_threshold,
         )
 
     @classmethod
@@ -1461,7 +1242,6 @@ class ShardedEngine(Session):
         cache_capacity: int,
         backend: str,
         concurrency: "int | None",
-        steal_threshold: "int | None",
     ) -> "ShardedEngine":
         manifest_path = os.path.join(os.fspath(directory), MANIFEST_NAME)
         try:
@@ -1499,7 +1279,6 @@ class ShardedEngine(Session):
                     cache_capacity=cache_capacity,
                     backend=backend,
                     concurrency=concurrency,
-                    steal_threshold=steal_threshold,
                 )
             resolved_map = shard_map
         else:
@@ -1567,6 +1346,5 @@ class ShardedEngine(Session):
             cache_capacity=cache_capacity,
             backend=backend,
             concurrency=concurrency,
-            steal_threshold=steal_threshold,
             _restored=(subs, engines, labels),
         )

@@ -13,8 +13,7 @@ replaced could satisfy or needed:
   bounded, dropped by any mutation;
 * **the kernel's corner cases** — several states and labels landing on one
   target in one round, multi-word batches, ``known=`` continuation in
-  place, a per-word column-view task — each ``numpy == python == packed ==
-  baseline``.
+  place — each ``numpy == python == packed == baseline``.
 """
 
 import random
@@ -314,50 +313,10 @@ class TestKernelCornerCases:
             assert run.answers == whole.answers
 
     @needs_numpy
-    def test_per_word_column_view_task(self):
-        # The work-stealing path hands the kernel ``masks[:, :, w:w+1]`` — a
-        # strided view — as the known handle; the kernel must write through
-        # it into the shared tensor, touching no other word column.
-        import numpy as np
-
-        from repro.engine.executor_np import NpFrontier
-
-        instance, _ = web_like_graph(180, ["a", "b", "c"], seed=6)
-        graph = CompiledGraph.from_instance(instance)
-        compiled = lower_query("(a + b)* c", graph)
-        sources = list(range(130))  # three words
-        whole = run_batch(graph, compiled, sources, backend="numpy")
-        words = whole.frontier.words
-        assert words == 3
-        masks = np.zeros_like(whole.frontier.masks)
-        for word in range(words):
-            view = masks[:, :, word:word + 1]
-            untouched = masks.copy()
-            chunk_seeds = {
-                (compiled.initial, source): 1 << (source - 64 * word)
-                for source in sources[64 * word:64 * (word + 1)]
-            }
-            known = NpFrontier(view, graph.version)
-            run = run_batch(graph, compiled, (), seeds=chunk_seeds, known=known,
-                            backend="numpy")
-            assert np.shares_memory(run.frontier.masks, masks)
-            other = [w for w in range(words) if w != word]
-            assert np.array_equal(masks[:, :, other], untouched[:, :, other])
-        assert np.array_equal(masks, whole.frontier.masks)
-        expected = [
-            baseline_answers(instance, "(a + b)* c", graph.oid_of(source))
-            for source in (0, 70, 129)
-        ]
-        assert [graph.oids_of(whole.answers[source]) for source in (0, 70, 129)] == expected
-        for backend in ("python", "packed"):
-            assert run_batch(graph, compiled, sources, backend=backend).answers == whole.answers
-
-    @needs_numpy
     def test_reached_row_gather_equals_the_dense_scan(self):
         # ``NpFrontier.gather`` reads the rows the chain of runs reported;
-        # the reference scans the whole tensor.  Fresh, continued, and
-        # merged from per-word column chunks the way the steal path merges
-        # them — three words wide, with a third of the nodes skipped.
+        # the reference scans the whole tensor.  Fresh and continued — three
+        # words wide, with a third of the nodes skipped.
         import numpy as np
 
         from repro.engine.executor_np import NpFrontier
@@ -402,33 +361,9 @@ class TestKernelCornerCases:
             whole.visited_pairs, whole.visited_objects, whole.answers
         )
 
-        # Steal-merged: a first superstep's handle, then one chunk per word
-        # column writing into its tensor; the merged handle's reached rows
-        # are what it came with plus what each chunk grew.
-        first = run_batch(
-            graph, compiled, (), seeds=seeds_of(range(0, 130, 2)),
-            num_bits=num_bits, backend="numpy",
-        ).frontier
-        grown = []
-        for word in range(first.words):
-            view = first.masks[:, :, word:word + 1]
-            chunk = run_batch(
-                graph, compiled, (),
-                seeds={
-                    (compiled.initial, source): 1 << (source - 64 * word)
-                    for source in range(1, 130, 2)
-                    if source >> 6 == word
-                },
-                known=NpFrontier(view, graph.version, ()),
-                backend="numpy",
-            )
-            grown.append(chunk.frontier.reached[-1])
-        merged = NpFrontier(first.masks, graph.version, first.reached + tuple(grown))
-        assert np.array_equal(merged.masks, whole.frontier.masks)
-        assert merged.gather(compiled.accepting, num_bits, skip) == dense(merged)
         # A handle assembled without reached rows finds them by one scan.
-        bare = NpFrontier(merged.masks, graph.version)
-        assert bare.gather(compiled.accepting, num_bits, skip) == dense(merged)
+        bare = NpFrontier(continued.masks, graph.version)
+        assert bare.gather(compiled.accepting, num_bits, skip) == dense(continued)
 
     @needs_numpy
     def test_seed_wider_than_the_batch_is_refused(self):

@@ -1685,6 +1685,9 @@ class TestConjunctiveServing:
                     json.dumps(
                         {"id": "x", "query": "a", "source": "u", "sources": ["u"]}
                     ),
+                    json.dumps({"id": "x", "query": "a", "source": "u", "limit": True}),
+                    json.dumps({"id": "x", "query": "a*", "source": None}),
+                    json.dumps({"id": "x", "query": "a*", "sources": [None]}),
                 ]
                 return [await respond_line(server, f"V2\t{p}") for p in payloads]
 

@@ -1,7 +1,8 @@
 """Unit tests for the sharded engine layer (``repro.engine.sharding``).
 
 Shard maps, partitioning, the subset CSR build, the shared label universe,
-scatter-gather evaluation (answers, witnesses, stats), mutation routing, and
+scatter-gather evaluation (answers, witnesses, stats, multi-word batches
+through the superstep exchange), mutation routing, and
 per-shard snapshot persistence — including the headline property that a
 single stale shard recompiles alone while every warm shard loads from disk.
 """
@@ -489,6 +490,132 @@ class TestShardedStatsAccounting:
         sharded.query_batch("a b", sorted(instance.objects, key=repr)[:4])
         text = sharded.describe()
         assert "last evaluation" in text and "backend evaluations/runs" in text
+
+
+# ---------------------------------------------------------------------------
+# Multi-word batches through the superstep exchange.
+# ---------------------------------------------------------------------------
+def bridged_clusters(cluster_nodes=60, chain_depth=30, seed=5):
+    """Two web clusters, one shard each, plus a deep ``a``-chain owned by
+    shard 0 and cross-cluster links, so every shard holds ghost nodes and
+    the supersteps exchange facts.  The 80 sources span two mask words:
+    word 0 is spread over both shards, word 1 is the chain (shard 0 only)."""
+    labels = ["a", "b", "c"]
+    instance = Instance()
+    assignment: dict = {}
+    for cluster in range(2):
+        part, _ = web_like_graph(cluster_nodes, labels, seed=seed + cluster)
+        mapped = part.map_objects(lambda oid, cluster=cluster: f"s{cluster}:{oid}")
+        for oid in mapped.objects:
+            instance.add_object(oid)
+            assignment[oid] = cluster
+        for edge in mapped.edges():
+            instance.add_edge(*edge)
+    previous = None
+    for index in range(chain_depth):
+        node = f"s0:chain{index:03d}"
+        instance.add_object(node)
+        assignment[node] = 0
+        if previous is not None:
+            instance.add_edge(previous, "a", node)
+        previous = node
+    instance.add_edge(previous, "b", "s0:chain000")
+    per_cluster = [
+        sorted(
+            oid for oid in instance.objects
+            if assignment[oid] == cluster and "chain" not in oid
+        )[:32]
+        for cluster in range(2)
+    ]
+    for index in range(0, 30, 3):
+        instance.add_edge(f"s0:p{index}", "a", f"s1:p{index + 1}")
+        instance.add_edge(f"s1:p{index + 2}", "b", f"s0:p{index}")
+    instance.add_edge("s0:chain005", "a", "s1:p7")
+    word0 = [per_cluster[i % 2][i // 2] for i in range(64)]
+    word1 = [f"s0:chain{i:03d}" for i in range(16)]
+    return instance, ExplicitShardMap(assignment, num_shards=2), word0 + word1
+
+
+@pytest.mark.skipif(not numpy_available(), reason="compares the numpy kernel")
+class TestMultiWordExchange:
+    QUERIES = ("a*.b", "(a|b)*.c")
+
+    def serve(self, engine, sources):
+        return {q: engine.query_batch(q, sources) for q in self.QUERIES}
+
+    def test_gather_over_continued_frontiers_with_ghosts(self):
+        # The numpy gather reads the rows the runs reported; the python
+        # kernel's set-based gather behind the same call is the reference —
+        # answers and the visited counts (owned pairs and objects only: a
+        # ghost's facts are its owner's) must agree through fresh and
+        # continued frontiers, scheduled or sequential.
+        instance, shard_map, sources = bridged_clusters()
+        arms = {
+            "concurrent": dict(concurrency=2),
+            "sequential": dict(),
+            "reference": dict(backend="python"),
+        }
+        observed = {}
+        for name, options in arms.items():
+            engine = ShardedEngine.open(instance, shard_map=shard_map, **options)
+            try:
+                answers = self.serve(engine, sources)
+                last = engine.stats.last_run
+                assert last.supersteps > 1 and last.exchanged_facts > 0, name
+                observed[name] = (
+                    answers, engine.stats.visited_pairs, engine.stats.visited_objects
+                )
+            finally:
+                engine.close()
+        assert observed["reference"][0] == self.serve(Engine.open(instance), sources)
+        for name in ("concurrent", "sequential"):
+            assert observed[name] == observed["reference"], name
+
+    @pytest.mark.parametrize("concurrency", [2, None])
+    def test_exchange_counters_agree_across_kernels(self, concurrency):
+        # Over 64 sources, so the packed masks span two words; per query,
+        # every kernel must take the same supersteps and local runs, ship
+        # the same facts and visit the same pairs/objects.
+        instance, shard_map, sources = bridged_clusters()
+        assert len(sources) > 64
+        for query in self.QUERIES:
+            counters = {}
+            for backend in ("python", "packed", "numpy"):
+                engine = ShardedEngine.open(
+                    instance, shard_map=shard_map, backend=backend,
+                    concurrency=concurrency,
+                )
+                try:
+                    engine.query_batch(query, sources)
+                finally:
+                    engine.close()
+                last, stats = engine.stats.last_run, engine.stats
+                counters[backend] = (
+                    last.supersteps, last.local_runs, last.exchanged_facts,
+                    stats.visited_pairs, stats.visited_objects,
+                )
+            assert len(set(counters.values())) == 1, (query, counters)
+            assert counters["numpy"][2] > 0, query
+
+    def test_streaming_delivers_each_pair_at_most_once_with_ghosts(self):
+        instance, shard_map, sources = bridged_clusters()
+        engine = ShardedEngine.open(instance, shard_map=shard_map, concurrency=2)
+        try:
+            for query in self.QUERIES:
+                delivered: list = []
+                final = engine.query_batch_streaming(
+                    query,
+                    sources,
+                    lambda oid, answers: delivered.extend(
+                        (oid, answer) for answer in answers
+                    ),
+                )
+                assert len(delivered) == len(set(delivered)), query
+                assert set(delivered) == {
+                    (oid, answer) for oid, answers in final.items() for answer in answers
+                }, query
+        finally:
+            engine.close()
 
 
 # ---------------------------------------------------------------------------
