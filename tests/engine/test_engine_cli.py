@@ -188,6 +188,13 @@ class TestEngineShardedFlags:
         assert code == 0
         assert capsys.readouterr().out == expected
 
+    def test_steal_threshold_flag_rejected_by_argparse(self, graph_file, query_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["engine", graph_file, query_file, "--all-sources", "--shards", "2",
+                  "--steal-threshold", "2"])
+        assert excinfo.value.code == 2
+        assert "--steal-threshold" in capsys.readouterr().err
+
     def test_snapshot_dir_cold_then_warm(self, graph_file, query_file, tmp_path, capsys):
         directory = str(tmp_path / "shards")
         code = main(

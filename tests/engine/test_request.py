@@ -46,6 +46,12 @@ class TestQueryRequest:
         with pytest.raises(ReproError, match="positive integer"):
             QueryRequest(query="a", limit="5")
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_limit_rejects_booleans(self, flag):
+        # ``bool`` passes ``isinstance(limit, int)``; True must not read as 1.
+        with pytest.raises(ReproError, match="positive integer"):
+            QueryRequest(query="a", limit=flag)
+
     def test_cursor_requires_limit(self):
         with pytest.raises(ReproError, match="cursor"):
             QueryRequest(query="a", cursor="abc")

@@ -22,6 +22,7 @@ from repro.engine import (
     ShardMap,
     numpy_available,
     partition_instance,
+    set_telemetry_enabled,
     shard_graph,
 )
 from repro.engine.session import Session
@@ -616,6 +617,135 @@ class TestMultiWordExchange:
                 }, query
         finally:
             engine.close()
+
+
+class TestOneFixpointPerShard:
+    """Each active shard runs exactly one local fixpoint per superstep,
+    whether the scheduler runs the steps on workers or inline."""
+
+    QUERIES = TestMultiWordExchange.QUERIES
+
+    def traced(self, engine, query, sources):
+        previous = set_telemetry_enabled(True)
+        try:
+            engine.query_batch(query, sources)
+        finally:
+            set_telemetry_enabled(previous)
+        return engine.metrics.tracer.last().spans
+
+    @pytest.mark.parametrize("concurrency", [2, None])
+    def test_each_active_shard_runs_once_per_superstep(self, concurrency):
+        instance, shard_map, sources = bridged_clusters()
+        engine = ShardedEngine.open(
+            instance, shard_map=shard_map, concurrency=concurrency
+        )
+        try:
+            for query in self.QUERIES:
+                spans = self.traced(engine, query, sources)
+                supersteps = [s for s in spans if s.name == "sharded.superstep"]
+                assert len(supersteps) == engine.stats.last_run.supersteps > 1
+                runs = 0
+                for superstep in supersteps:
+                    shards = [
+                        span.attributes["shard"]
+                        for span in spans
+                        if span.parent_id == superstep.span_id
+                        and span.name == "sharded.local_fixpoint"
+                    ]
+                    assert len(shards) == len(set(shards)), (query, shards)
+                    assert len(shards) == superstep.attributes["shards"]
+                    runs += len(shards)
+                assert runs == engine.stats.last_run.local_runs, query
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("concurrency", [2, None])
+    def test_answers_match_the_monolithic_engine(self, concurrency):
+        instance, shard_map, sources = bridged_clusters()
+        mono = Engine.open(instance)
+        engine = ShardedEngine.open(
+            instance, shard_map=shard_map, concurrency=concurrency
+        )
+        try:
+            for query in self.QUERIES:
+                assert engine.query_batch(query, sources) == mono.query_batch(
+                    query, sources
+                ), query
+            assert engine.stats.superstep_skew_ratio >= 1.0
+        finally:
+            engine.close()
+
+    @pytest.mark.parametrize("concurrency", [2, None])
+    def test_streamed_answers_equal_the_final_result(self, concurrency):
+        instance, shard_map, sources = bridged_clusters()
+        engine = ShardedEngine.open(
+            instance, shard_map=shard_map, concurrency=concurrency
+        )
+        try:
+            for query in self.QUERIES:
+                streamed: dict = {}
+                final = engine.query_batch_streaming(
+                    query,
+                    sources,
+                    lambda oid, answers: streamed.setdefault(oid, set()).update(
+                        answers
+                    ),
+                )
+                for oid, answers in final.items():
+                    assert streamed.get(oid, set()) == set(answers), (query, oid)
+        finally:
+            engine.close()
+
+    def test_local_runs_report_kernel_counts_on_the_shard_span(self):
+        # The dispatcher lands each run's work counts on the span current
+        # for it: the shard's local fixpoint span, on whichever worker ran it.
+        instance, shard_map, sources = bridged_clusters()
+        engine = ShardedEngine.open(instance, shard_map=shard_map, concurrency=2)
+        try:
+            spans = self.traced(engine, "a*.b", sources)
+        finally:
+            engine.close()
+        [first] = [
+            span
+            for span in spans
+            if span.name == "sharded.superstep" and span.attributes["round"] == 1
+        ]
+        fixpoints = [
+            span
+            for span in spans
+            if span.parent_id == first.span_id and span.name == "sharded.local_fixpoint"
+        ]
+        # Round one seeds word 0 on both shards and word 1 on shard 0.
+        assert sorted(span.attributes["shard"] for span in fixpoints) == [0, 1]
+        for span in fixpoints:
+            assert span.attributes["edges_gathered"] > 0
+            assert span.attributes["rounds"] > 0
+            assert span.attributes["peak_frontier_rows"] > 0
+
+    def test_steal_events_stay_zero(self):
+        instance, shard_map, sources = bridged_clusters()
+        engine = ShardedEngine.open(instance, shard_map=shard_map, concurrency=2)
+        try:
+            for query in self.QUERIES:
+                engine.query_batch(query, sources)
+        finally:
+            engine.close()
+        assert engine.stats.steal_events == 0
+        assert engine.stats.last_run.local_runs > 0
+
+    @pytest.mark.parametrize("entry", ["open", "open_directory", "constructor"])
+    def test_steal_threshold_is_not_an_option(self, entry, tmp_path):
+        instance, _ = web(20)
+        if entry == "open":
+            with pytest.raises(TypeError, match="steal_threshold"):
+                ShardedEngine.open(instance, shards=2, steal_threshold=2)
+        elif entry == "open_directory":
+            ShardedEngine.open(instance, shards=2).save(str(tmp_path))
+            with pytest.raises(TypeError, match="steal_threshold"):
+                ShardedEngine.open(str(tmp_path), steal_threshold=2)
+        else:
+            with pytest.raises(TypeError, match="steal_threshold"):
+                ShardedEngine(instance, shards=2, steal_threshold=2)
 
 
 # ---------------------------------------------------------------------------
