@@ -25,8 +25,9 @@ The report lands in ``PROFILE_report.txt`` (override with ``--out``).  The
 console gets each section's total time plus its top self-time frames, and
 both get the work counts beside the timings: per query the kernels' own
 ``BatchRun.rounds`` / ``edges_gathered`` / ``peak_frontier_rows``; per text
-the rewriter's ``generated`` / ``proofs_attempted`` / ``skipped_by_cost``,
-split into the texts it improved and the ones it returned unchanged; per
+the rewriter's ``generated`` / ``proofs_attempted`` / ``skipped_by_cost``
+and its ``generate_ms`` / ``prove_ms`` split, also averaged over the texts
+it improved and over the ones it returned unchanged; per
 CRPQ template the op's milliseconds sharded and monolithic, per op the
 supersteps, local runs, exchanged facts and kernel runs (sharded and
 monolithic), the join steps' q-error, and the atom-time ratio the benchmark
@@ -180,12 +181,15 @@ def profile_rewrite(
             f"{title}: {count} texts, mean {sum(s for s, _ in group) / count * 1e3:.2f} ms, "
             f"generated {sum(o.generated for _, o in group) / count:.2f}, "
             f"proved {sum(o.proofs_attempted for _, o in group) / count:.2f}, "
-            f"skipped by cost {sum(o.skipped_by_cost for _, o in group) / count:.2f}"
+            f"skipped by cost {sum(o.skipped_by_cost for _, o in group) / count:.2f}; "
+            f"generate {sum(o.generate_ms for _, o in group) / count:.3f} ms, "
+            f"prove {sum(o.prove_ms for _, o in group) / count:.3f} ms"
         )
     per_text = [
         f"  {seconds * 1e3:7.2f} ms  {'improved ' if outcome.improved else 'unchanged'}"
         f" generated={outcome.generated} proofs_attempted={outcome.proofs_attempted}"
-        f" skipped_by_cost={outcome.skipped_by_cost}  {text}"
+        f" skipped_by_cost={outcome.skipped_by_cost}"
+        f" generate_ms={outcome.generate_ms:.3f} prove_ms={outcome.prove_ms:.3f}  {text}"
         for seconds, outcome, text in rows
     ]
 

@@ -155,6 +155,51 @@ class NFA:
             after[word[:end]] = current
         return current
 
+    def run_forced(
+        self,
+        word: tuple[str, ...],
+        after: "dict[tuple[str, ...], frozenset[State] | None]",
+        live: "set[State]",
+    ) -> "frozenset[State] | None":
+        """:meth:`run` of ``word`` when every word of the language starts with it.
+
+        ``None`` when the language is empty or has a word that does not begin
+        with ``word``.  ``live`` is :meth:`coreachable_states`; reading
+        ``word`` fails at a step whose state set accepts (a shorter word is in
+        the language), has a live move on another label, or keeps no live
+        state.  ``after`` is shared between words like :meth:`run_shared`'s
+        table, a failed prefix being recorded as ``None``.
+        """
+        if () not in after:
+            start = self.initial_closure()
+            after[()] = None if live.isdisjoint(start) else start
+        known = len(word)
+        while word[:known] not in after:
+            known -= 1
+        current = after[word[:known]]
+        for end in range(known + 1, len(word) + 1):
+            if current is not None:
+                label = word[end - 1]
+                if not self.accepting.isdisjoint(current) or self.live_labels(
+                    current, live
+                ) - {label}:
+                    current = None
+                else:
+                    current = self.step(current, label)
+                    if live.isdisjoint(current):
+                        current = None
+            after[word[:end]] = current
+        return current
+
+    def live_labels(self, states: Iterable[State], live: "set[State]") -> set[str]:
+        """The labels on which some of ``states`` moves into ``live``."""
+        labels: set[str] = set()
+        for state in states:
+            for label, targets in self.transitions.get(state, {}).items():
+                if label != EPSILON and label not in labels and not live.isdisjoint(targets):
+                    labels.add(label)
+        return labels
+
     def accepts(self, word: Iterable[str]) -> bool:
         """Membership test: does the automaton accept ``word``?"""
         return bool(self.run(word) & self.accepting)

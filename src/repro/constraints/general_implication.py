@@ -105,6 +105,16 @@ def decide_implication(
         )
         if forward.verdict is not Verdict.IMPLIED:
             return forward
+        if (
+            constraints.is_word_equality_set()
+            and _coerce(conclusion.lhs).as_word() is not None
+            and _coerce(conclusion.rhs).as_word() is not None
+        ):
+            # Every premise is an equality, so →E holds each rule in both
+            # directions and is symmetric: u →E* v gives v →E* u (Lemma 4.4).
+            return ImplicationResult(
+                Verdict.IMPLIED, method=f"{forward.method}+symmetry"
+            )
         backward = decide_implication(
             constraints, PathInclusion(conclusion.rhs, conclusion.lhs), budget
         )

@@ -444,6 +444,8 @@ class Session:
                 generated=outcome.generated,
                 proofs_attempted=outcome.proofs_attempted,
                 skipped_by_cost=outcome.skipped_by_cost,
+                generate_ms=outcome.generate_ms,
+                prove_ms=outcome.prove_ms,
             )
         self._hist_rewrite.observe(rewrite_span.duration)
         best_key = query_key(outcome.best)

@@ -19,14 +19,29 @@ below implements that loop:
    word-constraint procedures when applicable), and stop at the first proof:
    every candidate after it costs at least as much.
 
+Most constraint sides are plain words (Section 4's word constraints), and a
+word side ``u`` needs no automaton construction: one walk of ``u`` through the
+query's Thompson automaton, restricted to its co-reachable states, decides
+whether every word of the query starts with ``u`` (a cached decomposition
+exists) or the query denotes exactly ``u`` (a prefix substitution applies),
+and the state set it ends in is the remainder's start.  The walks of all sides
+share their prefixes' steps.  Sides that are not words (the starred cached
+expressions of Example 3) are decided by quotient and automaton equivalence.
+When every constraint is a word equality and the query and the candidate are
+both words, the proof is one inclusion: →E then holds each rule in both
+directions, so ``u →E* v`` gives ``v →E* u`` (Lemma 4.4) and the converse
+saturation is not run.
+
 Every returned rewrite therefore comes with the evidence used to justify it,
 and a candidate that cannot win is never proved.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
+from ..automata import EPSILON, NFA
 from ..constraints.boundedness import decide_boundedness
 from ..constraints.constraint import ConstraintSet, EqualitySide, PathEquality
 from ..constraints.general_implication import (
@@ -63,6 +78,8 @@ class RewriteOutcome:
     three counters say what the search cost: ``generated`` distinct candidates
     (the original excluded), of which ``skipped_by_cost`` were no cheaper than
     the original and ``proofs_attempted`` went to the implication procedure.
+    ``generate_ms`` is the wall time spent generating and ranking candidates,
+    ``prove_ms`` the time spent proving them.
     """
 
     original: Regex
@@ -74,6 +91,8 @@ class RewriteOutcome:
     generated: int = 0
     proofs_attempted: int = 0
     skipped_by_cost: int = 0
+    generate_ms: float = 0.0
+    prove_ms: float = 0.0
 
     def summary(self) -> str:
         arrow = "=>" if self.improved else "(unchanged)"
@@ -116,9 +135,12 @@ def _sides_denoting(prefix: Regex, constraints: ConstraintSet) -> list[EqualityS
     """The equality sides whose language is ``L(prefix)``, in constraint order.
 
     Two plain words denote the same language iff they are the same word, which
-    is a dictionary lookup.  When only one of the two is a word, it has to be
-    accepted by the other's automaton before the full equivalence test is
-    worth running.
+    is a dictionary lookup.  A word side ``w`` denotes the language of a
+    prefix that is not a word iff every word of ``L(prefix)`` starts with
+    ``w`` (:meth:`~repro.automata.NFA.run_forced`), ``w`` itself is accepted,
+    and nothing live leads further.  A side that is not a word is compared by
+    automaton equivalence, after a word prefix has been checked to be one of
+    its words.
     """
     from ..automata import equivalent as nfa_equivalent, regex_to_nfa
 
@@ -132,15 +154,20 @@ def _sides_denoting(prefix: Regex, constraints: ConstraintSet) -> list[EqualityS
         undecided = prepared.non_word_sides
     if undecided:
         prefix_nfa = regex_to_nfa(prefix)
+        live = prefix_nfa.coreachable_states()
         after: dict = {}
         for side in undecided:
-            if side.word is not None and not (
-                prefix_nfa.run_shared(side.word, after) & prefix_nfa.accepting
-            ):
-                continue
-            if prefix_word is not None and not side.nfa.accepts(prefix_word):
-                continue
-            if nfa_equivalent(prefix_nfa, side.nfa):
+            if side.word is not None:
+                final = prefix_nfa.run_forced(side.word, after, live)
+                if (
+                    final is not None
+                    and not prefix_nfa.accepting.isdisjoint(final)
+                    and not prefix_nfa.live_labels(final, live)
+                ):
+                    matched.append(side)
+            elif (
+                prefix_word is None or side.nfa.accepts(prefix_word)
+            ) and nfa_equivalent(prefix_nfa, side.nfa):
                 matched.append(side)
         matched.sort(key=lambda side: side.index)
     return matched
@@ -169,6 +196,11 @@ def _cached_decomposition_candidates(
     * when ``s`` is a starred expression ``u*``, the quotient with its leading
       ``u``-repetitions stripped (the minimal remainder), which is what turns
       ``a (b a)* c`` into ``l a c`` in the paper's example.
+
+    When ``s`` is a word there is one choice and no construction to test:
+    ``L(expression) = s · t`` for a non-empty ``t`` iff the language is
+    non-empty and each of its words starts with ``s``, which one walk of ``s``
+    through the query automaton decides (:func:`_word_side_quotient`).
     """
     from ..automata import (
         concat_nfa,
@@ -188,38 +220,66 @@ def _cached_decomposition_candidates(
     if not alphabet:
         return candidates
     expression_nfa = regex_to_nfa(expression)
+    live = expression_nfa.coreachable_states()
     sigma_star = None  # built when the first starred side needs it
     after: dict = {}
 
     for side in prepared.equality_sides:
-        # No word of L(expression) starts with a word side the automaton cannot
-        # read: the quotient below would be empty.
-        if side.word is not None and not expression_nfa.run_shared(side.word, after):
-            continue
-        quotient = left_quotient_by_language_nfa(expression_nfa, side.nfa)
-        if is_empty(quotient):
-            continue
-        remainders = [quotient]
-        if side.star_body_nfa is not None:
-            if sigma_star is None:
-                sigma_star = star_nfa(
-                    regex_to_nfa(union_all([Symbol(label) for label in alphabet]))
-                )
-            stripped = difference_nfa(
-                quotient, concat_nfa(side.star_body_nfa, sigma_star)
-            )
-            if not is_empty(stripped):
-                remainders.insert(0, stripped)
-        for remainder in remainders:
-            if not nfa_equivalent(concat_nfa(side.nfa, remainder), expression_nfa):
+        if side.word is not None:
+            remainder = _word_side_quotient(expression_nfa, side.word, after, live)
+        else:
+            quotient = left_quotient_by_language_nfa(expression_nfa, side.nfa)
+            if is_empty(quotient):
                 continue
-            remainder_expression = simplify(nfa_to_regex(remainder))
-            rewritten = simplify(concat(side.other, remainder_expression))
-            candidates.append(
-                (rewritten, f"cached-decomposition via {side.equality}")
+            remainders = [quotient]
+            if side.star_body_nfa is not None:
+                if sigma_star is None:
+                    sigma_star = star_nfa(
+                        regex_to_nfa(union_all([Symbol(label) for label in alphabet]))
+                    )
+                stripped = difference_nfa(
+                    quotient, concat_nfa(side.star_body_nfa, sigma_star)
+                )
+                if not is_empty(stripped):
+                    remainders.insert(0, stripped)
+            remainder = next(
+                (
+                    option
+                    for option in remainders
+                    if nfa_equivalent(concat_nfa(side.nfa, option), expression_nfa)
+                ),
+                None,
             )
-            break
+        if remainder is None:
+            continue
+        remainder_expression = simplify(nfa_to_regex(remainder))
+        rewritten = simplify(concat(side.other, remainder_expression))
+        candidates.append((rewritten, f"cached-decomposition via {side.equality}"))
     return candidates
+
+
+def _word_side_quotient(
+    expression_nfa: NFA, word: tuple[str, ...], after: dict, live: set
+) -> NFA | None:
+    """``word⁻¹ L`` when ``L = L(expression_nfa)`` is non-empty and every one of
+    its words starts with ``word``, else ``None``.
+
+    ``after`` and ``live`` are :meth:`~repro.automata.NFA.run_forced`'s
+    table and co-reachable states.  The automaton is the one
+    :func:`~repro.automata.left_quotient_by_language_nfa` builds for the
+    one-word language ``{word}``: a copy whose fresh start ε-moves to the
+    states ``word`` leads to, so the remainder prints the same.
+    """
+    start = expression_nfa.run_forced(word, after, live)
+    if start is None:
+        return None
+    quotient = expression_nfa.copy()
+    fresh = ("lquot", "start")
+    quotient.add_state(fresh)
+    quotient.initial = fresh
+    for state in start:
+        quotient.add_transition(fresh, EPSILON, state)
+    return quotient
 
 
 def _boundedness_candidate(
@@ -266,6 +326,7 @@ def rewrite_query(
     prove-everything search would pick — at the price of the proofs up to and
     including the first that succeeds.
     """
+    started = time.perf_counter()
     expression = simplify(query if isinstance(query, Regex) else parse(query))
     original_cost = cost_model.estimate(expression)
 
@@ -298,6 +359,8 @@ def rewrite_query(
         generated=len(distinct),
         skipped_by_cost=len(distinct) - len(contenders),
     )
+    proving_started = time.perf_counter()
+    outcome.generate_ms = (proving_started - started) * 1e3
     for candidate in contenders:
         outcome.proofs_attempted += 1
         candidate.evidence = decide_implication(
@@ -309,4 +372,5 @@ def rewrite_query(
                 candidate.query, candidate.cost, True
             )
             break
+    outcome.prove_ms = (time.perf_counter() - proving_started) * 1e3
     return outcome

@@ -25,6 +25,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+# Ten times the examples, for one CI pass over the rewriter's differentials:
+# ``pytest --hypothesis-profile=deep``.
+settings.register_profile("deep", settings.get_profile("repro"), max_examples=400)
 settings.load_profile("repro")
 
 
