@@ -27,7 +27,8 @@ both get the work counts beside the timings: per query the kernels' own
 ``BatchRun.rounds`` / ``edges_gathered`` / ``peak_frontier_rows``; per text
 the rewriter's ``generated`` / ``proofs_attempted`` / ``skipped_by_cost``
 and its ``generate_ms`` / ``prove_ms`` split, also averaged over the texts
-it improved and over the ones it returned unchanged; per
+it improved and over the ones it returned unchanged, and the adoptions
+counted by the evidence method that justified them (``proved_by``); per
 CRPQ template the op's milliseconds sharded and monolithic, per op the
 supersteps, local runs, exchanged facts and kernel runs (sharded and
 monolithic), the join steps' q-error, and the atom-time ratio the benchmark
@@ -56,6 +57,7 @@ import pstats  # noqa: E402
 import random  # noqa: E402
 import threading  # noqa: E402
 import time  # noqa: E402
+from collections import Counter  # noqa: E402
 from contextlib import contextmanager  # noqa: E402
 
 from repro.engine.executor import available_backends, run_batch  # noqa: E402
@@ -185,11 +187,17 @@ def profile_rewrite(
             f"generate {sum(o.generate_ms for _, o in group) / count:.3f} ms, "
             f"prove {sum(o.prove_ms for _, o in group) / count:.3f} ms"
         )
+    adoptions = Counter(outcome.proved_by for _, outcome, _ in rows if outcome.improved)
+    summary.append(
+        "adopted by: "
+        + (", ".join(f"{method} {count}" for method, count in sorted(adoptions.items())) or "-")
+    )
     per_text = [
         f"  {seconds * 1e3:7.2f} ms  {'improved ' if outcome.improved else 'unchanged'}"
         f" generated={outcome.generated} proofs_attempted={outcome.proofs_attempted}"
         f" skipped_by_cost={outcome.skipped_by_cost}"
-        f" generate_ms={outcome.generate_ms:.3f} prove_ms={outcome.prove_ms:.3f}  {text}"
+        f" generate_ms={outcome.generate_ms:.3f} prove_ms={outcome.prove_ms:.3f}"
+        f" proved_by={outcome.proved_by or '-'}  {text}"
         for seconds, outcome, text in rows
     ]
 

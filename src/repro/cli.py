@@ -127,7 +127,8 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
             f"proofs_attempted={outcome.proofs_attempted} "
             f"skipped_by_cost={outcome.skipped_by_cost} "
             f"generate_ms={outcome.generate_ms:.3f} "
-            f"prove_ms={outcome.prove_ms:.3f}",
+            f"prove_ms={outcome.prove_ms:.3f} "
+            f"proved_by={outcome.proved_by or '-'}",
             file=sys.stderr,
         )
     return 0 if outcome.improved else 1

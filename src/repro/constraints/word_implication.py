@@ -75,9 +75,10 @@ class WordImplicationOracle:
     so the oracle keeps one per right-hand side it has been asked about, on
     top of the rewrite system ``E`` has already prepared
     (:attr:`ConstraintSet.prepared`).  It is a library convenience for callers
-    that probe many *word* pairs against one ``E``; the query rewriter proves
-    *path* equalities and goes through
-    :func:`repro.constraints.decide_implication` instead.  The oracle reads
+    that probe many *word* pairs against one ``E``.  The query rewriter does
+    not use it: it accepts a candidate one prefix step of →E away from the
+    query by checking that step, and proves any other candidate, a *path*
+    equality, with :func:`repro.constraints.decide_implication`.  The oracle reads
     ``constraints`` as they were when it was built.
     """
 

@@ -83,7 +83,7 @@ def _group_or(keys: "np.ndarray", values: "np.ndarray"):
     """
     # An OR is order-blind, so stability is not needed for correctness; the
     # default introsort is measurably faster here and is held back only by
-    # a benchmark artifact — see ROADMAP item 1, "flip ``_group_or``".
+    # a benchmark artifact — see ROADMAP item 2, "flip ``_group_or``".
     order = keys.argsort(kind="stable")
     return _group_sorted(keys[order], values[order])
 

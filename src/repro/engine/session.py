@@ -446,6 +446,7 @@ class Session:
                 skipped_by_cost=outcome.skipped_by_cost,
                 generate_ms=outcome.generate_ms,
                 prove_ms=outcome.prove_ms,
+                proved_by=outcome.proved_by,
             )
         self._hist_rewrite.observe(rewrite_span.duration)
         best_key = query_key(outcome.best)

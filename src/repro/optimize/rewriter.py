@@ -15,9 +15,14 @@ below implements that loop:
    is not strictly cheaper than the original (the original wins ties, so
    such a candidate could never be returned);
 3. *prove* the remaining candidates equivalent to the original under the
-   constraints, cheapest first (the tiered general procedure, or the complete
-   word-constraint procedures when applicable), and stop at the first proof:
-   every candidate after it costs at least as much.
+   constraints, cheapest first, and stop at the first proof: every candidate
+   after it costs at least as much.  A candidate that one prefix step
+   ``w·S → w'·S`` of →E reaches — ``w`` spelled by leading factors of the
+   query, ``w = w'`` an equality of the set — is *checked*: that step is its
+   proof (right-congruence; Lemma 4.4's soundness of →E), re-derived from the
+   constraints rather than taken from the generator.  Every other candidate
+   is *proved* by the tiered general procedure, or the complete
+   word-constraint procedures when applicable.
 
 Most constraint sides are plain words (Section 4's word constraints), and a
 word side ``u`` needs no automaton construction: one walk of ``u`` through the
@@ -25,12 +30,13 @@ query's Thompson automaton, restricted to its co-reachable states, decides
 whether every word of the query starts with ``u`` (a cached decomposition
 exists) or the query denotes exactly ``u`` (a prefix substitution applies),
 and the state set it ends in is the remainder's start.  The walks of all sides
-share their prefixes' steps.  Sides that are not words (the starred cached
-expressions of Example 3) are decided by quotient and automaton equivalence.
-When every constraint is a word equality and the query and the candidate are
-both words, the proof is one inclusion: →E then holds each rule in both
-directions, so ``u →E* v`` gives ``v →E* u`` (Lemma 4.4) and the converse
-saturation is not run.
+share their prefixes' steps, and a query that is itself a word needs no walk
+for its decompositions, only a comparison of words.  Sides that are not words
+(the starred cached expressions of Example 3) are decided by quotient and
+automaton equivalence.  When every constraint is a word equality and the query
+and a candidate that is not one checked step are both words, the proof is one
+inclusion: →E then holds each rule in both directions, so ``u →E* v`` gives
+``v →E* u`` (Lemma 4.4) and the converse saturation is not run.
 
 Every returned rewrite therefore comes with the evidence used to justify it,
 and a candidate that cannot win is never proved.
@@ -74,12 +80,15 @@ class RewriteOutcome:
 
     ``candidates`` is the original plus every candidate that was *proved*
     equivalent to it — at most one, the adopted rewrite, since proving stops
-    at the first success and candidates that cannot win are not proved.  The
-    three counters say what the search cost: ``generated`` distinct candidates
-    (the original excluded), of which ``skipped_by_cost`` were no cheaper than
-    the original and ``proofs_attempted`` went to the implication procedure.
+    at the first success and candidates that cannot win are not proved.  Its
+    evidence is either a checked one-step derivation (method
+    ``"prefix-rewrite"``, the equality used in ``notes``) or the implication
+    procedure's ``IMPLIED`` verdict; :attr:`proved_by` names which.  The three
+    counters say what the search cost: ``generated`` distinct candidates (the
+    original excluded), of which ``skipped_by_cost`` were no cheaper than the
+    original and ``proofs_attempted`` were checked or proved.
     ``generate_ms`` is the wall time spent generating and ranking candidates,
-    ``prove_ms`` the time spent proving them.
+    ``prove_ms`` the time spent checking and proving them.
     """
 
     original: Regex
@@ -93,6 +102,11 @@ class RewriteOutcome:
     skipped_by_cost: int = 0
     generate_ms: float = 0.0
     prove_ms: float = 0.0
+
+    @property
+    def proved_by(self) -> str:
+        """The adopted rewrite's evidence method, ``""`` when none was adopted."""
+        return self.candidates[-1].evidence.method if self.improved else ""
 
     def summary(self) -> str:
         arrow = "=>" if self.improved else "(unchanged)"
@@ -200,7 +214,9 @@ def _cached_decomposition_candidates(
     When ``s`` is a word there is one choice and no construction to test:
     ``L(expression) = s · t`` for a non-empty ``t`` iff the language is
     non-empty and each of its words starts with ``s``, which one walk of ``s``
-    through the query automaton decides (:func:`_word_side_quotient`).
+    through the query automaton decides (:func:`_word_side_quotient`).  When
+    the query is a word ``u`` as well, no automaton is built: ``u`` factors
+    through ``s`` iff it starts with ``s``, and ``t`` is the rest of ``u``.
     """
     from ..automata import (
         concat_nfa,
@@ -212,19 +228,28 @@ def _cached_decomposition_candidates(
         regex_to_nfa,
         star_nfa,
     )
-    from ..regex.ast import Symbol, union_all
+    from ..regex.ast import Symbol, union_all, word
 
     candidates: list[tuple[Regex, str]] = []
     prepared = constraints.prepared
     alphabet = sorted(expression.alphabet() | prepared.alphabet)
     if not alphabet:
         return candidates
-    expression_nfa = regex_to_nfa(expression)
-    live = expression_nfa.coreachable_states()
+    query_word = expression.as_word()
+    if query_word is None or prepared.non_word_sides:
+        expression_nfa = regex_to_nfa(expression)
+        live = expression_nfa.coreachable_states()
     sigma_star = None  # built when the first starred side needs it
     after: dict = {}
 
     for side in prepared.equality_sides:
+        if side.word is not None and query_word is not None:
+            # A word query factors through a word side iff it starts with it,
+            # and the remainder is the rest of the word.
+            if query_word[: len(side.word)] == side.word:
+                rewritten = simplify(concat(side.other, word(query_word[len(side.word):])))
+                candidates.append((rewritten, f"cached-decomposition via {side.equality}"))
+            continue
         if side.word is not None:
             remainder = _word_side_quotient(expression_nfa, side.word, after, live)
         else:
@@ -282,6 +307,41 @@ def _word_side_quotient(
     return quotient
 
 
+def _prefix_derivations(
+    expression: Regex, constraints: ConstraintSet
+) -> dict[str, ImplicationResult]:
+    """The queries one prefix step ``w·S → w'·S`` of →E reaches from
+    ``expression``, printed, each with its evidence.
+
+    ``w`` is spelled by a leading run of the query's factors and ``w = w'``
+    is an equality of the set, so ``E ⊨ w·S = w'·S`` by right-congruence
+    (Lemma 4.4's soundness of →E): the step is itself the proof.  Read off
+    the constraints, not off the generators, so a candidate is only ever
+    accepted for a derivation that exists.
+    """
+    sides_by_word = constraints.prepared.sides_by_word
+    factors = _factors(expression)
+    derived: dict[str, ImplicationResult] = {}
+    prefix: tuple[str, ...] = ()
+    for split, factor in enumerate(factors, start=1):
+        factor_word = factor.as_word()
+        if factor_word is None:
+            break
+        prefix += factor_word
+        sides = sides_by_word.get(prefix, ())
+        if not sides:
+            continue
+        suffix = simplify(concat_all(factors[split:]))
+        for side in sides:
+            derived.setdefault(
+                to_string(simplify(concat(side.other, suffix))),
+                ImplicationResult(
+                    Verdict.IMPLIED, method="prefix-rewrite", notes=str(side.equality)
+                ),
+            )
+    return derived
+
+
 def _boundedness_candidate(
     expression: Regex, constraints: ConstraintSet
 ) -> list[tuple[Regex, str]]:
@@ -317,8 +377,9 @@ def rewrite_query(
 ) -> RewriteOutcome:
     """Optimize ``query`` under ``constraints``; return the best justified rewrite.
 
-    A candidate is adopted only when the implication machinery *proves* it
-    equivalent to the query under the constraints; ``NOT_IMPLIED`` and
+    A candidate is adopted only when it is one prefix step of →E from the
+    query (:func:`_prefix_derivations`) or the implication machinery *proves*
+    it equivalent to the query under the constraints; ``NOT_IMPLIED`` and
     ``UNKNOWN`` both drop it and the next-cheapest candidate is tried.
     Candidates are proved in order of estimated cost (ties in generation
     order) and only while strictly cheaper than the query itself, so the
@@ -361,9 +422,10 @@ def rewrite_query(
     )
     proving_started = time.perf_counter()
     outcome.generate_ms = (proving_started - started) * 1e3
+    derived = _prefix_derivations(expression, constraints) if contenders else {}
     for candidate in contenders:
         outcome.proofs_attempted += 1
-        candidate.evidence = decide_implication(
+        candidate.evidence = derived.get(to_string(candidate.query)) or decide_implication(
             constraints, PathEquality(expression, candidate.query), budget
         )
         if candidate.evidence.verdict is Verdict.IMPLIED:

@@ -7,6 +7,7 @@ each witness word must spell an actual path in the graph and belong to the
 query language.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,3 +173,35 @@ def test_randomized_construction_stress():
         got = engine.query(rpq, source)
         assert got.answers == expected.answers, to_string(expression)
         assert_witnesses_real(got, rpq, source, instance)
+
+
+# ---------------------------------------------------------------------------
+# Constraints hold at some sources only.
+# ---------------------------------------------------------------------------
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a session applies one rewrite per query text at every source, "
+    "including sources where the constraint it used does not hold",
+)
+def test_rewrite_is_applied_only_where_its_constraint_holds():
+    from repro.constraints import ConstraintSet
+    from repro.graph.instance import Instance
+    from repro.optimize.cache import materialize_cache
+
+    # Section 3.2's payoff site, plus an a-b cycle at s that reaches u.
+    site = Instance(
+        [
+            ("o", "a", "x"), ("x", "b", "o"), ("x", "c", "y"), ("o", "d", "z"),
+            ("z", "c", "w"), ("s", "a", "t"), ("t", "b", "s"), ("t", "c", "u"),
+        ]
+    )
+    # ``a b = l`` holds at o, where the cache links were installed, not at s.
+    cached_site, cached = materialize_cache(site, "o", "a b", "l")
+    engine = Engine.open(cached_site, constraints=ConstraintSet([cached.constraint()]))
+    expected = {
+        source: evaluate_baseline("a b a c", source, cached_site).answers
+        for source in ("o", "s")
+    }
+    assert expected == {"o": {"y"}, "s": {"u"}}
+    assert engine.query_batch("a b a c", ["o", "s"]) == expected

@@ -480,22 +480,30 @@ class TestSessionInstrumentation:
         engine = Engine.open(instance, constraints=constraints)
         engine.query("a b b", "o1")  # candidates: c b (cheaper), d e b b (dearer)
         engine.query("a b b", "o1")  # memo hit: no second search
+        engine.query("b", "o1")  # nothing to rewrite
         rewrites = [
             span
             for trace in engine.metrics.tracer.traces()
             for span in trace.spans
             if span.name == "engine.rewrite"
         ]
-        assert len(rewrites) == 1
+        assert len(rewrites) == 2
         attributes = dict(rewrites[0].attributes)
         generate_ms = attributes.pop("generate_ms")
         prove_ms = attributes.pop("prove_ms")
+        # c b is one prefix step a b -> c from the query: checked, not proved.
         assert attributes == {
-            "improved": True, "generated": 2, "proofs_attempted": 1, "skipped_by_cost": 1
+            "improved": True,
+            "generated": 2,
+            "proofs_attempted": 1,
+            "skipped_by_cost": 1,
+            "proved_by": "prefix-rewrite",
         }
         # The two phases are timed inside the span, one after the other.
         assert generate_ms >= 0 and prove_ms >= 0
         assert generate_ms + prove_ms <= rewrites[0].duration * 1e3
+        unchanged = rewrites[1].attributes
+        assert (unchanged["improved"], unchanged["proved_by"]) == (False, "")
 
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     def test_sharded_trace_has_superstep_tree(self, telemetry_on, backend):

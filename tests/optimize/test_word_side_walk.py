@@ -7,7 +7,8 @@ now walks ``u`` once through the query automaton instead
 (``NFA.run_forced``).  That construction is kept below as the reference: on
 drawn expressions and words both must reach the same verdict, and a
 surviving walk must build the very automaton the product quotient builds, so
-the remainder prints the same.
+the remainder prints the same.  A query that is itself a word skips even
+the walk for its decompositions; its candidates must print as the walk's.
 """
 
 import pytest
@@ -19,11 +20,24 @@ from repro.automata import (
     equivalent,
     is_empty,
     left_quotient_by_language_nfa,
+    nfa_to_regex,
     regex_to_nfa,
 )
 from repro.constraints import ConstraintSet, word_equality
 from repro.optimize import rewriter
-from repro.regex import Concat, EmptySet, Epsilon, Star, Symbol, Union, parse, word
+from repro.regex import (
+    Concat,
+    EmptySet,
+    Epsilon,
+    Star,
+    Symbol,
+    Union,
+    parse,
+    simplify,
+    to_string,
+    word,
+)
+from repro.regex.ast import concat
 
 ALPHABET = ("a", "b", "c")
 
@@ -175,3 +189,74 @@ def test_sides_denoting_on_prefixes_that_are_not_plain_words(prefix, side_word, 
     constraints = ConstraintSet([word_equality(side_word, ("z",))])
     matched = [side.word for side in rewriter._sides_denoting(prefix, constraints)]
     assert (side_word in matched) is denotes
+
+
+# ---------------------------------------------------------------------------
+# Word queries: decompositions by comparing words, no automaton.
+# ---------------------------------------------------------------------------
+def automaton_route(expression, constraints):
+    """The printed decomposition candidates of ``expression`` through the
+    walk, the quotient automaton and state elimination."""
+    expression_nfa = regex_to_nfa(expression)
+    live = expression_nfa.coreachable_states()
+    after: dict = {}
+    printed = []
+    for side in constraints.prepared.equality_sides:
+        remainder = rewriter._word_side_quotient(expression_nfa, side.word, after, live)
+        if remainder is not None:
+            rest = simplify(nfa_to_regex(remainder))
+            printed.append(
+                (
+                    to_string(simplify(concat(side.other, rest))),
+                    f"cached-decomposition via {side.equality}",
+                )
+            )
+    return printed
+
+
+def shortcut(expression, constraints):
+    return [
+        (to_string(candidate), origin)
+        for candidate, origin in rewriter._cached_decomposition_candidates(
+            expression, constraints
+        )
+    ]
+
+
+@st.composite
+def word_queries_and_equalities(draw):
+    """A word query and a word-equality set that may have ε sides, drawn
+    sometimes from the query's own prefixes so that decompositions exist."""
+    query_word = draw(words(ALPHABET, max_size=4))
+    some_word = st.one_of(
+        words(ALPHABET, max_size=3),
+        st.integers(0, len(query_word)).map(lambda end: query_word[:end]),
+    )
+    pairs = draw(st.lists(st.tuples(some_word, some_word), min_size=1, max_size=3))
+    if not any(lhs or rhs for lhs, rhs in pairs):
+        pairs.append((("a",), ()))
+    return query_word, ConstraintSet([word_equality(lhs, rhs) for lhs, rhs in pairs])
+
+
+@given(word_queries_and_equalities())
+def test_word_query_shortcut_agrees_with_the_automaton_route(drawn):
+    query_word, constraints = drawn
+    expression = word(query_word)
+    assert shortcut(expression, constraints) == automaton_route(expression, constraints)
+
+
+def test_word_query_shortcut_keeps_the_epsilon_side():
+    constraints = ConstraintSet([word_equality("a", ())])
+    expression = parse("a b")
+    # An ε side is no factor prefix: prefix substitution never emits a a b.
+    substitutions = [
+        to_string(candidate)
+        for candidate, _ in rewriter._prefix_substitution_candidates(expression, constraints)
+    ]
+    assert substitutions == ["b"]
+    expected = [
+        ("b", "cached-decomposition via a = %"),
+        ("a a b", "cached-decomposition via a = %"),
+    ]
+    assert shortcut(expression, constraints) == expected
+    assert automaton_route(expression, constraints) == expected

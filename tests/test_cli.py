@@ -84,6 +84,12 @@ class TestRewrite:
         captured = capsys.readouterr()
         assert "original" in captured.err
 
+    def test_verbose_says_what_justified_the_rewrite(self, capsys):
+        assert main(["rewrite", "a b c", "-c", "a b = d", "-v"]) == 0
+        assert "proved_by=prefix-rewrite" in capsys.readouterr().err
+        assert main(["rewrite", "a b", "-c", "x = y", "-v"]) == 1
+        assert "proved_by=-" in capsys.readouterr().err
+
 
 class TestDistributed:
     def test_distributed_run(self, graph_file, capsys):
