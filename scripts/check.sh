@@ -9,9 +9,9 @@
 #           blocking, lock-order cycles — plus ruff when installed (CI
 #           always installs it); writes ANALYSIS_report.json
 #   tests   the tier-1 pytest suite, once per numpy arm
-#   serve   the async serving suite under PYTHONASYNCIODEBUG=1 (both numpy
+#   serve   the async serving suites under PYTHONASYNCIODEBUG=1 (both numpy
 #           arms; includes the N-threads-x-M-queries stress test on one
-#           shared engine), it and the sharded suite under the lock-order
+#           shared engine), them and the sharded suite under the lock-order
 #           witness, plus a live streamed-TCP smoke: a STREAM
 #           request's chunk lines, a LIMIT/CURSOR page walk, and a forged
 #           cursor rejection against a real `serve --tcp` process
@@ -23,9 +23,11 @@
 #           per available backend, then over the query rewriter on the
 #           site-rewrite-cold texts, then over ShardedEngine.query_conjunctive
 #           on the clustered-sharded-crpq ops with the superstep worker
-#           threads included, beside the same ops on a monolithic Engine
-#           (quick sizes); each writes the gitignored PROFILE_report.txt so
-#           perf work starts from measurements
+#           threads included, beside the same ops on a monolithic Engine,
+#           then over serve_stream on the web-served-point lines, loop and
+#           flush-pool threads both (quick sizes); each writes the
+#           gitignored PROFILE_report.txt so perf work starts from
+#           measurements
 #   all     everything, in order (the default — bare ./scripts/check.sh)
 #
 # Exits non-zero if any step fails.  The REPRO_DISABLE_NUMPY passes make
@@ -83,19 +85,21 @@ run_serve() {
     # serving suite also carries the thread-sanity stress test (N threads x
     # M queries hammering one shared engine), so both executor arms run it.
     echo "== serving: asyncio suite + thread stress (numpy arm, asyncio debug) =="
-    PYTHONASYNCIODEBUG=1 python -m pytest tests/engine/test_serving.py -q
+    PYTHONASYNCIODEBUG=1 python -m pytest \
+        tests/engine/test_serving.py tests/engine/test_serving_admission.py -q
 
     echo
     echo "== serving: asyncio suite + thread stress (pure-Python arm, asyncio debug) =="
     PYTHONASYNCIODEBUG=1 REPRO_DISABLE_NUMPY=1 \
-        python -m pytest tests/engine/test_serving.py -q
+        python -m pytest tests/engine/test_serving.py tests/engine/test_serving_admission.py -q
 
     echo
     # The session base creates both session kinds' locks, so the sharded
     # suite runs under the witness beside the serving one.
     echo "== serving: asyncio + sharded suites under the lock-order witness =="
     REPRO_LOCK_WITNESS=1 PYTHONASYNCIODEBUG=1 \
-        python -m pytest tests/engine/test_serving.py tests/engine/test_sharding.py -q
+        python -m pytest tests/engine/test_serving.py tests/engine/test_serving_admission.py \
+        tests/engine/test_sharding.py -q
 
     echo
     echo "== serving: live streamed TCP smoke (numpy arm) =="
@@ -180,6 +184,10 @@ run_profile() {
     echo
     echo "== profile: cProfile over sharded CRPQs vs a monolithic engine (quick) =="
     python scripts/profile.py --target crpq --quick
+
+    echo
+    echo "== profile: cProfile over serve_stream on the web-served-point lines (quick) =="
+    python scripts/profile.py --target serve --quick
 }
 
 step="${1:-all}"

@@ -11,7 +11,11 @@ over the op list of the ``clustered-sharded-crpq`` benchmark workload, on
 the workload's own two-worker session and pinned to one CPU when the
 workload pins itself, the superstep worker threads included — and, since
 what matters there is the gap to not sharding at all, times the same ops
-on a monolithic ``Engine`` over the same instance beside it.  Either way the
+on a monolithic ``Engine`` over the same instance beside it.  ``--target
+serve`` profiles ``serve_stream`` over the request lines of the
+``web-served-point`` workload (its op mix, 64 in flight, pinned to one CPU
+like the workload) on a fresh session, the event-loop thread and the
+flush-pool thread each under a profile of its own.  Either way the
 top-N frames (by cumulative and by self time) go to a gitignored report so
 perf work starts from measurements instead of guesses::
 
@@ -19,6 +23,7 @@ perf work starts from measurements instead of guesses::
     PYTHONPATH=src python scripts/profile.py --backend packed
     PYTHONPATH=src python scripts/profile.py --target rewrite
     PYTHONPATH=src python scripts/profile.py --target crpq
+    PYTHONPATH=src python scripts/profile.py --target serve
     PYTHONPATH=src python scripts/profile.py --quick        # check.sh step
 
 The report lands in ``PROFILE_report.txt`` (override with ``--out``).  The
@@ -32,7 +37,9 @@ counted by the evidence method that justified them (``proved_by``); per
 CRPQ template the op's milliseconds sharded and monolithic, per op the
 supersteps, local runs, exchanged facts and kernel runs (sharded and
 monolithic), the join steps' q-error, and the atom-time ratio the benchmark
-trace reports as ``sharding.overhead_ratio``.
+trace reports as ``sharding.overhead_ratio``; per 1 000 served lines the
+``regex.parse`` calls (loop and flush-pool threads apart), ``normalize``
+calls, event-loop callbacks and flushes, beside the loop's busy time.
 Stdlib only — ``cProfile``/``pstats`` ship with CPython.
 """
 
@@ -50,6 +57,7 @@ sys.path = [entry for entry in sys.path if entry not in ("", _HERE)]
 sys.path.insert(0, str(_ROOT / "src"))
 
 import argparse  # noqa: E402
+import asyncio  # noqa: E402
 import cProfile  # noqa: E402
 import io  # noqa: E402
 import os  # noqa: E402
@@ -229,8 +237,14 @@ class WorkerProfiles:
     def _hook(self, frame, event, arg) -> None:
         if self.recording:
             profile = cProfile.Profile()
+            try:
+                profile.enable()
+            except ValueError:
+                # From Python 3.12 cProfile rides ``sys.monitoring``: one
+                # profiler per process, and the caller's sees this thread.
+                sys.setprofile(None)
+                return
             self.profiles.append(profile)
-            profile.enable()
 
     def __enter__(self) -> "WorkerProfiles":
         threading.setprofile(self._hook)
@@ -410,6 +424,79 @@ def profile_crpq(
     return merged, merged.total_tt, work
 
 
+def calls_of(stats: "pstats.Stats | None", function) -> int:
+    """How many times ``stats`` saw ``function`` (a Python function) called."""
+    if stats is None:
+        return 0
+    code = function.__code__
+    key = (code.co_filename, code.co_firstlineno, code.co_name)
+    return stats.stats.get(key, (0, 0))[1]
+
+
+def profile_serve(quick: bool) -> "tuple[pstats.Stats, float, list[str]]":
+    """Profile ``serve_stream`` over the ``web-served-point`` request lines.
+
+    The data set, op mix, server options, in-flight count and CPU pinning
+    are the benchmark workload's own; ``quick`` uses its smoke sizes.  The
+    session is fresh, so each distinct text is admitted cold once: what a
+    served line costs beyond that shows in the per-1 000-line counts.
+    Returns the merged stats, the profiled seconds and the work lines."""
+    from repro.engine import request
+    from repro.regex import parser
+
+    sys.path.insert(0, str(_ROOT / "benchmarks" / "e2e"))
+    from workloads.web_served_point import IN_FLIGHT, WebServedPoint
+
+    pinnable = hasattr(os, "sched_setaffinity")
+    if WebServedPoint.pin_one_cpu and pinnable:
+        # Before the server starts: its pool thread inherits the set.
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    workload = WebServedPoint(seed=0, smoke=quick)
+    workload.generate(None)
+    ops = workload.make_ops(2 * (workload.smoke_ops if quick else workload.lap_ops))
+    engine = Engine.open(workload.instance)
+    loop = workload.loop = asyncio.new_event_loop()
+    try:
+        with WorkerProfiles() as workers:
+            server = workload._server(engine)
+            profiler = cProfile.Profile()
+            workers.recording = True
+            profiler.enable()
+            loop.run_until_complete(workload._serve(server, ops))
+            profiler.disable()
+            loop.run_until_complete(server.close())  # joins the pool thread
+    finally:
+        loop.close()
+    loop_stats = pstats.Stats(profiler)
+    pool_stats = pstats.Stats(*workers.profiles) if workers.profiles else None
+    # The loop's idle time is its wait in the selector.
+    idle = sum(
+        stat[2] for (filename, _line, name), stat in loop_stats.stats.items()
+        if filename == "~" and "select" in name
+    )
+    per_kline = 1e3 / len(ops)
+    handle_run = asyncio.events.Handle._run
+    cpus = sorted(os.sched_getaffinity(0)) if pinnable else "n/a"
+    work = [
+        f"{len(ops)} lines over {len({op[2] for op in ops})} distinct texts, "
+        f"{IN_FLIGHT} in flight; CPUs {cpus}; threads profiled: loop + "
+        f"{len(workers.profiles)} flush-pool",
+        f"loop busy {loop_stats.total_tt - idle:.3f} s "
+        f"({(loop_stats.total_tt - idle) / len(ops) * 1e6:.1f} us/line), "
+        f"selector wait {idle:.3f} s",
+        "per 1000 lines: "
+        f"regex.parse {calls_of(loop_stats, parser.parse) * per_kline:.2f} loop / "
+        f"{calls_of(pool_stats, parser.parse) * per_kline:.2f} pool, "
+        f"normalize {calls_of(loop_stats, request.normalize) * per_kline:.1f}, "
+        f"loop callbacks {calls_of(loop_stats, handle_run) * per_kline:.0f}, "
+        f"flushes {server.stats.batches * per_kline:.1f}",
+        f"served {server.stats.served} of {server.stats.submitted} submitted, "
+        f"{server.stats.failed} failed",
+    ]
+    merged = pstats.Stats(profiler, *workers.profiles)
+    return merged, merged.total_tt, work
+
+
 def mean_ms(seconds: "list[float]") -> float:
     return sum(seconds) / len(seconds) * 1e3
 
@@ -418,10 +505,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--target",
-        choices=("kernels", "rewrite", "crpq"),
+        choices=("kernels", "rewrite", "crpq", "serve"),
         default="kernels",
-        help="what to profile: the batch kernels, the query rewriter, or "
-        "sharded conjunctive queries",
+        help="what to profile: the batch kernels, the query rewriter, "
+        "sharded conjunctive queries, or the served wire path",
     )
     parser.add_argument(
         "--backend",
@@ -457,6 +544,11 @@ def main() -> int:
         stats, total, work = profile_crpq(args.quick, 1 if args.quick else 3)
         sections.append(render_report("target: crpq", stats, total, args.top, work))
         print(f"crpq: {total:.4f}s profiled; hottest: {hottest_frames(stats)}")
+        print(*work, sep="\n")
+    elif args.target == "serve":
+        stats, total, work = profile_serve(args.quick)
+        sections.append(render_report("target: serve", stats, total, args.top, work))
+        print(f"serve: {total:.4f}s profiled; hottest: {hottest_frames(stats)}")
         print(*work, sep="\n")
     else:
         backends = tuple(args.backend) if args.backend else available_backends()

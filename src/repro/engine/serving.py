@@ -646,10 +646,11 @@ class QueryServer:
 
         Must be called from a running event loop (the flush timer and the
         result fan-out live on it).  Admission computes the request's
-        coalescing key inline: a memo hit for every query seen before, and
-        one constraint-rewrite pass the first time a constrained session
-        sees a new query — the rewrite memo's lock is never held across
-        that search, so admissions don't stall behind each other.
+        coalescing key inline: one lookup in the session's raw-text memo
+        for every text seen before (no parse, see ``Session.admission``),
+        and one parse — plus one constraint-rewrite pass on a constrained
+        session — the first time a text is seen.  The memo's lock is never
+        held across that work, so admissions don't stall behind each other.
         """
         request = self._lower(query, source)
         if request.is_conjunctive:
@@ -757,7 +758,7 @@ class QueryServer:
         constraints = getattr(self.engine, "constraints", None)
         try:
             if constraints is None or len(constraints) == 0:
-                # repro: allow(LoopNeverBlocks) unconstrained admission is parse+memo only (no rewrite search); the cold constrained path below hops to the pool
+                # repro: allow(LoopNeverBlocks) unconstrained admission is a raw-text memo hit after a text's first sight (one parse then, never a rewrite search); the cold constrained path below hops to the pool
                 return self.engine.admission(query)
             key_prepared = await asyncio.get_running_loop().run_in_executor(
                 self._pool, self.engine.admission, query
@@ -783,11 +784,18 @@ class QueryServer:
         cold constrained admission here runs off the event loop — see
         :meth:`_admitted`.
         """
-        request = self._lower(query, source)
+        return await self._submit(self._lower(query, source))
+
+    async def _submit(self, request: QueryRequest):
+        """:meth:`submit` for a request that is already canonical (the wire
+        front-end's, lowered once by its line parser)."""
         if request.is_conjunctive:
             return await self.submit_conjunctive(request.query)
+        # The source count is checked before _admitted counts the request,
+        # so a refused request leaves submitted == served + failed intact.
+        source = self._single_source(request, "submit")
         key, prepared = await self._admitted(request.query, 1)
-        return await self._admit(key, prepared, self._single_source(request, "submit"))
+        return await self._admit(key, prepared, source)
 
     def submit_stream(self, query, source: "Oid | None" = None) -> AnswerStream:
         """Admit one request; answers stream out as the engine derives them.
@@ -806,7 +814,10 @@ class QueryServer:
         ``stream`` flag is implied).  Conjunctive requests cannot stream —
         a join's rows are not known until its last atom resolves.
         """
-        request = self._lower(query, source)
+        return self._submit_stream(self._lower(query, source))
+
+    def _submit_stream(self, request: QueryRequest) -> AnswerStream:
+        """:meth:`submit_stream` for a request that is already canonical."""
         if request.is_conjunctive:
             raise ReproError("conjunctive requests cannot stream (rows land at join completion)")
         query = request.query
@@ -1307,9 +1318,7 @@ async def _respond_page(
         else ""
     )
     try:
-        result = await server.submit(
-            QueryRequest(query=request.query, sources=request.sources)
-        )
+        result = await server._submit(request)
         digest = _page_digest(server, request.query, digest_source)
         last = (
             decode_cursor(request.cursor, digest)
@@ -1353,9 +1362,7 @@ async def _respond_streaming(
     fronts) the request degrades to a plain full response.
     """
     try:
-        stream = server.submit_stream(
-            QueryRequest(query=request.query, sources=request.sources)
-        )
+        stream = server._submit_stream(request)
     except Exception as error:
         return f"{ident}\terror: {error}"
     try:
@@ -1376,13 +1383,17 @@ async def _respond_request(
     request: QueryRequest,
     emit: "Callable[[str], None] | None",
 ) -> str:
-    """Serve one structured request — the trunk both line grammars lower to."""
+    """Serve one structured request — the trunk both line grammars lower to.
+
+    ``request`` is canonical (its line parser called ``normalize`` once), so
+    it enters the server past ``QueryServer._lower``.
+    """
     if request.stream:
         return await _respond_streaming(server, ident, request, emit)
     if request.limit is not None:
         return await _respond_page(server, ident, request)
     try:
-        result = await server.submit(request)
+        result = await server._submit(request)
     except asyncio.CancelledError:  # pragma: no cover - shutdown path
         raise
     except Exception as error:
@@ -1598,15 +1609,22 @@ async def serve_stream(
     next line never deadlocks, and concurrent requests still coalesce
     through the admission queue.  Responses arrive in *completion* order;
     the ``id`` is what correlates them.  In-flight responses are bounded by
-    ``max_inflight`` (the read loop stops consuming input until one
-    completes).
+    ``max_inflight``: each holds one slot of a semaphore, released when its
+    response has been emitted (or ``emit`` raised), and the read loop stops
+    consuming input while every slot is taken — waiting for a slot costs
+    the same at any in-flight count.  Blank and whitespace-only lines are
+    skipped, as over TCP.
     """
     tasks: "set[asyncio.Task]" = set()
+    slots = asyncio.Semaphore(max_inflight)
     loop = asyncio.get_running_loop()
 
     async def respond(line: str) -> None:
-        # STREAM chunk lines ride the same emit channel as full responses.
-        emit(await respond_line(server, line, emit))
+        try:
+            # STREAM chunk lines ride the same emit channel as full responses.
+            emit(await respond_line(server, line, emit))
+        finally:
+            slots.release()
 
     while True:
         raw = await readline()
@@ -1615,8 +1633,7 @@ async def serve_stream(
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
-        if len(tasks) >= max_inflight:
-            await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
+        await slots.acquire()
         task = loop.create_task(respond(line))
         tasks.add(task)
         task.add_done_callback(tasks.discard)
@@ -1631,8 +1648,13 @@ async def serve_connection(
     *,
     max_inflight: int = MAX_INFLIGHT_PER_CONNECTION,
 ) -> None:
-    """Serve one TCP client: a task per request line, responses as they land."""
+    """Serve one TCP client: a task per request line, responses as they land.
+
+    Lines are skipped and in-flight responses bounded exactly as in
+    :func:`serve_stream`.
+    """
     tasks: "set[asyncio.Task]" = set()
+    slots = asyncio.Semaphore(max_inflight)
     # One drain at a time per connection: concurrent waiters on one
     # StreamWriter's drain() were only supported from CPython 3.10.5's
     # FlowControlMixin; serializing write+drain keeps the oldest supported
@@ -1650,15 +1672,18 @@ async def serve_connection(
             pass
 
     async def respond(line: str) -> None:
-        response = await respond_line(server, line, emit_partial)
-        async with write_lock:
-            try:
-                writer.write(response.encode("utf-8") + b"\n")
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                # Client went away (or transport already closed) — the
-                # answer is computed and counted; delivery is best-effort.
-                pass
+        try:
+            response = await respond_line(server, line, emit_partial)
+            async with write_lock:
+                try:
+                    writer.write(response.encode("utf-8") + b"\n")
+                    await writer.drain()
+                except (ConnectionError, RuntimeError):
+                    # Client went away (or transport already closed) — the
+                    # answer is computed and counted; delivery is best-effort.
+                    pass
+        finally:
+            slots.release()
 
     try:
         while True:
@@ -1680,10 +1705,9 @@ async def serve_connection(
             if not raw:
                 break
             line = raw.decode("utf-8", errors="replace").rstrip("\r\n")
-            if not line:
+            if not line.strip():
                 continue
-            if len(tasks) >= max_inflight:
-                await asyncio.wait(tasks, return_when=asyncio.FIRST_COMPLETED)
+            await slots.acquire()
             task = asyncio.get_running_loop().create_task(respond(line))
             tasks.add(task)
             task.add_done_callback(tasks.discard)

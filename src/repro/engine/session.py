@@ -318,11 +318,13 @@ class Session:
 
     _PREFIX: str
 
-    # The rewrite memo: every touch of the OrderedDict goes through the
-    # dedicated ``_rewrite_lock``.  The planner-input caches and the
-    # scheduler reference are published under the session ``_lock``.
+    # The rewrite and admission memos: every touch of either OrderedDict
+    # goes through the dedicated ``_rewrite_lock``.  The planner-input
+    # caches and the scheduler reference are published under the session
+    # ``_lock``.
     GUARDED_BY = {
         "_rewrites": "_rewrite_lock",
+        "_admissions": "_rewrite_lock",
         "_degree_stats": "_lock:mutate",
         "_domain_cache": "_lock:mutate",
         "_scheduler": "_lock:mutate",
@@ -379,6 +381,11 @@ class Session:
         # Rewrite memo, LRU-bounded like the compile cache so a long-lived
         # constrained session does not grow without limit.
         self._rewrites: "OrderedDict[str, Regex]" = OrderedDict()
+        # Admission memo: raw query text -> (admission key, prepared query),
+        # same bound and lock.  An entry depends only on the text and on
+        # the session's fixed constraint set, so whatever ever clears
+        # ``_rewrites`` must clear ``_admissions`` with it.
+        self._admissions: "OrderedDict[str, tuple[str, object]]" = OrderedDict()
 
     @property
     def instance(self) -> Instance:
@@ -470,7 +477,17 @@ class Session:
         (:class:`repro.engine.serving.QueryServer`) may evaluate them in
         one shared batch and split the answers afterwards.  The prepared
         form rides along so the eventual batch evaluates it directly (a
-        rewrite-memo fixed point) instead of re-deriving the rewrite.
+        rewrite-memo fixed point) instead of re-deriving the rewrite; for a
+        scalar text it is a parsed :class:`~repro.regex.Regex`, so the
+        flush's compile-cache lookup prints it rather than parsing again.
+
+        A query *text* is admitted once: the pair is memoized by raw text
+        (LRU, ``cache_capacity`` entries, under the rewrite memo's lock),
+        so a served request whose text was seen before costs one dictionary
+        lookup — no parse, no print, no rewrite.  The parse (and, on a
+        constrained session, the rewrite) of a new text runs outside the
+        lock.  Only successes are memoized: a syntax error raises on every
+        request.
 
         Accepts the structured shapes of :mod:`repro.engine.request`
         natively: a scalar :class:`~repro.engine.request.QueryRequest`
@@ -486,11 +503,29 @@ class Session:
         """
         if isinstance(query, (QueryRequest, CRPQRequest)):
             query = normalize(query).query
+        if not isinstance(query, str):
+            return self._admit_cold(query)
+        with self._rewrite_lock:
+            admitted = self._admissions.get(query)
+            if admitted is not None:
+                self._admissions.move_to_end(query)
+                return admitted
+        admitted = self._admit_cold(query)
+        with self._rewrite_lock:
+            self._admissions[query] = admitted
+            while len(self._admissions) > self.cache_capacity:
+                self._admissions.popitem(last=False)
+        return admitted
+
+    def _admit_cold(self, query) -> "tuple[str, object]":
+        """:meth:`admission` without the text memo: parse, rewrite, print."""
         if isinstance(query, ConjunctiveQuery) or (
             isinstance(query, str) and is_crpq_text(query)
         ):
             prepared = self.prepare_conjunctive(query)
             return "crpq:" + prepared.to_text(), prepared
+        if isinstance(query, str):
+            query = RegularPathQuery.from_string(query).expression
         prepared = self._prepared(query)
         return query_key(prepared), prepared
 
