@@ -25,7 +25,9 @@
 #           on the clustered-sharded-crpq ops with the superstep worker
 #           threads included, beside the same ops on a monolithic Engine,
 #           then over serve_stream on the web-served-point lines, loop and
-#           flush-pool threads both (quick sizes); each writes the
+#           flush-pool threads both, then over the web-edit-read
+#           transactions with the product lowerings they built, patched
+#           and hit (quick sizes); each writes the
 #           gitignored PROFILE_report.txt so perf work starts from
 #           measurements
 #   all     everything, in order (the default — bare ./scripts/check.sh)
@@ -188,6 +190,10 @@ run_profile() {
     echo
     echo "== profile: cProfile over serve_stream on the web-served-point lines (quick) =="
     python scripts/profile.py --target serve --quick
+
+    echo
+    echo "== profile: cProfile over web-edit-read's edit-then-read transactions (quick) =="
+    python scripts/profile.py --target edit --quick
 }
 
 step="${1:-all}"

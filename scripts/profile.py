@@ -15,7 +15,11 @@ on a monolithic ``Engine`` over the same instance beside it.  ``--target
 serve`` profiles ``serve_stream`` over the request lines of the
 ``web-served-point`` workload (its op mix, 64 in flight, pinned to one CPU
 like the workload) on a fresh session, the event-loop thread and the
-flush-pool thread each under a profile of its own.  Either way the
+flush-pool thread each under a profile of its own.  ``--target edit``
+profiles the edit-then-read transactions of the ``web-edit-read``
+workload on a fresh engine, and counts per transaction how the numpy
+kernel's product lowering was had (built, patched or a hit) beside the
+time in the lowering, the fixpoint and answer materialisation.  Either way the
 top-N frames (by cumulative and by self time) go to a gitignored report so
 perf work starts from measurements instead of guesses::
 
@@ -24,6 +28,7 @@ perf work starts from measurements instead of guesses::
     PYTHONPATH=src python scripts/profile.py --target rewrite
     PYTHONPATH=src python scripts/profile.py --target crpq
     PYTHONPATH=src python scripts/profile.py --target serve
+    PYTHONPATH=src python scripts/profile.py --target edit
     PYTHONPATH=src python scripts/profile.py --quick        # check.sh step
 
 The report lands in ``PROFILE_report.txt`` (override with ``--out``).  The
@@ -39,7 +44,9 @@ supersteps, local runs, exchanged facts and kernel runs (sharded and
 monolithic), the join steps' q-error, and the atom-time ratio the benchmark
 trace reports as ``sharding.overhead_ratio``; per 1 000 served lines the
 ``regex.parse`` calls (loop and flush-pool threads apart), ``normalize``
-calls, event-loop callbacks and flushes, beside the loop's busy time.
+calls, event-loop callbacks and flushes, beside the loop's busy time; per
+1 000 edit transactions the product lowerings built, patched and hit, and
+the milliseconds in the lowering, the fixpoint and materialisation.
 Stdlib only — ``cProfile``/``pstats`` ship with CPython.
 """
 
@@ -497,6 +504,73 @@ def profile_serve(quick: bool) -> "tuple[pstats.Stats, float, list[str]]":
     return merged, merged.total_tt, work
 
 
+def profile_edit(quick: bool) -> "tuple[pstats.Stats, float, list[str]]":
+    """Profile ``web-edit-read``'s transactions on a fresh engine.
+
+    The data set and op list are the benchmark workload's own; ``quick``
+    uses its smoke graph.  After a warm-up lap, two counted laps (each
+    closed by the workload's drain-and-compact restore) give the product
+    lowerings per 1 000 transactions, a decomposed lap times the lowering,
+    the fixpoint and answer materialisation apart, and a last lap runs
+    under the profiler.  Returns the stats, the profiled seconds and the
+    work lines."""
+    sys.path.insert(0, str(_ROOT / "benchmarks" / "e2e"))
+    from workloads.web_edit_read import WebEditRead
+
+    workload = WebEditRead(seed=0, smoke=quick)
+    workload.generate(None)
+    engine = workload.engine = Engine.open(workload.instance)
+    ops = workload.make_ops(workload.lap_ops)
+
+    def lap() -> None:
+        for op in ops:
+            workload._transaction(op)
+        workload.restore()
+
+    lap()  # warm-up: compile cache, first lowering
+    before = engine.graph.lowering_counts()
+    for _ in range(2):
+        lap()
+    after = engine.graph.lowering_counts()
+    per_kop = 1e3 / (2 * len(ops))
+    lowerings = ", ".join(
+        f"{how} {(after[how] - before[how]) * per_kop:.1f}" for how in after
+    )
+    lowering_s = fixpoint_s = materialize_s = 0.0
+    for adds, removes, sources in ops:
+        workload._edit(adds, removes)
+        compiled = engine.compiled(workload.EXPRESSION)
+        graph = engine.graph
+        node_ids = [graph.node_id(source) for source in sources]
+        started = time.perf_counter()
+        graph.numpy_product_csr(compiled.moves)
+        lowered = time.perf_counter()
+        run = run_batch(graph, compiled, node_ids, backend=engine.backend)
+        ran = time.perf_counter()
+        for answers in run.answers:  # the session's answer materialisation
+            graph.oids_of(answers)
+        lowering_s += lowered - started
+        fixpoint_s += ran - lowered
+        materialize_s += time.perf_counter() - ran
+    workload.restore()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    lap()
+    profiler.disable()
+    per_op = 1e3 / len(ops)
+    work = [
+        f"{len(ops)} transactions per lap ({workload.EDITS} adds, the adds of "
+        f"{workload.WINDOW} transactions back removed, a {workload.WIDTH}-source "
+        f"{workload.EXPRESSION!r} read) over {engine.graph.num_nodes} nodes",
+        f"per 1000 transactions, 2 laps after warm-up: lowerings {lowerings}",
+        f"ms per transaction (unprofiled): lowering {lowering_s * per_op:.3f}, "
+        f"fixpoint {fixpoint_s * per_op:.3f}, materialisation "
+        f"{materialize_s * per_op:.3f}",
+    ]
+    stats = pstats.Stats(profiler)
+    return stats, stats.total_tt, work
+
+
 def mean_ms(seconds: "list[float]") -> float:
     return sum(seconds) / len(seconds) * 1e3
 
@@ -505,10 +579,11 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--target",
-        choices=("kernels", "rewrite", "crpq", "serve"),
+        choices=("kernels", "rewrite", "crpq", "serve", "edit"),
         default="kernels",
         help="what to profile: the batch kernels, the query rewriter, "
-        "sharded conjunctive queries, or the served wire path",
+        "sharded conjunctive queries, the served wire path, or "
+        "edit-then-read transactions",
     )
     parser.add_argument(
         "--backend",
@@ -549,6 +624,11 @@ def main() -> int:
         stats, total, work = profile_serve(args.quick)
         sections.append(render_report("target: serve", stats, total, args.top, work))
         print(f"serve: {total:.4f}s profiled; hottest: {hottest_frames(stats)}")
+        print(*work, sep="\n")
+    elif args.target == "edit":
+        stats, total, work = profile_edit(args.quick)
+        sections.append(render_report("target: edit", stats, total, args.top, work))
+        print(f"edit: {total:.4f}s profiled; hottest: {hottest_frames(stats)}")
         print(*work, sep="\n")
     else:
         backends = tuple(args.backend) if args.backend else available_backends()

@@ -24,11 +24,15 @@ in place; compaction folds overflow in and drops tombstones out, restoring
 the pure-CSR invariant.
 
 For the numpy kernel (:mod:`repro.engine.executor_np`) the adjacency is
-additionally lowered, lazily and cached per version, to a
-:class:`ProductCSR` per compiled query: the adjacency of the DFA x graph
-product itself, which the batched kernel pushes frontiers over.  The
+additionally lowered, lazily, to a :class:`ProductCSR` per compiled query:
+the adjacency of the DFA x graph product itself, which the batched kernel
+pushes frontiers over.  A cached lowering outlives edits: every edge-set
+change is journaled, and the next lookup patches the lowering with the
+edits made since it was built instead of lowering the whole graph again,
+so a read after an edit pays for what changed, not for the graph.  The
 per-label flat ``(source, target)`` edge arrays (:class:`LabelEdges`) are
-that build's intermediate and have no other reader — no kernel walks them.
+the intermediate of a cold build and have no other reader — no kernel
+walks them.
 
 The whole compiled state round-trips through :meth:`CompiledGraph.to_parts`
 / :meth:`CompiledGraph.from_parts` — the exchange format the snapshot file
@@ -38,14 +42,17 @@ The whole compiled state round-trips through :meth:`CompiledGraph.to_parts`
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import OrderedDict
+from itertools import groupby
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ..analysis.annotations import guarded_by
 from ..exceptions import InstanceError
 from ..graph.instance import Instance, Oid
 from .interning import Interner
-from .telemetry import witnessed_lock
+from .telemetry import current_span, witnessed_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy
@@ -54,10 +61,13 @@ _EMPTY = array("q")
 _EMPTY_DEAD: frozenset[int] = frozenset()
 
 
-# Product lowerings kept per graph version: one per distinct transition
-# structure served since the last mutation.  A serving session cycles
-# through a handful of hot queries; anything colder re-lowers on demand.
+# Product lowerings kept at once: one per distinct transition structure
+# served recently.  A serving session cycles through a handful of hot
+# queries; anything colder re-lowers on demand.
 _PRODUCT_CACHE_SIZE = 8
+
+# The version of a journal entry ``(version, sign, source, label, target)``.
+_VERSION = itemgetter(0)
 
 
 class LabelEdges:
@@ -90,6 +100,81 @@ class ProductCSR:
         self.dst = dst
 
 
+def _product_dtype(size: int, total: int) -> type:
+    """``int32`` whenever keys and edge slots fit: it halves both a
+    resident lowering (a serving session keeps several) and the scratch
+    arrays that make one."""
+    import numpy as np
+
+    return np.int32 if max(size, total) < 2**31 else np.int64
+
+
+def _patch_product(product: ProductCSR, pending: list, moves, n: int) -> ProductCSR:
+    """``product`` with the journaled edge changes ``pending`` applied, as a
+    new lowering — ``product`` itself is never written.
+
+    An edit ``±(source, label, target)`` changes, per move ``(label ->
+    next)`` of a state ``s``, the product edge ``s·n + source -> next·n +
+    target``.  The changes are netted as a multiset (two labels that move
+    to one state give parallel product edges); one matching slot of its
+    row is cut per removal, and each addition is spliced in at its row's
+    end, so a patched row may list its targets in another order than a
+    fresh build — the kernel groups by target, so nothing it reports
+    differs.  The work is a few dict and list steps per journaled edit
+    (less than the ``add_edge``/``remove_edge`` call that journaled it)
+    plus one pass over each array, whose dtype follows the build's rule.
+    """
+    import numpy as np
+
+    indptr, dst = product.indptr, product.dst
+    size = indptr.size - 1
+    bases: "dict[int, list[tuple[int, int]]]" = {}
+    for state, row in enumerate(moves):
+        for label, next_state in row:
+            bases.setdefault(label, []).append((state * n, next_state * n))
+    net: "dict[tuple[int, int], int]" = {}
+    for _version, sign, source, label, target in pending:
+        for row_base, target_base in bases.get(label, ()):
+            edge = (row_base + source, target_base + target)
+            net[edge] = net.get(edge, 0) + sign
+    changes = sorted(item for item in net.items() if item[1])
+    if not changes:
+        return product
+    pieces = []  # the new ``dst``: runs of old slots, and added targets
+    cut = 0  # old slots before this are placed
+    rows = []  # each changed row, ascending ...
+    shifts = [0]  # ... and the running net count through it
+    for row, group in groupby(changes, key=lambda change: change[0][0]):
+        start, stop = int(indptr[row]), int(indptr[row + 1])
+        slots = dst[start:stop].tolist()
+        removed = []
+        added = []
+        for (_row, target), count in group:
+            position = -1
+            for _ in range(-count):
+                position = slots.index(target, position + 1)
+                removed.append(start + position)
+            added.extend([target] * count)
+        for position in sorted(removed):
+            pieces.append(dst[cut:position])
+            cut = position + 1
+        if added:
+            pieces.append(dst[cut:stop])
+            pieces.append(np.array(added, dtype=dst.dtype))
+            cut = stop
+        rows.append(row)
+        shifts.append(shifts[-1] + len(added) - len(removed))
+    pieces.append(dst[cut:])
+    dtype = _product_dtype(size, dst.size + shifts[-1])
+    # Every offset past a changed row moves by the running net count: one
+    # value per step between changed rows, repeated out into the new
+    # indptr (the only size-long array made) and added to the old one.
+    steps = np.diff([0, *(row + 1 for row in rows), size + 1])
+    new_indptr = np.repeat(np.array(shifts, dtype=dtype), steps)
+    new_indptr += indptr
+    return ProductCSR(new_indptr, np.concatenate(pieces).astype(dtype, copy=False))
+
+
 class CompiledGraph:
     """A finite instance compiled to per-label CSR over dense integer ids."""
 
@@ -100,6 +185,8 @@ class CompiledGraph:
         "_np_version": "_np_lock",
         "_np_edges": "_np_lock",
         "_np_products": "_np_lock",
+        "_np_journal": "_np_lock",
+        "_np_counts": "_np_lock",
     }
 
     __slots__ = (
@@ -116,6 +203,8 @@ class CompiledGraph:
         "_np_version",
         "_np_edges",
         "_np_products",
+        "_np_journal",
+        "_np_counts",
         "_np_lock",
         "auto_compact_ratio",
         "version",
@@ -144,16 +233,24 @@ class CompiledGraph:
         # Per label id: CSR positions of incrementally removed edges.
         self._dead: list[set[int]] = []
         self._dead_edges = 0
-        # Lazily built numpy lowerings, valid only for _np_version: per-label
-        # edge arrays, and a small LRU of product CSRs keyed by ``(moves,
-        # num_nodes)`` (``ensure_nodes`` grows the id space without a
-        # version bump, and flat product keys depend on it).  The lock keeps
-        # the build-and-cache step safe under concurrent *reads* (the
-        # serving layer runs per-shard supersteps and admission-queue
-        # flushes on threads); mutation is still the caller's to serialize.
+        # Lazily built numpy lowerings.  The per-label edge arrays are valid
+        # only for _np_version.  The product CSRs, a small LRU keyed by move
+        # table, each carry the version and node count they reflect
+        # (``ensure_nodes`` grows the id space without a version bump, and
+        # flat product keys depend on it); the journal holds one ``(version,
+        # ±1, source, label, target)`` entry per edge-set change newer than
+        # the oldest of them, which is what brings one forward (see
+        # :meth:`numpy_product_csr`).  The lock keeps the build-and-cache
+        # step safe under concurrent *reads* (the serving layer runs
+        # per-shard supersteps and admission-queue flushes on threads);
+        # mutation is still the caller's to serialize.
         self._np_version = -1
         self._np_edges: list["LabelEdges | None"] = []
-        self._np_products: "OrderedDict[tuple, ProductCSR]" = OrderedDict()
+        self._np_products: "OrderedDict[tuple, tuple[int, int, ProductCSR]]" = (
+            OrderedDict()
+        )
+        self._np_journal: "list[tuple[int, int, int, int, int]]" = []
+        self._np_counts = {"built": 0, "patched": 0, "hit": 0}
         self._np_lock = witnessed_lock("CompiledGraph._np_lock")
         # Auto-compaction fires when overflow edges (on add) or tombstones
         # (on remove) outgrow ``max(64, edge_count // auto_compact_ratio)``
@@ -304,7 +401,7 @@ class CompiledGraph:
         if key in edges:
             return
         edges.add(key)
-        self.version += 1
+        self._bump(1, sid, lid, did)
         # Re-adding a removed edge whose CSR slot is tombstoned revives the
         # slot in place instead of duplicating the edge into the overflow.
         position = self._dead_csr_position(sid, lid, did)
@@ -331,7 +428,7 @@ class CompiledGraph:
         if sid is None or did is None or lid is None or key not in self._edges():
             raise InstanceError(f"edge {(source, label, destination)!r} not present")
         self._edges().remove(key)
-        self.version += 1
+        self._bump(-1, sid, lid, did)
         extra = self._overflow[lid].get(sid)
         if extra is not None and did in extra:
             extra.remove(did)
@@ -345,6 +442,15 @@ class CompiledGraph:
         self._dead[lid].add(position)
         self._dead_edges += 1
         self._maybe_auto_compact(self._dead_edges)
+
+    def _bump(self, sign: int, sid: int, lid: int, did: int) -> None:
+        """One edge-set change: a new version, journaled (under the lock,
+        with the bump) while any product lowering is cached to patch."""
+        with self._np_lock:
+            self.version += 1
+            if self._np_products:
+                self._np_journal.append((self.version, sign, sid, lid, did))
+                self._np_trim()
 
     def _csr_positions(self, sid: int, lid: int, did: int) -> Iterator[int]:
         indptr = self._indptr[lid]
@@ -382,8 +488,9 @@ class CompiledGraph:
         fused away (the rebuilt dense arrays contain live edges only, so
         neither the scalar traversals nor the numpy lowering filter
         anything afterwards) and every source's target run comes out
-        sorted (see :meth:`_build_csr`).  A no-op when the graph is
-        already fully dense.
+        sorted (see :meth:`_build_csr`).  The edge multiset is unchanged,
+        so cached product lowerings stay valid: the version bump journals
+        nothing.  A no-op when the graph is already fully dense.
         """
         if (
             not self._overflow_edges
@@ -434,9 +541,10 @@ class CompiledGraph:
         This is the cheap path for instance mutations that only grow the
         object set (``Instance.add_object`` of isolated nodes): ids are
         append-only and no edge moves, so the CSR arrays, the tombstones,
-        the numpy lowering cache and every compiled query table stay valid
-        — ``version`` is deliberately *not* bumped.  Returns the number of
-        newly interned nodes.
+        the numpy label-edge arrays and every compiled query table stay
+        valid — ``version`` is deliberately *not* bumped.  (A product
+        lowering's flat keys follow the node count, so its next lookup
+        rebuilds it.)  Returns the number of newly interned nodes.
         """
         nodes = self.nodes
         fresh = [oid for oid in oids if oid not in nodes]
@@ -523,11 +631,10 @@ class CompiledGraph:
     # -- numpy lowering -------------------------------------------------------
     @guarded_by("_np_lock")
     def _np_sync(self) -> int:
-        """Drop every cached lowering of an older version; returns the
+        """Drop the per-label edge arrays of an older version; returns the
         version a caller about to build is building for."""
         if self._np_version != self.version:
             self._np_edges = []
-            self._np_products = OrderedDict()
             self._np_version = self.version
         if len(self._np_edges) < len(self._overflow):
             self._np_edges.extend(
@@ -537,7 +644,8 @@ class CompiledGraph:
 
     @guarded_by("_np_lock")
     def _np_current(self, built_for: int) -> bool:
-        """Whether a lowering built for ``built_for`` may be cached.
+        """Whether a lowering built or patched for ``built_for`` may be
+        cached.
 
         Two readers may race on the same first use; both lower the
         identical edge set, so the second write is a harmless no-op —
@@ -549,6 +657,34 @@ class CompiledGraph:
         cache for the new version (ABA).
         """
         return self._np_version == built_for and self.version == built_for
+
+    @guarded_by("_np_lock")
+    def _np_trim(self) -> None:
+        """Keep the journal to what a cached product lowering still needs.
+
+        The oldest lowering is dropped while its pending edits outnumber
+        its own edges (its next lookup would rebuild it anyway, so keeping
+        it would only grow the journal); then every entry at or below the
+        oldest remaining version goes.  Nothing cached, nothing journaled.
+        """
+        products, journal = self._np_products, self._np_journal
+        while products:
+            key, (version, _nodes, product) = min(
+                products.items(), key=lambda item: item[1][0]
+            )
+            done = bisect_right(journal, version, key=_VERSION)
+            if len(journal) - done <= product.dst.size:
+                del journal[:done]
+                return
+            del products[key]
+        journal.clear()
+
+    def lowering_counts(self) -> dict[str, int]:
+        """Product-lowering lookups so far, by outcome: ``built`` (lowered
+        from the edge arrays), ``patched`` (an older lowering brought up to
+        date with the journal) and ``hit`` (already current)."""
+        with self._np_lock:
+            return dict(self._np_counts)
 
     def numpy_label_edges(self, label_id: int) -> LabelEdges:
         """One label's live edges as flat numpy arrays, cached per version.
@@ -597,25 +733,58 @@ class CompiledGraph:
         self, moves: "tuple[tuple[tuple[int, int], ...], ...]"
     ) -> ProductCSR:
         """The product adjacency of a compiled query's ``moves`` over the
-        live edges, cached per version in a small LRU.
+        live edges, from a small LRU that survives edits.
 
         Keyed by the (hashable) move table itself, never by query identity:
         two compiled queries with equal transition structure share one
         lowering, and a recycled object id can never serve another query's
-        product.  Lowered from :meth:`numpy_label_edges`, so it sees CSR −
-        tombstones + overflow exactly as the scalar traversals do.
+        product.  A cached lowering is a ``hit`` when it is current.  One
+        made at an older version is ``patched``: the edits journaled since
+        are applied to a new lowering, never to the cached one, which a
+        kernel on another thread may be reading (see
+        :func:`_patch_product`).  It is ``built`` from
+        :meth:`numpy_label_edges` — CSR − tombstones + overflow, exactly as
+        the scalar traversals see it — when nothing is cached, when the
+        node count changed since, or when its pending edits outnumber its
+        own edges.  The outcome is counted (:meth:`lowering_counts`) and
+        set as ``lowering`` on the span the lookup runs under.
         """
-        import numpy as np
-
         n = len(self.nodes)
-        key = (moves, n)
+        pending = None
         with self._np_lock:
             built_for = self._np_sync()
-            cached = self._np_products.get(key)
-            if cached is not None:
-                self._np_products.move_to_end(key)
-        if cached is not None:
-            return cached
+            entry = self._np_products.get(moves)
+            if entry is not None:
+                self._np_products.move_to_end(moves)
+                version, nodes, product = entry
+                if nodes == n:
+                    journal = self._np_journal
+                    pending = journal[bisect_right(journal, version, key=_VERSION):]
+                    if len(pending) > product.dst.size:
+                        pending = None
+            how = "built" if pending is None else "patched" if pending else "hit"
+            self._np_counts[how] += 1
+        current_span().set(lowering=how)
+        if how == "hit":
+            if version == built_for:
+                return product
+            # Only compactions since: the same edges, stamped current below.
+        elif how == "patched":
+            product = _patch_product(product, pending, moves, n)
+        else:
+            product = self._lower_product(moves, n)
+        with self._np_lock:
+            if self._np_current(built_for):
+                self._np_products[moves] = (built_for, n, product)
+                while len(self._np_products) > _PRODUCT_CACHE_SIZE:
+                    self._np_products.popitem(last=False)
+                self._np_trim()
+        return product
+
+    def _lower_product(self, moves, n: int) -> ProductCSR:
+        """A cold build of the product lowering from the label edge arrays."""
+        import numpy as np
+
         blocks = [
             (self.numpy_label_edges(label_id), state * n, next_state * n)
             for state, row in enumerate(moves)
@@ -623,10 +792,7 @@ class CompiledGraph:
         ]
         size = len(moves) * n
         total = sum(edges.src.size for edges, _, _ in blocks)
-        # ``int32`` whenever keys and edge slots fit: it halves both the
-        # resident lowering (a serving session keeps several) and the
-        # scratch arrays of this build.
-        dtype = np.int32 if max(size, total) < 2**31 else np.int64
+        dtype = _product_dtype(size, total)
         src = np.empty(total, dtype=dtype)
         dst = np.empty(total, dtype=dtype)
         filled = 0
@@ -640,13 +806,7 @@ class CompiledGraph:
         dst = dst[np.argsort(src, kind="stable")]
         indptr = np.zeros(size + 1, dtype=dtype)
         np.cumsum(np.bincount(src, minlength=size), out=indptr[1:])
-        product = ProductCSR(indptr, dst)
-        with self._np_lock:
-            if self._np_current(built_for):
-                self._np_products[key] = product
-                while len(self._np_products) > _PRODUCT_CACHE_SIZE:
-                    self._np_products.popitem(last=False)
-        return product
+        return ProductCSR(indptr, dst)
 
     def out_edges(self, node: int) -> Iterator[tuple[int, int]]:
         """All ``(label_id, target)`` pairs of one node (any label)."""

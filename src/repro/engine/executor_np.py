@@ -4,7 +4,7 @@ What ``auto`` runs for batches whenever numpy imports.  The per-pair source
 bitmasks are packed into a ``(num_states, num_nodes, num_words)`` ``uint64``
 tensor, and :func:`fixpoint` pushes frontiers over
 :class:`repro.engine.csr.ProductCSR` (flat key ``state * n + node``,
-lowered once per graph version and move table): the frontier travels
+lowered once per move table and patched across edits): the frontier travels
 between rounds as ``(rows, bits)`` arrays, a round gathers the out-edges of
 those rows only, sorts the pushed bits by target,
 ``np.bitwise_or.reduceat``s them per target, masks against what the target
@@ -81,9 +81,11 @@ def _group_or(keys: "np.ndarray", values: "np.ndarray"):
     of a push round, done as sort + ``bitwise_or.reduceat`` so it never
     touches a row that nothing was pushed to.
     """
-    # An OR is order-blind, so stability is not needed for correctness; the
-    # default introsort is measurably faster here and is held back only by
-    # a benchmark artifact — see ROADMAP item 2, "flip ``_group_or``".
+    # An OR is order-blind, so stability is not needed for correctness, and
+    # the default introsort is faster here with identical answers.  The
+    # flip waits on the benchmark harness, which keeps every lap's answer
+    # digests: a faster op fits more laps in a run and pushes its peak RSS
+    # past the bound — see ROADMAP item 2, "flip ``_group_or``".
     order = keys.argsort(kind="stable")
     return _group_sorted(keys[order], values[order])
 

@@ -47,7 +47,6 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 from ..exceptions import ReproError
 from ..graph.instance import Instance, Oid
 from ..optimize.cost import DegreeStats
-from ..optimize.planner import choose_batch_strategy
 from ..query.evaluation import EvaluationResult
 from ..query.path_query import RegularPathQuery
 from ..regex import Regex
@@ -76,11 +75,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .serving import QueryServer, SuperstepScheduler
 
 _SHARED_ENGINE_ATTR = "_repro_shared_engine"
-
-
-def _strategy_expression(prepared):
-    """The raw path expression of a prepared query (for the shape check)."""
-    return getattr(prepared, "expression", prepared)
 
 
 def _lower_batch_request(query, sources):
@@ -288,6 +282,10 @@ def _unknown_source(source: Oid, compiled: CompiledQuery) -> EvaluationResult:
     return result
 
 
+def _lowerings_of(session: "Session | None") -> "dict[str, int]":
+    return {} if session is None else session._lowering_counts()
+
+
 class Session:
     """One session API over two evaluators.
 
@@ -305,9 +303,10 @@ class Session:
     The host contract: a host sets ``_PREFIX`` (its span and metric prefix,
     ``engine`` or ``sharded``), calls :meth:`__init__` with its stats
     object, and supplies ``refresh()``, the ``_instance`` it serves with its
-    ``_instance_version`` stamp, :meth:`_count_degrees` and four evaluation
-    internals.  The first three answer only the sources the graph holds,
-    beside the compiled query they ran, which decides the rest:
+    ``_instance_version`` stamp, :meth:`_count_degrees`,
+    :meth:`_lowering_counts` and four evaluation internals.  The first
+    three answer only the sources the graph holds, beside the compiled
+    query they ran, which decides the rest:
 
     * ``_query_single(query, source)`` -> ``(compiled, result or None)``;
     * ``_query_batch(query, sources, emit)`` -> ``(compiled, {source: answers})``;
@@ -367,6 +366,15 @@ class Session:
         )
         self._hist_rewrite = registry.histogram(
             f"{prefix}_rewrite_seconds", "cold constraint-rewrite search latency"
+        )
+        # Read through a weak reference: no registry callback may keep the
+        # session alive (see ``shared_engine``).
+        session = weakref.ref(self)
+        registry.gauge(
+            f"{prefix}_product_lowerings_total",
+            "numpy product-CSR lookups by outcome (built, patched, hit)",
+            lambda: _lowerings_of(session()),
+            labelnames=("how",),
         )
         # Guards refresh, mutation and the stats counters against concurrent
         # server threads (see each host's docstring for what it serializes).
@@ -553,6 +561,12 @@ class Session:
         return cached[1]
 
     def _count_degrees(self) -> DegreeStats:
+        raise NotImplementedError  # pragma: no cover - hosts supply it
+
+    def _lowering_counts(self) -> "dict[str, int]":
+        """The numpy product lowerings of this session's compiled graph(s)
+        by outcome: ``built``, ``patched`` or ``hit`` (see
+        :meth:`CompiledGraph.numpy_product_csr`)."""
         raise NotImplementedError  # pragma: no cover - hosts supply it
 
     def _active_domain(self) -> "tuple[Oid, ...]":
@@ -1033,6 +1047,9 @@ class Engine(Session):
     def graph(self) -> CompiledGraph:
         return self._graph
 
+    def _lowering_counts(self) -> "dict[str, int]":
+        return self._graph.lowering_counts()
+
     @property
     def resolved_backend(self) -> str:
         """The batch kernel this session's ``backend`` resolves to right now."""
@@ -1268,43 +1285,19 @@ class Engine(Session):
                 # per-fact work left on the evaluation thread.
                 emit(order[bit], [oid_of[node] for node in nodes])
 
-        # Constant-time trichotomy check (Bagan et al.): wide batches of
-        # easy-shaped queries run the whole-graph kernel — node ids double
-        # as mask bits, so one all-pairs fixpoint replaces seeding most of
-        # the graph source by source.  Streaming stays per-source (its
-        # bit->oid mapping follows the request order).
-        strategy = choose_batch_strategy(
-            _strategy_expression(self._prepared(query)),
-            len(set(known)),
-            graph.num_nodes,
-        )
-        all_pairs = strategy.strategy == "all-pairs" and answer_sink is None
         with self._run_lock.read():
             with self.metrics.span("engine.run", mode="batch") as run_span:
-                if all_pairs:
-                    run = run_all_pairs(graph, compiled, backend=self.backend)
-                else:
-                    run = run_batch(
-                        graph, compiled, known, backend=self.backend,
-                        answer_sink=answer_sink,
-                    )
-                run_span.set(
-                    backend=run.backend,
-                    visited=run.visited_pairs,
-                    strategy=strategy.strategy,
-                    shape=strategy.shape,
+                run = run_batch(
+                    graph, compiled, known, backend=self.backend,
+                    answer_sink=answer_sink,
                 )
+                run_span.set(backend=run.backend, visited=run.visited_pairs)
         self._hist_run.observe(run.elapsed)
         with self._lock:
             self.stats.visited_pairs += run.visited_pairs
             self.stats.record_backend(run.backend)
-        if all_pairs:
-            # ``run_all_pairs`` answers are positioned by node id.
-            for oid, node in zip(known_oids, known):
-                found[oid] = graph.oids_of(run.answers[node])
-        else:
-            for oid, answer_nodes in zip(known_oids, run.answers):
-                found[oid] = graph.oids_of(answer_nodes)
+        for oid, answer_nodes in zip(known_oids, run.answers):
+            found[oid] = graph.oids_of(answer_nodes)
         return compiled, found
 
     def _query_batch_results(

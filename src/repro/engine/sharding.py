@@ -654,6 +654,11 @@ class ShardedEngine(Session):
     def rebuilt_shards(self) -> int:
         return sum(1 for engine in self._shards if engine.stats.graph_builds)
 
+    def _lowering_counts(self) -> "dict[str, int]":
+        """Summed over the shards' graphs."""
+        per_shard = [engine.graph.lowering_counts() for engine in self._shards]
+        return {how: sum(counts[how] for counts in per_shard) for how in per_shard[0]}
+
     def __repr__(self) -> str:
         return (
             f"ShardedEngine({self._map!r}, objects={len(self._instance)}, "

@@ -16,121 +16,9 @@ from ..constraints.constraint import ConstraintSet
 from ..distributed.coordinator import run_distributed_query
 from ..graph.instance import Instance, Oid
 from ..query.evaluation import evaluate_baseline
-from ..regex import Concat, Epsilon, Regex, Star, Symbol, Union, parse, to_string
+from ..regex import Regex, to_string
 from .cost import DEFAULT_COST_MODEL, CostModel
 from .rewriter import RewriteOutcome, rewrite_query
-
-
-# Recommend the all-pairs kernel once a batch covers at least this fraction
-# of the graph's nodes: node ids then double as mask bits and the executor
-# skips the per-source bit table entirely, so the whole-graph run is cheaper
-# than seeding most of the graph one source at a time.
-ALL_PAIRS_FRACTION = 0.5
-
-
-@dataclass(frozen=True)
-class StrategyReport:
-    """Constant-time query-shape classification plus batch-strategy choice.
-
-    ``shape`` approximates the Bagan–Bonifati–Groz trichotomy for regular
-    path queries ("A trichotomy for regular simple path queries on graphs"):
-    expressions that are concatenations of letters, letter alternations and
-    starred such factors (``a . (b|c)* . d``) sit in the tractable class —
-    their product fixpoint is breadth-bounded and per-source evaluation
-    stays linear in the frontier — while nested stars over compound bodies
-    (``(a.b)*``) fall outside the guarantee and amortize better through one
-    shared whole-graph run.  The check is purely syntactic, ``O(|expr|)``
-    with no data access, so planners can consult it per request.
-
-    ``strategy`` is what the engine acts on: ``"all-pairs"`` when the batch
-    covers enough of the graph (or the shape is hard and the batch is not
-    tiny) that one whole-graph run beats per-source seeding, else
-    ``"per-source"``.
-    """
-
-    shape: str  # "tractable" | "hard"
-    reason: str
-    strategy: str  # "per-source" | "all-pairs"
-    num_sources: int
-    num_nodes: int
-
-    @property
-    def tractable(self) -> bool:
-        return self.shape == "tractable"
-
-    def summary(self) -> str:
-        return (
-            f"shape: {self.shape} ({self.reason}); "
-            f"strategy: {self.strategy} "
-            f"[{self.num_sources}/{self.num_nodes} sources]"
-        )
-
-
-def _letter_factor(expression: Regex) -> bool:
-    """A single letter, or an alternation of letters (``a``, ``a|b|c``)."""
-    if isinstance(expression, Symbol):
-        return True
-    if isinstance(expression, Union):
-        return _letter_factor(expression.left) and _letter_factor(expression.right)
-    return False
-
-
-def classify_query_shape(expression: "Regex | str") -> "tuple[bool, str]":
-    """``(tractable, reason)`` for one path expression, in ``O(|expr|)``.
-
-    Tractable means: a concatenation whose every factor is a letter, a
-    letter alternation, epsilon, or a star over a letter (alternation) —
-    the syntactic core of the trichotomy's easy class.  The first factor
-    violating the pattern names the reason.
-    """
-    if isinstance(expression, str):
-        expression = parse(expression)
-    factors = []
-    stack = [expression]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Concat):
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            factors.append(node)
-    for factor in factors:
-        if isinstance(factor, Epsilon) or _letter_factor(factor):
-            continue
-        if isinstance(factor, Star) and _letter_factor(factor.inner):
-            continue
-        return False, f"factor {to_string(factor)} is not a (starred) letter"
-    return True, "concatenation of (starred) letter factors"
-
-
-def choose_batch_strategy(
-    expression: "Regex | str",
-    num_sources: int,
-    num_nodes: int,
-    *,
-    all_pairs_fraction: float = ALL_PAIRS_FRACTION,
-) -> StrategyReport:
-    """Pick the batch evaluation strategy for one request, in constant time.
-
-    Wide batches — at least ``all_pairs_fraction`` of the graph's nodes —
-    run all-pairs regardless of shape (the whole-graph kernel's node-id
-    bit packing beats per-source seeding once most nodes are sources
-    anyway); everything else stays per-source, which the packed executors
-    keep proportional to the batch's actual frontier.
-    """
-    tractable, reason = classify_query_shape(expression)
-    wide = (
-        num_nodes > 0
-        and num_sources > 1
-        and num_sources >= all_pairs_fraction * num_nodes
-    )
-    return StrategyReport(
-        shape="tractable" if tractable else "hard",
-        reason=reason,
-        strategy="all-pairs" if wide else "per-source",
-        num_sources=num_sources,
-        num_nodes=num_nodes,
-    )
 
 
 @dataclass

@@ -163,6 +163,27 @@ class TestEngineBackendFlag:
         assert "a b*\to1\to2 o3" in captured.out.splitlines()
         assert "engine_backend_runs{numpy}" in captured.err
 
+    def test_stats_count_the_product_lowerings(self, graph_file, query_file, capsys):
+        from repro.engine import numpy_available
+
+        if not numpy_available():
+            pytest.skip("numpy backend unavailable")
+        code = main(
+            ["engine", graph_file, query_file, "--all-sources", "--backend", "numpy",
+             "--stats"]
+        )
+        assert code == 0
+        stats = dict(
+            line.lstrip("# ").rsplit(" ", 1) for line in capsys.readouterr().err.splitlines()
+            if "product_lowerings_total" in line
+        )
+        # Two queries, each lowered once on the unedited graph.
+        assert stats == {
+            "engine_product_lowerings_total{built}": "2",
+            "engine_product_lowerings_total{hit}": "0",
+            "engine_product_lowerings_total{patched}": "0",
+        }
+
     def test_auto_backend_matches_availability(self, graph_file, query_file, capsys):
         from repro.engine import resolve_backend
 

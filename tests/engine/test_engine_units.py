@@ -313,6 +313,28 @@ class TestKernelDispatch:
         executor_np = pytest.importorskip("repro.engine.executor_np")
         assert not hasattr(executor_np, "run_single")
 
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("expression", ["a b*", "(a b)*", "(a + b + c)* c"])
+    def test_a_wide_batch_answers_as_query_all(self, backend, expression):
+        # A batch over >= 90 % of the nodes is one run_batch over the
+        # requested sources, answered exactly as the all-pairs run
+        # restricted to them, with no strategy decision on the run span.
+        instance, _ = web_like_graph(120, ["a", "b", "c"], seed=12)
+        engine = Engine.open(instance, backend=backend)
+        objects = sorted(instance.objects, key=repr)
+        sources = objects[: -len(objects) // 10]
+        assert len(sources) >= 0.9 * len(objects)
+        everything = engine.query_all(expression)
+        assert engine.query_batch(expression, sources) == {
+            source: everything[source] for source in sources
+        }
+        [run] = [
+            span for span in engine.metrics.tracer.last().spans
+            if span.name == "engine.run"
+        ]
+        assert run.attributes["mode"] == "batch"
+        assert "strategy" not in run.attributes and "shape" not in run.attributes
+
 
 class TestPlannerBackend:
     def test_engine_backend_agrees_with_baseline(self):

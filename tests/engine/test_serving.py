@@ -837,6 +837,81 @@ class TestThreadSanity:
             "a (b + c)*", sources
         )
 
+    @pytest.mark.skipif(not numpy_available(), reason="numpy lowering under test")
+    def test_edits_between_existing_nodes_patch_under_concurrent_readers(self):
+        # Edits that intern no node are journaled and patched into the
+        # cached lowerings while reader threads keep looking them up; a
+        # lost or doubled journal entry would leave the final lowering
+        # differing from the graph.  More threads than cores, and a short
+        # switch interval, so lookups interleave with the journal appends.
+        from collections import Counter
+
+        instance, _ = web(300)
+        engine = Engine.open(instance, backend="numpy")
+        nodes = sources_of(instance, 300)
+        sources = nodes[:12]
+        stop = threading.Event()
+        errors: "list[BaseException]" = []
+
+        def querier(query):
+            try:
+                while not stop.is_set():
+                    engine.query_batch(query, sources)
+            except BaseException as error:
+                errors.append(error)
+
+        def mutator():
+            try:
+                added = []
+                for index in range(120):
+                    edge = (nodes[index], "abc"[index % 3], nodes[-1 - index])
+                    if not engine.instance.has_edge(*edge):
+                        engine.add_edge(*edge)
+                        added.append(edge)
+                    if index % 3 == 2:
+                        engine.remove_edge(*added.pop(0))
+            except BaseException as error:
+                errors.append(error)
+            finally:
+                stop.set()
+
+        queries = ("(a + b)* c", "a (b + c)*", "(a + b + c)*")
+        threads = [threading.Thread(target=querier, args=(q,)) for q in queries * 2]
+        threads.append(threading.Thread(target=mutator))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not errors, errors
+        assert not any(thread.is_alive() for thread in threads)
+        graph = engine.graph
+        assert graph.lowering_counts()["patched"] > 0
+        n = graph.num_nodes
+        fresh = Engine.open(engine.instance.copy(), backend="numpy")
+        for query in queries:
+            moves = engine.compiled(query).moves
+            product = graph.numpy_product_csr(moves)
+            indptr, dst = product.indptr.tolist(), product.dst.tolist()
+            lowered = Counter(
+                (key, target)
+                for key in range(len(indptr) - 1)
+                for target in dst[indptr[key]:indptr[key + 1]]
+            )
+            scalar = Counter(
+                (state * n + node, next_state * n + target)
+                for state, row in enumerate(moves)
+                for label, next_state in row
+                for node in range(n)
+                for target in graph.successors(node, label)
+            )
+            assert lowered == scalar, query
+            assert engine.query_batch(query, sources) == fresh.query_batch(query, sources)
+
     def test_query_snapshot_survives_concurrent_rebuild(self):
         # Query paths capture (table, graph) as one pair: a refresh in
         # another thread that swaps the engine's graph (here simulated
@@ -916,6 +991,40 @@ class TestThreadSanity:
         cached = graph.numpy_product_csr(moves)
         assert cached is not stale
         assert cached.dst.size == 2 and stale.dst.size == 1
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy cache under test")
+    def test_stale_patch_not_cached_after_mutation_between_journal_read_and_store(
+        self, monkeypatch
+    ):
+        # The race once more, on the patch path: reader A reads the journal
+        # (one pending edit) and patches; a second edit and reader B's patch
+        # land before A stores.  A's product (one edit short) must not be
+        # readmitted, and B's must not be patched twice by what A read.
+        import repro.engine.csr as csr_mod
+        from repro.engine import CompiledGraph, lower_query
+
+        graph = CompiledGraph.from_instance(Instance([("u", "a", "v"), ("v", "a", "w")]))
+        moves = lower_query("a", graph).moves
+        graph.numpy_product_csr(moves)
+        graph.add_edge("w", "a", "u")  # journaled: A's pending edit
+        original = csr_mod._patch_product
+        fired = []
+
+        def hooked(product, pending, moves_, n):
+            patched = original(product, pending, moves_, n)
+            if not fired:
+                fired.append(True)
+                graph.add_edge("u", "a", "w")  # between A's read and store
+                graph.numpy_product_csr(moves)  # reader B: patches, stores
+            return patched
+
+        monkeypatch.setattr(csr_mod, "_patch_product", hooked)
+        stale = graph.numpy_product_csr(moves)  # reader A: must not poison
+        monkeypatch.setattr(csr_mod, "_patch_product", original)
+        cached = graph.numpy_product_csr(moves)
+        assert cached is not stale
+        assert stale.dst.size == 3 and cached.dst.size == 4
+        assert graph.lowering_counts() == {"built": 1, "patched": 2, "hit": 1}
 
     def test_compile_cache_safe_under_concurrent_compiles(self):
         # Many distinct queries from many threads: the LRU mutates heavily.
