@@ -12,9 +12,11 @@
 #   serve   the async serving suites under PYTHONASYNCIODEBUG=1 (both numpy
 #           arms; includes the N-threads-x-M-queries stress test on one
 #           shared engine), them and the sharded suite under the lock-order
-#           witness, plus a live streamed-TCP smoke: a STREAM
-#           request's chunk lines, a LIMIT/CURSOR page walk, and a forged
-#           cursor rejection against a real `serve --tcp` process
+#           witness, plus a live wire smoke: one script (a STREAM
+#           request's chunk lines, a LIMIT/CURSOR page walk, a forged
+#           cursor, a V2 line, !stats, a whitespace-only line) through a
+#           real `serve` process on stdin and one on `--tcp`, which must
+#           answer the same lines
 #   obs     the telemetry suite plus a live `serve --metrics` smoke that
 #           queries over TCP, asks !stats/!slow, and scrapes /metrics and
 #           /healthz over HTTP (both numpy arms)
@@ -88,12 +90,14 @@ run_serve() {
     # M queries hammering one shared engine), so both executor arms run it.
     echo "== serving: asyncio suite + thread stress (numpy arm, asyncio debug) =="
     PYTHONASYNCIODEBUG=1 python -m pytest \
-        tests/engine/test_serving.py tests/engine/test_serving_admission.py -q
+        tests/engine/test_serving.py tests/engine/test_serving_admission.py \
+        tests/engine/test_wire_corpus.py -q
 
     echo
     echo "== serving: asyncio suite + thread stress (pure-Python arm, asyncio debug) =="
     PYTHONASYNCIODEBUG=1 REPRO_DISABLE_NUMPY=1 \
-        python -m pytest tests/engine/test_serving.py tests/engine/test_serving_admission.py -q
+        python -m pytest tests/engine/test_serving.py tests/engine/test_serving_admission.py \
+        tests/engine/test_wire_corpus.py -q
 
     echo
     # The session base creates both session kinds' locks, so the sharded
@@ -104,11 +108,11 @@ run_serve() {
         tests/engine/test_sharding.py -q
 
     echo
-    echo "== serving: live streamed TCP smoke (numpy arm) =="
+    echo "== serving: live stdin-vs-TCP wire smoke (numpy arm) =="
     python scripts/serve_stream_smoke.py
 
     echo
-    echo "== serving: live streamed TCP smoke (pure-Python arm) =="
+    echo "== serving: live stdin-vs-TCP wire smoke (pure-Python arm) =="
     REPRO_DISABLE_NUMPY=1 python scripts/serve_stream_smoke.py
 }
 

@@ -60,7 +60,6 @@ from .serving import (
     QueryServer,
     ServingStats,
     SuperstepScheduler,
-    serve_request_lines,
     serve_stream,
     serve_tcp,
 )
@@ -153,7 +152,6 @@ __all__ = [
     "run_batch",
     "run_single",
     "save_engine",
-    "serve_request_lines",
     "serve_stream",
     "serve_tcp",
     "set_telemetry_enabled",

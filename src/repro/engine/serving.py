@@ -55,17 +55,12 @@ batch completion and is identical to ``submit``'s.  Requests whose source
 is already covered by an *in-flight* batch of the same key merge into it
 (overlapping source sets share one evaluation — see :meth:`_admit`).
 
-A thin line protocol (:func:`serve_connection` / :func:`serve_tcp` /
-:func:`serve_stream` / :func:`serve_request_lines`) adapts the server to
-stdin and TCP front-ends
-for the CLI's ``serve`` subcommand: one request per line,
-``id<TAB>source<TAB>query``, answered as ``id<TAB>answer answer ...``
-(answers sorted, space-separated; errors as ``id<TAB>error: ...``).
-An optional fourth request field selects a delivery mode: ``LIMIT n
-[CURSOR c]`` answers one sorted page at a time behind opaque resume
-cursors, and ``STREAM`` emits ``id<TAB>+<TAB>answer`` chunk lines as
-answers land before the standard full response closes the request — see
-:func:`respond_line` for the grammar.
+A thin line front-end (:func:`serve_stream` for stdin, :func:`serve_tcp`)
+adapts the server to the CLI's ``serve`` subcommand: one read loop turns
+each request line into a task that parses it with the sans-io codec of
+:mod:`repro.engine.protocol` (the v1 and V2 grammars, ``LIMIT``/``CURSOR``
+pages, ``STREAM`` chunks and ``!`` control verbs are documented there),
+dispatches it through :func:`respond_line` and writes the encoded response.
 Responses are written as they complete, so slow queries never head-of-line
 block fast ones — the ``id`` is what correlates them.
 
@@ -78,15 +73,12 @@ lowering is race-free — see the ``Engine`` / ``ShardedEngine`` docstrings.
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
 import json
 import threading
 import weakref
-from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from queue import SimpleQueue
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
@@ -96,8 +88,18 @@ from .conjunctive import (
     ConjunctiveQuery,
     ConjunctiveResult,
     PlanExecution,
-    is_crpq_text,
     record_join,
+)
+from .protocol import (  # noqa: F401 - format_answers stays importable from here
+    ControlLine,
+    ErrorLine,
+    cursor_digest,
+    encode_chunk,
+    encode_error,
+    encode_page,
+    encode_result,
+    format_answers,
+    parse_line,
 )
 from .request import CRPQRequest, QueryRequest, normalize
 from .telemetry import (
@@ -494,6 +496,10 @@ class AnswerStream:
         """Await the complete answer set (identical to ``submit``'s)."""
         return await self.future
 
+    def __await__(self):
+        """``await stream`` is ``await stream.result()``."""
+        return self.future.__await__()
+
     def __aiter__(self) -> "AnswerStream":
         return self
 
@@ -625,10 +631,18 @@ class QueryServer:
                 "QueryServer.submit* takes a repro.engine.request.QueryRequest "
                 f"(or a CRPQRequest / ConjunctiveQuery), not {type(query).__name__}"
             )
-        return normalize(query) if source is None else normalize(query, source)
+        return normalize(query, source)
 
     @staticmethod
-    def _single_source(request: QueryRequest, method: str) -> "Oid":
+    def _source(request: QueryRequest, method: str) -> "Oid":
+        """The one source of a scalar ``request``, refusing what ``method``
+        cannot admit before anything is counted."""
+        if request.is_conjunctive:
+            raise ReproError(
+                "conjunctive requests cannot stream (rows land at join completion)"
+                if method == "submit_stream"
+                else "conjunctive requests resolve through submit()/submit_conjunctive()"
+            )
         if len(request.sources) != 1:
             raise ReproError(
                 f"{method} takes exactly one source "
@@ -653,45 +667,120 @@ class QueryServer:
         held across that work, so admissions don't stall behind each other.
         """
         request = self._lower(query, source)
-        if request.is_conjunctive:
-            raise ReproError(
-                "conjunctive requests resolve through submit()/submit_conjunctive()"
-            )
-        query = request.query
-        source = self._single_source(request, "submit_nowait")
+        source = self._source(request, "submit_nowait")
+        return self._admit(*self._admitted(request.query, 1), source)
+
+    def submit_stream(self, query, source: "Oid | None" = None) -> AnswerStream:
+        """Admit one request; answers stream out as the engine derives them.
+
+        Synchronous like :meth:`submit_nowait`: event-loop only, and
+        admission runs inline, on the loop, even on a constrained session
+        (:meth:`submit` and the wire's ``STREAM`` lines admit off the loop
+        there); returns an :class:`AnswerStream` immediately.  The request
+        coalesces with plain ``submit`` requests into the same shared
+        batches — the whole bucket is then evaluated through the engine's
+        ``query_batch_streaming``, so coalesced non-streaming requests cost
+        nothing extra and streamed requests see per-round answers.
+        Streaming requests never merge into an in-flight batch (its early
+        rounds — and their answers — already happened); they always join or
+        open a pending bucket.
+
+        Accepts a scalar :class:`~repro.engine.request.QueryRequest` (its
+        ``stream`` flag is implied).  Conjunctive requests cannot stream —
+        a join's rows are not known until its last atom resolves.
+        """
+        request = self._lower(query, source)
+        source = self._source(request, "submit_stream")
+        return self._admit(*self._admitted(request.query, 1), source, stream=True)
+
+    async def submit(self, query, source: "Oid | None" = None):
+        """Admit one request and await its result.
+
+        Takes a :class:`~repro.engine.request.QueryRequest`.  A scalar
+        request resolves to its answer set; a conjunctive request is
+        delegated to :meth:`submit_conjunctive` and resolves to a
+        :class:`~repro.engine.conjunctive.ConjunctiveResult`.  Unlike
+        :meth:`submit_nowait` (synchronous contract, admission inline), a
+        cold constrained admission here runs off the event loop — see
+        :meth:`_admission`.
+        """
+        return await (await self._open(self._lower(query, source)))
+
+    async def _open(self, request: QueryRequest):
+        """Admit one canonical request; returns what resolves it.
+
+        That is the future of a scalar request's answer set, the
+        :class:`AnswerStream` of a streamed one, or the coroutine of a
+        conjunctive one — each awaitable for the full result.  The wire
+        front-end enters here with the request its line parser lowered.
+        """
+        if request.is_conjunctive and not request.stream:
+            return self.submit_conjunctive(request.query)
+        method = "submit_stream" if request.stream else "submit"
+        source = self._source(request, method)
+        key, prepared = await self._admission(request.query, 1)
+        return self._admit(key, prepared, source, stream=request.stream)
+
+    async def _admission(self, query, count: int):
+        """:meth:`_admitted` for a caller that can wait.
+
+        On a *constrained* session the admission step (which may run a full
+        cost-model rewrite the first time a query is seen) is dispatched to
+        the thread pool, so the event loop never runs the search.  An
+        unconstrained admission is a raw-text memo hit after a text's first
+        sight (one parse then, never a rewrite search), so it stays inline.
+        """
+        constraints = getattr(self.engine, "constraints", None)
+        if self._closed or constraints is None or len(constraints) == 0:
+            return self._admitted(query, count)
+        hop = asyncio.get_running_loop().run_in_executor(
+            self._pool, self.engine.admission, query
+        )
+        await asyncio.wait((hop,))
+        return self._admitted(query, count, hop.result)
+
+    def _admitted(self, query, count: int, admit=None):
+        """Count ``count`` requests of ``query`` in; its ``(key, prepared)``.
+
+        The one admission step of every scalar request — plain, merged,
+        streamed, fanned out by :meth:`submit_many` or planned as a CRPQ
+        atom.  A closed server refuses the requests uncounted.  ``admit``
+        replays an admission that already ran on the pool (see
+        :meth:`_admission`); without it the session admits inline.
+        Admission-time failures (e.g. query syntax errors) never form a
+        batch; they are counted failed here, so ``submitted == served +
+        failed`` holds.
+        """
         if self._closed:
             raise ReproError("the query server has been closed")
-        loop = asyncio.get_running_loop()
-        self.stats.submitted += 1
-        # The bucket holds the *prepared* (constraint-rewritten) form, so
-        # the eventual flush evaluates it directly instead of re-preparing.
+        self.stats.submitted += count
         try:
-            key, prepared = self.engine.admission(query)
+            return admit() if admit is not None else self.engine.admission(query)
         except BaseException:
-            # Admission-time failures (e.g. query syntax errors) never form
-            # a batch; count them so submitted == served + failed holds.
-            self.stats.failed += 1
+            self.stats.failed += count
             raise
-        return self._admit(key, prepared, source)
 
-    def _admit(self, key: str, prepared, source: "Oid") -> "asyncio.Future":
+    def _admit(
+        self, key: str, prepared, source: "Oid", stream: bool = False
+    ) -> "asyncio.Future | AnswerStream":
         """Insert one admitted request into its bucket (event-loop only).
 
-        Merge-in-flight: when no bucket is *pending* for ``key`` but an
-        already-flushed batch of the same key is still evaluating and its
-        source set covers ``source``, the request attaches to that batch's
-        waiters instead of opening a fresh bucket — its answers are already
-        being computed, so the overlapping request rides the in-flight
-        evaluation for free (``stats.merged``).  Merged requests do not
-        count toward any size trigger (the batch's shape is already fixed),
-        and streaming requests never merge (the rounds they would stream
-        already happened).
+        Returns the request's future, or its :class:`AnswerStream` when
+        ``stream`` is set.  Merge-in-flight: when no bucket is *pending* for
+        ``key`` but an already-flushed batch of the same key is still
+        evaluating and its source set covers ``source``, the request
+        attaches to that batch's waiters instead of opening a fresh bucket —
+        its answers are already being computed, so the overlapping request
+        rides the in-flight evaluation for free (``stats.merged``).  Merged
+        requests do not count toward any size trigger (the batch's shape is
+        already fixed), and streaming requests never merge (the rounds they
+        would stream already happened).
         """
         loop = asyncio.get_running_loop()
         traced = self.metrics.enabled  # one flag read per admission
         bucket = self._buckets.get(key)
         if bucket is None:
-            for serving in self._serving.get(key, ()):
+            for serving in () if stream else self._serving.get(key, ()):
                 if serving.waiters.get(source):
                     future = loop.create_future()
                     serving.waiters[source].append(future)
@@ -700,13 +789,25 @@ class QueryServer:
                         self._observe_request_latency(future)
                     return future
             bucket = self._bucket(key, prepared, loop, traced)
-        future: "asyncio.Future" = loop.create_future()
+        if stream:
+            admitted_at = perf_counter()
+            entry = AnswerStream(
+                loop,
+                on_first=lambda: self._hist_first_answer.observe(
+                    perf_counter() - admitted_at
+                ),
+            )
+            bucket.streams.setdefault(source, []).append(entry)
+            self.stats.streamed += 1
+            future = entry.future
+        else:
+            entry = future = loop.create_future()
         bucket.waiters.setdefault(source, []).append(future)
         bucket.requests += 1
         if traced:
             self._observe_request_latency(future)
         self._maybe_flush(key, bucket)
-        return future
+        return entry
 
     def _bucket(self, key: str, prepared, loop, traced: bool) -> _Bucket:
         """Open (and register) a fresh pending bucket for ``key``."""
@@ -745,111 +846,6 @@ class QueryServer:
             # separately so the stats cannot read as size-cap pressure.
             self._flush(key, "immediate")
 
-    async def _admitted(self, query, count: int):
-        """``(key, prepared)`` with stats accounting for ``count`` requests.
-
-        On a *constrained* session the admission step (which may run a full
-        cost-model rewrite the first time a query is seen) is dispatched to
-        the thread pool, so the event loop never runs the search.
-        """
-        if self._closed:
-            raise ReproError("the query server has been closed")
-        self.stats.submitted += count
-        constraints = getattr(self.engine, "constraints", None)
-        try:
-            if constraints is None or len(constraints) == 0:
-                # repro: allow(LoopNeverBlocks) unconstrained admission is a raw-text memo hit after a text's first sight (one parse then, never a rewrite search); the cold constrained path below hops to the pool
-                return self.engine.admission(query)
-            key_prepared = await asyncio.get_running_loop().run_in_executor(
-                self._pool, self.engine.admission, query
-            )
-        except BaseException:
-            # Admission-time failures (e.g. query syntax errors) never form
-            # a batch; count them so submitted == served + failed holds.
-            self.stats.failed += count
-            raise
-        if self._closed:  # closed while the admission hop was in flight
-            self.stats.failed += count
-            raise ReproError("the query server has been closed")
-        return key_prepared
-
-    async def submit(self, query, source: "Oid | None" = None):
-        """Admit one request and await its result.
-
-        Takes a :class:`~repro.engine.request.QueryRequest`.  A scalar
-        request resolves to its answer set; a conjunctive request is
-        delegated to :meth:`submit_conjunctive` and resolves to a
-        :class:`~repro.engine.conjunctive.ConjunctiveResult`.  Unlike
-        :meth:`submit_nowait` (synchronous contract, admission inline), a
-        cold constrained admission here runs off the event loop — see
-        :meth:`_admitted`.
-        """
-        return await self._submit(self._lower(query, source))
-
-    async def _submit(self, request: QueryRequest):
-        """:meth:`submit` for a request that is already canonical (the wire
-        front-end's, lowered once by its line parser)."""
-        if request.is_conjunctive:
-            return await self.submit_conjunctive(request.query)
-        # The source count is checked before _admitted counts the request,
-        # so a refused request leaves submitted == served + failed intact.
-        source = self._single_source(request, "submit")
-        key, prepared = await self._admitted(request.query, 1)
-        return await self._admit(key, prepared, source)
-
-    def submit_stream(self, query, source: "Oid | None" = None) -> AnswerStream:
-        """Admit one request; answers stream out as the engine derives them.
-
-        Synchronous like :meth:`submit_nowait` (event-loop only, admission
-        inline); returns an :class:`AnswerStream` immediately.  The request
-        coalesces with plain ``submit`` requests into the same shared
-        batches — the whole bucket is then evaluated through the engine's
-        ``query_batch_streaming``, so coalesced non-streaming requests cost
-        nothing extra and streamed requests see per-round answers.
-        Streaming requests never merge into an in-flight batch (its early
-        rounds — and their answers — already happened); they always join or
-        open a pending bucket.
-
-        Accepts a scalar :class:`~repro.engine.request.QueryRequest` (its
-        ``stream`` flag is implied).  Conjunctive requests cannot stream —
-        a join's rows are not known until its last atom resolves.
-        """
-        return self._submit_stream(self._lower(query, source))
-
-    def _submit_stream(self, request: QueryRequest) -> AnswerStream:
-        """:meth:`submit_stream` for a request that is already canonical."""
-        if request.is_conjunctive:
-            raise ReproError("conjunctive requests cannot stream (rows land at join completion)")
-        query = request.query
-        source = self._single_source(request, "submit_stream")
-        if self._closed:
-            raise ReproError("the query server has been closed")
-        loop = asyncio.get_running_loop()
-        self.stats.submitted += 1
-        self.stats.streamed += 1
-        try:
-            key, prepared = self.engine.admission(query)
-        except BaseException:
-            self.stats.failed += 1
-            raise
-        admitted_at = perf_counter()
-        stream = AnswerStream(
-            loop,
-            on_first=lambda _t=admitted_at: self._hist_first_answer.observe(
-                perf_counter() - _t
-            ),
-        )
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            bucket = self._bucket(key, prepared, loop, self.metrics.enabled)
-        bucket.waiters.setdefault(source, []).append(stream.future)
-        bucket.streams.setdefault(source, []).append(stream)
-        bucket.requests += 1
-        if self.metrics.enabled:
-            self._observe_request_latency(stream.future)
-        self._maybe_flush(key, bucket)
-        return stream
-
     async def submit_many(
         self, query, sources: "Iterable[Oid] | None" = None
     ) -> "dict[Oid, set[Oid]]":
@@ -876,7 +872,7 @@ class QueryServer:
         source_list = list(dict.fromkeys(request.sources))
         if not source_list:
             return {}
-        key, prepared = await self._admitted(request.query, len(source_list))
+        key, prepared = await self._admission(request.query, len(source_list))
         answers = await asyncio.gather(
             *(self._admit(key, prepared, source) for source in source_list)
         )
@@ -889,7 +885,7 @@ class QueryServer:
 
         The CRPQ is planned on the thread pool (``crpq.plan`` span inside
         the engine), then each planned atom fans out through
-        :meth:`_admitted`/:meth:`_admit` — one admitted request per source,
+        :meth:`_admission`/:meth:`_admit` — one admitted request per source,
         exactly like :meth:`submit_many`.  **Atoms get per-atom admission
         keys** (the canonical rewritten form of the atom's expression, the
         same key an identical scalar request gets — see
@@ -928,7 +924,7 @@ class QueryServer:
                 if pending is None:
                     break
                 sources = list(pending.sources)
-                key, prepared = await self._admitted(
+                key, prepared = await self._admission(
                     pending.expression, len(sources)
                 )
                 atom_span = self.metrics.span_under(
@@ -1195,34 +1191,12 @@ class QueryServer:
         )
 
 
-# -- line protocol -------------------------------------------------------------
-# Per-connection (and per-stdin-window) backpressure: a pipelining client may
-# stream lines faster than the engine evaluates; beyond this many in-flight
-# responses the read loop stops consuming input until one completes, so
-# tasks, admission buckets and waiter futures stay bounded.
+# -- line front-end ------------------------------------------------------------
+# Per-connection backpressure: a pipelining client may stream lines faster
+# than the engine evaluates; beyond this many in-flight responses the read
+# loop stops consuming input until one completes, so tasks, admission
+# buckets and waiter futures stay bounded.
 MAX_INFLIGHT_PER_CONNECTION = 1024
-
-
-def format_answers(answers: "set[Oid]") -> str:
-    """The wire form of one answer set: sorted, space-separated."""
-    return " ".join(sorted(map(str, answers)))
-
-
-def format_result(result: "set[Oid] | ConjunctiveResult") -> str:
-    """The wire form of any submit() result.
-
-    Scalar answer sets render as sorted space-separated answers; a
-    conjunctive relation renders one comma-joined row per item (``RETURN``
-    column order), rows sorted — so a one-variable CRPQ's wire form is
-    indistinguishable from a scalar answer set.
-    """
-    if isinstance(result, ConjunctiveResult):
-        return " ".join(_wire_rows(result))
-    return format_answers(result)
-
-
-def _wire_rows(result: ConjunctiveResult) -> "list[str]":
-    return sorted(",".join(map(str, row)) for row in result.rows)
 
 
 def handle_control(server: QueryServer, line: str) -> str:
@@ -1237,8 +1211,7 @@ def handle_control(server: QueryServer, line: str) -> str:
     * ``!slow [N]`` — the N (default 5) slowest traces, worst first.
     """
     server._control_requests.inc()
-    parts = line.split()
-    verb, args = parts[0], parts[1:]
+    verb, *args = line.split()
     if verb == "!stats":
         snapshot = server.metrics.snapshot()
         return f"!stats\t{json.dumps(snapshot, separators=(',', ':'), default=str)}"
@@ -1260,337 +1233,75 @@ def handle_control(server: QueryServer, line: str) -> str:
     return f"{verb}\terror: unknown control verb (try !stats, !trace <id>, !slow N)"
 
 
-def _page_digest(server: QueryServer, query, source: "Oid") -> str:
-    """Short fingerprint binding a cursor to its ``(query, source)`` pair.
-
-    Built from the *admission key* (the canonical rewritten form), so two
-    spellings of the same query share cursors — exactly the requests that
-    share batches.  A conjunctive query's key is its compound ``crpq:``
-    form, which already folds every ``WHERE`` binding in, so its cursors
-    are bound to the whole query (``source`` is empty for those).
-    """
-    key = server.engine.admission_key(query)
-    material = f"{key}\x00{source}".encode("utf-8")
-    return hashlib.blake2b(material, digest_size=8).hexdigest()
-
-
-def encode_cursor(digest: str, last_answer: str) -> str:
-    """The opaque wire form of a resume point: base64url, no padding."""
-    payload = json.dumps(
-        {"h": digest, "a": last_answer}, separators=(",", ":")
-    ).encode("utf-8")
-    return base64.urlsafe_b64encode(payload).decode("ascii").rstrip("=")
-
-
-def decode_cursor(token: str, digest: str) -> str:
-    """Validate ``token`` against ``digest``; returns the resume answer.
-
-    Raises :class:`~repro.exceptions.ReproError` on any defect — garbage
-    base64, non-JSON payload, wrong shape, or a cursor minted for a
-    different ``(query, source)`` pair.
-    """
-    try:
-        padded = token + "=" * (-len(token) % 4)
-        payload = json.loads(base64.urlsafe_b64decode(padded.encode("ascii")))
-        if not isinstance(payload, dict):
-            raise ValueError("not an object")
-        if payload.get("h") != digest:
-            raise ValueError("cursor/query mismatch")
-        last = payload["a"]
-        if not isinstance(last, str):
-            raise ValueError("resume point is not a string")
-    except ReproError:
-        raise
-    except Exception:
-        raise ReproError(
-            "invalid cursor (not one this server issued for this query/source)"
-        ) from None
-    return last
-
-
-async def _respond_page(
-    server: QueryServer, ident: str, request: QueryRequest
-) -> str:
-    """One ``LIMIT n [CURSOR c]`` page: a sorted slice plus a resume cursor."""
-    digest_source = (
-        request.sources[0]
-        if (request.sources and not request.is_conjunctive)
-        else ""
-    )
-    try:
-        result = await server._submit(request)
-        digest = _page_digest(server, request.query, digest_source)
-        last = (
-            decode_cursor(request.cursor, digest)
-            if request.cursor is not None
-            else None
-        )
-    except asyncio.CancelledError:  # pragma: no cover - shutdown path
-        raise
-    except Exception as error:
-        return f"{ident}\terror: {error}"
-    # Pages slice the *sorted* wire order (the order format_result emits),
-    # resuming strictly after the cursor's item — so pagination stays
-    # correct even when the answer set grows between pages: new answers
-    # after the resume point appear, and concatenated pages with a fixed
-    # snapshot equal the full set.  Conjunctive pages slice wire *rows*.
-    if isinstance(result, ConjunctiveResult):
-        ordered = _wire_rows(result)
-    else:
-        ordered = sorted(map(str, result))
-    limit = request.limit or 0
-    start = bisect_right(ordered, last) if last is not None else 0
-    page = ordered[start:start + limit]
-    body = " ".join(page)
-    if start + limit < len(ordered):
-        token = encode_cursor(digest, page[-1])
-        return f"{ident}\t{body}\tCURSOR {token}"
-    return f"{ident}\t{body}"
-
-
-async def _respond_streaming(
-    server: QueryServer,
-    ident: str,
-    request: QueryRequest,
-    emit: "Callable[[str], None] | None",
-) -> str:
-    """One ``STREAM`` request: chunk lines as answers land, then the close.
-
-    Each answer is emitted as ``id<TAB>+<TAB>answer`` the moment it arrives;
-    the standard full response line closes the request (its answer set is
-    the union of the chunks).  Without an ``emit`` channel (ordered batch
-    fronts) the request degrades to a plain full response.
-    """
-    try:
-        stream = server._submit_stream(request)
-    except Exception as error:
-        return f"{ident}\terror: {error}"
-    try:
-        if emit is not None:
-            async for answer in stream:
-                emit(f"{ident}\t+\t{answer}")
-        answers = await stream.result()
-    except asyncio.CancelledError:  # pragma: no cover - shutdown path
-        raise
-    except Exception as error:
-        return f"{ident}\terror: {error}"
-    return f"{ident}\t{format_answers(answers)}"
-
-
-async def _respond_request(
-    server: QueryServer,
-    ident: str,
-    request: QueryRequest,
-    emit: "Callable[[str], None] | None",
-) -> str:
-    """Serve one structured request — the trunk both line grammars lower to.
-
-    ``request`` is canonical (its line parser called ``normalize`` once), so
-    it enters the server past ``QueryServer._lower``.
-    """
-    if request.stream:
-        return await _respond_streaming(server, ident, request, emit)
-    if request.limit is not None:
-        return await _respond_page(server, ident, request)
-    try:
-        result = await server._submit(request)
-    except asyncio.CancelledError:  # pragma: no cover - shutdown path
-        raise
-    except Exception as error:
-        return f"{ident}\terror: {error}"
-    return f"{ident}\t{format_result(result)}"
-
-
-def _build_line_request(
-    source: str, query: str, limit=None, cursor=None, stream=False
-) -> QueryRequest:
-    """Lower one v1 line's fields to a :class:`QueryRequest`.
-
-    The v1 grammar always carries a source slot; for a conjunctive body it
-    binds the first ``MATCH`` variable, with ``-`` meaning "no source —
-    every binding is in the WHERE clause".
-    """
-    if is_crpq_text(query) and source == "-":
-        return normalize(query, limit=limit, cursor=cursor, stream=stream)
-    return normalize(query, source, limit=limit, cursor=cursor, stream=stream)
-
-
-def _parse_v2(line: str) -> "tuple[str, QueryRequest | None, str | None]":
-    """Parse one ``V2<TAB>json`` line into ``(id, request, error)``."""
-    ident = "?"
-    try:
-        payload = json.loads(line[3:])
-        if not isinstance(payload, dict):
-            raise ValueError("payload is not an object")
-        ident = str(payload.get("id") or "") or "?"
-        if ident == "?":
-            raise ValueError("missing request id")
-        known = {"id", "query", "crpq", "source", "sources", "limit", "cursor", "stream"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown fields: {', '.join(sorted(unknown))}")
-        if ("query" in payload) == ("crpq" in payload):
-            raise ValueError("exactly one of 'query' and 'crpq' is required")
-        body = payload.get("query", payload.get("crpq"))
-        if not isinstance(body, str):
-            raise ValueError("'query'/'crpq' must be a string")
-        if "crpq" in payload and not is_crpq_text(body):
-            raise ValueError("'crpq' must be MATCH syntax")
-        if "source" in payload and "sources" in payload:
-            raise ValueError("pass 'source' or 'sources', not both")
-        sources = payload.get("sources")
-        if sources is not None and not isinstance(sources, list):
-            raise ValueError("'sources' must be a list")
-        if sources is None and "source" in payload:
-            sources = [payload["source"]]
-        if sources is not None and any(oid is None for oid in sources):
-            raise ValueError("a source may not be null")
-        stream = payload.get("stream", False)
-        if not isinstance(stream, bool):
-            raise ValueError("'stream' must be a boolean")
-        request = normalize(
-            body,
-            sources=tuple(sources) if sources is not None else None,
-            limit=payload.get("limit"),
-            cursor=payload.get("cursor"),
-            stream=stream,
-        )
-    except Exception as error:
-        return ident, None, f"{ident}\terror: bad v2 request: {error}"
-    return ident, request, None
-
-
 async def respond_line(
     server: QueryServer,
     line: str,
     emit: "Callable[[str], None] | None" = None,
 ) -> str:
-    """Serve one request line; never raises.  The v1 grammar::
+    """Serve one request line; never raises.
 
-        request   = id TAB source TAB query [TAB modifier]
-        modifier  = "LIMIT" SP n [SP "CURSOR" SP c]   ; one sorted page
-                  | "STREAM"                          ; incremental chunks
-        response  = id TAB answers [TAB "CURSOR" SP c]   ; full or page
-                  | id TAB "+" TAB answer                ; STREAM chunk
-                  | id TAB "error: " message
-
-    ``query`` may be a scalar path expression or conjunctive ``MATCH …``
-    syntax; a conjunctive line's source binds the first ``MATCH`` variable
-    (``-`` for none), and its answers are comma-joined rows in ``RETURN``
-    order.  Unmodified requests answer with the full sorted answer set.
-    ``LIMIT`` answers at most ``n`` items (sorted wire order) and, when
-    more remain, a trailing ``CURSOR`` field whose opaque token resumes the
-    next page — tokens are bound to the ``(query, source)`` pair and
-    rejected with an error line otherwise.  ``STREAM`` emits
-    ``id<TAB>+<TAB>answer`` chunk lines through ``emit`` as answers land,
-    closed by the standard full response line.
-
-    The **v2 grammar** carries the structured request explicitly — one
-    ``V2`` tag, then one JSON object::
-
-        request = "V2" TAB json
-        json    = {"id": str, "query": expr | "crpq": match-text,
-                   "source": oid | "sources": [oid, ...],
-                   "limit": n, "cursor": c, "stream": bool}
-
-    modifiers are fields, not positional suffixes; responses are identical
-    to v1.  Malformed lines and evaluation errors come back as
-    ``id<TAB>error: ...`` so one bad request cannot take down a connection.
-    Lines starting with ``!`` are control verbs answered from live
-    telemetry instead of the engine — see :func:`handle_control`.
+    The line is parsed by :func:`repro.engine.protocol.parse_line` (the
+    wire grammar is documented there) and dispatched once: a control verb
+    to :func:`handle_control`, a request through ``QueryServer._open``.  A
+    ``STREAM`` request's chunk lines go through ``emit`` as its answers
+    land (they are dropped without one) before the full response this
+    returns; a ``LIMIT`` request answers one page.  Parse and evaluation
+    errors alike come back as ``id<TAB>error: ...`` lines.
     """
-    if line.startswith("!"):
-        return handle_control(server, line)
-    if line.startswith("V2\t"):
-        ident, request, error = _parse_v2(line)
-        if error is not None:
-            return error
-        return await _respond_request(server, ident, request, emit)
-    parts = line.split("\t")
-    if len(parts) not in (3, 4) or not parts[0]:
-        ident = parts[0] if parts and parts[0] else "?"
-        return (
-            f"{ident}\terror: malformed request "
-            "(want id<TAB>source<TAB>query[<TAB>LIMIT n [CURSOR c] | STREAM])"
-        )
-    ident, source, query = parts[0], parts[1], parts[2]
-    limit = cursor = None
-    stream = False
-    if len(parts) == 4:
-        tokens = parts[3].split()
-        if tokens and tokens[0] == "STREAM" and len(tokens) == 1:
-            stream = True
-        elif tokens and tokens[0] == "LIMIT":
-            if len(tokens) not in (2, 4) or (
-                len(tokens) == 4 and tokens[2] != "CURSOR"
-            ):
-                return f"{ident}\terror: malformed modifier (want LIMIT n [CURSOR c])"
-            try:
-                limit = int(tokens[1])
-            except ValueError:
-                limit = 0
-            if limit < 1:
-                return f"{ident}\terror: LIMIT must be a positive integer"
-            cursor = tokens[3] if len(tokens) == 4 else None
-        else:
-            return f"{ident}\terror: unknown modifier (want LIMIT n [CURSOR c] or STREAM)"
+    parsed = parse_line(line)
+    if isinstance(parsed, ControlLine):
+        return handle_control(server, parsed)
+    if isinstance(parsed, ErrorLine):
+        return parsed
+    ident, request = parsed
     try:
-        request = _build_line_request(
-            source, query, limit=limit, cursor=cursor, stream=stream
+        opened = await server._open(request)
+        if request.stream and emit is not None:
+            async for answer in opened:
+                emit(encode_chunk(ident, answer))
+        result = await opened
+        if request.limit is None:
+            return encode_result(ident, result)
+        digest = cursor_digest(
+            server.engine.admission_key(request.query),
+            request.sources[0] if request.sources else "",
         )
+        return encode_page(ident, result, request.limit, request.cursor, digest)
     except Exception as error:
-        return f"{ident}\terror: {error}"
-    return await _respond_request(server, ident, request, emit)
+        return encode_error(ident, error)
 
 
-async def serve_request_lines(
+async def _serve_lines(
     server: QueryServer,
-    lines: "Iterable[str]",
-    *,
-    max_inflight: int = MAX_INFLIGHT_PER_CONNECTION,
-    emit: "Callable[[str], None] | None" = None,
-) -> "list[str]":
-    """Serve a *batch* of request lines concurrently, in input order.
+    readline,
+    emit: "Callable[[str], None]",
+    max_inflight: int,
+    drain=None,
+) -> None:
+    """The one read loop, behind :func:`serve_stream` and :func:`serve_tcp`;
+    ``drain``, when given, is awaited after each full response."""
+    tasks: "set[asyncio.Task]" = set()
+    slots = asyncio.Semaphore(max_inflight)
+    loop = asyncio.get_running_loop()
 
-    For interactive request/response streams use :func:`serve_stream`
-    (responses as they complete); this helper is for pre-collected batches
-    where input-order responses matter.  Lines are admitted in windows of
-    ``max_inflight``: within a window every
-    request is in flight before any is awaited, so requests sharing a DFA
-    coalesce into shared batches exactly as they would over TCP, while an
-    arbitrarily long input stream never materializes more than one window of
-    futures/buckets at a time (the same bound the TCP front-end applies per
-    connection).  Responses come back in input order (correlation is
-    positional *and* by id).
+    async def respond(line: str) -> None:
+        try:
+            emit(await respond_line(server, line, emit))
+            if drain is not None:
+                await drain()
+        finally:
+            slots.release()
 
-    With ``emit``, each window's responses are delivered through the
-    callback as soon as the window drains — and *not* accumulated, so an
-    endless producer gets incremental answers in bounded memory; the return
-    value is then an empty list.
-    """
-    responses: "list[str]" = []
-
-    async def drain(window: "list[str]") -> None:
-        answered = await asyncio.gather(
-            *(respond_line(server, pending) for pending in window)
-        )
-        if emit is None:
-            responses.extend(answered)
-        else:
-            for response in answered:
-                emit(response)
-
-    window: "list[str]" = []
-    for line in lines:
+    while raw := await readline():
+        line = raw.rstrip("\r\n")
         if not line.strip():
             continue
-        window.append(line)
-        if len(window) >= max_inflight:
-            await drain(window)
-            window = []
-    if window:
-        await drain(window)
-    return responses
+        await slots.acquire()
+        task = loop.create_task(respond(line))
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+    if tasks:
+        await asyncio.gather(*list(tasks))
 
 
 async def serve_stream(
@@ -1603,122 +1314,19 @@ async def serve_stream(
     """Serve an *interactive* line stream: responses emitted as they land.
 
     ``readline`` is an async callable returning the next raw line (an empty
-    string at end of input); ``emit`` receives each response line.  Every
-    request runs as its own task — exactly the TCP front-end's behavior, so
-    a request/response client that waits for an answer before sending the
+    string at end of input); ``emit`` receives each response line, and each
+    ``STREAM`` chunk line before its response.  Every request runs as its
+    own task — exactly the TCP front-end's read loop — so a
+    request/response client that waits for an answer before sending the
     next line never deadlocks, and concurrent requests still coalesce
     through the admission queue.  Responses arrive in *completion* order;
     the ``id`` is what correlates them.  In-flight responses are bounded by
     ``max_inflight``: each holds one slot of a semaphore, released when its
-    response has been emitted (or ``emit`` raised), and the read loop stops
-    consuming input while every slot is taken — waiting for a slot costs
-    the same at any in-flight count.  Blank and whitespace-only lines are
-    skipped, as over TCP.
+    response has been emitted (or ``emit`` raised), and the loop stops
+    consuming input while every slot is taken.  Whitespace-only lines are
+    skipped without an answer, as over TCP.
     """
-    tasks: "set[asyncio.Task]" = set()
-    slots = asyncio.Semaphore(max_inflight)
-    loop = asyncio.get_running_loop()
-
-    async def respond(line: str) -> None:
-        try:
-            # STREAM chunk lines ride the same emit channel as full responses.
-            emit(await respond_line(server, line, emit))
-        finally:
-            slots.release()
-
-    while True:
-        raw = await readline()
-        if not raw:
-            break
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        await slots.acquire()
-        task = loop.create_task(respond(line))
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
-    if tasks:
-        await asyncio.gather(*list(tasks))
-
-
-async def serve_connection(
-    server: QueryServer,
-    reader: "asyncio.StreamReader",
-    writer: "asyncio.StreamWriter",
-    *,
-    max_inflight: int = MAX_INFLIGHT_PER_CONNECTION,
-) -> None:
-    """Serve one TCP client: a task per request line, responses as they land.
-
-    Lines are skipped and in-flight responses bounded exactly as in
-    :func:`serve_stream`.
-    """
-    tasks: "set[asyncio.Task]" = set()
-    slots = asyncio.Semaphore(max_inflight)
-    # One drain at a time per connection: concurrent waiters on one
-    # StreamWriter's drain() were only supported from CPython 3.10.5's
-    # FlowControlMixin; serializing write+drain keeps the oldest supported
-    # patch levels correct (whole lines stay atomic either way).
-    write_lock = asyncio.Lock()
-
-    def emit_partial(partial: str) -> None:
-        # STREAM chunk lines: written without draining (they are small and
-        # the closing full response drains under the lock).  A client that
-        # disconnected mid-stream must not kill the serving task — the
-        # request still completes and accounting stays exact.
-        try:
-            writer.write(partial.encode("utf-8") + b"\n")
-        except (ConnectionError, RuntimeError):  # pragma: no cover
-            pass
-
-    async def respond(line: str) -> None:
-        try:
-            response = await respond_line(server, line, emit_partial)
-            async with write_lock:
-                try:
-                    writer.write(response.encode("utf-8") + b"\n")
-                    await writer.drain()
-                except (ConnectionError, RuntimeError):
-                    # Client went away (or transport already closed) — the
-                    # answer is computed and counted; delivery is best-effort.
-                    pass
-        finally:
-            slots.release()
-
-    try:
-        while True:
-            try:
-                raw = await reader.readline()
-            except (asyncio.LimitOverrunError, ValueError):
-                # A request line exceeded the stream limit.  The buffered
-                # bytes hold no separator, so framing is lost for good:
-                # answer with one error line, finish the in-flight
-                # responses, and close — without taking them down with it.
-                writer.write(b"?\terror: request line too long\n")
-                break
-            except (ConnectionError, OSError):
-                # Abrupt disconnect (reset while blocked in readline): no
-                # peer left to answer, but the in-flight responses still
-                # drain below so their tasks end cleanly instead of racing
-                # the close and logging as unhandled task errors.
-                break
-            if not raw:
-                break
-            line = raw.decode("utf-8", errors="replace").rstrip("\r\n")
-            if not line.strip():
-                continue
-            await slots.acquire()
-            task = asyncio.get_running_loop().create_task(respond(line))
-            tasks.add(task)
-            task.add_done_callback(tasks.discard)
-        if tasks:
-            await asyncio.gather(*list(tasks), return_exceptions=True)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except ConnectionError:  # pragma: no cover - client went away
-            pass
+    await _serve_lines(server, readline, emit, max_inflight)
 
 
 async def serve_tcp(
@@ -1730,16 +1338,68 @@ async def serve_tcp(
 ) -> "asyncio.AbstractServer":
     """Open a TCP front-end for ``server``; returns the listening socket.
 
-    ``port=0`` binds an ephemeral port — read the real one off
+    Each connection runs the read loop of :func:`serve_stream` over its
+    socket.  ``port=0`` binds an ephemeral port — read the real one off
     ``result.sockets[0].getsockname()``.  ``max_inflight`` bounds each
     connection's outstanding responses (see
     :data:`MAX_INFLIGHT_PER_CONNECTION`).  The caller owns both lifetimes:
     close the returned socket server first, then ``await server.close()``.
     """
+
+    async def connection(
+        reader: "asyncio.StreamReader", writer: "asyncio.StreamWriter"
+    ) -> None:
+        # One drain at a time per connection: concurrent waiters on one
+        # StreamWriter's drain() were only supported from CPython 3.10.5's
+        # FlowControlMixin; serializing the drains keeps the oldest
+        # supported patch levels correct (whole lines stay atomic either way).
+        write_lock = asyncio.Lock()
+
+        def write(line: str) -> None:
+            # A client that went away (or a transport already closed) must
+            # not kill the serving task: the answer is computed and counted,
+            # delivery is best-effort.  STREAM chunks are written without a
+            # drain; the closing full response drains under the lock.
+            try:
+                writer.write(line.encode("utf-8") + b"\n")
+            except (ConnectionError, RuntimeError):  # pragma: no cover
+                pass
+
+        async def drain() -> None:
+            async with write_lock:
+                try:
+                    await writer.drain()
+                except (ConnectionError, RuntimeError):
+                    pass
+
+        async def readline() -> str:
+            try:
+                return (await reader.readline()).decode("utf-8", errors="replace")
+            except (asyncio.LimitOverrunError, ValueError):
+                # A request line exceeded the stream limit.  The buffered
+                # bytes hold no separator, so framing is lost for good:
+                # answer with one error line, finish the in-flight
+                # responses, and close — without taking them down with it.
+                write(encode_error("?", "request line too long"))
+            except (ConnectionError, OSError):
+                # Abrupt disconnect (reset while blocked in readline): no
+                # peer left to answer, but the in-flight responses still
+                # drain so their tasks end cleanly instead of racing the
+                # close and logging as unhandled task errors.
+                pass
+            return ""
+
+        try:
+            await _serve_lines(server, readline, write, max_inflight, drain)
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except ConnectionError:  # pragma: no cover - client went away
+                pass
+
     return await asyncio.start_server(
-        lambda reader, writer: serve_connection(
-            server, reader, writer, max_inflight=max_inflight
-        ),
+        connection,
         host=host,
         port=port,
         # Generous per-line budget: queries are expressions, not documents,

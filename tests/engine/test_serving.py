@@ -24,7 +24,6 @@ from repro.engine import (
     ShardedEngine,
     SuperstepScheduler,
     numpy_available,
-    serve_request_lines,
     serve_stream,
     serve_tcp,
 )
@@ -42,6 +41,20 @@ def web(nodes=40, seed=7, labels=("a", "b", "c")):
 
 def sources_of(instance, count):
     return sorted(instance.objects, key=repr)[:count]
+
+
+async def stream_responses(server, lines, **options):
+    """Run ``lines`` through :func:`serve_stream`: every emitted line, in
+    completion order."""
+    pending = iter(lines)
+    emitted: "list[str]" = []
+
+    async def readline() -> str:
+        line = next(pending, None)
+        return "" if line is None else line + "\n"
+
+    await serve_stream(server, readline, emitted.append, **options)
+    return emitted
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +493,16 @@ class TestSuperstepScheduler:
 
 
 # ---------------------------------------------------------------------------
-# Line protocol: stdin batch helper and the TCP front-end.
+# Line protocol: the stdin and TCP front-ends over one read loop.
 # ---------------------------------------------------------------------------
 class TestLineProtocol:
-    def test_request_lines_answered_in_order(self):
+    def test_request_lines_answered_by_id(self):
         instance = Instance([("u", "a", "v"), ("v", "b", "w")])
         engine = Engine.open(instance)
 
         async def scenario():
             async with engine.as_server(max_delay=0.001) as server:
-                return await serve_request_lines(
+                return await stream_responses(
                     server,
                     [
                         "q1\tu\ta b",
@@ -500,15 +513,18 @@ class TestLineProtocol:
                     ],
                 )
 
-        responses = asyncio.run(scenario())
-        assert responses[0] == "q1\tw"
-        assert responses[1] == "q2\tw"
-        assert responses[2] == "q3\t"  # no answers -> empty payload
-        assert responses[3].startswith("malformed\terror: malformed request")
+        responses = dict(
+            line.split("\t", 1) for line in asyncio.run(scenario())
+        )
+        assert responses["q1"] == "w"
+        assert responses["q2"] == "w"
+        assert responses["q3"] == ""  # no answers -> empty payload
+        assert responses["malformed"].startswith("error: malformed request")
+        assert len(responses) == 4
 
-    def test_request_lines_window_preserves_order_and_answers(self):
-        # A max_inflight far below the line count: windows drain in turn,
-        # order and answers unchanged.
+    def test_small_inflight_cap_keeps_every_answer(self):
+        # A max_inflight far below the line count: the read loop waits for
+        # free slots, answers unchanged.
         instance, _ = web(20)
         engine = Engine.open(instance)
         sources = sources_of(instance, 5)
@@ -518,15 +534,15 @@ class TestLineProtocol:
 
         async def scenario():
             async with engine.as_server(max_delay=0.001) as server:
-                return await serve_request_lines(server, lines, max_inflight=3)
+                return await stream_responses(server, lines, max_inflight=3)
 
-        responses = asyncio.run(scenario())
+        responses = dict(
+            line.split("\t", 1) for line in asyncio.run(scenario())
+        )
         expected = engine.query_batch("a b", sources)
         assert len(responses) == 17
-        for index, response in enumerate(responses):
-            ident, _, payload = response.partition("\t")
-            assert ident == f"r{index}"
-            answers = set(payload.split()) - {""}
+        for index in range(17):
+            answers = set(responses[f"r{index}"].split()) - {""}
             assert answers == {
                 str(oid) for oid in expected[sources[index % 5]]
             }, index
@@ -582,24 +598,6 @@ class TestLineProtocol:
         asyncio.run(scenario())
         assert sorted(collected) == sorted(f"r{index}\tv" for index in range(9))
 
-    def test_request_lines_emit_streams_windows(self):
-        # With emit=, responses stream out window by window (and are not
-        # accumulated) — the shape the CLI's lazy stdin mode relies on.
-        instance = Instance([("u", "a", "v")])
-        engine = Engine.open(instance)
-        lines = [f"r{index}\tu\ta" for index in range(7)]
-        streamed: "list[str]" = []
-
-        async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
-                return await serve_request_lines(
-                    server, iter(lines), max_inflight=3, emit=streamed.append
-                )
-
-        returned = asyncio.run(scenario())
-        assert returned == []
-        assert streamed == [f"r{index}\tv" for index in range(7)]
-
     def test_constrained_submit_admits_off_loop(self):
         # submit() on a constrained session hops admission to the pool; the
         # answers (and coalescing) must match the inline submit_nowait path.
@@ -627,7 +625,7 @@ class TestLineProtocol:
 
         async def scenario():
             async with engine.as_server(max_delay=0.001) as server:
-                return await serve_request_lines(server, ["q1\tu\t(((("])
+                return await stream_responses(server, ["q1\tu\t(((("])
 
         [response] = asyncio.run(scenario())
         assert response.startswith("q1\terror: ")
@@ -1535,17 +1533,15 @@ class TestPageProtocol:
         assert len(parsed) == len(expected)  # exactly once each
 
     def test_stream_modifier_without_emit_degrades_to_full_response(self):
-        # Ordered batch fronts (serve_request_lines) have no partial
-        # channel: STREAM answers like a plain request.
+        # Without a chunk channel, STREAM answers like a plain request.
         instance = Instance([("u", "a", "v"), ("u", "a", "w")])
         engine = Engine.open(instance)
 
         async def scenario():
             async with self._server(instance, engine) as server:
-                return await serve_request_lines(server, ["r\tu\ta\tSTREAM"])
+                return await respond_line(server, "r\tu\ta\tSTREAM")
 
-        [response] = asyncio.run(scenario())
-        assert response == "r\tv w"
+        assert asyncio.run(scenario()) == "r\tv w"
 
     def test_stream_over_tcp_interleaves_chunks(self):
         instance, _ = web(30)

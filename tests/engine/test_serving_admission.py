@@ -1,10 +1,11 @@
 """The per-request cost of a served line, and the accounting around it.
 
 ``Session.admission`` memoizes raw query text -> ``(key, prepared)``, so a
-text is parsed once however often it is served; both read loops
-(:func:`serve_stream` and the TCP front-end) bound their outstanding
-responses with one semaphore and skip the same blank lines; a wire line is
-lowered by ``normalize`` once.  ``scripts/check.sh serve`` runs this file
+text is parsed once however often it is served; :func:`serve_stream` and the
+TCP front-end share one read loop, which bounds outstanding responses with
+one semaphore and skips whitespace-only lines; a wire line is lowered by
+``normalize`` once, and every line kind admits a cold constrained text off
+the event loop.  ``scripts/check.sh serve`` runs this file
 with ``PYTHONASYNCIODEBUG=1`` in both numpy arms.
 """
 
@@ -14,9 +15,10 @@ import threading
 
 import pytest
 
+from repro.exceptions import ReproError
 from repro.constraints import ConstraintSet, parse_constraint
-from repro.engine import Engine, serve_stream, serve_tcp
-from repro.engine import serving
+from repro.engine import Engine, QueryRequest, serve_stream, serve_tcp
+from repro.engine import protocol, serving
 from repro.engine import session as session_module
 from repro.engine.serving import respond_line
 from repro.graph import Instance, web_like_graph
@@ -176,7 +178,7 @@ class TestAdmissionMemo:
 
 
 # ---------------------------------------------------------------------------
-# Back-pressure: one semaphore per read loop.
+# Back-pressure: one semaphore in the read loop.
 # ---------------------------------------------------------------------------
 class TestInflightBound:
     @pytest.mark.parametrize("front", ["stream", "tcp"])
@@ -239,7 +241,7 @@ class TestInflightBound:
 
 
 # ---------------------------------------------------------------------------
-# The two read loops agree, and the books balance.
+# Both front-ends agree, and the books balance.
 # ---------------------------------------------------------------------------
 def test_both_loops_skip_the_same_blank_lines():
     instance = Instance([("u", "a", "v")])
@@ -276,10 +278,10 @@ class TestWrongSourceCount:
                 return responses, server.stats
 
         responses, stats = asyncio.run(scenario())
-        assert sorted(responses)[0].startswith("r1\terror: ")
-        assert "exactly one source" in sorted(responses)[0]
-        assert "r2\tv" in responses
-        assert balanced(stats)
+        assert sorted(responses) == [
+            "r1\terror: bad v2 request: unknown fields: sources", "r2\tv"
+        ]
+        assert stats.submitted == 1 and balanced(stats)
 
     def test_respond_line_keeps_the_books_balanced(self):
         instance = Instance([("u", "a", "v")])
@@ -292,9 +294,55 @@ class TestWrongSourceCount:
                 return refused, served, server.stats
 
         refused, served, stats = asyncio.run(scenario())
-        assert refused.startswith("r1\terror: ") and "exactly one source" in refused
+        assert refused == "r1\terror: bad v2 request: unknown fields: sources"
         assert served == "r2\tv"
         assert stats.served == 1 and balanced(stats)
+
+    def test_submit_takes_exactly_one_source(self):
+        instance = Instance([("u", "a", "v"), ("w", "a", "v")])
+        engine = Engine.open(instance)
+
+        async def scenario():
+            async with engine.as_server(max_delay=0.001) as server:
+                with pytest.raises(ReproError, match="exactly one source"):
+                    await server.submit(QueryRequest(query="a", sources=("u", "w")))
+                answers = await server.submit(QueryRequest(query="a", sources=("u",)))
+                return answers, server.stats
+
+        answers, stats = asyncio.run(scenario())
+        assert answers == {"v"}
+        assert stats.submitted == stats.served == 1 and balanced(stats)
+
+
+def test_a_cold_stream_line_is_admitted_off_the_loop(monkeypatch):
+    # A constrained session may run a whole rewrite search on a text it has
+    # not seen: every wire line kind, STREAM included, admits it on the pool.
+    instance, _ = web_like_graph(20, ["a", "b", "c"], seed=7)
+    engine = Engine.open(
+        instance, constraints=ConstraintSet([parse_constraint("a b = c")])
+    )
+    first_seen = {}  # text -> the thread of its first, cold admission
+    admission = engine.admission
+
+    def spied(query):
+        first_seen.setdefault(query, threading.current_thread().name)
+        return admission(query)
+
+    monkeypatch.setattr(engine, "admission", spied)
+    lines = ["r0\tp11\ta b a\tSTREAM", "r1\tp11\ta b c", "r2\tp11\tc b\tLIMIT 1"]
+
+    async def scenario():
+        async with engine.as_server(max_delay=0.001) as server:
+            chunks = []
+            responses = [await respond_line(server, line, chunks.append) for line in lines]
+            return responses, chunks, server.stats
+
+    responses, chunks, stats = asyncio.run(scenario())
+    assert responses[0] == "r0\tp0 p16"
+    assert sorted(chunks) == ["r0\t+\tp0", "r0\t+\tp16"]
+    assert set(first_seen) == {"a b a", "a b c", "c b"}
+    assert all(name.startswith("repro-serve") for name in first_seen.values())
+    assert stats.submitted == 3 and balanced(stats)
 
 
 def test_a_wire_line_is_normalized_once(monkeypatch):
@@ -307,8 +355,8 @@ def test_a_wire_line_is_normalized_once(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(serving, "normalize", counted)
-    monkeypatch.setattr(session_module, "normalize", counted)
+    for module in (protocol, serving, session_module):
+        monkeypatch.setattr(module, "normalize", counted)
     lines = [
         "r0\tu\ta a",
         "V2\t" + json.dumps({"id": "r1", "query": "a", "source": "u"}),
