@@ -42,8 +42,8 @@
 # evaluator), not the performance numbers; smoke artifacts go to
 # BENCH_*_smoke.json paths so the committed full-run artifacts stay owned
 # by real --check runs:
-#   python benchmarks/bench_engine_throughput.py --check   (>= 3x warm
-#     cache over baseline, >= 2x numpy over python)
+#   python benchmarks/bench_engine_throughput.py --check   (every batch
+#     kernel >= 3x baseline warm; numpy >= 1.3x the recorded reference)
 #   python benchmarks/bench_sharded.py --check             (sharded warm
 #     serving within 1.5x of monolithic; per-shard warm start)
 #   python benchmarks/bench_serving.py --check             (shared-batch
@@ -143,7 +143,7 @@ run_smoke() {
         --json BENCH_throughput_smoke.json
 
     echo
-    echo "== bench smoke: engine throughput harness (pure-Python executors) =="
+    echo "== bench smoke: engine throughput harness (packed kernel only) =="
     REPRO_DISABLE_NUMPY=1 python benchmarks/bench_engine_throughput.py --smoke \
         --json BENCH_throughput_nonumpy_smoke.json
 

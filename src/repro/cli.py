@@ -442,9 +442,9 @@ def _add_session_flags(parser: argparse.ArgumentParser, concurrency_help: str) -
         help="a path constraint enabling pre-rewrite optimization (repeatable)",
     )
     parser.add_argument(
-        "--backend", choices=("auto", "python", "packed", "numpy"), default="auto",
+        "--backend", choices=("auto", "packed", "numpy"), default="auto",
         help="batch kernel: auto picks numpy when available, else the "
-        "packed-bitset one; python is the scalar oracle (default: auto)",
+        "packed-bitset one (default: auto)",
     )
     parser.add_argument(
         "--shards", type=int, metavar="N",

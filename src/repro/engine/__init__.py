@@ -9,8 +9,8 @@ tables with an LRU compile cache (:mod:`~repro.engine.compiled_query`), and
 execution shares work across batched sources via bitmask frontiers — one
 driver (:mod:`~repro.engine.executor`) around the numpy kernel
 (:mod:`~repro.engine.executor_np`) or, without numpy, the packed one
-(:mod:`~repro.engine.executor_pb`), with the scalar kernels of
-:mod:`~repro.engine.executor_py` serving single sources and oracle duty.  The
+(:mod:`~repro.engine.executor_pb`), with the scalar kernel of
+:mod:`~repro.engine.executor_py` serving single sources.  The
 :class:`~repro.engine.session.Engine` façade ties it together and is what
 callers — the CLI's ``engine`` subcommand, the planner's engine backend, and
 the transparent delegation inside ``query.evaluation.evaluate`` — build on.

@@ -11,17 +11,18 @@ and the per-label layout lets the executor skip every other edge without
 even looking at it.
 
 Incremental growth: edges added after compilation go to a small per-label
-overflow adjacency that traversals consult alongside the CSR slices; once the
-overflow exceeds a fraction of the graph the structure compacts itself back
-into pure CSR.  Ids are append-only (see :mod:`repro.engine.interning`), so
-compiled query tables survive edge adds that introduce no new labels.
+overflow adjacency that :meth:`CompiledGraph.successors` serves alongside
+the CSR slices; once the overflow exceeds a fraction of the graph the
+structure compacts itself back into pure CSR.  Ids are append-only (see
+:mod:`repro.engine.interning`), so compiled query tables survive edge adds
+that introduce no new labels.
 
 Incremental shrinkage is symmetric: :meth:`CompiledGraph.remove_edge` marks
-the edge's CSR position in a per-label *tombstone* set that every traversal
-(and the numpy edge-array lowering) consults, so deletions are O(out-degree)
-instead of a full rebuild.  Re-adding a tombstoned edge revives its CSR slot
-in place; compaction folds overflow in and drops tombstones out, restoring
-the pure-CSR invariant.
+the edge's CSR position in a per-label *tombstone* set that
+:meth:`CompiledGraph.successors` (and the numpy edge-array lowering) skips,
+so deletions are O(out-degree) instead of a full rebuild.  Re-adding a
+tombstoned edge revives its CSR slot in place; compaction folds overflow in
+and drops tombstones out, restoring the pure-CSR invariant.
 
 For the numpy kernel (:mod:`repro.engine.executor_np`) the adjacency is
 additionally lowered, lazily, to a :class:`ProductCSR` per compiled query:
@@ -46,7 +47,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from itertools import groupby
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ..analysis.annotations import guarded_by
 from ..exceptions import InstanceError
@@ -58,7 +59,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy
 
 _EMPTY = array("q")
-_EMPTY_DEAD: frozenset[int] = frozenset()
 
 
 # Product lowerings kept at once: one per distinct transition structure
@@ -586,47 +586,34 @@ class CompiledGraph:
         return self._dead_edges
 
     # -- traversal ------------------------------------------------------------
-    def successors(self, node: int, label_id: int) -> Iterator[int]:
-        """Targets of ``node`` under ``label_id`` (CSR slice + overflow)."""
-        indptr = self._indptr[label_id]
-        if node + 1 < len(indptr):
-            targets = self._targets[label_id]
-            dead = self._dead[label_id]
-            if dead:
-                for position in range(indptr[node], indptr[node + 1]):
-                    if position not in dead:
-                        yield targets[position]
-            else:
-                yield from targets[indptr[node] : indptr[node + 1]]
-        extra = self._overflow[label_id].get(node)
-        if extra is not None:
-            yield from extra
+    def successors(self, node: int, label_id: int) -> "Sequence[int]":
+        """Live targets of ``node`` under ``label_id``: the CSR slice minus
+        tombstoned positions, plus overflow edges.
 
-    def successor_slice(self, node: int, label_id: int) -> "tuple[array | list[int], int, int]":
-        """CSR bounds for hot loops: ``(buffer, start, stop)``.
-
-        Callers materialize ``buffer[start:stop]`` and iterate the copy
-        (fastest in CPython for the short runs typical of small out-degrees).
-        Overflow edges for the node, if any, must be fetched separately with
-        :meth:`overflow_successors`, and positions in
-        :meth:`dead_positions` must be skipped when the set is non-empty.
+        Every pure-Python kernel reads adjacency through this one method (the
+        numpy lowering applies the same rule in bulk, also in this module).
+        The result is a fresh sequence (an ``array`` slice or a list) the
+        caller may keep but not mutate — the empty result past the CSR's
+        nodes is shared.
         """
         indptr = self._indptr[label_id]
         if node + 1 < len(indptr):
-            return self._targets[label_id], indptr[node], indptr[node + 1]
-        return _EMPTY, 0, 0
-
-    def overflow_successors(self, node: int, label_id: int) -> "list[int] | None":
-        return self._overflow[label_id].get(node)
-
-    def has_overflow(self, label_id: int) -> bool:
-        return bool(self._overflow[label_id])
-
-    def dead_positions(self, label_id: int) -> "set[int] | frozenset[int]":
-        """Tombstoned CSR positions of a label; executors must skip these."""
-        if not self._dead_edges:
-            return _EMPTY_DEAD
-        return self._dead[label_id]
+            lo = indptr[node]
+            hi = indptr[node + 1]
+            buffer = self._targets[label_id]
+            dead = self._dead[label_id]
+            if dead:
+                targets: "Sequence[int]" = [
+                    buffer[position] for position in range(lo, hi) if position not in dead
+                ]
+            else:
+                targets = buffer[lo:hi]
+        else:
+            targets = _EMPTY
+        extra = self._overflow[label_id].get(node)
+        if extra is not None:
+            return [*targets, *extra]
+        return targets
 
     # -- numpy lowering -------------------------------------------------------
     @guarded_by("_np_lock")

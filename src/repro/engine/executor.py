@@ -8,24 +8,22 @@ only place that picks a kernel:
   parent-pointer BFS of :mod:`repro.engine.executor_py`, under every
   backend name: one source is one mask bit, so no batched kernel has
   anything to amortize.  ``backend=`` is validated and otherwise ignored;
-  the run is stamped with the kernel that ran (``"python"``).
+  the run is stamped ``"scalar"``, which names that kernel, not a backend.
 * **Batched runs** (:func:`run_batch`, :func:`run_all_pairs`) share the
   driver below — source → bit assignment, range and handle validation, the
-  witness resolver, work-count stamping — around one of three fixpoint
+  witness resolver, work-count stamping — around one of two fixpoint
   loops: :mod:`repro.engine.executor_np` (sparse push over the product
-  CSR), :mod:`repro.engine.executor_pb` (whole-word delta rounds over
-  Python ints) and the queue kernel of :mod:`repro.engine.executor_py`.
+  CSR) and :mod:`repro.engine.executor_pb` (whole-word delta rounds over
+  Python ints).
 
 ``backend="auto"`` (the default everywhere) is the numpy kernel when numpy
 imports and the packed kernel when it does not — numpy is strictly
-optional.  ``"numpy"`` and ``"packed"`` force a kernel; ``"python"`` forces
-the queue kernel, which ``auto`` never picks: it is the differential
-oracle the other two are tested against.  Forcing numpy when it is not
-importable raises :class:`~repro.exceptions.ReproError`.  Setting the
-environment variable ``REPRO_DISABLE_NUMPY`` (to any non-empty value)
-makes the dispatcher treat numpy as absent, which is how
-``scripts/check.sh`` exercises the fallback paths on machines that do
-have numpy installed.
+optional.  ``"numpy"`` and ``"packed"`` force a kernel.  Forcing numpy
+when it is not importable raises :class:`~repro.exceptions.ReproError`.
+Setting the environment variable ``REPRO_DISABLE_NUMPY`` (to any non-empty
+value) makes the dispatcher treat numpy as absent, which is how
+``scripts/check.sh`` exercises the fallback paths on machines that do have
+numpy installed.
 
 Every batched run reports what its kernel did — ``rounds``,
 ``edges_gathered``, ``peak_frontier_rows`` on :class:`BatchRun` — and the
@@ -55,13 +53,10 @@ except ImportError:  # pragma: no cover
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executor_np import NpFrontier
 
-BACKENDS = ("auto", "python", "packed", "numpy")
+BACKENDS = ("auto", "packed", "numpy")
 
 # Per backend name: the fixpoint loop and the frontier handle it continues.
-_KERNELS = {
-    "python": (executor_py.fixpoint, PyFrontier),
-    "packed": (executor_pb.fixpoint, PyFrontier),
-}
+_KERNELS = {"packed": (executor_pb.fixpoint, PyFrontier)}
 if _executor_np is not None:
     _KERNELS["numpy"] = (_executor_np.fixpoint, _executor_np.NpFrontier)
 
@@ -72,7 +67,7 @@ def numpy_available() -> bool:
 
 
 def available_backends() -> tuple[str, ...]:
-    return ("python", "packed", "numpy") if numpy_available() else ("python", "packed")
+    return ("packed", "numpy") if numpy_available() else ("packed",)
 
 
 def resolve_backend(backend: str = "auto") -> str:

@@ -23,7 +23,7 @@ single-source kernel here: one source is one bit, nothing to vectorize
 over, and the dense level-pull that used to serve it lost to the scalar
 BFS (:func:`repro.engine.executor_py.run_single`) on every shape measured.
 
-Results are bit-for-bit identical to the pure-Python kernels (the
+Results are bit-for-bit identical to the packed kernel (the
 differential fuzz harness in ``tests/engine/test_engine_fuzz.py`` enforces
 this), including the ``visited_pairs``/``visited_objects`` statistics: a
 pair counts as visited exactly when some source's bit reaches it, which is

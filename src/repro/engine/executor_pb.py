@@ -1,35 +1,32 @@
 """The packed-bitset kernel: whole-word delta propagation in pure Python.
 
 What ``auto`` runs for batches when numpy is absent (and ``backend="packed"``
-forces anywhere).  It evaluates the same batched product fixpoint as the
-queue oracle in :mod:`repro.engine.executor_py`, from the same
-:func:`~repro.engine.executor_py.open_frontier` state, but structures the
-hot loop around the batch's *width* instead of its individual bits:
+forces anywhere).  It evaluates the batched product fixpoint from the
+:func:`~repro.engine.executor_py.open_frontier` state, structuring the hot
+loop around the batch's *width* instead of its individual bits:
 
 * masks stay arbitrary-precision Python ints (one per packed ``(state,
-  node)`` pair, exactly the queue kernel's layout), so every edge visit
-  propagates the whole packed word of source bits in one ``|`` — no
-  per-(node, bit) work anywhere in the loop;
+  node)`` pair), so every edge visit propagates the whole packed word of
+  source bits in one ``|`` — no per-(node, bit) work anywhere in the loop;
 * propagation is *delta-driven and round-based* (semi-naive): each round
-  pushes only the bits a pair gained since it was last expanded, where the
-  queue kernel re-pushes a pair's full mask on every growth event and
-  re-expands it once per growth;
+  pushes only the bits a pair gained since it was last expanded;
 * adjacency is resolved once per product pair into a memo kept across runs
-  — the tombstone filter and overflow concatenation run once per graph
-  version instead of once per expansion.
+  — :meth:`CompiledGraph.successors` runs once per graph version instead
+  of once per expansion.
 
-Measured against the queue kernel it wins at every batch width once that
-memo is warm (width 1: 2.8 vs 5.5 ms, 64: 21.4 vs 65.7 ms) and from width 4
-up even cold, so there is no width threshold to tune: this module is its
+Measured against the queue kernel it replaced (a FIFO re-expanding a pair
+on every growth of its mask), it won at every batch width once that memo
+was warm (width 1: 2.8 vs 5.5 ms, 64: 21.4 vs 65.7 ms) and from width 4 up
+even cold, so there is no width threshold to tune: this module is its
 fixpoint loop, and everything else — bit assignment, handle validation,
 witnesses, work-count stamping — is the driver's
 (:mod:`repro.engine.executor`).
 
-Results are bit-for-bit identical to the other kernels, including the
-``visited_pairs``/``visited_objects`` accounting, the streaming
-``answer_sink`` at-most-once contract, and the :class:`PyFrontier`
-exchange handle — a packed run can continue a queue run's frontier and
-vice versa, which keeps sharded superstep chains backend-agnostic.
+Results are bit-for-bit identical to the numpy kernel, including the
+``visited_pairs``/``visited_objects`` accounting and the streaming
+``answer_sink`` at-most-once contract.  Its exchange handle is
+:class:`PyFrontier`, which the next packed run continues in place — how
+sharded supersteps chain.
 """
 
 from __future__ import annotations
@@ -106,24 +103,22 @@ def fixpoint(
     n = graph.num_nodes
     moves = query.moves
     accepting = query.accepting
-    dead_of = graph.dead_positions
+    successors_of = graph.successors
     masks, delta, accept_union = open_frontier(query, n, inject, known, answer_sink)
     # ``changed`` doubles as the activation set: a pair's first activation
-    # pushes its *full* mask next round (matching the queue executor, which
-    # expands the full mask of every enqueued pair — known bits included),
-    # later growth pushes only the delta.
+    # pushes its *full* mask next round (known bits included), later growth
+    # pushes only the delta.
     changed = set(delta)
     sink_bucket: "dict[int, list[int]]" = {}
 
     # Per-run successor cache: for each packed product pair, the complete
     # flattened out-neighborhood in product space, resolved once — move
-    # iteration, CSR slicing, the tombstone filter and overflow
-    # concatenation all fuse into one tuple.  The fixpoint's inner loop is
-    # then a pure whole-word mask merge per successor, which is this
-    # backend's actual speed: the queue executor re-resolves adjacency on
-    # every expansion of every pair.  Two cache shapes: bare successor
-    # keys when nothing streams, ``(key, target, accepts)`` triples when an
-    # ``answer_sink`` needs accepting growth during the fixpoint.
+    # iteration and the live adjacency of every move fuse into one tuple.
+    # The fixpoint's inner loop is then a pure whole-word mask merge per
+    # successor, which is this backend's actual speed.  Two cache shapes:
+    # bare successor keys when nothing streams, ``(key, target, accepts)``
+    # triples when an ``answer_sink`` needs accepting growth during the
+    # fixpoint.
     streaming = accept_union is not None
     kernel = _kernel_cache(graph, query)
     adj_cache: "dict[int, tuple[int, ...]]" = kernel["adj"]
@@ -138,19 +133,7 @@ def fixpoint(
             cache_key = label_id * n + node
             targets = adj_get(cache_key)
             if targets is None:
-                buffer, lo, hi = graph.successor_slice(node, label_id)
-                dead = dead_of(label_id)
-                if dead:
-                    targets = tuple(
-                        buffer[position]
-                        for position in range(lo, hi)
-                        if position not in dead
-                    )
-                else:
-                    targets = tuple(buffer[lo:hi])
-                extra = graph.overflow_successors(node, label_id)
-                if extra is not None:
-                    targets = targets + tuple(extra)
+                targets = tuple(successors_of(node, label_id))
                 adj_cache[cache_key] = targets
             base = next_state * n
             if streaming:
@@ -219,6 +202,6 @@ def fixpoint(
         current = next_delta
     run.edges_gathered = edges_gathered
     # A pair is "visited" on its first activation — one expansion per pair,
-    # which is exactly what the queue executor's ``expanded`` flags count.
+    # the count ``run_single`` and the numpy kernel report too.
     run.visited_pairs = len(changed)
     run.frontier = PyFrontier(masks, n, changed, graph.version, accept_union)

@@ -1,10 +1,10 @@
-"""The scalar kernels, and what every kernel shares.
+"""The scalar kernel, and what the pure-Python batch kernel shares.
 
 Everything here works purely on dense integers, with product pairs packed
 as ``state * num_nodes + node`` into flat ``bytearray``/list structures and
-the graph's per-label tombstone sets consulted so incrementally deleted
-edges are never traversed.  Callers go through the driver in
-:mod:`repro.engine.executor`; this module holds
+adjacency read through :meth:`CompiledGraph.successors`, which alone knows
+the live-edge rule (CSR slice − tombstones + overflow).  Callers go through
+the driver in :mod:`repro.engine.executor`; this module holds
 
 * the result types :class:`SingleRun` / :class:`BatchRun`, and
   :func:`restricted_witness`, the one witness reconstruction every batched
@@ -16,14 +16,9 @@ edges are never traversed.  Callers go through the driver in
   to amortize, and the dense numpy level-pull this replaced lost to it on
   every shape measured;
 * :class:`PyFrontier` with :func:`open_frontier` — the arbitrary-precision
-  mask state both pure-Python batch kernels (the queue below and
-  :mod:`repro.engine.executor_pb`) start from and hand back, including the
-  at-most-once bookkeeping of a streaming ``answer_sink`` and the sharded
-  engine's exchange calls;
-* :func:`fixpoint` — the queue kernel: every visited pair carries the
-  *bitmask* of the sources that reach it and re-enters a FIFO whenever the
-  mask grows.  It is the differential oracle (``backend="python"``), never
-  picked by ``auto``.
+  mask state the packed kernel (:mod:`repro.engine.executor_pb`) starts
+  from and hands back, including the at-most-once bookkeeping of a
+  streaming ``answer_sink`` and the sharded engine's exchange calls.
 """
 
 from __future__ import annotations
@@ -36,12 +31,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .compiled_query import CompiledQuery
 from .csr import CompiledGraph
 
-# Streaming ``answer_sink`` facts are buffered and flushed in per-bit
-# groups every this many queue expansions: one downstream call then
-# covers a whole group of facts, without letting answers sit longer
-# than a sliver of the traversal.
-_SINK_FLUSH_EVERY = 64
-
 
 @dataclass
 class SingleRun:
@@ -51,7 +40,8 @@ class SingleRun:
     witness_paths: dict[int, tuple[int, ...]] = field(default_factory=dict)
     visited_pairs: int = 0
     visited_objects: int = 0
-    backend: str = "python"
+    # Not a backend name: one kernel serves every single-source run.
+    backend: str = "scalar"
     # Wall-clock seconds of the executor call, stamped by the dispatcher
     # (:mod:`repro.engine.executor`); telemetry-only, never compared.
     elapsed: float = field(default=0.0, compare=False)
@@ -70,7 +60,8 @@ class BatchRun:
     sources: tuple[int, ...] = ()
     answers: list[set[int]] = field(default_factory=list)
     visited_pairs: int = 0
-    backend: str = "python"
+    # The batch kernel that ran, stamped by the driver.
+    backend: str = ""
     # Wall-clock seconds of the executor call, stamped by the dispatcher
     # (:mod:`repro.engine.executor`); telemetry-only, never compared.
     elapsed: float = field(default=0.0, compare=False)
@@ -82,10 +73,10 @@ class BatchRun:
     frontier: "object | None" = field(default=None, repr=False, compare=False)
     # Kernel work counts, set once per run (never per edge) and copied onto
     # the run's telemetry span by the dispatcher: the frontier expansions
-    # the fixpoint took (level-synchronous rounds on the numpy and packed
-    # kernels, BFS levels of the queue on this one), the product edges
-    # those expansions read, and the widest frontier — in product pairs —
-    # any of them carried.  Executor-specific, so never compared.
+    # the fixpoint took (level-synchronous rounds on both kernels), the
+    # product edges those expansions read, and the widest frontier — in
+    # product pairs — any of them carried.  Executor-specific, so never
+    # compared.
     rounds: int = field(default=0, compare=False)
     edges_gathered: int = field(default=0, compare=False)
     peak_frontier_rows: int = field(default=0, compare=False)
@@ -344,22 +335,6 @@ class PyFrontier:
         return pairs, objects, per_bit
 
 
-def _targets_of(graph: CompiledGraph, node: int, label_id: int) -> "Sequence[int]":
-    """All live targets of one node under one label (CSR − tombstones + overflow)."""
-    buffer, lo, hi = graph.successor_slice(node, label_id)
-    dead = graph.dead_positions(label_id)
-    if dead:
-        targets: "Sequence[int]" = [
-            buffer[position] for position in range(lo, hi) if position not in dead
-        ]
-    else:
-        targets = buffer[lo:hi]
-    extra = graph.overflow_successors(node, label_id)
-    if extra is not None:
-        targets = list(targets) + extra
-    return targets
-
-
 def restricted_witness(
     graph: CompiledGraph,
     query: CompiledQuery,
@@ -389,7 +364,7 @@ def restricted_witness(
         state, node = divmod(key, n)
         for label_id, next_state in moves[state]:
             base = next_state * n
-            for successor in _targets_of(graph, node, label_id):
+            for successor in graph.successors(node, label_id):
                 successor_key = base + successor
                 if successor_key in parents or not has_pair(successor_key):
                     continue
@@ -419,7 +394,7 @@ def run_single(
         return run
     accepting = query.accepting
     moves = query.moves
-    dead_of = graph.dead_positions
+    successors = graph.successors
     start = query.initial * n + source
     visited = bytearray(query.num_states * n)
     visited[start] = 1
@@ -438,18 +413,7 @@ def run_single(
         state, node = divmod(packed, n)
         for label_id, next_state in moves[state]:
             base = next_state * n
-            buffer, lo, hi = graph.successor_slice(node, label_id)
-            dead = dead_of(label_id)
-            if dead:
-                targets: Sequence[int] = [
-                    buffer[position] for position in range(lo, hi) if position not in dead
-                ]
-            else:
-                targets = buffer[lo:hi]
-            extra = graph.overflow_successors(node, label_id)
-            if extra is not None:
-                targets = list(targets) + extra
-            for target in targets:
+            for target in successors(node, label_id):
                 key = base + target
                 if visited[key]:
                     continue
@@ -553,93 +517,3 @@ def open_frontier(
         flush_sink(answer_sink, bucket)
     return masks, delta, accept_union
 
-
-def fixpoint(
-    run: BatchRun,
-    graph: CompiledGraph,
-    query: CompiledQuery,
-    inject,
-    known: "Mapping[int, int] | PyFrontier | None",
-    num_bits: "int | None",
-    local_bits: int,
-    answer_sink: "Callable[[int, Sequence[int]], None] | None",
-) -> None:
-    """The queue kernel behind ``run_batch`` (contract: see the driver).
-
-    A pair re-enters the FIFO whenever its mask grows and pushes its full
-    mask on every expansion.  Streamed facts are buffered and flushed in
-    per-bit groups every ``_SINK_FLUSH_EVERY`` expansions (and at the
-    fixpoint's end), so the per-call cost downstream is amortized without
-    holding answers back longer than a sliver of the traversal.
-    ``num_bits`` is ignored: Python ints are arbitrary-precision.
-    """
-    n = graph.num_nodes
-    moves = query.moves
-    accepting = query.accepting
-    dead_of = graph.dead_positions
-    masks, delta, accept_union = open_frontier(query, n, inject, known, answer_sink)
-    changed = set(delta)
-    pending = bytearray(query.num_states * n)
-    for key in delta:
-        pending[key] = 1
-    # A pair re-enters the queue whenever its source mask grows, so count a
-    # pair as "visited" only on its first expansion to keep the stat
-    # comparable with the single-source mode.
-    expanded = bytearray(query.num_states * n)
-    queue: deque[int] = deque(delta)
-    sink_bucket: "dict[int, list[int]]" = {}
-    since_flush = 0
-    # Work counts: a "round" is one generation of the queue (the pairs
-    # enqueued while the previous generation was being expanded).
-    rounds = edges_gathered = peak_rows = generation_left = 0
-    while queue:
-        if not generation_left:
-            generation_left = len(queue)
-            rounds += 1
-            if generation_left > peak_rows:
-                peak_rows = generation_left
-        generation_left -= 1
-        key = queue.popleft()
-        pending[key] = 0
-        if sink_bucket:
-            since_flush += 1
-            if since_flush >= _SINK_FLUSH_EVERY:
-                since_flush = 0
-                flush_sink(answer_sink, sink_bucket)
-        mask = masks[key]
-        if not expanded[key]:
-            expanded[key] = 1
-            run.visited_pairs += 1
-        state, node = divmod(key, n)
-        for label_id, next_state in moves[state]:
-            base = next_state * n
-            buffer, lo, hi = graph.successor_slice(node, label_id)
-            dead = dead_of(label_id)
-            if dead:
-                targets: Sequence[int] = [
-                    buffer[position] for position in range(lo, hi) if position not in dead
-                ]
-            else:
-                targets = buffer[lo:hi]
-            extra = graph.overflow_successors(node, label_id)
-            if extra is not None:
-                targets = list(targets) + extra
-            edges_gathered += len(targets)
-            for target in targets:
-                successor_key = base + target
-                if masks[successor_key] | mask != masks[successor_key]:
-                    masks[successor_key] |= mask
-                    changed.add(successor_key)
-                    if accept_union is not None and accepting[next_state]:
-                        stream_fresh(
-                            sink_bucket, accept_union, target, masks[successor_key]
-                        )
-                    if not pending[successor_key]:
-                        pending[successor_key] = 1
-                        queue.append(successor_key)
-    if sink_bucket:
-        flush_sink(answer_sink, sink_bucket)
-    run.rounds = rounds
-    run.edges_gathered = edges_gathered
-    run.peak_frontier_rows = peak_rows
-    run.frontier = PyFrontier(masks, n, changed, graph.version, accept_union)

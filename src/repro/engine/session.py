@@ -20,7 +20,7 @@ concerns that individual executors should not:
   :mod:`repro.engine.snapshot`);
 * **backend selection** — every evaluation is dispatched through
   :mod:`repro.engine.executor` with the session's ``backend`` setting
-  (``auto``/``python``/``packed``/``numpy``); which kernel actually served
+  (``auto``/``packed``/``numpy``); which kernel actually served
   each run is tallied in :attr:`EngineStats.backend_runs`;
 * **constraint pre-rewrite** — when opened with a
   :class:`~repro.constraints.constraint.ConstraintSet`, each query is first
@@ -187,7 +187,7 @@ class _SessionStats:
     batched_sources: int = 0
     visited_pairs: int = 0
     rewrites_applied: int = 0
-    # Which executor actually served each run, e.g. {"numpy": 12, "python": 1}.
+    # Which executor actually served each run, e.g. {"numpy": 12, "scalar": 1}.
     backend_runs: dict[str, int] = field(default_factory=dict)
 
     _GAUGES = (

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _strategies import edit_scripts, regexes, small_instances
-from repro.engine import Engine, ShardedEngine, numpy_available
+from repro.engine import Engine, ShardedEngine, available_backends
 from repro.engine.conjunctive import (
     Atom,
     ConjunctiveQuery,
@@ -31,7 +31,7 @@ from repro.optimize import DegreeStats, estimate_cardinality
 from repro.regex import parse
 from repro.regex.ast import Symbol
 
-EXECUTOR_BACKENDS = ("python", "numpy") if numpy_available() else ("python",)
+EXECUTOR_BACKENDS = available_backends()
 
 
 def web(nodes=30, seed=7, labels=("a", "b", "c")):
@@ -480,8 +480,6 @@ def open_sessions(instance):
     """``(name, session)`` for every kind of session a CRPQ can run on: the
     monolithic engine and the sharded one at ``concurrency`` 1 and 2, each
     per available batch kernel, each over its own copy of ``instance``."""
-    from repro.engine import available_backends
-
     for backend in available_backends():
         yield f"engine/{backend}", Engine.open(instance.copy(), backend=backend)
         for concurrency in (1, 2):

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.cli import main
+from repro.engine import Engine
+from repro.exceptions import ReproError
 from repro.graph import figure2_graph, instance_to_edge_list
 
 
@@ -141,14 +143,24 @@ class TestEngineSnapshotFlags:
 
 
 class TestEngineBackendFlag:
-    def test_python_backend_forced(self, graph_file, query_file, capsys):
+    def test_packed_backend_forced(self, graph_file, query_file, capsys):
         code = main(
-            ["engine", graph_file, query_file, "-s", "o1", "--backend", "python", "--stats"]
+            ["engine", graph_file, query_file, "-s", "o1", "--backend", "packed", "--stats"]
         )
         assert code == 0
         captured = capsys.readouterr()
         assert "a b*\to1\to2 o3" in captured.out.splitlines()
-        assert "engine_backend_runs{python}" in captured.err
+        # The subcommand batches even one source, so the forced kernel ran.
+        assert "engine_backend_runs{packed} 2" in captured.err
+
+    def test_python_backend_is_gone(self, graph_file, query_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["engine", graph_file, query_file, "-s", "o1", "--backend", "python"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'python'" in capsys.readouterr().err
+        remaining = r"expected one of \('auto', 'packed', 'numpy'\)"
+        with pytest.raises(ReproError, match=rf"unknown engine backend 'python'; {remaining}"):
+            Engine.open(figure2_graph()[0], backend="python")
 
     def test_numpy_backend_when_available(self, graph_file, query_file, capsys):
         from repro.engine import numpy_available

@@ -1,12 +1,14 @@
-"""Differential fuzz harness: python executor ≡ numpy executor ≡ baseline.
+"""Differential fuzz harness: scalar BFS ≡ batch kernels ≡ baseline.
 
 Hypothesis generates random instances, regexes, and interleaved
-``add_edge``/``remove_edge`` scripts; every example is evaluated through all
-three paths — the pure-Python executor, the numpy-vectorized executor (when
-available), and ``evaluate_baseline`` — and the reached sets must agree
-exactly, in every mode (single-source, batched, all-pairs), including the
-``visited_pairs``/``visited_objects`` statistics between the two compiled
-executors.  The sharded engine joins the same equivalence class: for shard
+``add_edge``/``remove_edge`` scripts; every example is evaluated through
+every path — the scalar single-source BFS, each batch kernel (packed, and
+numpy when available), and ``evaluate_baseline`` — and the reached sets
+must agree exactly, in every mode (single-source, batched, all-pairs).  The
+``visited_pairs``/``visited_objects`` statistics agree too: batch kernels
+with the packed one, and every batch kernel's one-source run with the
+scalar BFS, so the counts stay pinned to an independent kernel even
+without numpy.  The sharded engine joins the same equivalence class: for shard
 counts {1, 2, 7} its scatter-gather answers are pinned to the monolithic
 engine (and through it the baseline), including after interleaved edits
 routed to the owning shard.  The serving layer joins it too: answers fanned
@@ -24,16 +26,16 @@ from repro.engine import (
     Engine,
     QueryRequest,
     ShardedEngine,
+    available_backends,
     lower_query,
     numpy_available,
     run_all_pairs,
+    run_batch,
     run_single,
 )
 from repro.query import RegularPathQuery, evaluate_baseline
 
-EXECUTOR_BACKENDS = (
-    ("python", "packed", "numpy") if numpy_available() else ("python", "packed")
-)
+EXECUTOR_BACKENDS = available_backends()
 SHARD_COUNTS = (1, 2, 7)
 
 
@@ -44,12 +46,16 @@ def _runs_by_backend(run_fn, *args, **kwargs):
     }
 
 
-def _assert_runs_agree(runs, context):
-    reference = runs["python"]
-    for backend, run in runs.items():
-        assert run.answers == reference.answers, (context, backend)
-        assert run.visited_pairs == reference.visited_pairs, (context, backend)
-        assert run.visited_objects == reference.visited_objects, (context, backend)
+def _counts(run):
+    return run.visited_pairs, run.visited_objects
+
+
+def _assert_one_source_runs_match(graph, compiled, node, single, context):
+    """Every batch kernel's one-source run equals the scalar BFS's run in
+    answers and counts."""
+    for backend, run in _runs_by_backend(run_batch, graph, compiled, [node]).items():
+        assert run.answers == [single.answers], (context, backend)
+        assert _counts(run) == _counts(single), (context, backend)
 
 
 @given(small_instances(max_nodes=6, max_edges=12), regexes(max_leaves=5))
@@ -61,20 +67,20 @@ def test_executors_and_baseline_agree_on_all_modes(graph_and_source, expression)
     compiled = lower_query(rpq, graph)
 
     # All-pairs: one batched traversal per backend, checked per source
-    # against both the other backend and the baseline evaluator.
+    # against the packed kernel and the baseline evaluator.
     batch_runs = _runs_by_backend(run_all_pairs, graph, compiled)
+    reference = batch_runs["packed"]
     for backend, run in batch_runs.items():
-        assert run.answers == batch_runs["python"].answers, backend
-        assert run.visited_pairs == batch_runs["python"].visited_pairs, backend
-        assert run.visited_objects == batch_runs["python"].visited_objects, backend
+        assert run.answers == reference.answers, backend
+        assert _counts(run) == _counts(reference), backend
     for node in range(graph.num_nodes):
         oid = graph.oid_of(node)
         expected = evaluate_baseline(rpq, oid, instance).answers
 
-        single_runs = _runs_by_backend(run_single, graph, compiled, node)
-        _assert_runs_agree(single_runs, oid)
-        assert graph.oids_of(single_runs["python"].answers) == expected, oid
-        assert graph.oids_of(batch_runs["python"].answers[node]) == expected, oid
+        single = run_single(graph, compiled, node)
+        assert graph.oids_of(single.answers) == expected, oid
+        assert graph.oids_of(reference.answers[node]) == expected, oid
+        _assert_one_source_runs_match(graph, compiled, node, single, oid)
 
 
 @given(
@@ -84,7 +90,8 @@ def test_executors_and_baseline_agree_on_all_modes(graph_and_source, expression)
 )
 @settings(max_examples=120, deadline=None)
 def test_executors_agree_after_interleaved_edits(graph_and_source, expression, script):
-    """Incremental adds AND tombstone deletes keep all three paths aligned."""
+    """Incremental adds AND tombstone deletes keep every kernel and the
+    baseline aligned."""
     instance, _ = graph_and_source
     rpq = RegularPathQuery.of(expression)
     engines = {
@@ -109,10 +116,10 @@ def test_executors_agree_after_interleaved_edits(graph_and_source, expression, s
         backend: engine.query_all(rpq) for backend, engine in engines.items()
     }
     for backend, per_source in results.items():
-        assert per_source == results["python"], backend
+        assert per_source == results["packed"], backend
     for oid in mirror.objects:
         expected = evaluate_baseline(rpq, oid, mirror).answers
-        assert results["python"][oid] == expected, oid
+        assert results["packed"][oid] == expected, oid
 
     # The whole point of the incremental paths: no engine ever rebuilt.
     for backend, engine in engines.items():
@@ -142,19 +149,19 @@ def test_compiled_graph_tracks_instance_through_edits(graph_and_source, expressi
 
     rpq = RegularPathQuery.of(expression)
     compiled = lower_query(rpq, graph)
-    before = {
-        node: run_single(graph, compiled, node, backend="python").answers
-        for node in range(graph.num_nodes)
-    }
+    before = {}
+    for node in range(graph.num_nodes):
+        # Tombstones and overflow in play: the batch kernels' one-source
+        # counts still match the scalar BFS.
+        before[node] = run_single(graph, compiled, node)
+        _assert_one_source_runs_match(graph, compiled, node, before[node], node)
     graph.compact()
     assert graph.overflow_edge_count() == 0
     assert graph.tombstone_count() == 0
     assert graph.edge_count() == instance.edge_count()
     compiled = lower_query(rpq, graph)  # label ids are stable across compact
-    for node, answers in before.items():
-        for backend in EXECUTOR_BACKENDS:
-            run = run_single(graph, compiled, node, backend=backend)
-            assert run.answers == answers, (node, backend)
+    for node, run in before.items():
+        assert run_single(graph, compiled, node).answers == run.answers, node
 
 
 @given(small_instances(max_nodes=6, max_edges=12), regexes(max_leaves=5))

@@ -290,8 +290,6 @@ class TestKernelDispatch:
             "packed"
         )
         assert run_all_pairs(graph, compiled).backend == "packed"
-        # The queue kernel stays reachable, by name only.
-        assert run_batch(graph, compiled, [3], backend="python").backend == "python"
         with pytest.raises(ReproError, match="numpy"):
             run_batch(graph, compiled, [3], backend="numpy")
 
@@ -305,7 +303,7 @@ class TestKernelDispatch:
                 assert run.visited_pairs == runs[0].visited_pairs
                 assert run.visited_objects == runs[0].visited_objects
                 assert run.witness_paths == runs[0].witness_paths
-                assert run.backend == "python"  # stamped with what ran
+                assert run.backend == "scalar"  # stamped with what ran
         with pytest.raises(ReproError, match="unknown engine backend"):
             run_single(graph, compiled, 0, backend="rust")
 
@@ -455,26 +453,47 @@ class TestCompiledGraphDeletes:
 
     def test_compact_after_deletes_drops_tombstones(self):
         # Regression: compaction must fold overflow in AND tombstones out,
-        # with edge_count/overflow_edge_count/tombstone_count all consistent.
-        instance, _ = figure2_graph()
+        # with edge_count/overflow_edge_count/tombstone_count all consistent
+        # — and ``successors``, the one live-edge rule (CSR slice minus
+        # tombstones plus overflow), must equal the instance's after the
+        # removes, after the adds and after compact().
+        instance, _ = random_graph(40, 3, ["a", "b"], seed=21)
         graph = CompiledGraph.from_instance(instance)
-        removed = next(instance.edges())
-        graph.remove_edge(*removed)
-        graph.add_edge("o1", "zz", "fresh")
-        expected_edges = instance.edge_count()  # -1 removed, +1 added
-        assert graph.edge_count() == expected_edges
+        graph.auto_compact_ratio = None
+        graph.ensure_label("zz")
+
+        def assert_successors_match() -> None:
+            for oid in instance.objects:
+                node = graph.node_id(oid)
+                for label in ("a", "b", "zz"):
+                    got = graph.successors(node, graph.label_id(label))
+                    assert sorted(map(graph.oid_of, got), key=repr) == sorted(
+                        instance.successors(oid, label), key=repr
+                    ), (oid, label)
+
+        removed = sorted(instance.edges(), key=repr)[::3]
+        for edge in removed:
+            graph.remove_edge(*edge)
+            instance.remove_edge(*edge)
+        assert graph.tombstone_count() == len(removed)
+        assert_successors_match()
+        objects = sorted(instance.objects, key=repr)
+        revived = removed.pop()
+        for edge in [revived, (objects[0], "zz", "fresh")] + [
+            (objects[i], "a", objects[(i * 7 + 3) % len(objects)]) for i in range(12)
+        ]:
+            if not instance.has_edge(*edge):
+                graph.add_edge(*edge)
+                instance.add_edge(*edge)
+        assert graph.tombstone_count() == len(removed)
+        assert graph.overflow_edge_count() > 0
+        assert graph.edge_count() == instance.edge_count()
+        assert_successors_match()
         graph.compact()
         assert graph.tombstone_count() == 0
         assert graph.overflow_edge_count() == 0
-        assert graph.edge_count() == expected_edges
-        source, label, destination = removed
-        lid = graph.label_id(label)
-        assert graph.node_id(destination) not in set(
-            graph.successors(graph.node_id(source), lid)
-        )
-        assert graph.oid_of(
-            next(iter(graph.successors(graph.node_id("o1"), graph.label_id("zz"))))
-        ) == "fresh"
+        assert graph.edge_count() == instance.edge_count()
+        assert_successors_match()
 
     def test_many_removals_trigger_auto_compaction(self):
         instance, _ = random_graph(60, 4, ["a", "b"], seed=12)
@@ -515,11 +534,11 @@ class TestEngineIncrementalRemove:
 
     def test_stats_report_backend_runs(self):
         instance, source = figure2_graph()
-        engine = Engine.open(instance, backend="python")
+        engine = Engine.open(instance, backend="packed")
         engine.query("a", source)
         engine.query_all("a")
-        assert engine.stats.backend_runs == {"python": 2}
-        assert "backend runs: python=2" in engine.describe()
+        assert engine.stats.backend_runs == {"scalar": 1, "packed": 1}
+        assert "backend runs: packed=1, scalar=1" in engine.describe()
 
 
 class TestIsolatedObjectFastPath:

@@ -14,14 +14,14 @@ from _strategies import regexes, small_instances
 from repro.engine import (
     CompiledGraph,
     Engine,
+    available_backends,
     lower_query,
-    numpy_available,
     run_batch,
 )
 from repro.graph import figure2_graph, random_graph
 from repro.query import RegularPathQuery
 
-EXECUTOR_BACKENDS = ("python", "numpy") if numpy_available() else ("python",)
+EXECUTOR_BACKENDS = available_backends()
 
 
 def assert_word_spells_path(instance, source, target, word):
@@ -54,7 +54,7 @@ def test_single_source_witnesses_replay(backend):
         result = engine.query(rpq, source)
         assert_result_witnesses_real(result, rpq, source, instance)
     # One single-source kernel under every backend name, stamped as itself.
-    assert set(engine.stats.backend_runs) == {"python"}
+    assert set(engine.stats.backend_runs) == {"scalar"}
 
 
 @given(small_instances(max_nodes=6, max_edges=12), regexes(max_leaves=5))
@@ -139,7 +139,7 @@ def test_witness_requires_opt_in():
     instance, _ = figure2_graph()
     graph = CompiledGraph.from_instance(instance)
     compiled = lower_query("a", graph)
-    run = run_batch(graph, compiled, [0], backend="python")
+    run = run_batch(graph, compiled, [0], backend="packed")
     with pytest.raises(ValueError):
         run.witness(0, 1)
 

@@ -23,6 +23,7 @@ from repro.engine import (
     QueryServer,
     ShardedEngine,
     SuperstepScheduler,
+    available_backends,
     numpy_available,
     serve_stream,
     serve_tcp,
@@ -31,7 +32,7 @@ from repro.engine.serving import respond_line
 from repro.exceptions import ReproError
 from repro.graph import Instance, web_like_graph
 
-EXECUTOR_BACKENDS = ("python", "numpy") if numpy_available() else ("python",)
+EXECUTOR_BACKENDS = available_backends()
 
 
 def web(nodes=40, seed=7, labels=("a", "b", "c")):

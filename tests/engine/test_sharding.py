@@ -20,6 +20,7 @@ from repro.engine import (
     HashShardMap,
     ShardedEngine,
     ShardMap,
+    available_backends,
     numpy_available,
     partition_instance,
     set_telemetry_enabled,
@@ -31,7 +32,7 @@ from repro.exceptions import ReproError
 from repro.graph import Instance, figure2_graph, web_like_graph
 from repro.query import RegularPathQuery
 
-EXECUTOR_BACKENDS = ("python", "numpy") if numpy_available() else ("python",)
+EXECUTOR_BACKENDS = available_backends()
 
 
 def web(nodes=40, seed=7, labels=("a", "b", "c")):
@@ -545,7 +546,7 @@ class TestMultiWordExchange:
         return {q: engine.query_batch(q, sources) for q in self.QUERIES}
 
     def test_gather_over_continued_frontiers_with_ghosts(self):
-        # The numpy gather reads the rows the runs reported; the python
+        # The numpy gather reads the rows the runs reported; the packed
         # kernel's set-based gather behind the same call is the reference —
         # answers and the visited counts (owned pairs and objects only: a
         # ghost's facts are its owner's) must agree through fresh and
@@ -554,7 +555,7 @@ class TestMultiWordExchange:
         arms = {
             "concurrent": dict(concurrency=2),
             "sequential": dict(),
-            "reference": dict(backend="python"),
+            "reference": dict(backend="packed"),
         }
         observed = {}
         for name, options in arms.items():
@@ -581,7 +582,7 @@ class TestMultiWordExchange:
         assert len(sources) > 64
         for query in self.QUERIES:
             counters = {}
-            for backend in ("python", "packed", "numpy"):
+            for backend in ("packed", "numpy"):
                 engine = ShardedEngine.open(
                     instance, shard_map=shard_map, backend=backend,
                     concurrency=concurrency,

@@ -25,7 +25,7 @@ from repro.engine import (
     Telemetry,
     TelemetryHTTPServer,
     Tracer,
-    numpy_available,
+    available_backends,
     render_text,
     set_telemetry_enabled,
     telemetry_enabled,
@@ -35,7 +35,7 @@ from repro.engine.telemetry import Trace
 from repro.exceptions import ReproError
 from repro.graph import figure2_graph, web_like_graph
 
-EXECUTOR_BACKENDS = ("python", "numpy") if numpy_available() else ("python",)
+EXECUTOR_BACKENDS = available_backends()
 
 
 @pytest.fixture
@@ -68,10 +68,10 @@ class TestRegistry:
         assert registry.counter("requests") is counter
         counter.inc(1, "numpy")
         counter.inc(2, "numpy")
-        counter.inc(5, "python")
+        counter.inc(5, "packed")
         assert counter.value("numpy") == 3
-        assert counter.value("python") == 5
-        assert registry.snapshot()["requests"] == {"numpy": 3, "python": 5}
+        assert counter.value("packed") == 5
+        assert registry.snapshot()["requests"] == {"numpy": 3, "packed": 5}
 
     def test_counter_label_arity_enforced(self):
         counter = MetricsRegistry().counter("c", "", labelnames=("x",))
@@ -433,7 +433,7 @@ class TestSessionInstrumentation:
         run = next(s for s in trace.spans if s.name == "engine.run")
         # Single-source runs have one kernel whatever the session's backend,
         # and the span names the kernel that ran.
-        assert run.attributes["backend"] == "python"
+        assert run.attributes["backend"] == "scalar"
         # Both session kinds name each call by its mode on the root span.
         sharded = ShardedEngine.open(instance, shards=2, backend=backend)
         for session, prefix in ((engine, "engine"), (sharded, "sharded")):
