@@ -9,10 +9,6 @@ pool of distinct queries from scattered sources.  Two properties are gated:
   requests coalesced into shared ``query_batch`` evaluations under the
   max-batch/max-delay policy) must be at least **2x faster** than the
   sequential baseline that gives every request its own engine round-trip;
-* **superstep overlap** — with ``concurrency=N`` the sharded engine's
-  per-shard local fixpoints run on the thread-pool scheduler, and its
-  ``concurrent_steps`` stat (peak steps simultaneously in flight) must
-  exceed 1 — the observable proof that per-shard supersteps overlap;
 * **telemetry overhead** — serving with telemetry capture enabled must
   stay within **5%** of the same run with capture disabled
   (``OVERHEAD_BOUND``), the contract that instrumentation is near-free.
@@ -27,12 +23,12 @@ artifact fields.  ``--check`` additionally gates first-answer p99 below
 the *recorded* resolve baseline — the ``latency.p99_s`` of the committed
 artifact at the same path, read before this run overwrites it (first
 generation falls back to the same run's resolve p99) — and pins the
-engine-side cost flat: the per-run means of ``engine_run_seconds`` and
-``sharded_superstep_seconds`` during the streaming arm must stay within
-``FLATNESS_BOUND`` of the batch arm's
-(``sharded_local_fixpoint_seconds`` is reported but not gated: the
-fixpoint span *contains* the sink callback, so its inflation is the
-emission work itself, already bounded by the superstep gate above it).
+engine-side cost flat: the per-run mean of the session's run histogram
+(``engine_run_seconds``, or ``sharded_local_fixpoint_seconds`` on a
+sharded session: one executor run either way, sink callbacks included)
+during the streaming arm must stay within ``FLATNESS_BOUND`` of the batch
+arm's.  The gates' outcome is recorded in the artifact
+(``check_failures``) as well as printed.
 Served answers are checked request-for-request against the sequential
 baseline (and the grouped direct ``query_batch``) before any timing is
 trusted.  The run always writes a machine-readable artifact
@@ -61,20 +57,12 @@ from repro.engine import QueryRequest, ShardedEngine, set_telemetry_enabled
 SPEEDUP_BOUND = 2.0
 OVERHEAD_BOUND = 1.05
 # Streaming must not make the engine itself work harder: per-run means of
-# the evaluation histograms in the streaming arm vs the batch arm.  Only
-# the names the serving session actually registers appear (a sharded
-# session exposes the superstep/fixpoint pair; a monolithic one exposes
-# engine_run_seconds).  The local-fixpoint span contains the answer-sink
-# callback, so its streaming-arm mean inflates by the emission work
-# itself — it is reported for visibility but only the GATED names fail
-# the check.
+# the run histogram in the streaming arm vs the batch arm.  Only the name
+# the serving session registers appears (a sharded session's run histogram
+# is sharded_local_fixpoint_seconds; a monolithic one's
+# engine_run_seconds), and both are gated.
 FLATNESS_BOUND = 1.5
-FLATNESS_HISTOGRAMS = (
-    "engine_run_seconds",
-    "sharded_superstep_seconds",
-    "sharded_local_fixpoint_seconds",
-)
-GATED_HISTOGRAMS = ("engine_run_seconds", "sharded_superstep_seconds")
+GATED_HISTOGRAMS = ("engine_run_seconds", "sharded_local_fixpoint_seconds")
 
 
 def percentile(values, quantile):
@@ -197,7 +185,7 @@ def fold_histogram_deltas(totals, engine, before):
     to accumulated ``[sum seconds, count]`` across every window of the arm.
     """
     after = engine.metrics.registry.snapshot()
-    for name in FLATNESS_HISTOGRAMS:
+    for name in GATED_HISTOGRAMS:
         if name not in after:
             continue
         total, count = totals.setdefault(name, [0.0, 0])
@@ -241,7 +229,7 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int, default=192,
                         help="total client requests")
     parser.add_argument("--concurrency", type=int, default=4,
-                        help="superstep scheduler workers (and flush pool size)")
+                        help="flush pool size")
     parser.add_argument("--max-batch", type=int, default=32,
                         help="admission queue: flush at this many sources")
     parser.add_argument("--max-delay", type=float, default=0.005,
@@ -261,8 +249,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help=f"exit 1 unless shared-batch serving is >= {SPEEDUP_BOUND}x the "
-        "sequential baseline, per-shard supersteps overlapped "
-        f"(concurrent_steps > 1), and telemetry overhead <= {OVERHEAD_BOUND}x",
+        f"sequential baseline, and telemetry overhead <= {OVERHEAD_BOUND}x",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -294,9 +281,7 @@ def main(argv=None) -> int:
     )
 
     failures: list[str] = []
-    engine = ShardedEngine.open(
-        instance, shard_map=shard_map, concurrency=args.concurrency
-    )
+    engine = ShardedEngine.open(instance, shard_map=shard_map)
     try:
         # Telemetry capture on for the correctness + latency passes, so the
         # enabled arm below is the instrumented steady state.
@@ -402,12 +387,6 @@ def main(argv=None) -> int:
             set_telemetry_enabled(telemetry_before)
         speedup = sequential_s / served_s if served_s else float("inf")
         overhead = served_s / disabled_s if disabled_s else float("inf")
-        scheduler = engine.scheduler
-        if scheduler is None:
-            # --concurrency 1: no scheduler installed, supersteps sequential.
-            scheduler = type(
-                "NoScheduler", (), {"steps": 0, "barriers": 0, "concurrent_steps": 0}
-            )()
     finally:
         engine.close()
 
@@ -434,7 +413,7 @@ def main(argv=None) -> int:
                 else 1.0
             ),
         }
-        for name in FLATNESS_HISTOGRAMS
+        for name in GATED_HISTOGRAMS
         if name in batch_means and name in streaming_means
     }
 
@@ -466,11 +445,41 @@ def main(argv=None) -> int:
         f"({last_stats.coalesced} coalesced, widest {last_stats.max_batch_size}; "
         f"{last_stats.size_flushes} size / {last_stats.delay_flushes} delay flushes)"
     )
-    print(
-        f"supersteps: {scheduler.steps} scheduled steps over "
-        f"{scheduler.barriers} barriers, peak {scheduler.concurrent_steps} "
-        f"concurrently in flight"
-    )
+
+    # The --check gates, evaluated before the artifact is written so a
+    # failed gate is recorded in it (``check_failures``) as well as
+    # reported.
+    check_failures: list[str] = []
+    first_p99 = latency_summary["first_answer_p99_s"]
+    baseline_p99 = recorded_p99 or latency_summary["p99_s"]
+    baseline_kind = "recorded" if recorded_p99 else "same-run"
+    if args.check and not failures:
+        if speedup < SPEEDUP_BOUND:
+            check_failures.append(
+                f"shared-batch serving only {speedup:.2f}x < "
+                f"{SPEEDUP_BOUND}x the sequential baseline"
+            )
+        if overhead > OVERHEAD_BOUND:
+            check_failures.append(
+                f"telemetry-enabled serving {overhead:.3f}x the "
+                f"disabled run (> {OVERHEAD_BOUND}x) — instrumentation is no "
+                "longer near-free"
+            )
+        if not first_p99 or first_p99 >= baseline_p99:
+            check_failures.append(
+                f"first streamed answer p99 "
+                f"{first_p99 * 1000:.2f}ms is not below the {baseline_kind} "
+                f"full-resolve p99 baseline {baseline_p99 * 1000:.2f}ms — "
+                "streaming is not beating batch completion"
+            )
+        for name, arm in flatness.items():
+            if (name in GATED_HISTOGRAMS and arm["streaming_count"]
+                    and arm["ratio"] > FLATNESS_BOUND):
+                check_failures.append(
+                    f"{name} mean grew {arm['ratio']:.3f}x (> "
+                    f"{FLATNESS_BOUND}x) in the streaming arm — the answer "
+                    "sink is taxing the evaluation hot loop"
+                )
 
     artifact = {
         "benchmark": "async_serving",
@@ -514,12 +523,8 @@ def main(argv=None) -> int:
             "delay_flushes": last_stats.delay_flushes,
             "immediate_flushes": last_stats.immediate_flushes,
         },
-        "scheduler": {
-            "steps": scheduler.steps,
-            "barriers": scheduler.barriers,
-            "concurrent_steps": scheduler.concurrent_steps,
-        },
         "failures": failures,
+        "check_failures": check_failures,
     }
     with open(args.json, "w", encoding="utf-8") as handle:
         json.dump(artifact, handle, indent=2)
@@ -531,57 +536,13 @@ def main(argv=None) -> int:
     if failures:
         return 1
     if args.check:
-        ok = True
-        if speedup < SPEEDUP_BOUND:
-            print(
-                f"CHECK FAILED: shared-batch serving only {speedup:.2f}x < "
-                f"{SPEEDUP_BOUND}x the sequential baseline",
-                file=sys.stderr,
-            )
-            ok = False
-        if args.clusters >= 2 and args.concurrency > 1 and scheduler.concurrent_steps <= 1:
-            print(
-                "CHECK FAILED: per-shard supersteps never overlapped "
-                f"(concurrent_steps={scheduler.concurrent_steps})",
-                file=sys.stderr,
-            )
-            ok = False
-        if overhead > OVERHEAD_BOUND:
-            print(
-                f"CHECK FAILED: telemetry-enabled serving {overhead:.3f}x the "
-                f"disabled run (> {OVERHEAD_BOUND}x) — instrumentation is no "
-                "longer near-free",
-                file=sys.stderr,
-            )
-            ok = False
-        first_p99 = latency_summary["first_answer_p99_s"]
-        baseline_p99 = recorded_p99 or latency_summary["p99_s"]
-        baseline_kind = "recorded" if recorded_p99 else "same-run"
-        if not first_p99 or first_p99 >= baseline_p99:
-            print(
-                f"CHECK FAILED: first streamed answer p99 "
-                f"{first_p99 * 1000:.2f}ms is not below the {baseline_kind} "
-                f"full-resolve p99 baseline {baseline_p99 * 1000:.2f}ms — "
-                "streaming is not beating batch completion",
-                file=sys.stderr,
-            )
-            ok = False
-        for name, arm in flatness.items():
-            if (name in GATED_HISTOGRAMS and arm["streaming_count"]
-                    and arm["ratio"] > FLATNESS_BOUND):
-                print(
-                    f"CHECK FAILED: {name} mean grew {arm['ratio']:.3f}x (> "
-                    f"{FLATNESS_BOUND}x) in the streaming arm — the answer "
-                    "sink is taxing the evaluation hot loop",
-                    file=sys.stderr,
-                )
-                ok = False
-        if not ok:
+        for failure in check_failures:
+            print(f"CHECK FAILED: {failure}", file=sys.stderr)
+        if check_failures:
             return 1
         print(
             f"CHECK OK: shared-batch serving {speedup:.2f}x >= "
-            f"{SPEEDUP_BOUND}x sequential; superstep overlap peak "
-            f"{scheduler.concurrent_steps}; telemetry overhead "
+            f"{SPEEDUP_BOUND}x sequential; telemetry overhead "
             f"{overhead:.3f}x <= {OVERHEAD_BOUND}x; first answer p99 "
             f"{first_p99 * 1000:.2f}ms < {baseline_kind} resolve p99 "
             f"{baseline_p99 * 1000:.2f}ms; evaluation means flat"

@@ -24,8 +24,8 @@
 #   profile the cProfile harness over the warm batched kernels, one pass
 #           per available backend, then over the query rewriter on the
 #           site-rewrite-cold texts, then over ShardedEngine.query_conjunctive
-#           on the clustered-sharded-crpq ops with the superstep worker
-#           threads included, beside the same ops on a monolithic Engine,
+#           on the clustered-sharded-crpq ops, beside the same ops on a
+#           monolithic Engine,
 #           then over serve_stream on the web-served-point lines, loop and
 #           flush-pool threads both, then over the web-edit-read
 #           transactions with the product lowerings they built, patched
@@ -47,7 +47,7 @@
 #   python benchmarks/bench_sharded.py --check             (sharded warm
 #     serving within 1.5x of monolithic; per-shard warm start)
 #   python benchmarks/bench_serving.py --check             (shared-batch
-#     serving >= 2x sequential per-query; superstep overlap > 1;
+#     serving >= 2x sequential per-query;
 #     telemetry-enabled serving within 5% of disabled; streamed first
 #     answers p99 below the recorded full-resolve p99 with the
 #     evaluation histograms flat)
@@ -148,11 +148,11 @@ run_smoke() {
         --json BENCH_throughput_nonumpy_smoke.json
 
     echo
-    echo "== bench smoke: sharded scatter-gather harness =="
+    echo "== bench smoke: sharded harness =="
     python benchmarks/bench_sharded.py --smoke --json BENCH_sharded_smoke.json
 
     echo
-    echo "== bench smoke: sharded scatter-gather harness (pure-Python executor) =="
+    echo "== bench smoke: sharded harness (pure-Python executor) =="
     REPRO_DISABLE_NUMPY=1 python benchmarks/bench_sharded.py --smoke \
         --json BENCH_sharded_nonumpy_smoke.json
 

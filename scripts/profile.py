@@ -8,10 +8,10 @@ times.  ``--target rewrite`` profiles ``rewrite_query`` over the query texts
 of the ``site-rewrite-cold`` benchmark workload under the CS-department word
 equalities.  ``--target crpq`` profiles ``ShardedEngine.query_conjunctive``
 over the op list of the ``clustered-sharded-crpq`` benchmark workload, on
-the workload's own two-worker session and pinned to one CPU when the
-workload pins itself, the superstep worker threads included — and, since
-what matters there is the gap to not sharding at all, times the same ops
-on a monolithic ``Engine`` over the same instance beside it.  ``--target
+the workload's own session and pinned to one CPU when the workload pins
+itself — and, since what matters there is the gap to not sharding at all,
+times the same ops on a monolithic ``Engine`` over the same instance
+beside it.  ``--target
 serve`` profiles ``serve_stream`` over the request lines of the
 ``web-served-point`` workload (its op mix, 64 in flight, pinned to one CPU
 like the workload) on a fresh session, the event-loop thread and the
@@ -40,8 +40,8 @@ and its ``generate_ms`` / ``prove_ms`` split, also averaged over the texts
 it improved and over the ones it returned unchanged, and the adoptions
 counted by the evidence method that justified them (``proved_by``); per
 CRPQ template the op's milliseconds sharded and monolithic, per op the
-supersteps, local runs, exchanged facts and kernel runs (sharded and
-monolithic), the join steps' q-error, and the atom-time ratio the benchmark
+kernel runs (sharded and monolithic), the join steps' q-error, and the
+atom-time ratio the benchmark
 trace reports as ``sharding.overhead_ratio``; per 1 000 served lines the
 ``regex.parse`` calls (loop and flush-pool threads apart), ``normalize``
 calls, event-loop callbacks and flushes, beside the loop's busy time; per
@@ -229,12 +229,11 @@ def profile_rewrite(
 class WorkerProfiles:
     """cProfile on the threads a session starts (``threading.setprofile``).
 
-    ``cProfile.Profile`` sees the thread that enabled it only, and a sharded
-    session runs its local fixpoints on superstep workers.  Installed before
-    the session opens, :meth:`_hook` becomes every new thread's profile
+    ``cProfile.Profile`` sees the thread that enabled it only, and a server
+    runs its flushes on pool threads.  Installed before the server starts, :meth:`_hook` becomes every new thread's profile
     function; once :attr:`recording` is set, the thread's next call event
     hands the thread to a ``Profile`` of its own (``enable`` replaces the
-    hook there).  Read the profiles after the session has closed its threads.
+    hook there).  Read the profiles after the server has closed its threads.
     """
 
     def __init__(self) -> None:
@@ -277,8 +276,8 @@ def counting_kernel_runs():
 
         return run
 
-    for name, (fixpoint, handle) in saved.items():
-        executor._KERNELS[name] = (counted(fixpoint), handle)
+    for name, fixpoint in saved.items():
+        executor._KERNELS[name] = counted(fixpoint)
     try:
         yield calls
     finally:
@@ -344,8 +343,8 @@ def time_atoms(engine, atoms) -> float:
 def profile_crpq(
     quick: bool, repeats: int
 ) -> "tuple[pstats.Stats, float, list[str]]":
-    """Profile the ``clustered-sharded-crpq`` op list, all threads merged,
-    beside the same ops on one monolithic ``Engine``.
+    """Profile the ``clustered-sharded-crpq`` op list beside the same ops
+    on one monolithic ``Engine``.
 
     The data set, shard map, session options, op generator and CPU pinning
     are the benchmark workload's own; ``quick`` uses its smoke sizes.
@@ -359,48 +358,25 @@ def profile_crpq(
 
     pinnable = hasattr(os, "sched_setaffinity")
     if ClusteredShardedCrpq.pin_one_cpu and pinnable:
-        # Before any session opens: worker threads inherit the caller's set.
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     workload = ClusteredShardedCrpq(seed=0, smoke=quick)
     workload.generate(None)
     ops = workload.make_ops(12 if quick else workload.lap_ops)
-    # The timed session's workers start outside WorkerProfiles: its hook,
-    # idle or not, is a profile function on every call they make.
     workload.open_cold(None)
     engine = workload.cold
-    try:
-        for text in ops:  # warm the compile caches and the lowerings
+    for text in ops:  # warm the compile caches and the lowerings
+        engine.query_conjunctive(text)
+    atoms = record_atoms(engine, ops)
+    sharded_runs = kernel_runs(engine, ops)
+    sharded_templates = time_templates(engine, ops)
+    sharded_atom_s = time_atoms(engine, atoms)
+    q_error = engine.telemetry()["crpq_q_error"]
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for _ in range(repeats):
+        for text in ops:
             engine.query_conjunctive(text)
-        atoms = record_atoms(engine, ops)
-        stats = engine.stats
-        before = (stats.supersteps, stats.local_runs, stats.exchanged_facts)
-        sharded_runs = kernel_runs(engine, ops)
-        supersteps, local_runs, exchanged = (
-            (after - start) / len(ops)
-            for start, after in zip(
-                before, (stats.supersteps, stats.local_runs, stats.exchanged_facts)
-            )
-        )
-        sharded_templates = time_templates(engine, ops)
-        sharded_atom_s = time_atoms(engine, atoms)
-        q_error = engine.telemetry()["crpq_q_error"]
-    finally:
-        engine.close()
-    with WorkerProfiles() as workers:
-        workload.open_cold(None)
-        engine = workload.cold
-        try:
-            for text in ops:
-                engine.query_conjunctive(text)
-            profiler = cProfile.Profile()
-            workers.recording = True
-            profiler.enable()
-            for _ in range(repeats):
-                for text in ops:
-                    engine.query_conjunctive(text)
-            profiler.disable()
-        finally:
-            engine.close()  # joins the workers: their profiles are complete
+    profiler.disable()
     monolithic = Engine.open(workload.instance)
     for text in ops:
         monolithic.query_conjunctive(text)
@@ -410,11 +386,9 @@ def profile_crpq(
     cpus = sorted(os.sched_getaffinity(0)) if pinnable else "n/a"
     work = [
         f"{len(ops)} ops over {len(TEMPLATES)} templates, {len(atoms)} atoms; "
-        f"CPUs {cpus}; per op: {supersteps:.2f} supersteps, {local_runs:.2f} "
-        f"local runs, {exchanged:.1f} exchanged facts; join-step q-error "
+        f"CPUs {cpus}; join-step q-error "
         f"p50 {q_error['p50']:.2f} p95 {q_error['p95']:.2f} "
         f"({q_error['count']} steps)",
-        f"threads profiled: caller + {len(workers.profiles)} superstep workers",
         f"kernel runs per op: sharded {sharded_runs / len(ops):.2f}, "
         f"monolithic {mono_runs / len(ops):.2f}",
         f"atom time (unprofiled): sharded {sharded_atom_s / len(ops) * 1e3:.3f} ms/op, "
@@ -427,8 +401,8 @@ def profile_crpq(
             for head, times in sharded_templates.items()
         ),
     ]
-    merged = pstats.Stats(profiler, *workers.profiles)
-    return merged, merged.total_tt, work
+    stats = pstats.Stats(profiler)
+    return stats, stats.total_tt, work
 
 
 def calls_of(stats: "pstats.Stats | None", function) -> int:

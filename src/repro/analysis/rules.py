@@ -8,10 +8,9 @@ Four rules, each encoding one clause of the engine's documented contract:
                           marked ``@guarded_by`` are only called under their
                           lock
 ``NoRunUnderLock``        executor entry points (``run_single`` /
-                          ``run_batch`` / ``run_all_pairs`` /
-                          ``_local_fixpoint``) never run inside an
-                          exclusively-held lock region — the "evaluations
-                          happen outside locks" latency rule
+                          ``run_batch`` / ``run_all_pairs``) never run
+                          inside an exclusively-held lock region — the
+                          "evaluations happen outside locks" latency rule
 ``LoopNeverBlocks``       ``async def`` bodies never call blocking primitives
                           (sleeps, sync acquires, file/socket I/O, cold
                           rewrite/admission paths); blocking work hops to a
@@ -165,9 +164,7 @@ class LockDiscipline(Rule):
 # NoRunUnderLock
 # ---------------------------------------------------------------------------
 
-EXECUTOR_ENTRY_POINTS = frozenset(
-    {"run_single", "run_batch", "run_all_pairs", "_local_fixpoint"}
-)
+EXECUTOR_ENTRY_POINTS = frozenset({"run_single", "run_batch", "run_all_pairs"})
 
 
 class _RunUnderLockWalker(LockWalker):

@@ -17,12 +17,10 @@ small graph-database tool:
   whole file of queries through the batch engine (``repro.engine``), from
   chosen sources or from every object; ``--save-snapshot`` / ``--load-snapshot``
   persist and warm-start the compiled graph + query cache across invocations;
-  ``--shards N`` serves through the sharded scatter-gather engine instead
-  (one compiled graph per shard), with ``--snapshot-dir DIR`` persisting one
-  snapshot file per shard plus a manifest — the directory is warm-started
-  when its manifest exists and (re)written after serving — and
-  ``--concurrency N`` running each superstep's per-shard fixpoints on a
-  thread pool;
+  ``--shards N`` serves through the sharded engine instead (one compiled
+  graph per shard, evaluated as one graph), with ``--snapshot-dir DIR``
+  persisting one snapshot file per shard plus a manifest — the directory is
+  warm-started when its manifest exists and (re)written after serving;
 * ``python -m repro serve GRAPH`` — the async serving loop
   (``repro.engine.serving``): requests arrive as ``id<TAB>source<TAB>query``
   lines (stdin by default, or a TCP listener with ``--tcp HOST:PORT``) and
@@ -169,10 +167,9 @@ def _open_session(args: argparse.Namespace, instance):
     """The session ``engine``, ``crpq`` and ``serve`` evaluate through.
 
     ``--shards N`` (or ``engine``'s ``--snapshot-dir`` with a manifest)
-    opens a :class:`~repro.engine.sharding.ShardedEngine` whose supersteps
-    run on ``--concurrency`` worker threads; anything else opens a
-    monolithic :class:`~repro.engine.Engine`.  Prints the error and returns
-    ``None`` on a bad flag combination.
+    opens a :class:`~repro.engine.sharding.ShardedEngine`; anything else
+    opens a monolithic :class:`~repro.engine.Engine`.  Prints the error and
+    returns ``None`` on a bad flag combination.
     """
     from .engine import Engine
     from .engine.sharding import MANIFEST_NAME, ShardedEngine
@@ -182,14 +179,6 @@ def _open_session(args: argparse.Namespace, instance):
     snapshot_dir = getattr(args, "snapshot_dir", None)
     load_snapshot = getattr(args, "load_snapshot", None)
     if args.shards is None and not snapshot_dir:
-        # ``serve`` also sizes its flush pool with --concurrency.
-        if args.concurrency is not None and args.command != "serve":
-            print(
-                "error: --concurrency schedules per-shard supersteps; it needs "
-                "--shards N",
-                file=sys.stderr,
-            )
-            return None
         if load_snapshot:
             # Warm-start from a persisted compiled graph + query cache; a
             # stamp mismatch against the freshly loaded edge list silently
@@ -206,12 +195,7 @@ def _open_session(args: argparse.Namespace, instance):
             file=sys.stderr,
         )
         return None
-    options = dict(
-        shards=args.shards,
-        constraints=constraints,
-        backend=args.backend,
-        concurrency=args.concurrency,
-    )
+    options = dict(shards=args.shards, constraints=constraints, backend=args.backend)
     if snapshot_dir and (Path(snapshot_dir) / MANIFEST_NAME).is_file():
         # Warm-start shard by shard: only shards whose partition of the
         # freshly loaded edge list went stale are recompiled.
@@ -245,40 +229,37 @@ def _cmd_engine(args: argparse.Namespace) -> int:
     engine = _open_session(args, instance)
     if engine is None:
         return 2
-    try:
-        if args.compact_ratio is not None:
-            # 0 means "never auto-compact"; anything else is the divisor of
-            # the overflow/tombstone threshold (see Engine.auto_compact_ratio).
-            engine.auto_compact_ratio = args.compact_ratio or None
-        if args.compact:
-            engine.compact_now()
-        for query in queries:
-            answers_by_source = engine.query_batch(query, sources)
-            for source in sources:
-                answers = sorted(answers_by_source[source], key=str)
-                print(f"{query}\t{source}\t{' '.join(map(str, answers))}")
-            if args.explain:
-                # The evaluation that just returned is the tracer's most
-                # recent root trace; print its span tree per query.
-                trace = engine.metrics.tracer.last()
-                if trace is None:
-                    print(
-                        "# explain: no trace recorded (telemetry disabled?)",
-                        file=sys.stderr,
-                    )
-                else:
-                    for line in trace.render():
-                        print(f"# {line}", file=sys.stderr)
-        if args.snapshot_dir:
-            # Saved after serving, so every shard ships a warm query cache.
-            engine.save(args.snapshot_dir)
-        elif args.save_snapshot:
-            # Saved after serving, so the snapshot ships a warm query cache.
-            engine.save(args.save_snapshot)
-        if args.stats:
-            _print_stats_snapshot(engine.telemetry())
-    finally:
-        engine.close()  # release a sharded session's superstep threads
+    if args.compact_ratio is not None:
+        # 0 means "never auto-compact"; anything else is the divisor of
+        # the overflow/tombstone threshold (see Engine.auto_compact_ratio).
+        engine.auto_compact_ratio = args.compact_ratio or None
+    if args.compact:
+        engine.compact_now()
+    for query in queries:
+        answers_by_source = engine.query_batch(query, sources)
+        for source in sources:
+            answers = sorted(answers_by_source[source], key=str)
+            print(f"{query}\t{source}\t{' '.join(map(str, answers))}")
+        if args.explain:
+            # The evaluation that just returned is the tracer's most
+            # recent root trace; print its span tree per query.
+            trace = engine.metrics.tracer.last()
+            if trace is None:
+                print(
+                    "# explain: no trace recorded (telemetry disabled?)",
+                    file=sys.stderr,
+                )
+            else:
+                for line in trace.render():
+                    print(f"# {line}", file=sys.stderr)
+    if args.snapshot_dir:
+        # Saved after serving, so every shard ships a warm query cache.
+        engine.save(args.snapshot_dir)
+    elif args.save_snapshot:
+        # Saved after serving, so the snapshot ships a warm query cache.
+        engine.save(args.save_snapshot)
+    if args.stats:
+        _print_stats_snapshot(engine.telemetry())
     return 0
 
 
@@ -288,39 +269,36 @@ def _cmd_crpq(args: argparse.Namespace) -> int:
     engine = _open_session(args, _load_instance(args.graph))
     if engine is None:
         return 2
-    try:
-        request = normalize(CRPQRequest(query=args.query, source=args.source))
-        result = engine.query_conjunctive(request.query, strategy=args.strategy)
-        if args.plan:
-            plan = result.plan
+    request = normalize(CRPQRequest(query=args.query, source=args.source))
+    result = engine.query_conjunctive(request.query, strategy=args.strategy)
+    if args.plan:
+        plan = result.plan
+        print(
+            f"# plan: strategy={plan.strategy} acyclic={plan.acyclic} "
+            f"estimated_cost={plan.estimated_cost:.1f}",
+            file=sys.stderr,
+        )
+        for step_index, step in enumerate(plan.describe()):
             print(
-                f"# plan: strategy={plan.strategy} acyclic={plan.acyclic} "
-                f"estimated_cost={plan.estimated_cost:.1f}",
+                f"# step {step_index}: {step['atom']} "
+                f"(prepared: {step['prepared']}, "
+                f"~{step['estimated_pairs']:.0f} pairs)",
                 file=sys.stderr,
             )
-            for step_index, step in enumerate(plan.describe()):
-                print(
-                    f"# step {step_index}: {step['atom']} "
-                    f"(prepared: {step['prepared']}, "
-                    f"~{step['estimated_pairs']:.0f} pairs)",
-                    file=sys.stderr,
-                )
-            # How the estimates held up: per executed step, the planner's
-            # number scaled to the sources it ran from, beside the actual.
-            for step in result.steps:
-                print(
-                    f"# ran: {step.atom} from {step.sources} sources: "
-                    f"{step.pairs} pairs (estimated {step.estimated_pairs:.1f}, "
-                    f"q-error {step.q_error:.2f}), {step.rows_out} rows out",
-                    file=sys.stderr,
-                )
-        print("# " + ", ".join(result.variables), file=sys.stderr)
-        for row in result.rows:
-            print(",".join(map(str, row)))
-        if args.stats:
-            _print_stats_snapshot(engine.telemetry())
-    finally:
-        engine.close()  # release a sharded session's superstep threads
+        # How the estimates held up: per executed step, the planner's
+        # number scaled to the sources it ran from, beside the actual.
+        for step in result.steps:
+            print(
+                f"# ran: {step.atom} from {step.sources} sources: "
+                f"{step.pairs} pairs (estimated {step.estimated_pairs:.1f}, "
+                f"q-error {step.q_error:.2f}), {step.rows_out} rows out",
+                file=sys.stderr,
+            )
+    print("# " + ", ".join(result.variables), file=sys.stderr)
+    for row in result.rows:
+        print(",".join(map(str, row)))
+    if args.stats:
+        _print_stats_snapshot(engine.telemetry())
     return 0
 
 
@@ -413,7 +391,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     finally:
         if metrics_server is not None:
             metrics_server.close()
-        engine.close()  # release a sharded session's superstep threads
     return 0
 
 
@@ -434,7 +411,7 @@ def _cmd_distributed(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_session_flags(parser: argparse.ArgumentParser, concurrency_help: str) -> None:
+def _add_session_flags(parser: argparse.ArgumentParser) -> None:
     """The flags :func:`_open_session` reads, shared by ``engine``, ``crpq``
     and ``serve``."""
     parser.add_argument(
@@ -448,10 +425,9 @@ def _add_session_flags(parser: argparse.ArgumentParser, concurrency_help: str) -
     )
     parser.add_argument(
         "--shards", type=int, metavar="N",
-        help="evaluate through the sharded scatter-gather engine with N hash "
-        "shards (one compiled graph per shard)",
+        help="evaluate through the sharded engine with N hash shards (one "
+        "compiled graph per shard)",
     )
-    parser.add_argument("--concurrency", type=int, metavar="N", help=concurrency_help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,11 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
         "exists (stale shards recompile alone), and write one snapshot per "
         "shard back to DIR after serving",
     )
-    _add_session_flags(
-        engine_parser,
-        "run each superstep's per-shard local fixpoints on N worker threads "
-        "(requires --shards / a sharded --snapshot-dir)",
-    )
+    _add_session_flags(engine_parser)
     engine_parser.add_argument(
         "--stats", action="store_true",
         help="print the engine's metrics-registry snapshot to stderr "
@@ -542,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine_parser.add_argument(
         "--explain", action="store_true",
-        help="print each query's span tree (compile, runs, supersteps) to stderr",
+        help="print each query's span tree (compile, runs) to stderr",
     )
     engine_parser.set_defaults(handler=_cmd_engine)
 
@@ -562,11 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bind the first MATCH variable to this object (same slot the "
         "wire protocol's source column fills)",
     )
-    _add_session_flags(
-        crpq_parser,
-        "run each superstep's per-shard local fixpoints on N worker threads "
-        "(requires --shards)",
-    )
+    _add_session_flags(crpq_parser)
     crpq_parser.add_argument(
         "--strategy", choices=("optimized", "declared", "worst"),
         default="optimized",
@@ -597,10 +565,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="listen on TCP instead of answering stdin requests (PORT 0 "
         "binds an ephemeral port; the bound address is printed to stderr)",
     )
-    _add_session_flags(
-        serve_parser,
-        "worker threads for batch flushes (and, with --shards, for per-shard "
-        "supersteps)",
+    _add_session_flags(serve_parser)
+    serve_parser.add_argument(
+        "--concurrency", type=int, metavar="N",
+        help="worker threads for batch flushes",
     )
     serve_parser.add_argument(
         "--max-batch", type=int, default=64, metavar="N",

@@ -14,19 +14,19 @@ driver (:mod:`~repro.engine.executor`) around the numpy kernel
 :class:`~repro.engine.session.Engine` façade ties it together and is what
 callers — the CLI's ``engine`` subcommand, the planner's engine backend, and
 the transparent delegation inside ``query.evaluation.evaluate`` — build on.
-Above the single-session façade, :mod:`~repro.engine.sharding` partitions an
-instance into one compiled graph per site group and serves queries by
-superstep frontier exchange (``ShardedEngine``), with one snapshot per shard,
-and :mod:`~repro.engine.serving` puts an asyncio admission queue in front of
+Beside the single-graph façade, :mod:`~repro.engine.sharding` partitions an
+instance into one compiled graph per site group (``ShardedEngine``), with one
+snapshot per shard, and evaluates through a read-only view of the shard
+graphs as one graph (``ShardView``) with the same executor calls, and
+:mod:`~repro.engine.serving` puts an asyncio admission queue in front of
 either session kind (``engine.as_server()`` — same-DFA requests coalesced
-into shared batches) while scheduling the sharded engine's per-shard
-superstep fixpoints concurrently (``ShardedEngine.open(..., concurrency=N)``).
-Cross-cutting observability lives in :mod:`~repro.engine.telemetry`: a
-per-session metrics registry (counters / callback gauges / fixed-bucket
-latency histograms) that the stats dataclasses register into, a structured
-span tracer threaded through admission → rewrite → compile → superstep →
-flush, and export surfaces (``engine.telemetry()``, Prometheus text, the
-line protocol's ``!stats``/``!trace``/``!slow`` verbs, ``serve --metrics``).
+into shared batches).  Cross-cutting observability lives in
+:mod:`~repro.engine.telemetry`: a per-session metrics registry (counters /
+callback gauges / fixed-bucket latency histograms) that the stats
+dataclasses register into, a structured span tracer threaded through
+admission → rewrite → compile → run → flush, and export surfaces
+(``engine.telemetry()``, Prometheus text, the line protocol's
+``!stats``/``!trace``/``!slow`` verbs, ``serve --metrics``).
 """
 
 from .compiled_query import CompiledQuery, QueryCompiler, lower_query, query_key
@@ -59,7 +59,6 @@ from .serving import (
     AnswerStream,
     QueryServer,
     ServingStats,
-    SuperstepScheduler,
     serve_stream,
     serve_tcp,
 )
@@ -69,7 +68,6 @@ from .sharding import (
     ShardedEngine,
     ShardedStats,
     ShardMap,
-    SuperstepCounters,
     partition_instance,
     shard_graph,
 )
@@ -129,8 +127,6 @@ __all__ = [
     "SnapshotPayload",
     "SnapshotStamp",
     "Span",
-    "SuperstepCounters",
-    "SuperstepScheduler",
     "Telemetry",
     "TelemetryHTTPServer",
     "Trace",

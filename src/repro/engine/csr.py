@@ -175,6 +175,27 @@ def _patch_product(product: ProductCSR, pending: list, moves, n: int) -> Product
     return ProductCSR(new_indptr, np.concatenate(pieces).astype(dtype, copy=False))
 
 
+def _trim_journal(products: "dict", journal: list) -> None:
+    """Keep ``journal`` to what a cached lowering of ``products`` (entries
+    ``(version, nodes, product)``) still needs.
+
+    The oldest lowering is dropped while its pending edits outnumber its
+    own edges (its next lookup would rebuild it anyway, so keeping it would
+    only grow the journal); then every entry at or below the oldest
+    remaining version goes.  Nothing cached, nothing journaled.
+    """
+    while products:
+        key, (version, _nodes, product) = min(
+            products.items(), key=lambda item: item[1][0]
+        )
+        done = bisect_right(journal, version, key=_VERSION)
+        if len(journal) - done <= product.dst.size:
+            del journal[:done]
+            return
+        del products[key]
+    journal.clear()
+
+
 class CompiledGraph:
     """A finite instance compiled to per-label CSR over dense integer ids."""
 
@@ -242,8 +263,8 @@ class CompiledGraph:
         # the oldest of them, which is what brings one forward (see
         # :meth:`numpy_product_csr`).  The lock keeps the build-and-cache
         # step safe under concurrent *reads* (the serving layer runs
-        # per-shard supersteps and admission-queue flushes on threads);
-        # mutation is still the caller's to serialize.
+        # admission-queue flushes on threads); mutation is still the
+        # caller's to serialize.
         self._np_version = -1
         self._np_edges: list["LabelEdges | None"] = []
         self._np_products: "OrderedDict[tuple, tuple[int, int, ProductCSR]]" = (
@@ -450,7 +471,7 @@ class CompiledGraph:
             self.version += 1
             if self._np_products:
                 self._np_journal.append((self.version, sign, sid, lid, did))
-                self._np_trim()
+                _trim_journal(self._np_products, self._np_journal)
 
     def _csr_positions(self, sid: int, lid: int, did: int) -> Iterator[int]:
         indptr = self._indptr[lid]
@@ -645,27 +666,6 @@ class CompiledGraph:
         """
         return self._np_version == built_for and self.version == built_for
 
-    @guarded_by("_np_lock")
-    def _np_trim(self) -> None:
-        """Keep the journal to what a cached product lowering still needs.
-
-        The oldest lowering is dropped while its pending edits outnumber
-        its own edges (its next lookup would rebuild it anyway, so keeping
-        it would only grow the journal); then every entry at or below the
-        oldest remaining version goes.  Nothing cached, nothing journaled.
-        """
-        products, journal = self._np_products, self._np_journal
-        while products:
-            key, (version, _nodes, product) = min(
-                products.items(), key=lambda item: item[1][0]
-            )
-            done = bisect_right(journal, version, key=_VERSION)
-            if len(journal) - done <= product.dst.size:
-                del journal[:done]
-                return
-            del products[key]
-        journal.clear()
-
     def lowering_counts(self) -> dict[str, int]:
         """Product-lowering lookups so far, by outcome: ``built`` (lowered
         from the edge arrays), ``patched`` (an older lowering brought up to
@@ -765,7 +765,7 @@ class CompiledGraph:
                 self._np_products[moves] = (built_for, n, product)
                 while len(self._np_products) > _PRODUCT_CACHE_SIZE:
                     self._np_products.popitem(last=False)
-                self._np_trim()
+                _trim_journal(self._np_products, self._np_journal)
         return product
 
     def _lower_product(self, moves, n: int) -> ProductCSR:

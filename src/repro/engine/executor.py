@@ -10,8 +10,8 @@ only place that picks a kernel:
   anything to amortize.  ``backend=`` is validated and otherwise ignored;
   the run is stamped ``"scalar"``, which names that kernel, not a backend.
 * **Batched runs** (:func:`run_batch`, :func:`run_all_pairs`) share the
-  driver below — source → bit assignment, range and handle validation, the
-  witness resolver, work-count stamping — around one of two fixpoint
+  driver below — source → bit assignment, the range check, the witness
+  resolver, work-count stamping — around one of two fixpoint
   loops: :mod:`repro.engine.executor_np` (sparse push over the product
   CSR) and :mod:`repro.engine.executor_pb` (whole-word delta rounds over
   Python ints).
@@ -34,15 +34,14 @@ so "why was this batch slow" is answerable per backend from a trace.
 from __future__ import annotations
 
 import os
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from time import perf_counter
-from typing import TYPE_CHECKING
 
 from ..exceptions import ReproError
 from .compiled_query import CompiledQuery
 from .csr import CompiledGraph
 from . import executor_pb, executor_py
-from .executor_py import BatchRun, PyFrontier, SingleRun, restricted_witness
+from .executor_py import BatchRun, SingleRun, restricted_witness
 from .telemetry import current_span
 
 try:  # pragma: no cover - exercised via both arms of scripts/check.sh
@@ -50,15 +49,12 @@ try:  # pragma: no cover - exercised via both arms of scripts/check.sh
 except ImportError:  # pragma: no cover
     _executor_np = None
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .executor_np import NpFrontier
-
 BACKENDS = ("auto", "packed", "numpy")
 
-# Per backend name: the fixpoint loop and the frontier handle it continues.
-_KERNELS = {"packed": (executor_pb.fixpoint, PyFrontier)}
+# Per backend name: the fixpoint loop.
+_KERNELS = {"packed": executor_pb.fixpoint}
 if _executor_np is not None:
-    _KERNELS["numpy"] = (_executor_np.fixpoint, _executor_np.NpFrontier)
+    _KERNELS["numpy"] = _executor_np.fixpoint
 
 
 def numpy_available() -> bool:
@@ -107,40 +103,12 @@ def run_single(
     return run
 
 
-def _flat_facts(
-    facts: "Mapping[tuple[int, int], int] | None", what: str, num_states: int, n: int
-) -> "dict[int, int]":
-    """``(state, node) -> mask`` facts re-keyed by flat pair key
-    ``state * n + node``.  A pair outside the product raises: its flat key
-    would silently alias some other state's row."""
-    flat: "dict[int, int]" = {}
-    for (state, node), mask in (facts or {}).items():
-        if not (0 <= state < num_states and 0 <= node < n):
-            raise ValueError(
-                f"{what} key {(state, node)!r} is outside the "
-                f"{num_states}-state x {n}-node product"
-            )
-        flat[state * n + node] = mask
-    return flat
-
-
-def frontier_class(backend: str = "auto") -> type:
-    """The frontier handle class of the batch kernel ``backend`` resolves
-    to — what its runs hand back and continue, and what answers the
-    sharded engine's exchange calls (``source_seeds``, ``exports``,
-    ``route``, ``assemble``) for that kernel family."""
-    return _KERNELS[resolve_backend(backend)][1]
-
-
 def run_batch(
     graph: CompiledGraph,
     query: CompiledQuery,
     sources: Sequence[int],
     *,
     witnesses: bool = False,
-    seeds: "Mapping[tuple[int, int], int] | tuple | None" = None,
-    known: "Mapping[tuple[int, int], int] | PyFrontier | NpFrontier | None" = None,
-    num_bits: "int | None" = None,
     answer_sink=None,
     backend: str = "auto",
 ) -> BatchRun:
@@ -153,91 +121,41 @@ def run_batch(
     node id of the graph keeps its bit but never enters the fixpoint and
     answers empty, as in :func:`run_single`.
 
-    ``seeds`` maps ``(state, node)`` pairs to source bitmasks injected on
-    top of the sources' initial-state bits.  A sourceless run may take them
-    kernel-native instead, as a ``(flat keys, rows)`` pair — keys
-    ``state * n + node`` ascending and unique, rows in the kernel's mask
-    form (uint64 rows for numpy, ints otherwise) — which is how the sharded
-    engine imports a cross-shard frontier without converting it (see
-    :meth:`NpFrontier.route`).  ``known`` pre-loads masks derived by earlier
-    supersteps *without* propagating them again (semi-naive); passing the
-    previous run's :attr:`BatchRun.frontier` continues that state in place
-    (no conversion; the prior run must not be reused), and is refused when
-    its shape does not match or the graph mutated since it was derived.  A
-    ``seeds``/``known`` key outside the product raises ``ValueError``.
-    ``num_bits`` sizes the mask universe for the *global* batch when seeds
-    carry bit positions beyond the local sources.
-
     ``answer_sink(bit, nodes)`` streams accepting facts *during* the
     fixpoint — one source bit, the nodes that bit newly reached in an
     accepting state.  Each ``(bit, node)`` fact is reported at most once
-    per run, and facts a continued ``known`` frontier already held are
-    never re-reported, so across a chain of continued runs the union of
-    everything streamed equals the final accepting facts.  The sink runs
-    on the executor's thread and must be cheap; exceptions it raises abort
-    the run.
+    per run, so the union of everything streamed equals the final
+    accepting facts.  The sink runs on the executor's thread and must be
+    cheap; exceptions it raises abort the run.
 
-    With ``witnesses=True`` (fresh runs only) :meth:`BatchRun.witness`
-    rebuilds, on demand, a shortest label word for any answer pair from
-    the per-bit reachability the masks record.
-
-    The epilogue — answers and :attr:`BatchRun.visited_objects`, read off
-    the finished frontier — runs for runs with sources; a sourceless
-    continuation run has no answers of its own and counts its objects
-    only when they are read.
+    With ``witnesses=True`` :meth:`BatchRun.witness` rebuilds, on demand, a
+    shortest label word for any answer pair from the per-bit reachability
+    the masks record.
     """
     started = perf_counter()
     name = resolve_backend(backend)
-    fixpoint, handle_class = _KERNELS[name]
     n = graph.num_nodes
-    num_states = query.num_states
     run = BatchRun(sources=tuple(sources), backend=name)
     bit_of: "dict[int, int]" = {}
     for source in run.sources:
         bit_of.setdefault(source, len(bit_of))
     per_bit: "list[set[int]]" = [set() for _ in bit_of]
-    # A run given only ``known`` still validates and re-exports the handle
-    # (the fixpoint just has nothing new to expand).
-    if n and (bit_of or seeds or known is not None):
-        if witnesses and (seeds or known):
-            raise ValueError(
-                "witnesses=True is not supported with seeds/known frontiers"
-            )
-        inject = {
-            query.initial * n + source: 1 << bit
-            for source, bit in bit_of.items()
-            if 0 <= source < n
-        }
-        if seeds is None or isinstance(seeds, Mapping):
-            for key, mask in _flat_facts(seeds, "seeds", num_states, n).items():
-                inject[key] = inject.get(key, 0) | mask
-        elif inject:
-            raise ValueError(
-                "kernel-native (flat keys, rows) seeds are for sourceless "
-                "runs; give (state, node) seeds to combine them with sources"
-            )
-        else:
-            inject = seeds  # the kernel checks and takes the arrays as they are
-        if known is None or isinstance(known, Mapping):
-            known = _flat_facts(known, "known", num_states, n)
-        elif not (isinstance(known, handle_class) and known.fits(num_states, n)):
-            raise ValueError("known frontier does not match this graph/query")
-        elif known.version is not None and known.version != graph.version:
-            raise ValueError(
-                "known frontier is stale: the graph mutated since it was "
-                "derived (re-run the batch instead of continuing the handle)"
-            )
-        fixpoint(run, graph, query, inject, known, num_bits, len(bit_of), answer_sink)
-        if bit_of:
-            _, run.visited_objects, per_bit = run.frontier.gather(
-                query.accepting, len(bit_of)
-            )
-        if witnesses:
-            run.witness_resolver = _witness_resolver(graph, query, bit_of, run.frontier)
+    inject = {
+        query.initial * n + source: 1 << bit
+        for source, bit in bit_of.items()
+        if 0 <= source < n
+    }
+    if inject:
+        _KERNELS[name](run, graph, query, inject, answer_sink)
+        _, run.visited_objects, per_bit = run.frontier.gather(
+            query.accepting, len(bit_of)
+        )
+    if witnesses:
+        run.witness_resolver = _witness_resolver(graph, query, bit_of, run.frontier)
     run.answers = [per_bit[bit_of[source]] for source in run.sources]
     run.elapsed = perf_counter() - started
-    # The span the run executed under (``engine.run`` on a session,
-    # ``sharded.local_fixpoint`` on a shard; a no-op outside any span).
+    # The span the run executed under (``engine.run`` on a session; a no-op
+    # outside any span).
     current_span().set(**run.work_counts())
     return run
 

@@ -24,15 +24,14 @@ witnesses, work-count stamping — is the driver's
 
 Results are bit-for-bit identical to the numpy kernel, including the
 ``visited_pairs``/``visited_objects`` accounting and the streaming
-``answer_sink`` at-most-once contract.  Its exchange handle is
-:class:`PyFrontier`, which the next packed run continues in place — how
-sharded supersteps chain.
+``answer_sink`` at-most-once contract.  A run hands its final mask state
+back as a :class:`PyFrontier`.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .compiled_query import CompiledQuery
 from .csr import CompiledGraph
@@ -91,23 +90,19 @@ def fixpoint(
     run: BatchRun,
     graph: CompiledGraph,
     query: CompiledQuery,
-    inject,
-    known: "Mapping[int, int] | PyFrontier | None",
-    num_bits: "int | None",
-    local_bits: int,
+    inject: "dict[int, int]",
     answer_sink: "Callable[[int, Sequence[int]], None] | None",
 ) -> None:
     """The packed kernel behind ``run_batch`` (contract: see the driver):
-    whole-word delta rounds.  ``num_bits`` is ignored — Python ints are
-    arbitrary-precision."""
+    whole-word delta rounds."""
     n = graph.num_nodes
     moves = query.moves
     accepting = query.accepting
     successors_of = graph.successors
-    masks, delta, accept_union = open_frontier(query, n, inject, known, answer_sink)
+    masks, delta, accept_union = open_frontier(query, n, inject, answer_sink)
     # ``changed`` doubles as the activation set: a pair's first activation
-    # pushes its *full* mask next round (known bits included), later growth
-    # pushes only the delta.
+    # pushes its *full* mask next round, later growth pushes only the
+    # delta.
     changed = set(delta)
     sink_bucket: "dict[int, list[int]]" = {}
 
@@ -204,4 +199,4 @@ def fixpoint(
     # A pair is "visited" on its first activation — one expansion per pair,
     # the count ``run_single`` and the numpy kernel report too.
     run.visited_pairs = len(changed)
-    run.frontier = PyFrontier(masks, n, changed, graph.version, accept_union)
+    run.frontier = PyFrontier(masks, n)

@@ -18,7 +18,7 @@ the driver in :mod:`repro.engine.executor`; this module holds
 * :class:`PyFrontier` with :func:`open_frontier` — the arbitrary-precision
   mask state the packed kernel (:mod:`repro.engine.executor_pb`) starts
   from and hands back, including the at-most-once bookkeeping of a
-  streaming ``answer_sink`` and the sharded engine's exchange calls.
+  streaming ``answer_sink``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from operator import or_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .compiled_query import CompiledQuery
 from .csr import CompiledGraph
@@ -60,6 +60,8 @@ class BatchRun:
     sources: tuple[int, ...] = ()
     answers: list[set[int]] = field(default_factory=list)
     visited_pairs: int = 0
+    # Objects the run's frontier touched.
+    visited_objects: int = 0
     # The batch kernel that ran, stamped by the driver.
     backend: str = ""
     # Wall-clock seconds of the executor call, stamped by the dispatcher
@@ -68,8 +70,8 @@ class BatchRun:
     witness_resolver: "Callable[[int, int], tuple[int, ...] | None] | None" = field(
         default=None, repr=False, compare=False
     )
-    # Backend-native cumulative mask state (PyFrontier / NpFrontier): the
-    # sharded engine's handle for exporting facts and re-seeding supersteps.
+    # The finished mask state (PyFrontier / NpFrontier) the answers and
+    # witnesses are read from.
     frontier: "object | None" = field(default=None, repr=False, compare=False)
     # Kernel work counts, set once per run (never per edge) and copied onto
     # the run's telemetry span by the dispatcher: the frontier expansions
@@ -80,23 +82,6 @@ class BatchRun:
     rounds: int = field(default=0, compare=False)
     edges_gathered: int = field(default=0, compare=False)
     peak_frontier_rows: int = field(default=0, compare=False)
-    # See :attr:`visited_objects`; ``None`` until counted.
-    _visited_objects: "int | None" = field(default=None, repr=False, compare=False)
-
-    @property
-    def visited_objects(self) -> int:
-        """Objects the run's frontier touched.  The epilogue of a run with
-        sources counts them; a sourceless continuation run (a sharded
-        superstep) skips that epilogue, and they are read off its handle on
-        first use instead."""
-        if self._visited_objects is None:
-            frontier = self.frontier
-            self._visited_objects = 0 if frontier is None else frontier.gather((), 0)[1]
-        return self._visited_objects
-
-    @visited_objects.setter
-    def visited_objects(self, count: int) -> None:
-        self._visited_objects = count
 
     def work_counts(self) -> "dict[str, int]":
         return {
@@ -137,50 +122,19 @@ def _accepting_union(masks: "list[int]", n: int, accepting) -> "list[int]":
 
 
 class PyFrontier:
-    """Cumulative mask state of one (or a chain of) batched runs.
+    """The finished mask state of one packed batched run.
 
-    The sharded engine's unit of exchange: ``masks`` holds, per packed
-    ``(state, node)`` pair, the arbitrary-precision bitmask of sources that
-    reach it; ``changed`` remembers which pairs grew during the *last* run.
-    Passing a frontier back into ``run_batch`` as ``known`` transfers
-    ownership of the state — the kernel continues the fixpoint in place
-    (semi-naive: known bits never re-propagate), so supersteps pay no
-    conversion at all.  The numpy twin is
-    :class:`repro.engine.executor_np.NpFrontier`; both answer the same
-    calls, including the sharded engine's exchange (``source_seeds``,
-    ``exports``, ``route``, ``assemble``) — this one with int masks, the
-    twin with uint64 rows.
-
-    ``version`` stamps the graph version the masks were derived against.
-    The driver refuses to continue a frontier whose stamp no longer matches
-    the live graph — facts derived before an ``add_edge`` / ``remove_edge``
-    may be wrong afterwards, so reuse across a version bump raises instead
-    of silently serving a mix of old and new reachability.
+    ``masks`` holds, per packed ``(state, node)`` pair, the
+    arbitrary-precision bitmask of sources that reach it.  The numpy twin
+    is :class:`repro.engine.executor_np.NpFrontier`; both answer the same
+    calls — this one with int masks, the twin with uint64 rows.
     """
 
-    __slots__ = ("masks", "n", "changed", "version", "accept_union")
+    __slots__ = ("masks", "n")
 
-    def __init__(
-        self,
-        masks: "list[int]",
-        n: int,
-        changed: "set[int]",
-        version: "int | None" = None,
-        accept_union: "list[int] | None" = None,
-    ) -> None:
+    def __init__(self, masks: "list[int]", n: int) -> None:
         self.masks = masks
         self.n = n
-        self.changed = changed
-        self.version = version
-        # Streaming chains hand their per-node accepting-bit union along
-        # with the masks, so a continued run resumes at-most-once
-        # reporting without rescanning every accepting pair (None when
-        # the producing run had no ``answer_sink``).
-        self.accept_union = accept_union
-
-    def fits(self, num_states: int, n: int) -> bool:
-        """Whether the masks span exactly this ``num_states x n`` product."""
-        return self.n == n and len(self.masks) == num_states * n
 
     def has_bit(self, bit: int) -> "Callable[[int], bool]":
         """The membership test of one source bit's region, by flat key."""
@@ -192,18 +146,8 @@ class PyFrontier:
         """The current source bitmask of one product pair."""
         return self.masks[state * self.n + node]
 
-    def items(self) -> "Iterable[tuple[int, int, int]]":
-        """Every nonzero ``(state, node, mask)`` fact."""
-        n = self.n
-        for key, mask in enumerate(self.masks):
-            if mask:
-                yield key // n, key % n, mask
-
     def per_bit_answers(
-        self,
-        accepting: "Sequence[bool]",
-        num_bits: int,
-        skip_nodes: "frozenset[int] | set[int]" = frozenset(),
+        self, accepting: "Sequence[bool]", num_bits: int
     ) -> "list[set[int]]":
         """Per source bit below ``num_bits``, the nodes reached in an
         accepting state.
@@ -218,7 +162,7 @@ class PyFrontier:
         groups: "dict[int, list[int]]" = {}
         for node, mask in enumerate(_accepting_union(self.masks, self.n, accepting)):
             mask &= wanted
-            if mask and node not in skip_nodes:
+            if mask:
                 groups.setdefault(mask, []).append(node)
         per_bit: "list[set[int]]" = [set() for _ in range(num_bits)]
         for mask, nodes in groups.items():
@@ -228,111 +172,23 @@ class PyFrontier:
                 mask ^= low
         return per_bit
 
-    def counts(
-        self, skip_nodes: "frozenset[int] | set[int]" = frozenset()
-    ) -> "tuple[int, int]":
-        """``(nonzero pairs, touched nodes)``, skipping the given nodes."""
+    def counts(self) -> "tuple[int, int]":
+        """``(nonzero pairs, touched nodes)``."""
         n = self.n
         masks = self.masks
         pairs = len(masks) - masks.count(0)
         touched = n - _node_union(masks, n, range(len(masks) // n)).count(0)
-        for node in skip_nodes:
-            held = sum(1 for key in range(node, len(masks), n) if masks[key])
-            pairs -= held
-            touched -= bool(held)
         return pairs, touched
 
     def gather(
-        self,
-        accepting: "Sequence[bool]",
-        num_bits: int,
-        skip_nodes: "frozenset[int] | set[int]" = frozenset(),
+        self, accepting: "Sequence[bool]", num_bits: int
     ) -> "tuple[int, int, list[set[int]]]":
-        """``(nonzero pairs, touched nodes, per-bit accepting node sets)``
-        over the nodes outside ``skip_nodes`` — everything a finished
-        frontier is read for, behind one call (the numpy handle answers it
-        from its reached rows, this one from :meth:`counts` and
-        :meth:`per_bit_answers`)."""
-        answers = (
-            self.per_bit_answers(accepting, num_bits, skip_nodes) if num_bits else []
-        )
-        return (*self.counts(skip_nodes), answers)
-
-    # -- the sharded superstep exchange (see NpFrontier) ----------------------
-    @staticmethod
-    def source_seeds(homes: "Sequence[int]", initial: int, sizes: "Sequence[int]"):
-        """A batch's first seeds, per owner (see
-        :meth:`NpFrontier.source_seeds`)."""
-        seeds: "dict[int, tuple[list[int], list[int]]]" = {}
-        for bit, home in enumerate(homes):
-            owner = home >> 32
-            keys, masks = seeds.setdefault(owner, ([], []))
-            keys.append(initial * sizes[owner] + (home & 0xFFFFFFFF))
-            masks.append(1 << bit)
-        return seeds
-
-    def exports(
-        self, owner: "Sequence[int]", owner_node: "Sequence[int]", ghost: "set[int]"
-    ):
-        """The pairs the latest run grew on nodes another graph owns, as
-        ``(owners, states, owner-local nodes, masks)`` lists — ``None`` when
-        it grew none there (see :meth:`NpFrontier.exports`; ``ghost`` is
-        the set of those nodes)."""
-        n = self.n
-        masks = self.masks
-        homes: "list[int]" = []
-        states: "list[int]" = []
-        nodes: "list[int]" = []
-        rows: "list[int]" = []
-        for key in sorted(self.changed):
-            state, node = divmod(key, n)
-            if node in ghost:
-                homes.append(owner[node])
-                states.append(state)
-                nodes.append(owner_node[node])
-                rows.append(masks[key])
-        return (homes, states, nodes, rows) if homes else None
-
-    @staticmethod
-    def route(packets, frontiers, sizes: "Sequence[int]"):
-        """Deliver :meth:`exports` packets to their owners as next seeds,
-        minus the bits each owner holds already; returns ``({owner:
-        kernel-native seeds}, shipped)`` like :meth:`NpFrontier.route`."""
-        merged: "dict[int, dict[int, int]]" = {}
-        shipped = 0
-        for homes, states, nodes, rows in packets:
-            for home, state, node, mask in zip(homes, states, nodes, rows):
-                key = state * sizes[home] + node
-                held = frontiers[home]
-                if held is not None:
-                    mask &= ~held.masks[key]
-                if mask:
-                    shipped += 1
-                    targets = merged.setdefault(home, {})
-                    targets[key] = targets.get(key, 0) | mask
-        seeds = {
-            home: (sorted(targets), [targets[key] for key in sorted(targets)])
-            for home, targets in merged.items()
-        }
-        return seeds, shipped
-
-    @staticmethod
-    def assemble(parts, accepting, num_bits: int):
-        """One gather over several handles, each on its own graph:
-        ``parts`` holds ``(handle, skip_nodes, labels)``, ``labels`` naming
-        each node id's answer; returns ``(nonzero pairs, touched nodes,
-        per-bit answer sets)`` over all parts, like
-        :meth:`NpFrontier.assemble`."""
-        pairs = objects = 0
-        per_bit: "list[set]" = [set() for _ in range(num_bits)]
-        for frontier, skip, labels in parts:
-            counted, touched, answers = frontier.gather(accepting, num_bits, skip)
-            pairs += counted
-            objects += touched
-            for bit, nodes in enumerate(answers):
-                if nodes:
-                    per_bit[bit].update(map(labels.__getitem__, nodes))
-        return pairs, objects, per_bit
+        """``(nonzero pairs, touched nodes, per-bit accepting node sets)`` —
+        everything a finished frontier is read for, behind one call (the
+        numpy handle answers it from its reached rows, this one from
+        :meth:`counts` and :meth:`per_bit_answers`)."""
+        answers = self.per_bit_answers(accepting, num_bits) if num_bits else []
+        return (*self.counts(), answers)
 
 
 def restricted_witness(
@@ -458,57 +314,26 @@ def flush_sink(answer_sink, bucket: "dict[int, list[int]]") -> None:
 
 
 def open_frontier(
-    query: CompiledQuery,
-    n: int,
-    inject,
-    known: "Mapping[int, int] | PyFrontier | None",
-    answer_sink,
+    query: CompiledQuery, n: int, inject: "dict[int, int]", answer_sink
 ) -> "tuple[list[int], dict[int, int], list[int] | None]":
     """The state a pure-Python fixpoint starts from: ``(masks, delta,
-    accept_union)``.  ``inject`` is a flat-key dict of masks or the
-    kernel-native ``(keys, masks)`` pair; a key outside the product raises.
+    accept_union)``.  ``inject`` maps flat pair keys to source masks.
 
-    ``masks`` is the continued handle's list (ownership transfer, grown in
-    place) or a fresh one pre-loaded with the ``known`` facts; ``delta``
-    maps every injected pair that gained a bit to its full mask — a pair's
-    first activation pushes everything it holds, known bits included — and
-    is the first frontier; ``accept_union`` (streaming runs only) is the
-    per-node union of bits already reported as accepting.  Seeding it from
-    the pre-run masks is what makes continued frontiers report only
-    genuinely new facts; injected bits landing on accepting pairs are
-    answers already (a source whose initial state accepts, an imported
-    seed on an accepting state) and stream here, before the fixpoint.
+    ``masks`` holds the injected bits; ``delta`` maps every injected pair
+    to its mask and is the first frontier; ``accept_union`` (streaming runs
+    only) is the per-node union of bits already reported as accepting.
+    Injected bits landing on accepting pairs are answers already (a source
+    whose initial state accepts) and stream here, before the fixpoint.
     """
     accepting = query.accepting
-    if isinstance(known, PyFrontier):
-        masks = known.masks
-    else:
-        masks = [0] * (query.num_states * n)
-        for key, mask in (known or {}).items():
-            masks[key] |= mask
+    masks = [0] * (query.num_states * n)
+    delta: "dict[int, int]" = {}
+    for key, mask in inject.items():
+        masks[key] |= mask
+        delta[key] = masks[key]
     accept_union: "list[int] | None" = None
     if answer_sink is not None:
-        if isinstance(known, PyFrontier):
-            accept_union = known.accept_union
-        if accept_union is None:
-            # Only a known frontier without a carried union needs the
-            # rescan; a fresh run's masks are still empty here.
-            accept_union = _accepting_union(masks, n, accepting) if known else [0] * n
-    delta: "dict[int, int]" = {}
-    if isinstance(inject, Mapping):
-        facts = inject.items()
-    elif len(inject[0]) != len(inject[1]):
-        raise ValueError("seeds keys and masks differ in length")
-    else:
-        facts = zip(*inject)
-    size = len(masks)
-    for key, mask in facts:
-        if not 0 <= key < size:
-            raise ValueError(f"seeds key {key} is outside the {size}-pair product")
-        if mask & ~masks[key]:
-            masks[key] |= mask
-            delta[key] = masks[key]
-    if accept_union is not None:
+        accept_union = [0] * n
         bucket: "dict[int, list[int]]" = {}
         for key in sorted(delta):
             state, node = divmod(key, n)
@@ -516,4 +341,3 @@ def open_frontier(
                 stream_fresh(bucket, accept_union, node, masks[key])
         flush_sink(answer_sink, bucket)
     return masks, delta, accept_union
-

@@ -1,55 +1,39 @@
-"""Async serving layer: shared-batch query admission + concurrent supersteps.
+"""Async serving layer: shared-batch query admission.
 
 Production RPQ evaluators decouple the evaluation loop from request arrival:
 "Answering Constraint Path Queries over Graphs" serves constraint path
 queries through an evaluation loop that batches work against the graph, and
 the enumeration literature (Martens & Trautner) motivates streaming answers
 with bounded delay rather than blocking every caller on a private full
-evaluation.  This module is that layer for the compiled engine, in two
-independent halves:
-
-* :class:`QueryServer` — an **admission queue** in front of an
-  :class:`~repro.engine.session.Engine` or
-  :class:`~repro.engine.sharding.ShardedEngine`.  Requests arrive as
-  ``await server.submit(QueryRequest(query=..., sources=(source,)))`` (one
-  structured :class:`~repro.engine.request.QueryRequest`); in-flight
-  requests whose queries compile to the *same DFA* (same
-  :meth:`~repro.engine.session.Engine.admission_key` — the canonical
-  constraint-rewritten expression) are coalesced into one shared
-  ``query_batch`` evaluation under a **max-batch-size / max-delay** policy:
-  a bucket flushes as soon as it holds ``max_batch`` requests (futures —
-  duplicate sources count, matching the stats; see :class:`ServingStats`),
-  or ``max_delay`` seconds after its first request, whichever comes first
-  — except that a delay that runs out while every evaluation worker is
-  busy keeps the bucket open (and coalescing) until one frees up, so the
-  number of batches a burst costs does not grow with how many timers a
-  slow moment lets expire (see :meth:`QueryServer._flush`).
-  Flushes execute on a small thread pool so the event loop never blocks on
-  an engine round-trip, and the per-source answer sets are fanned back out
-  to the waiting futures.  The batched bitmask executor makes the shared
-  run cost barely more than a single-source one, so a gateway serving many
-  concurrent clients pays one traversal where naive serving pays dozens;
-
-* :class:`SuperstepScheduler` — a thread **superstep scheduler** for the
-  sharded engine's scatter-gather fixpoint.  The per-shard local fixpoints
-  of one superstep — one per active shard — are independent by
-  construction (each touches only its own shard's compiled graph and
-  frontier; cross-shard facts exchange at the barrier), so the calling
-  thread and the scheduler's workers claim them side by side and join at
-  the barrier.  The numpy executor releases the GIL inside its
-  ``bitwise_or.reduceat`` hot loops, so shard steps overlap when there
-  are cores to run them on.  Installed via
-  ``ShardedEngine.open(..., concurrency=N)``; the observed peak of
-  simultaneously in-flight shard steps is exported as
-  :attr:`SuperstepScheduler.concurrent_steps`.
+evaluation.  This module is that layer for the compiled engine:
+:class:`QueryServer` is an **admission queue** in front of an
+:class:`~repro.engine.session.Engine` or
+:class:`~repro.engine.sharding.ShardedEngine`.  Requests arrive as
+``await server.submit(QueryRequest(query=..., sources=(source,)))`` (one
+structured :class:`~repro.engine.request.QueryRequest`); in-flight
+requests whose queries compile to the *same DFA* (same
+:meth:`~repro.engine.session.Engine.admission_key` — the canonical
+constraint-rewritten expression) are coalesced into one shared
+``query_batch`` evaluation under a **max-batch-size / max-delay** policy:
+a bucket flushes as soon as it holds ``max_batch`` requests (futures —
+duplicate sources count, matching the stats; see :class:`ServingStats`),
+or ``max_delay`` seconds after its first request, whichever comes first
+— except that a delay that runs out while every evaluation worker is
+busy keeps the bucket open (and coalescing) until one frees up, so the
+number of batches a burst costs does not grow with how many timers a
+slow moment lets expire (see :meth:`QueryServer._flush`).
+Flushes execute on a small thread pool so the event loop never blocks on
+an engine round-trip, and the per-source answer sets are fanned back out
+to the waiting futures.  The batched bitmask executor makes the shared
+run cost barely more than a single-source one, so a gateway serving many
+concurrent clients pays one traversal where naive serving pays dozens.
 
 On top of the shared-batch core, answers also *stream*:
 :meth:`QueryServer.submit_stream` admits like ``submit`` but returns an
 :class:`AnswerStream` — an async iterator that yields each answer the
-moment the engine derives the accepting fact (per fixpoint round / per
-shard-local superstep round, through the engines'
-``query_batch_streaming``), instead of blocking on the whole batch
-fixpoint.  Time-to-first-answer is the interactive latency story
+moment the engine derives the accepting fact (per fixpoint round, through
+the sessions' ``query_batch_streaming``), instead of blocking on the whole
+batch fixpoint.  Time-to-first-answer is the interactive latency story
 (``serving_first_answer_seconds``); the full answer set still resolves at
 batch completion and is identical to ``submit``'s.  Requests whose source
 is already covered by an *in-flight* batch of the same key merge into it
@@ -75,13 +59,11 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-import weakref
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from queue import SimpleQueue
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..exceptions import ReproError
 from .conjunctive import (
@@ -109,7 +91,6 @@ from .telemetry import (
     Telemetry,
     slow_log_json,
     trace_to_json,
-    witnessed_lock,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -117,177 +98,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .session import Engine
     from .sharding import ShardedEngine
 
-T = TypeVar("T")
-
 # Engine threads wake the event loop for incremental answer delivery at
 # most once per interval (plus a final flush at completion): delivery stays
 # prompt — the interval is a small fraction of any real first-answer
 # latency — without a per-fixpoint-round cross-thread wake-up storm taxing
 # the evaluations still running.
 DRAIN_WAKE_INTERVAL_S = 0.002
-
-
-class SuperstepScheduler:
-    """Runs the independent per-shard steps of one superstep on threads.
-
-    :meth:`run` is a fork-join barrier: the calling thread and up to
-    ``max_workers - 1`` worker threads (``max_workers`` steps in flight at
-    most) claim the superstep's steps one at a time until none is left,
-    and the call returns only when every step has finished — which is
-    exactly the bulk-synchronous contract the sharded engine's frontier
-    exchange needs.  The caller works instead of waiting: it blocks only
-    on steps a worker claimed and is still running, so a superstep with one
-    step costs no cross-thread hand-off at all.  Waking a worker is one put
-    on a queue it blocks on (no future, no executor bookkeeping): a worker
-    that finds every step claimed already goes back to sleep having cost
-    little more than its wake-up.  The scheduler never reorders results
-    (``results[i]`` belongs to ``steps[i]``) and re-raises the first step
-    exception after the barrier, so a failing shard cannot leave a
-    half-joined superstep behind.
-
-    Statistics: ``steps`` counts every step ever run, ``barriers`` every
-    :meth:`run` call, and ``concurrent_steps`` is the *peak* number of steps
-    observed simultaneously in flight — the observable proof that per-shard
-    supersteps really overlap (> 1 whenever two shards' fixpoints ran at the
-    same time).
-    """
-
-    # The counters are ``:mutate`` — written under the lock, point-read by
-    # registry gauges and ``__repr__`` without it (one int read each).
-    GUARDED_BY = {
-        "_in_flight": "_lock",
-        "steps": "_lock:mutate",
-        "barriers": "_lock:mutate",
-        "concurrent_steps": "_lock:mutate",
-    }
-
-    def __init__(self, max_workers: int) -> None:
-        if max_workers < 1:
-            raise ReproError("a superstep scheduler needs at least one worker")
-        self.max_workers = max_workers
-        self._lock = witnessed_lock("SuperstepScheduler._lock")
-        self._in_flight = 0
-        self.steps = 0
-        self.barriers = 0
-        self.concurrent_steps = 0
-        # Workers block on this queue and help with each superstep put on
-        # it; ``None`` stops one.  They hold the queue, not the scheduler,
-        # so an unclosed scheduler is still collected (and its workers
-        # stopped by the finalizer).  All are started now, not lazily at
-        # the first contended superstep (thread creation under a busy GIL
-        # stalls for milliseconds).
-        self._wake: "SimpleQueue[_Superstep | None]" = SimpleQueue()
-        self._workers = [
-            threading.Thread(
-                target=_help, args=(self._wake,), name=f"repro-superstep-{index}",
-                daemon=True,
-            )
-            for index in range(max_workers - 1)
-        ]
-        for worker in self._workers:
-            worker.start()
-        self._stop = weakref.finalize(self, _stop_workers, self._wake, self._workers)
-
-    def run(self, steps: "Sequence[Callable[[], T]]") -> "list[T]":
-        """Execute every thunk, the caller among the workers, and join:
-        the superstep barrier."""
-        if not self._stop.alive:
-            raise ReproError("the superstep scheduler has been closed")
-        with self._lock:
-            self.barriers += 1
-        superstep = _Superstep(self, steps)
-        for _ in range(min(len(self._workers), len(steps) - 1)):
-            self._wake.put(superstep)
-        superstep.work()
-        return superstep.join()
-
-    def _tracked(self, step: "Callable[[], T]") -> T:
-        with self._lock:
-            self._in_flight += 1
-            self.steps += 1
-            if self._in_flight > self.concurrent_steps:
-                self.concurrent_steps = self._in_flight
-        try:
-            return step()
-        finally:
-            with self._lock:
-                self._in_flight -= 1
-
-    def close(self) -> None:
-        """Stop and join the worker threads (idempotent)."""
-        self._stop()
-
-    def __enter__(self) -> "SuperstepScheduler":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"SuperstepScheduler(max_workers={self.max_workers}, "
-            f"steps={self.steps}, barriers={self.barriers}, "
-            f"concurrent_steps={self.concurrent_steps})"
-        )
-
-
-def _help(wake: "SimpleQueue[_Superstep | None]") -> None:
-    """A superstep worker: help with every superstep handed over, until
-    told to stop."""
-    while (superstep := wake.get()) is not None:
-        superstep.work()
-
-
-def _stop_workers(wake, workers) -> None:
-    for _ in workers:
-        wake.put(None)
-    for worker in workers:
-        if worker is not threading.current_thread():
-            worker.join()
-
-
-class _Superstep:
-    """One :meth:`SuperstepScheduler.run` call: its steps, claimed in order
-    by whichever thread asks next (``deque.popleft`` is atomic), and the
-    countdown the caller joins on — ``_done`` is held until the last step
-    finishes, whichever thread runs it."""
-
-    def __init__(self, scheduler: SuperstepScheduler, steps) -> None:
-        self._scheduler = scheduler
-        self._claims = deque(enumerate(steps))
-        self._left = len(steps)
-        self._countdown = threading.Lock()
-        self._done = threading.Lock()
-        self._done.acquire()
-        self.results: list = [None] * len(steps)
-        self.error: "BaseException | None" = None
-
-    def work(self) -> None:
-        """Run steps until none is left to claim."""
-        while True:
-            try:
-                index, step = self._claims.popleft()
-            except IndexError:
-                return
-            try:
-                self.results[index] = self._scheduler._tracked(step)
-            except BaseException as exc:  # joined, then raised by join()
-                if self.error is None:
-                    self.error = exc
-            with self._countdown:
-                self._left -= 1
-                finished = not self._left
-            if finished:
-                self._done.release()
-
-    def join(self) -> list:
-        """Wait for steps still running on worker threads; re-raise the
-        first step exception once every step has finished."""
-        if self._left:
-            self._done.acquire()
-        if self.error is not None:
-            raise self.error
-        return self.results
 
 
 @dataclass
@@ -1081,7 +897,7 @@ class QueryServer:
             final_drain = drain
 
             def emitted(source: "Oid", answers: "Iterable[Oid]") -> None:
-                # Engine side: called from evaluation / scheduler threads.
+                # Engine side: called from the evaluation thread.
                 nonlocal drain_scheduled, last_wake
                 # Ownership transfer: emit callers hand a freshly built
                 # sequence per call (the executor sinks do), so no

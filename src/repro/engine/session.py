@@ -72,7 +72,7 @@ from .telemetry import MetricsRegistry, Telemetry, witnessed_lock
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..constraints.constraint import ConstraintSet
     from ..optimize.cost import CostModel
-    from .serving import QueryServer, SuperstepScheduler
+    from .serving import QueryServer
 
 _SHARED_ENGINE_ATTR = "_repro_shared_engine"
 
@@ -202,6 +202,11 @@ class _SessionStats:
     def record_backend(self, backend: str) -> None:
         self.backend_runs[backend] = self.backend_runs.get(backend, 0) + 1
 
+    def record_run(self, run) -> None:
+        """Account one executor run (a :class:`SingleRun` or :class:`BatchRun`)."""
+        self.visited_pairs += run.visited_pairs
+        self.record_backend(run.backend)
+
     def register(self, registry: MetricsRegistry, prefix: str) -> None:
         """Expose every counter through ``registry`` as a callback gauge.
 
@@ -209,7 +214,7 @@ class _SessionStats:
         session — gauge registration must not extend the session's
         lifetime), so snapshots always read the live values without a
         second write path.  Metric names (``engine_graph_builds``,
-        ``sharded_supersteps``, ...) are part of the documented surface; see
+        ``sharded_visited_objects``, ...) are part of the documented surface; see
         README "Observability".
         """
         for attr, help_text in self._GAUGES:
@@ -283,55 +288,47 @@ def _unknown_source(source: Oid, compiled: CompiledQuery) -> EvaluationResult:
 
 
 def _lowerings_of(session: "Session | None") -> "dict[str, int]":
-    return {} if session is None else session._lowering_counts()
+    return {} if session is None else session.graph.lowering_counts()
 
 
 class Session:
-    """One session API over two evaluators.
+    """One session API, one evaluator, two kinds of graph.
 
-    The paper defines one answer, ``p(o, I)``, however the evaluation is
-    distributed, so :class:`Engine` (one compiled graph) and
-    :class:`repro.engine.sharding.ShardedEngine` (superstep exchange across
-    shard graphs) share everything but the evaluation itself.  This base
-    owns the public API — ``query``, ``answer_set``, the ``query_batch``
-    family, ``query_all``, ``describe``, ``close``, the conjunctive
-    queries, admission, ``telemetry`` and ``as_server`` — together with
-    their spans and latency histograms, the unknown-source rule, answers
-    assembled in request order, the constraint-rewrite memo and the
-    session locks.
+    The paper defines one answer, ``p(o, I)``, however the data is spread,
+    so :class:`Engine` (one compiled graph) and
+    :class:`repro.engine.sharding.ShardedEngine` (a read-only view over
+    its shard graphs) share everything but the graph they evaluate on.
+    This base owns the public API — ``query``, ``answer_set``, the
+    ``query_batch`` family, ``query_all``, ``describe``, ``close``, the
+    conjunctive queries, admission, ``telemetry`` and ``as_server`` —
+    together with their spans and latency histograms, the unknown-source
+    rule, answers assembled in request order, the constraint-rewrite memo,
+    the session locks, and the evaluation itself: one compile and one
+    executor run per call, on the ``(compiled, graph)`` pair of
+    :meth:`_compiled_on`.
 
     The host contract: a host sets ``_PREFIX`` (its span and metric prefix,
-    ``engine`` or ``sharded``), calls :meth:`__init__` with its stats
-    object, and supplies ``refresh()``, the ``_instance`` it serves with its
-    ``_instance_version`` stamp, :meth:`_count_degrees`,
-    :meth:`_lowering_counts` and four evaluation internals.  The first
-    three answer only the sources the graph holds, beside the compiled
-    query they ran, which decides the rest:
-
-    * ``_query_single(query, source)`` -> ``(compiled, result or None)``;
-    * ``_query_batch(query, sources, emit)`` -> ``(compiled, {source: answers})``;
-    * ``_query_batch_results(query, sources)`` ->
-      ``(compiled, {source: EvaluationResult})``;
-    * ``_query_all(query)`` -> ``{object: answers}``.
+    ``engine`` or ``sharded``) and ``_RUN_HISTOGRAM`` (the name and help of
+    its executor-run histogram), calls :meth:`__init__` with its stats
+    object, and supplies ``refresh()``, the ``graph`` it evaluates on and
+    the ``compiler`` that lowers queries against it, and the ``_instance``
+    it serves with its ``_instance_version`` stamp.  Its mutations hold
+    ``_lock`` and the write side of ``_run_lock``, which every executor run
+    reads under.
     """
 
     _PREFIX: str
+    _RUN_HISTOGRAM: "tuple[str, str]"
 
     # The rewrite and admission memos: every touch of either OrderedDict
     # goes through the dedicated ``_rewrite_lock``.  The planner-input
-    # caches and the scheduler reference are published under the session
-    # ``_lock``.
+    # caches are published under the session ``_lock``.
     GUARDED_BY = {
         "_rewrites": "_rewrite_lock",
         "_admissions": "_rewrite_lock",
         "_degree_stats": "_lock:mutate",
         "_domain_cache": "_lock:mutate",
-        "_scheduler": "_lock:mutate",
     }
-
-    # A sharded session with ``concurrency=N`` runs its supersteps here;
-    # a monolithic one never has one, so its :meth:`close` is a no-op.
-    _scheduler: "SuperstepScheduler | None" = None
 
     def __init__(
         self,
@@ -367,6 +364,10 @@ class Session:
         self._hist_rewrite = registry.histogram(
             f"{prefix}_rewrite_seconds", "cold constraint-rewrite search latency"
         )
+        self._hist_run = registry.histogram(*self._RUN_HISTOGRAM)
+        self._hist_compile = registry.histogram(
+            f"{prefix}_compile_seconds", "DFA lookup/lowering latency per query"
+        )
         # Read through a weak reference: no registry callback may keep the
         # session alive (see ``shared_engine``).
         session = weakref.ref(self)
@@ -382,6 +383,12 @@ class Session:
         # ``ShardedEngine._lock``.
         name = type(self).__name__
         self._lock = witnessed_lock(f"{name}._lock", threading.RLock)
+        # Executor runs (shared) vs in-place graph mutation (exclusive):
+        # a host's mutations change the live CSR overflow/tombstones/
+        # interners that a concurrently running executor is reading, so
+        # they drain in-flight runs first.  Never acquire ``_lock`` while
+        # holding a read token (writers hold ``_lock`` when they wait).
+        self._run_lock = _ReadWriteLock(f"{name}._run_lock")
         # The rewrite memo gets its own short-lived lock: the serving
         # layer's admission path (admission_key) runs on the event loop and
         # must never wait behind an evaluation holding the session lock.
@@ -550,24 +557,23 @@ class Session:
     _domain_cache: "tuple[int, tuple[Oid, ...]] | None" = None
 
     def degree_stats(self) -> DegreeStats:
-        """Per-label live edge counts feeding the CRPQ join planner, counted
-        once per instance version (hosts supply :meth:`_count_degrees`)."""
+        """Per-label live edge counts feeding the CRPQ join planner, read
+        off the session's graph (CSR − tombstones + overflow, so edits show
+        without a recount of the instance) once per instance version."""
         with self._lock:
             self.refresh()
             version = self._instance_version
             cached = self._degree_stats
             if cached is None or cached[0] != version:
-                cached = self._degree_stats = (version, self._count_degrees())
+                graph = self.graph
+                cached = self._degree_stats = (
+                    version,
+                    DegreeStats(
+                        num_nodes=graph.num_nodes,
+                        label_counts=graph.label_edge_counts(),
+                    ),
+                )
         return cached[1]
-
-    def _count_degrees(self) -> DegreeStats:
-        raise NotImplementedError  # pragma: no cover - hosts supply it
-
-    def _lowering_counts(self) -> "dict[str, int]":
-        """The numpy product lowerings of this session's compiled graph(s)
-        by outcome: ``built``, ``patched`` or ``hit`` (see
-        :meth:`CompiledGraph.numpy_product_csr`)."""
-        raise NotImplementedError  # pragma: no cover - hosts supply it
 
     def _active_domain(self) -> "tuple[Oid, ...]":
         """Every object sorted by ``repr``: what unbound-source atoms (and
@@ -697,10 +703,7 @@ class Session:
         through the handle are coalesced per :meth:`admission` into shared
         batched evaluations under a max-batch-size / max-delay policy,
         executed on a ``concurrency``-wide thread pool so the event loop
-        never blocks on an engine round-trip.  (For the *sharded* engine,
-        ``concurrency`` here sizes only the flush pool; the superstep
-        scheduler is the engine's own — pass ``concurrency=`` to its
-        ``open`` for that.)
+        never blocks on an engine round-trip.
         """
         from .serving import QueryServer
 
@@ -709,17 +712,13 @@ class Session:
         )
 
     def close(self) -> None:
-        """Release the superstep scheduler's worker threads (idempotent).
+        """A no-op: a session holds no threads or files.  Kept only because
+        the e2e benchmark calls it."""
 
-        The session stays usable: later evaluations run their supersteps
-        sequentially, as one opened without ``concurrency`` does, and
-        ``scheduler`` reads ``None``.  A no-op on a monolithic
-        :class:`Engine`, which never has worker threads.
-        """
-        with self._lock:
-            scheduler, self._scheduler = self._scheduler, None
-        if scheduler is not None:
-            scheduler.close()
+    @property
+    def resolved_backend(self) -> str:
+        """The batch kernel this session's ``backend`` resolves to right now."""
+        return resolve_backend(self.backend)
 
     def describe(self) -> str:
         return self.stats.summary(self)
@@ -769,9 +768,8 @@ class Session:
         """Batched evaluation that also streams answers as they land.
 
         ``emit(source, answers)`` is called *during* the evaluation — from
-        the thread running it (a superstep worker, on a concurrent sharded
-        session), once per newly accepting fact (per fixpoint round on the
-        numpy backend) — and each ``(source, answer)`` pair is emitted at
+        the thread running it, once per newly accepting fact (per fixpoint
+        round on the numpy backend) — and each ``(source, answer)`` pair is emitted at
         most once; the union of everything emitted for a source equals its
         entry of the returned dict, which is exactly what
         :meth:`query_batch` returns.  ``emit`` must be cheap and
@@ -840,6 +838,182 @@ class Session:
             self.stats.batch_evaluations += 1
             self.stats.batched_sources += sources
 
+    # -- query compilation ----------------------------------------------------
+    def compiled(self, query: "RegularPathQuery | Regex | str") -> CompiledQuery:
+        """The integer transition table for ``query`` on the current graph."""
+        return self._compiled_on(query)[0]
+
+    def _compiled_on(
+        self, query: "RegularPathQuery | Regex | str"
+    ) -> "tuple[CompiledQuery, CompiledGraph]":
+        """``(compiled table, graph it was lowered against)`` — one pair.
+
+        Query paths must traverse the *same* graph object their table was
+        compiled on: a concurrent server thread whose :meth:`refresh` swaps
+        the host's graph mid-query would otherwise hand this thread a table
+        lowered on the old label order and a graph interned in the new one.
+        Capturing the pair under the lock (and never re-reading ``graph``
+        afterwards) makes every evaluation a consistent — possibly
+        one-rebuild stale — snapshot.
+        """
+        with self._lock:
+            self.refresh()
+            graph = self.graph
+            compiler = self.compiler
+        prepared = self._prepared(query)
+        misses_before = compiler.misses
+        with self.metrics.span("engine.compile") as compile_span:
+            compiled = compiler.compile(prepared, graph)
+            compile_span.set(
+                cached=compiler.misses == misses_before,
+                dfa_size=compiled.dfa_size,
+            )
+        self._hist_compile.observe(compile_span.duration)
+        return compiled, graph
+
+    # -- evaluation: one driver per call shape, on the host's graph -----------
+    def _query_single(
+        self, query: "RegularPathQuery | Regex | str", source: Oid
+    ) -> "tuple[CompiledQuery, EvaluationResult | None]":
+        compiled, graph = self._compiled_on(query)
+        node = graph.node_id(source)
+        if node is None:
+            return compiled, None
+        with self._run_lock.read():
+            with self.metrics.span("engine.run", mode="single") as run_span:
+                run = run_single(graph, compiled, node, backend=self.backend)
+                run_span.set(backend=run.backend, visited=run.visited_pairs)
+        self._hist_run.observe(run.elapsed)
+        with self._lock:
+            self.stats.record_run(run)
+        label_of = graph.labels.value_of
+        result = EvaluationResult(
+            answers=graph.oids_of(run.answers),
+            visited_pairs=run.visited_pairs,
+            visited_objects=run.visited_objects,
+        )
+        for node_id, labels in run.witness_paths.items():
+            result.witness_paths[graph.oid_of(node_id)] = tuple(
+                label_of(label_id) for label_id in labels
+            )
+        return compiled, result
+
+    @staticmethod
+    def _known_sources(
+        graph: CompiledGraph, sources: "list[Oid]"
+    ) -> "tuple[list[int], list[Oid]]":
+        """The batch sources ``graph`` holds: (their node ids, their oids),
+        against the query's captured ``graph`` snapshot."""
+        known: list[int] = []
+        known_oids: list[Oid] = []
+        for source in sources:
+            node = graph.node_id(source)
+            if node is not None:
+                known.append(node)
+                known_oids.append(source)
+        return known, known_oids
+
+    def _query_batch(
+        self,
+        query: "RegularPathQuery | Regex | str",
+        sources: "list[Oid]",
+        emit: "Callable[[Oid, Iterable[Oid]], None] | None",
+    ) -> "tuple[CompiledQuery, dict[Oid, set[Oid]]]":
+        compiled, graph = self._compiled_on(query)
+        known, known_oids = self._known_sources(graph, sources)
+        found: dict[Oid, set[Oid]] = {}
+        if not known:
+            return compiled, found
+        answer_sink = None
+        if emit is not None:
+            # The executor assigns mask bits by first occurrence of each
+            # source node; rebuild that order so streamed bits map back to
+            # the oids the caller asked about (duplicate oids share a bit).
+            order: "list[Oid]" = []
+            seen_nodes: set[int] = set()
+            for node, oid in zip(known, known_oids):
+                if node not in seen_nodes:
+                    seen_nodes.add(node)
+                    order.append(oid)
+            oid_of = graph.nodes.backing_list()
+
+            def answer_sink(bit, nodes):
+                # The executor hands a whole round's facts for one source
+                # bit at a time; mapping node ids to oids is the only
+                # per-fact work left on the evaluation thread.
+                emit(order[bit], [oid_of[node] for node in nodes])
+
+        with self._run_lock.read():
+            with self.metrics.span("engine.run", mode="batch") as run_span:
+                run = run_batch(
+                    graph, compiled, known, backend=self.backend,
+                    answer_sink=answer_sink,
+                )
+                run_span.set(backend=run.backend, visited=run.visited_pairs)
+        self._hist_run.observe(run.elapsed)
+        with self._lock:
+            self.stats.record_run(run)
+        for oid, answer_nodes in zip(known_oids, run.answers):
+            found[oid] = graph.oids_of(answer_nodes)
+        return compiled, found
+
+    def _query_batch_results(
+        self,
+        query: "RegularPathQuery | Regex | str",
+        sources: "list[Oid]",
+    ) -> "tuple[CompiledQuery, dict[Oid, EvaluationResult]]":
+        compiled, graph = self._compiled_on(query)
+        known, known_oids = self._known_sources(graph, sources)
+        found: dict[Oid, EvaluationResult] = {}
+        if not known:
+            return compiled, found
+        label_of = graph.labels.value_of
+        # One read section across the run AND the witness replay: the replay
+        # walks the live adjacency against the run's version stamp, so a
+        # mutation admitted between the two would turn this very call's
+        # resolver stale (the stamp check is for callers who stash the run,
+        # not for the engine's own replay).  The executor keeps enough of
+        # the per-source reachability to rebuild one witness word per pair.
+        with self._run_lock.read():
+            with self.metrics.span("engine.run", mode="batch_results") as run_span:
+                run = run_batch(
+                    graph, compiled, known, witnesses=True, backend=self.backend
+                )
+                run_span.set(backend=run.backend, visited=run.visited_pairs)
+            self._hist_run.observe(run.elapsed)
+            for oid, node, answer_nodes in zip(known_oids, known, run.answers):
+                result = EvaluationResult(
+                    answers=graph.oids_of(answer_nodes),
+                    visited_pairs=run.visited_pairs,
+                    visited_objects=run.visited_objects,
+                )
+                for answer_node in answer_nodes:
+                    word = run.witness(node, answer_node)
+                    if word is not None:
+                        result.witness_paths[graph.oid_of(answer_node)] = tuple(
+                            label_of(label_id) for label_id in word
+                        )
+                found[oid] = result
+        with self._lock:
+            self.stats.record_run(run)
+        return compiled, found
+
+    def _query_all(
+        self, query: "RegularPathQuery | Regex | str"
+    ) -> dict[Oid, set[Oid]]:
+        compiled, graph = self._compiled_on(query)  # one consistent snapshot
+        with self._run_lock.read():
+            with self.metrics.span("engine.run", mode="all_pairs") as run_span:
+                run = run_all_pairs(graph, compiled, backend=self.backend)
+                run_span.set(backend=run.backend, visited=run.visited_pairs)
+        self._hist_run.observe(run.elapsed)
+        with self._lock:
+            self.stats.record_run(run)
+        return {
+            graph.oid_of(node): graph.oids_of(answers)
+            for node, answers in zip(run.sources, run.answers)
+        }
+
 
 class Engine(Session):
     """A compiled-evaluation session bound to one :class:`Instance`.
@@ -870,6 +1044,7 @@ class Engine(Session):
     }
 
     _PREFIX = "engine"
+    _RUN_HISTOGRAM = ("engine_run_seconds", "executor run latency (traversal only)")
 
     def __init__(
         self,
@@ -908,24 +1083,12 @@ class Engine(Session):
             "engine_cached_queries", "compiled tables resident in the LRU",
             lambda: len(compiler),
         )
-        self._hist_run = registry.histogram(
-            "engine_run_seconds", "executor run latency (traversal only)"
-        )
-        self._hist_compile = registry.histogram(
-            "engine_compile_seconds", "DFA lookup/lowering latency per query"
-        )
         # Label-order seed for every graph build of this session.  The
         # sharded engine passes one *shared, live* list to all its shard
         # engines, so even a full rebuild interns the global label universe
         # (in the shared order) before the shard's own edge labels — which is
         # what keeps DFA liveness pruning correct across shard boundaries.
         self._label_seed = labels
-        # Executor runs (shared) vs in-place graph mutation (exclusive):
-        # add_edge/remove_edge mutate the live CSR overflow/tombstones/
-        # interners that a concurrently running executor is reading, so
-        # they drain in-flight runs first.  Never acquire ``_lock`` while
-        # holding a read token (writers hold ``_lock`` when they wait).
-        self._run_lock = _ReadWriteLock("Engine._run_lock")
         # Auto-compaction tuning, re-applied to every graph this session
         # builds or restores (the knob lives on the session, the live value
         # on the graph).
@@ -1047,14 +1210,6 @@ class Engine(Session):
     def graph(self) -> CompiledGraph:
         return self._graph
 
-    def _lowering_counts(self) -> "dict[str, int]":
-        return self._graph.lowering_counts()
-
-    @property
-    def resolved_backend(self) -> str:
-        """The batch kernel this session's ``backend`` resolves to right now."""
-        return resolve_backend(self.backend)
-
     def refresh(self) -> bool:
         """Rebuild the compiled graph if the instance mutated behind our back.
 
@@ -1168,196 +1323,6 @@ class Engine(Session):
         with self._lock:
             self._auto_compact_ratio = ratio
             self._graph.auto_compact_ratio = ratio
-
-    # -- query compilation ----------------------------------------------------
-    def compiled(self, query: "RegularPathQuery | Regex | str") -> CompiledQuery:
-        """The integer transition table for ``query`` on the current graph."""
-        return self._compiled_on(query)[0]
-
-    def _compiled_on(
-        self, query: "RegularPathQuery | Regex | str"
-    ) -> "tuple[CompiledQuery, CompiledGraph]":
-        """``(compiled table, graph it was lowered against)`` — one pair.
-
-        Query paths must traverse the *same* graph object their table was
-        compiled on: a concurrent server thread whose :meth:`refresh` swaps
-        ``self._graph`` mid-query would otherwise hand this thread a table
-        lowered on the old label order and a graph interned in the new one.
-        Capturing the pair under the lock (and never re-reading
-        ``self._graph`` afterwards) makes every evaluation a consistent —
-        possibly one-rebuild stale — snapshot.
-        """
-        with self._lock:
-            self.refresh()
-            graph = self._graph
-        prepared = self._prepared(query)
-        misses_before = self.compiler.misses
-        with self.metrics.span("engine.compile") as compile_span:
-            compiled = self.compiler.compile(prepared, graph)
-            compile_span.set(
-                cached=self.compiler.misses == misses_before,
-                dfa_size=compiled.dfa_size,
-            )
-        self._hist_compile.observe(compile_span.duration)
-        return compiled, graph
-
-    # -- evaluation (the host half of the Session contract) -------------------
-    def _query_single(
-        self, query: "RegularPathQuery | Regex | str", source: Oid
-    ) -> "tuple[CompiledQuery, EvaluationResult | None]":
-        compiled, graph = self._compiled_on(query)
-        node = graph.node_id(source)
-        if node is None:
-            return compiled, None
-        with self._run_lock.read():
-            with self.metrics.span("engine.run", mode="single") as run_span:
-                run = run_single(graph, compiled, node, backend=self.backend)
-                run_span.set(backend=run.backend, visited=run.visited_pairs)
-        self._hist_run.observe(run.elapsed)
-        with self._lock:
-            self.stats.visited_pairs += run.visited_pairs
-            self.stats.record_backend(run.backend)
-        label_of = graph.labels.value_of
-        result = EvaluationResult(
-            answers=graph.oids_of(run.answers),
-            visited_pairs=run.visited_pairs,
-            visited_objects=run.visited_objects,
-        )
-        for node_id, labels in run.witness_paths.items():
-            result.witness_paths[graph.oid_of(node_id)] = tuple(
-                label_of(label_id) for label_id in labels
-            )
-        return compiled, result
-
-    @staticmethod
-    def _known_sources(
-        graph: CompiledGraph, sources: "list[Oid]"
-    ) -> "tuple[list[int], list[Oid]]":
-        """The batch sources ``graph`` holds: (their node ids, their oids),
-        against the query's captured ``graph`` snapshot."""
-        known: list[int] = []
-        known_oids: list[Oid] = []
-        for source in sources:
-            node = graph.node_id(source)
-            if node is not None:
-                known.append(node)
-                known_oids.append(source)
-        return known, known_oids
-
-    def _count_degrees(self) -> DegreeStats:
-        """Per-label live edge counts from the CSR arrays (planner input).
-
-        Derived from the compiled graph (CSR − tombstones + overflow), so
-        incremental edits are reflected without a recount of the instance.
-        """
-        graph = self._graph
-        return DegreeStats(
-            num_nodes=graph.num_nodes, label_counts=graph.label_edge_counts()
-        )
-
-    def _query_batch(
-        self,
-        query: "RegularPathQuery | Regex | str",
-        sources: "list[Oid]",
-        emit: "Callable[[Oid, Iterable[Oid]], None] | None",
-    ) -> "tuple[CompiledQuery, dict[Oid, set[Oid]]]":
-        compiled, graph = self._compiled_on(query)
-        known, known_oids = self._known_sources(graph, sources)
-        found: dict[Oid, set[Oid]] = {}
-        if not known:
-            return compiled, found
-        answer_sink = None
-        if emit is not None:
-            # The executor assigns mask bits by first occurrence of each
-            # source node; rebuild that order so streamed bits map back to
-            # the oids the caller asked about (duplicate oids share a bit).
-            order: "list[Oid]" = []
-            seen_nodes: set[int] = set()
-            for node, oid in zip(known, known_oids):
-                if node not in seen_nodes:
-                    seen_nodes.add(node)
-                    order.append(oid)
-            oid_of = graph.nodes.backing_list()
-
-            def answer_sink(bit, nodes):
-                # The executor hands a whole round's facts for one source
-                # bit at a time; mapping node ids to oids is the only
-                # per-fact work left on the evaluation thread.
-                emit(order[bit], [oid_of[node] for node in nodes])
-
-        with self._run_lock.read():
-            with self.metrics.span("engine.run", mode="batch") as run_span:
-                run = run_batch(
-                    graph, compiled, known, backend=self.backend,
-                    answer_sink=answer_sink,
-                )
-                run_span.set(backend=run.backend, visited=run.visited_pairs)
-        self._hist_run.observe(run.elapsed)
-        with self._lock:
-            self.stats.visited_pairs += run.visited_pairs
-            self.stats.record_backend(run.backend)
-        for oid, answer_nodes in zip(known_oids, run.answers):
-            found[oid] = graph.oids_of(answer_nodes)
-        return compiled, found
-
-    def _query_batch_results(
-        self,
-        query: "RegularPathQuery | Regex | str",
-        sources: "list[Oid]",
-    ) -> "tuple[CompiledQuery, dict[Oid, EvaluationResult]]":
-        compiled, graph = self._compiled_on(query)
-        known, known_oids = self._known_sources(graph, sources)
-        found: dict[Oid, EvaluationResult] = {}
-        if not known:
-            return compiled, found
-        label_of = graph.labels.value_of
-        # One read section across the run AND the witness replay: the replay
-        # walks the live adjacency against the run's version stamp, so a
-        # mutation admitted between the two would turn this very call's
-        # resolver stale (the stamp check is for callers who stash the run,
-        # not for the engine's own replay).  The executor keeps enough of
-        # the per-source reachability to rebuild one witness word per pair.
-        with self._run_lock.read():
-            with self.metrics.span("engine.run", mode="batch_results") as run_span:
-                run = run_batch(
-                    graph, compiled, known, witnesses=True, backend=self.backend
-                )
-                run_span.set(backend=run.backend, visited=run.visited_pairs)
-            self._hist_run.observe(run.elapsed)
-            for oid, node, answer_nodes in zip(known_oids, known, run.answers):
-                result = EvaluationResult(
-                    answers=graph.oids_of(answer_nodes),
-                    visited_pairs=run.visited_pairs,
-                    visited_objects=run.visited_objects,
-                )
-                for answer_node in answer_nodes:
-                    word = run.witness(node, answer_node)
-                    if word is not None:
-                        result.witness_paths[graph.oid_of(answer_node)] = tuple(
-                            label_of(label_id) for label_id in word
-                        )
-                found[oid] = result
-        with self._lock:
-            self.stats.visited_pairs += run.visited_pairs
-            self.stats.record_backend(run.backend)
-        return compiled, found
-
-    def _query_all(
-        self, query: "RegularPathQuery | Regex | str"
-    ) -> dict[Oid, set[Oid]]:
-        compiled, graph = self._compiled_on(query)  # one consistent snapshot
-        with self._run_lock.read():
-            with self.metrics.span("engine.run", mode="all_pairs") as run_span:
-                run = run_all_pairs(graph, compiled, backend=self.backend)
-                run_span.set(backend=run.backend, visited=run.visited_pairs)
-        self._hist_run.observe(run.elapsed)
-        with self._lock:
-            self.stats.visited_pairs += run.visited_pairs
-            self.stats.record_backend(run.backend)
-        return {
-            graph.oid_of(node): graph.oids_of(answers)
-            for node, answers in zip(run.sources, run.answers)
-        }
 
     def __repr__(self) -> str:
         return f"Engine({self._graph!r}, cached_queries={len(self.compiler)})"

@@ -4,7 +4,9 @@ The paper's Section 3 evaluates path queries over a *distributed* instance —
 every object is a site that only knows its own outgoing links, and sites
 exchange subquery messages until the whole query is answered.
 :mod:`repro.distributed` reproduces that protocol message-for-message over
-the slow baseline evaluator; this module is its compiled, batched analogue:
+the slow baseline evaluator; the answer it computes, ``p(o, I)``, does not
+depend on how the sites are grouped, and this module serves it from
+compiled shards:
 
 * a pluggable :class:`ShardMap` assigns every object (site) to one shard —
   stable hashing by oid (:class:`HashShardMap`, the default), an explicit
@@ -12,32 +14,20 @@ the slow baseline evaluator; this module is its compiled, batched analogue:
   (:meth:`ShardMap.by_site`, the 1:1 image of the distributed site model);
 * each shard compiles *its own nodes' descriptions* into a private
   :class:`CompiledGraph` (wrapped in a full :class:`Engine` session, so the
-  per-shard query caches, staleness stamps and snapshots all come for free).
-  Edge targets owned by other shards are interned locally as **ghost**
-  nodes: reachable, never expanded;
-* a query runs as **supersteps**: every active shard runs the ordinary
-  :func:`~repro.engine.executor.run_batch` executor once, to a local
-  fixpoint, then the ``(state, node)`` facts that landed on ghost nodes
-  are scattered to the owning shards — the compiled analogue of the
-  paper's ``subquery`` messages — and imported there as the next
-  superstep's seed frontier.
-  Rounds repeat until no shard produces a fact the owner has not absorbed.
-  Re-imports are *semi-naive*: previously derived facts are pre-loaded into
-  the executor as ``known`` masks, so a superstep only expands genuinely
-  new information instead of re-flooding the shard.  The exchange itself
-  is the kernel's frontier class's to do (``source_seeds``, ``exports``,
-  ``route``, ``assemble``): on the numpy kernel a fact travels from one
-  shard's tensor to its owner's as a flat key and a uint64 row, never as a
-  Python object, so a superstep costs what it exchanges;
+  per-shard staleness stamps, patched lowerings and snapshots all come for
+  free).  Edge targets owned by other shards are interned locally as
+  **ghost** nodes: reachable, never expanded;
+* a query runs as **one fixpoint** over :class:`ShardView`, a read-only
+  view of the shard graphs as one graph: its node ids are the owned nodes
+  only, every ghost target is renumbered to its owner's id, and its numpy
+  lowering is built from the shards' cached lowerings, then patched
+  across edits.
+  The session runs the same executor calls on it that :class:`Engine`
+  runs on its one graph — there are no rounds, barriers or exchanged
+  facts, and the work is what the query reaches;
 * every shard graph is built against the **shared global label universe**
-  (one live label list passed to all shard engines), because shard-local
-  DFA lowering would prune states whose continuation labels only occur on
-  other shards.
-
-Answers are gathered from the accepting-state facts of each shard's *owned*
-nodes, once per evaluation over all shards; a fact derived at a ghost node
-always reaches its owner (it is either exported, or the owner had already
-absorbed it), so nothing is lost.
+  (one live label list passed to all shard engines), so a label with no
+  edges on some shard still has an id there, the same id on every shard.
 
 Persistence plugs into :mod:`repro.engine.snapshot`: :meth:`ShardedEngine.save`
 writes one snapshot file per shard plus a small JSON manifest (shard map
@@ -52,29 +42,33 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections import deque
-from dataclasses import dataclass, field
-from itertools import count
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from array import array
+from bisect import bisect_right
+from collections import OrderedDict
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from ..analysis.annotations import acquires, guarded_by
 from ..exceptions import ReproError
 from ..graph.instance import Instance, Oid
-from ..query.evaluation import EvaluationResult
-from .compiled_query import query_key
-from .csr import CompiledGraph
-from ..optimize.cost import DegreeStats
-from .executor import frontier_class, resolve_backend, run_batch
-from .executor_py import PyFrontier
+from .csr import (
+    _PRODUCT_CACHE_SIZE,
+    _VERSION,
+    CompiledGraph,
+    ProductCSR,
+    _patch_product,
+    _product_dtype,
+    _trim_journal,
+)
+from .interning import Interner
 from .session import Engine, Session, _SessionStats
 from .snapshot import stored_digest, write_replacing
-from .telemetry import MetricsRegistry
+from .telemetry import current_span, witnessed_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..constraints.constraint import ConstraintSet
     from ..optimize.cost import CostModel
-    from .compiled_query import CompiledQuery
-    from .serving import SuperstepScheduler
+    from .compiled_query import QueryCompiler
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_FORMAT_VERSION = 2
@@ -129,9 +123,9 @@ class ShardMap:
         """One shard per object: the 1:1 image of the paper's site model.
 
         Every object of ``instance`` becomes its own shard (sorted by
-        ``repr`` for a deterministic numbering), so the superstep exchange
-        carries exactly the cross-site frontier the distributed protocol
-        would ship as subquery messages.
+        ``repr`` for a deterministic numbering), so every edge between two
+        objects is a cross-shard edge, as every link between two sites is
+        in the distributed protocol.
         """
         assignment = {
             oid: position
@@ -241,236 +235,323 @@ def shard_graph(
 
 
 @dataclass
-class SuperstepCounters:
-    """One evaluation's superstep fixpoint, in isolation.
-
-    The cumulative :class:`ShardedStats` counters keep growing across a
-    session's lifetime; this per-evaluation view (``ShardedStats.last_run``)
-    is what callers should read to understand a *single* scatter-gather
-    fixpoint — e.g. how many rounds it took and how much frontier it shipped.
-    """
-
-    supersteps: int = 0
-    local_runs: int = 0
-    exchanged_facts: int = 0
-
-
-@dataclass
 class ShardedStats(_SessionStats):
-    """Counters accumulated across the lifetime of one sharded session.
+    """Counters accumulated across the lifetime of one sharded session."""
 
-    Two backend tallies exist because superstep re-seeding makes "a run"
-    ambiguous: ``backend_runs`` counts every *local* executor run (a shard
-    re-seeded across K supersteps of one evaluation counts K times — the
-    honest cost measure), while ``backend_evaluations`` counts each *logical
-    evaluation* once, which is the number comparable 1:1 with the monolithic
-    :attr:`~repro.engine.session.EngineStats.backend_runs`.  Earlier
-    versions funnelled every re-seeded run into the shard engines' own
-    counters, silently inflating them relative to the monolithic engine;
-    per-superstep accounting now lives here, and ``last_run`` holds the most
-    recent evaluation's :class:`SuperstepCounters` in isolation.
-    """
-
+    # One per evaluation: every evaluation is one fixpoint over the
+    # session's :class:`ShardView`.  Kept only because the e2e benchmark
+    # reads them.
     supersteps: int = 0
     local_runs: int = 0
+    # Always 0 and 1.0; kept only because the e2e benchmark reads them.
     exchanged_facts: int = 0
-    visited_objects: int = 0
-    # Always 0; kept only because the e2e benchmark's ``--trace 1`` reads it.
     steal_events: int = 0
-    # max/mean per-step wall time of the most recent multi-step superstep:
-    # 1.0 means perfectly balanced shards, >>1 means one shard held the
-    # barrier while the others idled.
     superstep_skew_ratio: float = 1.0
-    # One count per logical evaluation — the monolithic-comparable tally.
-    backend_evaluations: dict[str, int] = field(default_factory=dict)
-    # The most recent evaluation's superstep counters, reset per evaluation.
-    last_run: SuperstepCounters = field(default_factory=SuperstepCounters)
-
-    def record_local_runs(self, backend: str, count: int) -> None:
-        self.local_runs += count
-        self.backend_runs[backend] = self.backend_runs.get(backend, 0) + count
-
-    def record_evaluation(self, backend: str) -> None:
-        self.backend_evaluations[backend] = (
-            self.backend_evaluations.get(backend, 0) + 1
-        )
+    visited_objects: int = 0
 
     _GAUGES = _SessionStats._GAUGES + (
-        ("supersteps", "bulk-synchronous superstep rounds"),
-        ("local_runs", "per-shard local executor runs"),
-        ("exchanged_facts", "cross-shard frontier facts shipped at barriers"),
-        ("visited_objects", "objects visited across shards"),
+        ("visited_objects", "objects visited by executor runs"),
     )
-    _BACKEND_RUNS_HELP = "local executor runs per backend (superstep re-seeds count)"
 
-    def register(self, registry: MetricsRegistry, prefix: str) -> None:
-        """The shared gauges plus the per-evaluation and skew views.
-
-        The ``last_run`` gauges read the most recently *published*
-        evaluation (see :meth:`ShardedEngine._evaluate` — the reference is
-        swapped atomically, never mutated in place), so a scrape racing an
-        evaluation sees a consistent triple.
-        """
-        super().register(registry, prefix)
-        registry.gauge(
-            f"{prefix}_backend_evaluations",
-            "logical evaluations per backend (monolithic-comparable)",
-            lambda: dict(self.backend_evaluations),
-            labelnames=("backend",),
-        )
-        for attr in ("supersteps", "local_runs", "exchanged_facts"):
-            registry.gauge(
-                f"{prefix}_last_run_{attr}",
-                f"{attr} of the most recent evaluation, in isolation",
-                lambda a=attr: getattr(self.last_run, a),
-            )
-        registry.gauge(
-            f"{prefix}_superstep_skew_ratio",
-            "max/mean per-step wall time of the most recent multi-step superstep",
-            lambda: self.superstep_skew_ratio,
-        )
+    def record_run(self, run) -> None:
+        super().record_run(run)
+        self.supersteps += 1
+        self.local_runs += 1
+        self.visited_objects += run.visited_objects
 
     def summary(self, engine: "ShardedEngine") -> str:
         backends = (
             ", ".join(
-                f"{name}={self.backend_evaluations.get(name, 0)}"
-                f"/{count} runs"
-                for name, count in sorted(self.backend_runs.items())
+                f"{name}={count}" for name, count in sorted(self.backend_runs.items())
             )
             or "none"
         )
-        # One reference read: ``last_run`` is swapped atomically per
-        # evaluation (never reset in place), so the triple below is always
-        # one completed evaluation's, even with an evaluation mid-flight.
-        last = self.last_run
         return (
             f"shards: {engine.num_shards} "
             f"({engine.warm_shards} warm-started, {engine.rebuilt_shards} rebuilt); "
             f"evaluations: {self.single_evaluations} single, "
             f"{self.batch_evaluations} batched ({self.batched_sources} sources); "
-            f"supersteps: {self.supersteps} ({self.local_runs} local runs, "
-            f"{self.exchanged_facts} cross-shard frontier exports; last "
-            f"evaluation {last.supersteps} supersteps / "
-            f"{last.local_runs} runs); "
-            f"backend evaluations/runs: {backends}; "
-            f"visited pairs: {self.visited_pairs}"
+            f"visited pairs: {self.visited_pairs}; "
+            f"backend runs: {backends}"
         )
 
 
-@dataclass
-class _GlobalRun:
-    """One scatter-gather fixpoint: frontiers per shard plus gathered answers."""
+class ShardView:
+    """The shard graphs read as one graph: what the kernels and the session
+    read of a :class:`CompiledGraph`, and nothing they would write.
 
-    bit_of: dict
-    compiled: "list[CompiledQuery]"
-    frontiers: list
-    per_bit: "list[set]"
-    visited_pairs: int = 0
-    visited_objects: int = 0
+    Node ids number the *owned* nodes of every shard, so they are exactly
+    the instance's objects: first in ``repr`` order (the numbering a
+    monolithic build gives them), then in the order edits intern them.  A
+    ghost — a shard's copy of another shard's node, held as an edge
+    target — has no id of its own: every edge into one lands on its
+    owner's id, so a ghost is never a source, an answer or a counted pair.
+    Label ids are the shard graphs' own: the session interns every label
+    into every shard in one shared order, so they agree by construction.
 
-
-class _ShardIndex:
-    """One shard's local node ids as the superstep exchange reads them.
-
-    Per local id, ``owner`` is the shard that owns the node when it is a
-    ghost (``-1`` when this shard owns it) and ``owner_node`` its id in the
-    owner's graph: the route a fact landing on a ghost ships by.
-    ``ghosts`` is the same partition as a set.  Node ids are append-only,
-    so :meth:`extend` only looks at newly interned ones; :meth:`view`
-    hands the table out in a kernel family's form, the numpy one built
-    once per growth.
+    The view is live, like a compiled graph: the session calls :meth:`sync`
+    after every edit it routes to a shard, under the write side of its run
+    lock, and ``version`` moves whenever a shard graph's moves.  Adjacency
+    is the owning shard's, renumbered; the numpy lowering is built from the
+    shards' cached lowerings, concatenated and renumbered, and brought
+    forward across edits by patching, like a compiled graph's.
     """
 
-    __slots__ = ("graph", "owner", "owner_node", "ghosts", "_vectors")
+    GUARDED_BY = {"_products": "_lock", "_journal": "_lock", "_counts": "_lock"}
 
-    def __init__(self, graph: CompiledGraph) -> None:
-        self.graph = graph
-        self.owner: "list[int]" = []
-        self.owner_node: "list[int]" = []
-        self.ghosts: "set[int]" = set()
-        self._vectors: "tuple | None" = None
+    def __init__(
+        self,
+        graphs: "Sequence[CompiledGraph]",
+        labels: "list[str]",
+        shard_of: "Callable[[Oid], int]",
+    ) -> None:
+        self.graphs = tuple(graphs)
+        self.nodes: "Interner[Oid]" = Interner()
+        self.labels: "Interner[str]" = Interner()
+        self._label_order = labels  # the session's live, shared list
+        self._shard_of = shard_of
+        # Per id: the owning shard and the node's id there.
+        self._home = array("q")
+        self._local = array("q")
+        # Per shard: view id by local id (a ghost's is its owner's).
+        self._ids = [array("q") for _ in self.graphs]
+        self._stamp: "tuple | None" = None
+        self._products: "OrderedDict[tuple, tuple[int, int, ProductCSR]]" = OrderedDict()
+        # Routed edits ``(version, sign, source, label, target)`` in view
+        # ids, while a cached lowering may need them.
+        self._journal: "list[tuple[int, int, int, int, int]]" = []
+        self._counts = dict.fromkeys(("built", "patched", "hit"), 0)
+        self._lock = witnessed_lock("ShardView._lock")
+        self.version = 0
+        self.sync()
 
-    def extend(
-        self, shard: int, shard_of, engines: "Sequence[Engine]"
-    ) -> "_ShardIndex":
-        oids = self.graph.nodes.backing_list()
-        for node in range(len(self.owner), len(oids)):
-            home = shard_of(oids[node])
-            if home == shard:
-                self.owner.append(-1)
-                self.owner_node.append(node)
-                continue
-            home_node = engines[home].graph.node_id(oids[node])
-            if home_node is None:
+    def sync(self, edit: "tuple[int, Oid, str, Oid] | None" = None) -> None:
+        """Catch up with the shard graphs: number the nodes and labels they
+        interned since, and move ``version`` if any of them changed.
+
+        ``edit`` — ``(sign, source, label, destination)`` — is the edge
+        change the session just routed to a shard; it is journaled for the
+        cached lowerings to patch.
+        """
+        stamp = (
+            len(self._label_order),
+            *((graph.version, graph.num_nodes, graph.num_labels) for graph in self.graphs),
+        )
+        if stamp == self._stamp:
+            return
+        self._stamp = stamp
+        self.version += 1
+        for label in self._label_order[len(self.labels):]:
+            self.labels.intern(label)
+        fresh = []
+        for shard, graph in enumerate(self.graphs):
+            oids = graph.nodes.backing_list()
+            for local in range(len(self._ids[shard]), len(oids)):
+                if self._shard_of(oids[local]) == shard:
+                    fresh.append((oids[local], shard, local))
+        for oid, shard, local in sorted(fresh, key=lambda entry: repr(entry[0])):
+            self.nodes.intern(oid)
+            self._home.append(shard)
+            self._local.append(local)
+        order = self.labels.fingerprint()
+        for shard, graph in enumerate(self.graphs):
+            if graph.labels_fingerprint() != order:
                 raise ReproError(
-                    f"object {oids[node]!r} is not interned by its owner, shard {home}"
+                    f"shard {shard} interns labels as "
+                    f"{graph.labels_fingerprint()}, not in the session's "
+                    f"order {order}"
                 )
-            self.owner.append(home)
-            self.owner_node.append(home_node)
-            self.ghosts.add(node)
-        return self
+            oids = graph.nodes.backing_list()
+            ids = self._ids[shard]
+            for local in range(len(ids), len(oids)):
+                view_id = self.nodes.id_of(oids[local])
+                if view_id is None:
+                    raise ReproError(
+                        f"object {oids[local]!r} is not interned by its owner, "
+                        f"shard {self._shard_of(oids[local])}"
+                    )
+                ids.append(view_id)
+        if edit is not None:
+            sign, source, label, destination = edit
+            with self._lock:
+                if self._products:
+                    self._journal.append((
+                        self.version, sign, self.nodes.id_of(source),
+                        self.labels.id_of(label), self.nodes.id_of(destination),
+                    ))
+                    _trim_journal(self._products, self._journal)
 
-    def view(self, vectorized: bool) -> tuple:
-        """``(owner, owner_node, skip, labels)`` — the route table, the
-        ghosts to leave out of a gather and the oids by node id — as lists
-        and a set, or (``vectorized``) as numpy arrays: int routes, a
-        boolean ghost mask and an object array of oids."""
-        oids = self.graph.nodes.backing_list()
-        if not vectorized:
-            return self.owner, self.owner_node, self.ghosts, oids
-        if self._vectors is None or len(self._vectors[0]) != len(self.owner):
-            from .executor_np import np
+    # -- what the kernels read ------------------------------------------------
+    @property
+    def num_nodes(self) -> int:
+        return len(self.nodes)
 
-            owner = np.array(self.owner, dtype=np.int64)
-            self._vectors = (
-                owner,
-                np.array(self.owner_node, dtype=np.int64),
-                owner >= 0,
-                np.fromiter(oids, dtype=object, count=len(oids)),
-            )
-        return self._vectors
+    @property
+    def num_labels(self) -> int:
+        return len(self.labels)
+
+    def labels_fingerprint(self) -> "tuple[str, ...]":
+        return self.labels.fingerprint()
+
+    def label_edge_counts(self) -> "dict[str, int]":
+        """Live edge count per label: each edge lives on the shard owning
+        its source, so the shards' counts add up to every edge once."""
+        counts = dict.fromkeys(self.labels, 0)
+        for graph in self.graphs:
+            for label, count in graph.label_edge_counts().items():
+                counts[label] = counts.get(label, 0) + count
+        return counts
+
+    def lowering_counts(self) -> "dict[str, int]":
+        """The view's product-lowering lookups by outcome (see
+        :meth:`numpy_product_csr`)."""
+        with self._lock:
+            return dict(self._counts)
+
+    def successors(self, node: int, label_id: int) -> "Sequence[int]":
+        """The owning shard's live targets of ``node``, renumbered."""
+        shard = self._home[node]
+        ids = self._ids[shard]
+        return [
+            ids[target]
+            for target in self.graphs[shard].successors(self._local[node], label_id)
+        ]
+
+    def _concatenate(self, moves, n: int) -> ProductCSR:
+        """A cold build of the view's lowering of ``moves``: each shard's
+        own (cached, per-shard patched) lowering, renumbered.
+
+        A shard's product rows are its owned nodes' (a ghost row is empty),
+        and each row and target moves from key ``state * local_n + local``
+        to ``state * n + id``.  Rows keep their order within a shard, so
+        the concatenation is one scatter, without a sort.
+        """
+        import numpy as np
+
+        size = len(moves) * n
+        parts = []
+        for shard, graph in enumerate(self.graphs):
+            local = graph.num_nodes
+            if not local:
+                continue
+            product = graph.numpy_product_csr(moves)
+            degree = np.diff(product.indptr)
+            rows = degree.nonzero()[0]
+            if not rows.size:
+                continue
+            ids = np.array(self._ids[shard], dtype=np.int64)
+            targets = product.dst.astype(np.int64)
+            parts.append((
+                rows // local * n + ids[rows % local],
+                degree[rows],
+                product.indptr[rows].astype(np.int64),
+                targets // local * n + ids[targets % local],
+            ))
+        total = sum(part[3].size for part in parts)
+        dtype = _product_dtype(size, total)
+        degree = np.zeros(size, dtype=np.int64)
+        for keys, counts, _starts, _targets in parts:
+            degree[keys] = counts
+        indptr = np.zeros(size + 1, dtype=dtype)
+        np.cumsum(degree, out=indptr[1:])
+        dst = np.empty(total, dtype=dtype)
+        for keys, counts, starts, targets in parts:
+            offsets = indptr[keys].astype(np.int64) - starts
+            dst[np.arange(targets.size) + offsets.repeat(counts)] = targets
+        return ProductCSR(indptr, dst)
+
+    def numpy_product_csr(self, moves) -> ProductCSR:
+        """The product adjacency of ``moves`` over the view (see
+        :class:`~repro.engine.csr.ProductCSR`), from a small LRU that
+        survives edits, as :meth:`CompiledGraph.numpy_product_csr
+        <repro.engine.csr.CompiledGraph.numpy_product_csr>` keeps one: a
+        lowering made at an older version is patched with the edits
+        journaled since (in view ids), and one made for another node count
+        is rebuilt by :meth:`_concatenate`.
+        """
+        n = self.num_nodes
+        version = self.version
+        pending = None
+        with self._lock:
+            entry = self._products.get(moves)
+            if entry is not None:
+                self._products.move_to_end(moves)
+                built, nodes, product = entry
+                if nodes == n:
+                    journal = self._journal
+                    pending = journal[bisect_right(journal, built, key=_VERSION):]
+                    if len(pending) > product.dst.size:
+                        pending = None
+            how = "built" if pending is None else "patched" if pending else "hit"
+            self._counts[how] += 1
+        if how == "built":
+            product = self._concatenate(moves, n)
+        elif pending:
+            product = _patch_product(product, pending, moves, n)
+        # Set after the shards' own lookups, which set it on the same span.
+        current_span().set(lowering=how)
+        if how == "hit" and built == version:
+            return product
+        with self._lock:
+            if self.version == version:
+                self._products[moves] = (version, n, product)
+                while len(self._products) > _PRODUCT_CACHE_SIZE:
+                    self._products.popitem(last=False)
+                _trim_journal(self._products, self._journal)
+        return product
+
+    # -- translation ------------------------------------------------------------
+    def node_id(self, oid: Oid) -> "int | None":
+        return self.nodes.id_of(oid)
+
+    def oid_of(self, node: int) -> Oid:
+        return self.nodes.value_of(node)
+
+    def oids_of(self, node_ids: Iterable[int]) -> "set[Oid]":
+        values = self.nodes.backing_list()
+        return {values[node] for node in node_ids}
+
+    def label_id(self, label: str) -> "int | None":
+        return self.labels.id_of(label)
+
+    def __repr__(self) -> str:
+        return f"ShardView(shards={len(self.graphs)}, nodes={self.num_nodes})"
 
 
 class ShardedEngine(Session):
-    """A sharded compiled-evaluation session with scatter-gather serving.
+    """A sharded compiled-evaluation session.
 
     The same :class:`~repro.engine.session.Session` API as :class:`Engine`
     — ``query`` / ``query_batch`` / ``query_all`` / ``add_edge`` /
-    ``remove_edge`` / ``save`` / ``stats`` — over a second evaluator: the
-    instance is partitioned across ``num_shards`` compiled graphs and
-    evaluated by superstep frontier exchange (module docstring).  Construct
-    with :meth:`open` (an instance, or a snapshot directory written by
-    :meth:`save`).
+    ``remove_edge`` / ``save`` / ``stats`` — and the same evaluation: the
+    instance is partitioned across ``num_shards`` compiled graphs, and every
+    query runs once over their :class:`ShardView` (module docstring).
+    Shards stay the unit of mutation routing, per-shard snapshots and
+    stale-shard-only recompiles.  Construct with :meth:`open` (an instance,
+    or a snapshot directory written by :meth:`save`).
 
-    With ``concurrency=N`` (N > 1) each superstep's per-shard local
-    fixpoints — independent by construction: a shard's step touches only its
-    own compiled graph and frontier, and cross-shard facts exchange at the
-    barrier — run on a thread-pool
-    :class:`~repro.engine.serving.SuperstepScheduler` instead of
-    sequentially, the calling thread taking its share of them.  The numpy
-    executor releases the GIL inside its ``reduceat`` hot loops, so shard
-    steps overlap when the process has CPUs to spare; pinned to one CPU (as
-    the benchmark's sharded workload runs) they interleave instead, and the
-    caller usually runs most of a superstep itself.  :meth:`close` releases
-    the threads; the session keeps serving, sequentially.
-
-    Thread-safety mirrors :class:`Engine`: concurrent callers are safe —
-    evaluations serialize on the session lock (the supersteps *within* one
-    evaluation are what parallelize) — and the serving layer's admission
-    queue (:meth:`as_server`) batches concurrent requests in front of it.
+    Thread-safety mirrors :class:`Engine`: concurrent queries are safe and
+    run side by side under the read side of the session's run lock, while
+    an edit holds the session lock and the write side, so a query racing
+    an edit answers against the edge set before or after it.
     """
 
-    # ``_subs``/``_shards`` are rebuilt references, atomically published
-    # under ``_lock``; read paths (properties, gauges, ghost cache) take
-    # lock-free point reads of whichever build they land on.  ``_rewrites``
-    # and ``_scheduler`` are the base's (see :class:`Session`).
+    # ``_subs``/``_shards``/``_view`` are rebuilt references, atomically
+    # published under ``_lock``; read paths (properties, gauges) take
+    # lock-free point reads of whichever build they land on.
     GUARDED_BY = {
         "_subs": "_lock:mutate",
         "_shards": "_lock:mutate",
+        "_view": "_lock:mutate",
         "_instance_version": "_lock",
     }
 
     _PREFIX = "sharded"
+    # The executor-run histogram's name is kept only because the e2e
+    # benchmark reads it.
+    _RUN_HISTOGRAM = (
+        "sharded_local_fixpoint_seconds", "executor run latency (traversal only)"
+    )
 
     def __init__(
         self,
@@ -486,10 +567,10 @@ class ShardedEngine(Session):
         _restored: "tuple[list[Instance], list[Engine], list[str]] | None" = None,
     ) -> None:
         self._map = self._resolve_map(shards, shard_map)
-        # Shard engines carry their own (never-snapshotted) registries; their
-        # *spans* still join this session's traces — span parentage follows
-        # the active context, not the owning session — so a trace shows
-        # shard compiles under the sharded evaluation that triggered them.
+        # Checked but without effect: kept only because the e2e benchmark
+        # passes it.
+        if concurrency is not None and concurrency < 1:
+            raise ReproError("concurrency must be a positive worker count")
         super().__init__(
             constraints=constraints,
             cost_model=cost_model,
@@ -510,33 +591,10 @@ class ShardedEngine(Session):
             "sharded_rebuilt_shards", "shards built from scratch",
             lambda: self.rebuilt_shards,
         )
-        self._hist_superstep = registry.histogram(
-            "sharded_superstep_seconds", "one bulk-synchronous superstep round"
-        )
-        self._hist_local = registry.histogram(
-            "sharded_local_fixpoint_seconds", "one shard's local superstep"
-        )
-        if concurrency is not None and concurrency < 1:
-            raise ReproError("concurrency must be a positive worker count")
-        if concurrency is not None and concurrency > 1:
-            from .serving import SuperstepScheduler
-
-            self._scheduler = scheduler = SuperstepScheduler(concurrency)
-            for attr, help_text in (
-                ("steps", "per-shard steps scheduled"),
-                ("barriers", "superstep barriers joined"),
-                ("concurrent_steps", "peak simultaneously in-flight shard steps"),
-            ):
-                registry.gauge(
-                    f"sharded_scheduler_{attr}", help_text,
-                    lambda a=attr: getattr(scheduler, a),
-                )
         self._labels: list[str] = []
         self._label_set: set[str] = set()
-        # Constraint pre-rewrite happens ONCE, in the session's memo, not per
-        # shard: every shard must compile the *same* expression, or the
-        # exchanged DFA state ids would not line up.  Shard engines are
-        # therefore built constraint-free.
+        # Constraint pre-rewrite happens once, in the session's memo; shard
+        # engines are built constraint-free.
         if _restored is None:
             self._build()
         else:
@@ -547,10 +605,13 @@ class ShardedEngine(Session):
             self._label_set = set(labels)
             self._subs = subs
             self._shards = engines
-            self._reset_indexes()
-            # Stale shards may have rebuilt with labels the warm shards (or
-            # the manifest) have never seen; level the universes.
+            # Warm shards load the manifest's order, a prefix of ``labels``
+            # (stale ones rebuilt with all of it): extend them to the rest.
+            for engine in engines:
+                for label in labels:
+                    engine.graph.ensure_label(label)
             self._sync_labels(instance.labels())
+            self._view = None
             self._instance_version = instance.version
 
     @staticmethod
@@ -581,15 +642,14 @@ class ShardedEngine(Session):
             )
             for sub in self._subs
         ]
-        self._reset_indexes()
+        self._view = None
         self._instance_version = instance.version
 
-    def _reset_indexes(self) -> None:
-        # The shard graphs the indexes were built against: a ghost's
-        # owner-local id is only good while its owner's graph is.
-        self._index_graphs = tuple(engine.graph for engine in self._shards)
-        self._indexes: "list[_ShardIndex | None]" = [None] * self._map.num_shards
-        self._home_codes: "dict[Oid, int]" = {}
+    def _sync_view(self, edit: "tuple[int, Oid, str, Oid] | None" = None) -> None:
+        """Bring the view up to the shard graphs after an edit (one not
+        built yet will be built from them)."""
+        if self._view is not None:
+            self._view.sync(edit)
 
     def _sync_labels(self, labels: Iterable[str]) -> bool:
         """Append any new labels to the shared order and to every shard graph.
@@ -607,27 +667,6 @@ class ShardedEngine(Session):
                 engine.graph.ensure_label(label)
         return True
 
-    def _homes(self, oids: "Iterable[Oid]") -> "list[int]":
-        """Per oid, its shard and its node id there as ``shard << 32 |
-        node`` — where a source's bit starts.  Cached like the indexes: a
-        steady batch maps its sources in one C-level pass."""
-        homes = self._home_codes
-        try:
-            return list(map(homes.__getitem__, oids))
-        except KeyError:
-            for oid in oids:
-                if oid not in homes:
-                    shard = self._map.shard_of(oid)
-                    homes[oid] = shard << 32 | self._shards[shard].graph.node_id(oid)
-            return list(map(homes.__getitem__, oids))
-
-    def _index(self, shard: int) -> _ShardIndex:
-        """``shard``'s :class:`_ShardIndex`, brought up to its graph's ids."""
-        index = self._indexes[shard]
-        if index is None:
-            index = self._indexes[shard] = _ShardIndex(self._shards[shard].graph)
-        return index.extend(shard, self._map.shard_of, self._shards)
-
     # -- introspection --------------------------------------------------------
     @property
     def num_shards(self) -> int:
@@ -642,9 +681,26 @@ class ShardedEngine(Session):
         return tuple(self._shards)
 
     @property
-    def scheduler(self) -> "SuperstepScheduler | None":
-        """The concurrent superstep scheduler, or ``None`` when sequential."""
-        return self._scheduler
+    def graph(self) -> ShardView:
+        """The view over the shard graphs that queries run on, built on
+        first use."""
+        view = self._view
+        if view is None:
+            with self._lock:
+                if self._view is None:
+                    self._view = ShardView(
+                        [engine.graph for engine in self._shards],
+                        self._labels,
+                        self._map.shard_of,
+                    )
+                view = self._view
+        return view
+
+    @property
+    def compiler(self) -> "QueryCompiler":
+        """Shard 0's compile cache, where queries compile once against the
+        view's label order (so shard 0's snapshot carries them)."""
+        return self._shards[0].compiler
 
     @property
     def warm_shards(self) -> int:
@@ -653,11 +709,6 @@ class ShardedEngine(Session):
     @property
     def rebuilt_shards(self) -> int:
         return sum(1 for engine in self._shards if engine.stats.graph_builds)
-
-    def _lowering_counts(self) -> "dict[str, int]":
-        """Summed over the shards' graphs."""
-        per_shard = [engine.graph.lowering_counts() for engine in self._shards]
-        return {how: sum(counts[how] for counts in per_shard) for how in per_shard[0]}
 
     def __repr__(self) -> str:
         return (
@@ -684,24 +735,27 @@ class ShardedEngine(Session):
     def add_edge(self, source: Oid, label: str, destination: Oid) -> None:
         """Add one edge, routed to the shard that owns ``source``.
 
-        The destination is registered with *its* owner too (objects must
-        always have an owner for the gather step), and a genuinely new label
-        is interned into every shard graph so the shared label universe —
-        and with it cross-shard DFA state numbering — stays aligned.
+        The destination is registered with *its* owner too (every object
+        has an owner, whose id the view gives it), and a genuinely new
+        label is interned into every shard graph so the shared label
+        universe stays aligned.
         """
         with self._lock:
             self.refresh()
             instance = self._instance
             if instance.has_edge(source, label, destination):
                 return
-            instance.add_edge(source, label, destination)
-            self._sync_labels((label,))
-            owner = self._map.shard_of(source)
-            self._shards[owner].add_edge(source, label, destination)
-            for endpoint in (source, destination):
-                home = self._map.shard_of(endpoint)
-                if home != owner and endpoint not in self._subs[home]:
-                    self._subs[home].add_object(endpoint)
+            with self._run_lock.write():
+                instance.add_edge(source, label, destination)
+                self._sync_labels((label,))
+                self._shards[self._map.shard_of(source)].add_edge(
+                    source, label, destination
+                )
+                home = self._map.shard_of(destination)
+                if destination not in self._subs[home]:
+                    self._subs[home].add_object(destination)
+                    self._shards[home].refresh()
+                self._sync_view((1, source, label, destination))
             self._instance_version = instance.version
 
     @acquires("Engine._lock")
@@ -709,22 +763,25 @@ class ShardedEngine(Session):
         """Remove one edge from the shard that owns ``source`` (tombstone)."""
         with self._lock:
             self.refresh()
-            self._instance.remove_edge(source, label, destination)
-            owner = self._map.shard_of(source)
-            self._shards[owner].remove_edge(source, label, destination)
+            with self._run_lock.write():
+                self._instance.remove_edge(source, label, destination)
+                self._shards[self._map.shard_of(source)].remove_edge(
+                    source, label, destination
+                )
+                self._sync_view((-1, source, label, destination))
             self._instance_version = self._instance.version
 
     @acquires("Engine._lock")
     def compact_now(self) -> bool:
         """Compact every shard graph now (see ``Engine.compact_now``).
 
-        Returns ``True`` when any shard's layout changed.  Each shard
-        drains its own in-flight runs independently — there is no global
-        barrier, matching how incremental edits land shard-locally.
+        Returns ``True`` when any shard's layout changed.
         """
         with self._lock:
             self.refresh()
-            compacted = [engine.compact_now() for engine in self._shards]
+            with self._run_lock.write():
+                compacted = [engine.compact_now() for engine in self._shards]
+                self._sync_view()
             return any(compacted)
 
     @property
@@ -738,406 +795,6 @@ class ShardedEngine(Session):
         with self._lock:
             for engine in self._shards:
                 engine.auto_compact_ratio = ratio
-
-    # -- evaluation -----------------------------------------------------------
-    # _prepared comes from Session and runs exactly once for all shards: the
-    # rewritten expression is what every shard compiles, so the DFA state
-    # ids exchanged between shards always agree.
-    @acquires("Engine._lock")
-    def _compiled_everywhere(self, prepared) -> list:
-        """One compiled table per shard, compiled (at most) once overall.
-
-        DFA construction is graph-independent and every shard normally
-        interns the same label universe in the same order, so shard 0's
-        table is byte-for-byte what every other shard would compile; it is
-        seeded into their caches (keeping per-shard snapshots warm) instead
-        of re-running the subset construction per shard — with a
-        ``by_site`` map that is one compile instead of one per *object*.
-        A shard whose interning order diverged (possible after a
-        stale-shard rebuild) compiles its own table.
-        """
-        first = self._shards[0]
-        compiled_first = first.compiled(prepared)  # refreshes shard 0
-        fingerprint = first.graph.labels_fingerprint()
-        key = query_key(prepared)
-        compiled = [compiled_first]
-        for engine in self._shards[1:]:
-            engine.refresh()
-            if engine.graph.labels_fingerprint() == fingerprint:
-                engine.compiler.seed(key, compiled_first, fingerprint)
-                compiled.append(compiled_first)
-            else:
-                compiled.append(engine.compiled(prepared))
-        return compiled
-
-    def _local_fixpoint(
-        self,
-        shard: int,
-        seeds,
-        frontier,
-        compiled: "CompiledQuery",
-        num_bits: int,
-        route: tuple,
-        answer_sink=None,
-    ):
-        """One shard's local superstep: drive the executor to a fixpoint.
-
-        Pure with respect to every *other* shard — the step touches only
-        this shard's engine, compiled graph and frontier handle, which is
-        what lets the scheduler run the steps of one superstep concurrently.
-        ``seeds`` are kernel-native (what :meth:`NpFrontier.route` delivered),
-        so the run takes them as they are.  Returns ``(frontier, exports)``:
-        the continued handle and the facts that grew onto ghost nodes,
-        already routed to their owners' node ids (``None`` when none did).
-        """
-        run = run_batch(
-            self._shards[shard].graph,
-            compiled,
-            (),
-            seeds=seeds,
-            known=frontier,
-            num_bits=num_bits,
-            answer_sink=answer_sink,
-            backend=self.backend,
-        )
-        return run.frontier, run.frontier.exports(*route)
-
-    def _evaluate(
-        self, query, sources: "Sequence[Oid]", answer_sink=None
-    ) -> _GlobalRun:
-        """Run the scatter-gather superstep fixpoint for ``sources``.
-
-        ``sources`` must be objects of the instance.  Each shard's state
-        lives in a backend-native frontier (cumulative masks) that is handed
-        back to :func:`run_batch` as ``known`` every superstep, so repeated
-        rounds neither re-flood earlier work nor pay any conversion.
-
-        The loop is a classic bulk-synchronous superstep: the independent
-        per-shard :meth:`_local_fixpoint` steps (scheduled concurrently when
-        a :attr:`scheduler` is installed), then a barrier that routes every
-        exported ghost fact to its owner as the next round's seed frontier.
-        The exchange is the frontier family's own calls —
-        ``exports``/``route`` on the numpy handle are flat keys and uint64
-        rows end to end — so a superstep costs what it exchanges; the answers
-        are gathered once, over every shard's owned accepting rows, at the
-        end (the ``sharded.exchange`` and ``sharded.assemble`` spans).
-
-        ``answer_sink(source_oid, answers)``, when given, streams *owned*
-        accepting facts out of the supersteps as they land: each shard's
-        executor reports newly accepting ``(node, bits)`` facts mid-round,
-        ghost nodes are filtered (their owner streams them), and each
-        ``(source, answer)`` pair is delivered at most once per evaluation
-        (the executors never re-report facts a continued frontier already
-        held).  The sink runs on scheduler worker threads — it must be
-        cheap and thread-safe.
-        """
-        self.refresh()
-        compiled = self._compiled_everywhere(self._prepared(query))
-        graphs = tuple(engine.graph for engine in self._shards)
-        if graphs != self._index_graphs:
-            self._reset_indexes()
-        backend = resolve_backend(self.backend)
-        family = frontier_class(backend)
-        vectorized = family is not PyFrontier
-        # The per-evaluation view accumulates in a *local* object and is
-        # published into ``stats.last_run`` in one reference assignment at
-        # the end: a concurrent ``summary()``/gauge read never sees a
-        # half-accumulated evaluation (it always reads the last finished one).
-        counters = SuperstepCounters()
-        tele = self.metrics
-        bit_of = dict(zip(dict.fromkeys(sources), count()))
-        num_bits = len(bit_of)
-        sizes = [graph.num_nodes for graph in graphs]
-        frontiers: list = [None] * len(graphs)
-        # DFA state numbering is graph-independent (states are sorted before
-        # indexing, and the shared label universe rules out cross-shard
-        # liveness differences), so shard 0's automaton speaks for all.
-        pending = family.source_seeds(self._homes(bit_of), compiled[0].initial, sizes)
-        bit_to_oid = list(bit_of)  # insertion order: position == bit
-        views: "dict[int, tuple]" = {}
-
-        def view(shard: int) -> tuple:
-            """``shard``'s index in the kernel family's form, once per evaluation."""
-            found = views.get(shard)
-            if found is None:
-                found = views[shard] = self._index(shard).view(vectorized)
-            return found
-
-        sink_for = None
-        if answer_sink is not None:
-
-            def sink_for(shard: int):
-                """Adapt the executor's (node, bits) facts to (source oid, answer)."""
-                index = self._index(shard)
-                ghosts = index.ghosts
-                oid_of = index.graph.nodes.backing_list()
-
-                def sink(bit, nodes):
-                    # The executor hands a whole round's facts for one source
-                    # bit at a time; this runs inside the local fixpoint, so
-                    # the ghost filter plus node→oid mapping is the only
-                    # per-fact work left on the evaluation thread.
-                    answers = [oid_of[node] for node in nodes if node not in ghosts]
-                    if answers:
-                        answer_sink(bit_to_oid[bit], answers)
-
-                return sink
-
-        while pending:
-            self.stats.supersteps += 1
-            counters.supersteps += 1
-            active = sorted(pending)
-            # The superstep span parents the per-shard fixpoint spans, which
-            # may run on scheduler worker threads — the contextvar does not
-            # follow them there, so parentage is explicit (span_under).
-            superstep_span = tele.span(
-                "sharded.superstep", round=counters.supersteps, shards=len(active)
-            )
-            durations: "list[float]" = []
-
-            def make_step(shard: int):
-                seeds, frontier = pending[shard], frontiers[shard]
-                route = view(shard)[:3]
-                sink = sink_for(shard) if sink_for is not None else None
-
-                def step():
-                    local_span = tele.span_under(
-                        superstep_span, "sharded.local_fixpoint",
-                        shard=shard, backend=backend,
-                    )
-                    try:
-                        # Current for the run, so the dispatcher lands the
-                        # kernel's work counts on this span.
-                        with tele.under(local_span):
-                            result = self._local_fixpoint(
-                                shard, seeds, frontier, compiled[shard],
-                                num_bits, route, answer_sink=sink,
-                            )
-                        exports = result[1]
-                        local_span.set(
-                            exports=0 if exports is None else len(exports[0])
-                        )
-                    finally:
-                        local_span.end()
-                    self._hist_local.observe(local_span.duration)
-                    durations.append(local_span.duration)
-                    return result
-
-                return step
-
-            steps = [make_step(shard) for shard in active]
-            if self._scheduler is not None:
-                results = self._scheduler.run(steps)
-            else:
-                results = [step() for step in steps]
-            # Superstep balance: max/mean per-step wall time (1.0 = even).
-            if len(durations) > 1:
-                total = sum(durations)
-                if total > 0.0:
-                    self.stats.superstep_skew_ratio = (
-                        max(durations) * len(durations) / total
-                    )
-            # Barrier: adopt every shard's new frontier, then scatter — route
-            # each exported ghost fact to its owner, shipping only bits the
-            # owner has not absorbed yet (it may have derived the same fact
-            # itself this round).
-            packets = []
-            for shard, (frontier, exports) in zip(active, results):
-                frontiers[shard] = frontier
-                if exports is not None:
-                    packets.append(exports)
-            self.stats.record_local_runs(backend, len(active))
-            counters.local_runs += len(active)
-            exchange_span = tele.span_under(superstep_span, "sharded.exchange")
-            pending, shipped = (
-                family.route(packets, frontiers, sizes) if packets else ({}, 0)
-            )
-            exported = sum(len(packet[0]) for packet in packets)
-            exchange_span.end(
-                exported=exported, shipped=shipped, absorbed=exported - shipped
-            )
-            self.stats.exchanged_facts += shipped
-            counters.exchanged_facts += shipped
-            superstep_span.end(exchanged=counters.exchanged_facts)
-            self._hist_superstep.observe(superstep_span.duration)
-        self.stats.last_run = counters  # atomic publish (see above)
-        if counters.local_runs:
-            self.stats.record_evaluation(backend)
-
-        # Gather: accepting-state facts of each shard's owned nodes, in one
-        # pass over every shard's reached rows.
-        assemble_span = tele.span("sharded.assemble")
-        parts = [
-            (frontier, *view(shard)[2:])
-            for shard, frontier in enumerate(frontiers)
-            if frontier is not None
-        ]
-        visited_pairs, visited_objects, per_bit = family.assemble(
-            parts, compiled[0].accepting, num_bits
-        )
-        assemble_span.end(shards=len(parts), answers=sum(map(len, per_bit)))
-        self.stats.visited_pairs += visited_pairs
-        self.stats.visited_objects += visited_objects
-        return _GlobalRun(
-            bit_of=bit_of,
-            compiled=compiled,
-            frontiers=frontiers,
-            per_bit=per_bit,
-            visited_pairs=visited_pairs,
-            visited_objects=visited_objects,
-        )
-
-    @guarded_by("_lock")
-    def _count_degrees(self) -> DegreeStats:
-        """Per-label live edge counts summed across shard CSRs.
-
-        Each edge lives on the shard owning its source, so summing the
-        per-shard :meth:`~repro.engine.csr.CompiledGraph.label_edge_counts`
-        counts every edge exactly once; ``num_nodes`` comes from the global
-        instance (shard graphs also intern ghost frontier nodes, which must
-        not inflate the domain size the planner divides by).
-        """
-        counts: "dict[str, int]" = {}
-        for engine in self._shards:
-            for label, count in engine.graph.label_edge_counts().items():
-                counts[label] = counts.get(label, 0) + count
-        return DegreeStats(num_nodes=len(self._instance), label_counts=counts)
-
-    # -- the host half of the Session contract --------------------------------
-    def _query_single(self, query, source: Oid):
-        with self._lock:
-            self.refresh()
-            if source not in self._instance:
-                return self._shards[0].compiled(self._prepared(query)), None
-            run = self._evaluate(query, [source])
-            result = EvaluationResult(
-                answers=set(run.per_bit[0]),
-                visited_pairs=run.visited_pairs,
-                visited_objects=run.visited_objects,
-            )
-            result.witness_paths.update(self._witness_words(run, source))
-            return run.compiled[0], result
-
-    def _query_batch(self, query, sources: "list[Oid]", emit):
-        """One scatter-gather fixpoint over the sources the instance holds.
-
-        ``emit`` receives each ``(source, answer)`` pair at most once, as
-        the owning shard's local fixpoint derives it — mid-superstep, from
-        scheduler worker threads.
-        """
-        with self._lock:
-            known = [oid for oid in sources if oid in self._instance]
-            run = self._evaluate(query, known, answer_sink=emit)
-            return run.compiled[0], {
-                oid: run.per_bit[bit] for oid, bit in run.bit_of.items()
-            }
-
-    def _query_batch_results(self, query, sources: "list[Oid]"):
-        """One scatter-gather fixpoint, then each source's answers get one
-        witness label word apiece from the ``(state, oid)`` BFS stitched
-        across shards — the same reconstruction single-source :meth:`query`
-        uses, restricted per source to its own bit of the owned fact masks
-        (computed once for the whole batch)."""
-        with self._lock:
-            known = [oid for oid in sources if oid in self._instance]
-            run = self._evaluate(query, known)
-            facts = self._fact_masks(run)
-            found: "dict[Oid, EvaluationResult]" = {}
-            for oid, bit in run.bit_of.items():
-                result = EvaluationResult(
-                    answers=set(run.per_bit[bit]),
-                    visited_pairs=run.visited_pairs,
-                    visited_objects=run.visited_objects,
-                )
-                result.witness_paths.update(
-                    self._witness_words(run, oid, bit, facts)
-                )
-                found[oid] = result
-            return run.compiled[0], found
-
-    def _query_all(self, query) -> "dict[Oid, set[Oid]]":
-        return self._query_batch(query, self._active_domain(), None)[1]
-
-    def _fact_masks(self, run: _GlobalRun) -> "dict[tuple[int, Oid], int]":
-        """Every owned ``(state, oid)`` fact of a run with its source bitmask.
-
-        Computed once per run and shared across the per-source witness
-        walks of a batch (each restricts to its own bit of the masks).
-        """
-        facts: "dict[tuple[int, Oid], int]" = {}
-        for shard, frontier in enumerate(run.frontiers):
-            if frontier is None:
-                continue
-            index = self._index(shard)
-            ghosts = index.ghosts
-            oid_of = index.graph.nodes.backing_list()
-            for state, node, mask in frontier.items():
-                if node not in ghosts:
-                    facts[(state, oid_of[node])] = mask
-        return facts
-
-    def _witness_words(
-        self,
-        run: _GlobalRun,
-        source: Oid,
-        bit: int = 0,
-        facts: "dict[tuple[int, Oid], int] | None" = None,
-    ) -> "dict[Oid, tuple[str, ...]]":
-        """Rebuild one witness label word per answer of one source's bit.
-
-        A BFS over ``(state, oid)`` pairs stitched across shards: adjacency
-        comes from the owning shard's sub-instance (an owned node's full
-        description lives there), transitions from that shard's compiled
-        table, and expansion is restricted to the facts the fixpoint proved
-        reachable for the source's bit — so the walk is bounded by work the
-        supersteps already did, and the first accepting visit per target is
-        a shortest witness.  ``facts`` lets a batched caller compute the
-        owned fact masks once and share them across all its sources.
-        """
-        if facts is None:
-            facts = self._fact_masks(run)
-        flag = 1 << bit
-        compiled0 = run.compiled[0]
-        accepting = compiled0.accepting
-        start = (compiled0.initial, source)
-        parents: "dict[tuple[int, Oid], tuple[tuple[int, Oid], str] | None]" = {
-            start: None
-        }
-        first_accept: "dict[Oid, tuple[int, Oid]]" = {}
-        if accepting[compiled0.initial]:
-            first_accept[source] = start
-        queue: "deque[tuple[int, Oid]]" = deque([start])
-        while queue:
-            state, oid = queue.popleft()
-            shard = self._map.shard_of(oid)
-            table = run.compiled[shard].table
-            label_id = self._shards[shard].graph.label_id
-            for label, destination in self._subs[shard].out_edges(oid):
-                lid = label_id(label)
-                if lid is None:
-                    continue
-                next_state = table[state][lid]
-                if next_state < 0:
-                    continue
-                key = (next_state, destination)
-                if key in parents or not facts.get(key, 0) & flag:
-                    continue
-                parents[key] = ((state, oid), label)
-                if accepting[next_state] and destination not in first_accept:
-                    first_accept[destination] = key
-                queue.append(key)
-        words: "dict[Oid, tuple[str, ...]]" = {}
-        for answer, key in first_accept.items():
-            labels: list[str] = []
-            while True:
-                parent = parents[key]
-                if parent is None:
-                    break
-                key, label = parent
-                labels.append(label)
-            labels.reverse()
-            words[answer] = tuple(labels)
-        return words
 
     # -- persistence ----------------------------------------------------------
     def save(self, directory: "str | os.PathLike") -> None:
@@ -1331,6 +988,10 @@ class ShardedEngine(Session):
                     merged.add_edge(source, label, destination)
             live = merged
         else:
+            # Labels the manifest has not seen join the shared order before
+            # any shard is opened, so a stale shard's rebuild interns them
+            # in that order rather than in the order its edges meet them.
+            labels.extend(sorted(set(instance.labels()) - set(labels)))
             subs = partition_instance(instance, resolved_map)
             engines = [
                 Engine.open(

@@ -22,8 +22,7 @@ flag:
   Spans nest through a :mod:`contextvars` current-span variable within a
   thread, and cross thread boundaries explicitly
   (:meth:`Telemetry.span_under` / :meth:`Telemetry.under`) — which is how
-  one serving trace spans the event loop, the flush pool and the superstep
-  scheduler's workers;
+  one serving trace spans the event loop and the flush pool;
 
 * **export surfaces** — ``registry.snapshot()`` (JSON-ready dict with
   stable key names), ``render_prometheus()`` (text exposition format 0.0.4),
@@ -485,7 +484,7 @@ class MetricsRegistry:
     One registry per session (:class:`~repro.engine.session.Engine` or
     :class:`~repro.engine.sharding.ShardedEngine`); the serving layer
     registers its gauges into the *engine's* registry so a single snapshot
-    covers admission, evaluation and supersteps.  Registration is
+    covers admission and evaluation.  Registration is
     get-or-create for counters and histograms (same name → same instrument)
     and last-wins for gauges (a new ``QueryServer`` over the same engine
     re-points the serving gauges at its own stats).
@@ -644,8 +643,8 @@ except ImportError:  # pragma: no cover - stdlib always has it
 class Trace:
     """One request's span tree, assembled as its spans end.
 
-    Spans append themselves on creation (under a small lock — the superstep
-    scheduler creates sibling spans from worker threads); the tree is
+    Spans append themselves on creation (under a small lock — the flush
+    pool creates sibling spans from worker threads); the tree is
     bounded by ``max_spans``, beyond which spans are counted but dropped,
     so a pathological fixpoint cannot grow a trace without limit.
     """

@@ -144,20 +144,19 @@ class TestWitnessedLock:
 class TestEngineWitnessIntegration:
     def test_sharded_evaluation_order_matches_static_graph(self, witness_mode):
         # Locks must be created while witness mode is on, so the engine is
-        # built inside the fixture's window.  A concurrent sharded engine
-        # exercises the deepest real nesting: ShardedEngine._lock ->
-        # Engine._lock -> Engine._run_lock across scheduler threads.
+        # built inside the fixture's window.  A sharded edit exercises the
+        # deepest real nesting: ShardedEngine._lock ->
+        # ShardedEngine._run_lock -> Engine._lock -> Engine._run_lock.
         from repro.engine import ShardedEngine
         from repro.graph import web_like_graph
 
         instance, source = web_like_graph(24, ["ref", "link"], seed=11)
-        engine = ShardedEngine(instance, shards=2, concurrency=2)
-        try:
-            engine.query("ref*", source)
-            engine.add_edge(source, "extra", source)
-            engine.query("extra", source)
-        finally:
-            engine.close()
+        engine = ShardedEngine(instance, shards=2)
+        engine.query("ref*", source)
+        engine.add_edge(source, "extra", "fresh")
+        engine.query_batch("extra", [source])
+        engine.compact_now()
         observed = witness_mode.edges()
+        assert ("ShardedEngine._run_lock", "Engine._lock") in observed
         assert observed, "witnessed evaluation recorded no lock nesting"
         witness_mode.assert_consistent(engine_static_edges())

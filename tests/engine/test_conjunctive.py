@@ -478,13 +478,13 @@ class TestQueryConjunctive:
 # ---------------------------------------------------------------------------
 def open_sessions(instance):
     """``(name, session)`` for every kind of session a CRPQ can run on: the
-    monolithic engine and the sharded one at ``concurrency`` 1 and 2, each
-    per available batch kernel, each over its own copy of ``instance``."""
+    monolithic engine and the sharded one on 2 and 3 hash shards, each per
+    available batch kernel, each over its own copy of ``instance``."""
     for backend in available_backends():
         yield f"engine/{backend}", Engine.open(instance.copy(), backend=backend)
-        for concurrency in (1, 2):
-            yield f"sharded/{backend}/c{concurrency}", ShardedEngine.open(
-                instance.copy(), shards=3, backend=backend, concurrency=concurrency
+        for shards in (2, 3):
+            yield f"sharded/{backend}/s{shards}", ShardedEngine.open(
+                instance.copy(), shards=shards, backend=backend
             )
 
 

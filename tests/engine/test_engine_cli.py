@@ -365,22 +365,24 @@ class TestServeCommand:
 
 
 class TestEngineConcurrencyFlag:
-    def test_concurrency_requires_shards(self, graph_file, query_file, capsys):
-        code = main(
-            ["engine", graph_file, query_file, "--all-sources", "--concurrency", "2"]
-        )
-        assert code == 2
-        assert "--shards" in capsys.readouterr().err
+    def test_concurrency_flag_is_gone(self, graph_file, query_file, capsys):
+        # A sharded session runs one fixpoint: there are no per-shard steps
+        # left to put on worker threads.
+        for extra in ([], ["--shards", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["engine", graph_file, query_file, "--all-sources",
+                      "--concurrency", "2", *extra])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments: --concurrency" in capsys.readouterr().err
 
-    def test_concurrency_with_shards_serves(self, graph_file, query_file, capsys):
+    def test_shards_serve_the_monolithic_answers(self, graph_file, query_file, capsys):
         code = main(
-            ["engine", graph_file, query_file, "--all-sources",
-             "--shards", "2", "--concurrency", "2"]
+            ["engine", graph_file, query_file, "--all-sources", "--shards", "2"]
         )
         assert code == 0
-        concurrent_out = capsys.readouterr().out
+        sharded_out = capsys.readouterr().out
         assert main(["engine", graph_file, query_file, "--all-sources"]) == 0
-        assert capsys.readouterr().out == concurrent_out
+        assert capsys.readouterr().out == sharded_out
 
     def test_unresolvable_tcp_host_exits_two(self, graph_file, capsys):
         code = main(["serve", graph_file, "--tcp", "no.such.host.invalid:0"])
@@ -451,10 +453,9 @@ class TestCrpqCommand:
         assert main(["crpq", chain_file, "a b"]) == 2
         assert "MATCH" in capsys.readouterr().err
 
-    def test_concurrency_requires_shards(self, chain_file, capsys):
-        code = main(
-            ["crpq", chain_file, "MATCH x -[a]-> y RETURN y",
-             "--concurrency", "2"]
-        )
-        assert code == 2
-        assert "--shards" in capsys.readouterr().err
+    def test_concurrency_flag_is_gone(self, chain_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["crpq", chain_file, "MATCH x -[a]-> y RETURN y",
+                  "--shards", "2", "--concurrency", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --concurrency" in capsys.readouterr().err

@@ -8,19 +8,23 @@ must agree exactly, in every mode (single-source, batched, all-pairs).  The
 ``visited_pairs``/``visited_objects`` statistics agree too: batch kernels
 with the packed one, and every batch kernel's one-source run with the
 scalar BFS, so the counts stay pinned to an independent kernel even
-without numpy.  The sharded engine joins the same equivalence class: for shard
-counts {1, 2, 7} its scatter-gather answers are pinned to the monolithic
-engine (and through it the baseline), including after interleaved edits
-routed to the owning shard.  The serving layer joins it too: answers fanned
+without numpy.  The sharded session joins the same equivalence class: on 1,
+2 and 7 hash shards and one shard per site, through every query method and
+both kernels, it equals the monolithic session in answers, visited counts
+and witness lengths, while edits that intern new nodes and labels,
+compactions and a save/reopen with a stale shard interleave.  The serving layer joins it too: answers fanned
 out by the admission queue under concurrent submission are pinned to the
 direct sharded calls and the baseline.  Together the tests run well over
 200 examples.
 """
 
+import tempfile
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from _strategies import edit_scripts, regexes, small_instances
+from test_sharding import MAP_KINDS, shard_map_of
 from repro.engine import (
     CompiledGraph,
     Engine,
@@ -164,51 +168,121 @@ def test_compiled_graph_tracks_instance_through_edits(graph_and_source, expressi
         assert run_single(graph, compiled, node).answers == run.answers, node
 
 
-@given(small_instances(max_nodes=6, max_edges=12), regexes(max_leaves=5))
-@settings(max_examples=60, deadline=None)
-def test_sharded_engine_matches_monolithic_and_baseline(graph_and_source, expression):
-    """``ShardedEngine`` ≡ monolithic ``Engine`` ≡ ``evaluate_baseline``.
+# -- the sharded session against the monolithic one --------------------------
+SESSION_METHODS = (
+    "query", "query_batch", "query_batch_results", "query_batch_streaming",
+    "query_all",
+)
+# Labels ``d`` and ``e`` and nodes past the drawn instance's are new to it:
+# adding them interns a new label or node on some shard.
+DIFF_LABELS = ("a", "b", "c", "d", "e")
+DIFF_NODES = 8
+_endpoint = st.integers(min_value=0, max_value=DIFF_NODES - 1)
+_edge = st.tuples(_endpoint, st.sampled_from(DIFF_LABELS), _endpoint)
+# ``reopen`` saves, adds its edge behind the session's back (so the shards
+# it touches are stale) and reopens the directory with ``instance=``.
+session_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), _edge),
+        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=63)),
+        st.tuples(st.just("compact"), st.none()),
+        st.tuples(st.just("reopen"), _edge),
+    ),
+    max_size=5,
+)
 
-    Every example is partitioned 1 / 2 / 7 ways (hash shard map) and served
-    through every executor, sequentially and on a two-worker superstep
-    scheduler; the gathered all-pairs answers must agree with the
-    monolithic engine, and the monolithic engine with the baseline.  The
-    exchange itself is pinned too: per shard count, every arm takes the
-    same supersteps and local runs, ships the same facts and visits the
-    same pairs and objects.
+
+def observe(session, method, rpq, sources):
+    """What ``method`` answers, in comparable form, with the pairs it
+    visited; witness words are compared by length (both are shortest)."""
+    before = session.stats.visited_pairs
+
+    def digest(result):
+        return (
+            result.answers,
+            result.visited_pairs,
+            result.visited_objects,
+            {answer: len(word) for answer, word in result.witness_paths.items()},
+        )
+
+    if method == "query":
+        value = {source: digest(session.query(rpq, source)) for source in sources}
+    elif method == "query_batch_results":
+        value = {
+            source: digest(result)
+            for source, result in session.query_batch_results(rpq, sources).items()
+        }
+    elif method == "query_batch_streaming":
+        streamed = []
+        value = session.query_batch_streaming(
+            rpq, sources, lambda source, answers: streamed.extend(
+                (source, answer) for answer in answers
+            ),
+        )
+        assert len(streamed) == len(set(streamed)), "a pair streamed twice"
+        assert set(streamed) == {
+            (source, answer) for source, answers in value.items() for answer in answers
+        }
+    else:
+        value = getattr(session, method)(rpq, *(() if method == "query_all" else (sources,)))
+    return value, session.stats.visited_pairs - before
+
+
+@pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+@pytest.mark.parametrize("shard_map", MAP_KINDS)
+@pytest.mark.parametrize("method", SESSION_METHODS)
+@given(
+    small_instances(alphabet=("a", "b", "c"), max_nodes=6, max_edges=10),
+    regexes(alphabet=DIFF_LABELS, max_leaves=5),
+    session_steps,
+)
+def test_sharded_session_equals_monolithic(
+    method, shard_map, backend, graph_and_source, expression, steps
+):
+    """The sharded session ≡ the monolithic one, step by step.
+
+    Answers, ``visited_pairs``, ``visited_objects`` and witness-word
+    lengths, through one query method, after every interleaved edit,
+    compaction and stale-shard reopen.
     """
     instance, _ = graph_and_source
     rpq = RegularPathQuery.of(expression)
-    mono = Engine.open(instance)
-    expected = mono.query_all(rpq)
-    for oid in instance.objects:
-        assert expected[oid] == evaluate_baseline(rpq, oid, instance).answers, oid
-    for shards in SHARD_COUNTS:
-        counters = {}
-        for backend in EXECUTOR_BACKENDS:
-            for concurrency in (None, 2):
-                arm = (shards, backend, concurrency)
+    mono = Engine.open(instance.copy(), backend=backend)
+    live = instance.copy()
+    shards = shard_map_of(shard_map, live)
+    sharded = ShardedEngine.open(live, shard_map=shards, backend=backend)
+
+    def check(step):
+        sources = [*sorted(mono.instance.objects, key=repr), "nowhere"]
+        assert observe(sharded, method, rpq, sources) == observe(
+            mono, method, rpq, sources
+        ), step
+        assert sharded.graph.num_nodes == len(live), step
+
+    check("opened")
+    with tempfile.TemporaryDirectory() as directory:
+        for step, argument in steps:
+            if step == "add":
+                mono.add_edge(*argument)
+                sharded.add_edge(*argument)
+            elif step == "remove":
+                edges = sorted(live.edges(), key=repr)
+                if edges:
+                    edge = edges[argument % len(edges)]
+                    mono.remove_edge(*edge)
+                    sharded.remove_edge(*edge)
+            elif step == "compact":
+                mono.compact_now()
+                sharded.compact_now()
+            else:
+                sharded.save(directory)
+                if not live.has_edge(*argument):
+                    live.add_edge(*argument)
+                    mono.add_edge(*argument)
                 sharded = ShardedEngine.open(
-                    instance, shards=shards, backend=backend, concurrency=concurrency
+                    directory, instance=live, shard_map=shards, backend=backend
                 )
-                try:
-                    assert sharded.query_all(rpq) == expected, arm
-                finally:
-                    sharded.close()
-                counters[arm] = exchange_counters(sharded)
-        assert len(set(counters.values())) == 1, counters
-
-
-def exchange_counters(sharded):
-    """What one evaluation's superstep exchange did, arm-independently."""
-    last, stats = sharded.stats.last_run, sharded.stats
-    return (
-        last.supersteps,
-        last.local_runs,
-        last.exchanged_facts,
-        stats.visited_pairs,
-        stats.visited_objects,
-    )
+            check((step, argument))
 
 
 @given(

@@ -284,11 +284,7 @@ class TestKernelDispatch:
         assert resolve_backend("auto") == "packed"
         assert run_batch(graph, compiled, [3]).backend == "packed"
         assert run_batch(graph, compiled, list(range(64))).backend == "packed"
-        seeds = {(compiled.initial, 3): 1}
-        assert run_batch(graph, compiled, (), seeds=seeds).backend == "packed"
-        assert run_batch(graph, compiled, (), seeds=seeds, num_bits=64).backend == (
-            "packed"
-        )
+        assert run_batch(graph, compiled, list(range(65))).backend == "packed"
         assert run_all_pairs(graph, compiled).backend == "packed"
         with pytest.raises(ReproError, match="numpy"):
             run_batch(graph, compiled, [3], backend="numpy")

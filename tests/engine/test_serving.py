@@ -1,17 +1,14 @@
 """Tests for the async serving layer (``repro.engine.serving``).
 
 Admission-queue semantics (coalescing, flush policies, error fan-out,
-lifecycle), the concurrent superstep scheduler (ordering, the
-``concurrent_steps`` overlap stat, barrier error handling), the TCP/stdin
-line protocol, end-to-end equivalence of served answers against direct
-engine calls on both session kinds, and a thread-sanity stress test that
-hammers one shared engine from many raw threads (no asyncio) to exercise
-the PR-5 thread-safety audit.  ``scripts/check.sh serve`` runs this file
+lifecycle), the TCP/stdin line protocol, end-to-end equivalence of served
+answers against direct engine calls on both session kinds, and a
+thread-sanity stress test that hammers one shared session from many raw
+threads (no asyncio), edits included, on both session kinds.  ``scripts/check.sh serve`` runs this file
 with ``PYTHONASYNCIODEBUG=1`` in both numpy arms.
 """
 
 import asyncio
-import gc
 import sys
 import threading
 
@@ -22,7 +19,6 @@ from repro.engine import (
     QueryRequest,
     QueryServer,
     ShardedEngine,
-    SuperstepScheduler,
     available_backends,
     numpy_available,
     serve_stream,
@@ -321,179 +317,6 @@ class TestAdmission:
 
 
 # ---------------------------------------------------------------------------
-# Superstep scheduler.
-# ---------------------------------------------------------------------------
-class TestSuperstepScheduler:
-    def test_results_keep_step_order(self):
-        with SuperstepScheduler(4) as scheduler:
-            results = scheduler.run([lambda i=i: i * i for i in range(7)])
-        assert results == [i * i for i in range(7)]
-
-    def test_steps_really_overlap(self):
-        # Each step waits for the *other* step to have started: only a
-        # scheduler that runs both concurrently can finish, and its peak
-        # in-flight stat must record the overlap.
-        first, second = threading.Event(), threading.Event()
-
-        def step(mine, other):
-            mine.set()
-            assert other.wait(timeout=10), "steps did not overlap"
-            return True
-
-        with SuperstepScheduler(2) as scheduler:
-            results = scheduler.run(
-                [
-                    lambda: step(first, second),
-                    lambda: step(second, first),
-                ]
-            )
-            assert results == [True, True]
-            assert scheduler.concurrent_steps == 2
-            assert scheduler.steps == 2 and scheduler.barriers == 1
-
-    def test_single_step_skips_the_pool(self):
-        with SuperstepScheduler(2) as scheduler:
-            assert scheduler.run([lambda: 41]) == [41]
-            assert scheduler.steps == 1
-            assert scheduler.concurrent_steps == 1
-
-    def test_step_error_joins_the_barrier_first(self):
-        joined = threading.Event()
-
-        def failing():
-            raise RuntimeError("shard exploded")
-
-        def slow():
-            joined.set()
-            return "done"
-
-        with SuperstepScheduler(2) as scheduler:
-            with pytest.raises(RuntimeError, match="shard exploded"):
-                scheduler.run([failing, slow])
-        assert joined.is_set()  # the healthy step still completed
-
-    def test_barrier_count_is_exact_under_concurrent_runs(self):
-        # Regression: ``barriers += 1`` used to run outside the lock, so
-        # concurrent ``run()`` callers (one per serving batch) could lose
-        # increments.  Hammer the scheduler from many threads and demand
-        # the counter match the number of calls exactly.
-        calls_per_thread, caller_count = 50, 8
-        with SuperstepScheduler(4) as scheduler:
-            start = threading.Barrier(caller_count)
-
-            def hammer():
-                start.wait()
-                for _ in range(calls_per_thread):
-                    scheduler.run([lambda: 1, lambda: 2])
-
-            callers = [threading.Thread(target=hammer) for _ in range(caller_count)]
-            for thread in callers:
-                thread.start()
-            for thread in callers:
-                thread.join()
-            assert scheduler.barriers == calls_per_thread * caller_count
-            assert scheduler.steps == 2 * calls_per_thread * caller_count
-
-    def test_closed_scheduler_raises(self):
-        scheduler = SuperstepScheduler(2)
-        scheduler.close()
-        with pytest.raises(ReproError, match="closed"):
-            scheduler.run([lambda: 1])
-
-    def test_claims_and_countdown_hold_under_a_contended_interpreter(self):
-        # More threads than cores and a tiny switch interval: every run
-        # returns each step's own result in order, every step runs exactly
-        # once, and no barrier is left waiting on a lost countdown.
-        runs, width = 300, 9
-        ran: list = []
-        done: list = []
-
-        def hammer():
-            with SuperstepScheduler(8) as scheduler:
-                for _ in range(runs):
-                    results = scheduler.run(
-                        [lambda i=i: ran.append(i) or i for i in range(width)]
-                    )
-                    assert results == list(range(width))
-                done.append(scheduler.steps)
-
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            thread = threading.Thread(target=hammer)
-            thread.start()
-            thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(previous)
-        assert not thread.is_alive()
-        assert done == [runs * width]
-        assert sorted(ran) == sorted(list(range(width)) * runs)
-
-    def test_close_and_collection_stop_the_workers(self):
-        def workers():
-            return {
-                thread for thread in threading.enumerate()
-                if thread.name.startswith("repro-superstep")
-            }
-
-        before = workers()
-        scheduler = SuperstepScheduler(3)
-        started = workers() - before
-        assert len(started) == 2  # the caller is the third
-        scheduler.close()
-        scheduler.close()  # idempotent
-        assert not any(thread.is_alive() for thread in started)
-        forgotten = SuperstepScheduler(3)
-        started = workers() - before
-        del forgotten  # never closed: collecting it stops its workers
-        gc.collect()
-        for thread in started:
-            thread.join(timeout=10)
-        assert not any(thread.is_alive() for thread in started)
-
-    def test_rejects_zero_workers(self):
-        with pytest.raises(ReproError):
-            SuperstepScheduler(0)
-
-    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_concurrent_supersteps_match_sequential(self, backend):
-        instance, _ = web(60)
-        sequential = ShardedEngine.open(instance, shards=4, backend=backend)
-        concurrent = ShardedEngine.open(
-            instance, shards=4, backend=backend, concurrency=4
-        )
-        try:
-            for query in ("a (b + c)*", "a* b", "%", "(a + b) c*"):
-                assert concurrent.query_all(query) == sequential.query_all(
-                    query
-                ), query
-            assert concurrent.scheduler is not None
-            # Multi-shard supersteps went through the scheduler (single
-            # active-shard rounds legitimately bypass it).
-            assert concurrent.scheduler.barriers >= 1
-            assert concurrent.scheduler.steps >= 2
-        finally:
-            concurrent.close()
-
-    def test_engine_open_concurrency_installs_a_scheduler(self):
-        instance, _ = web(10)
-        engine = ShardedEngine.open(instance, shards=2, concurrency=3)
-        try:
-            assert engine.scheduler is not None
-            assert engine.scheduler.max_workers == 3
-        finally:
-            engine.close()
-        sequential = ShardedEngine.open(instance, shards=2)
-        assert sequential.scheduler is None
-        assert ShardedEngine.open(instance, shards=2, concurrency=1).scheduler is None
-
-    def test_invalid_concurrency_rejected(self):
-        instance, _ = web(5)
-        with pytest.raises(ReproError):
-            ShardedEngine.open(instance, shards=2, concurrency=0)
-
-
-# ---------------------------------------------------------------------------
 # Line protocol: the stdin and TCP front-ends over one read loop.
 # ---------------------------------------------------------------------------
 class TestLineProtocol:
@@ -773,19 +596,14 @@ class TestThreadSanity:
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     def test_shared_sharded_engine_under_thread_load(self, backend):
         instance, _ = web(40)
-        engine = ShardedEngine.open(
-            instance, shards=3, backend=backend, concurrency=2
-        )
-        try:
-            sources = sources_of(instance, 8)
-            reference = {
-                query: (engine.query_batch(query, sources), sources)
-                for query in self.QUERIES
-            }
-            self._hammer(engine, reference, threads=6, rounds=8)
-            assert engine.stats.batch_evaluations == len(self.QUERIES) + 6 * 8
-        finally:
-            engine.close()
+        engine = ShardedEngine.open(instance, shards=3, backend=backend)
+        sources = sources_of(instance, 8)
+        reference = {
+            query: (engine.query_batch(query, sources), sources)
+            for query in self.QUERIES
+        }
+        self._hammer(engine, reference, threads=6, rounds=8)
+        assert engine.stats.batch_evaluations == len(self.QUERIES) + 6 * 8
 
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     def test_mutation_concurrent_with_queries_is_safe(self, backend):
@@ -794,7 +612,20 @@ class TestThreadSanity:
         # freshly interned node ids beyond the run's node count).  In-place
         # mutation now drains in-flight executor runs first.
         instance, _ = web(400)
-        engine = Engine.open(instance, backend=backend)
+        self._edit_while_querying(Engine.open(instance, backend=backend), instance)
+
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_sharded_mutation_concurrent_with_queries_is_safe(self, backend):
+        # The sharded session reads its shard graphs through one view; its
+        # edits (new nodes on two shards, tombstones) drain in-flight runs
+        # the same way.
+        instance, _ = web(400)
+        engine = ShardedEngine.open(instance, shards=3, backend=backend)
+        self._edit_while_querying(engine, instance)
+
+    @staticmethod
+    def _edit_while_querying(engine, instance):
+        backend = engine.backend
         sources = sources_of(instance, 12)
         stop = threading.Event()
         errors: "list[BaseException]" = []

@@ -1,17 +1,22 @@
 """Unit tests for the sharded engine layer (``repro.engine.sharding``).
 
 Shard maps, partitioning, the subset CSR build, the shared label universe,
-scatter-gather evaluation (answers, witnesses, stats, multi-word batches
-through the superstep exchange), mutation routing, and
-per-shard snapshot persistence — including the headline property that a
-single stale shard recompiles alone while every warm shard loads from disk.
+the :class:`ShardView` every sharded evaluation runs on (its numbering, its
+lowering against the monolithic one, one label order on every shard), sharded
+evaluation (answers, witnesses, stats, multi-word batches), mutation
+routing, and per-shard snapshot persistence — including the headline
+property that a single stale shard recompiles alone while every warm shard
+loads from disk.
 """
 
 import json
 import os
+import tempfile
 import threading
+from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.engine import (
     CompiledGraph,
@@ -27,7 +32,7 @@ from repro.engine import (
     shard_graph,
 )
 from repro.engine.session import Session
-from repro.engine.sharding import MANIFEST_NAME
+from repro.engine.sharding import MANIFEST_NAME, ShardView
 from repro.exceptions import ReproError
 from repro.graph import Instance, figure2_graph, web_like_graph
 from repro.query import RegularPathQuery
@@ -173,7 +178,7 @@ class TestPartition:
 
 
 # ---------------------------------------------------------------------------
-# Scatter-gather evaluation.
+# Sharded evaluation.
 # ---------------------------------------------------------------------------
 class TestShardedEvaluation:
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
@@ -184,7 +189,6 @@ class TestShardedEvaluation:
         sharded = ShardedEngine.open(instance, shards=shards, backend=backend)
         for query in ("a (b + c)*", "a* b", "(a + b) c*", "%"):
             assert sharded.query_all(query) == mono.query_all(query), query
-        assert sharded.stats.supersteps >= 1
         # Batches answer in request order (first occurrence), unknown
         # sources included, on both sessions.
         first, second = sorted(instance.objects, key=repr)[:2]
@@ -197,15 +201,16 @@ class TestShardedEvaluation:
                 assert list(result) == [first, "zz", second], session
         assert sharded.query_batch("a*", request) == mono.query_batch("a*", request)
 
-    def test_cross_shard_label_split_is_not_pruned(self):
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_cross_shard_label_split_is_not_pruned(self, backend):
         # Shard 0 owns the only 'a' edge, shard 1 the only 'b' edge: a
         # shard-local label universe would kill the 'awaiting b' DFA state
         # on shard 0 and lose the answer.
         instance = Instance([("u", "a", "v"), ("v", "b", "w")])
         shard_map = ExplicitShardMap({"u": 0, "v": 1, "w": 0}, num_shards=2)
-        sharded = ShardedEngine.open(instance, shard_map=shard_map)
+        sharded = ShardedEngine.open(instance, shard_map=shard_map, backend=backend)
         assert sharded.query_batch("a b", ["u"]) == {"u": {"w"}}
-        assert sharded.stats.exchanged_facts >= 1
+        assert sharded.query("a b", "u").answers == {"w"}
 
     def test_by_site_map_mirrors_distributed_model(self):
         instance, _ = figure2_graph()
@@ -270,31 +275,45 @@ class TestShardedEvaluation:
         with pytest.raises(ReproError):
             ShardedEngine.open(instance, shards=2, shard_map=HashShardMap(3))
 
-    def test_describe_mentions_shards_and_supersteps(self):
+    def test_describe_mentions_shards_and_backend_runs(self):
         instance, _ = web(10)
         sharded = ShardedEngine.open(instance, shards=2)
         sharded.query_batch("a b", sorted(instance.objects, key=repr)[:4])
         text = sharded.describe()
-        assert "shards: 2" in text and "supersteps" in text
+        assert "shards: 2 (0 warm-started, 2 rebuilt)" in text
+        assert f"backend runs: {sharded.resolved_backend}=1" in text
 
 
 class TestSessionParity:
-    """Both session kinds are one :class:`Session` API over two evaluators."""
+    """Both session kinds are one :class:`Session` API and one evaluator,
+    over two kinds of graph."""
 
     API = (
         "query", "answer_set", "query_batch", "query_batch_streaming",
         "query_batch_results", "query_all", "describe", "close",
-        "telemetry", "as_server",
+        "telemetry", "as_server", "compiled",
     )
-    # What a host may define for itself: its lifecycle and mutation code.
+    # The evaluation itself: one compile and one executor run per call.
+    EVALUATION = (
+        "_compiled_on", "_query_single", "_query_batch", "_query_batch_results",
+        "_query_all",
+    )
+    # What a host may define for itself: its lifecycle and mutation code,
+    # and the graph it evaluates on with the compiler that lowers for it.
     HOST_OVERRIDES = {
         "open", "save", "refresh", "add_edge", "remove_edge", "compact_now",
-        "auto_compact_ratio",
+        "auto_compact_ratio", "graph", "compiler",
     }
 
     @pytest.mark.parametrize("host", [Engine, ShardedEngine])
     def test_api_is_defined_once_on_the_base(self, host):
         for name in self.API:
+            owners = [cls for cls in host.__mro__ if name in vars(cls)]
+            assert owners == [Session], (host.__name__, name, owners)
+
+    @pytest.mark.parametrize("host", [Engine, ShardedEngine])
+    def test_evaluation_is_defined_once_on_the_base(self, host):
+        for name in self.EVALUATION:
             owners = [cls for cls in host.__mro__ if name in vars(cls)]
             assert owners == [Session], (host.__name__, name, owners)
 
@@ -308,36 +327,57 @@ class TestSessionParity:
         assert public(Engine) & public(ShardedEngine) <= self.HOST_OVERRIDES
 
 
-class TestClose:
-    """``close()`` releases the superstep threads; the session keeps serving
-    every query shape, sequentially."""
+class TestKeptForTheBenchmark:
+    """What the e2e benchmark still reads of the superstep era: a
+    ``concurrency`` argument that is checked but changes nothing, counters
+    that count one per evaluation or stay constant, and ``close()``."""
 
-    def two_shards(self):
-        instance = Instance()
-        for edge in (("a0", "x", "a1"), ("a1", "x", "a2"), ("a2", "y", "b0"),
-                     ("b0", "x", "b1")):
-            instance.add_edge(*edge)
-        assignment = {"a0": 0, "a1": 0, "a2": 0, "b0": 1, "b1": 1}
-        return instance, ExplicitShardMap(assignment, num_shards=2)
+    def test_concurrency_is_validated_and_changes_nothing(self):
+        instance, root = web(30)
+        with pytest.raises(ReproError, match="concurrency"):
+            ShardedEngine.open(instance, shards=2, concurrency=0)
+        plain = ShardedEngine.open(instance, shards=2)
+        threaded = ShardedEngine.open(instance, shards=2, concurrency=3)
+        before = threading.active_count()
+        for query in ("a (b + c)*", "a* b"):
+            assert threaded.query_all(query) == plain.query_all(query), query
+            assert threaded.query(query, root) == plain.query(query, root), query
+        assert threading.active_count() == before
 
-    def test_queries_after_close_answer_like_the_monolithic_engine(self):
-        instance, shard_map = self.two_shards()
+    def test_counters_count_one_per_evaluation(self):
+        instance, root = web(40)
         mono = Engine.open(instance)
-        engine = ShardedEngine.open(instance, shard_map=shard_map, concurrency=2)
-        engine.query_batch("x* y x*", ["a0"])
+        sharded = ShardedEngine.open(instance, shards=3)
+        sources = sorted(instance.objects, key=repr)[:8]
+        for session in (mono, sharded):
+            session.query_batch("a (b + c)*", sources)
+            session.query("a b", root)
+            session.query_all("c")
+        stats = sharded.stats
+        assert stats.backend_runs == mono.stats.backend_runs
+        assert stats.supersteps == stats.local_runs == 3
+        assert (stats.exchanged_facts, stats.steal_events) == (0, 0)
+        assert stats.superstep_skew_ratio == 1.0
+        assert stats.visited_pairs == mono.stats.visited_pairs
+        # The shard engines evaluate nothing themselves.
+        for engine in sharded.shard_engines:
+            assert engine.stats.backend_runs == {}
+
+    def test_close_is_a_no_op(self):
+        instance, root = web(20)
+        mono = Engine.open(instance)
+        engine = ShardedEngine.open(instance, shards=2, concurrency=2)
         engine.close()
-        assert engine.scheduler is None
-        # ``x*`` from a0 stays in shard 0; ``x* y x*`` crosses into shard 1
-        # and needs a barrier between the two shards' steps.
-        for query, supersteps in (("x*", 1), ("x* y x*", 2)):
-            assert engine.query_batch(query, ["a0", "b0"]) == mono.query_batch(
-                query, ["a0", "b0"]
-            ), query
-            assert engine.query(query, "a0").answers == mono.query(query, "a0").answers
-            assert engine.stats.last_run.supersteps == supersteps, query
-        engine.close()  # a second close is a no-op
-        assert engine.scheduler is None
-        assert engine.query_all("x* y x*") == mono.query_all("x* y x*")
+        engine.close()
+        assert engine.query_all("a b*") == mono.query_all("a b*")
+        assert engine.query("a b*", root).answers == mono.query("a b*", root).answers
+
+    def test_the_run_histogram_keeps_its_name(self):
+        instance, root = web(20)
+        engine = ShardedEngine.open(instance, shards=2)
+        engine.query_batch("a b*", [root])
+        engine.query("a b*", root)
+        assert engine.telemetry()["sharded_local_fixpoint_seconds"]["count"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -398,109 +438,12 @@ class TestShardedBatchedWitnesses:
 
 
 # ---------------------------------------------------------------------------
-# Stats accounting: per-evaluation vs cumulative counters.
-# ---------------------------------------------------------------------------
-class TestShardedStatsAccounting:
-    def test_backend_evaluations_pin_against_monolithic(self):
-        # Regression: superstep re-seeds used to be funnelled into the shard
-        # engines' backend_runs, counting one logical evaluation as many
-        # runs with no monolithic-comparable tally anywhere.
-        instance, _ = web(40)
-        mono = Engine.open(instance)
-        sharded = ShardedEngine.open(instance, shards=3)
-        sources = sorted(instance.objects, key=repr)[:8]
-        mono.query_batch("a (b + c)*", sources)
-        sharded.query_batch("a (b + c)*", sources)
-        backend = mono.resolved_backend
-        assert mono.stats.backend_runs == {backend: 1}
-        # One logical evaluation: comparable 1:1 with the monolithic count.
-        assert sharded.stats.backend_evaluations == {backend: 1}
-        # Cumulative local runs exceed it exactly when re-seeding happened,
-        # and are reported separately instead of inflating anything else.
-        assert sharded.stats.backend_runs == {backend: sharded.stats.local_runs}
-        assert sharded.stats.local_runs >= sharded.stats.supersteps >= 1
-        # The shard engines' own counters no longer absorb superstep re-runs.
-        for engine in sharded.shard_engines:
-            assert engine.stats.backend_runs == {}
-
-    def test_last_run_counters_reset_per_evaluation(self):
-        instance, _ = web(40)
-        sharded = ShardedEngine.open(instance, shards=3)
-        sources = sorted(instance.objects, key=repr)[:8]
-        sharded.query_batch("a (b + c)*", sources)
-        first_total = sharded.stats.supersteps
-        first_runs = sharded.stats.local_runs
-        assert sharded.stats.last_run.supersteps == first_total
-        assert sharded.stats.last_run.local_runs == first_runs
-        sharded.query_batch("b c", sources)
-        # The cumulative counters kept growing; last_run shows only the
-        # second evaluation.
-        assert (
-            sharded.stats.supersteps
-            == first_total + sharded.stats.last_run.supersteps
-        )
-        assert (
-            sharded.stats.local_runs
-            == first_runs + sharded.stats.last_run.local_runs
-        )
-        assert sharded.stats.last_run.supersteps >= 1
-
-    def test_last_run_publish_is_atomic_under_concurrent_readers(self):
-        # Regression: ``last_run`` used to be reset *in place* at the start
-        # of each evaluation, so a concurrent ``describe()``/gauge read
-        # could observe a half-filled counters object.  Counters are now
-        # accumulated locally and published by one reference assignment, so
-        # every observed last_run must be a *completed* evaluation's values.
-        instance, _ = web(40)
-        sharded = ShardedEngine.open(instance, shards=3)
-        sources = sorted(instance.objects, key=repr)[:6]
-        sharded.query_batch("a (b + c)*", sources)
-        reference = sharded.stats.last_run
-        expected = (
-            reference.supersteps,
-            reference.local_runs,
-            reference.exchanged_facts,
-        )
-
-        torn = []
-        stop = threading.Event()
-
-        def read():
-            while not stop.is_set():
-                last = sharded.stats.last_run
-                observed = (last.supersteps, last.local_runs, last.exchanged_facts)
-                if observed != expected:
-                    torn.append(observed)
-
-        readers = [threading.Thread(target=read) for _ in range(3)]
-        for thread in readers:
-            thread.start()
-        try:
-            # Identical repeated evaluations: every *complete* publication
-            # carries the same values, so any deviation is a torn read.
-            for _ in range(30):
-                sharded.query_batch("a (b + c)*", sources)
-        finally:
-            stop.set()
-            for thread in readers:
-                thread.join()
-        assert not torn, f"partially-published last_run observed: {torn[:5]}"
-
-    def test_describe_reports_both_tallies(self):
-        instance, _ = web(20)
-        sharded = ShardedEngine.open(instance, shards=2)
-        sharded.query_batch("a b", sorted(instance.objects, key=repr)[:4])
-        text = sharded.describe()
-        assert "last evaluation" in text and "backend evaluations/runs" in text
-
-
-# ---------------------------------------------------------------------------
-# Multi-word batches through the superstep exchange.
+# Multi-word batches across shard boundaries.
 # ---------------------------------------------------------------------------
 def bridged_clusters(cluster_nodes=60, chain_depth=30, seed=5):
     """Two web clusters, one shard each, plus a deep ``a``-chain owned by
     shard 0 and cross-cluster links, so every shard holds ghost nodes and
-    the supersteps exchange facts.  The 80 sources span two mask words:
+    answers cross shards both ways.  The 80 sources span two mask words:
     word 0 is spread over both shards, word 1 is the chain (shard 0 only)."""
     labels = ["a", "b", "c"]
     instance = Instance()
@@ -538,93 +481,67 @@ def bridged_clusters(cluster_nodes=60, chain_depth=30, seed=5):
     return instance, ExplicitShardMap(assignment, num_shards=2), word0 + word1
 
 
-@pytest.mark.skipif(not numpy_available(), reason="compares the numpy kernel")
-class TestMultiWordExchange:
+class TestMultiWordBatches:
     QUERIES = ("a*.b", "(a|b)*.c")
 
     def serve(self, engine, sources):
         return {q: engine.query_batch(q, sources) for q in self.QUERIES}
 
-    def test_gather_over_continued_frontiers_with_ghosts(self):
-        # The numpy gather reads the rows the runs reported; the packed
-        # kernel's set-based gather behind the same call is the reference —
-        # answers and the visited counts (owned pairs and objects only: a
-        # ghost's facts are its owner's) must agree through fresh and
-        # continued frontiers, scheduled or sequential.
-        instance, shard_map, sources = bridged_clusters()
-        arms = {
-            "concurrent": dict(concurrency=2),
-            "sequential": dict(),
-            "reference": dict(backend="packed"),
-        }
-        observed = {}
-        for name, options in arms.items():
-            engine = ShardedEngine.open(instance, shard_map=shard_map, **options)
-            try:
-                answers = self.serve(engine, sources)
-                last = engine.stats.last_run
-                assert last.supersteps > 1 and last.exchanged_facts > 0, name
-                observed[name] = (
-                    answers, engine.stats.visited_pairs, engine.stats.visited_objects
-                )
-            finally:
-                engine.close()
-        assert observed["reference"][0] == self.serve(Engine.open(instance), sources)
-        for name in ("concurrent", "sequential"):
-            assert observed[name] == observed["reference"], name
-
-    @pytest.mark.parametrize("concurrency", [2, None])
-    def test_exchange_counters_agree_across_kernels(self, concurrency):
-        # Over 64 sources, so the packed masks span two words; per query,
-        # every kernel must take the same supersteps and local runs, ship
-        # the same facts and visit the same pairs/objects.
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_answers_and_counts_match_the_monolithic_engine(self, backend):
+        # Answers and the visited counts (owned pairs and objects only: a
+        # ghost's facts are its owner's) equal one monolithic run's.
         instance, shard_map, sources = bridged_clusters()
         assert len(sources) > 64
+        mono = Engine.open(instance, backend=backend)
+        engine = ShardedEngine.open(instance, shard_map=shard_map, backend=backend)
         for query in self.QUERIES:
-            counters = {}
-            for backend in ("packed", "numpy"):
-                engine = ShardedEngine.open(
-                    instance, shard_map=shard_map, backend=backend,
-                    concurrency=concurrency,
-                )
-                try:
-                    engine.query_batch(query, sources)
-                finally:
-                    engine.close()
-                last, stats = engine.stats.last_run, engine.stats
-                counters[backend] = (
-                    last.supersteps, last.local_runs, last.exchanged_facts,
-                    stats.visited_pairs, stats.visited_objects,
-                )
-            assert len(set(counters.values())) == 1, (query, counters)
-            assert counters["numpy"][2] > 0, query
+            reference = mono.query_batch_results(query, sources)
+            served = engine.query_batch_results(query, sources)
+            for source in sources:
+                assert served[source].answers == reference[source].answers
+                assert (served[source].visited_pairs, served[source].visited_objects) == (
+                    reference[source].visited_pairs, reference[source].visited_objects
+                ), (query, source)
+        assert self.serve(engine, sources) == self.serve(mono, sources)
+        assert engine.stats.visited_pairs == mono.stats.visited_pairs
 
-    def test_streaming_delivers_each_pair_at_most_once_with_ghosts(self):
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_kernels_agree_on_counts(self, query):
         instance, shard_map, sources = bridged_clusters()
-        engine = ShardedEngine.open(instance, shard_map=shard_map, concurrency=2)
-        try:
-            for query in self.QUERIES:
-                delivered: list = []
-                final = engine.query_batch_streaming(
-                    query,
-                    sources,
-                    lambda oid, answers: delivered.extend(
-                        (oid, answer) for answer in answers
-                    ),
-                )
-                assert len(delivered) == len(set(delivered)), query
-                assert set(delivered) == {
-                    (oid, answer) for oid, answers in final.items() for answer in answers
-                }, query
-        finally:
-            engine.close()
+        counters = {}
+        for backend in EXECUTOR_BACKENDS:
+            engine = ShardedEngine.open(instance, shard_map=shard_map, backend=backend)
+            engine.query_batch(query, sources)
+            counters[backend] = (
+                engine.stats.visited_pairs, engine.stats.visited_objects
+            )
+        assert len(set(counters.values())) == 1, counters
+
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_streaming_delivers_each_pair_at_most_once_with_ghosts(self, backend):
+        instance, shard_map, sources = bridged_clusters()
+        engine = ShardedEngine.open(instance, shard_map=shard_map, backend=backend)
+        for query in self.QUERIES:
+            delivered: list = []
+            final = engine.query_batch_streaming(
+                query,
+                sources,
+                lambda oid, answers: delivered.extend(
+                    (oid, answer) for answer in answers
+                ),
+            )
+            assert len(delivered) == len(set(delivered)), query
+            assert set(delivered) == {
+                (oid, answer) for oid, answers in final.items() for answer in answers
+            }, query
 
 
-class TestOneFixpointPerShard:
-    """Each active shard runs exactly one local fixpoint per superstep,
-    whether the scheduler runs the steps on workers or inline."""
+class TestOneFixpoint:
+    """A sharded evaluation is one executor run over the view, traced like
+    the monolithic engine's."""
 
-    QUERIES = TestMultiWordExchange.QUERIES
+    QUERIES = TestMultiWordBatches.QUERIES
 
     def traced(self, engine, query, sources):
         previous = set_telemetry_enabled(True)
@@ -634,105 +551,27 @@ class TestOneFixpointPerShard:
             set_telemetry_enabled(previous)
         return engine.metrics.tracer.last().spans
 
-    @pytest.mark.parametrize("concurrency", [2, None])
-    def test_each_active_shard_runs_once_per_superstep(self, concurrency):
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_one_run_reports_the_kernel_counts(self, query):
         instance, shard_map, sources = bridged_clusters()
-        engine = ShardedEngine.open(
-            instance, shard_map=shard_map, concurrency=concurrency
-        )
-        try:
-            for query in self.QUERIES:
-                spans = self.traced(engine, query, sources)
-                supersteps = [s for s in spans if s.name == "sharded.superstep"]
-                assert len(supersteps) == engine.stats.last_run.supersteps > 1
-                runs = 0
-                for superstep in supersteps:
-                    shards = [
-                        span.attributes["shard"]
-                        for span in spans
-                        if span.parent_id == superstep.span_id
-                        and span.name == "sharded.local_fixpoint"
-                    ]
-                    assert len(shards) == len(set(shards)), (query, shards)
-                    assert len(shards) == superstep.attributes["shards"]
-                    runs += len(shards)
-                assert runs == engine.stats.last_run.local_runs, query
-        finally:
-            engine.close()
-
-    @pytest.mark.parametrize("concurrency", [2, None])
-    def test_answers_match_the_monolithic_engine(self, concurrency):
-        instance, shard_map, sources = bridged_clusters()
-        mono = Engine.open(instance)
-        engine = ShardedEngine.open(
-            instance, shard_map=shard_map, concurrency=concurrency
-        )
-        try:
-            for query in self.QUERIES:
-                assert engine.query_batch(query, sources) == mono.query_batch(
-                    query, sources
-                ), query
-            assert engine.stats.superstep_skew_ratio >= 1.0
-        finally:
-            engine.close()
-
-    @pytest.mark.parametrize("concurrency", [2, None])
-    def test_streamed_answers_equal_the_final_result(self, concurrency):
-        instance, shard_map, sources = bridged_clusters()
-        engine = ShardedEngine.open(
-            instance, shard_map=shard_map, concurrency=concurrency
-        )
-        try:
-            for query in self.QUERIES:
-                streamed: dict = {}
-                final = engine.query_batch_streaming(
-                    query,
-                    sources,
-                    lambda oid, answers: streamed.setdefault(oid, set()).update(
-                        answers
-                    ),
-                )
-                for oid, answers in final.items():
-                    assert streamed.get(oid, set()) == set(answers), (query, oid)
-        finally:
-            engine.close()
-
-    def test_local_runs_report_kernel_counts_on_the_shard_span(self):
-        # The dispatcher lands each run's work counts on the span current
-        # for it: the shard's local fixpoint span, on whichever worker ran it.
-        instance, shard_map, sources = bridged_clusters()
-        engine = ShardedEngine.open(instance, shard_map=shard_map, concurrency=2)
-        try:
-            spans = self.traced(engine, "a*.b", sources)
-        finally:
-            engine.close()
-        [first] = [
-            span
-            for span in spans
-            if span.name == "sharded.superstep" and span.attributes["round"] == 1
+        engine = ShardedEngine.open(instance, shard_map=shard_map)
+        spans = self.traced(engine, query, sources)
+        assert [span.name for span in spans] == [
+            "sharded.query", "engine.compile", "engine.run"
         ]
-        fixpoints = [
-            span
-            for span in spans
-            if span.parent_id == first.span_id and span.name == "sharded.local_fixpoint"
-        ]
-        # Round one seeds word 0 on both shards and word 1 on shard 0.
-        assert sorted(span.attributes["shard"] for span in fixpoints) == [0, 1]
-        for span in fixpoints:
-            assert span.attributes["edges_gathered"] > 0
-            assert span.attributes["rounds"] > 0
-            assert span.attributes["peak_frontier_rows"] > 0
+        run = spans[-1]
+        assert run.attributes["backend"] == engine.resolved_backend
+        assert run.attributes["visited"] == engine.stats.visited_pairs
+        for count in ("rounds", "edges_gathered", "peak_frontier_rows"):
+            assert run.attributes[count] > 0, count
 
     def test_steal_events_stay_zero(self):
         instance, shard_map, sources = bridged_clusters()
-        engine = ShardedEngine.open(instance, shard_map=shard_map, concurrency=2)
-        try:
-            for query in self.QUERIES:
-                engine.query_batch(query, sources)
-        finally:
-            engine.close()
+        engine = ShardedEngine.open(instance, shard_map=shard_map)
+        for query in self.QUERIES:
+            engine.query_batch(query, sources)
         assert engine.stats.steal_events == 0
-        assert engine.stats.last_run.local_runs > 0
+        assert engine.stats.local_runs == len(self.QUERIES)
 
     @pytest.mark.parametrize("entry", ["open", "open_directory", "constructor"])
     def test_steal_threshold_is_not_an_option(self, entry, tmp_path):
@@ -747,6 +586,258 @@ class TestOneFixpointPerShard:
         else:
             with pytest.raises(TypeError, match="steal_threshold"):
                 ShardedEngine(instance, shards=2, steal_threshold=2)
+
+
+# ---------------------------------------------------------------------------
+# The shard view: one graph over the shard graphs.
+# ---------------------------------------------------------------------------
+MAP_KINDS = ("hash-1", "hash-2", "hash-7", "by-site")
+
+
+def shard_map_of(kind, instance):
+    if kind == "by-site":
+        return ShardMap.by_site(instance)
+    return HashShardMap(int(kind.split("-")[1]))
+
+
+def lowering_edges(session, expression):
+    """The session graph's numpy lowering of ``expression`` as a multiset
+    of ``(state, oid) -> (state, oid)`` edges: independent of how either
+    graph numbers its nodes and labels."""
+    graph = session.graph
+    moves = session.compiled(expression).moves
+    product = graph.numpy_product_csr(moves)
+    n = graph.num_nodes
+    indptr, dst = product.indptr.tolist(), product.dst.tolist()
+    assert len(indptr) == len(moves) * n + 1
+    edges = Counter()
+    for key in range(len(moves) * n):
+        source = (key // n, graph.oid_of(key % n))
+        for target in dst[indptr[key]:indptr[key + 1]]:
+            edges[source, (target // n, graph.oid_of(target % n))] += 1
+    return edges
+
+
+def stale_reopen_with_new_labels(directory, backend="auto"):
+    """Six nodes on three explicit shards, an ``a`` chain, saved; then
+    ``n1 -z-> n2``, ``n2 -y-> n3`` and ``n2 -z-> n4`` behind the session's
+    back and a reopen with ``instance=``.  Shard 1 rebuilds and meets ``z``
+    before ``y`` in its edges, shard 2 rebuilds, and warm shard 0 loads the
+    manifest's ``('a',)``: left to their own edges, shard 1 would intern
+    ``('a', 'z', 'y')`` against the others' ``('a', 'y', 'z')``."""
+    instance = Instance([(f"n{i}", "a", f"n{i + 1}") for i in range(5)])
+    shard_map = ExplicitShardMap({f"n{i}": i % 3 for i in range(6)}, num_shards=3)
+    ShardedEngine.open(instance, shard_map=shard_map, backend=backend).save(directory)
+    for edge in (("n1", "z", "n2"), ("n2", "y", "n3"), ("n2", "z", "n4")):
+        instance.add_edge(*edge)
+    engine = ShardedEngine.open(
+        directory, instance=instance, shard_map=shard_map, backend=backend
+    )
+    return instance, engine
+
+
+VIEW_EXPRESSIONS = ("(a + b)* c", "a b* (c + d)", "(a + b + c + d)*", "d a")
+view_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add_node", "add_label", "remove", "compact", "reopen"]),
+        st.integers(0, 2**16),
+        st.integers(0, 2**16),
+    ),
+    max_size=6,
+)
+
+
+class TestShardView:
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_ids_are_exactly_the_instance_objects(self, kind):
+        instance, _ = web(30)
+        instance.add_object("isolated")
+        engine = ShardedEngine.open(instance, shard_map=shard_map_of(kind, instance))
+        view = engine.graph
+        assert view.num_nodes == len(instance)
+        assert set(view.nodes) == set(instance.objects)
+        # Numbered like a monolithic build: sorted by ``repr``.
+        assert list(view.nodes) == sorted(instance.objects, key=repr)
+        # Every shard node — owned or ghost — reads as its object's one id.
+        for shard, local in enumerate(engine.shard_engines):
+            for node, oid in enumerate(local.graph.nodes):
+                assert view.node_id(oid) is not None
+                targets = {
+                    view.oid_of(target)
+                    for label in range(view.num_labels)
+                    for target in view.successors(view.node_id(oid), label)
+                }
+                assert targets == {
+                    destination for _label, destination in instance.out_edges(oid)
+                }, (shard, oid)
+
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    def test_query_all_answers_exactly_the_objects(self, kind, backend):
+        instance, _ = web(30)
+        instance.add_object("isolated")
+        mono = Engine.open(instance, backend=backend)
+        engine = ShardedEngine.open(
+            instance, shard_map=shard_map_of(kind, instance), backend=backend
+        )
+        for query in ("a (b + c)*", "%", "(a + b + c)*"):
+            answers = engine.query_all(query)
+            assert set(answers) == set(instance.objects), query
+            assert answers == mono.query_all(query), query
+        assert engine.stats.visited_pairs == mono.stats.visited_pairs
+
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_no_ghost_is_a_source_an_answer_or_a_counted_pair(self, backend):
+        # ``v`` lives on shard 1 and is a ghost on shard 0; ``w`` the other
+        # way round.  Each is one node of the view, counted once.
+        instance = Instance([("u", "a", "v"), ("v", "b", "w"), ("w", "a", "v")])
+        shard_map = ExplicitShardMap({"u": 0, "v": 1, "w": 0}, num_shards=2)
+        engine = ShardedEngine.open(instance, shard_map=shard_map, backend=backend)
+        mono = Engine.open(instance, backend=backend)
+        assert engine.graph.num_nodes == 3
+        assert sum(local.graph.num_nodes for local in engine.shard_engines) == 5
+        for source in ("u", "v", "w"):
+            for query in ("(a b)*", "a (b a)*", "(a + b)*"):
+                served = engine.query(query, source)
+                reference = mono.query(query, source)
+                assert served.answers == reference.answers, (query, source)
+                assert (served.visited_pairs, served.visited_objects) == (
+                    reference.visited_pairs, reference.visited_objects
+                ), (query, source)
+        batch = engine.query_batch_results("(a + b)*", ["u", "v", "w"])
+        assert all(result.visited_objects == 3 for result in batch.values())
+
+    def test_a_stale_reopen_keeps_one_label_order(self, tmp_path):
+        _, engine = stale_reopen_with_new_labels(str(tmp_path))
+        assert [local.graph.labels_fingerprint() for local in engine.shard_engines] == [
+            ("a", "y", "z")
+        ] * 3
+        assert engine.graph.labels_fingerprint() == ("a", "y", "z")
+        # Shards 1 and 2 own the new edges and rebuild; shard 0 stays warm.
+        assert engine.rebuilt_shards == 2 and engine.warm_shards == 1
+
+    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
+    def test_stale_reopen_with_new_labels_answers_like_the_monolithic_engine(
+        self, backend, tmp_path
+    ):
+        instance, engine = stale_reopen_with_new_labels(str(tmp_path), backend)
+        mono = Engine.open(instance, backend=backend)
+        sources = sorted(instance.objects, key=repr)
+        for query in ("a* z", "y a", "(a + y + z)*", "z* y a*", "a z y"):
+            assert engine.query_all(query) == mono.query_all(query), query
+            assert engine.query_batch(query, sources) == mono.query_batch(
+                query, sources
+            ), query
+            for source in sources:
+                served, reference = engine.query(query, source), mono.query(query, source)
+                assert served.answers == reference.answers, (query, source)
+                assert {a: len(w) for a, w in served.witness_paths.items()} == {
+                    a: len(w) for a, w in reference.witness_paths.items()
+                }, (query, source)
+
+    @pytest.mark.skipif(not numpy_available(), reason="the lowering needs numpy")
+    def test_stale_reopen_with_new_labels_lowers_like_the_monolithic_engine(
+        self, tmp_path
+    ):
+        instance, engine = stale_reopen_with_new_labels(str(tmp_path), "numpy")
+        mono = Engine.open(instance, backend="numpy")
+        for query in ("a* z", "y a", "(a + y + z)*", "z* y a*"):
+            assert lowering_edges(engine, query) == lowering_edges(mono, query), query
+
+    def test_a_shard_in_another_label_order_is_refused(self):
+        # The view reads every shard's label ids as its own, so a shard
+        # interning the same labels in another order would read wrong edges.
+        first = CompiledGraph.from_instance(Instance([("u", "y", "v")]), labels=["y", "z"])
+        second = CompiledGraph.from_instance(Instance([("v", "z", "u")]), labels=["z", "y"])
+        owner = {"u": 0, "v": 1}.__getitem__
+        with pytest.raises(ReproError, match="not in the session's order"):
+            ShardView([first, second], ["y", "z"], owner)
+
+    @pytest.mark.skipif(not numpy_available(), reason="the lowering needs numpy")
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    @given(seed=st.integers(0, 2**16), steps=view_steps)
+    def test_lowering_equals_the_monolithic_lowering_after_every_step(
+        self, kind, seed, steps
+    ):
+        def check(engine, mono):
+            for expression in VIEW_EXPRESSIONS:
+                assert lowering_edges(engine, expression) == lowering_edges(
+                    mono, expression
+                ), expression
+
+        replay_view_steps(kind, seed, steps, "numpy", check)
+
+    @pytest.mark.parametrize("kind", MAP_KINDS)
+    @given(seed=st.integers(0, 2**16), steps=view_steps)
+    def test_adjacency_equals_the_monolithic_adjacency_after_every_step(
+        self, kind, seed, steps
+    ):
+        # What the scalar BFS and the packed kernel read, by object and
+        # label rather than by id.
+        def adjacency(session):
+            graph = session.graph
+            return Counter(
+                (graph.oid_of(node), label, graph.oid_of(target))
+                for node in range(graph.num_nodes)
+                for lid, label in enumerate(graph.labels_fingerprint())
+                for target in graph.successors(node, lid)
+            )
+
+        def check(engine, mono):
+            assert adjacency(engine) == adjacency(mono)
+
+        replay_view_steps(kind, seed, steps, "packed", check)
+
+
+def replay_view_steps(kind, seed, steps, backend, check):
+    """Drive a sharded session and a monolithic one through ``steps`` —
+    edits between existing nodes, to new nodes and under a new label,
+    removals, compactions, and reopens after an edit behind the sharded
+    session's back (its stale shards rebuild, interning the new label
+    first) — and ``check(sharded, monolithic)`` after each."""
+    instance, _ = web_like_graph(24, ["a", "b", "c"], seed=seed)
+    live = instance.copy()
+    shard_map = shard_map_of(kind, live)
+    mono = Engine.open(instance, backend=backend)
+    engine = ShardedEngine.open(live, shard_map=shard_map, backend=backend)
+    fresh = 0
+
+    def checked(step):
+        check(engine, mono)
+        assert engine.graph.num_nodes == len(live), step
+
+    checked("opened")
+    with tempfile.TemporaryDirectory() as directory:
+        for kind_of_step, first, second in steps:
+            nodes = sorted(live.objects, key=repr)
+            source = nodes[first % len(nodes)]
+            if kind_of_step in ("add", "add_label", "add_node"):
+                label = "d" if kind_of_step == "add_label" else "abc"[second % 3]
+                if kind_of_step == "add_node":
+                    fresh += 1
+                    target = f"x{fresh}"
+                else:
+                    target = nodes[second % len(nodes)]
+                mono.add_edge(source, label, target)
+                engine.add_edge(source, label, target)
+            elif kind_of_step == "remove":
+                edges = sorted(live.edges(), key=repr)
+                edge = edges[first % len(edges)]
+                mono.remove_edge(*edge)
+                engine.remove_edge(*edge)
+            elif kind_of_step == "compact":
+                mono.compact_now()
+                engine.compact_now()
+            else:
+                engine.save(directory)
+                fresh += 1
+                edge = (source, "zy"[second % 2], f"x{fresh}")
+                live.add_edge(*edge)
+                mono.add_edge(*edge)
+                engine = ShardedEngine.open(
+                    directory, instance=live, shard_map=shard_map, backend=backend
+                )
+            checked((kind_of_step, first, second))
 
 
 # ---------------------------------------------------------------------------

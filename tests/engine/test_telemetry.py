@@ -506,67 +506,55 @@ class TestSessionInstrumentation:
         assert (unchanged["improved"], unchanged["proved_by"]) == (False, "")
 
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_sharded_trace_has_superstep_tree(self, telemetry_on, backend):
+    def test_sharded_trace_is_the_engine_tree(self, telemetry_on, backend):
+        # A sharded evaluation is one compile and one run over its view:
+        # the same span tree as a monolithic one, under its own root.
         instance = web(30)
         sharded = ShardedEngine.open(instance, shards=3, backend=backend)
+        mono = Engine.open(instance, backend=backend)
         source = sorted(instance.objects, key=repr)[0]
-        sharded.query("a (b + c)*", source)
-        trace = sharded.metrics.tracer.last()
-        assert trace.root.name == "sharded.query"
-        supersteps = [s for s in trace.spans if s.name == "sharded.superstep"]
-        locals_ = [s for s in trace.spans if s.name == "sharded.local_fixpoint"]
-        assert supersteps and locals_
-        superstep_ids = {s.span_id for s in supersteps}
-        assert all(s.parent_id in superstep_ids for s in locals_)
-        assert sharded.stats.last_run.supersteps == len(supersteps)
-        assert {s.attributes["shard"] for s in locals_} <= set(range(3))
+        shapes = {}
+        for session in (sharded, mono):
+            session.query("a (b + c)*", source)
+            trace = session.metrics.tracer.last()
+            by_id = {span.span_id: span for span in trace.spans}
+            shapes[session._PREFIX] = [
+                (span.name, by_id[span.parent_id].name if span.parent_id in by_id else None)
+                for span in trace.spans
+            ]
+        assert shapes["sharded"] == [
+            ("sharded.query", None),
+            ("engine.compile", "sharded.query"),
+            ("engine.run", "sharded.query"),
+        ]
+        assert [name for name, _ in shapes["engine"]] == [
+            "engine.query", "engine.compile", "engine.run"
+        ]
 
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_sharded_exchange_and_assemble_spans(self, telemetry_on, backend):
+    def test_sharded_run_span_carries_the_work_counts(self, telemetry_on, backend):
         instance = web(30)
         sharded = ShardedEngine.open(instance, shards=3, backend=backend)
+        mono = Engine.open(instance, backend=backend)
         sources = sorted(instance.objects, key=repr)[:6]
-        results = sharded.query_batch("a (b + c)*", sources)
-        trace = sharded.metrics.tracer.last()
-        by_id = {span.span_id: span for span in trace.spans}
-        exchanges = [s for s in trace.spans if s.name == "sharded.exchange"]
-        [assemble] = [s for s in trace.spans if s.name == "sharded.assemble"]
-        # One barrier per superstep, under it; one gather, under the query.
-        assert len(exchanges) == sharded.stats.last_run.supersteps
-        assert all(by_id[s.parent_id].name == "sharded.superstep" for s in exchanges)
-        assert by_id[assemble.parent_id] is trace.root
-        for span in exchanges:
-            attrs = span.attributes
-            assert attrs["exported"] == attrs["shipped"] + attrs["absorbed"]
-        assert sum(s.attributes["shipped"] for s in exchanges) == (
-            sharded.stats.last_run.exchanged_facts
-        ) > 0
-        assert assemble.attributes["shards"] >= 2
-        assert assemble.attributes["answers"] == sum(map(len, results.values()))
-        # Sequential supersteps: every parent outlasts its children together.
-        supersteps = [s for s in trace.spans if s.name == "sharded.superstep"]
-        for parent in [trace.root, *supersteps]:
-            children = [s for s in trace.spans if s.parent_id == parent.span_id]
-            assert sum(s.duration for s in children) <= parent.duration + 1e-9
+        attributes = {}
+        for session in (sharded, mono):
+            assert session.query_batch("a (b + c)*", sources)
+            [run] = [
+                span for span in session.metrics.tracer.last().spans
+                if span.name == "engine.run"
+            ]
+            attributes[session._PREFIX] = run.attributes
+        assert attributes["sharded"] == attributes["engine"]
+        assert attributes["sharded"]["visited"] == sharded.stats.visited_pairs > 0
+        assert sharded.telemetry()["sharded_local_fixpoint_seconds"]["count"] == 1
 
     def test_sharded_spans_stay_null_when_disabled(self, telemetry_off):
         instance = web(30)
         sharded = ShardedEngine.open(instance, shards=3)
         sharded.query_batch("a (b + c)*", sorted(instance.objects, key=repr)[:6])
-        assert sharded.metrics.span("sharded.exchange") is NULL_SPAN
+        assert sharded.metrics.span("engine.run") is NULL_SPAN
         assert sharded.metrics.tracer.recorded == 0
-
-    def test_sharded_concurrent_scheduler_joins_trace(self, telemetry_on):
-        instance = web(30)
-        sharded = ShardedEngine.open(instance, shards=3, concurrency=2)
-        try:
-            source = sorted(instance.objects, key=repr)[0]
-            sharded.query("a (b + c)*", source)
-            trace = sharded.metrics.tracer.last()
-            locals_ = [s for s in trace.spans if s.name == "sharded.local_fixpoint"]
-            assert locals_  # worker-thread spans landed in the loop's trace
-        finally:
-            sharded.close()
 
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     def test_server_trace_children_sum_within_total(self, telemetry_on, backend):
@@ -592,7 +580,7 @@ class TestSessionInstrumentation:
         assert snapshot["serving_request_seconds"]["count"] == len(sources)
         assert snapshot["serving_flush_seconds"]["count"] == 1
 
-    def test_server_over_sharded_engine_nests_supersteps(self, telemetry_on):
+    def test_server_over_sharded_engine_nests_its_run(self, telemetry_on):
         instance = web(30)
         sharded = ShardedEngine.open(instance, shards=2)
         source = sorted(instance.objects, key=repr)[0]
@@ -607,7 +595,7 @@ class TestSessionInstrumentation:
         names = {span.name for span in trace.spans}
         # The pool thread re-activates the batch span, so the sharded
         # engine's own spans join the same trace.
-        assert "sharded.query" in names and "sharded.superstep" in names
+        assert "sharded.query" in names and "engine.run" in names
 
 
 # ---------------------------------------------------------------------------
