@@ -181,7 +181,7 @@ def main(argv=None) -> int:
         ratio = elapsed / timings["optimized"] if timings["optimized"] else 0.0
         print(f"{strategy:<12}{elapsed:>10.4f}{ratio:>13.2f}x")
     print(f"rows: {len(direct.rows)}; planned order: {plans['optimized']}")
-    print(f"serving: {serving_stats.summary()}")
+    print(f"serving: {vars(serving_stats)}")
 
     artifact = {
         "benchmark": "crpq_join_planning",

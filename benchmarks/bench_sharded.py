@@ -205,7 +205,11 @@ def main(argv=None) -> int:
         f"snapshot dir: {snapshot_bytes}B, save {save_s:.4f}s, "
         f"warm open {open_warm_s:.4f}s, stale open {open_stale_s:.4f}s"
     )
-    print(f"sharded stats: {sharded.describe()}")
+    counters = {
+        name: value for name, value in sharded.telemetry().items()
+        if name.startswith("sharded_") and not (isinstance(value, dict) and "count" in value)
+    }
+    print(f"sharded stats: {counters}")
 
     artifact = {
         "benchmark": "sharded_scatter_gather",

@@ -9,7 +9,10 @@
 #           blocking, lock-order cycles — plus ruff when installed (CI
 #           always installs it); writes ANALYSIS_report.json
 #   tests   the tier-1 pytest suite, once per numpy arm
-#   serve   the async serving suites under PYTHONASYNCIODEBUG=1 (both numpy
+#   serve   the admission state machine's loop-free tests (the wire corpus
+#           replayed through feed/complete, a hypothesis interleaving of
+#           feed/complete/tick), then the async serving suites under
+#           PYTHONASYNCIODEBUG=1 (both numpy
 #           arms; includes the N-threads-x-M-queries stress test on one
 #           shared engine), them and the sharded suite under the lock-order
 #           witness, plus a live wire smoke: one script (a STREAM
@@ -84,6 +87,10 @@ run_tests() {
 }
 
 run_serve() {
+    echo "== serving: admission state machine, no event loop (corpus replay + hypothesis) =="
+    python -m pytest tests/engine/test_admission.py -q
+
+    echo
     # PYTHONASYNCIODEBUG=1 makes asyncio surface un-awaited coroutines,
     # slow callbacks and cross-loop misuse that a quiet run would hide; the
     # serving suite also carries the thread-sanity stress test (N threads x

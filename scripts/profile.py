@@ -44,7 +44,8 @@ kernel runs (sharded and monolithic), the join steps' q-error, and the
 atom-time ratio the benchmark
 trace reports as ``sharding.overhead_ratio``; per 1 000 served lines the
 ``regex.parse`` calls (loop and flush-pool threads apart), ``normalize``
-calls, event-loop callbacks and flushes, beside the loop's busy time; per
+calls, event-loop callbacks, asyncio ``Handle``s, ``create_task`` calls and
+flushes, beside the loop's busy time; per
 1 000 edit transactions the product lowerings built, patched and hit, and
 the milliseconds in the lowering, the fixpoint and materialisation.
 Stdlib only — ``cProfile``/``pstats`` ship with CPython.
@@ -457,6 +458,10 @@ def profile_serve(quick: bool) -> "tuple[pstats.Stats, float, list[str]]":
     )
     per_kline = 1e3 / len(ops)
     handle_run = asyncio.events.Handle._run
+    # Both threads make Handles: the pool's call_soon_threadsafe does too.
+    handles = sum(
+        calls_of(stats, asyncio.events.Handle.__init__) for stats in (loop_stats, pool_stats)
+    )
     cpus = sorted(os.sched_getaffinity(0)) if pinnable else "n/a"
     work = [
         f"{len(ops)} lines over {len({op[2] for op in ops})} distinct texts, "
@@ -470,6 +475,8 @@ def profile_serve(quick: bool) -> "tuple[pstats.Stats, float, list[str]]":
         f"{calls_of(pool_stats, parser.parse) * per_kline:.2f} pool, "
         f"normalize {calls_of(loop_stats, request.normalize) * per_kline:.1f}, "
         f"loop callbacks {calls_of(loop_stats, handle_run) * per_kline:.0f}, "
+        f"Handles {handles * per_kline:.0f}, "
+        f"create_task {calls_of(loop_stats, asyncio.BaseEventLoop.create_task) * per_kline:.1f}, "
         f"flushes {server.stats.batches * per_kline:.1f}",
         f"served {server.stats.served} of {server.stats.submitted} submitted, "
         f"{server.stats.failed} failed",

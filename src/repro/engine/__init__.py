@@ -20,7 +20,8 @@ snapshot per shard, and evaluates through a read-only view of the shard
 graphs as one graph (``ShardView``) with the same executor calls, and
 :mod:`~repro.engine.serving` puts an asyncio admission queue in front of
 either session kind (``engine.as_server()`` — same-DFA requests coalesced
-into shared batches).  Cross-cutting observability lives in
+into shared batches), whose every decision is the sans-io state machine of
+:mod:`~repro.engine.admission`.  Cross-cutting observability lives in
 :mod:`~repro.engine.telemetry`: a per-session metrics registry (counters /
 callback gauges / fixed-bucket latency histograms) that the stats
 dataclasses register into, a structured span tracer threaded through
@@ -69,7 +70,6 @@ from .sharding import (
     ShardedStats,
     ShardMap,
     partition_instance,
-    shard_graph,
 )
 from .telemetry import (
     NULL_SPAN,
@@ -151,7 +151,6 @@ __all__ = [
     "serve_stream",
     "serve_tcp",
     "set_telemetry_enabled",
-    "shard_graph",
     "shared_engine",
     "telemetry_enabled",
 ]

@@ -182,16 +182,10 @@ def _witness_resolver(graph, query, bit_of, frontier):
 
 
 def run_all_pairs(
-    graph: CompiledGraph,
-    query: CompiledQuery,
-    *,
-    witnesses: bool = False,
-    backend: str = "auto",
+    graph: CompiledGraph, query: CompiledQuery, *, backend: str = "auto"
 ) -> BatchRun:
     """Batched evaluation from every node: node ids double as mask bit
     positions, so ``answers[i]`` is the answer set of node ``i``.  Backs
     ``Engine.query_all`` (and through it ``evaluate_all_sources``, which
     constraint-satisfaction checking uses to quantify over sites)."""
-    return run_batch(
-        graph, query, range(graph.num_nodes), witnesses=witnesses, backend=backend
-    )
+    return run_batch(graph, query, range(graph.num_nodes), backend=backend)

@@ -200,6 +200,19 @@ def encode_page(
     return f"{ident}\t{body}"
 
 
+def encode_reply(ident: str, request: QueryRequest, result, key: str) -> str:
+    """The full response to ``request``: its whole result, or the ``LIMIT``
+    page it asked for, with cursors bound to ``key`` (the request's
+    admission key, read only for a page) and its source."""
+    if request.limit is None:
+        return encode_result(ident, result)
+    digest = cursor_digest(key, request.sources[0] if request.sources else "")
+    try:
+        return encode_page(ident, result, request.limit, request.cursor, digest)
+    except ReproError as error:  # a cursor minted for another query or source
+        return encode_error(ident, error)
+
+
 def encode_chunk(ident: str, answer: "Oid") -> str:
     """One ``STREAM`` chunk line."""
     return f"{ident}\t+\t{answer}"

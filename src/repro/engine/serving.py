@@ -1,57 +1,38 @@
-"""Async serving layer: shared-batch query admission.
+"""Async serving layer: asyncio adapters around the admission machine.
 
-Production RPQ evaluators decouple the evaluation loop from request arrival:
-"Answering Constraint Path Queries over Graphs" serves constraint path
-queries through an evaluation loop that batches work against the graph, and
-the enumeration literature (Martens & Trautner) motivates streaming answers
-with bounded delay rather than blocking every caller on a private full
-evaluation.  This module is that layer for the compiled engine:
-:class:`QueryServer` is an **admission queue** in front of an
+:class:`QueryServer` puts an admission queue in front of an
 :class:`~repro.engine.session.Engine` or
-:class:`~repro.engine.sharding.ShardedEngine`.  Requests arrive as
-``await server.submit(QueryRequest(query=..., sources=(source,)))`` (one
-structured :class:`~repro.engine.request.QueryRequest`); in-flight
-requests whose queries compile to the *same DFA* (same
-:meth:`~repro.engine.session.Engine.admission_key` — the canonical
-constraint-rewritten expression) are coalesced into one shared
-``query_batch`` evaluation under a **max-batch-size / max-delay** policy:
-a bucket flushes as soon as it holds ``max_batch`` requests (futures —
-duplicate sources count, matching the stats; see :class:`ServingStats`),
-or ``max_delay`` seconds after its first request, whichever comes first
-— except that a delay that runs out while every evaluation worker is
-busy keeps the bucket open (and coalescing) until one frees up, so the
-number of batches a burst costs does not grow with how many timers a
-slow moment lets expire (see :meth:`QueryServer._flush`).
-Flushes execute on a small thread pool so the event loop never blocks on
-an engine round-trip, and the per-source answer sets are fanned back out
-to the waiting futures.  The batched bitmask executor makes the shared
-run cost barely more than a single-source one, so a gateway serving many
-concurrent clients pays one traversal where naive serving pays dozens.
+:class:`~repro.engine.sharding.ShardedEngine`: in-flight requests whose
+queries compile to the same DFA (the same
+:meth:`~repro.engine.session.Engine.admission_key`, the canonical
+constraint-rewritten expression) share one ``query_batch`` evaluation, and
+the per-source answer sets are fanned back out.  Streamed requests see each
+answer the fixpoint round that derives it, with bounded delay (Martens &
+Trautner's enumeration cost model): work per delivered answer.
 
-On top of the shared-batch core, answers also *stream*:
-:meth:`QueryServer.submit_stream` admits like ``submit`` but returns an
-:class:`AnswerStream` — an async iterator that yields each answer the
-moment the engine derives the accepting fact (per fixpoint round, through
-the sessions' ``query_batch_streaming``), instead of blocking on the whole
-batch fixpoint.  Time-to-first-answer is the interactive latency story
-(``serving_first_answer_seconds``); the full answer set still resolves at
-batch completion and is identical to ``submit``'s.  Requests whose source
-is already covered by an *in-flight* batch of the same key merge into it
-(overlapping source sets share one evaluation — see :meth:`_admit`).
+Every decision (buckets, the size/delay/immediate/close triggers, merges
+into in-flight batches, the fan-out, the :class:`ServingStats` books) is
+made by the synchronous state machine of :mod:`repro.engine.admission`.
+asyncio stays at the edges, in three adapters:
 
-A thin line front-end (:func:`serve_stream` for stdin, :func:`serve_tcp`)
-adapts the server to the CLI's ``serve`` subcommand: one read loop turns
-each request line into a task that parses it with the sans-io codec of
-:mod:`repro.engine.protocol` (the v1 and V2 grammars, ``LIMIT``/``CURSOR``
-pages, ``STREAM`` chunks and ``!`` control verbs are documented there),
-dispatches it through :func:`respond_line` and writes the encoded response.
-Responses are written as they complete, so slow queries never head-of-line
-block fast ones — the ``id`` is what correlates them.
+* one **reader** per stdin or TCP connection (:func:`serve_stream`,
+  :func:`serve_tcp`): it parses lines with the sans-io codec of
+  :mod:`repro.engine.protocol`, answers control lines inline, admits (on
+  the pool on a constrained session, whose first sight of a text may run a
+  rewrite search) and feeds tickets to the machine, and stops reading while
+  ``max_inflight`` of its lines are unanswered.  A ``MATCH`` line keeps one
+  task, for :meth:`QueryServer.submit_conjunctive`;
+* one **executor call** per flush, whose streamed facts cross back to the
+  loop at most once per :data:`DRAIN_WAKE_INTERVAL_S`; one loop timer per
+  server wakes the machine at its next deadline;
+* one **writer**, which encodes each delivery as it lands, so slow queries
+  never head-of-line block fast ones (the ``id`` correlates them).
 
-Thread-safety contracts this module relies on (and PR 5 audited): the
-engines' compile caches and rewrite memos are lock-guarded, statistics
-counters mutate under the session lock, and the lazy numpy edge-array
-lowering is race-free — see the ``Engine`` / ``ShardedEngine`` docstrings.
+The awaitable API (``submit``, ``submit_nowait``, ``submit_stream``,
+``submit_many``, ``submit_conjunctive``) attaches a future or an
+:class:`AnswerStream` to each ticket instead of a wire line.  The engines'
+compile caches and rewrite memos are lock-guarded and their evaluation is
+thread-safe — see the ``Engine`` / ``ShardedEngine`` docstrings.
 """
 
 from __future__ import annotations
@@ -61,11 +42,17 @@ import json
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable, Iterable
 
 from ..exceptions import ReproError
+from .admission import (
+    Admission,
+    Batch,
+    ServingStats,
+    Ticket,
+    request_source,
+)
 from .conjunctive import (
     ConjunctiveQuery,
     ConjunctiveResult,
@@ -75,11 +62,9 @@ from .conjunctive import (
 from .protocol import (  # noqa: F401 - format_answers stays importable from here
     ControlLine,
     ErrorLine,
-    cursor_digest,
     encode_chunk,
     encode_error,
-    encode_page,
-    encode_result,
+    encode_reply,
     format_answers,
     parse_line,
 )
@@ -87,7 +72,6 @@ from .request import CRPQRequest, QueryRequest, normalize
 from .telemetry import (
     DEFAULT_SIZE_BUCKETS,
     NULL_SPAN,
-    MetricsRegistry,
     Telemetry,
     slow_log_json,
     trace_to_json,
@@ -106,114 +90,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DRAIN_WAKE_INTERVAL_S = 0.002
 
 
-@dataclass
-class ServingStats:
-    """Counters of one :class:`QueryServer`'s lifetime.
-
-    The size policy and every stat derived from it count **requests**
-    (waiter futures), not distinct sources: a bucket flushes once it holds
-    ``max_batch`` requests, ``max_batch_size`` records the widest flush in
-    requests, and ``coalesced`` counts requests that shared a flush with at
-    least one other.  Duplicate sources therefore fill a bucket exactly
-    like distinct ones — the trigger and the counters can no longer
-    disagree about what a "full" batch means (the trigger used to count
-    distinct sources while the stats counted futures, so duplicate-heavy
-    traffic never size-flushed yet reported oversized batches).  Distinct
-    sources per flush remain observable through the
-    ``serving_batch_sources`` histogram, which is the evaluation-cost view.
-    """
-
-    submitted: int = 0
-    served: int = 0
-    failed: int = 0
-    batches: int = 0
-    # Requests that shared their batch with at least one other request.
-    coalesced: int = 0
-    # Widest admitted batch (requests of one flush; see the class docstring).
-    max_batch_size: int = 0
-    size_flushes: int = 0
-    delay_flushes: int = 0
-    # Flushes forced by max_delay == 0 (coalescing disabled).
-    immediate_flushes: int = 0
-    close_flushes: int = 0
-    # Requests that attached to an already-evaluating batch of their key
-    # (overlapping source sets; resolved by that batch's fan-out).
-    merged: int = 0
-    # Requests admitted through submit_stream (a subset of submitted).
-    streamed: int = 0
-    # Conjunctive queries served end to end.  Their per-atom batches flow
-    # through the ordinary admission counters (each atom source is one
-    # submitted/served request), so these two count whole CRPQs on top.
-    crpq_submitted: int = 0
-    crpq_served: int = 0
-
-    def summary(self) -> str:
-        return (
-            f"requests: {self.submitted} submitted, {self.served} served, "
-            f"{self.failed} failed ({self.streamed} streamed, "
-            f"{self.merged} merged in-flight); batches: {self.batches} "
-            f"({self.coalesced} requests coalesced, widest {self.max_batch_size}); "
-            f"flushes: {self.size_flushes} size, {self.delay_flushes} delay, "
-            f"{self.immediate_flushes} immediate, {self.close_flushes} close"
-        )
-
-    _GAUGES = (
-        ("submitted", "requests admitted (or rejected at admission)"),
-        ("served", "requests resolved with an answer set"),
-        ("failed", "requests resolved with an error"),
-        ("batches", "shared-batch flushes"),
-        ("coalesced", "requests that shared their batch with another"),
-        ("max_batch_size", "widest admitted batch (requests)"),
-        ("size_flushes", "flushes forced by max_batch"),
-        ("delay_flushes", "flushes forced by max_delay"),
-        ("immediate_flushes", "flushes with coalescing disabled (max_delay=0)"),
-        ("close_flushes", "flushes forced by close()"),
-        ("merged", "requests attached to an in-flight batch of their key"),
-        ("streamed", "requests admitted via submit_stream"),
-        ("crpq_submitted", "conjunctive queries admitted"),
-        ("crpq_served", "conjunctive queries answered end to end"),
-    )
-
-    def register(self, registry: MetricsRegistry, prefix: str = "serving") -> None:
-        """Expose every counter through ``registry`` as a callback gauge.
-
-        The server registers into its *engine's* registry (see
-        :class:`QueryServer`), so one session snapshot covers admission and
-        evaluation together.  Gauge registration is last-wins: a second
-        server over the same engine re-points the serving gauges at its own
-        stats, which is the useful reading for the common
-        one-server-at-a-time lifecycle.
-        """
-        for attr, help_text in self._GAUGES:
-            registry.gauge(
-                f"{prefix}_{attr}", help_text, lambda a=attr: getattr(self, a)
-            )
-
-
-class _Bucket:
-    """One admission bucket: every in-flight request sharing a DFA key."""
-
-    __slots__ = (
-        "query", "waiters", "streams", "requests", "timer", "span", "created_at"
-    )
-
-    def __init__(self, query, span=NULL_SPAN, created_at: float = 0.0) -> None:
-        self.query = query  # the prepared (rewritten) query, compiled once
-        self.waiters: "dict[Oid, list[asyncio.Future]]" = {}
-        # Streaming requests, keyed like waiters; every stream's ``future``
-        # is *also* in waiters, so fan-out/error accounting sees one kind.
-        self.streams: "dict[Oid, list[AnswerStream]]" = {}
-        # Size-policy unit: admitted requests (futures), incremented on every
-        # admission including duplicate sources — see ServingStats.
-        self.requests = 0
-        self.timer: "asyncio.TimerHandle | None" = None
-        # Telemetry: the batch's root span ("serve.batch"), opened at bucket
-        # creation so the admission wait is on the trace; NULL_SPAN when
-        # capture is disabled.
-        self.span = span
-        self.created_at = created_at
-
-
 class AnswerStream:
     """Incrementally delivered answers of one streamed request.
 
@@ -227,85 +103,40 @@ class AnswerStream:
 
     Each answer is yielded exactly once, in derivation order; iteration ends
     when the batch evaluation completes.  :meth:`result` awaits the full
-    answer set (identical to what ``await server.submit(...)`` returns) and
-    re-raises the batch's error if evaluation failed — the same error the
-    iterator raises mid-loop.  All methods are event-loop-only, matching the
-    rest of the serving layer.
+    answer set and re-raises the batch's error, as the iterator does.
+    Event-loop only.
     """
 
-    __slots__ = ("future", "_pending", "_streamed", "_waiter", "_done",
-                 "_error", "_on_first")
+    __slots__ = ("future", "_pending", "_waiter", "_done", "_error")
 
-    def __init__(self, loop: "asyncio.AbstractEventLoop", on_first=None) -> None:
-        # Resolves to the full answer set at batch completion; registered in
-        # the bucket's waiters, so served/failed accounting is uniform.
+    def __init__(self, loop: "asyncio.AbstractEventLoop") -> None:
         self.future: "asyncio.Future" = loop.create_future()
         self._pending: "deque" = deque()
-        self._streamed: list = []
         self._waiter: "asyncio.Future | None" = None
         self._done = False
         self._error: "BaseException | None" = None
-        # Fired once, when the first answer arrives (or at completion for an
-        # empty answer set) — the serving_first_answer_seconds hook.
-        self._on_first = on_first
 
     def _wake(self) -> None:
         waiter, self._waiter = self._waiter, None
         if waiter is not None and not waiter.done():
             waiter.set_result(None)
 
-    def _first(self) -> None:
-        on_first, self._on_first = self._on_first, None
-        if on_first is not None:
-            on_first()
-
-    def _push(self, answers: "Iterable[Oid]") -> None:
-        """Deliver newly derived answers (event-loop only).
-
-        The executor contract already guarantees each accepting fact lands
-        at most once per evaluation, so delivery is a plain extend; the
-        wire-space reconciliation against the full answer set is deferred
-        to :meth:`_finish`, keeping this per-round path cheap while the
-        evaluation threads are still computing.  A straggler push after
-        completion is dropped — the finish path already reconciled the
-        full set.
-        """
-        if self._done or not answers:
-            return
-        self._streamed.extend(answers)
-        self._first()
+    def _chunk(self, answers: "Iterable[Oid]") -> None:
         self._pending.extend(answers)
         self._wake()
 
-    def _finish(self, answers: "set[Oid]") -> None:
-        """Complete the stream with the full answer set (event-loop only)."""
-        # Anything the incremental path missed (e.g. the engine cannot
-        # stream) still reaches the iterator, in sorted order for stability.
-        # Reconciliation happens in wire (``str``) space while raw answers
-        # are what the iterator yields — so an engine that emits an answer
-        # raw and a completion path that re-walks the full set cannot
-        # deliver the same logical answer twice under two types.
-        seen = {str(a) for a in self._streamed}
-        remainder = sorted((a for a in answers if str(a) not in seen), key=str)
-        self._pending.extend(remainder)
+    def _resolve(self, ticket: Ticket, result, error, remainder) -> None:
+        """Complete the stream: the answers no chunk carried, then the end."""
         self._done = True
-        # An empty answer set's "first answer" is its completion: the
-        # histogram then measures time-to-certainty, never goes unobserved.
-        self._first()
-        if not self.future.done():
-            self.future.set_result(answers)
-        self._wake()
-
-    def _fail(self, error: BaseException) -> None:
-        self._done = True
-        self._error = error
-        self._first()
-        if not self.future.done():
-            self.future.set_exception(error)
-            # The batch error is surfaced via result()/iteration; stop the
-            # loop's unretrieved-exception warning if the caller only
-            # iterates.
-            self.future.exception()
+        if error is None:
+            self._pending.extend(remainder)
+            if not self.future.done():
+                self.future.set_result(result)
+        else:
+            self._error = error
+            if not self.future.done():
+                self.future.set_exception(error)
+                self.future.exception()  # retrieved: the caller may only iterate
         self._wake()
 
     async def result(self) -> "set[Oid]":
@@ -332,6 +163,50 @@ class AnswerStream:
             await self._waiter
 
 
+class _Streamer:
+    """The cross-thread drain of one streamed batch.
+
+    Engine threads queue facts under a lock and schedule at most one drain
+    on the loop at a time, at most once per :data:`DRAIN_WAKE_INTERVAL_S`:
+    thousands of facts over hundreds of rounds cost a handful of loop
+    wake-ups.  Held-back facts go out with the next drain, or the final one
+    before the batch completes.
+    """
+
+    __slots__ = ("server", "batch", "loop", "span", "facts", "lock",
+                 "scheduled", "last_wake", "count")
+
+    def __init__(self, server: "QueryServer", batch: Batch, loop, span) -> None:
+        self.server, self.batch, self.loop, self.span = server, batch, loop, span
+        self.facts: "deque" = deque()
+        self.lock = threading.Lock()
+        self.scheduled = False
+        self.last_wake = 0.0
+        self.count = 0
+
+    def emitted(self, source: "Oid", answers: "Iterable[Oid]") -> None:
+        """Evaluation thread: queue one fact batch (ownership transfers)."""
+        now = perf_counter()
+        with self.lock:
+            self.facts.append((source, answers))
+            schedule = not self.scheduled and now - self.last_wake >= DRAIN_WAKE_INTERVAL_S
+            if schedule:
+                self.scheduled = True
+                self.last_wake = now
+        if schedule:
+            self.loop.call_soon_threadsafe(self.drain)
+
+    def drain(self) -> None:
+        """Loop side: feed the facts to the machine, deliver the chunks."""
+        with self.lock:
+            facts = list(self.facts)
+            self.facts.clear()
+            self.scheduled = False
+        for source, answers in facts:
+            self.count += len(answers)
+            self.server._chunks(self.server.machine.stream(self.batch, source, answers))
+
+
 class QueryServer:
     """Admission queue that coalesces compatible requests into shared batches.
 
@@ -343,24 +218,14 @@ class QueryServer:
             request = QueryRequest(query="a (b + c)*", sources=("p0",))
             answers = await server.submit(request)
 
-    ``submit`` admits the request into the bucket of its
-    :meth:`~repro.engine.session.Engine.admission_key`; the bucket flushes
-    into one shared ``query_batch`` when it holds ``max_batch`` requests
-    (futures — duplicate sources count; see :class:`ServingStats`) or
-    ``max_delay`` seconds after its first request.  Flushes run
-    on a ``concurrency``-wide thread pool (default 1), so distinct-DFA
-    batches can evaluate in parallel while the event loop keeps admitting;
-    a delay flush that finds every worker busy waits for one, coalescing.
-    :meth:`submit_stream` admits identically but returns an
-    :class:`AnswerStream` that yields answers as the engine derives them.
-    A request whose source is already covered by an *in-flight* batch of
-    its key merges into that batch instead of opening a new bucket —
-    overlapping source sets across requests share one evaluation.
-
-    The answer ``set`` a request resolves to may be shared with other
-    coalesced requests of the same ``(query, source)`` — treat it as
-    read-only.  :meth:`close` flushes every pending bucket and drains
-    in-flight batches; it is what ``async with`` calls on exit.
+    A bucket flushes into one shared ``query_batch`` when it holds
+    ``max_batch`` requests or ``max_delay`` seconds after its first one
+    (the policy is :class:`~repro.engine.admission.Admission`'s).  Flushes
+    run on a ``concurrency``-wide thread pool (default 1).  The answer
+    ``set`` a request resolves to may be shared with other requests of the
+    same ``(query, source)`` — treat it as read-only.  :meth:`close`
+    flushes every pending bucket and drains in-flight batches; it is what
+    ``async with`` calls on exit.
     """
 
     def __init__(
@@ -378,9 +243,8 @@ class QueryServer:
         if concurrency is not None and concurrency < 1:
             raise ReproError("concurrency must be a positive worker count")
         self.engine = engine
-        self.max_batch = max_batch
-        self.max_delay = max_delay
-        self.stats = ServingStats()
+        self.machine = Admission(max_batch, max_delay, concurrency or 1)
+        self.stats = self.machine.stats
         # The serving layer shares the *engine's* telemetry bundle: one
         # registry snapshot (and one trace tree per batch) covers admission,
         # compile and evaluation.  A bare test double without a ``metrics``
@@ -389,37 +253,21 @@ class QueryServer:
         registry = self.metrics.registry
         self.stats.register(registry)
         self._hist_request = registry.histogram(
-            "serving_request_seconds", "submit-to-resolve latency per request"
-        )
+            "serving_request_seconds", "submit-to-resolve latency per request")
         self._hist_flush = registry.histogram(
-            "serving_flush_seconds",
-            "bucket lifetime: first admission to answer fan-out",
-        )
+            "serving_flush_seconds", "bucket lifetime: first admission to answer fan-out")
         self._hist_wait = registry.histogram(
-            "serving_admission_wait_seconds",
-            "bucket wait between first admission and flush",
-        )
+            "serving_admission_wait_seconds", "bucket wait between first admission and flush")
         self._hist_batch_sources = registry.histogram(
             "serving_batch_sources", "distinct sources per flushed batch",
-            buckets=DEFAULT_SIZE_BUCKETS,
-        )
+            buckets=DEFAULT_SIZE_BUCKETS)
         self._hist_first_answer = registry.histogram(
             "serving_first_answer_seconds",
-            "submit-to-first-streamed-answer latency per streamed request",
-        )
+            "submit-to-first-streamed-answer latency per streamed request")
         self._control_requests = registry.counter(
-            "serving_control_requests", "line-protocol control verbs handled"
-        )
-        self._buckets: "dict[str, _Bucket]" = {}
-        # Flushed-but-unresolved buckets by key, newest last: the merge
-        # target for requests whose source an in-flight batch already covers.
-        self._serving: "dict[str, list[_Bucket]]" = {}
-        self._inflight: "set[asyncio.Task]" = set()
-        # Evaluation workers not claimed by a flushed batch (negative while
-        # size/close flushes queue in the pool), and the pending buckets
-        # whose delay expired with none free — see _flush.
-        self._free_workers = concurrency or 1
-        self._ripe: "deque[tuple[str, _Bucket]]" = deque()
+            "serving_control_requests", "line-protocol control verbs handled")
+        self._running: "set[asyncio.Future]" = set()
+        self._timer: "asyncio.TimerHandle | None" = None
         self._pool = ThreadPoolExecutor(
             max_workers=concurrency or 1, thread_name_prefix="repro-serve"
         )
@@ -431,40 +279,18 @@ class QueryServer:
         for _ in range(concurrency or 1):
             self._pool.submit(ready.wait)
         ready.wait()
-        self._closed = False
 
     # -- admission ------------------------------------------------------------
     @staticmethod
     def _lower(query, source: "Oid | None" = None) -> QueryRequest:
-        """Lower a ``submit*`` argument to a canonical request.
-
-        Only the structured shapes are admitted
-        (:class:`~repro.engine.request.QueryRequest`, ``CRPQRequest``,
-        ``ConjunctiveQuery``); a bare query string is refused.
-        """
+        """A ``submit*`` argument as a canonical request; only the structured
+        shapes are admitted, a bare query string is refused."""
         if not isinstance(query, (QueryRequest, CRPQRequest, ConjunctiveQuery)):
             raise ReproError(
                 "QueryServer.submit* takes a repro.engine.request.QueryRequest "
                 f"(or a CRPQRequest / ConjunctiveQuery), not {type(query).__name__}"
             )
         return normalize(query, source)
-
-    @staticmethod
-    def _source(request: QueryRequest, method: str) -> "Oid":
-        """The one source of a scalar ``request``, refusing what ``method``
-        cannot admit before anything is counted."""
-        if request.is_conjunctive:
-            raise ReproError(
-                "conjunctive requests cannot stream (rows land at join completion)"
-                if method == "submit_stream"
-                else "conjunctive requests resolve through submit()/submit_conjunctive()"
-            )
-        if len(request.sources) != 1:
-            raise ReproError(
-                f"{method} takes exactly one source "
-                f"(got {len(request.sources)}); use submit_many for fan-out"
-            )
-        return request.sources[0]
 
     def submit_nowait(self, query, source: "Oid | None" = None) -> "asyncio.Future":
         """Admit one scalar request; returns the future of its answer set.
@@ -474,40 +300,29 @@ class QueryServer:
         (:meth:`submit` / :meth:`submit_conjunctive`) — their joins cannot
         resolve synchronously.
 
-        Must be called from a running event loop (the flush timer and the
-        result fan-out live on it).  Admission computes the request's
-        coalescing key inline: one lookup in the session's raw-text memo
-        for every text seen before (no parse, see ``Session.admission``),
-        and one parse — plus one constraint-rewrite pass on a constrained
-        session — the first time a text is seen.  The memo's lock is never
-        held across that work, so admissions don't stall behind each other.
+        Must be called from a running event loop.  Admission runs inline: a
+        raw-text memo hit for every text seen before (see
+        ``Session.admission``).  Admission errors (e.g. query syntax) raise
+        here, counted failed.
         """
         request = self._lower(query, source)
-        source = self._source(request, "submit_nowait")
-        return self._admit(*self._admitted(request.query, 1), source)
+        source = request_source(request, "submit_nowait")
+        return self._enqueue(self._admitted(request.query), [source])[0]
 
     def submit_stream(self, query, source: "Oid | None" = None) -> AnswerStream:
         """Admit one request; answers stream out as the engine derives them.
 
-        Synchronous like :meth:`submit_nowait`: event-loop only, and
-        admission runs inline, on the loop, even on a constrained session
-        (:meth:`submit` and the wire's ``STREAM`` lines admit off the loop
-        there); returns an :class:`AnswerStream` immediately.  The request
-        coalesces with plain ``submit`` requests into the same shared
-        batches — the whole bucket is then evaluated through the engine's
-        ``query_batch_streaming``, so coalesced non-streaming requests cost
-        nothing extra and streamed requests see per-round answers.
-        Streaming requests never merge into an in-flight batch (its early
-        rounds — and their answers — already happened); they always join or
-        open a pending bucket.
-
-        Accepts a scalar :class:`~repro.engine.request.QueryRequest` (its
-        ``stream`` flag is implied).  Conjunctive requests cannot stream —
-        a join's rows are not known until its last atom resolves.
+        Synchronous like :meth:`submit_nowait` (admission inline, even on a
+        constrained session); returns an :class:`AnswerStream` at once.  The
+        request coalesces with plain ones: a bucket holding a stream is
+        evaluated through the engine's ``query_batch_streaming``.  It never
+        merges into an in-flight batch, whose early rounds already happened.
+        Conjunctive requests cannot stream — a join's rows are not known
+        until its last atom resolves.
         """
         request = self._lower(query, source)
-        source = self._source(request, "submit_stream")
-        return self._admit(*self._admitted(request.query, 1), source, stream=True)
+        source = request_source(request, "submit_stream")
+        return self._enqueue(self._admitted(request.query), [source], stream=True)[0]
 
     async def submit(self, query, source: "Oid | None" = None):
         """Admit one request and await its result.
@@ -516,151 +331,71 @@ class QueryServer:
         request resolves to its answer set; a conjunctive request is
         delegated to :meth:`submit_conjunctive` and resolves to a
         :class:`~repro.engine.conjunctive.ConjunctiveResult`.  Unlike
-        :meth:`submit_nowait` (synchronous contract, admission inline), a
-        cold constrained admission here runs off the event loop — see
-        :meth:`_admission`.
+        :meth:`submit_nowait`, a constrained admission here runs off the
+        event loop — see :meth:`_admission`.
         """
         return await (await self._open(self._lower(query, source)))
 
     async def _open(self, request: QueryRequest):
-        """Admit one canonical request; returns what resolves it.
-
-        That is the future of a scalar request's answer set, the
-        :class:`AnswerStream` of a streamed one, or the coroutine of a
-        conjunctive one — each awaitable for the full result.  The wire
-        front-end enters here with the request its line parser lowered.
-        """
+        """Admit one canonical request; returns what resolves it: the future
+        of a scalar request's answer set, the :class:`AnswerStream` of a
+        streamed one, or the coroutine of a conjunctive one."""
         if request.is_conjunctive and not request.stream:
             return self.submit_conjunctive(request.query)
-        method = "submit_stream" if request.stream else "submit"
-        source = self._source(request, method)
-        key, prepared = await self._admission(request.query, 1)
-        return self._admit(key, prepared, source, stream=request.stream)
+        source = request_source(request, "submit_stream" if request.stream else "submit")
+        admitted = await self._admission(request.query)
+        return self._enqueue(admitted, [source], stream=request.stream)[0]
 
-    async def _admission(self, query, count: int):
-        """:meth:`_admitted` for a caller that can wait.
-
-        On a *constrained* session the admission step (which may run a full
-        cost-model rewrite the first time a query is seen) is dispatched to
-        the thread pool, so the event loop never runs the search.  An
-        unconstrained admission is a raw-text memo hit after a text's first
-        sight (one parse then, never a rewrite search), so it stays inline.
-        """
-        constraints = getattr(self.engine, "constraints", None)
-        if self._closed or constraints is None or len(constraints) == 0:
-            return self._admitted(query, count)
+    async def _admission(self, query) -> tuple:
+        """:meth:`_admitted` for a caller that can wait: on a constrained
+        session, whose first sight of a text may run a whole rewrite
+        search, it runs on the pool; unconstrained, it is a memo hit after
+        a text's first parse, so it stays inline."""
+        if self.machine.closed or not getattr(self.engine, "constraints", None):
+            return self._admitted(query)
         hop = asyncio.get_running_loop().run_in_executor(
             self._pool, self.engine.admission, query
         )
         await asyncio.wait((hop,))
-        return self._admitted(query, count, hop.result)
+        return self._admitted(query, hop.result)
 
-    def _admitted(self, query, count: int, admit=None):
-        """Count ``count`` requests of ``query`` in; its ``(key, prepared)``.
-
-        The one admission step of every scalar request — plain, merged,
-        streamed, fanned out by :meth:`submit_many` or planned as a CRPQ
-        atom.  A closed server refuses the requests uncounted.  ``admit``
-        replays an admission that already ran on the pool (see
-        :meth:`_admission`); without it the session admits inline.
-        Admission-time failures (e.g. query syntax errors) never form a
-        batch; they are counted failed here, so ``submitted == served +
-        failed`` holds.
-        """
-        if self._closed:
+    def _admitted(self, query, admit=None) -> tuple:
+        """``(key, prepared, error)`` of ``query``: the session's admission,
+        or ``admit`` replaying one that already ran on the pool.  An error
+        (e.g. query syntax) becomes a ticket the machine counts failed; a
+        closed server refuses before admitting anything."""
+        if self.machine.closed:
             raise ReproError("the query server has been closed")
-        self.stats.submitted += count
         try:
-            return admit() if admit is not None else self.engine.admission(query)
-        except BaseException:
-            self.stats.failed += count
-            raise
+            key, prepared = admit() if admit is not None else self.engine.admission(query)
+        except Exception as error:
+            return None, None, error
+        return key, prepared, None
 
-    def _admit(
-        self, key: str, prepared, source: "Oid", stream: bool = False
-    ) -> "asyncio.Future | AnswerStream":
-        """Insert one admitted request into its bucket (event-loop only).
-
-        Returns the request's future, or its :class:`AnswerStream` when
-        ``stream`` is set.  Merge-in-flight: when no bucket is *pending* for
-        ``key`` but an already-flushed batch of the same key is still
-        evaluating and its source set covers ``source``, the request
-        attaches to that batch's waiters instead of opening a fresh bucket —
-        its answers are already being computed, so the overlapping request
-        rides the in-flight evaluation for free (``stats.merged``).  Merged
-        requests do not count toward any size trigger (the batch's shape is
-        already fixed), and streaming requests never merge (the rounds they
-        would stream already happened).
-        """
+    def _enqueue(self, admitted: tuple, sources, stream: bool = False) -> list:
+        """Feed one ticket per source, each owned by a future (or an
+        :class:`AnswerStream`); returns the owners, or raises the admission
+        error after the machine counted it."""
+        key, prepared, error = admitted
         loop = asyncio.get_running_loop()
-        traced = self.metrics.enabled  # one flag read per admission
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            for serving in () if stream else self._serving.get(key, ()):
-                if serving.waiters.get(source):
-                    future = loop.create_future()
-                    serving.waiters[source].append(future)
-                    self.stats.merged += 1
-                    if traced:
-                        self._observe_request_latency(future)
-                    return future
-            bucket = self._bucket(key, prepared, loop, traced)
-        if stream:
-            admitted_at = perf_counter()
-            entry = AnswerStream(
-                loop,
-                on_first=lambda: self._hist_first_answer.observe(
-                    perf_counter() - admitted_at
-                ),
+        tickets = [
+            Ticket(
+                key, prepared, source,
+                None if error else AnswerStream(loop) if stream else loop.create_future(),
+                stream=stream, error=error,
             )
-            bucket.streams.setdefault(source, []).append(entry)
-            self.stats.streamed += 1
-            future = entry.future
-        else:
-            entry = future = loop.create_future()
-        bucket.waiters.setdefault(source, []).append(future)
-        bucket.requests += 1
-        if traced:
-            self._observe_request_latency(future)
-        self._maybe_flush(key, bucket)
-        return entry
+            for source in sources
+        ]
+        self._feed(tickets)
+        if error is not None:
+            raise error
+        return [ticket.owner for ticket in tickets]
 
-    def _bucket(self, key: str, prepared, loop, traced: bool) -> _Bucket:
-        """Open (and register) a fresh pending bucket for ``key``."""
-        if traced:
-            bucket = _Bucket(
-                prepared,
-                span=self.metrics.span("serve.batch", key=key),
-                created_at=perf_counter(),
-            )
-        else:
-            bucket = _Bucket(prepared)
-        self._buckets[key] = bucket
-        if self.max_delay > 0:
-            bucket.timer = loop.call_later(
-                self.max_delay, self._flush, key, "delay"
-            )
-        return bucket
-
-    def _observe_request_latency(self, future: "asyncio.Future") -> None:
-        # Per-request submit-to-resolve latency, stamped at admission and
-        # observed when the future settles (success or failure alike).
-        admitted_at = perf_counter()
-        future.add_done_callback(
-            lambda _f, _t=admitted_at: self._hist_request.observe(
-                perf_counter() - _t
-            )
-        )
-
-    def _maybe_flush(self, key: str, bucket: _Bucket) -> None:
-        # Size policy counts requests (futures), matching the stats — see
-        # ServingStats for why duplicates must advance the trigger.
-        if bucket.requests >= self.max_batch:
-            self._flush(key, "size")
-        elif self.max_delay == 0:
-            # Coalescing disabled: every request is its own batch, tallied
-            # separately so the stats cannot read as size-cap pressure.
-            self._flush(key, "immediate")
+    def _feed(self, tickets: list) -> None:
+        now = perf_counter()
+        self._act(self.machine.feed(tickets, now))
+        if self._timer is None and self.machine.pending:
+            self._arm(self.machine.next_deadline(now), now)
 
     async def submit_many(
         self, query, sources: "Iterable[Oid] | None" = None
@@ -668,14 +403,9 @@ class QueryServer:
         """Admit one request per *distinct* source and await them all.
 
         Takes a scalar :class:`~repro.engine.request.QueryRequest` whose
-        ``sources`` field carries the fan-out.  The admission key is
-        computed once for the whole group (off the event loop on a
-        constrained session, like :meth:`submit`).  Sources are
-        deduplicated first (order-preserving): the returned mapping has one entry per distinct
-        source either way, so admitting a request per duplicate only
-        inflated ``submitted``/``served`` with phantom requests no caller
-        could observe — deduplicating keeps ``submitted == served + failed``
-        an exact invariant under repeated sources.
+        ``sources`` carry the fan-out, admitted once for the group.  Sources
+        are deduplicated (order-preserving), so the mapping has one entry
+        per distinct source and the books count no phantom requests.
         """
         request = self._lower(query)
         if sources is not None:
@@ -688,10 +418,8 @@ class QueryServer:
         source_list = list(dict.fromkeys(request.sources))
         if not source_list:
             return {}
-        key, prepared = await self._admission(request.query, len(source_list))
-        answers = await asyncio.gather(
-            *(self._admit(key, prepared, source) for source in source_list)
-        )
+        admitted = await self._admission(request.query)
+        answers = await asyncio.gather(*self._enqueue(admitted, source_list))
         return dict(zip(source_list, answers))
 
     async def submit_conjunctive(
@@ -699,32 +427,21 @@ class QueryServer:
     ) -> ConjunctiveResult:
         """Evaluate a conjunctive query through the admission queue.
 
-        The CRPQ is planned on the thread pool (``crpq.plan`` span inside
-        the engine), then each planned atom fans out through
-        :meth:`_admission`/:meth:`_admit` — one admitted request per source,
-        exactly like :meth:`submit_many`.  **Atoms get per-atom admission
-        keys** (the canonical rewritten form of the atom's expression, the
-        same key an identical scalar request gets — see
-        ``Session.admission``), so an atom's batch coalesces with
-        concurrent scalar traffic of that key, merges into covering
-        in-flight batches, and shares flushes with other CRPQs.  Hash
-        joins between atoms run on the thread pool, never on the event
-        loop.  Accepts ``MATCH …`` text, a ``ConjunctiveQuery``, or a
-        conjunctive :class:`~repro.engine.request.QueryRequest` /
-        ``CRPQRequest``.
+        The CRPQ is planned on the thread pool, then each planned atom is
+        fed as one ticket per source, like :meth:`submit_many`.  Atoms get
+        the admission key an identical scalar request gets, so they
+        coalesce with scalar traffic, merge into covering in-flight batches
+        and share flushes with other CRPQs.  Joins run on the pool.
+        Accepts ``MATCH …`` text, a ``ConjunctiveQuery``, or a conjunctive
+        :class:`~repro.engine.request.QueryRequest` / ``CRPQRequest``.
         """
-        if self._closed:
+        if self.machine.closed:
             raise ReproError("the query server has been closed")
         loop = asyncio.get_running_loop()
         if isinstance(query, (QueryRequest, CRPQRequest)):
             query = normalize(query).query
         self.stats.crpq_submitted += 1
-        traced = self.metrics.enabled
-        root = (
-            self.metrics.span("serve.crpq", strategy=strategy)
-            if traced
-            else NULL_SPAN
-        )
+        root = self.metrics.span("serve.crpq", strategy=strategy)
         try:
             plan = await loop.run_in_executor(
                 self._pool,
@@ -740,255 +457,132 @@ class QueryServer:
                 if pending is None:
                     break
                 sources = list(pending.sources)
-                key, prepared = await self._admission(
-                    pending.expression, len(sources)
-                )
+                admitted = await self._admission(pending.expression)
                 atom_span = self.metrics.span_under(
-                    root,
-                    "crpq.atom",
-                    atom=pending.step.atom.text(),
-                    sources=len(sources),
-                )
-                answers = await asyncio.gather(
-                    *(self._admit(key, prepared, source) for source in sources)
-                )
+                    root, "crpq.atom", atom=pending.step.atom.text(), sources=len(sources))
+                answers = await asyncio.gather(*self._enqueue(admitted, sources))
                 atom_span.end()
                 pairs = dict(zip(sources, answers))
                 join_span = self.metrics.span_under(root, "crpq.join")
-                report = await loop.run_in_executor(
-                    self._pool, execution.feed, pairs
-                )
+                report = await loop.run_in_executor(self._pool, execution.feed, pairs)
                 join_span.end(**report.span_attributes())
             rows = await loop.run_in_executor(self._pool, execution.result_rows)
             root.set(rows=len(rows))
             self.stats.crpq_served += 1
             record_join(self.metrics.registry, execution.steps)
-            return ConjunctiveResult(
-                variables=plan.query.returns,
-                rows=rows,
-                plan=plan,
-                steps=tuple(execution.steps),
-            )
+            return ConjunctiveResult(variables=plan.query.returns, rows=rows,
+                                     plan=plan, steps=tuple(execution.steps))
         finally:
             root.end()
 
-    # -- flushing -------------------------------------------------------------
-    def _flush(self, key: str, reason: str) -> None:
-        if reason == "delay" and self._free_workers <= 0:
-            # Every evaluation worker is busy, so a flush now would only
-            # queue behind them.  The bucket waits for a worker instead and
-            # keeps coalescing meanwhile: under load batches widen (and
-            # their count stops depending on how many timers a slow moment
-            # lets expire) while the evaluation starts no later than it
-            # would have from the pool's queue.
-            bucket = self._buckets.get(key)
-            if bucket is not None:
-                self._ripe.append((key, bucket))
-            return
-        bucket = self._buckets.pop(key, None)
-        if bucket is None:  # raced with another flush path; nothing to do
-            return
-        self._free_workers -= 1
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-        self.stats.batches += 1
-        if reason == "size":
-            self.stats.size_flushes += 1
-        elif reason == "delay":
-            self.stats.delay_flushes += 1
-        elif reason == "immediate":
-            self.stats.immediate_flushes += 1
-        else:
-            self.stats.close_flushes += 1
-        # Requests is the size-policy unit (see ServingStats): the same count
-        # the trigger in _maybe_flush compared against max_batch.
-        requests = bucket.requests
-        if requests > 1:
-            self.stats.coalesced += requests
-        if requests > self.stats.max_batch_size:
-            self.stats.max_batch_size = requests
-        if bucket.span is not NULL_SPAN:
-            # The wait between the bucket's first admission and this flush,
-            # as a pre-timed child span — the interval was measured by the
-            # admission path, not re-clocked here.
-            wait = perf_counter() - bucket.created_at
-            bucket.span.event(
-                "admission_wait", bucket.created_at, wait, reason=reason
-            )
-            bucket.span.set(
-                reason=reason, sources=len(bucket.waiters), requests=requests
-            )
-            self._hist_wait.observe(wait)
-            self._hist_batch_sources.observe(len(bucket.waiters))
-        # From flush to fan-out the batch is a merge target for overlapping
-        # requests of its key — see _admit.
-        self._serving.setdefault(key, []).append(bucket)
-        task = asyncio.get_running_loop().create_task(self._serve(key, bucket))
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
+    # -- carrying out the machine's decisions ----------------------------------
+    def _act(self, actions: list) -> None:
+        """Start every flushed batch and resolve every delivered ticket."""
+        now = perf_counter()
+        latency = self._hist_request.observe if self.metrics.enabled else None
+        for action in actions:
+            if type(action) is Batch:
+                self._run(action)
+                continue
+            ticket, result, error, remainder = action
+            if latency is not None:
+                latency(now - ticket.admitted_at)
+            if ticket.stream and not ticket.streamed and ticket.error is None:
+                # A stream no chunk reached gets its first answer now.
+                self._hist_first_answer.observe(now - ticket.admitted_at)
+            owner = ticket.owner
+            if isinstance(owner, asyncio.Future):
+                if owner.done():
+                    continue
+                if error is None:
+                    owner.set_result(result)
+                else:
+                    owner.set_exception(error)
+            elif owner is not None:
+                owner._resolve(ticket, result, error, remainder)
 
-    def _worker_freed(self) -> None:
-        """An evaluation returned (event-loop only): hand the freed worker
-        the buckets whose delay ran out while it was busy, oldest first."""
-        self._free_workers += 1
-        while self._ripe and self._free_workers > 0:
-            key, bucket = self._ripe.popleft()
-            # A size or close flush may have taken the bucket meanwhile.
-            if self._buckets.get(key) is bucket:
-                self._flush(key, "delay")
+    def _chunks(self, chunks: list) -> None:
+        """Hand streamed answers to their tickets' owners."""
+        now = perf_counter()
+        for ticket, answers, first in chunks:
+            if first:
+                self._hist_first_answer.observe(now - ticket.admitted_at)
+            ticket.owner._chunk(answers)
 
-    def _unserve(self, key: str, bucket: _Bucket) -> None:
-        """Withdraw a batch from the merge-target index (event-loop only).
+    def _arm(self, deadline: "float | None", now: float) -> None:
+        """Arm the server's one timer at the machine's next deadline."""
+        if deadline is not None:
+            self._timer = asyncio.get_running_loop().call_later(deadline - now, self._tick)
 
-        Called at the top of the fan-out / error path, *before* any await:
-        once answers start settling, a would-be merger must open a fresh
-        bucket instead, so no request can attach after its futures resolved.
-        """
-        serving = self._serving.get(key)
-        if serving is not None:
-            try:
-                serving.remove(bucket)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-            if not serving:
-                del self._serving[key]
+    def _tick(self) -> None:
+        self._timer = None
+        now = perf_counter()
+        flushes, deadline = self.machine.tick(now)
+        self._act(flushes)
+        self._arm(deadline, now)
 
-    async def _serve(self, key: str, bucket: _Bucket) -> None:
-        sources = list(bucket.waiters)
+    def _run(self, batch: Batch) -> None:
+        """Evaluate one flushed batch on the pool: one executor call."""
         loop = asyncio.get_running_loop()
         tele = self.metrics
+        span = NULL_SPAN
+        if tele.enabled:
+            span = tele.span("serve.batch", key=batch.key)
+            span.start = batch.created_at  # the admission wait is on the trace
+            wait = batch.flushed_at - batch.created_at
+            span.event("admission_wait", batch.created_at, wait, reason=batch.reason)
+            span.set(reason=batch.reason, sources=len(batch.tickets),
+                     requests=batch.requests)
+            self._hist_wait.observe(wait)
+            self._hist_batch_sources.observe(len(batch.tickets))
         # The evaluation runs on a pool thread, where the event loop's
-        # contextvars do not follow; the closure re-activates the batch's
+        # contextvars do not follow; ``under`` re-activates the batch's
         # evaluate span there so the engine's own spans nest beneath it.
-        eval_span = tele.span_under(bucket.span, "evaluate")
-        streaming = bool(bucket.streams)
-        if streaming:
-            stream_span = tele.span_under(
-                bucket.span, "serve.stream",
-                streams=sum(len(s) for s in bucket.streams.values()),
-            )
-            facts = 0
+        eval_span = tele.span_under(span, "evaluate")
+        sources = list(batch.tickets)
+        streamer = None
+        if batch.streams:
+            stream_span = tele.span_under(span, "serve.stream", streams=batch.streams)
+            streamer = _Streamer(self, batch, loop, stream_span)
 
-            # Cross-thread micro-batching: engine threads append to a
-            # lock-guarded queue and at most ONE drain callback is in
-            # flight on the loop at a time, scheduled at most once per
-            # DRAIN_WAKE_INTERVAL_S — a fixpoint emitting thousands of
-            # facts over hundreds of rounds costs a handful of loop
-            # wake-ups, not one per fact or per round.  Facts an interval
-            # holds back are flushed by the next due wake-up or by the
-            # completion drain before fan-out.
-            pending_facts: "deque" = deque()
-            pending_lock = threading.Lock()
-            drain_scheduled = False
-            last_wake = 0.0
-
-            def drain() -> None:
-                # Event-loop side: push to every stream of each source.
-                nonlocal drain_scheduled, facts
-                with pending_lock:
-                    batch = list(pending_facts)
-                    pending_facts.clear()
-                    drain_scheduled = False
-                for source, answers in batch:
-                    facts += len(answers)
-                    for stream in bucket.streams.get(source, ()):
-                        stream._push(answers)
-
-            final_drain = drain
-
-            def emitted(source: "Oid", answers: "Iterable[Oid]") -> None:
-                # Engine side: called from the evaluation thread.
-                nonlocal drain_scheduled, last_wake
-                # Ownership transfer: emit callers hand a freshly built
-                # sequence per call (the executor sinks do), so no
-                # defensive copy on the evaluation thread.
-                now = perf_counter()
-                with pending_lock:
-                    pending_facts.append((source, answers))
-                    schedule = (
-                        not drain_scheduled
-                        and now - last_wake >= DRAIN_WAKE_INTERVAL_S
+        def evaluate():
+            with tele.under(eval_span):
+                try:
+                    if streamer is None:
+                        return self.engine.query_batch(batch.query, sources)
+                    return self.engine.query_batch_streaming(
+                        batch.query, sources, streamer.emitted
                     )
-                    if schedule:
-                        drain_scheduled = True
-                        last_wake = now
-                if schedule:
-                    loop.call_soon_threadsafe(drain)
+                finally:
+                    eval_span.end()
 
-            def evaluate():
-                with tele.under(eval_span):
-                    try:
-                        return self.engine.query_batch_streaming(
-                            bucket.query, sources, emitted
-                        )
-                    finally:
-                        eval_span.end()
-        else:
-            stream_span = NULL_SPAN
-            final_drain = None
+        run = loop.run_in_executor(self._pool, evaluate)
+        self._running.add(run)
+        run.add_done_callback(lambda run: self._completed(batch, run, span, streamer))
 
-            def evaluate():
-                with tele.under(eval_span):
-                    try:
-                        return self.engine.query_batch(bucket.query, sources)
-                    finally:
-                        eval_span.end()
-
-        try:
-            try:
-                results = await loop.run_in_executor(self._pool, evaluate)
-            finally:
-                self._worker_freed()
-        except BaseException as error:
-            self._unserve(key, bucket)
-            for waiting in bucket.waiters.values():
-                for future in waiting:
-                    self.stats.failed += 1
-                    if not future.done():
-                        future.set_exception(error)
-            for streams in bucket.streams.values():
-                for stream in streams:
-                    stream._fail(error)
-            stream_span.end(error=repr(error))
-            bucket.span.end(error=repr(error))
-            self._hist_flush.observe(bucket.span.duration)
-            return
-        self._unserve(key, bucket)
-        if final_drain is not None:
-            # Flush facts the wake-interval gate held back: the engine has
-            # stopped emitting (evaluation returned), so this clears the
-            # queue for good and any still-queued drain callback no-ops.
-            final_drain()
-        fanout_span = tele.span_under(bucket.span, "fanout")
-        # Streams finish first: _finish resolves stream.future (also in
-        # waiters), flushes any un-streamed remainder into the iterator and
-        # fires the first-answer hook for empty answer sets.
-        for source, streams in bucket.streams.items():
-            for stream in streams:
-                stream._finish(results[source])
-        for source, waiting in bucket.waiters.items():
-            answers = results[source]
-            for future in waiting:
-                self.stats.served += 1
-                if not future.done():
-                    future.set_result(answers)
-        fanout_span.end()
-        if stream_span is not NULL_SPAN:
-            stream_span.set(facts=facts)
-            stream_span.end()
-        bucket.span.end()
-        self._hist_flush.observe(bucket.span.duration)
+    def _completed(self, batch, run, span, streamer) -> None:
+        self._running.discard(run)
+        outcome = (asyncio.CancelledError() if run.cancelled()
+                   else run.exception() or run.result())
+        if streamer is not None:
+            streamer.drain()  # the held-back facts, before the remainders
+        fanout = self.metrics.span_under(span, "fanout")
+        self._act(self.machine.complete(batch, outcome, perf_counter()))
+        fanout.end()
+        failure = {"error": repr(outcome)} if isinstance(outcome, BaseException) else {}
+        if streamer is not None:
+            streamer.span.end(facts=streamer.count, **failure)
+        self._hist_flush.observe(span.end(**failure))
 
     # -- lifecycle ------------------------------------------------------------
     async def close(self) -> None:
         """Flush pending buckets, drain in-flight batches, release the pool."""
-        self._closed = True
-        for key in list(self._buckets):
-            self._flush(key, "close")
-        while self._inflight:
-            pending = list(self._inflight)
-            await asyncio.gather(*pending, return_exceptions=True)
-            self._inflight.difference_update(pending)
+        self._act(self.machine.close(perf_counter()))
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        while self._running:
+            await asyncio.wait(list(self._running))
         self._pool.shutdown(wait=True)
 
     async def __aenter__(self) -> "QueryServer":
@@ -997,22 +591,78 @@ class QueryServer:
     async def __aexit__(self, *exc) -> None:
         await self.close()
 
-    def describe(self) -> str:
-        return self.stats.summary()
-
     def __repr__(self) -> str:
         return (
-            f"QueryServer({self.engine!r}, max_batch={self.max_batch}, "
-            f"max_delay={self.max_delay}, pending={len(self._buckets)})"
+            f"QueryServer({self.engine!r}, max_batch={self.machine.max_batch}, "
+            f"max_delay={self.machine.max_delay}, pending={len(self.machine.pending)})"
         )
 
 
 # -- line front-end ------------------------------------------------------------
 # Per-connection backpressure: a pipelining client may stream lines faster
-# than the engine evaluates; beyond this many in-flight responses the read
-# loop stops consuming input until one completes, so tasks, admission
-# buckets and waiter futures stay bounded.
+# than the engine evaluates; with this many responses outstanding the
+# reader stops consuming input until one is written, so tickets, buckets
+# and connection state stay bounded.
 MAX_INFLIGHT_PER_CONNECTION = 1024
+
+
+class _Connection:
+    """One line client: the writer of its responses and its count of
+    unanswered lines, which its reader bounds."""
+
+    __slots__ = ("emit", "open", "room", "tasks")
+
+    def __init__(self, emit: "Callable[[str], None]") -> None:
+        self.emit = emit
+        self.open = 0
+        self.room: "asyncio.Future | None" = None
+        self.tasks: "set[asyncio.Task]" = set()  # MATCH lines in progress
+
+    def write(self, line: str) -> None:
+        # Delivery is best-effort: a failing ``emit`` (its client went away)
+        # must not cost the other tickets of the batch their deliveries.
+        try:
+            self.emit(line)
+        except Exception as error:
+            asyncio.get_running_loop().call_exception_handler(
+                {"message": "emitting a response failed", "exception": error}
+            )
+
+    def answered(self, line: str) -> None:
+        """Write one line's full response and give back its slot."""
+        self.write(line)
+        self.open -= 1
+        room, self.room = self.room, None
+        if room is not None and not room.done():
+            room.set_result(None)
+
+    async def below(self, bound: int) -> None:
+        """Wait until fewer than ``bound`` lines are unanswered."""
+        while self.open >= bound:
+            self.room = asyncio.get_running_loop().create_future()
+            await self.room
+
+
+class _Reply:
+    """A wire ticket's owner: the line it answers, on its connection."""
+
+    __slots__ = ("conn", "ident", "request")
+
+    def __init__(self, conn: _Connection, ident: str, request: QueryRequest) -> None:
+        self.conn = conn
+        self.ident = ident
+        self.request = request
+
+    def _chunk(self, answers) -> None:
+        for answer in answers:
+            self.conn.write(encode_chunk(self.ident, answer))
+
+    def _resolve(self, ticket: Ticket, result, error, remainder) -> None:
+        if error is not None:
+            self.conn.answered(encode_error(self.ident, error))
+            return
+        self._chunk(remainder)
+        self.conn.answered(encode_reply(self.ident, self.request, result, ticket.key))
 
 
 def handle_control(server: QueryServer, line: str) -> str:
@@ -1054,7 +704,7 @@ async def respond_line(
     line: str,
     emit: "Callable[[str], None] | None" = None,
 ) -> str:
-    """Serve one request line; never raises.
+    """Serve one request line through the awaitable API; never raises.
 
     The line is parsed by :func:`repro.engine.protocol.parse_line` (the
     wire grammar is documented there) and dispatched once: a control verb
@@ -1069,20 +719,18 @@ async def respond_line(
         return handle_control(server, parsed)
     if isinstance(parsed, ErrorLine):
         return parsed
-    ident, request = parsed
+    return await _respond(server, *parsed, emit)
+
+
+async def _respond(server: QueryServer, ident: str, request: QueryRequest, emit=None) -> str:
     try:
         opened = await server._open(request)
         if request.stream and emit is not None:
             async for answer in opened:
                 emit(encode_chunk(ident, answer))
         result = await opened
-        if request.limit is None:
-            return encode_result(ident, result)
-        digest = cursor_digest(
-            server.engine.admission_key(request.query),
-            request.sources[0] if request.sources else "",
-        )
-        return encode_page(ident, result, request.limit, request.cursor, digest)
+        key = "" if request.limit is None else server.engine.admission_key(request.query)
+        return encode_reply(ident, request, result, key)
     except Exception as error:
         return encode_error(ident, error)
 
@@ -1094,30 +742,50 @@ async def _serve_lines(
     max_inflight: int,
     drain=None,
 ) -> None:
-    """The one read loop, behind :func:`serve_stream` and :func:`serve_tcp`;
-    ``drain``, when given, is awaited after each full response."""
-    tasks: "set[asyncio.Task]" = set()
-    slots = asyncio.Semaphore(max_inflight)
+    """The one reader, behind :func:`serve_stream` and :func:`serve_tcp`;
+    ``drain``, when given, is awaited after each line it reads."""
+    conn = _Connection(emit)
     loop = asyncio.get_running_loop()
-
-    async def respond(line: str) -> None:
-        try:
-            emit(await respond_line(server, line, emit))
-            if drain is not None:
-                await drain()
-        finally:
-            slots.release()
-
     while raw := await readline():
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
-        await slots.acquire()
-        task = loop.create_task(respond(line))
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
-    if tasks:
-        await asyncio.gather(*list(tasks))
+        if conn.open >= max_inflight:
+            await conn.below(max_inflight)
+        parsed = parse_line(line)
+        if isinstance(parsed, ControlLine):
+            conn.write(handle_control(server, parsed))
+        elif isinstance(parsed, ErrorLine):
+            conn.write(parsed)
+        elif parsed.request.is_conjunctive and not parsed.request.stream:
+            conn.open += 1
+            task = loop.create_task(_match_line(server, conn, *parsed))
+            conn.tasks.add(task)
+            task.add_done_callback(conn.tasks.discard)
+        else:
+            await _request_line(server, conn, *parsed)
+        if drain is not None:
+            await drain()
+    await conn.below(1)
+    if drain is not None:
+        await drain()
+
+
+async def _match_line(server: QueryServer, conn: _Connection, ident, request) -> None:
+    conn.answered(await _respond(server, ident, request))
+
+
+async def _request_line(server: QueryServer, conn: _Connection, ident, request) -> None:
+    """Admit one scalar wire request and feed its ticket; the writer answers
+    it at delivery."""
+    conn.open += 1
+    try:
+        source = request_source(request, "submit_stream" if request.stream else "submit")
+        key, prepared, error = await server._admission(request.query)
+        server._feed([Ticket(key, prepared, source, _Reply(conn, ident, request),
+                             stream=request.stream, error=error)])
+    except ReproError as error:  # a wrong source count, or a closed server
+        conn.answered(encode_error(ident, error))
 
 
 async def serve_stream(
@@ -1131,16 +799,16 @@ async def serve_stream(
 
     ``readline`` is an async callable returning the next raw line (an empty
     string at end of input); ``emit`` receives each response line, and each
-    ``STREAM`` chunk line before its response.  Every request runs as its
-    own task — exactly the TCP front-end's read loop — so a
-    request/response client that waits for an answer before sending the
+    ``STREAM`` chunk line before its response.  The reader never waits for
+    a response before reading on — exactly the TCP front-end's reader — so
+    a request/response client that waits for an answer before sending the
     next line never deadlocks, and concurrent requests still coalesce
     through the admission queue.  Responses arrive in *completion* order;
-    the ``id`` is what correlates them.  In-flight responses are bounded by
-    ``max_inflight``: each holds one slot of a semaphore, released when its
-    response has been emitted (or ``emit`` raised), and the loop stops
-    consuming input while every slot is taken.  Whitespace-only lines are
-    skipped without an answer, as over TCP.
+    the ``id`` is what correlates them.  At most ``max_inflight`` lines are
+    unanswered at once: the reader stops consuming input while that many
+    are (a line counts as answered once its response was handed to
+    ``emit``, even if ``emit`` raised).  Whitespace-only lines are skipped
+    without an answer, as over TCP.
     """
     await _serve_lines(server, readline, emit, max_inflight)
 
@@ -1154,7 +822,7 @@ async def serve_tcp(
 ) -> "asyncio.AbstractServer":
     """Open a TCP front-end for ``server``; returns the listening socket.
 
-    Each connection runs the read loop of :func:`serve_stream` over its
+    Each connection runs the reader of :func:`serve_stream` over its
     socket.  ``port=0`` binds an ephemeral port — read the real one off
     ``result.sockets[0].getsockname()``.  ``max_inflight`` bounds each
     connection's outstanding responses (see
@@ -1165,28 +833,21 @@ async def serve_tcp(
     async def connection(
         reader: "asyncio.StreamReader", writer: "asyncio.StreamWriter"
     ) -> None:
-        # One drain at a time per connection: concurrent waiters on one
-        # StreamWriter's drain() were only supported from CPython 3.10.5's
-        # FlowControlMixin; serializing the drains keeps the oldest
-        # supported patch levels correct (whole lines stay atomic either way).
-        write_lock = asyncio.Lock()
-
         def write(line: str) -> None:
             # A client that went away (or a transport already closed) must
-            # not kill the serving task: the answer is computed and counted,
-            # delivery is best-effort.  STREAM chunks are written without a
-            # drain; the closing full response drains under the lock.
+            # not kill the reader: the answer is computed and counted,
+            # delivery is best-effort.
             try:
                 writer.write(line.encode("utf-8") + b"\n")
             except (ConnectionError, RuntimeError):  # pragma: no cover
                 pass
 
         async def drain() -> None:
-            async with write_lock:
-                try:
-                    await writer.drain()
-                except (ConnectionError, RuntimeError):
-                    pass
+            # Only the reader drains, so a slow client pauses its reading.
+            try:
+                await writer.drain()
+            except (ConnectionError, RuntimeError):
+                pass
 
         async def readline() -> str:
             try:
@@ -1200,13 +861,19 @@ async def serve_tcp(
             except (ConnectionError, OSError):
                 # Abrupt disconnect (reset while blocked in readline): no
                 # peer left to answer, but the in-flight responses still
-                # drain so their tasks end cleanly instead of racing the
-                # close and logging as unhandled task errors.
+                # complete before the connection closes.
                 pass
             return ""
 
         try:
             await _serve_lines(server, readline, write, max_inflight, drain)
+            # Input left unread at close resets the connection, and the
+            # reset can discard the responses just written: after an
+            # over-long line, consume what the client still sends, to EOF.
+            while not reader.at_eof():
+                await reader.read(1 << 16)
+        except (ConnectionError, OSError):
+            pass
         finally:
             writer.close()
             try:

@@ -247,32 +247,6 @@ class EngineStats(_SessionStats):
         ("incremental_removals", "edges removed via the tombstone path"),
     ) + _SessionStats._GAUGES
 
-    def summary(self, engine: "Engine") -> str:
-        compiler = engine.compiler
-        backends = (
-            ", ".join(
-                f"{name}={count}" for name, count in sorted(self.backend_runs.items())
-            )
-            or "none"
-        )
-        restored = (
-            f", {self.snapshot_restores} snapshot warm-start"
-            if self.snapshot_restores
-            else ""
-        )
-        return (
-            f"graph builds: {self.graph_builds}{restored} "
-            f"(+{self.incremental_edges} incremental edges, "
-            f"-{self.incremental_removals} incremental removals); "
-            f"compiles: {compiler.misses}, cache hits: {compiler.hits}; "
-            f"evaluations: {self.single_evaluations} single, "
-            f"{self.batch_evaluations} batched "
-            f"({self.batched_sources} sources); "
-            f"visited pairs: {self.visited_pairs}; "
-            f"rewrites applied: {self.rewrites_applied}; "
-            f"backend runs: {backends}"
-        )
-
 
 def _unknown_source(source: Oid, compiled: CompiledQuery) -> EvaluationResult:
     """The answer of a source the graph does not hold.
@@ -299,7 +273,7 @@ class Session:
     :class:`repro.engine.sharding.ShardedEngine` (a read-only view over
     its shard graphs) share everything but the graph they evaluate on.
     This base owns the public API — ``query``, ``answer_set``, the
-    ``query_batch`` family, ``query_all``, ``describe``, ``close``, the
+    ``query_batch`` family, ``query_all``, ``close``, the
     conjunctive queries, admission, ``telemetry`` and ``as_server`` —
     together with their spans and latency histograms, the unknown-source
     rule, answers assembled in request order, the constraint-rewrite memo,
@@ -719,9 +693,6 @@ class Session:
     def resolved_backend(self) -> str:
         """The batch kernel this session's ``backend`` resolves to right now."""
         return resolve_backend(self.backend)
-
-    def describe(self) -> str:
-        return self.stats.summary(self)
 
     # -- evaluation -----------------------------------------------------------
     def query(

@@ -217,23 +217,6 @@ def partition_instance(instance: Instance, shard_map: ShardMap) -> list[Instance
     return subs
 
 
-def shard_graph(
-    instance: Instance,
-    shard_map: ShardMap,
-    shard: int,
-    *,
-    labels: "Sequence[str] | None" = None,
-) -> CompiledGraph:
-    """Compile one shard's subgraph straight from the global instance.
-
-    A convenience over ``CompiledGraph.from_instance(instance, nodes=owned)``
-    for callers that want a standalone partition CSR without a session; the
-    result is structurally identical to compiling the shard's sub-instance.
-    """
-    owned = [oid for oid in instance.objects if shard_map.shard_of(oid) == shard]
-    return CompiledGraph.from_instance(instance, nodes=owned, labels=labels)
-
-
 @dataclass
 class ShardedStats(_SessionStats):
     """Counters accumulated across the lifetime of one sharded session."""
@@ -258,22 +241,6 @@ class ShardedStats(_SessionStats):
         self.supersteps += 1
         self.local_runs += 1
         self.visited_objects += run.visited_objects
-
-    def summary(self, engine: "ShardedEngine") -> str:
-        backends = (
-            ", ".join(
-                f"{name}={count}" for name, count in sorted(self.backend_runs.items())
-            )
-            or "none"
-        )
-        return (
-            f"shards: {engine.num_shards} "
-            f"({engine.warm_shards} warm-started, {engine.rebuilt_shards} rebuilt); "
-            f"evaluations: {self.single_evaluations} single, "
-            f"{self.batch_evaluations} batched ({self.batched_sources} sources); "
-            f"visited pairs: {self.visited_pairs}; "
-            f"backend runs: {backends}"
-        )
 
 
 class ShardView:

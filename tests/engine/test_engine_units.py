@@ -259,13 +259,13 @@ class TestEngineSession:
         assert result.answers == plain.query("a b*", source).answers
         assert engine.stats.rewrites_applied == 1
 
-    def test_describe_mentions_cache_activity(self):
+    def test_registry_counts_cache_activity(self):
         instance, source = figure2_graph()
         engine = Engine.open(instance)
         engine.query("a", source)
         engine.query("a", source)
-        text = engine.describe()
-        assert "cache hits: 1" in text
+        snapshot = engine.telemetry()
+        assert (snapshot["engine_compile_misses"], snapshot["engine_compile_hits"]) == (1, 1)
 
 
 class TestKernelDispatch:
@@ -534,7 +534,7 @@ class TestEngineIncrementalRemove:
         engine.query("a", source)
         engine.query_all("a")
         assert engine.stats.backend_runs == {"scalar": 1, "packed": 1}
-        assert "backend runs: packed=1, scalar=1" in engine.describe()
+        assert engine.telemetry()["engine_backend_runs"] == {"scalar": 1, "packed": 1}
 
 
 class TestIsolatedObjectFastPath:

@@ -674,6 +674,10 @@ class TestThreadSanity:
         # lost or doubled journal entry would leave the final lowering
         # differing from the graph.  More threads than cores, and a short
         # switch interval, so lookups interleave with the journal appends.
+        # The interleaving is made certain, not left to the scheduler: the
+        # mutator starts once every reader has cached its lowering, and
+        # after every third edit waits for a reader's lookup that began
+        # after that edit.
         from collections import Counter
 
         instance, _ = web(300)
@@ -682,16 +686,28 @@ class TestThreadSanity:
         sources = nodes[:12]
         stop = threading.Event()
         errors: "list[BaseException]" = []
+        queries = ("(a + b)* c", "a (b + c)*", "(a + b + c)*")
+        warm = threading.Barrier(len(queries) * 2 + 1)
+        looked = threading.Condition()
+        edits = [0, -1]  # edits made; edits a finished lookup began after
 
         def querier(query):
             try:
+                engine.query_batch(query, sources)
+                warm.wait(timeout=30)
                 while not stop.is_set():
+                    with looked:
+                        began = edits[0]
                     engine.query_batch(query, sources)
+                    with looked:
+                        edits[1] = max(edits[1], began)
+                        looked.notify_all()
             except BaseException as error:
                 errors.append(error)
 
         def mutator():
             try:
+                warm.wait(timeout=30)
                 added = []
                 for index in range(120):
                     edge = (nodes[index], "abc"[index % 3], nodes[-1 - index])
@@ -700,12 +716,14 @@ class TestThreadSanity:
                         added.append(edge)
                     if index % 3 == 2:
                         engine.remove_edge(*added.pop(0))
+                        with looked:
+                            edits[0] += 1
+                            assert looked.wait_for(lambda: edits[1] >= edits[0], timeout=30)
             except BaseException as error:
                 errors.append(error)
             finally:
                 stop.set()
 
-        queries = ("(a + b)* c", "a (b + c)*", "(a + b + c)*")
         threads = [threading.Thread(target=querier, args=(q,)) for q in queries * 2]
         threads.append(threading.Thread(target=mutator))
         previous = sys.getswitchinterval()

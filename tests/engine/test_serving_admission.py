@@ -2,8 +2,8 @@
 
 ``Session.admission`` memoizes raw query text -> ``(key, prepared)``, so a
 text is parsed once however often it is served; :func:`serve_stream` and the
-TCP front-end share one read loop, which bounds outstanding responses with
-one semaphore and skips whitespace-only lines; a wire line is lowered by
+TCP front-end share one reader, which stops reading while ``max_inflight``
+lines are unanswered and skips whitespace-only lines; a wire line is lowered by
 ``normalize`` once, and every line kind admits a cold constrained text off
 the event loop.  ``scripts/check.sh serve`` runs this file
 with ``PYTHONASYNCIODEBUG=1`` in both numpy arms.
@@ -178,25 +178,28 @@ class TestAdmissionMemo:
 
 
 # ---------------------------------------------------------------------------
-# Back-pressure: one semaphore in the read loop.
+# Back-pressure: the reader stops at max_inflight unanswered lines.
 # ---------------------------------------------------------------------------
 class TestInflightBound:
     @pytest.mark.parametrize("front", ["stream", "tcp"])
     def test_never_more_than_max_inflight_outstanding(self, monkeypatch, front):
         instance, engine = web_engine()
         sources = sources_of(instance, 6)
-        outstanding = peak = 0
+        peak = 0
+        reader = serving._serve_lines
 
-        async def tracked(server, line, emit=None):
-            nonlocal outstanding, peak
-            outstanding += 1
-            peak = max(peak, outstanding)
-            try:
-                return await respond_line(server, line, emit)
-            finally:
-                outstanding -= 1
+        async def tracked(server, readline, emit, max_inflight, drain=None):
+            # Before every read, count the admitted requests not yet
+            # answered: the server's open tickets (this is its only client).
+            async def sampled():
+                nonlocal peak
+                stats = server.stats
+                peak = max(peak, stats.submitted - stats.served - stats.failed)
+                return await readline()
 
-        monkeypatch.setattr(serving, "respond_line", tracked)
+            await reader(server, sampled, emit, max_inflight, drain)
+
+        monkeypatch.setattr(serving, "_serve_lines", tracked)
         lines = [
             f"r{index}\t{sources[index % len(sources)]}\ta b" for index in range(30)
         ]

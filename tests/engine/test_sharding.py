@@ -29,7 +29,6 @@ from repro.engine import (
     numpy_available,
     partition_instance,
     set_telemetry_enabled,
-    shard_graph,
 )
 from repro.engine.session import Session
 from repro.engine.sharding import MANIFEST_NAME, ShardView
@@ -134,7 +133,8 @@ class TestPartition:
             }
 
         for shard in range(3):
-            direct = shard_graph(instance, shard_map, shard, labels=labels)
+            members = [oid for oid in instance.objects if shard_map.shard_of(oid) == shard]
+            direct = CompiledGraph.from_instance(instance, nodes=members, labels=labels)
             via_sub = CompiledGraph.from_instance(subs[shard], labels=labels)
             assert set(direct.nodes) == set(via_sub.nodes)
             assert direct.labels_fingerprint() == via_sub.labels_fingerprint()
@@ -275,13 +275,14 @@ class TestShardedEvaluation:
         with pytest.raises(ReproError):
             ShardedEngine.open(instance, shards=2, shard_map=HashShardMap(3))
 
-    def test_describe_mentions_shards_and_backend_runs(self):
+    def test_registry_counts_shards_and_backend_runs(self):
         instance, _ = web(10)
         sharded = ShardedEngine.open(instance, shards=2)
         sharded.query_batch("a b", sorted(instance.objects, key=repr)[:4])
-        text = sharded.describe()
-        assert "shards: 2 (0 warm-started, 2 rebuilt)" in text
-        assert f"backend runs: {sharded.resolved_backend}=1" in text
+        snapshot = sharded.telemetry()
+        assert (snapshot["sharded_shards"], snapshot["sharded_warm_shards"],
+                snapshot["sharded_rebuilt_shards"]) == (2, 0, 2)
+        assert snapshot["sharded_backend_runs"] == {sharded.resolved_backend: 1}
 
 
 class TestSessionParity:
@@ -290,7 +291,7 @@ class TestSessionParity:
 
     API = (
         "query", "answer_set", "query_batch", "query_batch_streaming",
-        "query_batch_results", "query_all", "describe", "close",
+        "query_batch_results", "query_all", "close",
         "telemetry", "as_server", "compiled",
     )
     # The evaluation itself: one compile and one executor run per call.
