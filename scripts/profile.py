@@ -34,7 +34,10 @@ perf work starts from measurements instead of guesses::
 The report lands in ``PROFILE_report.txt`` (override with ``--out``).  The
 console gets each section's total time plus its top self-time frames, and
 both get the work counts beside the timings: per query the kernels' own
-``BatchRun.rounds`` / ``edges_gathered`` / ``peak_frontier_rows``; per text
+``BatchRun.rounds`` / ``edges_gathered`` / ``peak_frontier_rows``, the ms
+of ``run_batch`` answering node ids and oids and of mapping id answers with
+``oids_of``, and how often the ``query_batch`` facade calls ``oids_of`` per
+op (0: its answers leave the kernel as oids); per text
 the rewriter's ``generated`` / ``proofs_attempted`` / ``skipped_by_cost``
 and its ``generate_ms`` / ``prove_ms`` split, also averaged over the texts
 it improved and over the ones it returned unchanged, and the adoptions
@@ -45,7 +48,9 @@ atom-time ratio the benchmark
 trace reports as ``sharding.overhead_ratio``; per 1 000 served lines the
 ``regex.parse`` calls (loop and flush-pool threads apart), ``normalize``
 calls, event-loop callbacks, asyncio ``Handle``s, ``create_task`` calls and
-flushes, beside the loop's busy time; per
+flushes, beside the loop thread's CPU (``time.thread_time``, from an
+unprofiled pass and from the profiled one) and its wall time outside the
+selector (which also counts GIL waits and the profiler); per
 1 000 edit transactions the product lowerings built, patched and hit, and
 the milliseconds in the lowering, the fixpoint and materialisation.
 Stdlib only — ``cProfile``/``pstats`` ship with CPython.
@@ -124,19 +129,45 @@ def profile_backend(
     stats = pstats.Stats(profiler)
     total = stats.total_tt
     stats.sort_stats("tottime")
-    return stats, total, kernel_work(engine, sources)
+    facade_ops = repeats * len(QUERIES)
+    work = kernel_work(engine, sources)
+    work.append(
+        "facade oids_of calls per op (profiled query_batch): "
+        f"{calls_of(stats, type(engine.graph).oids_of) / facade_ops:.2f}"
+    )
+    return stats, total, work
 
 
 def kernel_work(engine: Engine, sources: "list[str]") -> "list[str]":
     """Per query, the kernel's own work counts for one (unprofiled) batch —
-    what the time in the cProfile table was spent *on*."""
+    what the time in the cProfile table was spent *on* — and, best of
+    :data:`TIMING_PASSES`, the ms of ``run_batch`` answering node ids, of
+    ``run_batch(as_oids=True)`` (the session's call, answers built as
+    oids), and of mapping the id answers with ``oids_of`` afterwards (the
+    materialisation ``as_oids`` folds into the run)."""
     graph, backend = engine.graph, engine.backend
     node_ids = [graph.node_id(source) for source in sources]
     lines = []
     for query in QUERIES:
-        run = run_batch(graph, engine.compiled(query), node_ids, backend=backend)
+        compiled = engine.compiled(query)
+        ids_s = oids_s = materialise_s = float("inf")
+        for _ in range(TIMING_PASSES):
+            started = time.perf_counter()
+            run = run_batch(graph, compiled, node_ids, backend=backend)
+            ran = time.perf_counter()
+            for answers in run.answers:
+                graph.oids_of(answers)
+            mapped = time.perf_counter()
+            run_batch(graph, compiled, node_ids, backend=backend, as_oids=True)
+            ids_s = min(ids_s, ran - started)
+            materialise_s = min(materialise_s, mapped - ran)
+            oids_s = min(oids_s, time.perf_counter() - mapped)
         counts = " ".join(f"{name}={value}" for name, value in run.work_counts().items())
-        lines.append(f"  {query:<10} visited_pairs={run.visited_pairs} {counts}")
+        lines.append(
+            f"  {query:<10} visited_pairs={run.visited_pairs} {counts} "
+            f"run_batch_ms={ids_s * 1e3:.3f} as_oids_ms={oids_s * 1e3:.3f} "
+            f"oids_of_materialise_ms={materialise_s * 1e3:.3f}"
+        )
     return lines
 
 
@@ -436,19 +467,32 @@ def profile_serve(quick: bool) -> "tuple[pstats.Stats, float, list[str]]":
     workload = WebServedPoint(seed=0, smoke=quick)
     workload.generate(None)
     ops = workload.make_ops(2 * (workload.smoke_ops if quick else workload.lap_ops))
-    engine = Engine.open(workload.instance)
-    loop = workload.loop = asyncio.new_event_loop()
-    try:
-        with WorkerProfiles() as workers:
+
+    def serve_fresh(profiler=None, workers=None):
+        """Serve ``ops`` once on a fresh session (this thread runs the
+        loop); returns the server and the loop thread's CPU seconds."""
+        engine = Engine.open(workload.instance)
+        loop = workload.loop = asyncio.new_event_loop()
+        try:
             server = workload._server(engine)
-            profiler = cProfile.Profile()
-            workers.recording = True
-            profiler.enable()
+            if workers is not None:
+                workers.recording = True
+            cpu = time.thread_time()
+            if profiler is not None:
+                profiler.enable()
             loop.run_until_complete(workload._serve(server, ops))
-            profiler.disable()
+            if profiler is not None:
+                profiler.disable()
+            cpu = time.thread_time() - cpu
             loop.run_until_complete(server.close())  # joins the pool thread
-    finally:
-        loop.close()
+        finally:
+            loop.close()
+        return server, cpu
+
+    _, plain_cpu = serve_fresh()
+    with WorkerProfiles() as workers:
+        profiler = cProfile.Profile()
+        server, profiled_cpu = serve_fresh(profiler, workers)
     loop_stats = pstats.Stats(profiler)
     pool_stats = pstats.Stats(*workers.profiles) if workers.profiles else None
     # The loop's idle time is its wait in the selector.
@@ -467,7 +511,10 @@ def profile_serve(quick: bool) -> "tuple[pstats.Stats, float, list[str]]":
         f"{len(ops)} lines over {len({op[2] for op in ops})} distinct texts, "
         f"{IN_FLIGHT} in flight; CPUs {cpus}; threads profiled: loop + "
         f"{len(workers.profiles)} flush-pool",
-        f"loop busy {loop_stats.total_tt - idle:.3f} s "
+        f"loop thread CPU (time.thread_time): {plain_cpu / len(ops) * 1e6:.1f} "
+        f"us/line unprofiled, {profiled_cpu / len(ops) * 1e6:.1f} us/line profiled",
+        f"loop wall outside the selector (profiled; counts GIL waits behind "
+        f"the pool and the profiler's own cost): {loop_stats.total_tt - idle:.3f} s "
         f"({(loop_stats.total_tt - idle) / len(ops) * 1e6:.1f} us/line), "
         f"selector wait {idle:.3f} s",
         "per 1000 lines: "

@@ -196,6 +196,27 @@ def _trim_journal(products: "dict", journal: list) -> None:
     journal.clear()
 
 
+def _oid_table(table: "numpy.ndarray | None", values: "list[Oid]") -> "numpy.ndarray":
+    """``table`` (node id -> oid, or ``None``) grown to cover ``values``,
+    an append-only id-ordered oid list: the new tail is converted and the
+    old table copied with it appended (pointers only; no oid is converted
+    twice).
+
+    Built with ``np.fromiter(..., dtype=object)``: ``np.array`` would turn
+    a list of tuple oids into a 2-D array.  ``values`` is read up to one
+    length taken up front, so a node interned meanwhile waits for the
+    next call.
+    """
+    import numpy as np
+
+    end = len(values)
+    have = 0 if table is None else table.size
+    if table is not None and have == end:
+        return table
+    fresh = np.fromiter(values[have:end], dtype=object, count=end - have)
+    return fresh if table is None else np.concatenate([table, fresh])
+
+
 class CompiledGraph:
     """A finite instance compiled to per-label CSR over dense integer ids."""
 
@@ -208,6 +229,7 @@ class CompiledGraph:
         "_np_products": "_np_lock",
         "_np_journal": "_np_lock",
         "_np_counts": "_np_lock",
+        "_np_oids": "_np_lock",
     }
 
     __slots__ = (
@@ -226,6 +248,7 @@ class CompiledGraph:
         "_np_products",
         "_np_journal",
         "_np_counts",
+        "_np_oids",
         "_np_lock",
         "auto_compact_ratio",
         "version",
@@ -272,6 +295,9 @@ class CompiledGraph:
         )
         self._np_journal: "list[tuple[int, int, int, int, int]]" = []
         self._np_counts = {"built": 0, "patched": 0, "hit": 0}
+        # Node id -> oid as an object array (see :meth:`numpy_oids`); node
+        # ids are append-only, so it only ever grows by a tail.
+        self._np_oids: "numpy.ndarray | None" = None
         self._np_lock = witnessed_lock("CompiledGraph._np_lock")
         # Auto-compaction fires when overflow edges (on add) or tombstones
         # (on remove) outgrow ``max(64, edge_count // auto_compact_ratio)``
@@ -767,6 +793,17 @@ class CompiledGraph:
                     self._np_products.popitem(last=False)
                 _trim_journal(self._np_products, self._np_journal)
         return product
+
+    def numpy_oids(self) -> "numpy.ndarray":
+        """Node id -> oid as a 1-D object array: what the numpy kernel
+        indexes to hand answers out as oids (see
+        :func:`repro.engine.executor.run_batch`).  Cached; when the graph
+        interns nodes only the new ids are converted, and the old table is
+        copied with them appended."""
+        values = self.nodes.backing_list()
+        with self._np_lock:
+            self._np_oids = _oid_table(self._np_oids, values)
+            return self._np_oids
 
     def _lower_product(self, moves, n: int) -> ProductCSR:
         """A cold build of the product lowering from the label edge arrays."""

@@ -16,6 +16,15 @@ only place that picks a kernel:
   CSR) and :mod:`repro.engine.executor_pb` (whole-word delta rounds over
   Python ints).
 
+Answers leave a batched run as node-id sets by default, or — with
+``as_oids=True``, what the session asks for — as oid sets built in the
+same single pass: each kernel groups its accepting facts by source bit
+and maps every group once through the graph's node id -> oid table, so a
+session hands the sets on as they are instead of building each answer a
+second time.  Streamed facts are mapped once too, by the driver, which
+wraps the sink before any kernel sees it (:func:`run_batch` says why ids
+stay the default).
+
 ``backend="auto"`` (the default everywhere) is the numpy kernel when numpy
 imports and the packed kernel when it does not — numpy is strictly
 optional.  ``"numpy"`` and ``"packed"`` force a kernel.  Forcing numpy
@@ -111,6 +120,7 @@ def run_batch(
     witnesses: bool = False,
     answer_sink=None,
     backend: str = "auto",
+    as_oids: bool = False,
 ) -> BatchRun:
     """Evaluate one query from many sources in a single shared traversal.
 
@@ -131,6 +141,19 @@ def run_batch(
     With ``witnesses=True`` :meth:`BatchRun.witness` rebuilds, on demand, a
     shortest label word for any answer pair from the per-bit reachability
     the masks record.
+
+    ``as_oids=True`` hands answers out as *objects* — ``p(o, I)`` itself:
+    ``answers[i]`` is a set of oids, built in one pass from the kernel's
+    own grouping through the graph's node id -> oid table
+    (:meth:`CompiledGraph.numpy_oids` for the numpy kernel,
+    ``nodes.backing_list()`` for the packed one), so no caller re-maps a
+    node-id set into a second set.  The sink receives lists of oids: the
+    driver maps each streamed group once on its way out.  Sources and
+    :meth:`BatchRun.witness` stay in node ids.  The default stays node ids
+    because callers that decompose a query into its layers — the
+    end-to-end benchmark's replay times ``run_batch`` and then maps the
+    ids with ``oids_of`` as a separate step, and its first-answer probe
+    passes its own sink — read ids.
     """
     started = perf_counter()
     name = resolve_backend(backend)
@@ -145,10 +168,16 @@ def run_batch(
         for source, bit in bit_of.items()
         if 0 <= source < n
     }
+    oids = None
+    if as_oids:
+        oid_of = graph.nodes.backing_list()
+        oids = graph.numpy_oids() if name == "numpy" else oid_of
+        if answer_sink is not None:
+            answer_sink = _mapped_sink(answer_sink, oid_of)
     if inject:
         _KERNELS[name](run, graph, query, inject, answer_sink)
         _, run.visited_objects, per_bit = run.frontier.gather(
-            query.accepting, len(bit_of)
+            query.accepting, len(bit_of), oids
         )
     if witnesses:
         run.witness_resolver = _witness_resolver(graph, query, bit_of, run.frontier)
@@ -158,6 +187,16 @@ def run_batch(
     # outside any span).
     current_span().set(**run.work_counts())
     return run
+
+
+def _mapped_sink(answer_sink, oid_of: "Sequence"):
+    """``answer_sink`` fed oids: each streamed group of node ids is mapped
+    through ``oid_of`` (node id -> oid) once."""
+
+    def sink(bit: int, nodes: "Sequence[int]") -> None:
+        answer_sink(bit, [oid_of[node] for node in nodes])
+
+    return sink
 
 
 def _witness_resolver(graph, query, bit_of, frontier):
@@ -185,7 +224,8 @@ def run_all_pairs(
     graph: CompiledGraph, query: CompiledQuery, *, backend: str = "auto"
 ) -> BatchRun:
     """Batched evaluation from every node: node ids double as mask bit
-    positions, so ``answers[i]`` is the answer set of node ``i``.  Backs
+    positions, so ``answers[i]`` is the answer set of node ``i``.
     ``Engine.query_all`` (and through it ``evaluate_all_sources``, which
-    constraint-satisfaction checking uses to quantify over sites)."""
+    constraint-satisfaction checking uses to quantify over sites) issues
+    this run through :func:`run_batch` with ``as_oids=True``."""
     return run_batch(graph, query, range(graph.num_nodes), backend=backend)

@@ -102,17 +102,21 @@ def _pack_masks(mapping: "Mapping[int, int]", words: int):
 
 
 def _scatter_bits(
-    nodes: "np.ndarray", reached: "np.ndarray", num_bits: int
-) -> "list[set[int]]":
+    nodes: "np.ndarray",
+    reached: "np.ndarray",
+    num_bits: int,
+    oids: "np.ndarray | None",
+) -> "list[set]":
     """Unpack the uint64 mask rows ``reached`` (one per entry of ``nodes``)
-    into per-bit node sets.
+    into per-bit node sets — oid sets when ``oids`` (node id -> oid) is
+    given.
 
     The caller passes the reached nodes only, and the transposed
     ``nonzero`` walks the bit matrix bit-major, so the coordinates come out
     grouped by bit already — no sort, and no work for the unreached bulk of
     the graph.
     """
-    per_bit: "list[set[int]]" = [set() for _ in range(num_bits)]
+    per_bit: "list[set]" = [set() for _ in range(num_bits)]
     if not num_bits or not nodes.size:
         return per_bit
     if sys.byteorder != "little":  # pragma: no cover - words become LE in memory
@@ -121,12 +125,15 @@ def _scatter_bits(
     octets = reached.view(np.uint8).reshape(nodes.size, -1)[:, : (num_bits + 7) >> 3]
     bits = np.unpackbits(octets, axis=1, bitorder="little")[:, :num_bits]
     positions, members = np.nonzero(bits.T)
-    nodes = nodes[members].tolist()  # one conversion, then list slices
+    members = nodes[members]
+    if oids is not None:
+        members = oids[members]
+    members = members.tolist()  # one conversion, then list slices
     boundaries = np.searchsorted(positions, np.arange(num_bits + 1)).tolist()
     for bit in range(num_bits):
         lo, hi = boundaries[bit], boundaries[bit + 1]
         if lo != hi:
-            per_bit[bit] = set(nodes[lo:hi])
+            per_bit[bit] = set(members[lo:hi])
     return per_bit
 
 
@@ -205,8 +212,9 @@ class NpFrontier:
             value = (value << 64) | int(row[word])
         return value
 
-    def gather(self, accepting, num_bits: int):
-        """``(nonzero pairs, touched nodes, per-bit accepting node sets)``.
+    def gather(self, accepting, num_bits: int, oids: "np.ndarray | None" = None):
+        """``(nonzero pairs, touched nodes, per-bit accepting node sets)`` —
+        oid sets when ``oids`` (node id -> oid) is given.
 
         Read off :attr:`reached`: work per reached pair, none per pair of
         the product that nothing reached.
@@ -220,7 +228,7 @@ class NpFrontier:
         per_bit = (
             [set() for _ in range(num_bits)]
             if found is None
-            else _scatter_bits(found[0], found[1], num_bits)
+            else _scatter_bits(found[0], found[1], num_bits, oids)
         )
         return int(rows.size), int(np.count_nonzero(seen)), per_bit
 

@@ -49,16 +49,21 @@ class SingleRun:
 
 @dataclass
 class BatchRun:
-    """Result of one batched execution, in node-id space.
+    """Result of one batched execution.
 
     ``answers[i]`` is the answer set of ``sources[i]``; sources appearing
-    more than once share one bitmask bit (and one result set).  When the run
-    was executed with ``witnesses=True``, :meth:`witness` rebuilds a label
-    word for any ``(source, target)`` answer pair on demand.
+    more than once share one bitmask bit (and one result set).  Sources are
+    node ids.  Answers are node ids too, unless the run was made with
+    ``run_batch(..., as_oids=True)``, which builds them as oid sets in the
+    same pass (the default stays ids: layer-by-layer callers such as the
+    end-to-end benchmark's replay map ids with ``oids_of`` themselves).
+    When the run was executed with ``witnesses=True``, :meth:`witness`
+    rebuilds a label word for any ``(source, target)`` answer pair of node
+    ids on demand.
     """
 
     sources: tuple[int, ...] = ()
-    answers: list[set[int]] = field(default_factory=list)
+    answers: list[set] = field(default_factory=list)
     visited_pairs: int = 0
     # Objects the run's frontier touched.
     visited_objects: int = 0
@@ -147,24 +152,30 @@ class PyFrontier:
         return self.masks[state * self.n + node]
 
     def per_bit_answers(
-        self, accepting: "Sequence[bool]", num_bits: int
-    ) -> "list[set[int]]":
+        self,
+        accepting: "Sequence[bool]",
+        num_bits: int,
+        oids: "Sequence | None",
+    ) -> "list[set]":
         """Per source bit below ``num_bits``, the nodes reached in an
-        accepting state.
+        accepting state — their oids when ``oids`` (node id -> oid) is
+        given.
 
         Collected word-at-a-time: union the accepting masks per node, group
-        nodes by *identical* mask words, and expand each distinct word's
-        bits once for its whole node group (a ``set.update`` per bit
-        instead of a ``set.add`` per (bit, node) — reachability is
-        clustered, so distinct words are few compared to accepting pairs).
+        nodes by *identical* mask words (mapping each node once as it is
+        grouped), and expand each distinct word's bits once for its whole
+        node group (a ``set.update`` per bit instead of a ``set.add`` per
+        (bit, node) — reachability is clustered, so distinct words are few
+        compared to accepting pairs).
         """
         wanted = (1 << num_bits) - 1
-        groups: "dict[int, list[int]]" = {}
-        for node, mask in enumerate(_accepting_union(self.masks, self.n, accepting)):
+        groups: "dict[int, list]" = {}
+        union = _accepting_union(self.masks, self.n, accepting)
+        for node, mask in zip(range(self.n) if oids is None else oids, union):
             mask &= wanted
             if mask:
                 groups.setdefault(mask, []).append(node)
-        per_bit: "list[set[int]]" = [set() for _ in range(num_bits)]
+        per_bit: "list[set]" = [set() for _ in range(num_bits)]
         for mask, nodes in groups.items():
             while mask:
                 low = mask & -mask
@@ -181,13 +192,17 @@ class PyFrontier:
         return pairs, touched
 
     def gather(
-        self, accepting: "Sequence[bool]", num_bits: int
-    ) -> "tuple[int, int, list[set[int]]]":
+        self,
+        accepting: "Sequence[bool]",
+        num_bits: int,
+        oids: "Sequence | None" = None,
+    ) -> "tuple[int, int, list[set]]":
         """``(nonzero pairs, touched nodes, per-bit accepting node sets)`` —
         everything a finished frontier is read for, behind one call (the
         numpy handle answers it from its reached rows, this one from
-        :meth:`counts` and :meth:`per_bit_answers`)."""
-        answers = self.per_bit_answers(accepting, num_bits) if num_bits else []
+        :meth:`counts` and :meth:`per_bit_answers`); the sets hold oids
+        when ``oids`` (node id -> oid) is given."""
+        answers = self.per_bit_answers(accepting, num_bits, oids) if num_bits else []
         return (*self.counts(), answers)
 
 

@@ -65,7 +65,7 @@ from .conjunctive import (
 )
 from .csr import CompiledGraph
 from .request import CRPQRequest, QueryRequest, normalize
-from .executor import BACKENDS, resolve_backend, run_all_pairs, run_batch, run_single
+from .executor import BACKENDS, resolve_backend, run_batch, run_single
 from . import telemetry
 from .telemetry import MetricsRegistry, Telemetry, witnessed_lock
 
@@ -892,9 +892,8 @@ class Session:
     ) -> "tuple[CompiledQuery, dict[Oid, set[Oid]]]":
         compiled, graph = self._compiled_on(query)
         known, known_oids = self._known_sources(graph, sources)
-        found: dict[Oid, set[Oid]] = {}
         if not known:
-            return compiled, found
+            return compiled, {}
         answer_sink = None
         if emit is not None:
             # The executor assigns mask bits by first occurrence of each
@@ -906,27 +905,23 @@ class Session:
                 if node not in seen_nodes:
                     seen_nodes.add(node)
                     order.append(oid)
-            oid_of = graph.nodes.backing_list()
 
-            def answer_sink(bit, nodes):
+            def answer_sink(bit, answers):
                 # The executor hands a whole round's facts for one source
-                # bit at a time; mapping node ids to oids is the only
-                # per-fact work left on the evaluation thread.
-                emit(order[bit], [oid_of[node] for node in nodes])
+                # bit at a time, already as oids.
+                emit(order[bit], answers)
 
         with self._run_lock.read():
             with self.metrics.span("engine.run", mode="batch") as run_span:
                 run = run_batch(
                     graph, compiled, known, backend=self.backend,
-                    answer_sink=answer_sink,
+                    answer_sink=answer_sink, as_oids=True,
                 )
                 run_span.set(backend=run.backend, visited=run.visited_pairs)
         self._hist_run.observe(run.elapsed)
         with self._lock:
             self.stats.record_run(run)
-        for oid, answer_nodes in zip(known_oids, run.answers):
-            found[oid] = graph.oids_of(answer_nodes)
-        return compiled, found
+        return compiled, dict(zip(known_oids, run.answers))
 
     def _query_batch_results(
         self,
@@ -975,15 +970,17 @@ class Session:
         compiled, graph = self._compiled_on(query)  # one consistent snapshot
         with self._run_lock.read():
             with self.metrics.span("engine.run", mode="all_pairs") as run_span:
-                run = run_all_pairs(graph, compiled, backend=self.backend)
+                run = run_batch(
+                    graph, compiled, range(graph.num_nodes),
+                    backend=self.backend, as_oids=True,
+                )
                 run_span.set(backend=run.backend, visited=run.visited_pairs)
         self._hist_run.observe(run.elapsed)
         with self._lock:
             self.stats.record_run(run)
-        return {
-            graph.oid_of(node): graph.oids_of(answers)
-            for node, answers in zip(run.sources, run.answers)
-        }
+        # Node ids are append-only and ``run.sources`` is ``range(n)``: the
+        # first ``n`` interned oids are the sources, in order.
+        return dict(zip(graph.nodes.backing_list(), run.answers))
 
 
 class Engine(Session):

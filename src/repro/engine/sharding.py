@@ -56,6 +56,7 @@ from .csr import (
     _VERSION,
     CompiledGraph,
     ProductCSR,
+    _oid_table,
     _patch_product,
     _product_dtype,
     _trim_journal,
@@ -66,6 +67,8 @@ from .snapshot import stored_digest, write_replacing
 from .telemetry import current_span, witnessed_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy
+
     from ..constraints.constraint import ConstraintSet
     from ..optimize.cost import CostModel
     from .compiled_query import QueryCompiler
@@ -264,7 +267,12 @@ class ShardView:
     forward across edits by patching, like a compiled graph's.
     """
 
-    GUARDED_BY = {"_products": "_lock", "_journal": "_lock", "_counts": "_lock"}
+    GUARDED_BY = {
+        "_products": "_lock",
+        "_journal": "_lock",
+        "_counts": "_lock",
+        "_oids": "_lock",
+    }
 
     def __init__(
         self,
@@ -288,6 +296,7 @@ class ShardView:
         # ids, while a cached lowering may need them.
         self._journal: "list[tuple[int, int, int, int, int]]" = []
         self._counts = dict.fromkeys(("built", "patched", "hit"), 0)
+        self._oids: "numpy.ndarray | None" = None
         self._lock = witnessed_lock("ShardView._lock")
         self.version = 0
         self.sync()
@@ -466,6 +475,15 @@ class ShardView:
                     self._products.popitem(last=False)
                 _trim_journal(self._products, self._journal)
         return product
+
+    def numpy_oids(self) -> "numpy.ndarray":
+        """View id -> oid as a 1-D object array, cached and grown by a tail
+        as the view numbers new nodes (see :meth:`CompiledGraph.numpy_oids
+        <repro.engine.csr.CompiledGraph.numpy_oids>`)."""
+        values = self.nodes.backing_list()
+        with self._lock:
+            self._oids = _oid_table(self._oids, values)
+            return self._oids
 
     # -- translation ------------------------------------------------------------
     def node_id(self, oid: Oid) -> "int | None":

@@ -56,7 +56,10 @@ class Instance:
     """A finite labeled graph (a finite instance over the ``Ref`` schema)."""
 
     def __init__(self, edges: "Iterable[Edge | Ref] | None" = None) -> None:
-        self._out: dict[Oid, list[tuple[str, Oid]]] = defaultdict(list)
+        # One tuple per edge: the per-source lists hold the very tuples of
+        # ``_edge_set`` (a second ``(label, destination)`` pair per edge
+        # would cost 56 bytes each), and :meth:`out_edges` projects them.
+        self._out: dict[Oid, list[Edge]] = defaultdict(list)
         self._edge_set: set[Edge] = set()
         self._objects: set[Oid] = set()
         self._version = 0
@@ -91,7 +94,7 @@ class Instance:
         if edge in self._edge_set:
             return
         self._edge_set.add(edge)
-        self._out[source].append((label, destination))
+        self._out[source].append(edge)
         for endpoint in (source, destination):
             if endpoint not in self._objects:
                 self._objects.add(endpoint)
@@ -105,7 +108,7 @@ class Instance:
         if edge not in self._edge_set:
             raise InstanceError(f"edge {edge!r} not present")
         self._edge_set.remove(edge)
-        self._out[source].remove((label, destination))
+        self._out[source].remove(edge)
         self._content_digest ^= _stable_digest(b"e", edge)
         self._version += 1
         self._edge_version += 1
@@ -157,7 +160,7 @@ class Instance:
 
     def out_edges(self, oid: Oid) -> list[tuple[str, Oid]]:
         """The *description* of an object: its finitely many outgoing links."""
-        return list(self._out.get(oid, ()))
+        return [(label, dest) for _, label, dest in self._out.get(oid, ())]
 
     def out_degree(self, oid: Oid) -> int:
         return len(self._out.get(oid, ()))
@@ -178,7 +181,7 @@ class Instance:
         return frozenset(label for (_, label, _) in self._edge_set)
 
     def successors(self, oid: Oid, label: str) -> list[Oid]:
-        return [dest for (lbl, dest) in self._out.get(oid, ()) if lbl == label]
+        return [dest for (_, lbl, dest) in self._out.get(oid, ()) if lbl == label]
 
     def edges(self) -> Iterator[Edge]:
         yield from sorted(self._edge_set, key=repr)

@@ -4,7 +4,9 @@ Hypothesis generates random instances, regexes, and interleaved
 ``add_edge``/``remove_edge`` scripts; every example is evaluated through
 every path — the scalar single-source BFS, each batch kernel (packed, and
 numpy when available), and ``evaluate_baseline`` — and the reached sets
-must agree exactly, in every mode (single-source, batched, all-pairs).  The
+must agree exactly, in every mode (single-source, batched, all-pairs),
+and the batch kernels' oid-returning path (``as_oids=True``: answers and
+streamed groups) equals their node-id answers mapped through ``oids_of``.  The
 ``visited_pairs``/``visited_objects`` statistics agree too: batch kernels
 with the packed one, and every batch kernel's one-source run with the
 scalar BFS, so the counts stay pinned to an independent kernel even
@@ -60,6 +62,17 @@ def _assert_one_source_runs_match(graph, compiled, node, single, context):
     for backend, run in _runs_by_backend(run_batch, graph, compiled, [node]).items():
         assert run.answers == [single.answers], (context, backend)
         assert _counts(run) == _counts(single), (context, backend)
+    # The oid-returning path, answers and streamed groups alike: the same
+    # answers, mapped once on their way out of the run.
+    expected = graph.oids_of(single.answers)
+    for backend in EXECUTOR_BACKENDS:
+        streamed = []
+        run = run_batch(
+            graph, compiled, [node], backend=backend, as_oids=True,
+            answer_sink=lambda _bit, answers: streamed.extend(answers),
+        )
+        assert run.answers == [expected], (context, backend)
+        assert sorted(streamed, key=repr) == sorted(expected, key=repr), (context, backend)
 
 
 @given(small_instances(max_nodes=6, max_edges=12), regexes(max_leaves=5))
@@ -76,6 +89,12 @@ def test_executors_and_baseline_agree_on_all_modes(graph_and_source, expression)
     reference = batch_runs["packed"]
     for backend, run in batch_runs.items():
         assert run.answers == reference.answers, backend
+        assert _counts(run) == _counts(reference), backend
+    mapped = [graph.oids_of(answers) for answers in reference.answers]
+    for backend, run in _runs_by_backend(
+        run_batch, graph, compiled, range(graph.num_nodes), as_oids=True
+    ).items():
+        assert run.answers == mapped, backend
         assert _counts(run) == _counts(reference), backend
     for node in range(graph.num_nodes):
         oid = graph.oid_of(node)
