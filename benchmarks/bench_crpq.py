@@ -89,7 +89,7 @@ def best_of(repeat: int, fn, *args):
 
 def serve_conjunctive(engine, query):
     async def scenario():
-        async with engine.as_server(max_batch=64, max_delay=0.002) as server:
+        async with engine.as_server(max_batch=64) as server:
             result = await server.submit_conjunctive(query)
             return result, server.stats
 

@@ -6,9 +6,10 @@ pool of distinct queries from scattered sources.  Two properties are gated:
 
 * **admission win** — serving every request through the
   :class:`~repro.engine.serving.QueryServer` admission queue (same-DFA
-  requests coalesced into shared ``query_batch`` evaluations under the
-  max-batch/max-delay policy) must be at least **2x faster** than the
-  sequential baseline that gives every request its own engine round-trip;
+  requests coalesced into shared ``query_batch`` evaluations, each flushed
+  at max-batch requests or when a worker is free) must be at least **2x
+  faster** than the sequential baseline that gives every request its own
+  engine round-trip;
 * **telemetry overhead** — serving with telemetry capture enabled must
   stay within **5%** of the same run with capture disabled
   (``OVERHEAD_BOUND``), the contract that instrumentation is near-free.
@@ -90,8 +91,8 @@ def serve_sequentially(engine, queries, requests):
     return answers
 
 
-def serve_concurrently(engine, queries, requests, *, max_batch, max_delay,
-                       concurrency, capture_latencies=False):
+def serve_concurrently(engine, queries, requests, *, max_batch, concurrency,
+                       capture_latencies=False):
     """All requests admitted concurrently through the shared-batch queue.
 
     With ``capture_latencies`` each request is clocked from submission to
@@ -102,7 +103,7 @@ def serve_concurrently(engine, queries, requests, *, max_batch, max_delay,
 
     async def scenario():
         async with engine.as_server(
-            max_batch=max_batch, max_delay=max_delay, concurrency=concurrency
+            max_batch=max_batch, concurrency=concurrency
         ) as server:
             futures = []
             for query_index, source in requests:
@@ -124,8 +125,7 @@ def serve_concurrently(engine, queries, requests, *, max_batch, max_delay,
     return answers, stats, latencies
 
 
-def serve_streaming(engine, queries, requests, *, max_batch, max_delay,
-                    concurrency):
+def serve_streaming(engine, queries, requests, *, max_batch, concurrency):
     """All requests served through ``submit_stream``, first answers clocked.
 
     Each request's first-answer latency is submission to the first
@@ -154,7 +154,7 @@ def serve_streaming(engine, queries, requests, *, max_batch, max_delay,
 
     async def scenario():
         async with engine.as_server(
-            max_batch=max_batch, max_delay=max_delay, concurrency=concurrency
+            max_batch=max_batch, concurrency=concurrency
         ) as server:
             tasks = []
             for query_index, source in requests:
@@ -232,8 +232,6 @@ def main(argv=None) -> int:
                         help="flush pool size")
     parser.add_argument("--max-batch", type=int, default=32,
                         help="admission queue: flush at this many sources")
-    parser.add_argument("--max-delay", type=float, default=0.005,
-                        help="admission queue: flush after this many seconds")
     parser.add_argument("--seed", type=int, default=23)
     parser.add_argument("--repeat", type=int, default=3,
                         help="timing repetitions (best-of)")
@@ -291,7 +289,7 @@ def main(argv=None) -> int:
         sequential_answers = serve_sequentially(engine, queries, requests)
         served_answers, serving_stats, _ = serve_concurrently(
             engine, queries, requests,
-            max_batch=args.max_batch, max_delay=args.max_delay,
+            max_batch=args.max_batch,
             concurrency=args.concurrency,
         )
         if served_answers != sequential_answers:
@@ -329,7 +327,7 @@ def main(argv=None) -> int:
             before = engine.metrics.registry.snapshot()
             (_, _, candidate), _ = timed(
                 serve_concurrently, engine, queries, requests,
-                max_batch=args.max_batch, max_delay=args.max_delay,
+                max_batch=args.max_batch,
                 concurrency=args.concurrency, capture_latencies=True,
             )
             fold_histogram_deltas(batch_totals, engine, before)
@@ -341,7 +339,7 @@ def main(argv=None) -> int:
             before = engine.metrics.registry.snapshot()
             streamed_answers, _, candidate_first = serve_streaming(
                 engine, queries, requests,
-                max_batch=args.max_batch, max_delay=args.max_delay,
+                max_batch=args.max_batch,
                 concurrency=args.concurrency,
             )
             fold_histogram_deltas(streaming_totals, engine, before)
@@ -371,7 +369,7 @@ def main(argv=None) -> int:
                 set_telemetry_enabled(True)
                 (_, stats, _), elapsed = timed(
                     serve_concurrently, engine, queries, requests,
-                    max_batch=args.max_batch, max_delay=args.max_delay,
+                    max_batch=args.max_batch,
                     concurrency=args.concurrency,
                 )
                 if elapsed < served_s:
@@ -379,7 +377,7 @@ def main(argv=None) -> int:
                 set_telemetry_enabled(False)
                 _, elapsed = timed(
                     serve_concurrently, engine, queries, requests,
-                    max_batch=args.max_batch, max_delay=args.max_delay,
+                    max_batch=args.max_batch,
                     concurrency=args.concurrency,
                 )
                 disabled_s = min(disabled_s, elapsed)
@@ -443,7 +441,7 @@ def main(argv=None) -> int:
     print(
         f"admission: {last_stats.batches} batches for {len(requests)} requests "
         f"({last_stats.coalesced} coalesced, widest {last_stats.max_batch_size}; "
-        f"{last_stats.size_flushes} size / {last_stats.delay_flushes} delay flushes)"
+        f"{last_stats.size_flushes} size / {last_stats.idle_flushes} idle flushes)"
     )
 
     # The --check gates, evaluated before the artifact is written so a
@@ -495,7 +493,6 @@ def main(argv=None) -> int:
         "backend": engine.shard_engines[0].resolved_backend,
         "policy": {
             "max_batch": args.max_batch,
-            "max_delay": args.max_delay,
             "concurrency": args.concurrency,
         },
         "sequential_s": sequential_s,
@@ -520,8 +517,7 @@ def main(argv=None) -> int:
             "coalesced": last_stats.coalesced,
             "max_batch_size": last_stats.max_batch_size,
             "size_flushes": last_stats.size_flushes,
-            "delay_flushes": last_stats.delay_flushes,
-            "immediate_flushes": last_stats.immediate_flushes,
+            "idle_flushes": last_stats.idle_flushes,
         },
         "failures": failures,
         "check_failures": check_failures,

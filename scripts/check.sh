@@ -11,7 +11,7 @@
 #   tests   the tier-1 pytest suite, once per numpy arm
 #   serve   the admission state machine's loop-free tests (the wire corpus
 #           replayed through feed/complete, a hypothesis interleaving of
-#           feed/complete/tick), then the async serving suites under
+#           feed/idle/complete), then the async serving suites under
 #           PYTHONASYNCIODEBUG=1 (both numpy
 #           arms; includes the N-threads-x-M-queries stress test on one
 #           shared engine), them and the sharded suite under the lock-order

@@ -23,15 +23,17 @@ small graph-database tool:
   warm-started when its manifest exists and (re)written after serving;
 * ``python -m repro serve GRAPH`` — the async serving loop
   (``repro.engine.serving``): requests arrive as ``id<TAB>source<TAB>query``
-  lines (stdin by default, or a TCP listener with ``--tcp HOST:PORT``) and
+  lines (stdin by default, or a TCP listener with ``--tcp HOST:PORT``; on
+  both, ``\n`` ends a line and a ``\r`` before it is dropped) and
   are answered as ``id<TAB>answer answer ...``; an optional fourth field
   selects a delivery mode — ``LIMIT n [CURSOR c]`` answers one sorted page
   behind an opaque resume cursor, ``STREAM`` emits ``id<TAB>+<TAB>answer``
   chunk lines as the engine derives answers before the closing full
   response; in-flight requests that
-  compile to the same DFA are coalesced into shared batched evaluations
-  under the ``--max-batch`` / ``--max-delay`` admission policy (the size
-  trigger counts requests, duplicate sources included).
+  compile to the same DFA are coalesced into shared batched evaluations: a
+  bucket flushes at ``--max-batch`` requests (duplicate sources included)
+  or as soon as an evaluation worker is free, so the lines of one read
+  chunk share a bucket and batches widen while every worker is busy.
 
 All commands exit with status 0 on success, 1 on a "negative" outcome (e.g. a
 constraint that does not hold, an implication that is refuted), and 2 on bad
@@ -304,6 +306,8 @@ def _cmd_crpq(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import codecs
+    from collections import deque
 
     from .engine.serving import serve_stream, serve_tcp
 
@@ -315,7 +319,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     def open_server():
         return engine.as_server(
             max_batch=args.max_batch,
-            max_delay=args.max_delay,
             concurrency=args.concurrency,
         )
 
@@ -331,11 +334,30 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # answered as it completes (correlation by id), concurrent requests
         # coalesce through the admission queue, and a request/response
         # client waiting for its answer never deadlocks.  The blocking
-        # stdin read happens off the loop.
+        # stdin read happens off the loop, one chunk per hop: the lines of
+        # a chunk are fed in one loop turn and so share their buckets, as
+        # the lines of one TCP read do.  As over TCP, "\n" ends a line (a
+        # "\r" before it is dropped).  A text-only stdin with no byte
+        # buffer (an embedder's StringIO) is read a line per hop instead.
         loop = asyncio.get_running_loop()
+        stdin = getattr(sys.stdin, "buffer", None)
+        decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
+        lines: "deque[str]" = deque()
+        partial = ""
 
         async def readline() -> str:
-            return await loop.run_in_executor(None, sys.stdin.readline)
+            nonlocal partial
+            if stdin is None:
+                return await loop.run_in_executor(None, sys.stdin.readline)
+            while not lines:
+                chunk = await loop.run_in_executor(None, stdin.read1, 1 << 16)
+                text = partial + decoder.decode(chunk, final=not chunk)
+                if not chunk:  # end of input: the unterminated last line
+                    partial = ""
+                    return text
+                *complete, partial = text.split("\n")
+                lines.extend(line + "\n" for line in complete)
+            return lines.popleft()
 
         async with open_server() as server:
             await serve_stream(
@@ -574,11 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch", type=int, default=64, metavar="N",
         help="flush an admission bucket once it holds N requests — "
         "duplicate sources count (default: 64)",
-    )
-    serve_parser.add_argument(
-        "--max-delay", type=float, default=0.002, metavar="SECONDS",
-        help="flush an admission bucket at most this long after its first "
-        "request (default: 0.002; 0 disables coalescing)",
     )
     serve_parser.add_argument(
         "--stats", action="store_true",

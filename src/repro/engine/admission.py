@@ -1,13 +1,13 @@
 """Admission, as a pure state machine: tickets in, flushes and deliveries out.
 
 Nothing here waits, sleeps, reads a clock or touches a thread: the caller
-passes ``now`` and carries out what comes back.  :class:`Admission` holds
-every piece of the serving queue's bookkeeping:
+passes ``now`` (a timestamp for the books, never a trigger) and carries out
+what comes back.  :class:`Admission` holds every piece of the serving
+queue's bookkeeping:
 
 * the pending bucket of each admission key, and the flushed batches that
   are still evaluating (the merge targets);
-* the size, delay, immediate and close triggers, and the free-worker count
-  that holds a delay flush back while every worker is busy;
+* the size, idle and close triggers, and the count of free workers;
 * the per-source fan-out of a batch's answers, the remainders of streamed
   requests, and the :class:`ServingStats` books.
 
@@ -16,8 +16,8 @@ answer stream, a wire line) rides along as its ``owner``, untouched.  The
 entry points, each returning what the caller must do next::
 
     feed(tickets, now)          -> [Batch to flush | Delivery of an admission error]
+    idle(now)                   -> [Batch to flush]
     complete(batch, outcome, now) -> [Batch to flush | Delivery per ticket]
-    tick(now)                   -> ([Batch to flush], next deadline or None)
     stream(batch, source, answers) -> [Chunk per streamed ticket of source]
     close(now)                  -> [Batch to flush]
 
@@ -26,16 +26,17 @@ batch derived so far, each delivered at most once); ``close`` is the close
 trigger.  :mod:`repro.engine.serving` drives this machine from asyncio, and
 the tests drive it with a synchronous executor.
 
-The policy.  A bucket flushes once it holds ``max_batch`` requests
-(duplicate sources count), or ``max_delay`` after it opened, whichever comes
-first; with ``max_delay == 0`` every request flushes alone.  A delay that
-runs out while every worker is busy keeps the bucket open and coalescing:
-the pending buckets whose delay ran out form the ripe queue, and each freed
-worker takes the oldest of them, so the number of batches a burst costs
-does not grow with how many deadlines a slow moment lets pass.  A
-non-streamed request whose key has no pending bucket, but whose source an
-evaluating batch of that key already covers, merges into that batch; a
-streamed one never does (the rounds it would stream already happened).
+The policy is work-conserving batching.  ``feed`` opens and fills buckets
+but flushes one only once it holds ``max_batch`` requests (duplicate
+sources count), so every ticket fed before the caller next calls ``idle``
+shares its key's bucket.  ``idle`` hands each free worker the oldest
+pending bucket, and ``complete`` does the same for the worker it frees.
+After either, no worker is free while a bucket is pending; batches widen
+exactly while every worker is busy, and the number of flushes follows the
+work, not elapsed time.  A non-streamed request whose key has no pending
+bucket, but whose source an evaluating batch of that key already covers,
+merges into that batch; a streamed one never does (the rounds it would
+stream already happened).
 """
 
 from __future__ import annotations
@@ -74,8 +75,9 @@ class ServingStats:
     coalesced: int = _counter("requests that shared their batch with another")
     max_batch_size: int = _counter("widest admitted batch (requests)")
     size_flushes: int = _counter("flushes forced by max_batch")
-    delay_flushes: int = _counter("flushes forced by max_delay")
-    immediate_flushes: int = _counter("flushes with coalescing disabled (max_delay=0)")
+    idle_flushes: int = _counter("flushes taken by a free worker")
+    delay_flushes: int = _counter(
+        "always 0: no flush waits on a clock (the e2e harness still reads it)")
     close_flushes: int = _counter("flushes forced by close()")
     merged: int = _counter("requests attached to an in-flight batch of their key")
     streamed: int = _counter("requests admitted via submit_stream")
@@ -174,12 +176,10 @@ class Chunk(NamedTuple):
 class Admission:
     """The admission queue's state; see the module docstring."""
 
-    def __init__(self, max_batch: int, max_delay: float, workers: int) -> None:
+    def __init__(self, max_batch: int, workers: int) -> None:
         self.max_batch = max_batch
-        self.max_delay = max_delay
         self.stats = ServingStats()
-        # Pending buckets by key, oldest first: deadlines rise in this
-        # order, so the ripe queue is always a prefix of it.
+        # Pending buckets by key, oldest first.
         self.pending: "dict[str, Batch]" = {}
         # Flushed batches still evaluating, by key, oldest first.
         self.inflight: "dict[str, list[Batch]]" = {}
@@ -189,8 +189,8 @@ class Admission:
         self.closed = False
 
     def feed(self, tickets, now: float) -> list:
-        """Admit ``tickets``: the batches to flush and the admission errors
-        to deliver now.  A closed machine admits nothing."""
+        """Admit ``tickets``: the size flushes and the admission errors to
+        deliver now.  A closed machine admits nothing."""
         if self.closed:
             raise ReproError("the query server has been closed")
         stats = self.stats
@@ -215,8 +215,6 @@ class Admission:
             batch.requests += 1
             if batch.requests >= self.max_batch:
                 actions.append(self._flush(batch, "size", now))
-            elif self.max_delay == 0:
-                actions.append(self._flush(batch, "immediate", now))
         return actions
 
     def _merge(self, ticket: Ticket) -> bool:
@@ -243,29 +241,12 @@ class Admission:
         self.inflight.setdefault(batch.key, []).append(batch)
         return batch
 
-    def _ripe(self, now: float) -> list:
-        """Flush the oldest buckets whose delay ran out, one per free worker."""
+    def idle(self, now: float) -> list:
+        """Hand each free worker the oldest pending bucket."""
         flushed = []
         while self.free > 0 and self.pending:
-            oldest = next(iter(self.pending.values()))
-            if oldest.created_at + self.max_delay > now:
-                break
-            flushed.append(self._flush(oldest, "delay", now))
+            flushed.append(self._flush(next(iter(self.pending.values())), "idle", now))
         return flushed
-
-    def tick(self, now: float) -> "tuple[list, float | None]":
-        """The delay flushes due at ``now``, and the next deadline to wake
-        at (``None`` while no pending bucket waits on one)."""
-        return self._ripe(now), self.next_deadline(now)
-
-    def next_deadline(self, now: float) -> "float | None":
-        """When the oldest bucket that is not yet ripe runs out of delay."""
-        if self.max_delay > 0:
-            for batch in self.pending.values():
-                deadline = batch.created_at + self.max_delay
-                if deadline > now:
-                    return deadline
-        return None
 
     def stream(self, batch: Batch, source: "Oid", answers) -> list:
         """Answers ``batch`` derived for ``source`` so far: one chunk per
@@ -281,15 +262,15 @@ class Admission:
 
     def complete(self, batch: Batch, outcome, now: float) -> list:
         """``batch`` evaluated to ``outcome`` (answer sets by source, or the
-        exception it raised): the ripe buckets the freed worker takes, then
-        one delivery per ticket."""
+        exception it raised): the bucket the freed worker takes, then one
+        delivery per ticket."""
         serving = self.inflight[batch.key]
         serving.remove(batch)
         if not serving:
             del self.inflight[batch.key]
         batch.done = True
         self.free += 1
-        actions: list = self._ripe(now)
+        actions: list = self.idle(now)
         stats = self.stats
         failed = isinstance(outcome, BaseException)
         for source, tickets in batch.tickets.items():

@@ -10,10 +10,13 @@ the per-source answer sets are fanned back out.  Streamed requests see each
 answer the fixpoint round that derives it, with bounded delay (Martens &
 Trautner's enumeration cost model): work per delivered answer.
 
-Every decision (buckets, the size/delay/immediate/close triggers, merges
-into in-flight batches, the fan-out, the :class:`ServingStats` books) is
-made by the synchronous state machine of :mod:`repro.engine.admission`.
-asyncio stays at the edges, in three adapters:
+Every decision (buckets, the size/idle/close triggers, merges into
+in-flight batches, the fan-out, the :class:`ServingStats` books) is made by
+the synchronous state machine of :mod:`repro.engine.admission`.  No clock
+drives it: what one loop turn feeds (a read chunk's lines, a ``submit_many``,
+a CRPQ atom's sources) shares a bucket, and one ``call_soon`` after the
+turn hands each free worker the oldest bucket.  asyncio stays at the edges,
+in three adapters:
 
 * one **reader** per stdin or TCP connection (:func:`serve_stream`,
   :func:`serve_tcp`): it parses lines with the sans-io codec of
@@ -23,8 +26,7 @@ asyncio stays at the edges, in three adapters:
   ``max_inflight`` of its lines are unanswered.  A ``MATCH`` line keeps one
   task, for :meth:`QueryServer.submit_conjunctive`;
 * one **executor call** per flush, whose streamed facts cross back to the
-  loop at most once per :data:`DRAIN_WAKE_INTERVAL_S`; one loop timer per
-  server wakes the machine at its next deadline;
+  loop at most once per :data:`DRAIN_WAKE_INTERVAL_S`;
 * one **writer**, which encodes each delivery as it lands, so slow queries
   never head-of-line block fast ones (the ``id`` correlates them).
 
@@ -214,14 +216,17 @@ class QueryServer:
     the engine's ``query_batch`` must be thread-safe (both are — see their
     docstrings).  Usage::
 
-        async with engine.as_server(max_batch=64, max_delay=0.002) as server:
+        async with engine.as_server(max_batch=64) as server:
             request = QueryRequest(query="a (b + c)*", sources=("p0",))
             answers = await server.submit(request)
 
     A bucket flushes into one shared ``query_batch`` when it holds
-    ``max_batch`` requests or ``max_delay`` seconds after its first one
-    (the policy is :class:`~repro.engine.admission.Admission`'s).  Flushes
-    run on a ``concurrency``-wide thread pool (default 1).  The answer
+    ``max_batch`` requests, or when an evaluation worker is free and it is
+    the oldest pending bucket (the policy is
+    :class:`~repro.engine.admission.Admission`'s).  Flushes run on a
+    ``concurrency``-wide thread pool (default 1).  ``max_delay`` is
+    validated (it cannot be negative) and otherwise ignored: no flush waits
+    on a clock.  It is kept only because the e2e benchmark passes it.  The answer
     ``set`` a request resolves to may be shared with other requests of the
     same ``(query, source)`` — treat it as read-only.  :meth:`close`
     flushes every pending bucket and drains in-flight batches; it is what
@@ -243,7 +248,7 @@ class QueryServer:
         if concurrency is not None and concurrency < 1:
             raise ReproError("concurrency must be a positive worker count")
         self.engine = engine
-        self.machine = Admission(max_batch, max_delay, concurrency or 1)
+        self.machine = Admission(max_batch, concurrency or 1)
         self.stats = self.machine.stats
         # The serving layer shares the *engine's* telemetry bundle: one
         # registry snapshot (and one trace tree per batch) covers admission,
@@ -267,7 +272,7 @@ class QueryServer:
         self._control_requests = registry.counter(
             "serving_control_requests", "line-protocol control verbs handled")
         self._running: "set[asyncio.Future]" = set()
-        self._timer: "asyncio.TimerHandle | None" = None
+        self._idle_soon = False  # one machine.idle call is scheduled
         self._pool = ThreadPoolExecutor(
             max_workers=concurrency or 1, thread_name_prefix="repro-serve"
         )
@@ -392,10 +397,17 @@ class QueryServer:
         return [ticket.owner for ticket in tickets]
 
     def _feed(self, tickets: list) -> None:
-        now = perf_counter()
-        self._act(self.machine.feed(tickets, now))
-        if self._timer is None and self.machine.pending:
-            self._arm(self.machine.next_deadline(now), now)
+        """Feed ``tickets``; a free worker takes the oldest bucket once this
+        loop turn is over, so whatever else the turn feeds shares it."""
+        machine = self.machine
+        self._act(machine.feed(tickets, perf_counter()))
+        if machine.pending and machine.free > 0 and not self._idle_soon:
+            self._idle_soon = True
+            asyncio.get_running_loop().call_soon(self._idle)
+
+    def _idle(self) -> None:
+        self._idle_soon = False
+        self._act(self.machine.idle(perf_counter()))
 
     async def submit_many(
         self, query, sources: "Iterable[Oid] | None" = None
@@ -509,18 +521,6 @@ class QueryServer:
                 self._hist_first_answer.observe(now - ticket.admitted_at)
             ticket.owner._chunk(answers)
 
-    def _arm(self, deadline: "float | None", now: float) -> None:
-        """Arm the server's one timer at the machine's next deadline."""
-        if deadline is not None:
-            self._timer = asyncio.get_running_loop().call_later(deadline - now, self._tick)
-
-    def _tick(self) -> None:
-        self._timer = None
-        now = perf_counter()
-        flushes, deadline = self.machine.tick(now)
-        self._act(flushes)
-        self._arm(deadline, now)
-
     def _run(self, batch: Batch) -> None:
         """Evaluate one flushed batch on the pool: one executor call."""
         loop = asyncio.get_running_loop()
@@ -578,9 +578,6 @@ class QueryServer:
     async def close(self) -> None:
         """Flush pending buckets, drain in-flight batches, release the pool."""
         self._act(self.machine.close(perf_counter()))
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         while self._running:
             await asyncio.wait(list(self._running))
         self._pool.shutdown(wait=True)
@@ -594,7 +591,7 @@ class QueryServer:
     def __repr__(self) -> str:
         return (
             f"QueryServer({self.engine!r}, max_batch={self.machine.max_batch}, "
-            f"max_delay={self.machine.max_delay}, pending={len(self.machine.pending)})"
+            f"pending={len(self.machine.pending)})"
         )
 
 

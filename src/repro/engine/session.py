@@ -668,22 +668,19 @@ class Session:
         self,
         *,
         max_batch: int = 64,
-        max_delay: float = 0.002,
         concurrency: "int | None" = None,
     ) -> "QueryServer":
         """An asyncio serving handle over this session.
 
         See :class:`repro.engine.serving.QueryServer`: requests admitted
         through the handle are coalesced per :meth:`admission` into shared
-        batched evaluations under a max-batch-size / max-delay policy,
-        executed on a ``concurrency``-wide thread pool so the event loop
-        never blocks on an engine round-trip.
+        batched evaluations, flushed at ``max_batch`` requests or as soon
+        as a worker of the ``concurrency``-wide thread pool is free, so the
+        event loop never blocks on an engine round-trip.
         """
         from .serving import QueryServer
 
-        return QueryServer(
-            self, max_batch=max_batch, max_delay=max_delay, concurrency=concurrency
-        )
+        return QueryServer(self, max_batch=max_batch, concurrency=concurrency)
 
     def close(self) -> None:
         """A no-op: a session holds no threads or files.  Kept only because

@@ -1,9 +1,9 @@
 """The admission state machine (``repro.engine.admission``), with no event loop.
 
-The wire corpus replays through ``feed``/``tick``/``complete`` with a
+The wire corpus replays through ``feed``/``idle``/``complete`` with a
 synchronous executor and the ``protocol`` encoders and must answer every
 line byte for byte as the served corpus pins it; a hypothesis test
-interleaves ``feed``/``stream``/``complete``/``tick``/``close`` and checks
+interleaves ``feed``/``idle``/``stream``/``complete``/``close`` and checks
 the policy and the books after every step; and the machine must stay free
 of the event loop, threads and the serving layers.  CI runs this module
 again under ``--hypothesis-profile=deep``.
@@ -33,8 +33,6 @@ from repro.exceptions import ReproError
 
 from test_wire_corpus import load_cases, open_engine
 
-MAX_DELAY = 0.001  # the served corpus's server policy
-
 
 def test_the_machine_imports_no_loop_thread_or_serving_layer():
     tree = ast.parse(Path(admission.__file__).read_text(encoding="utf-8"))
@@ -54,13 +52,13 @@ def test_the_machine_imports_no_loop_thread_or_serving_layer():
 # The wire corpus, served without an event loop.
 # ---------------------------------------------------------------------------
 class SyncServer:
-    """The machine driven by plain calls: feed, then tick past the delay;
-    each flushed batch evaluates at once, its streamed facts pass through
-    ``stream`` before ``complete``."""
+    """The machine driven by plain calls: feed, then idle; each flushed
+    batch evaluates at once, its streamed facts pass through ``stream``
+    before ``complete``."""
 
     def __init__(self, engine) -> None:
         self.engine = engine
-        self.machine = Admission(max_batch=64, max_delay=MAX_DELAY, workers=1)
+        self.machine = Admission(max_batch=64, workers=1)
         self.now = 0.0
         self.delivered: "dict[Ticket, Delivery]" = {}
         self.chunks: "list[Chunk]" = []
@@ -74,8 +72,7 @@ class SyncServer:
 
     def serve(self, tickets) -> None:
         actions = list(self.machine.feed(tickets, self.now))
-        self.now += MAX_DELAY
-        actions += self.machine.tick(self.now)[0]
+        actions += self.machine.idle(self.now)
         while actions:
             action = actions.pop(0)
             if isinstance(action, Batch):
@@ -183,7 +180,7 @@ STEPS = st.lists(
             min_size=1, max_size=4), st.booleans()),
         st.tuples(st.just("stream"), st.integers(0, 7), st.sampled_from(SOURCES)),
         st.tuples(st.just("complete"), st.integers(0, 7), st.integers(0, 5).map(bool)),
-        st.tuples(st.just("tick"), st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])),
+        st.tuples(st.just("idle")),
     ),
     max_size=40,
 )
@@ -193,9 +190,9 @@ class Model:
     """The machine beside the test's own record of its tickets and batches;
     every step checks the one against the other."""
 
-    def __init__(self, max_batch: int, max_delay: float, workers: int) -> None:
-        self.machine = Admission(max_batch, max_delay, workers)
-        self.max_batch, self.max_delay, self.workers = max_batch, max_delay, workers
+    def __init__(self, max_batch: int, workers: int) -> None:
+        self.machine = Admission(max_batch, workers)
+        self.max_batch, self.workers = max_batch, workers
         self.now = 0.0
         self.open: "set[Ticket]" = set()
         self.delivered: "set[Ticket]" = set()
@@ -204,35 +201,43 @@ class Model:
         self.covered: "dict[int, set]" = {}  # batch -> its sources at flush
         self.sent: "dict[tuple, set]" = {}  # (batch, source) -> answers emitted
         self.chunked: "dict[Ticket, list]" = {}
+        self.order: "dict[Ticket, int]" = {}  # ticket -> its place in the feed order
 
     @staticmethod
     def answers(batch: Batch, source) -> "list[str]":
         """What the stand-in engine derives: three answers per source."""
         return [f"{batch.key}/{source}/{index}" for index in range(3)]
 
+    def age(self, batch: Batch) -> int:
+        """When a bucket opened: the feed order of its first ticket."""
+        return min(self.order[ticket] for tickets in batch.tickets.values()
+                   for ticket in tickets)
+
     def take(self, actions: list, trigger: str) -> None:
+        flushes = [action for action in actions if isinstance(action, Batch)]
+        if trigger in ("idle", "complete"):
+            # A free worker takes the oldest bucket: the flushes come oldest
+            # first, and no bucket left pending opened before them.
+            ages = [self.age(batch) for batch in flushes]
+            assert ages == sorted(ages)
+            assert all(age < self.age(other) for age in ages
+                       for other in self.machine.pending.values())
+            if flushes:  # each took a worker that was free
+                assert self.machine.free >= 0
         for action in actions:
             if isinstance(action, Batch):
                 self.flush(action, trigger)
             else:
                 self.deliver(action)
-        if any(isinstance(a, Batch) and a.reason == "delay" for a in actions):
-            assert self.machine.free >= 0  # a delay flush takes a free worker
 
     def flush(self, batch: Batch, trigger: str) -> None:
         assert self.machine.pending.get(batch.key) is not batch
-        if batch.reason == "size":  # at max_batch requests, duplicates included
-            assert trigger == "feed" and batch.requests == self.max_batch
-        elif batch.reason == "delay":  # at the bucket's creation plus max_delay
-            assert trigger in ("tick", "complete")
-            assert batch.flushed_at >= batch.created_at + self.max_delay
-            # Oldest first: no bucket still pending opened before this one.
-            assert all(batch.created_at <= other.created_at
-                       for other in self.machine.pending.values())
-        elif batch.reason == "immediate":
-            assert trigger == "feed" and self.max_delay == 0
+        if trigger == "feed":  # feeding flushes only a full bucket
+            assert batch.reason == "size" and batch.requests == self.max_batch
+        elif trigger == "close":
+            assert batch.reason == "close"
         else:
-            assert trigger == "close" and batch.reason == "close"
+            assert batch.reason == "idle", (trigger, batch.reason)
         self.flushed.append(batch)
         self.covered[id(batch)] = set(batch.tickets)
 
@@ -262,6 +267,8 @@ class Model:
         in_flight = list(self.flushed)
         merged_before = self.machine.stats.merged
         self.open.update(tickets)
+        for ticket in tickets:
+            self.order[ticket] = len(self.order)
         self.take(self.machine.feed(tickets, self.now), "feed")
         merges = [
             (ticket, batch) for ticket in tickets for batch in in_flight
@@ -275,6 +282,14 @@ class Model:
             assert not batch.done
         for batch in in_flight:  # merging never widens a flushed batch
             assert set(batch.tickets) == self.covered[id(batch)]
+
+    def idle(self) -> None:
+        free = self.machine.free
+        actions = self.machine.idle(self.now)
+        assert all(isinstance(action, Batch) for action in actions)
+        assert len(actions) <= max(free, 0)
+        self.take(actions, "idle")
+        self.check_work_conserving()
 
     def stream(self, index: int, source) -> None:
         if index % 2 and self.completed:  # a straggler: dropped
@@ -310,14 +325,12 @@ class Model:
         deliveries = [action for action in actions if isinstance(action, Delivery)]
         assert len(deliveries) == sum(map(len, batch.tickets.values()))
         self.take(actions, "complete")
+        self.check_work_conserving()
 
-    def tick(self, elapsed: float) -> None:
-        self.now += elapsed
-        actions, deadline = self.machine.tick(self.now)
-        self.take(actions, "tick")
-        waiting = [b.created_at + self.max_delay for b in self.machine.pending.values()
-                   if b.created_at + self.max_delay > self.now]
-        assert deadline == (min(waiting) if waiting and self.max_delay > 0 else None)
+    def check_work_conserving(self) -> None:
+        """After ``idle`` or ``complete``, no worker is free while a bucket
+        is pending."""
+        assert self.machine.free <= 0 or not self.machine.pending
 
     def check(self) -> None:
         stats = self.machine.stats
@@ -329,9 +342,8 @@ class Model:
         )
         assert all(b.requests < self.max_batch for b in self.machine.pending.values())
         assert self.machine.free == self.workers - len(self.flushed)
-        if self.machine.free > 0:  # nothing ripe waits while a worker is free
-            assert all(b.created_at + self.max_delay > self.now
-                       for b in self.machine.pending.values())
+        assert stats.batches == stats.size_flushes + stats.idle_flushes + stats.close_flushes
+        assert stats.delay_flushes == 0
 
 
 def fed(*tickets, together=True):
@@ -340,21 +352,25 @@ def fed(*tickets, together=True):
 
 @given(
     max_batch=st.integers(1, 4),
-    max_delay=st.sampled_from([0.0, 1.0]),
     workers=st.integers(1, 3),
     steps=STEPS,
 )
 # Each rule once, deterministically, beside the drawn interleavings.
-@example(2, 1.0, 1, [fed(("k0", "s0", False), ("k0", "s0", False))])  # duplicates fill
-@example(4, 1.0, 1, [fed(("k0", "s0", False)), ("tick", 0.5), ("tick", 0.25), ("tick", 0.25)])
-@example(4, 0.0, 1, [fed(("k0", "s0", False)), fed(("k0", "s0", False)), fed(("k0", "s1", False)),
-                     fed(("k0", "s0", True)), ("stream", 2, "s0"), ("complete", 2, True),
-                     ("stream", 1, "s0"), ("complete", 0, True)])  # merges, streams
-@example(2, 1.0, 1, [fed(("k0", "s0", False), ("k0", "s0", False)), fed(("k1", "s0", False)),
-                     ("tick", 0.25), fed(("k2", "s0", False)), ("tick", 1.5),
-                     ("complete", 0, True), ("complete", 0, False)])  # ripe, oldest first
-def test_any_interleaving_keeps_the_policy_and_the_books(max_batch, max_delay, workers, steps):
-    model = Model(max_batch, max_delay, workers)
+@example(2, 1, [fed(("k0", "s0", False), ("k0", "s0", False))])  # duplicates fill
+@example(4, 1, [fed(("k0", "s0", False), ("k0", "s1", False), ("k1", "s0", False)),
+                ("idle",), ("idle",)])  # one feed, one bucket per key
+@example(4, 1, [fed(("k0", "s0", False)), ("idle",), fed(("k0", "s0", False)),
+                fed(("k0", "s1", False)), fed(("k0", "s0", True)), ("stream", 1, "s0"),
+                ("complete", 0, True), ("stream", 0, "s0"), ("complete", 0, True)])  # merges, streams
+@example(4, 1, [fed(("k0", "s0", False)), ("idle",), fed(("k1", "s0", False)),
+                fed(("k2", "s0", False)), fed(("k1", "s1", False)), ("idle",),
+                ("complete", 0, True), ("complete", 0, False)])  # held, oldest first
+@example(4, 2, [fed(("k2", "s0", False), ("k1", "s0", False), ("k0", "s0", False)),
+                ("idle",), ("complete", 1, True)])  # one bucket per free worker
+@example(1, 1, [fed(("k0", "s0", False), ("k0", "s1", False), together=False),
+                ("idle",)])  # size flushes queue behind a busy worker
+def test_any_interleaving_keeps_the_policy_and_the_books(max_batch, workers, steps):
+    model = Model(max_batch, workers)
     for step, *args in steps:
         getattr(model, step)(*args)
         model.check()

@@ -291,7 +291,8 @@ class TestServeCommand:
         import io
         import sys as _sys
 
-        monkeypatch.setattr(_sys, "stdin", io.StringIO(stdin_text))
+        stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode("utf-8")), encoding="utf-8")
+        monkeypatch.setattr(_sys, "stdin", stdin)
         code = main(argv)
         return code, capsys.readouterr()
 
@@ -314,15 +315,38 @@ class TestServeCommand:
         code, captured = self._serve(
             monkeypatch,
             capsys,
-            # A generous delay so all six requests land in one bucket even
-            # on a slow CI box (the stdin reads hop through an executor).
-            ["serve", graph_file, "--stats", "--max-delay", "0.2"],
+            # The six lines arrive in one read chunk, which is fed in one
+            # loop turn before a worker takes the bucket.
+            ["serve", graph_file, "--stats"],
             requests,
         )
         assert code == 0
         assert len(captured.out.splitlines()) == 6
         # All six requests shared one admission bucket -> one batch.
         assert "serving_batches 1" in captured.err
+
+    def test_unterminated_last_line_is_answered(self, graph_file, monkeypatch, capsys):
+        code, captured = self._serve(
+            monkeypatch, capsys, ["serve", graph_file], "r1\to1\ta b*\r\nr2\to2\tb"
+        )
+        assert code == 0
+        assert sorted(captured.out.splitlines()) == ["r1\to2 o3", "r2\to3"]
+
+    def test_text_only_stdin_is_read_a_line_at_a_time(self, graph_file, monkeypatch, capsys):
+        # A StringIO has no byte buffer to read chunks from.
+        import io
+        import sys as _sys
+
+        monkeypatch.setattr(_sys, "stdin", io.StringIO("r1\to1\ta b*\nr2\to2\tb\n"))
+        assert main(["serve", graph_file]) == 0
+        assert sorted(capsys.readouterr().out.splitlines()) == ["r1\to2 o3", "r2\to3"]
+
+    def test_max_delay_flag_is_gone(self, graph_file, capsys):
+        # No flush waits on a clock, so there is no delay to set.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", graph_file, "--max-delay", "0.2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --max-delay" in capsys.readouterr().err
 
     def test_sharded_serve_with_concurrency(self, graph_file, monkeypatch, capsys):
         code, captured = self._serve(

@@ -365,7 +365,7 @@ def test_served_answers_match_direct_and_baseline(
 
     Every example submits two queries from every source *concurrently*
     through the admission queue (small max_batch, so coalescing, size
-    flushes and delay flushes all occur) and pins the fanned-out answers to
+    flushes and idle flushes all occur) and pins the fanned-out answers to
     the direct sharded calls — and, per source, to ``evaluate_baseline``.
     """
     import asyncio
@@ -380,7 +380,7 @@ def test_served_answers_match_direct_and_baseline(
     }
 
     async def scenario():
-        async with sharded.as_server(max_batch=3, max_delay=0.001) as server:
+        async with sharded.as_server(max_batch=3) as server:
             futures = {
                 (query_index, source): server.submit_nowait(QueryRequest(query=query, sources=(source,)))
                 for query_index, query in enumerate(queries)
@@ -433,7 +433,7 @@ def test_streamed_answers_match_batch_submit_and_baseline(
     direct = sharded.query_batch(expression, sources)
 
     async def scenario():
-        async with sharded.as_server(max_batch=3, max_delay=0.001) as server:
+        async with sharded.as_server(max_batch=3) as server:
             streams = {
                 source: server.submit_stream(QueryRequest(query=expression, sources=(source,)))
                 for source in sources
@@ -536,7 +536,7 @@ def test_page_concatenation_matches_full_set_across_cursors(
                 between_pages()
 
     async def scenario():
-        async with engine.as_server(max_batch=4, max_delay=0.001) as server:
+        async with engine.as_server(max_batch=4) as server:
             quiescent, _ = await paginate(server)
             assert quiescent == sorted(await snapshot(server))
             edited, snapshots = await paginate(server, apply_one_edit)

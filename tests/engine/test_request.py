@@ -144,7 +144,7 @@ class TestDeprecationShims:
         source = sorted(instance.objects, key=repr)[0]
 
         async def scenario():
-            async with engine.as_server(max_delay=0.0) as server:
+            async with engine.as_server() as server:
                 with pytest.raises(ReproError, match="QueryRequest"):
                     await server.submit("a (b + c)*", source)
                 with pytest.raises(ReproError, match="QueryRequest"):
@@ -165,7 +165,7 @@ class TestDeprecationShims:
         source = sorted(instance.objects, key=repr)[0]
 
         async def scenario():
-            async with engine.as_server(max_delay=0.0) as server:
+            async with engine.as_server() as server:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error", DeprecationWarning)
                     return await server.submit(

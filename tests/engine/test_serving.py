@@ -64,7 +64,7 @@ class TestAdmission:
         sources = sources_of(instance, 10)
 
         async def scenario():
-            async with engine.as_server(max_batch=64, max_delay=0.01) as server:
+            async with engine.as_server(max_batch=64) as server:
                 return await server.submit_many(QueryRequest(query="a (b + c)*", sources=tuple(sources)))
 
         served = asyncio.run(scenario())
@@ -81,7 +81,7 @@ class TestAdmission:
         [source] = sources_of(instance, 1)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.01) as server:
+            async with engine.as_server() as server:
                 one = server.submit_nowait(QueryRequest(query="(a b)", sources=(source,)))
                 two = server.submit_nowait(QueryRequest(query="a b", sources=(source,)))
                 return await asyncio.gather(one, two)
@@ -96,8 +96,9 @@ class TestAdmission:
         sources = sources_of(instance, 6)
 
         async def scenario():
-            # max_delay high enough that only the size trigger can flush.
-            async with engine.as_server(max_batch=3, max_delay=30.0) as server:
+            # submit_many feeds all six in one call: only the size trigger
+            # can flush while it runs.
+            async with engine.as_server(max_batch=3) as server:
                 results = await server.submit_many(QueryRequest(query="a b", sources=tuple(sources)))
                 return results, server.stats.size_flushes
 
@@ -105,37 +106,45 @@ class TestAdmission:
         assert results == engine.query_batch("a b", sources)
         assert size_flushes == 2  # 6 sources / max_batch 3
 
-    def test_max_delay_flushes_a_partial_bucket(self):
+    def test_a_lone_request_never_waits_on_max_delay(self):
+        # max_delay is inert: a free worker takes the bucket at once.  The
+        # constructor call is the e2e workload's, which still passes it.
         instance, _ = web(20)
         engine = Engine.open(instance)
         [source] = sources_of(instance, 1)
 
         async def scenario():
-            async with engine.as_server(max_batch=64, max_delay=0.001) as server:
-                answers = await server.submit(QueryRequest(query="a b", sources=(source,)))
-                return answers, server.stats.delay_flushes
+            async with QueryServer(engine, max_delay=30.0) as server:
+                answers = await asyncio.wait_for(
+                    server.submit(QueryRequest(query="a b", sources=(source,))), 2.0
+                )
+                return answers, server.stats
 
-        answers, delay_flushes = asyncio.run(scenario())
+        answers, stats = asyncio.run(scenario())
         assert answers == engine.query_batch("a b", [source])[source]
-        assert delay_flushes == 1
+        assert (stats.batches, stats.idle_flushes, stats.delay_flushes) == (1, 1, 0)
 
-    def test_zero_delay_serves_every_request_alone(self):
+    def test_one_turn_shares_a_batch_and_a_later_turn_opens_another(self):
         instance, _ = web(20)
         engine = Engine.open(instance)
-        sources = sources_of(instance, 3)
+        one, two, three, four = sources_of(instance, 4)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.0) as server:
-                results = await server.submit_many(QueryRequest(query="a b", sources=tuple(sources)))
-                assert server.stats.immediate_flushes == 3
-                assert server.stats.size_flushes == 0
-                return results, server.stats.batches
+            async with engine.as_server() as server:
+                first = [
+                    server.submit_nowait(QueryRequest(query="a b", sources=(source,)))
+                    for source in (one, two, three)
+                ]
+                await asyncio.sleep(0)  # the idle server flushed the three
+                assert server.stats.batches == 1
+                later = server.submit_nowait(QueryRequest(query="a b", sources=(four,)))
+                return await asyncio.gather(*first, later), server.stats
 
-        results, batches = asyncio.run(scenario())
-        assert results == engine.query_batch("a b", sources)
-        assert batches == 3
-        # Tallied as immediate flushes, not as size-cap pressure.
-        assert engine.stats.batch_evaluations >= 3
+        answers, stats = asyncio.run(scenario())
+        expected = engine.query_batch("a b", [one, two, three, four])
+        assert answers == [expected[one], expected[two], expected[three], expected[four]]
+        assert (stats.batches, stats.idle_flushes, stats.merged) == (2, 2, 0)
+        assert stats.max_batch_size == stats.coalesced == 3
 
     def test_different_dfas_use_separate_buckets(self):
         instance, _ = web(20)
@@ -143,7 +152,7 @@ class TestAdmission:
         [source] = sources_of(instance, 1)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.01, concurrency=2) as server:
+            async with engine.as_server(concurrency=2) as server:
                 one = server.submit_nowait(QueryRequest(query="a b", sources=(source,)))
                 two = server.submit_nowait(QueryRequest(query="b a", sources=(source,)))
                 await asyncio.gather(one, two)
@@ -158,7 +167,7 @@ class TestAdmission:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 with pytest.raises(Exception, match="parenthesis"):
                     server.submit_nowait(QueryRequest(query="(unbalanced", sources=("p0",)))
                 # submitted == served + failed even for admission failures.
@@ -182,7 +191,7 @@ class TestAdmission:
                 raise RuntimeError("backend exploded")
 
         async def scenario():
-            async with QueryServer(ExplodingEngine(), max_delay=0.001) as server:
+            async with QueryServer(ExplodingEngine()) as server:
                 futures = [
                     server.submit_nowait(QueryRequest(query="a b", sources=(source,))) for source in sources
                 ]
@@ -201,7 +210,7 @@ class TestAdmission:
         [source] = sources_of(instance, 1)
 
         async def scenario():
-            server = engine.as_server(max_batch=64, max_delay=30.0)
+            server = engine.as_server(max_batch=64)
             future = server.submit_nowait(QueryRequest(query="a b", sources=(source,)))
             await server.close()
             assert server.stats.close_flushes == 1
@@ -241,7 +250,7 @@ class TestAdmission:
         queries = ("a (b + c)*", "a* b", "b")
 
         async def scenario():
-            async with sharded.as_server(max_batch=8, max_delay=0.002) as server:
+            async with sharded.as_server(max_batch=8) as server:
                 futures = {
                     (query, source): server.submit_nowait(QueryRequest(query=query, sources=(source,)))
                     for query in queries
@@ -305,7 +314,7 @@ class TestAdmission:
         sources = sources_of(instance, 4)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.005) as server:
+            async with engine.as_server() as server:
                 return await server.submit_many(QueryRequest(query="a b", sources=tuple(sources)))
 
         served = asyncio.run(scenario())
@@ -325,7 +334,7 @@ class TestLineProtocol:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 return await stream_responses(
                     server,
                     [
@@ -357,7 +366,7 @@ class TestLineProtocol:
         ]
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 return await stream_responses(server, lines, max_inflight=3)
 
         responses = dict(
@@ -395,7 +404,7 @@ class TestLineProtocol:
             answered.set()
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 await asyncio.wait_for(
                     serve_stream(server, readline, emit), timeout=30
                 )
@@ -414,13 +423,46 @@ class TestLineProtocol:
             return line + "\n" if line else ""
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 await serve_stream(
                     server, readline, collected.append, max_inflight=2
                 )
 
         asyncio.run(scenario())
         assert sorted(collected) == sorted(f"r{index}\tv" for index in range(9))
+
+    def test_serve_stream_asks_the_loop_for_no_timer(self):
+        # Admission runs on no clock: a whole lap over serve_stream, STREAM
+        # lines and a held-back reader included, never arms a loop timer.
+        instance, _ = web(30)
+        engine = Engine.open(instance)
+        sources = sources_of(instance, 6)
+        queries = ("a b", "a (b + c)*", "c")
+        lines = [
+            f"r{index}\t{sources[index % 6]}\t{queries[index % 3]}"
+            + ("\tSTREAM" if index % 4 == 0 else "")
+            for index in range(40)
+        ]
+        loop = asyncio.new_event_loop()
+        timers: "list[str]" = []
+        for name in ("call_later", "call_at"):
+            def counted(*args, _name=name, _original=getattr(loop, name), **kwargs):
+                timers.append(_name)
+                return _original(*args, **kwargs)
+
+            setattr(loop, name, counted)
+
+        async def scenario():
+            async with engine.as_server() as server:
+                return await stream_responses(server, lines, max_inflight=8)
+
+        try:
+            responses = loop.run_until_complete(scenario())
+        finally:
+            loop.close()
+        finals = {line.split("\t")[0] for line in responses if "\t+\t" not in line}
+        assert finals == {f"r{index}" for index in range(40)}
+        assert timers == []
 
     def test_constrained_submit_admits_off_loop(self):
         # submit() on a constrained session hops admission to the pool; the
@@ -433,7 +475,7 @@ class TestLineProtocol:
         sources = sources_of(instance, 4)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.005) as server:
+            async with engine.as_server() as server:
                 answers = await asyncio.gather(
                     *(server.submit(QueryRequest(query="a b", sources=(source,))) for source in sources)
                 )
@@ -448,7 +490,7 @@ class TestLineProtocol:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 return await stream_responses(server, ["q1\tu\t(((("])
 
         [response] = asyncio.run(scenario())
@@ -462,7 +504,7 @@ class TestLineProtocol:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 listener = await serve_tcp(server, "127.0.0.1", 0)
                 port = listener.sockets[0].getsockname()[1]
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -490,7 +532,7 @@ class TestLineProtocol:
         sources = sources_of(instance, 5)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 listener = await serve_tcp(server, "127.0.0.1", 0, max_inflight=2)
                 port = listener.sockets[0].getsockname()[1]
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -521,7 +563,7 @@ class TestLineProtocol:
         expected = engine.query_batch("a (b + c)*", sources)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.002) as server:
+            async with engine.as_server() as server:
                 listener = await serve_tcp(server, "127.0.0.1", 0)
                 port = listener.sockets[0].getsockname()[1]
                 reader, writer = await asyncio.open_connection("127.0.0.1", port)
@@ -916,7 +958,7 @@ class TestStreaming:
         expected = engine.query_batch("a (b + c)*", sources)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.005) as server:
+            async with engine.as_server() as server:
                 streams = {
                     source: server.submit_stream(QueryRequest(query="a (b + c)*", sources=(source,)))
                     for source in sources
@@ -946,7 +988,7 @@ class TestStreaming:
         [one, two] = sources_of(instance, 2)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.01) as server:
+            async with engine.as_server() as server:
                 stream = server.submit_stream(QueryRequest(query="a (b + c)*", sources=(one,)))
                 plain = server.submit_nowait(QueryRequest(query="a (b + c)*", sources=(two,)))
                 streamed = [answer async for answer in stream]
@@ -968,7 +1010,7 @@ class TestStreaming:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 stream = server.submit_stream(QueryRequest(query="b b", sources=("u",)))
                 streamed = [answer async for answer in stream]
                 return streamed, await stream.result()
@@ -990,7 +1032,7 @@ class TestStreaming:
         engine.query_batch_streaming = explode
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 stream = server.submit_stream(QueryRequest(query="a", sources=("u",)))
                 with pytest.raises(Boom):
                     async for _ in stream:
@@ -1018,7 +1060,7 @@ class TestStreaming:
         [source] = sources_of(instance, 1)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 stream = server.submit_stream(QueryRequest(query="a (b + c)*", sources=(source,)))
                 async for _ in stream:
                     pass
@@ -1045,7 +1087,7 @@ class TestAccountingRegressions:
         sources = [one, two, one, one, two]
 
         async def scenario():
-            async with engine.as_server(max_delay=0.002) as server:
+            async with engine.as_server() as server:
                 answers = await server.submit_many(QueryRequest(query="a (b + c)*", sources=tuple(sources)))
                 return answers, server.stats
 
@@ -1066,11 +1108,11 @@ class TestAccountingRegressions:
         [source] = sources_of(instance, 1)
 
         async def scenario():
-            async with engine.as_server(max_batch=3, max_delay=30.0) as server:
+            async with engine.as_server(max_batch=3) as server:
                 futures = [
                     server.submit_nowait(QueryRequest(query="a b", sources=(source,))) for _ in range(3)
                 ]
-                # The third request hit max_batch: flushed by size, no timer.
+                # The third request hit max_batch: flushed by size, inside feed.
                 assert server.stats.size_flushes == 1
                 await asyncio.gather(*futures)
                 return server.stats
@@ -1088,11 +1130,13 @@ class TestAccountingRegressions:
         [one, two] = sources_of(instance, 2)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.0) as server:
-                # max_delay=0 flushes immediately: the first request's batch
-                # is in flight when the second (same key, same source)
-                # arrives, so it merges instead of opening a new bucket.
+            async with engine.as_server() as server:
+                # A free worker takes the first request's bucket once the
+                # turn ends: its batch is in flight when the second (same
+                # key, same source) arrives, so it merges instead of opening
+                # a new bucket.
                 first = server.submit_nowait(QueryRequest(query="a (b + c)*", sources=(one,)))
+                await asyncio.sleep(0)
                 merged = server.submit_nowait(QueryRequest(query="a (b + c)*", sources=(one,)))
                 other = server.submit_nowait(QueryRequest(query="a (b + c)*", sources=(two,)))
                 results = await asyncio.gather(first, merged, other)
@@ -1114,8 +1158,9 @@ class TestAccountingRegressions:
         expected = engine.query_batch("a (b + c)*", [source])[source]
 
         async def scenario():
-            async with engine.as_server(max_delay=0.0) as server:
+            async with engine.as_server() as server:
                 plain = server.submit_nowait(QueryRequest(query="a (b + c)*", sources=(source,)))
+                await asyncio.sleep(0)  # the plain request's batch is in flight
                 stream = server.submit_stream(QueryRequest(query="a (b + c)*", sources=(source,)))
                 streamed = [answer async for answer in stream]
                 return await plain, streamed, server.stats
@@ -1128,7 +1173,7 @@ class TestAccountingRegressions:
 
 
 # ---------------------------------------------------------------------------
-# Delay flushes wait for a free evaluation worker.
+# A free evaluation worker takes the oldest pending bucket.
 # ---------------------------------------------------------------------------
 class _GatedEngine:
     """The engine, with the first ``query_batch`` held until ``release``."""
@@ -1140,8 +1185,8 @@ class _GatedEngine:
         self.release = threading.Event()
         self.batches: "list[tuple]" = []
 
-    def admission(self, query):
-        return self._inner.admission(query)
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
 
     def query_batch(self, query, sources):
         self.batches.append(tuple(sources))
@@ -1151,21 +1196,21 @@ class _GatedEngine:
         return self._inner.query_batch(query, sources)
 
 
-class TestBusyWorkerHoldsDelayFlushes:
-    """A bucket whose delay runs out while every worker is evaluating would
-    only queue behind them: it stays open and keeps coalescing instead, so
-    the number of batches a burst costs does not depend on how many timers
-    happen to expire while the server is busy."""
+async def until(condition):
+    for _ in range(2000):
+        if condition():
+            return
+        await asyncio.sleep(0.001)
+    raise AssertionError("condition never held")
 
-    @staticmethod
-    async def _until(condition):
-        for _ in range(2000):
-            if condition():
-                return
-            await asyncio.sleep(0.001)
-        raise AssertionError("condition never held")
 
-    def test_expired_bucket_keeps_coalescing_until_a_worker_frees(self):
+class TestIdleWorkerTakesTheOldestBucket:
+    """A bucket waits while every worker is evaluating and keeps coalescing;
+    each worker that frees takes the oldest pending bucket, so batches widen
+    exactly while the server is busy and a burst costs as many batches as
+    the work needs, however long it waits."""
+
+    def test_pending_bucket_keeps_coalescing_until_a_worker_frees(self):
         instance, _ = web(30)
         engine = Engine.open(instance)
         gated = _GatedEngine(engine)
@@ -1173,11 +1218,11 @@ class TestBusyWorkerHoldsDelayFlushes:
         loop_of = asyncio.get_running_loop
 
         async def scenario():
-            async with QueryServer(gated, max_delay=0.001) as server:
+            async with QueryServer(gated) as server:
                 first = server.submit_nowait(QueryRequest(query="a", sources=(one,)))
                 await loop_of().run_in_executor(None, gated.entered.wait, 10)
                 # The only worker is inside the first batch.  Another key's
-                # bucket outlives its delay several times over, unflushed ...
+                # bucket waits for it, unflushed ...
                 early = server.submit_nowait(QueryRequest(query="a b", sources=(two,)))
                 await asyncio.sleep(0.02)
                 assert server.stats.batches == 1
@@ -1197,7 +1242,7 @@ class TestBusyWorkerHoldsDelayFlushes:
         expected = engine.query_batch("a b", [two, three, four])
         assert rest == [expected[two], expected[three], expected[four]]
         assert gated.batches == [(one,), (two, three, four)]
-        assert stats.batches == stats.delay_flushes == 2
+        assert stats.batches == stats.idle_flushes == 2
         assert stats.max_batch_size == 3
         assert stats.submitted == stats.served + stats.failed == 4
 
@@ -1208,7 +1253,7 @@ class TestBusyWorkerHoldsDelayFlushes:
         one, two, three, four = sources_of(instance, 4)
 
         async def scenario():
-            server = QueryServer(gated, max_batch=2, max_delay=0.001)
+            server = QueryServer(gated, max_batch=2)
             first = server.submit_nowait(QueryRequest(query="a", sources=(one,)))
             await asyncio.get_running_loop().run_in_executor(
                 None, gated.entered.wait, 10
@@ -1222,7 +1267,7 @@ class TestBusyWorkerHoldsDelayFlushes:
             await asyncio.sleep(0.02)
             assert server.stats.batches == 2  # the "c" bucket is held back
             closing = asyncio.ensure_future(server.close())
-            await self._until(lambda: server.stats.close_flushes == 1)
+            await until(lambda: server.stats.close_flushes == 1)
             gated.release.set()
             await closing
             await asyncio.gather(first, held, *full)
@@ -1230,7 +1275,7 @@ class TestBusyWorkerHoldsDelayFlushes:
 
         stats = asyncio.run(scenario())
         assert stats.batches == 3
-        assert (stats.delay_flushes, stats.size_flushes, stats.close_flushes) == (1, 1, 1)
+        assert (stats.idle_flushes, stats.size_flushes, stats.close_flushes) == (1, 1, 1)
         assert stats.submitted == stats.served + stats.failed == 4
 
     def test_held_buckets_flush_oldest_first_one_per_freed_worker(self):
@@ -1240,7 +1285,7 @@ class TestBusyWorkerHoldsDelayFlushes:
         one, two, three = sources_of(instance, 3)
 
         async def scenario():
-            async with QueryServer(gated, max_delay=0.001) as server:
+            async with QueryServer(gated) as server:
                 first = server.submit_nowait(QueryRequest(query="a", sources=(one,)))
                 await asyncio.get_running_loop().run_in_executor(
                     None, gated.entered.wait, 10
@@ -1256,7 +1301,7 @@ class TestBusyWorkerHoldsDelayFlushes:
 
         stats = asyncio.run(scenario())
         assert gated.batches == [(one,), (two,), (three,)]
-        assert stats.batches == stats.delay_flushes == 3
+        assert stats.batches == stats.idle_flushes == 3
 
 
 # ---------------------------------------------------------------------------
@@ -1266,7 +1311,6 @@ class TestPageProtocol:
     QUERY = "a (b + c)*"
 
     def _server(self, instance, engine, **policy):
-        policy.setdefault("max_delay", 0.002)
         return engine.as_server(**policy)
 
     def test_pages_concatenate_to_the_full_sorted_set(self):
@@ -1475,7 +1519,7 @@ class TestConjunctiveServing:
         expected = engine.query_conjunctive(self.CRPQ)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.002) as server:
+            async with engine.as_server() as server:
                 result = await server.submit_conjunctive(self.CRPQ)
                 return result, server.stats
 
@@ -1494,7 +1538,7 @@ class TestConjunctiveServing:
         engine = ShardedEngine.open(instance, shards=3, backend=backend)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.002, concurrency=2) as server:
+            async with engine.as_server(concurrency=2) as server:
                 return await server.submit_conjunctive(self.CRPQ)
 
         try:
@@ -1510,7 +1554,7 @@ class TestConjunctiveServing:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.0) as server:
+            async with engine.as_server() as server:
                 via_submit = await server.submit(
                     QueryRequest(query="MATCH x -[a b]-> y RETURN y")
                 )
@@ -1527,29 +1571,33 @@ class TestConjunctiveServing:
     def test_crpq_atom_coalesces_with_scalar_traffic(self):
         # The satellite contract: a CRPQ atom gets the admission key an
         # identical scalar request gets, so the two share one batch.  The
-        # scalar request opens the 'a' bucket (max_delay far away); the
-        # CRPQ's only atom keys 'a' too and closes it via the size flush.
+        # scalar request's batch is held in evaluation while the CRPQ is
+        # planned on the second worker; its only atom keys 'a' from the same
+        # source, so it merges into that batch instead of opening one.
         from repro.engine.request import QueryRequest
 
         instance = Instance([("u", "a", "v"), ("v", "b", "w")])
         engine = Engine.open(instance)
+        gated = _GatedEngine(engine)
 
         async def scenario():
-            async with engine.as_server(max_batch=2, max_delay=30.0) as server:
+            async with QueryServer(gated, concurrency=2) as server:
                 scalar = server.submit_nowait(
                     QueryRequest(query="a", sources=("u",))
                 )
-                crpq = await server.submit_conjunctive(
+                crpq = asyncio.ensure_future(server.submit_conjunctive(
                     "MATCH x -[a]-> y WHERE x = u RETURN y"
-                )
-                return await scalar, crpq, server.stats
+                ))
+                await until(lambda: server.stats.merged == 1)
+                gated.release.set()
+                return await scalar, await crpq, server.stats
 
         scalar, crpq, stats = asyncio.run(scenario())
         assert scalar == {"v"}
         assert crpq.rows == (("v",),)
         assert stats.batches == 1  # ONE shared flush for both
-        assert stats.coalesced == 2
-        assert stats.size_flushes == 1
+        assert stats.merged == 1
+        assert gated.batches == [("u",)]
         assert engine.stats.batch_evaluations == 1
 
     def test_conjunctive_rejected_where_it_cannot_resolve(self):
@@ -1560,7 +1608,7 @@ class TestConjunctiveServing:
         request = QueryRequest(query="MATCH x -[a]-> y RETURN y")
 
         async def scenario():
-            async with engine.as_server(max_delay=0.0) as server:
+            async with engine.as_server() as server:
                 with pytest.raises(ReproError, match="submit_conjunctive"):
                     server.submit_nowait(request)
                 with pytest.raises(ReproError, match="cannot stream"):
@@ -1577,7 +1625,7 @@ class TestConjunctiveServing:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.002) as server:
+            async with engine.as_server() as server:
                 unbound = await respond_line(
                     server, "1\t-\tMATCH x -[a]-> y RETURN x, y"
                 )
@@ -1599,7 +1647,7 @@ class TestConjunctiveServing:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.002) as server:
+            async with engine.as_server() as server:
                 scalar = await respond_line(
                     server,
                     "V2\t" + json.dumps(
@@ -1628,7 +1676,7 @@ class TestConjunctiveServing:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.0) as server:
+            async with engine.as_server() as server:
                 payloads = [
                     "not json at all",
                     json.dumps({"query": "a"}),  # missing id
@@ -1662,7 +1710,7 @@ class TestConjunctiveServing:
         ]
 
         async def scenario():
-            async with engine.as_server(max_delay=0.002) as server:
+            async with engine.as_server() as server:
                 rows, cursor, hops = [], None, 0
                 while True:
                     suffix = f" CURSOR {cursor}" if cursor else ""
@@ -1693,7 +1741,7 @@ class TestConjunctiveServing:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.0) as server:
+            async with engine.as_server() as server:
                 return await respond_line(
                     server, "1\t-\tMATCH x -[a]-> y RETURN y\tSTREAM"
                 )

@@ -98,7 +98,7 @@ class TestAdmissionMemo:
         ]
 
         async def scenario():
-            async with engine.as_server(max_delay=0.002) as server:
+            async with engine.as_server() as server:
                 responses = await stream_lines(server, lines)
                 return responses, server.stats
 
@@ -127,7 +127,7 @@ class TestAdmissionMemo:
         lines.insert(2, f"ok\t{source}\ta")
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 responses = await stream_lines(server, lines)
                 return responses, server.stats
 
@@ -205,9 +205,9 @@ class TestInflightBound:
         ]
 
         async def scenario():
-            # A long coalescing delay keeps every admitted request waiting,
-            # so the read loop runs into the cap.
-            async with engine.as_server(max_delay=0.01) as server:
+            # The read loop feeds lines faster than the one worker answers
+            # them, so it runs into the cap.
+            async with engine.as_server() as server:
                 front_end = stream_lines if front == "stream" else tcp_lines
                 # A slot that is never given back stalls the loop: time out.
                 return await asyncio.wait_for(
@@ -232,7 +232,7 @@ class TestInflightBound:
             emitted.append(response.split("\t")[0])
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 await asyncio.wait_for(
                     stream_lines(server, lines, max_inflight=1, emit=emit), 10
                 )
@@ -254,7 +254,7 @@ def test_both_loops_skip_the_same_blank_lines():
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 if front == "stream":
                     responses = await stream_lines(server, lines)
                 else:
@@ -276,7 +276,7 @@ class TestWrongSourceCount:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 responses = await stream_lines(server, [WRONG_SOURCES, "r2\tu\ta"])
                 return responses, server.stats
 
@@ -291,7 +291,7 @@ class TestWrongSourceCount:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 refused = await respond_line(server, WRONG_SOURCES)
                 served = await respond_line(server, "r2\tu\ta")
                 return refused, served, server.stats
@@ -306,7 +306,7 @@ class TestWrongSourceCount:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 with pytest.raises(ReproError, match="exactly one source"):
                     await server.submit(QueryRequest(query="a", sources=("u", "w")))
                 answers = await server.submit(QueryRequest(query="a", sources=("u",)))
@@ -335,7 +335,7 @@ def test_a_cold_stream_line_is_admitted_off_the_loop(monkeypatch):
     lines = ["r0\tp11\ta b a\tSTREAM", "r1\tp11\ta b c", "r2\tp11\tc b\tLIMIT 1"]
 
     async def scenario():
-        async with engine.as_server(max_delay=0.001) as server:
+        async with engine.as_server() as server:
             chunks = []
             responses = [await respond_line(server, line, chunks.append) for line in lines]
             return responses, chunks, server.stats
@@ -369,7 +369,7 @@ def test_a_wire_line_is_normalized_once(monkeypatch):
     ]
 
     async def scenario():
-        async with engine.as_server(max_delay=0.001) as server:
+        async with engine.as_server() as server:
             return [await respond_line(server, line) for line in lines]
 
     responses = asyncio.run(scenario())

@@ -563,7 +563,7 @@ class TestSessionInstrumentation:
         sources = sorted(instance.objects, key=repr)[:4]
 
         async def scenario():
-            async with engine.as_server(max_batch=16, max_delay=0.005) as server:
+            async with engine.as_server(max_batch=16) as server:
                 await server.submit_many(QueryRequest(query="a (b + c)*", sources=tuple(sources)))
 
         asyncio.run(scenario())
@@ -586,7 +586,7 @@ class TestSessionInstrumentation:
         source = sorted(instance.objects, key=repr)[0]
 
         async def scenario():
-            async with sharded.as_server(max_delay=0.001) as server:
+            async with sharded.as_server() as server:
                 await server.submit(QueryRequest(query="a (b + c)*", sources=(source,)))
 
         asyncio.run(scenario())
@@ -609,7 +609,7 @@ class TestControlVerbs:
         answers = {}
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 await server.submit_many(QueryRequest(query="a (b + c)*", sources=tuple(sources)))
                 for verb in verbs:
                     answers[verb] = handle_control(server, verb)
@@ -646,7 +646,7 @@ class TestControlVerbs:
         recorded = engine.metrics.tracer.last()
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 return handle_control(server, f"!trace {recorded.trace_id}")
 
         reply = asyncio.run(scenario())
@@ -670,7 +670,7 @@ class TestControlVerbs:
         engine = Engine.open(instance)
 
         async def scenario():
-            async with engine.as_server(max_delay=0.001) as server:
+            async with engine.as_server() as server:
                 request = await respond_line(server, "r1\to1\ta b*")
                 stats = await respond_line(server, "!stats")
                 return request, stats
@@ -691,7 +691,7 @@ class TestAdmissionInvariant:
         sources = sorted(instance.objects, key=repr)[:5]
 
         async def scenario():
-            async with engine.as_server(max_batch=4, max_delay=0.001) as server:
+            async with engine.as_server(max_batch=4) as server:
                 good = [
                     server.submit_nowait(QueryRequest(query="a (b + c)*", sources=(source,)))
                     for source in sources

@@ -75,7 +75,7 @@ def test_every_line_answers_as_pinned():
     async def scenario():
         mismatches = []
         for graph, group in itertools.groupby(cases, key=lambda case: case["graph"]):
-            async with open_engine(graph).as_server(max_delay=0.001) as server:
+            async with open_engine(graph).as_server() as server:
                 for case in group:
                     response, chunks = await serve_one(server, case["line"])
                     if (response, chunks) != (case["response"], case.get("chunks", [])):
