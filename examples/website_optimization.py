@@ -51,13 +51,11 @@ def main() -> None:
     print(f"  protocol messages             : {report.original_messages} -> {report.optimized_messages}")
 
     rewrite = report.rewrite
-    print(
-        f"\ncandidates: {rewrite.generated} generated, "
-        f"{rewrite.skipped_by_cost} no cheaper than the query, "
-        f"{rewrite.proofs_attempted} sent to the prover; proved:"
-    )
+    print(f"\ncandidates: {rewrite.generated} generated; the query and the adopted one:")
     for candidate in rewrite.candidates:
         print(f"  - {candidate}")
+    if rewrite.adopted:
+        print(f"  premises: {'; '.join(map(str, rewrite.adopted.premises))}")
 
 
 if __name__ == "__main__":

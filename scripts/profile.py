@@ -38,10 +38,11 @@ both get the work counts beside the timings: per query the kernels' own
 of ``run_batch`` answering node ids and oids and of mapping id answers with
 ``oids_of``, and how often the ``query_batch`` facade calls ``oids_of`` per
 op (0: its answers leave the kernel as oids); per text
-the rewriter's ``generated`` / ``proofs_attempted`` / ``skipped_by_cost``
-and its ``generate_ms`` / ``prove_ms`` split, also averaged over the texts
-it improved and over the ones it returned unchanged, and the adoptions
-counted by the evidence method that justified them (``proved_by``); per
+the milliseconds of one ``rewrite_query`` call, the rewriter's
+``generated`` count and the adopted candidate's origin, also averaged over
+the texts it improved and over the ones it returned unchanged, and the
+adoptions counted by origin rule (prefix substitution, cached decomposition,
+boundedness); per
 CRPQ template the op's milliseconds sharded and monolithic, per op the
 kernel runs (sharded and monolithic), the join steps' q-error, and the
 atom-time ratio the benchmark
@@ -228,23 +229,19 @@ def profile_rewrite(
         count = len(group)
         summary.append(
             f"{title}: {count} texts, mean {sum(s for s, _ in group) / count * 1e3:.2f} ms, "
-            f"generated {sum(o.generated for _, o in group) / count:.2f}, "
-            f"proved {sum(o.proofs_attempted for _, o in group) / count:.2f}, "
-            f"skipped by cost {sum(o.skipped_by_cost for _, o in group) / count:.2f}; "
-            f"generate {sum(o.generate_ms for _, o in group) / count:.3f} ms, "
-            f"prove {sum(o.prove_ms for _, o in group) / count:.3f} ms"
+            f"generated {sum(o.generated for _, o in group) / count:.2f}"
         )
-    adoptions = Counter(outcome.proved_by for _, outcome, _ in rows if outcome.improved)
+    adoptions = Counter(
+        outcome.adopted.origin.split(" via ")[0] for _, outcome, _ in rows if outcome.improved
+    )
     summary.append(
         "adopted by: "
-        + (", ".join(f"{method} {count}" for method, count in sorted(adoptions.items())) or "-")
+        + (", ".join(f"{rule} {count}" for rule, count in sorted(adoptions.items())) or "-")
     )
     per_text = [
         f"  {seconds * 1e3:7.2f} ms  {'improved ' if outcome.improved else 'unchanged'}"
-        f" generated={outcome.generated} proofs_attempted={outcome.proofs_attempted}"
-        f" skipped_by_cost={outcome.skipped_by_cost}"
-        f" generate_ms={outcome.generate_ms:.3f} prove_ms={outcome.prove_ms:.3f}"
-        f" proved_by={outcome.proved_by or '-'}  {text}"
+        f" generated={outcome.generated}"
+        f" origin={outcome.adopted.origin if outcome.improved else '-'}  {text}"
         for seconds, outcome, text in rows
     ]
 

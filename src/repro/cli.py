@@ -122,13 +122,11 @@ def _cmd_rewrite(args: argparse.Namespace) -> int:
     if args.verbose:
         for candidate in outcome.candidates:
             print(f"# {candidate}", file=sys.stderr)
+        adopted = outcome.adopted
         print(
             f"# generated={outcome.generated} "
-            f"proofs_attempted={outcome.proofs_attempted} "
-            f"skipped_by_cost={outcome.skipped_by_cost} "
-            f"generate_ms={outcome.generate_ms:.3f} "
-            f"prove_ms={outcome.prove_ms:.3f} "
-            f"proved_by={outcome.proved_by or '-'}",
+            f"origin={adopted.origin if adopted else '-'} "
+            f"premises={'; '.join(map(str, adopted.premises)) if adopted else '-'}",
             file=sys.stderr,
         )
     return 0 if outcome.improved else 1

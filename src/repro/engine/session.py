@@ -24,9 +24,10 @@ concerns that individual executors should not:
   each run is tallied in :attr:`EngineStats.backend_runs`;
 * **constraint pre-rewrite** — when opened with a
   :class:`~repro.constraints.constraint.ConstraintSet`, each query is first
-  handed to :func:`repro.optimize.rewriter.rewrite_query` and the provably
-  equivalent cheapest form is what gets compiled, so the Section 3.2
-  optimization composes with the compiled execution path.
+  handed to :func:`repro.optimize.rewriter.rewrite_query` and the cheapest
+  form equivalent under the constraints its rewrite used is what gets
+  compiled, so the Section 3.2 optimization composes with the compiled
+  execution path.
 
 Results mirror :class:`repro.query.evaluation.EvaluationResult`, including
 witness paths for single-source calls, so the engine is a drop-in backend
@@ -435,14 +436,12 @@ class Session:
                 constraints,
                 self.cost_model or DEFAULT_COST_MODEL,
             )
+            adopted = outcome.adopted
             rewrite_span.set(
                 improved=outcome.improved,
                 generated=outcome.generated,
-                proofs_attempted=outcome.proofs_attempted,
-                skipped_by_cost=outcome.skipped_by_cost,
-                generate_ms=outcome.generate_ms,
-                prove_ms=outcome.prove_ms,
-                proved_by=outcome.proved_by,
+                origin=adopted.origin if adopted else "",
+                premises="; ".join(map(str, adopted.premises)) if adopted else "",
             )
         self._hist_rewrite.observe(rewrite_span.duration)
         best_key = query_key(outcome.best)

@@ -79,8 +79,9 @@ def plan_and_evaluate(
 
     The answers of the original and optimized queries are required to agree on
     the given instance; a mismatch raises ``AssertionError`` because it would
-    mean an unsound rewrite slipped through the implication check (this is the
-    planner's last line of defense and is exercised by the integration tests).
+    mean a generator emitted an unsound rewrite, or the constraints do not hold
+    at ``source`` (this is the planner's last line of defense and is exercised
+    by the integration tests).
     """
     outcome = rewrite_query(query, constraints, cost_model)
 

@@ -11,18 +11,18 @@ below implements that loop:
    constraint sides from the set's prepared view
    (:attr:`repro.constraints.ConstraintSet.prepared`) instead of rebuilding
    their automata per query;
-2. rank the distinct candidates with the cost model and drop every one that
-   is not strictly cheaper than the original (the original wins ties, so
-   such a candidate could never be returned);
-3. *prove* the remaining candidates equivalent to the original under the
-   constraints, cheapest first, and stop at the first proof: every candidate
-   after it costs at least as much.  A candidate that one prefix step
-   ``w·S → w'·S`` of →E reaches — ``w`` spelled by leading factors of the
-   query, ``w = w'`` an equality of the set — is *checked*: that step is its
-   proof (right-congruence; Lemma 4.4's soundness of →E), re-derived from the
-   constraints rather than taken from the generator.  Every other candidate
-   is *proved* by the tiered general procedure, or the complete
-   word-constraint procedures when applicable.
+2. rank the distinct candidates with the cost model, ties in generation
+   order;
+3. adopt the first ranked candidate if it is strictly cheaper than the
+   original (the original wins ties).  No proof search runs: each generator
+   emits only candidates it has shown equivalent to the query, and each
+   candidate names the constraints that showing used, its *premises*.  A
+   prefix substitution ``w·S → w'·S`` replaces a prefix whose language is
+   exactly one side of an equality ``w = w'`` (right-congruence, Lemma
+   4.4's soundness of →E); a cached decomposition ``r·t`` for an equality
+   ``s = r`` is emitted only when ``L(query) = L(s)·L(t)`` (Example 3); both
+   name that one equality.  The boundedness candidate is Theorem 4.10's
+   ``E ⊨ p = q`` and names the whole set.
 
 Most constraint sides are plain words (Section 4's word constraints), and a
 word side ``u`` needs no automaton construction: one walk of ``u`` through the
@@ -33,42 +33,40 @@ and the state set it ends in is the remainder's start.  The walks of all sides
 share their prefixes' steps, and a query that is itself a word needs no walk
 for its decompositions, only a comparison of words.  Sides that are not words
 (the starred cached expressions of Example 3) are decided by quotient and
-automaton equivalence.  When every constraint is a word equality and the query
-and a candidate that is not one checked step are both words, the proof is one
-inclusion: →E then holds each rule in both directions, so ``u →E* v`` gives
-``v →E* u`` (Lemma 4.4) and the converse saturation is not run.
+automaton equivalence.
 
-Every returned rewrite therefore comes with the evidence used to justify it,
-and a candidate that cannot win is never proved.
+The implication procedure of :mod:`repro.constraints` (Theorem 4.2) is not
+on this path; the tests hold every generated candidate to it.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..automata import EPSILON, NFA
 from ..constraints.boundedness import decide_boundedness
-from ..constraints.constraint import ConstraintSet, EqualitySide, PathEquality
-from ..constraints.general_implication import (
-    ImplicationResult,
-    SearchBudget,
-    Verdict,
-    decide_implication,
-)
+from ..constraints.constraint import ConstraintSet, EqualitySide, PathConstraint
 from ..regex import Regex, parse, simplify, to_string
 from ..regex.ast import Concat, concat
 from .cost import DEFAULT_COST_MODEL, CostModel
 
+# A generated rewrite: the candidate, its origin and the constraints it used.
+_Generated = tuple[Regex, str, tuple[PathConstraint, ...]]
+
 
 @dataclass
 class RewriteCandidate:
-    """A candidate rewriting with its provenance and estimated cost."""
+    """A candidate rewriting with its provenance, premises and estimated cost.
+
+    ``premises`` are the constraints under which the candidate is equivalent
+    to the query: the one equality a prefix substitution or a cached
+    decomposition used, the whole set for boundedness.
+    """
 
     query: Regex
     origin: str
     cost: float
-    evidence: ImplicationResult | None = None
+    premises: tuple[PathConstraint, ...] = ()
 
     def __str__(self) -> str:
         return f"{to_string(self.query)}  [{self.origin}, cost={self.cost:.2f}]"
@@ -78,17 +76,9 @@ class RewriteCandidate:
 class RewriteOutcome:
     """Result of optimizing one query under one constraint set.
 
-    ``candidates`` is the original plus every candidate that was *proved*
-    equivalent to it — at most one, the adopted rewrite, since proving stops
-    at the first success and candidates that cannot win are not proved.  Its
-    evidence is either a checked one-step derivation (method
-    ``"prefix-rewrite"``, the equality used in ``notes``) or the implication
-    procedure's ``IMPLIED`` verdict; :attr:`proved_by` names which.  The three
-    counters say what the search cost: ``generated`` distinct candidates (the
-    original excluded), of which ``skipped_by_cost`` were no cheaper than the
-    original and ``proofs_attempted`` were checked or proved.
-    ``generate_ms`` is the wall time spent generating and ranking candidates,
-    ``prove_ms`` the time spent checking and proving them.
+    ``candidates`` is the original plus the adopted rewrite, if any
+    (:attr:`adopted`).  ``generated`` counts the distinct candidates, the
+    original excluded.
     """
 
     original: Regex
@@ -98,15 +88,11 @@ class RewriteOutcome:
     improved: bool
     candidates: list[RewriteCandidate] = field(default_factory=list)
     generated: int = 0
-    proofs_attempted: int = 0
-    skipped_by_cost: int = 0
-    generate_ms: float = 0.0
-    prove_ms: float = 0.0
 
     @property
-    def proved_by(self) -> str:
-        """The adopted rewrite's evidence method, ``""`` when none was adopted."""
-        return self.candidates[-1].evidence.method if self.improved else ""
+    def adopted(self) -> RewriteCandidate | None:
+        """The candidate that replaced the query, ``None`` when none did."""
+        return self.candidates[-1] if self.improved else None
 
     def summary(self) -> str:
         arrow = "=>" if self.improved else "(unchanged)"
@@ -124,15 +110,14 @@ def _factors(expression: Regex) -> list[Regex]:
 
 def _prefix_substitution_candidates(
     expression: Regex, constraints: ConstraintSet
-) -> list[tuple[Regex, str]]:
-    """Rewrites obtained by replacing a prefix that matches one constraint side.
+) -> list[_Generated]:
+    """Rewrites obtained by replacing a prefix that denotes one constraint side.
 
     Only *equality* constraints generate candidates here: substituting via a
     bare inclusion would change the answer set in one direction, which is not
-    an equivalence-preserving rewrite (the implication check would reject it
-    anyway; skipping it avoids wasted work).
+    an equivalence-preserving rewrite.
     """
-    candidates: list[tuple[Regex, str]] = []
+    candidates: list[_Generated] = []
     factors = _factors(expression)
     for split in range(1, len(factors) + 1):
         prefix = simplify(concat_all(factors[:split]))
@@ -140,7 +125,7 @@ def _prefix_substitution_candidates(
         for side in _sides_denoting(prefix, constraints):
             rewritten = simplify(concat(side.other, suffix))
             candidates.append(
-                (rewritten, f"prefix-substitution via {side.equality}")
+                (rewritten, f"prefix-substitution via {side.equality}", (side.equality,))
             )
     return candidates
 
@@ -198,7 +183,7 @@ def concat_all(factors: list[Regex]) -> Regex:
 
 def _cached_decomposition_candidates(
     expression: Regex, constraints: ConstraintSet
-) -> list[tuple[Regex, str]]:
+) -> list[_Generated]:
     """Rewrites that route a query through a cached/mirrored prefix.
 
     For an equality ``s = r`` (typically ``s`` a recursive expression and
@@ -230,7 +215,7 @@ def _cached_decomposition_candidates(
     )
     from ..regex.ast import Symbol, union_all, word
 
-    candidates: list[tuple[Regex, str]] = []
+    candidates: list[_Generated] = []
     prepared = constraints.prepared
     alphabet = sorted(expression.alphabet() | prepared.alphabet)
     if not alphabet:
@@ -248,7 +233,9 @@ def _cached_decomposition_candidates(
             # and the remainder is the rest of the word.
             if query_word[: len(side.word)] == side.word:
                 rewritten = simplify(concat(side.other, word(query_word[len(side.word):])))
-                candidates.append((rewritten, f"cached-decomposition via {side.equality}"))
+                candidates.append(
+                    (rewritten, f"cached-decomposition via {side.equality}", (side.equality,))
+                )
             continue
         if side.word is not None:
             remainder = _word_side_quotient(expression_nfa, side.word, after, live)
@@ -279,7 +266,9 @@ def _cached_decomposition_candidates(
             continue
         remainder_expression = simplify(nfa_to_regex(remainder))
         rewritten = simplify(concat(side.other, remainder_expression))
-        candidates.append((rewritten, f"cached-decomposition via {side.equality}"))
+        candidates.append(
+            (rewritten, f"cached-decomposition via {side.equality}", (side.equality,))
+        )
     return candidates
 
 
@@ -307,44 +296,9 @@ def _word_side_quotient(
     return quotient
 
 
-def _prefix_derivations(
-    expression: Regex, constraints: ConstraintSet
-) -> dict[str, ImplicationResult]:
-    """The queries one prefix step ``w·S → w'·S`` of →E reaches from
-    ``expression``, printed, each with its evidence.
-
-    ``w`` is spelled by a leading run of the query's factors and ``w = w'``
-    is an equality of the set, so ``E ⊨ w·S = w'·S`` by right-congruence
-    (Lemma 4.4's soundness of →E): the step is itself the proof.  Read off
-    the constraints, not off the generators, so a candidate is only ever
-    accepted for a derivation that exists.
-    """
-    sides_by_word = constraints.prepared.sides_by_word
-    factors = _factors(expression)
-    derived: dict[str, ImplicationResult] = {}
-    prefix: tuple[str, ...] = ()
-    for split, factor in enumerate(factors, start=1):
-        factor_word = factor.as_word()
-        if factor_word is None:
-            break
-        prefix += factor_word
-        sides = sides_by_word.get(prefix, ())
-        if not sides:
-            continue
-        suffix = simplify(concat_all(factors[split:]))
-        for side in sides:
-            derived.setdefault(
-                to_string(simplify(concat(side.other, suffix))),
-                ImplicationResult(
-                    Verdict.IMPLIED, method="prefix-rewrite", notes=str(side.equality)
-                ),
-            )
-    return derived
-
-
 def _boundedness_candidate(
     expression: Regex, constraints: ConstraintSet
-) -> list[tuple[Regex, str]]:
+) -> list[_Generated]:
     """Recursion elimination via Theorem 4.10 (word equalities only).
 
     The boundedness procedure materializes a K-sphere that is exponential in
@@ -365,7 +319,13 @@ def _boundedness_candidate(
     except BoundednessError:
         return []
     if result.bounded and result.equivalent_query is not None:
-        return [(simplify(result.equivalent_query), "boundedness (Theorem 4.10)")]
+        return [
+            (
+                simplify(result.equivalent_query),
+                "boundedness (Theorem 4.10)",
+                constraints.constraints,
+            )
+        ]
     return []
 
 
@@ -373,42 +333,31 @@ def rewrite_query(
     query: "Regex | str",
     constraints: ConstraintSet,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    budget: SearchBudget | None = None,
 ) -> RewriteOutcome:
-    """Optimize ``query`` under ``constraints``; return the best justified rewrite.
+    """Optimize ``query`` under ``constraints``; return the cheapest rewrite.
 
-    A candidate is adopted only when it is one prefix step of →E from the
-    query (:func:`_prefix_derivations`) or the implication machinery *proves*
-    it equivalent to the query under the constraints; ``NOT_IMPLIED`` and
-    ``UNKNOWN`` both drop it and the next-cheapest candidate is tried.
-    Candidates are proved in order of estimated cost (ties in generation
-    order) and only while strictly cheaper than the query itself, so the
-    result is the cheapest provable candidate — the same ``best`` a
-    prove-everything search would pick — at the price of the proofs up to and
-    including the first that succeeds.
+    Every generated candidate is equivalent to the query under its premises
+    (see the module docstring), so the cheapest distinct candidate — ties in
+    generation order — is adopted when it is strictly cheaper than the query.
     """
-    started = time.perf_counter()
     expression = simplify(query if isinstance(query, Regex) else parse(query))
     original_cost = cost_model.estimate(expression)
-
-    raw_candidates: list[tuple[Regex, str]] = []
-    raw_candidates.extend(_prefix_substitution_candidates(expression, constraints))
-    raw_candidates.extend(_cached_decomposition_candidates(expression, constraints))
-    raw_candidates.extend(_boundedness_candidate(expression, constraints))
-
     original_key = to_string(expression)
     distinct: dict[str, RewriteCandidate] = {}
-    for candidate_expression, origin in raw_candidates:
-        key = to_string(candidate_expression)
-        if key != original_key and key not in distinct:
-            distinct[key] = RewriteCandidate(
-                candidate_expression, origin, cost_model.estimate(candidate_expression)
-            )
-    # sorted() is stable: equal costs stay in generation order.
-    contenders = sorted(
-        (c for c in distinct.values() if c.cost < original_cost),
-        key=lambda candidate: candidate.cost,
-    )
+    for generate in (
+        _prefix_substitution_candidates,
+        _cached_decomposition_candidates,
+        _boundedness_candidate,
+    ):
+        for candidate_expression, origin, premises in generate(expression, constraints):
+            key = to_string(candidate_expression)
+            if key != original_key and key not in distinct:
+                distinct[key] = RewriteCandidate(
+                    candidate_expression,
+                    origin,
+                    cost_model.estimate(candidate_expression),
+                    premises,
+                )
 
     outcome = RewriteOutcome(
         original=expression,
@@ -418,21 +367,12 @@ def rewrite_query(
         improved=False,
         candidates=[RewriteCandidate(expression, "original", original_cost)],
         generated=len(distinct),
-        skipped_by_cost=len(distinct) - len(contenders),
     )
-    proving_started = time.perf_counter()
-    outcome.generate_ms = (proving_started - started) * 1e3
-    derived = _prefix_derivations(expression, constraints) if contenders else {}
-    for candidate in contenders:
-        outcome.proofs_attempted += 1
-        candidate.evidence = derived.get(to_string(candidate.query)) or decide_implication(
-            constraints, PathEquality(expression, candidate.query), budget
+    # min() keeps the first of equal costs: ties go to generation order.
+    cheapest = min(distinct.values(), key=lambda candidate: candidate.cost, default=None)
+    if cheapest is not None and cheapest.cost < original_cost:
+        outcome.candidates.append(cheapest)
+        outcome.best, outcome.best_cost, outcome.improved = (
+            cheapest.query, cheapest.cost, True
         )
-        if candidate.evidence.verdict is Verdict.IMPLIED:
-            outcome.candidates.append(candidate)
-            outcome.best, outcome.best_cost, outcome.improved = (
-                candidate.query, candidate.cost, True
-            )
-            break
-    outcome.prove_ms = (time.perf_counter() - proving_started) * 1e3
     return outcome

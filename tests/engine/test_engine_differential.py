@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _strategies import regexes, small_instances
-from repro.engine import Engine
+from _strategies import regexes, small_instances, word_constraint_sets
+from repro.constraints import ConstraintSet, satisfies_all
+from repro.engine import Engine, available_backends
 from repro.graph import layered_dag, random_graph, web_like_graph
 from repro.query import RegularPathQuery, evaluate_baseline
 from repro.regex import to_string
@@ -173,6 +174,66 @@ def test_randomized_construction_stress():
         got = engine.query(rpq, source)
         assert got.answers == expected.answers, to_string(expression)
         assert_witnesses_real(got, rpq, source, instance)
+
+
+# ---------------------------------------------------------------------------
+# A constrained session answers like the baseline where its constraints hold.
+# ---------------------------------------------------------------------------
+@st.composite
+def instances_with_equalities_and_queries(draw):
+    """A small graph, a word-equality set and a query; half the queries start
+    with a constraint side, so that a rewrite applies."""
+    instance, _ = draw(small_instances(alphabet=("a", "b"), max_nodes=5, max_edges=10))
+    constraints = draw(
+        word_constraint_sets(
+            equalities=True, allow_epsilon_rhs=False, max_constraints=2, max_word_length=2
+        )
+    )
+    query = draw(regexes(alphabet=("a", "b"), max_leaves=4))
+    if draw(st.booleans()):
+        sides = [side for equality in constraints for side in (equality.lhs, equality.rhs)]
+        query = concat(draw(st.sampled_from(sides)), query)
+    return instance, constraints, query
+
+
+# No explicit max_examples: CI's deep profile runs this one with 400.
+@given(instances_with_equalities_and_queries())
+def test_constrained_session_matches_baseline_where_the_constraints_hold(drawn):
+    instance, constraints, query = drawn
+    sources = sorted(instance.objects)
+    holding = [source for source in sources if satisfies_all(instance, source, constraints)]
+    for backend in available_backends():
+        engine = Engine.open(instance, constraints=constraints, backend=backend)
+        answers = engine.query_batch(query, sources)
+        for source in holding:
+            assert answers[source] == evaluate_baseline(query, source, instance).answers, (
+                backend,
+                to_string(query),
+                str(constraints),
+                source,
+            )
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_constrained_session_rewrites_where_its_constraint_holds(backend):
+    from repro.graph.instance import Instance
+    from repro.optimize.cache import materialize_cache
+
+    # Section 3.2's payoff site: ``a b = l`` holds at o once the cache links
+    # are installed there.
+    site = Instance(
+        [
+            ("o", "a", "x"), ("x", "b", "o"), ("x", "c", "y"),
+            ("o", "d", "z"), ("z", "c", "w"),
+        ]
+    )
+    cached_site, cached = materialize_cache(site, "o", "a b", "l")
+    constraints = ConstraintSet([cached.constraint()])
+    assert satisfies_all(cached_site, "o", constraints)
+    engine = Engine.open(cached_site, constraints=constraints, backend=backend)
+    expected = evaluate_baseline("a b a c", "o", cached_site).answers
+    assert engine.query_batch("a b a c", ["o"]) == {"o": expected} == {"o": {"y"}}
+    assert engine.stats.rewrites_applied == 1
 
 
 # ---------------------------------------------------------------------------

@@ -488,22 +488,19 @@ class TestSessionInstrumentation:
             if span.name == "engine.rewrite"
         ]
         assert len(rewrites) == 2
-        attributes = dict(rewrites[0].attributes)
-        generate_ms = attributes.pop("generate_ms")
-        prove_ms = attributes.pop("prove_ms")
-        # c b is one prefix step a b -> c from the query: checked, not proved.
-        assert attributes == {
+        # c b is one prefix step a b -> c from the query, by the equality a b = c.
+        assert rewrites[0].attributes == {
             "improved": True,
             "generated": 2,
-            "proofs_attempted": 1,
-            "skipped_by_cost": 1,
-            "proved_by": "prefix-rewrite",
+            "origin": "prefix-substitution via a b = c",
+            "premises": "a b = c",
         }
-        # The two phases are timed inside the span, one after the other.
-        assert generate_ms >= 0 and prove_ms >= 0
-        assert generate_ms + prove_ms <= rewrites[0].duration * 1e3
-        unchanged = rewrites[1].attributes
-        assert (unchanged["improved"], unchanged["proved_by"]) == (False, "")
+        assert rewrites[1].attributes == {
+            "improved": False,
+            "generated": 0,
+            "origin": "",
+            "premises": "",
+        }
 
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     def test_sharded_trace_is_the_engine_tree(self, telemetry_on, backend):

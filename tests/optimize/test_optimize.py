@@ -95,9 +95,10 @@ class TestRewriter:
         )
         assert outcome.improved
         assert to_string(outcome.best) == "l a c"
-        # The adopted rewrite carries its implication evidence.
-        best_candidates = [c for c in outcome.candidates if c.query == outcome.best]
-        assert best_candidates and best_candidates[0].evidence.implied
+        # The adopted rewrite names its origin and the equality it used.
+        assert outcome.adopted.query == outcome.best
+        assert outcome.adopted.origin == "cached-decomposition via l = (a b)*"
+        assert outcome.adopted.premises == constraints.constraints
 
     def test_prefix_substitution_with_word_equality(self):
         constraints = ConstraintSet([word_equality("a b", "s")])

@@ -217,7 +217,7 @@ def automaton_route(expression, constraints):
 def shortcut(expression, constraints):
     return [
         (to_string(candidate), origin)
-        for candidate, origin in rewriter._cached_decomposition_candidates(
+        for candidate, origin, _premises in rewriter._cached_decomposition_candidates(
             expression, constraints
         )
     ]
@@ -251,7 +251,7 @@ def test_word_query_shortcut_keeps_the_epsilon_side():
     # An ε side is no factor prefix: prefix substitution never emits a a b.
     substitutions = [
         to_string(candidate)
-        for candidate, _ in rewriter._prefix_substitution_candidates(expression, constraints)
+        for candidate, *_ in rewriter._prefix_substitution_candidates(expression, constraints)
     ]
     assert substitutions == ["b"]
     expected = [

@@ -86,9 +86,12 @@ class TestRewrite:
 
     def test_verbose_says_what_justified_the_rewrite(self, capsys):
         assert main(["rewrite", "a b c", "-c", "a b = d", "-v"]) == 0
-        assert "proved_by=prefix-rewrite" in capsys.readouterr().err
+        assert (
+            "# generated=1 origin=prefix-substitution via a b = d premises=a b = d"
+            in capsys.readouterr().err
+        )
         assert main(["rewrite", "a b", "-c", "x = y", "-v"]) == 1
-        assert "proved_by=-" in capsys.readouterr().err
+        assert "# generated=0 origin=- premises=-" in capsys.readouterr().err
 
 
 class TestDistributed:
