@@ -36,7 +36,10 @@ console gets each section's total time plus its top self-time frames, and
 both get the work counts beside the timings: per query the kernels' own
 ``BatchRun.rounds`` / ``edges_gathered`` / ``peak_frontier_rows``, the ms
 of ``run_batch`` answering node ids and oids and of mapping id answers with
-``oids_of``, and how often the ``query_batch`` facade calls ``oids_of`` per
+``oids_of``, what streaming costs (the median of nine interleaved
+``as_oids`` passes with a no-op ``answer_sink`` over the median without
+one, and per streamed run the sink calls and the checkpoints behind them),
+and how often the ``query_batch`` facade calls ``oids_of`` per
 op (0: its answers leave the kernel as oids); per text
 the milliseconds of one ``rewrite_query`` call, the rewriter's
 ``generated`` count and the adopted candidate's origin, also averaged over
@@ -77,6 +80,7 @@ import io  # noqa: E402
 import os  # noqa: E402
 import pstats  # noqa: E402
 import random  # noqa: E402
+import statistics  # noqa: E402
 import threading  # noqa: E402
 import time  # noqa: E402
 from collections import Counter  # noqa: E402
@@ -145,7 +149,8 @@ def kernel_work(engine: Engine, sources: "list[str]") -> "list[str]":
     :data:`TIMING_PASSES`, the ms of ``run_batch`` answering node ids, of
     ``run_batch(as_oids=True)`` (the session's call, answers built as
     oids), and of mapping the id answers with ``oids_of`` afterwards (the
-    materialisation ``as_oids`` folds into the run)."""
+    materialisation ``as_oids`` folds into the run); then what streaming
+    the run costs (:func:`streamed_work`)."""
     graph, backend = engine.graph, engine.backend
     node_ids = [graph.node_id(source) for source in sources]
     lines = []
@@ -167,9 +172,35 @@ def kernel_work(engine: Engine, sources: "list[str]") -> "list[str]":
         lines.append(
             f"  {query:<10} visited_pairs={run.visited_pairs} {counts} "
             f"run_batch_ms={ids_s * 1e3:.3f} as_oids_ms={oids_s * 1e3:.3f} "
-            f"oids_of_materialise_ms={materialise_s * 1e3:.3f}"
+            f"oids_of_materialise_ms={materialise_s * 1e3:.3f} "
+            + streamed_work(graph, compiled, node_ids, backend)
         )
     return lines
+
+
+def streamed_work(graph, compiled, node_ids: "list[int]", backend: str) -> str:
+    """What streaming costs one query: the median of :data:`STREAM_PASSES`
+    interleaved ``run_batch(as_oids=True)`` passes with a no-op
+    ``answer_sink`` over the median without one, and per streamed run the
+    sink calls and the checkpoints (the frontier decodes) behind them."""
+    sink_calls: "list[None]" = []
+
+    def sink(_bit, _facts) -> None:
+        sink_calls.append(None)
+
+    with counting_checkpoints() as checkpoints:
+        run_batch(graph, compiled, node_ids, backend=backend, as_oids=True, answer_sink=sink)
+    per_run = f"sink_calls={len(sink_calls)} checkpoints={len(checkpoints)}"
+    plain, streamed = [], []
+    for _ in range(STREAM_PASSES):
+        started = time.perf_counter()
+        run_batch(graph, compiled, node_ids, backend=backend, as_oids=True)
+        ran = time.perf_counter()
+        run_batch(graph, compiled, node_ids, backend=backend, as_oids=True, answer_sink=sink)
+        plain.append(ran - started)
+        streamed.append(time.perf_counter() - ran)
+    ratio = statistics.median(streamed) / statistics.median(plain)
+    return f"streamed/plain={ratio:.2f} {per_run}"
 
 
 def render_report(
@@ -316,6 +347,38 @@ def counting_kernel_runs():
 # Unprofiled timings are the best of this many passes (per op, like the
 # benchmark's per-op best): one pass on a shared box swings by a third.
 TIMING_PASSES = 3
+# The streamed / plain ratio is a ratio of medians over this many
+# interleaved pairs of passes, so a slow phase of the box hits both sides.
+STREAM_PASSES = 9
+
+
+@contextmanager
+def counting_checkpoints():
+    """Count streaming checkpoints — each is one ``fresh_answers`` decode of
+    a frontier, on either kernel; yields the list whose length is the
+    count."""
+    from repro.engine import executor, executor_py
+
+    frontiers = [executor_py.PyFrontier]
+    if executor._executor_np is not None:
+        frontiers.append(executor._executor_np.NpFrontier)
+    calls: "list[None]" = []
+    saved = {frontier: frontier.fresh_answers for frontier in frontiers}
+
+    def counted(fresh_answers):
+        def decode(self, *args):
+            calls.append(None)
+            return fresh_answers(self, *args)
+
+        return decode
+
+    for frontier, fresh_answers in saved.items():
+        frontier.fresh_answers = counted(fresh_answers)
+    try:
+        yield calls
+    finally:
+        for frontier, fresh_answers in saved.items():
+            frontier.fresh_answers = fresh_answers
 
 
 def time_templates(engine, ops: "list[str]") -> "dict[str, list[float]]":

@@ -11,19 +11,26 @@ only place that picks a kernel:
   the run is stamped ``"scalar"``, which names that kernel, not a backend.
 * **Batched runs** (:func:`run_batch`, :func:`run_all_pairs`) share the
   driver below — source → bit assignment, the range check, the witness
-  resolver, work-count stamping — around one of two fixpoint
-  loops: :mod:`repro.engine.executor_np` (sparse push over the product
-  CSR) and :mod:`repro.engine.executor_pb` (whole-word delta rounds over
-  Python ints).
+  resolver, the streaming checkpoint, work-count stamping — around one of
+  two fixpoint loops: :mod:`repro.engine.executor_np` (sparse push over
+  the product CSR) and :mod:`repro.engine.executor_pb` (whole-word delta
+  rounds over Python ints).
 
 Answers leave a batched run as node-id sets by default, or — with
 ``as_oids=True``, what the session asks for — as oid sets built in the
 same single pass: each kernel groups its accepting facts by source bit
 and maps every group once through the graph's node id -> oid table, so a
 session hands the sets on as they are instead of building each answer a
-second time.  Streamed facts are mapped once too, by the driver, which
-wraps the sink before any kernel sees it (:func:`run_batch` says why ids
-stay the default).
+second time (:func:`run_batch` says why ids stay the default).
+
+Streaming lives here too, not in the kernels.  A streamed run's kernel
+hands the driver the flat keys each round grew; the driver collects them
+into a window and checkpoints after rounds 1, 2, 4, 8, … and once at the
+end.  At a checkpoint the frontier's ``fresh_answers`` decodes the
+window's accepting facts minus a per-node mask of what already went out
+(the at-most-once rule), mapped through the same oid table, and the
+driver calls the sink once per non-empty bit.  The run's answers are the
+union of those groups, so what streams always adds up to the answers.
 
 ``backend="auto"`` (the default everywhere) is the numpy kernel when numpy
 imports and the packed kernel when it does not — numpy is strictly
@@ -132,11 +139,17 @@ def run_batch(
     answers empty, as in :func:`run_single`.
 
     ``answer_sink(bit, nodes)`` streams accepting facts *during* the
-    fixpoint — one source bit, the nodes that bit newly reached in an
-    accepting state.  Each ``(bit, node)`` fact is reported at most once
-    per run, so the union of everything streamed equals the final
-    accepting facts.  The sink runs on the executor's thread and must be
-    cheap; exceptions it raises abort the run.
+    fixpoint — one source bit, a list of the nodes that bit newly reached
+    in an accepting state.  The driver checkpoints after rounds 1, 2, 4,
+    8, … and at the end (a fixed rule: the first answers leave after one
+    round, and a run of ``R`` rounds pays at most ``⌊log2 R⌋ + 2``
+    decodes, not ``R``); each checkpoint calls the sink at most once per
+    bit.  Each
+    ``(bit, node)`` fact is reported at most once per run — the frontier's
+    ``fresh_answers`` subtracts what already went out — and the streamed
+    groups are what the answers are built from, so their union equals the
+    final accepting facts.  The sink runs on the executor's thread and
+    must be cheap; exceptions it raises abort the run.
 
     With ``witnesses=True`` :meth:`BatchRun.witness` rebuilds, on demand, a
     shortest label word for any answer pair from the per-bit reachability
@@ -147,8 +160,8 @@ def run_batch(
     own grouping through the graph's node id -> oid table
     (:meth:`CompiledGraph.numpy_oids` for the numpy kernel,
     ``nodes.backing_list()`` for the packed one), so no caller re-maps a
-    node-id set into a second set.  The sink receives lists of oids: the
-    driver maps each streamed group once on its way out.  Sources and
+    node-id set into a second set.  The sink receives lists of oids,
+    mapped by the same decode through the same table.  Sources and
     :meth:`BatchRun.witness` stay in node ids.  The default stays node ids
     because callers that decompose a query into its layers — the
     end-to-end benchmark's replay times ``run_batch`` and then maps the
@@ -170,15 +183,37 @@ def run_batch(
     }
     oids = None
     if as_oids:
-        oid_of = graph.nodes.backing_list()
-        oids = graph.numpy_oids() if name == "numpy" else oid_of
-        if answer_sink is not None:
-            answer_sink = _mapped_sink(answer_sink, oid_of)
+        oids = graph.numpy_oids() if name == "numpy" else graph.nodes.backing_list()
+    on_round = None
+    if answer_sink is not None:
+        window: list = []  # the keys grown since the last checkpoint, per round
+        rounds = 0
+
+        def checkpoint(frontier) -> None:
+            fresh = frontier.fresh_answers(window, query.accepting, len(bit_of), oids)
+            window.clear()
+            for bit, facts in enumerate(fresh):
+                if facts:
+                    per_bit[bit].update(facts)
+                    answer_sink(bit, facts)
+
+        def on_round(frontier, keys) -> None:
+            nonlocal rounds
+            rounds += 1
+            window.append(keys)
+            if rounds & (rounds - 1) == 0:  # a power of two
+                checkpoint(frontier)
+
     if inject:
-        _KERNELS[name](run, graph, query, inject, answer_sink)
-        _, run.visited_objects, per_bit = run.frontier.gather(
-            query.accepting, len(bit_of), oids
-        )
+        _KERNELS[name](run, graph, query, inject, on_round)
+        if on_round is None:
+            _, run.visited_objects, per_bit = run.frontier.gather(
+                query.accepting, len(bit_of), oids
+            )
+        else:
+            if window:
+                checkpoint(run.frontier)
+            run.visited_objects = run.frontier.counts()[1]
     if witnesses:
         run.witness_resolver = _witness_resolver(graph, query, bit_of, run.frontier)
     run.answers = [per_bit[bit_of[source]] for source in run.sources]
@@ -187,16 +222,6 @@ def run_batch(
     # outside any span).
     current_span().set(**run.work_counts())
     return run
-
-
-def _mapped_sink(answer_sink, oid_of: "Sequence"):
-    """``answer_sink`` fed oids: each streamed group of node ids is mapped
-    through ``oid_of`` (node id -> oid) once."""
-
-    def sink(bit: int, nodes: "Sequence[int]") -> None:
-        answer_sink(bit, [oid_of[node] for node in nodes])
-
-    return sink
 
 
 def _witness_resolver(graph, query, bit_of, frontier):

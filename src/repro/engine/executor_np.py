@@ -16,8 +16,13 @@ per round (:attr:`BatchRun.edges_gathered` counts them).
 This module is that loop plus :class:`NpFrontier`, the tensor's handle —
 which also carries the flat keys of the rows the run grew, so that reading
 a finished frontier (a run's answers and statistics) costs what was
-reached, never a scan of the tensor; bit assignment, witnesses and
-work-count stamping are the driver's (:mod:`repro.engine.executor`).  There is no
+reached, never a scan of the tensor; bit assignment, witnesses, streaming
+and work-count stamping are the driver's (:mod:`repro.engine.executor`).
+The loop does no emission work: a streamed run hands each round's grown
+rows to the driver, which decodes them at its checkpoints (after rounds 1,
+2, 4, 8, … and at the end) with :meth:`NpFrontier.fresh_answers` — the
+at-most-once rule, a per-node "emitted" mask subtracted vectorized.
+There is no
 single-source kernel here: one source is one bit, nothing to vectorize
 over, and the dense level-pull that used to serve it lost to the scalar
 BFS (:func:`repro.engine.executor_py.run_single`) on every shape measured.
@@ -106,17 +111,18 @@ def _scatter_bits(
     reached: "np.ndarray",
     num_bits: int,
     oids: "np.ndarray | None",
-) -> "list[set]":
+    collect: type = set,
+) -> "list":
     """Unpack the uint64 mask rows ``reached`` (one per entry of ``nodes``)
-    into per-bit node sets — oid sets when ``oids`` (node id -> oid) is
-    given.
+    into one ``collect`` (a set by default) of nodes per bit — of oids when
+    ``oids`` (node id -> oid) is given.
 
     The caller passes the reached nodes only, and the transposed
     ``nonzero`` walks the bit matrix bit-major, so the coordinates come out
     grouped by bit already — no sort, and no work for the unreached bulk of
     the graph.
     """
-    per_bit: "list[set]" = [set() for _ in range(num_bits)]
+    per_bit: list = [collect() for _ in range(num_bits)]
     if not num_bits or not nodes.size:
         return per_bit
     if sys.byteorder != "little":  # pragma: no cover - words become LE in memory
@@ -133,7 +139,7 @@ def _scatter_bits(
     for bit in range(num_bits):
         lo, hi = boundaries[bit], boundaries[bit + 1]
         if lo != hi:
-            per_bit[bit] = set(members[lo:hi])
+            per_bit[bit] = collect(members[lo:hi])
     return per_bit
 
 
@@ -178,18 +184,19 @@ class NpFrontier:
 
     The vectorized twin of :class:`repro.engine.executor_py.PyFrontier`:
     ``masks`` is the ``(num_states, num_nodes, num_words)`` uint64 tensor,
-    and ``reached`` the ascending flat keys of the rows the run grew —
-    what makes reading the frontier cost what the run reached instead of
-    the size of the tensor.
+    and ``reached`` the ascending flat keys of the rows the run grew (set
+    when the run ends) — what makes reading the frontier cost what the run
+    reached instead of the size of the tensor.
     """
 
-    __slots__ = ("masks", "words", "reached", "_cells")
+    __slots__ = ("masks", "words", "reached", "_cells", "_emitted")
 
-    def __init__(self, masks: "np.ndarray", reached: "np.ndarray") -> None:
+    def __init__(self, masks: "np.ndarray", reached: "np.ndarray | None") -> None:
         self.masks = masks
         self.words = masks.shape[2]
         self.reached = reached
         self._cells = None
+        self._emitted = None
 
     def cells(self) -> "np.ndarray":
         """The tensor addressed by flat pair key (:func:`_flat_cells`)."""
@@ -212,6 +219,37 @@ class NpFrontier:
             value = (value << 64) | int(row[word])
         return value
 
+    def fresh_answers(
+        self,
+        window: "list[np.ndarray]",
+        accepting,
+        num_bits: int,
+        oids: "np.ndarray | None",
+    ) -> "list[list]":
+        """Per source bit below ``num_bits``, the accepting facts of the
+        pairs grown in ``window`` (flat-key arrays, one per round) not
+        handed out by an earlier call — node lists (oids when ``oids`` is
+        given), each ``(bit, node)`` once per run: the per-node ``_emitted``
+        mask is subtracted and then grows by what goes out."""
+        n = self.masks.shape[1]
+        rows = window[0]
+        if len(window) > 1:  # each round's rows are ascending and distinct
+            rows = np.concatenate(window)
+            rows.sort()
+            rows = rows[_run_heads(rows)]
+        accepting_states = [state for state, accepts in enumerate(accepting) if accepts]
+        found = _on_accepting(rows, self.cells(), n, accepting_states, by_key=True)
+        if found is None:
+            return [[] for _ in range(num_bits)]
+        nodes, reached = found
+        if self._emitted is None:
+            self._emitted = np.zeros((n,) + reached.shape[1:], dtype=np.uint64)
+        fresh = reached & ~self._emitted[nodes]
+        keep = _any_bit(fresh).nonzero()[0]
+        nodes, fresh = nodes[keep], fresh[keep]
+        self._emitted[nodes] |= fresh
+        return _scatter_bits(nodes, fresh, num_bits, oids, list)
+
     def gather(self, accepting, num_bits: int, oids: "np.ndarray | None" = None):
         """``(nonzero pairs, touched nodes, per-bit accepting node sets)`` —
         oid sets when ``oids`` (node id -> oid) is given.
@@ -221,8 +259,6 @@ class NpFrontier:
         """
         n = self.masks.shape[1]
         rows = self.reached
-        seen = np.zeros(n, dtype=bool)
-        seen[rows % n] = True
         accepting_states = [state for state, accepts in enumerate(accepting) if accepts]
         found = _on_accepting(rows, self.cells(), n, accepting_states, by_key=True)
         per_bit = (
@@ -230,55 +266,14 @@ class NpFrontier:
             if found is None
             else _scatter_bits(found[0], found[1], num_bits, oids)
         )
-        return int(rows.size), int(np.count_nonzero(seen)), per_bit
+        return (*self.counts(), per_bit)
 
-
-def _emit_bit_groups(answer_sink, nodes: "np.ndarray", fresh: "np.ndarray") -> None:
-    """Call ``answer_sink(bit, nodes)`` for every source bit set in ``fresh``
-    (one row per node: the bits that node newly accepts).
-
-    The grouping runs vectorized: per present bit, one masked select over
-    the round's fresh rows — the only per-node Python is the final
-    ``tolist``.  Keeping the sink contract per *bit group* (not per fact)
-    is what lets a streaming evaluation hand thousands of facts to the
-    serving layer without holding the GIL through per-fact bookkeeping.
-    """
-    for word, values in enumerate((fresh,) if fresh.ndim == 1 else fresh.T):
-        present = int(np.bitwise_or.reduce(values)) if values.size else 0
-        base = word << 6
-        while present:
-            low = present & -present
-            members = nodes[(values & np.uint64(low)) != 0]
-            answer_sink(base + low.bit_length() - 1, members.tolist())
-            present ^= low
-
-
-def _emit_new_accepting(
-    answer_sink,
-    cells: "np.ndarray",
-    rows: "np.ndarray",
-    new: "np.ndarray",
-    n: int,
-    accepting_states: "Sequence[int]",
-) -> None:
-    """Stream the answers among one round's survivors.
-
-    ``rows``/``new`` are the pairs about to grow and the bits they gain,
-    ``cells`` the masks *before* that growth.  A fact ``(bit, node)`` is an
-    answer the first time any accepting state holds it, so with several
-    accepting states the round's gains are merged per node and stripped of
-    what an accepting state already held.
-    """
-    found = _on_accepting(rows, new, n, accepting_states)
-    if found is None:
-        return
-    nodes, fresh = found
-    if len(accepting_states) > 1:
-        for state in accepting_states:
-            fresh = fresh & ~cells[nodes + state * n]
-        keep = _any_bit(fresh)
-        nodes, fresh = nodes[keep], fresh[keep]
-    _emit_bit_groups(answer_sink, nodes, fresh)
+    def counts(self) -> "tuple[int, int]":
+        """``(nonzero pairs, touched nodes)``, read off :attr:`reached`."""
+        n = self.masks.shape[1]
+        seen = np.zeros(n, dtype=bool)
+        seen[self.reached % n] = True
+        return int(self.reached.size), int(np.count_nonzero(seen))
 
 
 def fixpoint(
@@ -286,7 +281,7 @@ def fixpoint(
     graph: CompiledGraph,
     query: CompiledQuery,
     inject: "dict[int, int]",
-    answer_sink: "Callable[[int, Sequence[int]], None] | None",
+    on_round: "Callable[[NpFrontier, np.ndarray], None] | None" = None,
 ) -> None:
     """The sparse-push kernel behind ``run_batch`` (contract: see the driver).
 
@@ -298,23 +293,20 @@ def fixpoint(
     sized by the graph.
 
     ``inject`` maps flat pair keys to int masks; the mask tensor is as
-    many words wide as the highest injected bit needs.
-    ``answer_sink`` streams per fixpoint round: the bits a round's
-    survivors newly land on accepting states — beyond what any accepting
-    state of the node already held — go out grouped by source bit.
+    many words wide as the highest injected bit needs.  A streamed run
+    passes ``on_round``, which gets the frontier and each round's grown
+    ``rows`` — the loop itself does no emission work.
     """
     n = graph.num_nodes
     num_states = query.num_states
     num_bits = max(mask.bit_length() for mask in inject.values())
     words = max(1, (num_bits + 63) >> 6)
     masks = np.zeros((num_states, n, words), dtype=np.uint64)
-    cells = _flat_cells(masks)
+    frontier = NpFrontier(masks, None)
+    cells = frontier.cells()
 
     # The injected bits are the candidate frontier of round zero.
     rows, pushed = _pack_masks(inject, words)
-    accepting_states = [
-        state for state in range(num_states) if query.accepting[state]
-    ]
     touched = np.zeros(num_states * n, dtype=bool)
     product = graph.numpy_product_csr(query.moves)
     indptr, dst = product.indptr, product.dst
@@ -333,12 +325,12 @@ def fixpoint(
             if not grew.size:
                 break
             rows, new, held = rows[grew], new[grew], held[grew]
-        if answer_sink is not None:
-            _emit_new_accepting(answer_sink, cells, rows, new, n, accepting_states)
         cells[rows] = held | new
         touched[rows] = True
         rounds += 1
         peak_rows = max(peak_rows, rows.size)
+        if on_round is not None:
+            on_round(frontier, rows)
         # Push: gather the out-edges of the frontier rows only.  (The
         # lowering is usually int32; rows index as int64, which numpy would
         # otherwise convert on each of this round's five fancy indexings,
@@ -359,7 +351,6 @@ def fixpoint(
     # Pairs expanded by the run count as visited (the scalar executor's
     # semantics), and ``run_batch`` reads the touched nodes and the answers
     # off those rows, never off the 8-bytes-a-word tensor.
-    grown = touched.nonzero()[0]
-    run.visited_pairs = int(grown.size)
-    run.frontier = NpFrontier(masks, grown)
-    run.frontier._cells = cells
+    frontier.reached = touched.nonzero()[0]
+    run.visited_pairs = int(frontier.reached.size)
+    run.frontier = frontier

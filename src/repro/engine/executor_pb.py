@@ -1,9 +1,9 @@
 """The packed-bitset kernel: whole-word delta propagation in pure Python.
 
 What ``auto`` runs for batches when numpy is absent (and ``backend="packed"``
-forces anywhere).  It evaluates the batched product fixpoint from the
-:func:`~repro.engine.executor_py.open_frontier` state, structuring the hot
-loop around the batch's *width* instead of its individual bits:
+forces anywhere).  It evaluates the batched product fixpoint into a
+:class:`~repro.engine.executor_py.PyFrontier`, structuring the hot loop
+around the batch's *width* instead of its individual bits:
 
 * masks stay arbitrary-precision Python ints (one per packed ``(state,
   node)`` pair), so every edge visit propagates the whole packed word of
@@ -23,28 +23,24 @@ witnesses, work-count stamping — is the driver's
 (:mod:`repro.engine.executor`).
 
 Results are bit-for-bit identical to the numpy kernel, including the
-``visited_pairs``/``visited_objects`` accounting and the streaming
-``answer_sink`` at-most-once contract.  A run hands its final mask state
-back as a :class:`PyFrontier`.
+``visited_pairs``/``visited_objects`` accounting.  The loop does not
+stream: a streamed run hands each round's expanded keys to the driver,
+which decodes them at its checkpoints (after rounds 1, 2, 4, 8, … and at
+the end) with :meth:`PyFrontier.fresh_answers`, where the at-most-once
+rule lives.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Sequence
+from typing import Callable
 
 from .compiled_query import CompiledQuery
 from .csr import CompiledGraph
-from .executor_py import (
-    BatchRun,
-    PyFrontier,
-    flush_sink,
-    open_frontier,
-    stream_fresh,
-)
+from .executor_py import BatchRun, PyFrontier
 
 # Flattened product adjacency, memoized across runs: per graph (weakly
-# held), per compiled query, the successor tuples ``build_successors``
+# held), per compiled query, the successor-key tuples ``build_successors``
 # resolves — stamped with the graph version *and node count* they were
 # derived against (the memo is keyed by flat ``state * n + node`` keys, and
 # ``ensure_nodes`` grows ``n`` without a version bump) and discarded
@@ -79,8 +75,7 @@ def _kernel_cache(graph: CompiledGraph, query: CompiledQuery) -> dict:
             "ref": weakref.ref(query),
             "stamp": stamp,
             "adj": {},
-            "plain": {},
-            "stream": {},
+            "succ": {},
         }
         per_graph[id(query)] = entry
     return entry
@@ -91,39 +86,38 @@ def fixpoint(
     graph: CompiledGraph,
     query: CompiledQuery,
     inject: "dict[int, int]",
-    answer_sink: "Callable[[int, Sequence[int]], None] | None",
+    on_round: "Callable[[PyFrontier, dict[int, int]], None] | None" = None,
 ) -> None:
     """The packed kernel behind ``run_batch`` (contract: see the driver):
-    whole-word delta rounds."""
+    whole-word delta rounds.  ``inject`` maps flat pair keys to source
+    masks and is the first round's frontier; a streamed run passes
+    ``on_round``, which gets the frontier and each round's expanded keys."""
     n = graph.num_nodes
     moves = query.moves
-    accepting = query.accepting
     successors_of = graph.successors
-    masks, delta, accept_union = open_frontier(query, n, inject, answer_sink)
+    masks = [0] * (query.num_states * n)
+    for key, mask in inject.items():
+        masks[key] = mask
+    frontier = PyFrontier(masks, n)
     # ``changed`` doubles as the activation set: a pair's first activation
     # pushes its *full* mask next round, later growth pushes only the
     # delta.
-    changed = set(delta)
-    sink_bucket: "dict[int, list[int]]" = {}
+    changed = set(inject)
 
     # Per-run successor cache: for each packed product pair, the complete
     # flattened out-neighborhood in product space, resolved once — move
     # iteration and the live adjacency of every move fuse into one tuple.
     # The fixpoint's inner loop is then a pure whole-word mask merge per
-    # successor, which is this backend's actual speed.  Two cache shapes:
-    # bare successor keys when nothing streams, ``(key, target, accepts)``
-    # triples when an ``answer_sink`` needs accepting growth during the
-    # fixpoint.
-    streaming = accept_union is not None
+    # successor, which is this backend's actual speed.
     kernel = _kernel_cache(graph, query)
     adj_cache: "dict[int, tuple[int, ...]]" = kernel["adj"]
-    succ_cache: "dict[int, tuple]" = kernel["stream" if streaming else "plain"]
+    succ_cache: "dict[int, tuple[int, ...]]" = kernel["succ"]
     succ_get = succ_cache.get
     adj_get = adj_cache.get
 
-    def build_successors(key: int) -> tuple:
+    def build_successors(key: int) -> "tuple[int, ...]":
         state, node = divmod(key, n)
-        out: list = []
+        out: "list[int]" = []
         for label_id, next_state in moves[state]:
             cache_key = label_id * n + node
             targets = adj_get(cache_key)
@@ -131,72 +125,42 @@ def fixpoint(
                 targets = tuple(successors_of(node, label_id))
                 adj_cache[cache_key] = targets
             base = next_state * n
-            if streaming:
-                accepts = accepting[next_state]
-                for target in targets:
-                    out.append((base + target, target, accepts))
-            else:
-                for target in targets:
-                    out.append(base + target)
+            out.extend([base + target for target in targets])
         flat = tuple(out)
         succ_cache[key] = flat
         return flat
 
-    current = delta
+    current = inject
     edges_gathered = 0
     while current:
         run.rounds += 1
         if len(current) > run.peak_frontier_rows:
             run.peak_frontier_rows = len(current)
         next_delta: dict[int, int] = {}
-        if streaming:
-            for key, bits in current.items():
-                successors = succ_get(key)
-                if successors is None:
-                    successors = build_successors(key)
-                edges_gathered += len(successors)
-                for successor_key, target, accepts in successors:
-                    old = masks[successor_key]
-                    merged = old | bits
-                    if merged == old:
-                        continue
-                    new = merged ^ old
-                    masks[successor_key] = merged
-                    if successor_key in changed:
-                        if successor_key in next_delta:
-                            next_delta[successor_key] |= new
-                        else:
-                            next_delta[successor_key] = new
+        for key, bits in current.items():
+            successors = succ_get(key)
+            if successors is None:
+                successors = build_successors(key)
+            edges_gathered += len(successors)
+            for successor_key in successors:
+                old = masks[successor_key]
+                merged = old | bits
+                if merged == old:
+                    continue
+                masks[successor_key] = merged
+                if successor_key in changed:
+                    if successor_key in next_delta:
+                        next_delta[successor_key] |= merged ^ old
                     else:
-                        changed.add(successor_key)
-                        next_delta[successor_key] = merged
-                    if accepts:
-                        stream_fresh(sink_bucket, accept_union, target, merged)
-            if sink_bucket:
-                flush_sink(answer_sink, sink_bucket)
-        else:
-            for key, bits in current.items():
-                successors = succ_get(key)
-                if successors is None:
-                    successors = build_successors(key)
-                edges_gathered += len(successors)
-                for successor_key in successors:
-                    old = masks[successor_key]
-                    merged = old | bits
-                    if merged == old:
-                        continue
-                    masks[successor_key] = merged
-                    if successor_key in changed:
-                        if successor_key in next_delta:
-                            next_delta[successor_key] |= merged ^ old
-                        else:
-                            next_delta[successor_key] = merged ^ old
-                    else:
-                        changed.add(successor_key)
-                        next_delta[successor_key] = merged
+                        next_delta[successor_key] = merged ^ old
+                else:
+                    changed.add(successor_key)
+                    next_delta[successor_key] = merged
+        if on_round is not None:
+            on_round(frontier, current)
         current = next_delta
     run.edges_gathered = edges_gathered
     # A pair is "visited" on its first activation — one expansion per pair,
     # the count ``run_single`` and the numpy kernel report too.
     run.visited_pairs = len(changed)
-    run.frontier = PyFrontier(masks, n)
+    run.frontier = frontier

@@ -15,10 +15,14 @@ the driver in :mod:`repro.engine.executor`; this module holds
   witnesses).  One source is one mask bit: no batched kernel has anything
   to amortize, and the dense numpy level-pull this replaced lost to it on
   every shape measured;
-* :class:`PyFrontier` with :func:`open_frontier` — the arbitrary-precision
-  mask state the packed kernel (:mod:`repro.engine.executor_pb`) starts
-  from and hands back, including the at-most-once bookkeeping of a
-  streaming ``answer_sink``.
+* :class:`PyFrontier` — the arbitrary-precision mask state the packed
+  kernel (:mod:`repro.engine.executor_pb`) fills and hands back.  Its
+  :meth:`PyFrontier.fresh_answers` is the packed side of the streaming
+  at-most-once rule: at each of the driver's checkpoints (after rounds 1,
+  2, 4, 8, … and at the end, see :func:`repro.engine.executor.run_batch`)
+  it decodes the accepting facts of the pairs grown since the last one,
+  minus a per-node mask of what was already handed out.  No kernel streams
+  itself.
 """
 
 from __future__ import annotations
@@ -135,11 +139,12 @@ class PyFrontier:
     calls — this one with int masks, the twin with uint64 rows.
     """
 
-    __slots__ = ("masks", "n")
+    __slots__ = ("masks", "n", "_emitted")
 
     def __init__(self, masks: "list[int]", n: int) -> None:
         self.masks = masks
         self.n = n
+        self._emitted: "list[int] | None" = None
 
     def has_bit(self, bit: int) -> "Callable[[int], bool]":
         """The membership test of one source bit's region, by flat key."""
@@ -180,6 +185,41 @@ class PyFrontier:
             while mask:
                 low = mask & -mask
                 per_bit[low.bit_length() - 1].update(nodes)
+                mask ^= low
+        return per_bit
+
+    def fresh_answers(
+        self,
+        window: "list[Iterable[int]]",
+        accepting: "Sequence[bool]",
+        num_bits: int,
+        oids: "Sequence | None",
+    ) -> "list[list]":
+        """Per source bit below ``num_bits``, the accepting facts of the
+        pairs grown in ``window`` (flat keys, one collection per round) not
+        handed out by an earlier call — node lists (oids when ``oids`` is
+        given), each ``(bit, node)`` once per run: the per-node
+        ``_emitted`` mask is subtracted and then grows by what goes out."""
+        n = self.n
+        masks = self.masks
+        emitted = self._emitted
+        if emitted is None:
+            emitted = self._emitted = [0] * n
+        groups: "dict[int, list]" = {}
+        for key in set().union(*window):
+            if accepting[key // n]:
+                node = key % n
+                fresh = masks[key] & ~emitted[node]
+                if fresh:
+                    emitted[node] |= fresh
+                    groups.setdefault(fresh, []).append(
+                        node if oids is None else oids[node]
+                    )
+        per_bit: "list[list]" = [[] for _ in range(num_bits)]
+        for mask, nodes in groups.items():
+            while mask:
+                low = mask & -mask
+                per_bit[low.bit_length() - 1].extend(nodes)
                 mask ^= low
         return per_bit
 
@@ -306,53 +346,3 @@ def run_single(
         run.witness_paths[answer] = tuple(labels)
     return run
 
-
-def stream_fresh(
-    bucket: "dict[int, list[int]]", accept_union: "list[int]", node: int, mask: int
-) -> None:
-    """Queue the accepting bits of ``mask`` that ``node`` has not reported
-    yet, grouped by source bit, and record them as reported."""
-    fresh = mask & ~accept_union[node]
-    if fresh:
-        accept_union[node] |= fresh
-        while fresh:
-            low = fresh & -fresh
-            bucket.setdefault(low.bit_length() - 1, []).append(node)
-            fresh ^= low
-
-
-def flush_sink(answer_sink, bucket: "dict[int, list[int]]") -> None:
-    """Hand every queued bit group downstream, one call per source bit."""
-    for bit, group in bucket.items():
-        answer_sink(bit, group)
-    bucket.clear()
-
-
-def open_frontier(
-    query: CompiledQuery, n: int, inject: "dict[int, int]", answer_sink
-) -> "tuple[list[int], dict[int, int], list[int] | None]":
-    """The state a pure-Python fixpoint starts from: ``(masks, delta,
-    accept_union)``.  ``inject`` maps flat pair keys to source masks.
-
-    ``masks`` holds the injected bits; ``delta`` maps every injected pair
-    to its mask and is the first frontier; ``accept_union`` (streaming runs
-    only) is the per-node union of bits already reported as accepting.
-    Injected bits landing on accepting pairs are answers already (a source
-    whose initial state accepts) and stream here, before the fixpoint.
-    """
-    accepting = query.accepting
-    masks = [0] * (query.num_states * n)
-    delta: "dict[int, int]" = {}
-    for key, mask in inject.items():
-        masks[key] |= mask
-        delta[key] = masks[key]
-    accept_union: "list[int] | None" = None
-    if answer_sink is not None:
-        accept_union = [0] * n
-        bucket: "dict[int, list[int]]" = {}
-        for key in sorted(delta):
-            state, node = divmod(key, n)
-            if accepting[state]:
-                stream_fresh(bucket, accept_union, node, masks[key])
-        flush_sink(answer_sink, bucket)
-    return masks, delta, accept_union

@@ -96,11 +96,11 @@ class AnswerStream:
     """Incrementally delivered answers of one streamed request.
 
     Returned by :meth:`QueryServer.submit_stream`.  Iterate asynchronously to
-    receive each answer the moment the engine derives its accepting fact::
+    receive answers as the engine's checkpoints hand them out::
 
         stream = server.submit_stream(QueryRequest(query=..., sources=(source,)))
         async for answer in stream:
-            ...                      # answers land per fixpoint round
+            ...                      # after fixpoint rounds 1, 2, 4, 8, …
         answers = await stream.result()   # the complete set, == submit()'s
 
     Each answer is yielded exactly once, in derivation order; iteration ends

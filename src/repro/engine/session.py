@@ -735,9 +735,9 @@ class Session:
         """Batched evaluation that also streams answers as they land.
 
         ``emit(source, answers)`` is called *during* the evaluation — from
-        the thread running it, once per newly accepting fact (per fixpoint
-        round on the numpy backend) — and each ``(source, answer)`` pair is emitted at
-        most once; the union of everything emitted for a source equals its
+        the thread running it, at most once per source at each checkpoint
+        (after fixpoint rounds 1, 2, 4, 8, … and at the end) — and each
+        ``(source, answer)`` pair is emitted at most once; the union of everything emitted for a source equals its
         entry of the returned dict, which is exactly what
         :meth:`query_batch` returns.  ``emit`` must be cheap and
         thread-safe (the serving layer hops it back onto its event loop);
@@ -903,8 +903,8 @@ class Session:
                     order.append(oid)
 
             def answer_sink(bit, answers):
-                # The executor hands a whole round's facts for one source
-                # bit at a time, already as oids.
+                # The executor hands a whole checkpoint's facts for one
+                # source bit at a time, already as oids.
                 emit(order[bit], answers)
 
         with self._run_lock.read():

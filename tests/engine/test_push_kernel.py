@@ -21,6 +21,7 @@ replaced could satisfy or needed:
   ``numpy == packed == baseline``.
 """
 
+import math
 import random
 from collections import Counter
 
@@ -649,31 +650,66 @@ class TestKernelCornerCases:
         for expression in ("(a c + b d + a d) c?", "(a + b) (c + d)", "((a + b) (c + d))*"):
             all_backends_agree(instance, graph, expression, ["s", "r", "t"])
 
-    def test_streamed_answers_are_at_most_once_with_two_accepting_states(self):
+    @pytest.mark.parametrize("case", ["ids", "oids", "three words"])
+    def test_streamed_answers_are_at_most_once_with_two_accepting_states(self, case):
         # "a + a b?"-style queries accept in two states; a node reached in
-        # both (same round or later) is still reported once per source bit.
-        instance = Instance([
-            ("s", "a", "x"), ("s", "a", "y"), ("x", "b", "y"), ("y", "b", "x"),
-            ("r", "a", "x"),
-        ])
-        graph = CompiledGraph.from_instance(instance)
-        compiled = lower_query("a b? b?", graph)
+        # both (same round or later) is still reported once per source bit
+        # — also as oids, and across the word boundaries of a 130-source
+        # batch, where the numpy decode's emitted mask is three words wide.
+        if case == "three words":
+            instance, _ = web_like_graph(180, ["a", "b", "c"], seed=6)
+            graph = CompiledGraph.from_instance(instance)
+            compiled = lower_query("(a + b)* c + a", graph)
+            sources = list(range(130))
+        else:
+            instance = Instance([
+                ("s", "a", "x"), ("s", "a", "y"), ("x", "b", "y"), ("y", "b", "x"),
+                ("r", "a", "x"),
+            ])
+            graph = CompiledGraph.from_instance(instance)
+            compiled = lower_query("a b? b?", graph)
+            sources = [graph.node_id("s"), graph.node_id("r")]
         assert sum(compiled.accepting) > 1
-        sources = [graph.node_id("s"), graph.node_id("r")]
         streamed = {}
         for backend in available_backends():
             facts = []
             run = run_batch(
-                graph, compiled, sources, backend=backend,
+                graph, compiled, sources, backend=backend, as_oids=case == "oids",
                 answer_sink=lambda bit, nodes, facts=facts: facts.extend(
                     (bit, node) for node in nodes
                 ),
             )
             assert len(facts) == len(set(facts)), backend
-            assert {n for b, n in facts if b == 0} == run.answers[0], backend
-            assert {n for b, n in facts if b == 1} == run.answers[1], backend
+            for bit, answers in enumerate(run.answers):
+                assert {n for b, n in facts if b == bit} == answers, (backend, bit)
             streamed[backend] = set(facts)
         assert len(set(map(frozenset, streamed.values()))) == 1
+
+    @pytest.mark.parametrize("as_oids", [False, True])
+    def test_a_long_chain_streams_at_checkpoints_not_per_round(self, as_oids):
+        # ``a*`` from the head of a 100-edge chain gains one answer per
+        # round.  The sink is called after rounds 1, 2, 4, 8, … and at the
+        # end — never once per round — yet the first call still comes
+        # early, each fact comes once, and the calls add up to the answers.
+        instance = chain_instance(101)
+        graph = CompiledGraph.from_instance(instance)
+        compiled = lower_query("a*", graph)
+        head = graph.node_id("n00000")
+        for backend in available_backends():
+            calls = []
+            run = run_batch(
+                graph, compiled, [head], backend=backend, as_oids=as_oids,
+                answer_sink=lambda bit, nodes, calls=calls: calls.append(
+                    (bit, list(nodes))
+                ),
+            )
+            assert len(run.answers[0]) == 101
+            assert len(calls) <= math.floor(math.log2(run.rounds)) + 2, backend
+            assert {bit for bit, _ in calls} == {0}
+            assert set(calls[0][1]) < run.answers[0], backend
+            facts = [node for _, nodes in calls for node in nodes]
+            assert len(facts) == len(set(facts)), backend
+            assert set(facts) == run.answers[0], backend
 
     def test_more_than_64_sources(self):
         instance, _ = web_like_graph(200, ["a", "b", "c"], seed=9)
