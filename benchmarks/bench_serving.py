@@ -490,7 +490,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "smoke": args.smoke,
         },
-        "backend": engine.shard_engines[0].resolved_backend,
+        "backend": engine.resolved_backend,
         "policy": {
             "max_batch": args.max_batch,
             "concurrency": args.concurrency,

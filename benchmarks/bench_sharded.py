@@ -2,15 +2,15 @@
 
 Two questions the sharding layer (``repro.engine.sharding``) must answer:
 
-* **overhead bound** — a sharded evaluation runs over a view of the shard
-  graphs (ghost targets renumbered to their owners, the lowering stitched
-  from the shards'); on a warm cache, batched throughput through
-  ``ShardedEngine`` must stay within 1.5x of the monolithic ``Engine`` on a
-  partition-friendly workload (loosely coupled web-like clusters with the
-  shard map aligned to the clusters — the deployment sharding is *for*);
+* **overhead bound** — a sharded session evaluates on the same one
+  compiled graph as the monolithic ``Engine``; on a warm cache, batched
+  throughput through ``ShardedEngine`` must stay within 1.5x of the
+  monolithic ``Engine`` on a partition-friendly workload (loosely coupled
+  web-like clusters with the shard map aligned to the clusters — the
+  deployment sharding is *for*);
 * **independent persistence** — ``save``/``open`` of a snapshot directory
-  must warm-start every shard whose partition is unchanged, and recompile
-  *only* the shard whose data went stale.
+  must warm-start every shard whose part of the data is unchanged, and
+  rebuild *only* the rows of the shard whose data went stale.
 
 Answers of the sharded engine are checked against the monolithic engine
 before any timing is trusted, and the run always writes a machine-readable
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "smoke": args.smoke,
         },
-        "backend": sharded.shard_engines[0].resolved_backend,
+        "backend": sharded.resolved_backend,
         "monolithic_s": mono_s,
         "sharded_s": sharded_s,
         "overhead_ratio": ratio,

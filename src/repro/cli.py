@@ -17,9 +17,9 @@ small graph-database tool:
   whole file of queries through the batch engine (``repro.engine``), from
   chosen sources or from every object; ``--save-snapshot`` / ``--load-snapshot``
   persist and warm-start the compiled graph + query cache across invocations;
-  ``--shards N`` serves through the sharded engine instead (one compiled
-  graph per shard, evaluated as one graph), with ``--snapshot-dir DIR``
-  persisting one snapshot file per shard plus a manifest — the directory is
+  ``--shards N`` serves through the sharded engine instead (the same one
+  compiled graph), with ``--snapshot-dir DIR`` persisting one snapshot
+  file per shard plus a manifest — the directory is
   warm-started when its manifest exists and (re)written after serving;
 * ``python -m repro serve GRAPH`` — the async serving loop
   (``repro.engine.serving``): requests arrive as ``id<TAB>source<TAB>query``
@@ -197,8 +197,8 @@ def _open_session(args: argparse.Namespace, instance):
         return None
     options = dict(shards=args.shards, constraints=constraints, backend=args.backend)
     if snapshot_dir and (Path(snapshot_dir) / MANIFEST_NAME).is_file():
-        # Warm-start shard by shard: only shards whose partition of the
-        # freshly loaded edge list went stale are recompiled.
+        # Warm-start shard by shard: only the rows of shards whose part of
+        # the freshly loaded edge list went stale are rebuilt.
         return ShardedEngine.open(snapshot_dir, instance=instance, **options)
     if args.shards is None:
         print(
@@ -446,7 +446,7 @@ def _add_session_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shards", type=int, metavar="N",
         help="evaluate through the sharded engine with N hash shards (one "
-        "compiled graph per shard)",
+        "snapshot file per shard)",
     )
 
 
@@ -523,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     engine_parser.add_argument(
         "--snapshot-dir", metavar="DIR",
         help="sharded persistence: warm-start from DIR when its manifest "
-        "exists (stale shards recompile alone), and write one snapshot per "
+        "exists (stale shards are rebuilt alone), and write one snapshot per "
         "shard back to DIR after serving",
     )
     _add_session_flags(engine_parser)

@@ -14,10 +14,10 @@ driver (:mod:`~repro.engine.executor`) around the numpy kernel
 :class:`~repro.engine.session.Engine` façade ties it together and is what
 callers — the CLI's ``engine`` subcommand, the planner's engine backend, and
 the transparent delegation inside ``query.evaluation.evaluate`` — build on.
-Beside the single-graph façade, :mod:`~repro.engine.sharding` partitions an
-instance into one compiled graph per site group (``ShardedEngine``), with one
-snapshot per shard, and evaluates through a read-only view of the shard
-graphs as one graph (``ShardView``) with the same executor calls, and
+Beside it, :mod:`~repro.engine.sharding`'s ``ShardedEngine`` is the same
+engine over the same one compiled graph, whose snapshot is partitioned by a
+``ShardMap`` of site groups: one file per shard, and a stale shard's rows
+alone rebuilt on reopen; and
 :mod:`~repro.engine.serving` puts an asyncio admission queue in front of
 either session kind (``engine.as_server()`` — same-DFA requests coalesced
 into shared batches), whose every decision is the sans-io state machine of
@@ -69,7 +69,6 @@ from .sharding import (
     ShardedEngine,
     ShardedStats,
     ShardMap,
-    partition_instance,
 )
 from .telemetry import (
     NULL_SPAN,
@@ -139,7 +138,6 @@ __all__ = [
     "normalize",
     "numpy_available",
     "parse_crpq",
-    "partition_instance",
     "plan_join",
     "query_key",
     "render_text",

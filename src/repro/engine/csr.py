@@ -310,56 +310,19 @@ class CompiledGraph:
 
     # -- construction ---------------------------------------------------------
     @classmethod
-    def from_instance(
-        cls,
-        instance: Instance,
-        *,
-        nodes: "Iterable[Oid] | None" = None,
-        labels: "Iterable[str] | None" = None,
-    ) -> "CompiledGraph":
+    def from_instance(cls, instance: Instance) -> "CompiledGraph":
         """Compile ``instance`` into a fresh CSR graph.
 
         Node ids are assigned in a deterministic order (sorted by ``repr`` of
         the oid, matching :meth:`Instance.edges`) so that repeated builds of
-        the same instance produce identical compiled graphs.
-
-        ``nodes`` restricts the build to a *subset* of the instance: only the
-        given nodes' descriptions (their outgoing edges) are compiled, which
-        is how the sharded engine (:mod:`repro.engine.sharding`) builds one
-        graph per shard.  Edge targets outside the subset are still interned
-        — they are the shard's *ghost* nodes, reachable but never expanded
-        locally — after every owned node, so owned ids form a dense prefix of
-        the subset's sort order.
-
-        ``labels`` pre-interns a label order before any edge is scanned.
-        Shards compiled against the same seed share one label-id universe
-        (and therefore one transition-table fingerprint), even when a label
-        has no edges on some shard — without the seed, per-shard lowering
-        would prune DFA states whose continuation labels only exist on
-        *other* shards.
+        the same instance produce identical compiled graphs; labels are
+        interned in the order those edges meet them.
         """
         graph = cls()
-        if labels is not None:
-            for label in labels:
-                graph.labels.intern(label)
-        if nodes is None:
-            for oid in sorted(instance.objects, key=repr):
-                graph.nodes.intern(oid)
-            edges: "Iterable[tuple[Oid, str, Oid]]" = instance.edges()
-        else:
-            owned = sorted(set(nodes), key=repr)
-            for oid in owned:
-                graph.nodes.intern(oid)
-            edges = sorted(
-                (
-                    (source, label, destination)
-                    for source in owned
-                    for label, destination in instance.out_edges(source)
-                ),
-                key=repr,
-            )
+        for oid in sorted(instance.objects, key=repr):
+            graph.nodes.intern(oid)
         buckets: dict[int, list[tuple[int, int]]] = {}
-        for source, label, destination in edges:
+        for source, label, destination in instance.edges():
             sid = graph.nodes.intern(source)
             did = graph.nodes.intern(destination)
             lid = graph.labels.intern(label)
@@ -369,30 +332,6 @@ class CompiledGraph:
         graph._edge_set = None
         graph._build_csr(buckets)
         return graph
-
-    def ensure_label(self, label: str) -> bool:
-        """Intern ``label`` with an (empty) adjacency, without touching edges.
-
-        Used by the sharded engine to keep every shard's label universe equal
-        to the global one: when an incremental edge add introduces a new
-        label on one shard, the others learn the label through this method.
-        The mutation ``version`` is deliberately not bumped — no edge moved —
-        but the label-interner fingerprint changes, so compiled transition
-        tables for the old universe miss the cache and recompile (they must:
-        their column count is the label count).  Returns ``True`` when the
-        label was new.
-        """
-        if not isinstance(label, str) or not label:
-            raise InstanceError("edge labels must be non-empty strings")
-        if label in self.labels:
-            return False
-        lid = self.labels.intern(label)
-        while len(self._overflow) <= lid:
-            self._indptr.append(_EMPTY)
-            self._targets.append(_EMPTY)
-            self._overflow.append({})
-            self._dead.append(set())
-        return True
 
     def _build_csr(self, buckets: dict[int, list[tuple[int, int]]]) -> None:
         n = len(self.nodes)

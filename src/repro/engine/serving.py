@@ -307,7 +307,7 @@ class QueryServer:
 
         Must be called from a running event loop.  Admission runs inline: a
         raw-text memo hit for every text seen before (see
-        ``Session.admission``).  Admission errors (e.g. query syntax) raise
+        ``Engine.admission``).  Admission errors (e.g. query syntax) raise
         here, counted failed.
         """
         request = self._lower(query, source)

@@ -176,13 +176,16 @@ class _ReadWriteLock:
 
 
 @dataclass
-class _SessionStats:
-    """The counters both session kinds keep, exposed as callback gauges.
+class EngineStats:
+    """Counters accumulated across the lifetime of one engine session,
+    exposed as callback gauges (:class:`~repro.engine.sharding.ShardedStats`
+    adds its own, named in its ``_GAUGES``)."""
 
-    :class:`EngineStats` and :class:`~repro.engine.sharding.ShardedStats`
-    add their own counters (named in their ``_GAUGES``) on top of these.
-    """
-
+    graph_builds: int = 0
+    snapshot_restores: int = 0
+    interner_growths: int = 0
+    incremental_edges: int = 0
+    incremental_removals: int = 0
     single_evaluations: int = 0
     batch_evaluations: int = 0
     batched_sources: int = 0
@@ -192,6 +195,11 @@ class _SessionStats:
     backend_runs: dict[str, int] = field(default_factory=dict)
 
     _GAUGES = (
+        ("graph_builds", "full compiled-graph builds"),
+        ("snapshot_restores", "sessions warm-started from a snapshot"),
+        ("interner_growths", "node-interner growths without rebuild"),
+        ("incremental_edges", "edges absorbed via the CSR overflow path"),
+        ("incremental_removals", "edges removed via the tombstone path"),
         ("single_evaluations", "single-source evaluations"),
         ("batch_evaluations", "batched evaluations"),
         ("batched_sources", "sources answered across batched evaluations"),
@@ -230,25 +238,6 @@ class _SessionStats:
         )
 
 
-@dataclass
-class EngineStats(_SessionStats):
-    """Counters accumulated across the lifetime of one engine session."""
-
-    graph_builds: int = 0
-    snapshot_restores: int = 0
-    interner_growths: int = 0
-    incremental_edges: int = 0
-    incremental_removals: int = 0
-
-    _GAUGES = (
-        ("graph_builds", "full compiled-graph builds"),
-        ("snapshot_restores", "sessions warm-started from a snapshot"),
-        ("interner_growths", "node-interner growths without rebuild"),
-        ("incremental_edges", "edges absorbed via the CSR overflow path"),
-        ("incremental_removals", "edges removed via the tombstone path"),
-    ) + _SessionStats._GAUGES
-
-
 def _unknown_source(source: Oid, compiled: CompiledQuery) -> EvaluationResult:
     """The answer of a source the graph does not hold.
 
@@ -262,57 +251,64 @@ def _unknown_source(source: Oid, compiled: CompiledQuery) -> EvaluationResult:
     return result
 
 
-def _lowerings_of(session: "Session | None") -> "dict[str, int]":
+def _lowerings_of(session: "Engine | None") -> "dict[str, int]":
     return {} if session is None else session.graph.lowering_counts()
 
 
-class Session:
-    """One session API, one evaluator, two kinds of graph.
+class Engine:
+    """A compiled-evaluation session bound to one :class:`Instance`.
 
-    The paper defines one answer, ``p(o, I)``, however the data is spread,
-    so :class:`Engine` (one compiled graph) and
-    :class:`repro.engine.sharding.ShardedEngine` (a read-only view over
-    its shard graphs) share everything but the graph they evaluate on.
-    This base owns the public API — ``query``, ``answer_set``, the
-    ``query_batch`` family, ``query_all``, ``close``, the
-    conjunctive queries, admission, ``telemetry`` and ``as_server`` —
-    together with their spans and latency histograms, the unknown-source
-    rule, answers assembled in request order, the constraint-rewrite memo,
-    the session locks, and the evaluation itself: one compile and one
-    executor run per call, on the ``(compiled, graph)`` pair of
-    :meth:`_compiled_on`.
+    Thread-safety: concurrent *queries* against one engine are safe — the
+    serving layer (:mod:`repro.engine.serving`) runs admission-queue flushes
+    on a thread pool, so the mutable session state (staleness refresh, the
+    rewrite memo, the statistics counters; the compile cache and the lazy
+    numpy edge arrays carry their own locks) is guarded by an internal
+    re-entrant lock, while the executor runs themselves — read-only on the
+    compiled graph — proceed outside it and overlap freely.  Concurrent
+    *mutation* (``add_edge``/``remove_edge``/``save``) takes the same lock
+    and additionally drains in-flight executor runs (a readers-writer
+    exclusion) before touching the live CSR structures in place, so a query
+    racing an edit answers consistently against the edge set before or
+    after it — which one is the caller's ordering to decide.
 
-    The host contract: a host sets ``_PREFIX`` (its span and metric prefix,
-    ``engine`` or ``sharded``) and ``_RUN_HISTOGRAM`` (the name and help of
-    its executor-run histogram), calls :meth:`__init__` with its stats
-    object, and supplies ``refresh()``, the ``graph`` it evaluates on and
-    the ``compiler`` that lowers queries against it, and the ``_instance``
-    it serves with its ``_instance_version`` stamp.  Its mutations hold
-    ``_lock`` and the write side of ``_run_lock``, which every executor run
-    reads under.
+    :class:`~repro.engine.sharding.ShardedEngine` is this session with its
+    snapshot partitioned by a shard map.
     """
 
-    _PREFIX: str
-    _RUN_HISTOGRAM: "tuple[str, str]"
-
-    # The rewrite and admission memos: every touch of either OrderedDict
-    # goes through the dedicated ``_rewrite_lock``.  The planner-input
-    # caches are published under the session ``_lock``.
+    # The machine-checked half of the docstring above (``python -m
+    # repro.analysis``).  ``_graph`` is ``:mutate``: the reference is
+    # atomically *published* under ``_lock`` (refresh/rebuild) while point
+    # reads — the ``graph`` property, compile capture — are lock-free by
+    # design.  The version stamps are read and written under ``_lock`` only.
+    # Every touch of the rewrite and admission memos goes through the
+    # dedicated ``_rewrite_lock``.  The planner-input caches are published
+    # under ``_lock``.
     GUARDED_BY = {
+        "_graph": "_lock:mutate",
+        "_instance_version": "_lock",
+        "_edge_version": "_lock",
         "_rewrites": "_rewrite_lock",
         "_admissions": "_rewrite_lock",
         "_degree_stats": "_lock:mutate",
         "_domain_cache": "_lock:mutate",
     }
 
+    # The span and metric prefix, the executor-run histogram and the stats
+    # class: what a sharded session names differently.
+    _PREFIX = "engine"
+    _RUN_HISTOGRAM = ("engine_run_seconds", "executor run latency (traversal only)")
+    _STATS = EngineStats
+
     def __init__(
         self,
+        instance: Instance,
         *,
-        constraints: "ConstraintSet | None",
-        cost_model: "CostModel | None",
-        cache_capacity: int,
-        backend: str,
-        stats: _SessionStats,
+        constraints: "ConstraintSet | None" = None,
+        cost_model: "CostModel | None" = None,
+        cache_capacity: int = 128,
+        backend: str = "auto",
+        auto_compact_ratio: "int | None" = 4,
+        _graph: "CompiledGraph | None" = None,
     ) -> None:
         self.constraints = constraints
         self.cost_model = cost_model
@@ -324,7 +320,7 @@ class Session:
         if backend not in BACKENDS:
             resolve_backend(backend)  # raises with the canonical message
         self.backend = backend
-        self.stats = stats
+        self.stats = stats = self._STATS()
         # One telemetry bundle (metrics registry + trace ring) per session.
         # The serving layer registers into this same registry, so one
         # snapshot covers admission, compile and evaluation.
@@ -353,13 +349,13 @@ class Session:
             labelnames=("how",),
         )
         # Guards refresh, mutation and the stats counters against concurrent
-        # server threads (see each host's docstring for what it serializes).
-        # Witnessed under the host's name: ``Engine._lock``,
+        # server threads (see the class docstring for what it serializes).
+        # Witnessed under the class's name: ``Engine._lock``,
         # ``ShardedEngine._lock``.
         name = type(self).__name__
         self._lock = witnessed_lock(f"{name}._lock", threading.RLock)
         # Executor runs (shared) vs in-place graph mutation (exclusive):
-        # a host's mutations change the live CSR overflow/tombstones/
+        # mutations change the live CSR overflow/tombstones/
         # interners that a concurrently running executor is reading, so
         # they drain in-flight runs first.  Never acquire ``_lock`` while
         # holding a read token (writers hold ``_lock`` when they wait).
@@ -376,6 +372,37 @@ class Session:
         # the session's fixed constraint set, so whatever ever clears
         # ``_rewrites`` must clear ``_admissions`` with it.
         self._admissions: "OrderedDict[str, tuple[str, object]]" = OrderedDict()
+        self._instance: "Instance | weakref.ref[Instance]" = instance
+        self.compiler = QueryCompiler(cache_capacity)
+        # Gauge callbacks close over the stats/compiler objects, never over
+        # the engine: ``shared_engine`` relies on plain refcounting to free
+        # the session, so no registry callback may point back at ``self``.
+        compiler = self.compiler
+        registry.gauge(
+            f"{prefix}_compile_hits", "query-cache hits", lambda: compiler.hits
+        )
+        registry.gauge(
+            f"{prefix}_compile_misses", "query lowerings (cache misses)",
+            lambda: compiler.misses,
+        )
+        registry.gauge(
+            f"{prefix}_cached_queries", "compiled tables resident in the LRU",
+            lambda: len(compiler),
+        )
+        # Auto-compaction tuning, re-applied to every graph this session
+        # builds or restores (the knob lives on the session, the live value
+        # on the graph).
+        self._auto_compact_ratio = auto_compact_ratio
+        if _graph is None:
+            _graph = self._compile(instance)
+        else:
+            # Snapshot warm-start: the caller restored a compiled graph that
+            # is already consistent with ``instance`` — no build to pay.
+            self.stats.snapshot_restores += 1
+        _graph.auto_compact_ratio = auto_compact_ratio
+        self._graph = _graph
+        self._instance_version = instance.version
+        self._edge_version = instance.edge_version
 
     @property
     def instance(self) -> Instance:
@@ -682,8 +709,8 @@ class Session:
         return QueryServer(self, max_batch=max_batch, concurrency=concurrency)
 
     def close(self) -> None:
-        """A no-op: a session holds no threads or files.  Kept only because
-        the e2e benchmark calls it."""
+        """A no-op: a session holds no threads or files."""
+        # Called by the frozen e2e clustered_sharded_crpq.py; ROADMAP item 3 (ii) deletes it.
 
     @property
     def resolved_backend(self) -> str:
@@ -762,7 +789,7 @@ class Session:
     def _batch(self, mode: str, query, sources, emit=None) -> dict:
         """One timed batched evaluation, assembled in request order.
 
-        The host answers the sources its graph holds; every other source
+        The graph answers the sources it holds; every other source
         gets the unknown-source answer (streamed too, when ``emit`` is
         given), and the dict follows the first occurrence of each source.
         """
@@ -817,7 +844,7 @@ class Session:
 
         Query paths must traverse the *same* graph object their table was
         compiled on: a concurrent server thread whose :meth:`refresh` swaps
-        the host's graph mid-query would otherwise hand this thread a table
+        the session's graph mid-query would otherwise hand this thread a table
         lowered on the old label order and a graph interned in the new one.
         Capturing the pair under the lock (and never re-reading ``graph``
         afterwards) makes every evaluation a consistent — possibly
@@ -838,7 +865,7 @@ class Session:
         self._hist_compile.observe(compile_span.duration)
         return compiled, graph
 
-    # -- evaluation: one driver per call shape, on the host's graph -----------
+    # -- evaluation: one executor call per call shape --------------------------
     def _query_single(
         self, query: "RegularPathQuery | Regex | str", source: Oid
     ) -> "tuple[CompiledQuery, EvaluationResult | None]":
@@ -979,96 +1006,6 @@ class Session:
         return dict(zip(graph.nodes.backing_list(), run.answers))
 
 
-class Engine(Session):
-    """A compiled-evaluation session bound to one :class:`Instance`.
-
-    Thread-safety: concurrent *queries* against one engine are safe — the
-    serving layer (:mod:`repro.engine.serving`) runs admission-queue flushes
-    on a thread pool, so the mutable session state (staleness refresh, the
-    rewrite memo, the statistics counters; the compile cache and the lazy
-    numpy edge arrays carry their own locks) is guarded by an internal
-    re-entrant lock, while the executor runs themselves — read-only on the
-    compiled graph — proceed outside it and overlap freely.  Concurrent
-    *mutation* (``add_edge``/``remove_edge``/``save``) takes the same lock
-    and additionally drains in-flight executor runs (a readers-writer
-    exclusion) before touching the live CSR structures in place, so a query
-    racing an edit answers consistently against the edge set before or
-    after it — which one is the caller's ordering to decide.
-    """
-
-    # The machine-checked half of the docstring above (``python -m
-    # repro.analysis``).  ``_graph`` is ``:mutate``: the reference is
-    # atomically *published* under ``_lock`` (refresh/rebuild) while point
-    # reads — the ``graph`` property, compile capture — are lock-free by
-    # design.  The version stamps are read and written under ``_lock`` only.
-    GUARDED_BY = {
-        "_graph": "_lock:mutate",
-        "_instance_version": "_lock",
-        "_edge_version": "_lock",
-    }
-
-    _PREFIX = "engine"
-    _RUN_HISTOGRAM = ("engine_run_seconds", "executor run latency (traversal only)")
-
-    def __init__(
-        self,
-        instance: Instance,
-        *,
-        constraints: "ConstraintSet | None" = None,
-        cost_model: "CostModel | None" = None,
-        cache_capacity: int = 128,
-        backend: str = "auto",
-        labels: "Sequence[str] | None" = None,
-        auto_compact_ratio: "int | None" = 4,
-        _graph: "CompiledGraph | None" = None,
-    ) -> None:
-        super().__init__(
-            constraints=constraints,
-            cost_model=cost_model,
-            cache_capacity=cache_capacity,
-            backend=backend,
-            stats=EngineStats(),
-        )
-        self._instance: "Instance | weakref.ref[Instance]" = instance
-        self.compiler = QueryCompiler(cache_capacity)
-        # Gauge callbacks close over the stats/compiler objects, never over
-        # the engine: ``shared_engine`` relies on plain refcounting to free
-        # the session, so no registry callback may point back at ``self``.
-        registry = self.metrics.registry
-        compiler = self.compiler
-        registry.gauge(
-            "engine_compile_hits", "query-cache hits", lambda: compiler.hits
-        )
-        registry.gauge(
-            "engine_compile_misses", "query lowerings (cache misses)",
-            lambda: compiler.misses,
-        )
-        registry.gauge(
-            "engine_cached_queries", "compiled tables resident in the LRU",
-            lambda: len(compiler),
-        )
-        # Label-order seed for every graph build of this session.  The
-        # sharded engine passes one *shared, live* list to all its shard
-        # engines, so even a full rebuild interns the global label universe
-        # (in the shared order) before the shard's own edge labels — which is
-        # what keeps DFA liveness pruning correct across shard boundaries.
-        self._label_seed = labels
-        # Auto-compaction tuning, re-applied to every graph this session
-        # builds or restores (the knob lives on the session, the live value
-        # on the graph).
-        self._auto_compact_ratio = auto_compact_ratio
-        if _graph is None:
-            self._graph = CompiledGraph.from_instance(instance, labels=labels)
-            self.stats.graph_builds += 1
-        else:
-            # Snapshot warm-start: the caller restored a compiled graph that
-            # is already consistent with ``instance`` — no build to pay.
-            self._graph = _graph
-            self.stats.snapshot_restores += 1
-        self._graph.auto_compact_ratio = auto_compact_ratio
-        self._instance_version = instance.version
-        self._edge_version = instance.edge_version
-
     def _hold_instance_weakly(self) -> None:
         """Swap the instance back-edge for a weakref.
 
@@ -1092,7 +1029,6 @@ class Engine(Session):
         cost_model: "CostModel | None" = None,
         cache_capacity: int = 128,
         backend: str = "auto",
-        labels: "Sequence[str] | None" = None,
         shards: "int | None" = None,
         shard_map=None,
     ) -> "Engine":
@@ -1111,17 +1047,12 @@ class Engine(Session):
         With ``shards=N`` (or an explicit ``shard_map``) the call is
         delegated to :class:`repro.engine.sharding.ShardedEngine` — ``source``
         must then be an instance or a snapshot *directory* — and the return
-        value is a sharded session with the same ``query`` / ``query_batch``
-        / ``stats`` surface.
+        value is this session over the same compiled graph, saved one file
+        per shard.
         """
         if shards is not None or shard_map is not None:
             from .sharding import ShardedEngine
 
-            if labels is not None:
-                raise ReproError(
-                    "labels= cannot be combined with shards=/shard_map=; the "
-                    "sharded engine manages its own shared label universe"
-                )
             return ShardedEngine.open(  # type: ignore[return-value]
                 source,
                 instance=instance,
@@ -1142,7 +1073,6 @@ class Engine(Session):
                 cost_model=cost_model,
                 cache_capacity=cache_capacity,
                 backend=backend,
-                labels=labels,
             )
         if instance is not None:
             raise ReproError(
@@ -1154,7 +1084,6 @@ class Engine(Session):
             cost_model=cost_model,
             cache_capacity=cache_capacity,
             backend=backend,
-            labels=labels,
         )
 
     def save(self, path: "str | os.PathLike") -> None:
@@ -1173,6 +1102,13 @@ class Engine(Session):
     @property
     def graph(self) -> CompiledGraph:
         return self._graph
+
+    def _compile(self, instance: Instance) -> CompiledGraph:
+        """A cold build of ``instance``'s graph, counted in ``graph_builds``."""
+        self.stats.graph_builds += 1
+        graph = CompiledGraph.from_instance(instance)
+        graph.auto_compact_ratio = self._auto_compact_ratio
+        return graph
 
     def refresh(self) -> bool:
         """Rebuild the compiled graph if the instance mutated behind our back.
@@ -1208,13 +1144,9 @@ class Engine(Session):
                     self.stats.interner_growths += grown
                 self._instance_version = instance.version
                 return False
-            self._graph = CompiledGraph.from_instance(
-                instance, labels=self._label_seed
-            )
-            self._graph.auto_compact_ratio = self._auto_compact_ratio
+            self._graph = self._compile(instance)
             self._instance_version = instance.version
             self._edge_version = instance.edge_version
-            self.stats.graph_builds += 1
             return True
 
     def add_edge(self, source: Oid, label: str, destination: Oid) -> None:
@@ -1289,7 +1221,10 @@ class Engine(Session):
             self._graph.auto_compact_ratio = ratio
 
     def __repr__(self) -> str:
-        return f"Engine({self._graph!r}, cached_queries={len(self.compiler)})"
+        return (
+            f"{type(self).__name__}({self._graph!r}, "
+            f"cached_queries={len(self.compiler)})"
+        )
 
 
 def shared_engine(instance: Instance) -> Engine:

@@ -1,40 +1,33 @@
-"""Sharded compiled serving: one :class:`CompiledGraph` per site group.
+"""Sharded compiled serving: one compiled graph, one snapshot file per shard.
 
 The paper's Section 3 evaluates path queries over a *distributed* instance —
 every object is a site that only knows its own outgoing links, and sites
 exchange subquery messages until the whole query is answered.
 :mod:`repro.distributed` reproduces that protocol message-for-message over
 the slow baseline evaluator; the answer it computes, ``p(o, I)``, does not
-depend on how the sites are grouped, and this module serves it from
-compiled shards:
+depend on how the sites are grouped.  So a :class:`ShardedEngine` is an
+:class:`~repro.engine.session.Engine`: it compiles one
+:class:`~repro.engine.csr.CompiledGraph` from the whole instance, with the
+node ids ``Engine.open(instance)`` gives, and evaluates, edits, refreshes
+and compacts exactly as an engine does.  The shards decide only where the
+data lives on disk:
 
 * a pluggable :class:`ShardMap` assigns every object (site) to one shard —
   stable hashing by oid (:class:`HashShardMap`, the default), an explicit
   assignment (:class:`ExplicitShardMap`), or one shard per site
   (:meth:`ShardMap.by_site`, the 1:1 image of the distributed site model);
-* each shard compiles *its own nodes' descriptions* into a private
-  :class:`CompiledGraph` (wrapped in a full :class:`Engine` session, so the
-  per-shard staleness stamps, patched lowerings and snapshots all come for
-  free).  Edge targets owned by other shards are interned locally as
-  **ghost** nodes: reachable, never expanded;
-* a query runs as **one fixpoint** over :class:`ShardView`, a read-only
-  view of the shard graphs as one graph: its node ids are the owned nodes
-  only, every ghost target is renumbered to its owner's id, and its numpy
-  lowering is built from the shards' cached lowerings, then patched
-  across edits.
-  The session runs the same executor calls on it that :class:`Engine`
-  runs on its one graph — there are no rounds, barriers or exchanged
-  facts, and the work is what the query reaches;
-* every shard graph is built against the **shared global label universe**
-  (one live label list passed to all shard engines), so a label with no
-  edges on some shard still has an id there, the same id on every shard.
-
-Persistence plugs into :mod:`repro.engine.snapshot`: :meth:`ShardedEngine.save`
-writes one snapshot file per shard plus a small JSON manifest (shard map
-spec, shared label order, per-shard sub-instance fingerprints), and
-:meth:`ShardedEngine.open` warm-starts each shard independently — a stale
-shard falls back to a cold rebuild of *its* partition while warm shards load
-from disk untouched.
+* :meth:`ShardedEngine.save` writes one file per shard, in the snapshot
+  container of :mod:`repro.engine.snapshot`: the oids of the nodes the
+  shard owns, their ids, and their out-edges as CSR rows in the graph's
+  node and label ids (shard 0's file also carries the warm query cache).
+  A JSON manifest is written last: the shard map spec, the label order,
+  the node count, one fingerprint per shard and every file's digest;
+* :meth:`ShardedEngine.open` on a directory decodes the shard files into
+  one graph.  Given the live instance, it first compares the
+  whole-instance fingerprint; only on a mismatch does it work out each
+  shard's fingerprint, and then it rebuilds the rows of the stale shards
+  alone from the instance, while every warm shard's rows come from its
+  file, never recompiled.
 """
 
 from __future__ import annotations
@@ -43,38 +36,35 @@ import hashlib
 import json
 import os
 from array import array
-from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from itertools import accumulate
+from operator import sub
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-from ..analysis.annotations import acquires, guarded_by
 from ..exceptions import ReproError
 from ..graph.instance import Instance, Oid
-from .csr import (
-    _PRODUCT_CACHE_SIZE,
-    _VERSION,
-    CompiledGraph,
-    ProductCSR,
-    _oid_table,
-    _patch_product,
-    _product_dtype,
-    _trim_journal,
+from .csr import CompiledGraph
+from .session import Engine, EngineStats
+from .snapshot import (
+    DIGEST_SIZE,
+    cache_chunks,
+    cache_entries,
+    cache_header,
+    encode_container,
+    instance_from_graph,
+    read_container,
+    seed_cache,
+    stored_digest,
+    undecodable,
+    write_replacing,
 )
-from .interning import Interner
-from .session import Engine, Session, _SessionStats
-from .snapshot import stored_digest, write_replacing
-from .telemetry import current_span, witnessed_lock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy
-
     from ..constraints.constraint import ConstraintSet
     from ..optimize.cost import CostModel
-    from .compiled_query import QueryCompiler
 
 MANIFEST_NAME = "manifest.json"
-MANIFEST_FORMAT_VERSION = 2
+MANIFEST_FORMAT_VERSION = 3
 
 
 def _oid_digest(oid: Oid) -> int:
@@ -201,41 +191,188 @@ class ExplicitShardMap(ShardMap):
         )
 
 
-def partition_instance(instance: Instance, shard_map: ShardMap) -> list[Instance]:
-    """Split ``instance`` into one sub-instance per shard.
+def _shard_fingerprints(instance: Instance, owned: "list[list[Oid]]") -> "list[str]":
+    """One process-stable digest per shard of ``instance``, whose objects
+    ``owned`` lists shard by shard: the XOR, over the shard's objects, of a
+    blake2b digest of each object's description (its oid and its out-edges
+    in ``repr`` order).  A shard's fingerprint moves exactly when it gains
+    an object or one of its objects' descriptions changes."""
+    fingerprints = []
+    for oids in owned:
+        digest = 0
+        for oid in oids:
+            payload = repr((oid, sorted(map(repr, instance.out_edges(oid)))))
+            digest ^= int.from_bytes(
+                hashlib.blake2b(payload.encode("utf-8"), digest_size=16).digest(), "big"
+            )
+        fingerprints.append(format(digest, "032x"))
+    return fingerprints
 
-    Shard ``i``'s sub-instance holds every object the map assigns to it plus
-    the full *description* (outgoing edges) of those objects — edge targets
-    owned elsewhere appear as objects too, exactly the ghost set the shard's
-    compiled graph interns.  Sub-instances are what the per-shard
-    :class:`Engine` sessions stamp and snapshot, and the partition is
-    deterministic (content fingerprints are order-insensitive), so a
-    re-partition of an unchanged instance revalidates every shard snapshot.
+
+class _Rows(NamedTuple):
+    """Some nodes' out-edges: their oids and ascending ``ids``, and per
+    label id their ``degrees`` (one per id) and ``targets`` (concatenated,
+    each row ascending)."""
+
+    oids: list
+    ids: array
+    degrees: "list[array]"
+    targets: "list[array]"
+
+
+def _runs(ids: Sequence[int]) -> "list[list[int]]":
+    """``ids`` as runs of consecutive ids: ``[first id, end id, position of
+    the first in ids]``."""
+    runs: "list[list[int]]" = []
+    for position, node in enumerate(ids):
+        if runs and runs[-1][1] == node:
+            runs[-1][1] = node + 1
+        else:
+            runs.append([node, node + 1, position])
+    return runs
+
+
+def _graph_rows(parts: dict, ids: array) -> _Rows:
+    """The rows of ``ids`` in a compact graph's :meth:`CompiledGraph.to_parts
+    <repro.engine.csr.CompiledGraph.to_parts>`: slices of its CSR arrays."""
+    runs = _runs(ids)
+    degrees, targets = [], []
+    for indptr, buffer in zip(parts["indptr"], parts["targets"]):
+        if not indptr:  # a label interned since the last build, no edge left
+            degrees.append(array("q", bytes(8 * len(ids))))
+            targets.append(array("q"))
+            continue
+        row_degrees, row_targets = array("q"), array("q")
+        for start, stop, _ in runs:
+            row_degrees.extend(map(sub, indptr[start + 1 : stop + 1], indptr[start:stop]))
+            row_targets.extend(buffer[indptr[start] : indptr[stop]])
+        degrees.append(row_degrees)
+        targets.append(row_targets)
+    return _Rows([parts["nodes"][node] for node in ids], ids, degrees, targets)
+
+
+def _instance_rows(
+    instance: Instance, oids: "list[Oid]", node_ids: "dict[Oid, int]",
+    label_ids: "dict[str, int]",
+) -> _Rows:
+    """The rows of the objects ``oids``, built from ``instance`` in the
+    graph's node and label ids: a stale shard's rebuild."""
+    oids = sorted(oids, key=node_ids.__getitem__)
+    degrees = [array("q", bytes(8 * len(oids))) for _ in label_ids]
+    targets: "list[array]" = [array("q") for _ in label_ids]
+    for row, oid in enumerate(oids):
+        for label, target in sorted(
+            (label_ids[label], node_ids[destination])
+            for label, destination in instance.out_edges(oid)
+        ):
+            degrees[label][row] += 1
+            targets[label].append(target)
+    return _Rows(oids, array("q", map(node_ids.__getitem__, oids)), degrees, targets)
+
+
+def _read_shard(path: str, labels: int, nodes: int) -> "tuple[_Rows, list]":
+    """``(rows, warm cache entries)`` of one shard file, checked against the
+    manifest's ``labels`` label ids and ``nodes`` node ids.
+
+    The digest proves the bytes are the ones written, not that a writer
+    stayed inside the manifest's tables: a node or label id outside them,
+    or rows that do not add up, is a :class:`ReproError` here, before any
+    graph is built.
     """
-    subs = [Instance() for _ in range(shard_map.num_shards)]
-    for oid in instance.objects:
-        subs[shard_map.shard_of(oid)].add_object(oid)
-    for source, label, destination in instance.edges():
-        subs[shard_map.shard_of(source)].add_edge(source, label, destination)
-    return subs
+    header, oids, chunks = read_container(path)
+    with undecodable(path):
+        count = header["labels"]
+        if count > labels:
+            raise ReproError(
+                f"shard file {path!r} names label id {count - 1}, outside the "
+                f"manifest's {labels} labels"
+            )
+        cache = header["cache"]
+        if len(chunks) != 1 + 2 * count + 2 * len(cache):
+            raise ReproError(f"shard file {path!r} holds {len(chunks)} integer chunks")
+        ids = chunks[0]
+        degrees = chunks[1 : 1 + count]
+        targets = chunks[1 + count : 1 + 2 * count]
+        for column in (ids, *targets):
+            if column and not 0 <= min(column) <= max(column) < nodes:
+                raise ReproError(
+                    f"shard file {path!r} names node id "
+                    f"{min(column) if min(column) < 0 else max(column)}, outside "
+                    f"the manifest's {nodes} nodes"
+                )
+        if len(oids) != len(ids) or any(
+            len(row) != len(ids) or (row and min(row) < 0) or sum(row) != len(column)
+            for row, column in zip(degrees, targets)
+        ):
+            raise ReproError(f"shard file {path!r} holds rows that do not add up")
+        return _Rows(oids, ids, degrees, targets), cache_entries(cache, chunks[1 + 2 * count :])
+
+
+def _assemble(rows: "list[_Rows]", labels: "list[str]", version: int) -> CompiledGraph:
+    """One compact graph from every shard's ``rows``, whose ids must number
+    the nodes ``0..n-1`` once each."""
+    segments = sorted(
+        (start, stop, shard, position)
+        for shard, block in enumerate(rows)
+        for start, stop, position in _runs(block.ids)
+    )
+    nodes: list = []
+    for start, stop, shard, position in segments:
+        if start != len(nodes):
+            raise ReproError(
+                f"the shard files do not number the nodes once each (node id "
+                f"{min(start, len(nodes))})"
+            )
+        nodes.extend(rows[shard].oids[position : position + stop - start])
+    if len(set(nodes)) != len(nodes):
+        raise ReproError("the shard files name one object under two node ids")
+    indptr, targets = [], []
+    for label in range(len(labels)):
+        label_degrees, label_targets = array("q"), array("q")
+        offsets = [
+            array("q", accumulate(block.degrees[label], initial=0))
+            if label < len(block.degrees) else None
+            for block in rows
+        ]
+        for start, stop, shard, position in segments:
+            block, offset = rows[shard], offsets[shard]
+            end = position + stop - start
+            if offset is None:  # the shard's file predates the label
+                label_degrees.frombytes(bytes(8 * (stop - start)))
+                continue
+            label_degrees.extend(block.degrees[label][position:end])
+            label_targets.extend(block.targets[label][offset[position] : offset[end]])
+        indptr.append(array("q", accumulate(label_degrees, initial=0)))
+        targets.append(label_targets)
+    return CompiledGraph.from_parts(
+        nodes=nodes,
+        labels=labels,
+        csr_nodes=len(nodes),
+        indptr=indptr,
+        targets=targets,
+        overflow=[{} for _ in labels],
+        dead=[set() for _ in labels],
+        version=version,
+    )
 
 
 @dataclass
-class ShardedStats(_SessionStats):
+class ShardedStats(EngineStats):
     """Counters accumulated across the lifetime of one sharded session."""
 
-    # One per evaluation: every evaluation is one fixpoint over the
-    # session's :class:`ShardView`.  Kept only because the e2e benchmark
-    # reads them.
+    warm_shards: int = 0
+    rebuilt_shards: int = 0
+    visited_objects: int = 0
+    # Read by the frozen e2e clustered_sharded_crpq.py; ROADMAP item 3 (ii) deletes them.
     supersteps: int = 0
     local_runs: int = 0
-    # Always 0 and 1.0; kept only because the e2e benchmark reads them.
     exchanged_facts: int = 0
     steal_events: int = 0
     superstep_skew_ratio: float = 1.0
-    visited_objects: int = 0
 
-    _GAUGES = _SessionStats._GAUGES + (
+    _GAUGES = EngineStats._GAUGES + (
+        ("warm_shards", "shards decoded from snapshot files"),
+        ("rebuilt_shards", "shards built from the instance"),
         ("visited_objects", "objects visited by executor runs"),
     )
 
@@ -246,297 +383,23 @@ class ShardedStats(_SessionStats):
         self.visited_objects += run.visited_objects
 
 
-class ShardView:
-    """The shard graphs read as one graph: what the kernels and the session
-    read of a :class:`CompiledGraph`, and nothing they would write.
+class ShardedEngine(Engine):
+    """An :class:`~repro.engine.session.Engine` whose snapshot is one file
+    per shard of a :class:`ShardMap` (module docstring).
 
-    Node ids number the *owned* nodes of every shard, so they are exactly
-    the instance's objects: first in ``repr`` order (the numbering a
-    monolithic build gives them), then in the order edits intern them.  A
-    ghost — a shard's copy of another shard's node, held as an edge
-    target — has no id of its own: every edge into one lands on its
-    owner's id, so a ghost is never a source, an answer or a counted pair.
-    Label ids are the shard graphs' own: the session interns every label
-    into every shard in one shared order, so they agree by construction.
-
-    The view is live, like a compiled graph: the session calls :meth:`sync`
-    after every edit it routes to a shard, under the write side of its run
-    lock, and ``version`` moves whenever a shard graph's moves.  Adjacency
-    is the owning shard's, renumbered; the numpy lowering is built from the
-    shards' cached lowerings, concatenated and renumbered, and brought
-    forward across edits by patching, like a compiled graph's.
+    The graph, the compiler, evaluation, edits, ``refresh`` and compaction
+    are the engine's own; only :meth:`open` and :meth:`save` differ.
+    ``warm_shards`` counts the shards decoded from files when the session
+    opened, ``rebuilt_shards`` every shard built from the instance (all of
+    them on a cold open, or again on a rebuild after an out-of-band edit).
     """
-
-    GUARDED_BY = {
-        "_products": "_lock",
-        "_journal": "_lock",
-        "_counts": "_lock",
-        "_oids": "_lock",
-    }
-
-    def __init__(
-        self,
-        graphs: "Sequence[CompiledGraph]",
-        labels: "list[str]",
-        shard_of: "Callable[[Oid], int]",
-    ) -> None:
-        self.graphs = tuple(graphs)
-        self.nodes: "Interner[Oid]" = Interner()
-        self.labels: "Interner[str]" = Interner()
-        self._label_order = labels  # the session's live, shared list
-        self._shard_of = shard_of
-        # Per id: the owning shard and the node's id there.
-        self._home = array("q")
-        self._local = array("q")
-        # Per shard: view id by local id (a ghost's is its owner's).
-        self._ids = [array("q") for _ in self.graphs]
-        self._stamp: "tuple | None" = None
-        self._products: "OrderedDict[tuple, tuple[int, int, ProductCSR]]" = OrderedDict()
-        # Routed edits ``(version, sign, source, label, target)`` in view
-        # ids, while a cached lowering may need them.
-        self._journal: "list[tuple[int, int, int, int, int]]" = []
-        self._counts = dict.fromkeys(("built", "patched", "hit"), 0)
-        self._oids: "numpy.ndarray | None" = None
-        self._lock = witnessed_lock("ShardView._lock")
-        self.version = 0
-        self.sync()
-
-    def sync(self, edit: "tuple[int, Oid, str, Oid] | None" = None) -> None:
-        """Catch up with the shard graphs: number the nodes and labels they
-        interned since, and move ``version`` if any of them changed.
-
-        ``edit`` — ``(sign, source, label, destination)`` — is the edge
-        change the session just routed to a shard; it is journaled for the
-        cached lowerings to patch.
-        """
-        stamp = (
-            len(self._label_order),
-            *((graph.version, graph.num_nodes, graph.num_labels) for graph in self.graphs),
-        )
-        if stamp == self._stamp:
-            return
-        self._stamp = stamp
-        self.version += 1
-        for label in self._label_order[len(self.labels):]:
-            self.labels.intern(label)
-        fresh = []
-        for shard, graph in enumerate(self.graphs):
-            oids = graph.nodes.backing_list()
-            for local in range(len(self._ids[shard]), len(oids)):
-                if self._shard_of(oids[local]) == shard:
-                    fresh.append((oids[local], shard, local))
-        for oid, shard, local in sorted(fresh, key=lambda entry: repr(entry[0])):
-            self.nodes.intern(oid)
-            self._home.append(shard)
-            self._local.append(local)
-        order = self.labels.fingerprint()
-        for shard, graph in enumerate(self.graphs):
-            if graph.labels_fingerprint() != order:
-                raise ReproError(
-                    f"shard {shard} interns labels as "
-                    f"{graph.labels_fingerprint()}, not in the session's "
-                    f"order {order}"
-                )
-            oids = graph.nodes.backing_list()
-            ids = self._ids[shard]
-            for local in range(len(ids), len(oids)):
-                view_id = self.nodes.id_of(oids[local])
-                if view_id is None:
-                    raise ReproError(
-                        f"object {oids[local]!r} is not interned by its owner, "
-                        f"shard {self._shard_of(oids[local])}"
-                    )
-                ids.append(view_id)
-        if edit is not None:
-            sign, source, label, destination = edit
-            with self._lock:
-                if self._products:
-                    self._journal.append((
-                        self.version, sign, self.nodes.id_of(source),
-                        self.labels.id_of(label), self.nodes.id_of(destination),
-                    ))
-                    _trim_journal(self._products, self._journal)
-
-    # -- what the kernels read ------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def num_labels(self) -> int:
-        return len(self.labels)
-
-    def labels_fingerprint(self) -> "tuple[str, ...]":
-        return self.labels.fingerprint()
-
-    def label_edge_counts(self) -> "dict[str, int]":
-        """Live edge count per label: each edge lives on the shard owning
-        its source, so the shards' counts add up to every edge once."""
-        counts = dict.fromkeys(self.labels, 0)
-        for graph in self.graphs:
-            for label, count in graph.label_edge_counts().items():
-                counts[label] = counts.get(label, 0) + count
-        return counts
-
-    def lowering_counts(self) -> "dict[str, int]":
-        """The view's product-lowering lookups by outcome (see
-        :meth:`numpy_product_csr`)."""
-        with self._lock:
-            return dict(self._counts)
-
-    def successors(self, node: int, label_id: int) -> "Sequence[int]":
-        """The owning shard's live targets of ``node``, renumbered."""
-        shard = self._home[node]
-        ids = self._ids[shard]
-        return [
-            ids[target]
-            for target in self.graphs[shard].successors(self._local[node], label_id)
-        ]
-
-    def _concatenate(self, moves, n: int) -> ProductCSR:
-        """A cold build of the view's lowering of ``moves``: each shard's
-        own (cached, per-shard patched) lowering, renumbered.
-
-        A shard's product rows are its owned nodes' (a ghost row is empty),
-        and each row and target moves from key ``state * local_n + local``
-        to ``state * n + id``.  Rows keep their order within a shard, so
-        the concatenation is one scatter, without a sort.
-        """
-        import numpy as np
-
-        size = len(moves) * n
-        parts = []
-        for shard, graph in enumerate(self.graphs):
-            local = graph.num_nodes
-            if not local:
-                continue
-            product = graph.numpy_product_csr(moves)
-            degree = np.diff(product.indptr)
-            rows = degree.nonzero()[0]
-            if not rows.size:
-                continue
-            ids = np.array(self._ids[shard], dtype=np.int64)
-            targets = product.dst.astype(np.int64)
-            parts.append((
-                rows // local * n + ids[rows % local],
-                degree[rows],
-                product.indptr[rows].astype(np.int64),
-                targets // local * n + ids[targets % local],
-            ))
-        total = sum(part[3].size for part in parts)
-        dtype = _product_dtype(size, total)
-        degree = np.zeros(size, dtype=np.int64)
-        for keys, counts, _starts, _targets in parts:
-            degree[keys] = counts
-        indptr = np.zeros(size + 1, dtype=dtype)
-        np.cumsum(degree, out=indptr[1:])
-        dst = np.empty(total, dtype=dtype)
-        for keys, counts, starts, targets in parts:
-            offsets = indptr[keys].astype(np.int64) - starts
-            dst[np.arange(targets.size) + offsets.repeat(counts)] = targets
-        return ProductCSR(indptr, dst)
-
-    def numpy_product_csr(self, moves) -> ProductCSR:
-        """The product adjacency of ``moves`` over the view (see
-        :class:`~repro.engine.csr.ProductCSR`), from a small LRU that
-        survives edits, as :meth:`CompiledGraph.numpy_product_csr
-        <repro.engine.csr.CompiledGraph.numpy_product_csr>` keeps one: a
-        lowering made at an older version is patched with the edits
-        journaled since (in view ids), and one made for another node count
-        is rebuilt by :meth:`_concatenate`.
-        """
-        n = self.num_nodes
-        version = self.version
-        pending = None
-        with self._lock:
-            entry = self._products.get(moves)
-            if entry is not None:
-                self._products.move_to_end(moves)
-                built, nodes, product = entry
-                if nodes == n:
-                    journal = self._journal
-                    pending = journal[bisect_right(journal, built, key=_VERSION):]
-                    if len(pending) > product.dst.size:
-                        pending = None
-            how = "built" if pending is None else "patched" if pending else "hit"
-            self._counts[how] += 1
-        if how == "built":
-            product = self._concatenate(moves, n)
-        elif pending:
-            product = _patch_product(product, pending, moves, n)
-        # Set after the shards' own lookups, which set it on the same span.
-        current_span().set(lowering=how)
-        if how == "hit" and built == version:
-            return product
-        with self._lock:
-            if self.version == version:
-                self._products[moves] = (version, n, product)
-                while len(self._products) > _PRODUCT_CACHE_SIZE:
-                    self._products.popitem(last=False)
-                _trim_journal(self._products, self._journal)
-        return product
-
-    def numpy_oids(self) -> "numpy.ndarray":
-        """View id -> oid as a 1-D object array, cached and grown by a tail
-        as the view numbers new nodes (see :meth:`CompiledGraph.numpy_oids
-        <repro.engine.csr.CompiledGraph.numpy_oids>`)."""
-        values = self.nodes.backing_list()
-        with self._lock:
-            self._oids = _oid_table(self._oids, values)
-            return self._oids
-
-    # -- translation ------------------------------------------------------------
-    def node_id(self, oid: Oid) -> "int | None":
-        return self.nodes.id_of(oid)
-
-    def oid_of(self, node: int) -> Oid:
-        return self.nodes.value_of(node)
-
-    def oids_of(self, node_ids: Iterable[int]) -> "set[Oid]":
-        values = self.nodes.backing_list()
-        return {values[node] for node in node_ids}
-
-    def label_id(self, label: str) -> "int | None":
-        return self.labels.id_of(label)
-
-    def __repr__(self) -> str:
-        return f"ShardView(shards={len(self.graphs)}, nodes={self.num_nodes})"
-
-
-class ShardedEngine(Session):
-    """A sharded compiled-evaluation session.
-
-    The same :class:`~repro.engine.session.Session` API as :class:`Engine`
-    — ``query`` / ``query_batch`` / ``query_all`` / ``add_edge`` /
-    ``remove_edge`` / ``save`` / ``stats`` — and the same evaluation: the
-    instance is partitioned across ``num_shards`` compiled graphs, and every
-    query runs once over their :class:`ShardView` (module docstring).
-    Shards stay the unit of mutation routing, per-shard snapshots and
-    stale-shard-only recompiles.  Construct with :meth:`open` (an instance,
-    or a snapshot directory written by :meth:`save`).
-
-    Thread-safety mirrors :class:`Engine`: concurrent queries are safe and
-    run side by side under the read side of the session's run lock, while
-    an edit holds the session lock and the write side, so a query racing
-    an edit answers against the edge set before or after it.
-    """
-
-    # ``_subs``/``_shards``/``_view`` are rebuilt references, atomically
-    # published under ``_lock``; read paths (properties, gauges) take
-    # lock-free point reads of whichever build they land on.
-    GUARDED_BY = {
-        "_subs": "_lock:mutate",
-        "_shards": "_lock:mutate",
-        "_view": "_lock:mutate",
-        "_instance_version": "_lock",
-    }
 
     _PREFIX = "sharded"
-    # The executor-run histogram's name is kept only because the e2e
-    # benchmark reads it.
+    # Read by the frozen e2e clustered_sharded_crpq.py; ROADMAP item 3 (ii) renames it.
     _RUN_HISTOGRAM = (
         "sharded_local_fixpoint_seconds", "executor run latency (traversal only)"
     )
+    _STATS = ShardedStats
 
     def __init__(
         self,
@@ -549,108 +412,37 @@ class ShardedEngine(Session):
         cache_capacity: int = 128,
         backend: str = "auto",
         concurrency: "int | None" = None,
-        _restored: "tuple[list[Instance], list[Engine], list[str]] | None" = None,
+        _graph: "CompiledGraph | None" = None,
     ) -> None:
-        self._map = self._resolve_map(shards, shard_map)
-        # Checked but without effect: kept only because the e2e benchmark
-        # passes it.
+        if shard_map is None:
+            if shards is None:
+                raise ReproError("a sharded engine needs shards=N or an explicit shard_map=")
+            shard_map = HashShardMap(shards)
+        elif shards is not None and shards != shard_map.num_shards:
+            raise ReproError(
+                f"shards={shards} contradicts the supplied shard map "
+                f"({shard_map.num_shards} shards)"
+            )
+        self._map = shard_map
+        # Checked, without effect: the frozen e2e clustered_sharded_crpq.py
+        # passes it; ROADMAP item 3 (ii) deletes it.
         if concurrency is not None and concurrency < 1:
             raise ReproError("concurrency must be a positive worker count")
         super().__init__(
+            instance,
             constraints=constraints,
             cost_model=cost_model,
             cache_capacity=cache_capacity,
             backend=backend,
-            stats=ShardedStats(),
+            _graph=_graph,
         )
-        self._instance = instance
-        registry = self.metrics.registry
-        registry.gauge(
+        self.metrics.registry.gauge(
             "sharded_shards", "shard count", self._map.num_shards.__int__
         )
-        registry.gauge(
-            "sharded_warm_shards", "shards warm-started from snapshots",
-            lambda: self.warm_shards,
-        )
-        registry.gauge(
-            "sharded_rebuilt_shards", "shards built from scratch",
-            lambda: self.rebuilt_shards,
-        )
-        self._labels: list[str] = []
-        self._label_set: set[str] = set()
-        # Constraint pre-rewrite happens once, in the session's memo; shard
-        # engines are built constraint-free.
-        if _restored is None:
-            self._build()
-        else:
-            subs, engines, labels = _restored
-            # Adopt the exact list the shard engines were seeded with: it is
-            # live and shared, so labels appended later reach their rebuilds.
-            self._labels = labels
-            self._label_set = set(labels)
-            self._subs = subs
-            self._shards = engines
-            # Warm shards load the manifest's order, a prefix of ``labels``
-            # (stale ones rebuilt with all of it): extend them to the rest.
-            for engine in engines:
-                for label in labels:
-                    engine.graph.ensure_label(label)
-            self._sync_labels(instance.labels())
-            self._view = None
-            self._instance_version = instance.version
 
-    @staticmethod
-    def _resolve_map(shards: "int | None", shard_map: "ShardMap | None") -> ShardMap:
-        if shard_map is not None:
-            if shards is not None and shards != shard_map.num_shards:
-                raise ReproError(
-                    f"shards={shards} contradicts the supplied shard map "
-                    f"({shard_map.num_shards} shards)"
-                )
-            return shard_map
-        if shards is None:
-            raise ReproError("a sharded engine needs shards=N or an explicit shard_map=")
-        return HashShardMap(shards)
-
-    # -- lifecycle ------------------------------------------------------------
-    @guarded_by("_lock")
-    def _build(self) -> None:
-        instance = self._instance
-        self._sync_labels(instance.labels())
-        self._subs = partition_instance(instance, self._map)
-        self._shards = [
-            Engine(
-                sub,
-                cache_capacity=self.cache_capacity,
-                backend=self.backend,
-                labels=self._labels,
-            )
-            for sub in self._subs
-        ]
-        self._view = None
-        self._instance_version = instance.version
-
-    def _sync_view(self, edit: "tuple[int, Oid, str, Oid] | None" = None) -> None:
-        """Bring the view up to the shard graphs after an edit (one not
-        built yet will be built from them)."""
-        if self._view is not None:
-            self._view.sync(edit)
-
-    def _sync_labels(self, labels: Iterable[str]) -> bool:
-        """Append any new labels to the shared order and to every shard graph.
-
-        Sorted insertion keeps the order deterministic; existing ids never
-        move (the shared list is append-only, like the interners it seeds).
-        """
-        fresh = sorted(set(labels) - self._label_set)
-        if not fresh:
-            return False
-        self._labels.extend(fresh)
-        self._label_set.update(fresh)
-        for engine in getattr(self, "_shards", ()):
-            for label in fresh:
-                engine.graph.ensure_label(label)
-        return True
+    def _compile(self, instance: Instance) -> CompiledGraph:
+        self.stats.rebuilt_shards += self.num_shards
+        return super()._compile(instance)
 
     # -- introspection --------------------------------------------------------
     @property
@@ -662,162 +454,78 @@ class ShardedEngine(Session):
         return self._map
 
     @property
-    def shard_engines(self) -> "tuple[Engine, ...]":
-        return tuple(self._shards)
-
-    @property
-    def graph(self) -> ShardView:
-        """The view over the shard graphs that queries run on, built on
-        first use."""
-        view = self._view
-        if view is None:
-            with self._lock:
-                if self._view is None:
-                    self._view = ShardView(
-                        [engine.graph for engine in self._shards],
-                        self._labels,
-                        self._map.shard_of,
-                    )
-                view = self._view
-        return view
-
-    @property
-    def compiler(self) -> "QueryCompiler":
-        """Shard 0's compile cache, where queries compile once against the
-        view's label order (so shard 0's snapshot carries them)."""
-        return self._shards[0].compiler
+    def shard_engines(self) -> "tuple[ShardedEngine, ...]":
+        # Read by the frozen e2e clustered_sharded_crpq.py; ROADMAP item 3 (ii) deletes it.
+        return (self,)
 
     @property
     def warm_shards(self) -> int:
-        return sum(1 for engine in self._shards if engine.stats.snapshot_restores)
+        return self.stats.warm_shards
 
     @property
     def rebuilt_shards(self) -> int:
-        return sum(1 for engine in self._shards if engine.stats.graph_builds)
-
-    def __repr__(self) -> str:
-        return (
-            f"ShardedEngine({self._map!r}, objects={len(self._instance)}, "
-            f"edges={self._instance.edge_count()})"
-        )
-
-    # -- mutation -------------------------------------------------------------
-    def refresh(self) -> bool:
-        """Re-partition if the global instance mutated behind our back.
-
-        Mutations routed through :meth:`add_edge` / :meth:`remove_edge` stay
-        incremental (the owning shard absorbs them via overflow/tombstones);
-        out-of-band instance edits are coarse by design — the partition is a
-        derived artifact, so the whole thing is rebuilt.
-        """
-        with self._lock:
-            if self._instance.version == self._instance_version:
-                return False
-            self._build()
-            return True
-
-    @acquires("Engine._lock")
-    def add_edge(self, source: Oid, label: str, destination: Oid) -> None:
-        """Add one edge, routed to the shard that owns ``source``.
-
-        The destination is registered with *its* owner too (every object
-        has an owner, whose id the view gives it), and a genuinely new
-        label is interned into every shard graph so the shared label
-        universe stays aligned.
-        """
-        with self._lock:
-            self.refresh()
-            instance = self._instance
-            if instance.has_edge(source, label, destination):
-                return
-            with self._run_lock.write():
-                instance.add_edge(source, label, destination)
-                self._sync_labels((label,))
-                self._shards[self._map.shard_of(source)].add_edge(
-                    source, label, destination
-                )
-                home = self._map.shard_of(destination)
-                if destination not in self._subs[home]:
-                    self._subs[home].add_object(destination)
-                    self._shards[home].refresh()
-                self._sync_view((1, source, label, destination))
-            self._instance_version = instance.version
-
-    @acquires("Engine._lock")
-    def remove_edge(self, source: Oid, label: str, destination: Oid) -> None:
-        """Remove one edge from the shard that owns ``source`` (tombstone)."""
-        with self._lock:
-            self.refresh()
-            with self._run_lock.write():
-                self._instance.remove_edge(source, label, destination)
-                self._shards[self._map.shard_of(source)].remove_edge(
-                    source, label, destination
-                )
-                self._sync_view((-1, source, label, destination))
-            self._instance_version = self._instance.version
-
-    @acquires("Engine._lock")
-    def compact_now(self) -> bool:
-        """Compact every shard graph now (see ``Engine.compact_now``).
-
-        Returns ``True`` when any shard's layout changed.
-        """
-        with self._lock:
-            self.refresh()
-            with self._run_lock.write():
-                compacted = [engine.compact_now() for engine in self._shards]
-                self._sync_view()
-            return any(compacted)
-
-    @property
-    def auto_compact_ratio(self) -> "int | None":
-        """The shards' shared auto-compaction divisor (see ``Engine``)."""
-        return self._shards[0].auto_compact_ratio
-
-    @auto_compact_ratio.setter
-    @acquires("Engine._lock")
-    def auto_compact_ratio(self, ratio: "int | None") -> None:
-        with self._lock:
-            for engine in self._shards:
-                engine.auto_compact_ratio = ratio
+        return self.stats.rebuilt_shards
 
     # -- persistence ----------------------------------------------------------
     def save(self, directory: "str | os.PathLike") -> None:
-        """Persist one snapshot per shard plus a manifest into ``directory``.
+        """Persist one snapshot file per shard plus a manifest into
+        ``directory`` (see the module docstring for what each holds).
 
-        Each shard file is an ordinary engine snapshot of that shard's
-        compiled graph and warm query cache; the manifest records the shard
-        map spec, the shared label order, and per-shard sub-instance
-        fingerprints so :meth:`open` can warm-start shards independently.
-        The manifest is written last and records every shard file's digest
-        trailer, so a save that was interrupted between two files is
-        refused by :meth:`open` instead of mixing two generations of shards.
+        The graph is compacted first, so every row leaves as one ascending
+        CSR slice.  The manifest is written last and records every shard
+        file's digest trailer, so a save that was interrupted between two
+        files is refused by :meth:`open` instead of mixing two generations
+        of shards.
         """
         with self._lock:
-            self.refresh()
+            self.compact_now()
+            instance = self.instance
+            parts = self._graph.to_parts()
+            nodes = parts["nodes"]
+            owned = [array("q") for _ in range(self.num_shards)]
+            shard_of = self._map.shard_of
+            for node, oid in enumerate(nodes):
+                owned[shard_of(oid)].append(node)
+            rows = [_graph_rows(parts, ids) for ids in owned]
+            fingerprints = _shard_fingerprints(instance, [block.oids for block in rows])
+            cache = self.compiler.warm_entries(self._graph)
+            # Stored integers are node ids, degrees, DFA states plus one and
+            # flags: none exceeds the largest of these counts.
+            largest = max(
+                [len(nodes)]
+                + [len(targets) for targets in parts["targets"]]
+                + [len(compiled.table) for _, compiled in cache]
+            )
             os.makedirs(directory, exist_ok=True)
-            shard_entries = []
-            for shard, engine in enumerate(self._shards):
+            entries = []
+            for shard, block in enumerate(rows):
+                carried = cache if shard == 0 else []
+                blob = encode_container(
+                    {"labels": len(parts["labels"]), "cache": cache_header(carried)},
+                    block.oids,
+                    [block.ids, *block.degrees, *block.targets, *cache_chunks(carried)],
+                    largest,
+                )
                 filename = f"shard-{shard:04d}.snap"
-                path = os.path.join(directory, filename)
-                engine.save(path)
-                sub = self._subs[shard]
-                shard_entries.append(
+                write_replacing(os.path.join(directory, filename), blob)
+                entries.append(
                     {
                         "file": filename,
-                        "digest": stored_digest(path),
-                        "fingerprint": sub.content_fingerprint(),
-                        "objects": len(sub),
-                        "edges": sub.edge_count(),
+                        "digest": blob[-DIGEST_SIZE:].hex(),
+                        "fingerprint": fingerprints[shard],
+                        "objects": len(block.ids),
+                        "edges": sum(map(len, block.targets)),
                     }
                 )
             manifest = {
                 "format_version": MANIFEST_FORMAT_VERSION,
                 "shard_map": self._map.spec(),
                 "shard_map_fingerprint": self._map.fingerprint(),
-                "labels": list(self._labels),
-                "instance_fingerprint": self._instance.content_fingerprint(),
-                "shards": shard_entries,
+                "labels": parts["labels"],
+                "nodes": len(nodes),
+                "version": parts["version"],
+                "instance_fingerprint": instance.content_fingerprint(),
+                "shards": entries,
             }
             write_replacing(
                 os.path.join(directory, MANIFEST_NAME),
@@ -840,64 +548,36 @@ class ShardedEngine(Session):
     ) -> "ShardedEngine":
         """Return a ready-to-serve sharded session.
 
-        ``source`` is either an :class:`Instance` — partitioned and compiled
-        from scratch — or a snapshot *directory* written by :meth:`save`.
+        ``source`` is either an :class:`Instance` — compiled from scratch,
+        exactly as :meth:`Engine.open <repro.engine.session.Engine.open>`
+        compiles it — or a snapshot *directory* written by :meth:`save`.
         When opening a directory, ``instance`` optionally supplies the live
-        instance: it is re-partitioned with the manifest's shard map and each
-        shard's stored stamp is validated against its sub-instance, so **only
-        stale shards recompile** while warm shards load from disk.  Without
-        ``instance``, the global instance is reconstructed by merging the
-        shard snapshots.
+        instance: on a fingerprint mismatch only the stale shards' rows are
+        rebuilt from it, while warm shards load from disk.  A directory
+        saved under another shard map is rebuilt from ``instance`` whole.
+        Without ``instance``, the instance is reconstructed from the graph.
         """
-        if isinstance(source, (str, os.PathLike)):
-            return cls._open_directory(
-                source,
-                instance=instance,
-                shards=shards,
-                shard_map=shard_map,
-                constraints=constraints,
-                cost_model=cost_model,
-                cache_capacity=cache_capacity,
-                backend=backend,
-                concurrency=concurrency,
-            )
-        if instance is not None:
-            raise ReproError(
-                "instance= is only meaningful when opening a snapshot directory"
-            )
-        return cls(
-            source,
-            shards=shards,
-            shard_map=shard_map,
+        options = dict(
             constraints=constraints,
             cost_model=cost_model,
             cache_capacity=cache_capacity,
             backend=backend,
             concurrency=concurrency,
         )
-
-    @classmethod
-    def _open_directory(
-        cls,
-        directory: "str | os.PathLike",
-        *,
-        instance: "Instance | None",
-        shards: "int | None",
-        shard_map: "ShardMap | None",
-        constraints: "ConstraintSet | None",
-        cost_model: "CostModel | None",
-        cache_capacity: int,
-        backend: str,
-        concurrency: "int | None",
-    ) -> "ShardedEngine":
-        manifest_path = os.path.join(os.fspath(directory), MANIFEST_NAME)
+        if not isinstance(source, (str, os.PathLike)):
+            if instance is not None:
+                raise ReproError(
+                    "instance= is only meaningful when opening a snapshot directory"
+                )
+            return cls(source, shards=shards, shard_map=shard_map, **options)
+        directory = os.fspath(source)
+        manifest_path = os.path.join(directory, MANIFEST_NAME)
         try:
             with open(manifest_path, "r", encoding="utf-8") as handle:
                 manifest = json.load(handle)
         except FileNotFoundError:
             raise ReproError(
-                f"{os.fspath(directory)!r} is not a sharded snapshot "
-                f"(no {MANIFEST_NAME})"
+                f"{directory!r} is not a sharded snapshot (no {MANIFEST_NAME})"
             ) from None
         except json.JSONDecodeError as error:
             raise ReproError(
@@ -918,84 +598,69 @@ class ShardedEngine(Session):
                         "the supplied shard map does not match the snapshot "
                         "manifest, and no instance= was given to rebuild from"
                     )
-                return cls(
-                    instance,
-                    shard_map=shard_map,
-                    constraints=constraints,
-                    cost_model=cost_model,
-                    cache_capacity=cache_capacity,
-                    backend=backend,
-                    concurrency=concurrency,
-                )
-            resolved_map = shard_map
+                return cls(instance, shard_map=shard_map, **options)
         else:
-            resolved_map = ShardMap.from_spec(manifest.get("shard_map", {}))
-        if shards is not None and shards != resolved_map.num_shards:
+            shard_map = ShardMap.from_spec(manifest.get("shard_map", {}))
+        if shards is not None and shards != shard_map.num_shards:
             raise ReproError(
-                f"snapshot directory holds {resolved_map.num_shards} shards; "
+                f"snapshot directory holds {shard_map.num_shards} shards; "
                 f"shards={shards} contradicts it (omit shards= to reuse the "
                 f"manifest, or rebuild from an instance)"
             )
-        labels = [str(label) for label in manifest.get("labels", [])]
-        entries = manifest.get("shards", [])
-        files = [entry["file"] for entry in entries]
-        if len(files) != resolved_map.num_shards:
-            raise ReproError(
-                f"manifest lists {len(files)} shard files for "
-                f"{resolved_map.num_shards} shards"
-            )
-        for entry in entries:
-            shard_path = os.path.join(os.fspath(directory), entry["file"])
-            if stored_digest(shard_path) != entry.get("digest"):
+        with undecodable(manifest_path):
+            entries = manifest["shards"]
+            if len(entries) != shard_map.num_shards:
                 raise ReproError(
-                    f"shard file {shard_path!r} is not the one its manifest "
-                    f"records (damaged, or a save was interrupted); save the "
-                    f"directory again"
+                    f"manifest lists {len(entries)} shard files for "
+                    f"{shard_map.num_shards} shards"
                 )
-        # Shard engines are always constraint-free: the sharded session owns
-        # the single pre-rewrite (see ``_prepared``).
+            labels = [str(label) for label in manifest["labels"]]
+            saved = tuple(labels)
+            if len(set(labels)) != len(labels):
+                raise ReproError(f"{manifest_path!r} lists a label twice")
+            rows, cache = [], []
+            for entry in entries:
+                path = os.path.join(directory, entry["file"])
+                if stored_digest(path) != entry["digest"]:
+                    raise ReproError(
+                        f"shard file {path!r} is not the one its manifest "
+                        f"records (damaged, or a save was interrupted); save "
+                        f"the directory again"
+                    )
+                block, carried = _read_shard(path, len(labels), manifest["nodes"])
+                rows.append(block)
+                cache.extend(carried)
+            stale: "list[int]" = []
+            if (
+                instance is not None
+                and instance.content_fingerprint() != manifest["instance_fingerprint"]
+            ):
+                objects = instance.objects
+                node_ids = {
+                    oid: node for block in rows for node, oid in zip(block.ids, block.oids)
+                }
+                if not objects.issuperset(node_ids):
+                    # An object the snapshot numbered is gone: no id survives.
+                    return cls(instance, shard_map=shard_map, **options)
+                owned: "list[list[Oid]]" = [[] for _ in entries]
+                for oid in objects:
+                    owned[shard_map.shard_of(oid)].append(oid)
+                stale = [
+                    shard
+                    for shard, fingerprint in enumerate(_shard_fingerprints(instance, owned))
+                    if fingerprint != entries[shard]["fingerprint"]
+                ]
+                for oid in sorted(objects.difference(node_ids), key=repr):
+                    node_ids[oid] = len(node_ids)
+                labels.extend(sorted(instance.labels() - set(labels)))
+                label_ids = {label: index for index, label in enumerate(labels)}
+                for shard in stale:
+                    rows[shard] = _instance_rows(instance, owned[shard], node_ids, label_ids)
+            graph = _assemble(rows, labels, manifest["version"])
         if instance is None:
-            engines = [
-                Engine.open(
-                    os.path.join(os.fspath(directory), filename),
-                    cache_capacity=cache_capacity,
-                    backend=backend,
-                    labels=labels,
-                )
-                for filename in files
-            ]
-            subs = [engine.instance for engine in engines]
-            merged = Instance()
-            for sub in subs:
-                for oid in sub.objects:
-                    merged.add_object(oid)
-                for source, label, destination in sub.edges():
-                    merged.add_edge(source, label, destination)
-            live = merged
-        else:
-            # Labels the manifest has not seen join the shared order before
-            # any shard is opened, so a stale shard's rebuild interns them
-            # in that order rather than in the order its edges meet them.
-            labels.extend(sorted(set(instance.labels()) - set(labels)))
-            subs = partition_instance(instance, resolved_map)
-            engines = [
-                Engine.open(
-                    os.path.join(os.fspath(directory), filename),
-                    instance=sub,
-                    cache_capacity=cache_capacity,
-                    backend=backend,
-                    labels=labels,
-                )
-                for filename, sub in zip(files, subs)
-            ]
-            live = instance
-        return cls(
-            live,
-            shard_map=resolved_map,
-            constraints=constraints,
-            cost_model=cost_model,
-            cache_capacity=cache_capacity,
-            backend=backend,
-            concurrency=concurrency,
-            _restored=(subs, engines, labels),
-        )
+            instance = instance_from_graph(graph)
+        engine = cls(instance, shard_map=shard_map, _graph=graph, **options)
+        engine.stats.warm_shards = shard_map.num_shards - len(stale)
+        engine.stats.rebuilt_shards = len(stale)
+        seed_cache(engine, cache, saved)
+        return engine

@@ -15,7 +15,8 @@ the same engine saves the same bytes with and without numpy::
 * *header* — one JSON object: the stamp, the graph's version, ``csr_nodes``
   and labels, the metadata of every cache entry, how the node table is
   encoded and how long it is, and the item size and chunk offsets of the
-  integer section.
+  integer section.  A sharded session's shard files are the same container
+  with a header of their own (see :mod:`repro.engine.sharding`).
 * *nodes* — the oid list, zlib-compressed: one JSON array when every oid is
   a ``str``, a :mod:`pickle` blob otherwise.
 * *integers* — every integer array (per label: CSR index, targets,
@@ -23,7 +24,7 @@ the same engine saves the same bytes with and without numpy::
   transition table and the accepting flags) concatenated into one
   little-endian array, 32-bit when every value fits and 64-bit otherwise,
   zlib-compressed.
-* *digest* — a blake2b digest of all preceding bytes.  ``load_payload``
+* *digest* — a blake2b digest of all preceding bytes.  ``read_container``
   checks it before it decodes, decompresses or unpickles anything, so a
   truncated or damaged file is refused instead of answering wrongly.
 
@@ -60,6 +61,7 @@ import struct
 import sys
 import zlib
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -110,31 +112,15 @@ def _digest(data) -> bytes:
     return hashlib.blake2b(data, digest_size=DIGEST_SIZE).digest()
 
 
-def _encode(engine: "Engine") -> bytes:
-    instance = engine.instance
-    graph = engine.graph
-    parts = graph.to_parts()
-    nodes: list = parts["nodes"]
-    entries = engine.compiler.warm_entries(graph)
-    tables = [compiled.table for _, compiled in entries]
-    sources: list[list[int]] = []
-    destinations: list[list[int]] = []
-    for adjacency in parts["overflow"]:
-        sources.append([s for s, targets in adjacency.items() for _ in targets])
-        destinations.append([d for targets in adjacency.values() for d in targets])
-    # Chunk ``section * len(labels) + lid`` holds section ``section`` of label
-    # ``lid`` in the order below; then one table and one accepting vector per
-    # cache entry.  Tables are stored less ``DEAD`` (-1), so that no stored
-    # integer is negative.
-    chunks = (
-        parts["indptr"]
-        + parts["targets"]
-        + [sorted(dead) for dead in parts["dead"]]
-        + sources
-        + destinations
-        + [[value - DEAD for row in table for value in row] for table in tables]
-        + [[int(flag) for flag in compiled.accepting] for _, compiled in entries]
-    )
+def encode_container(header: dict, nodes: list, chunks, largest: int) -> bytes:
+    """One snapshot file: ``header`` (a JSON object, to which the node and
+    integer layout is added), the ``nodes`` table and the integer
+    ``chunks``, none of which may hold a value above ``largest`` or below 0.
+
+    Every snapshot file is this container, whatever its header describes:
+    an engine's whole graph (:func:`save_engine`) or one shard's rows
+    (:mod:`repro.engine.sharding`).
+    """
     flat = array("q")
     offsets = [0]
     for chunk in chunks:
@@ -142,13 +128,6 @@ def _encode(engine: "Engine") -> bytes:
         offsets.append(len(flat))
     if sys.byteorder == "big":
         flat.byteswap()
-    # Every stored integer is a node id, a slot of one label's targets, a DFA
-    # state plus one, or a flag; none exceeds the largest of these counts.
-    largest = max(
-        [len(nodes)]
-        + [len(targets) for targets in parts["targets"]]
-        + [len(table) for table in tables]
-    )
     narrow = bool(flat) and largest < _NARROW_LIMIT
     if narrow:
         # The low half of each little-endian item, copied at C speed
@@ -165,26 +144,7 @@ def _encode(engine: "Engine") -> bytes:
     node_blob = zlib.compress(node_bytes)
     header = json.dumps(
         {
-            "stamp": {
-                "instance_version": instance.version,
-                "edge_version": instance.edge_version,
-                "fingerprint": instance.content_fingerprint(),
-            },
-            "graph": {
-                "version": parts["version"],
-                "csr_nodes": parts["csr_nodes"],
-                "labels": parts["labels"],
-            },
-            "cache": [
-                {
-                    "key": key,
-                    "expression": compiled.expression,
-                    "initial": compiled.initial,
-                    "dfa_size": compiled.dfa_size,
-                    "label_count": compiled.label_count,
-                }
-                for key, compiled in entries
-            ],
+            **header,
             "nodes": {"encoding": encoding, "bytes": len(node_blob)},
             "integers": {"itemsize": 4 if narrow else 8, "offsets": offsets},
         }
@@ -201,7 +161,7 @@ def _encode(engine: "Engine") -> bytes:
     return body + _digest(body)
 
 
-def _decode(blob: bytes) -> SnapshotPayload:
+def _decode_container(blob: bytes) -> "tuple[dict, list, list[array]]":
     """Decode a file whose magic, version and digest have been checked."""
     view = memoryview(blob)
     start = len(MAGIC) + _PREFIX.size
@@ -228,6 +188,99 @@ def _decode(blob: bytes) -> SnapshotPayload:
             if sys.byteorder == "big":
                 chunk.byteswap()
         chunks.append(chunk)
+    return header, nodes, chunks
+
+
+def cache_header(entries: "list[tuple[str, CompiledQuery]]") -> list:
+    """The header metadata of warm query-cache ``entries``."""
+    return [
+        {
+            "key": key,
+            "expression": compiled.expression,
+            "initial": compiled.initial,
+            "dfa_size": compiled.dfa_size,
+            "label_count": compiled.label_count,
+        }
+        for key, compiled in entries
+    ]
+
+
+def cache_chunks(entries: "list[tuple[str, CompiledQuery]]") -> "list[list[int]]":
+    """One table chunk per cache entry, then one accepting-flag chunk per
+    entry.  Tables are stored less ``DEAD`` (-1), so that no stored integer
+    is negative."""
+    return [
+        [value - DEAD for row in compiled.table for value in row]
+        for _, compiled in entries
+    ] + [[int(flag) for flag in compiled.accepting] for _, compiled in entries]
+
+
+def cache_entries(meta: list, chunks: "list[array]") -> "list[tuple[str, CompiledQuery]]":
+    """The cache entries :func:`cache_header` and :func:`cache_chunks` stored."""
+    tables, accepts = chunks[: len(meta)], chunks[len(meta) :]
+    cache: list[tuple[str, CompiledQuery]] = []
+    for entry, table, accept in zip(meta, tables, accepts):
+        width = entry["label_count"]
+        compiled = CompiledQuery.from_table(
+            expression=entry["expression"],
+            initial=entry["initial"],
+            accepting=tuple(bool(flag) for flag in accept),
+            table=tuple(
+                array("q", [value + DEAD for value in table[row * width : (row + 1) * width]])
+                for row in range(len(accept))
+            ),
+            label_count=width,
+            dfa_size=entry["dfa_size"],
+        )
+        cache.append((entry["key"], compiled))
+    return cache
+
+
+def _encode(engine: "Engine") -> bytes:
+    instance = engine.instance
+    graph = engine.graph
+    parts = graph.to_parts()
+    nodes: list = parts["nodes"]
+    entries = engine.compiler.warm_entries(graph)
+    sources: list[list[int]] = []
+    destinations: list[list[int]] = []
+    for adjacency in parts["overflow"]:
+        sources.append([s for s, targets in adjacency.items() for _ in targets])
+        destinations.append([d for targets in adjacency.values() for d in targets])
+    # Chunk ``section * len(labels) + lid`` holds section ``section`` of label
+    # ``lid`` in the order below; then the cache's chunks.
+    chunks = (
+        parts["indptr"]
+        + parts["targets"]
+        + [sorted(dead) for dead in parts["dead"]]
+        + sources
+        + destinations
+        + cache_chunks(entries)
+    )
+    # Every stored integer is a node id, a slot of one label's targets, a DFA
+    # state plus one, or a flag; none exceeds the largest of these counts.
+    largest = max(
+        [len(nodes)]
+        + [len(targets) for targets in parts["targets"]]
+        + [len(compiled.table) for _, compiled in entries]
+    )
+    header = {
+        "stamp": {
+            "instance_version": instance.version,
+            "edge_version": instance.edge_version,
+            "fingerprint": instance.content_fingerprint(),
+        },
+        "graph": {
+            "version": parts["version"],
+            "csr_nodes": parts["csr_nodes"],
+            "labels": parts["labels"],
+        },
+        "cache": cache_header(entries),
+    }
+    return encode_container(header, nodes, chunks, largest)
+
+
+def _decode(header: dict, nodes: list, chunks: "list[array]") -> SnapshotPayload:
     labels: list[str] = header["graph"]["labels"]
     count = len(labels)
     indptr, targets, dead, sources, destinations = (
@@ -239,24 +292,6 @@ def _decode(blob: bytes) -> SnapshotPayload:
         for source, destination in zip(overflow_src, overflow_dst):
             adjacency.setdefault(source, []).append(destination)
         overflow.append(adjacency)
-    entries = header["cache"]
-    tables = chunks[5 * count : 5 * count + len(entries)]
-    accepts = chunks[5 * count + len(entries) :]
-    cache: list[tuple[str, CompiledQuery]] = []
-    for meta, table, accept in zip(entries, tables, accepts):
-        width = meta["label_count"]
-        compiled = CompiledQuery.from_table(
-            expression=meta["expression"],
-            initial=meta["initial"],
-            accepting=tuple(bool(flag) for flag in accept),
-            table=tuple(
-                array("q", [value + DEAD for value in table[row * width : (row + 1) * width]])
-                for row in range(len(accept))
-            ),
-            label_count=width,
-            dfa_size=meta["dfa_size"],
-        )
-        cache.append((meta["key"], compiled))
     graph_parts = {
         "nodes": nodes,
         "labels": labels,
@@ -267,6 +302,7 @@ def _decode(blob: bytes) -> SnapshotPayload:
         "dead": [set(chunk) for chunk in dead],
         "version": header["graph"]["version"],
     }
+    cache = cache_entries(header["cache"], chunks[5 * count :])
     return SnapshotPayload(SnapshotStamp(**header["stamp"]), graph_parts, cache)
 
 
@@ -298,11 +334,11 @@ def stored_digest(path: "str | os.PathLike") -> str:
         return handle.read().hex()
 
 
-def load_payload(path: "str | os.PathLike") -> SnapshotPayload:
-    """Read and decode a snapshot file.
+def read_container(path: "str | os.PathLike") -> "tuple[dict, list, list[array]]":
+    """Read a snapshot file: ``(header, nodes, integer chunks)``.
 
     Raises :class:`~repro.exceptions.ReproError` for anything that is not a
-    loadable snapshot: wrong magic, another format version, or a file whose
+    readable snapshot: wrong magic, another format version, or a file whose
     digest trailer does not match its bytes (truncated, extended or
     damaged).  Nothing is decompressed or unpickled before the digest holds.
     """
@@ -325,10 +361,29 @@ def load_payload(path: "str | os.PathLike") -> SnapshotPayload:
             f"{name!r} is a truncated or corrupt snapshot (its checksum does "
             f"not match its bytes)"
         )
+    with undecodable(name):
+        return _decode_container(blob)
+
+
+@contextmanager
+def undecodable(name: str):
+    """Turn any error raised while decoding the intact file ``name`` (an
+    unpicklable oid class, a header another writer laid out) into a
+    :class:`~repro.exceptions.ReproError`."""
     try:
-        return _decode(blob)
-    except Exception as error:  # the bytes are intact: e.g. an unpicklable oid class
+        yield
+    except ReproError:
+        raise
+    except Exception as error:
         raise ReproError(f"snapshot {name!r} cannot be decoded: {error}") from error
+
+
+def load_payload(path: "str | os.PathLike") -> SnapshotPayload:
+    """Read and decode an engine snapshot file (see :func:`read_container`
+    for what is refused, and how)."""
+    header, nodes, chunks = read_container(path)
+    with undecodable(os.fspath(path)):
+        return _decode(header, nodes, chunks)
 
 
 def instance_from_graph(graph: CompiledGraph) -> Instance:
@@ -343,6 +398,17 @@ def instance_from_graph(graph: CompiledGraph) -> Instance:
     return instance
 
 
+def seed_cache(engine: "Engine", cache: list, labels: "list[str]") -> None:
+    """Seed ``engine``'s compile cache with ``cache``, lowered against the
+    label order ``labels``, if its graph interns labels in that order (a
+    table's columns are label ids, not edges, so a rebuilt graph can reuse
+    them)."""
+    fingerprint = engine.graph.labels_fingerprint()
+    if fingerprint == tuple(labels):
+        for key, compiled in cache:
+            engine.compiler.seed(key, compiled, fingerprint)
+
+
 def load_engine(
     path: "str | os.PathLike",
     *,
@@ -351,7 +417,6 @@ def load_engine(
     cost_model=None,
     cache_capacity: int = 128,
     backend: str = "auto",
-    labels=None,
 ) -> "Engine":
     """Warm-start an :class:`Engine` from a snapshot written by ``save``.
 
@@ -360,9 +425,6 @@ def load_engine(
     instance (still re-seeding any cached tables the rebuilt label order
     can serve).  Without ``instance``, one is reconstructed from the
     snapshot, so a snapshot alone is a complete, servable artifact.
-    ``labels`` is the label-order seed for any (re)build — the sharded
-    engine passes its shared global label list here so that even a
-    stale-shard fallback compiles against the full label universe.
     """
     from .session import Engine
 
@@ -379,11 +441,7 @@ def load_engine(
         cost_model=cost_model,
         cache_capacity=cache_capacity,
         backend=backend,
-        labels=labels,
         _graph=graph if matches else None,
     )
-    fingerprint = engine.graph.labels_fingerprint()
-    if matches or fingerprint == tuple(payload.graph_parts["labels"]):
-        for key, compiled in payload.cache:
-            engine.compiler.seed(key, compiled, fingerprint)
+    seed_cache(engine, payload.cache, payload.graph_parts["labels"])
     return engine

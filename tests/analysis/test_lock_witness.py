@@ -146,7 +146,7 @@ class TestEngineWitnessIntegration:
         # Locks must be created while witness mode is on, so the engine is
         # built inside the fixture's window.  A sharded edit exercises the
         # deepest real nesting: ShardedEngine._lock ->
-        # ShardedEngine._run_lock -> Engine._lock -> Engine._run_lock.
+        # ShardedEngine._run_lock -> CompiledGraph._np_lock.
         from repro.engine import ShardedEngine
         from repro.graph import web_like_graph
 
@@ -157,6 +157,7 @@ class TestEngineWitnessIntegration:
         engine.query_batch("extra", [source])
         engine.compact_now()
         observed = witness_mode.edges()
-        assert ("ShardedEngine._run_lock", "Engine._lock") in observed
+        assert ("ShardedEngine._lock", "ShardedEngine._run_lock") in observed
+        assert ("ShardedEngine._run_lock", "CompiledGraph._np_lock") in observed
         assert observed, "witnessed evaluation recorded no lock nesting"
         witness_mode.assert_consistent(engine_static_edges())

@@ -193,8 +193,10 @@ class TestProductLowering:
 
     def test_label_without_edges(self):
         graph = CompiledGraph.from_instance(
-            Instance([("u", "a", "v"), ("v", "a", "u")]), labels=["a", "b", "c"]
+            Instance([("u", "a", "v"), ("v", "a", "u"), ("u", "c", "v")])
         )
+        graph.remove_edge("u", "c", "v")
+        graph.compact()
         self.check(graph)
         compiled = lower_query("c*", graph)  # a label no edge carries
         product = graph.numpy_product_csr(compiled.moves)

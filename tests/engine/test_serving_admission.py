@@ -1,6 +1,6 @@
 """The per-request cost of a served line, and the accounting around it.
 
-``Session.admission`` memoizes raw query text -> ``(key, prepared)``, so a
+``Engine.admission`` memoizes raw query text -> ``(key, prepared)``, so a
 text is parsed once however often it is served; :func:`serve_stream` and the
 TCP front-end share one reader, which stops reading while ``max_inflight``
 lines are unanswered and skips whitespace-only lines; a wire line is lowered by

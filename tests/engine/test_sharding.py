@@ -1,12 +1,12 @@
 """Unit tests for the sharded engine layer (``repro.engine.sharding``).
 
-Shard maps, partitioning, the subset CSR build, the shared label universe,
-the :class:`ShardView` every sharded evaluation runs on (its numbering, its
-lowering against the monolithic one, one label order on every shard), sharded
-evaluation (answers, witnesses, stats, multi-word batches), mutation
-routing, and per-shard snapshot persistence — including the headline
-property that a single stale shard recompiles alone while every warm shard
-loads from disk.
+Shard maps, the one compiled graph a sharded session holds (equal to the
+monolithic engine's, cold, warm-reopened and after every edit), sharded
+evaluation (answers, witnesses, stats, multi-word batches), mutation, and
+per-shard snapshot persistence — including the headline property that a
+single stale shard's rows are rebuilt alone while every warm shard loads
+from disk, and that a shard file naming ids outside the manifest's tables
+is refused.
 """
 
 import json
@@ -27,11 +27,11 @@ from repro.engine import (
     ShardMap,
     available_backends,
     numpy_available,
-    partition_instance,
     set_telemetry_enabled,
 )
-from repro.engine.session import Session
-from repro.engine.sharding import MANIFEST_NAME, ShardView
+from repro.engine import sharding
+from repro.engine.sharding import MANIFEST_NAME
+from repro.engine.snapshot import encode_container, read_container
 from repro.exceptions import ReproError
 from repro.graph import Instance, figure2_graph, web_like_graph
 from repro.query import RegularPathQuery
@@ -98,83 +98,6 @@ class TestShardMaps:
         assert len({shard_map.shard_of(oid) for oid in instance.objects}) == len(
             instance
         )
-
-
-# ---------------------------------------------------------------------------
-# Partitioning and the subset CSR build.
-# ---------------------------------------------------------------------------
-class TestPartition:
-    def test_partition_covers_objects_and_edges_exactly_once(self):
-        instance, _ = web(30)
-        subs = partition_instance(instance, HashShardMap(4))
-        owned = [
-            {oid for oid in sub.objects if HashShardMap(4).shard_of(oid) == i}
-            for i, sub in enumerate(subs)
-        ]
-        assert set().union(*owned) == instance.objects
-        assert sum(sub.edge_count() for sub in subs) == instance.edge_count()
-        for i, sub in enumerate(subs):
-            for source, _, _ in sub.edges():
-                assert HashShardMap(4).shard_of(source) == i
-
-    def test_subset_build_matches_sub_instance_build(self):
-        # Node *ids* differ (the subset build interns owned nodes as a dense
-        # prefix; the sub-instance build sorts owned and ghost oids
-        # together), so equivalence is checked in oid space.
-        instance, _ = web(25)
-        shard_map = HashShardMap(3)
-        subs = partition_instance(instance, shard_map)
-        labels = sorted(instance.labels())
-
-        def oid_edges(graph):
-            return {
-                (graph.oid_of(s), graph.labels.value_of(l), graph.oid_of(d))
-                for s, l, d in graph.iter_edges()
-            }
-
-        for shard in range(3):
-            members = [oid for oid in instance.objects if shard_map.shard_of(oid) == shard]
-            direct = CompiledGraph.from_instance(instance, nodes=members, labels=labels)
-            via_sub = CompiledGraph.from_instance(subs[shard], labels=labels)
-            assert set(direct.nodes) == set(via_sub.nodes)
-            assert direct.labels_fingerprint() == via_sub.labels_fingerprint()
-            assert oid_edges(direct) == oid_edges(via_sub)
-            # Owned nodes form a dense prefix of the subset build's ids.
-            owned = sum(
-                1 for oid in direct.nodes if shard_map.shard_of(oid) == shard
-            )
-            assert all(
-                shard_map.shard_of(direct.oid_of(node)) == shard
-                for node in range(owned)
-            )
-
-    def test_label_seed_pre_interns_in_order(self):
-        instance = Instance([("x", "b", "y")])
-        graph = CompiledGraph.from_instance(instance, labels=["z", "a", "b"])
-        assert graph.labels_fingerprint() == ("z", "a", "b")
-        # The seeded-but-edgeless labels traverse as empty.
-        assert list(graph.successors(0, graph.label_id("z"))) == []
-
-    def test_ensure_label_grows_universe_without_version_bump(self):
-        instance = Instance([("x", "a", "y")])
-        graph = CompiledGraph.from_instance(instance)
-        version = graph.version
-        assert graph.ensure_label("fresh") is True
-        assert graph.ensure_label("fresh") is False
-        assert graph.version == version
-        assert graph.labels_fingerprint() == ("a", "fresh")
-        node = graph.node_id("x")
-        assert list(graph.successors(node, graph.label_id("fresh"))) == []
-        # The new label is immediately usable for incremental adds.
-        graph.add_edge("x", "fresh", "y")
-        assert list(graph.successors(node, graph.label_id("fresh"))) == [
-            graph.node_id("y")
-        ]
-
-    def test_ensure_label_rejects_bad_labels(self):
-        graph = CompiledGraph.from_instance(Instance([("x", "a", "y")]))
-        with pytest.raises(Exception):
-            graph.ensure_label("")
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +181,7 @@ class TestShardedEvaluation:
         sharded = ShardedEngine.open(instance, shards=3, constraints=constraints)
         for query in ("a b", "c*", "(a b + c)*"):
             assert sharded.query_all(query) == mono.query_all(query), query
-        # The rewrite happens once, in the sharded session; shard engines
-        # must stay constraint-free or their DFAs could drift apart.
-        assert all(e.constraints is None for e in sharded.shard_engines)
+        assert sharded.stats.rewrites_applied == mono.stats.rewrites_applied
 
     def test_engine_open_delegates_to_sharded(self):
         instance, _ = web(15)
@@ -285,9 +206,9 @@ class TestShardedEvaluation:
         assert snapshot["sharded_backend_runs"] == {sharded.resolved_backend: 1}
 
 
-class TestSessionParity:
-    """Both session kinds are one :class:`Session` API and one evaluator,
-    over two kinds of graph."""
+class TestOneSessionClass:
+    """A sharded session is an :class:`Engine`: one API, one evaluator, one
+    lifecycle, defined once, on the engine."""
 
     API = (
         "query", "answer_set", "query_batch", "query_batch_streaming",
@@ -299,33 +220,26 @@ class TestSessionParity:
         "_compiled_on", "_query_single", "_query_batch", "_query_batch_results",
         "_query_all",
     )
-    # What a host may define for itself: its lifecycle and mutation code,
-    # and the graph it evaluates on with the compiler that lowers for it.
-    HOST_OVERRIDES = {
-        "open", "save", "refresh", "add_edge", "remove_edge", "compact_now",
-        "auto_compact_ratio", "graph", "compiler",
-    }
+    # Lifecycle and mutation: the graph and its edits.
+    LIFECYCLE = (
+        "refresh", "add_edge", "remove_edge", "compact_now", "auto_compact_ratio",
+        "graph",
+    )
 
     @pytest.mark.parametrize("host", [Engine, ShardedEngine])
-    def test_api_is_defined_once_on_the_base(self, host):
-        for name in self.API:
+    def test_api_is_defined_once_on_the_engine(self, host):
+        for name in self.API + self.EVALUATION + self.LIFECYCLE:
             owners = [cls for cls in host.__mro__ if name in vars(cls)]
-            assert owners == [Session], (host.__name__, name, owners)
+            assert owners == [Engine], (host.__name__, name, owners)
 
-    @pytest.mark.parametrize("host", [Engine, ShardedEngine])
-    def test_evaluation_is_defined_once_on_the_base(self, host):
-        for name in self.EVALUATION:
-            owners = [cls for cls in host.__mro__ if name in vars(cls)]
-            assert owners == [Session], (host.__name__, name, owners)
-
-    def test_hosts_share_no_public_method_beyond_the_override_list(self):
+    def test_the_sharded_engine_overrides_only_open_and_save(self):
         def public(cls):
             return {
                 name for name in vars(cls)
                 if not name.startswith("_") and not name.isupper()
             }
 
-        assert public(Engine) & public(ShardedEngine) <= self.HOST_OVERRIDES
+        assert public(Engine) & public(ShardedEngine) == {"open", "save"}
 
 
 class TestKeptForTheBenchmark:
@@ -360,9 +274,15 @@ class TestKeptForTheBenchmark:
         assert (stats.exchanged_facts, stats.steal_events) == (0, 0)
         assert stats.superstep_skew_ratio == 1.0
         assert stats.visited_pairs == mono.stats.visited_pairs
-        # The shard engines evaluate nothing themselves.
-        for engine in sharded.shard_engines:
-            assert engine.stats.backend_runs == {}
+
+    def test_shard_engines_is_the_session_alone(self):
+        instance, root = web(20)
+        sharded = ShardedEngine.open(instance, shards=3)
+        sharded.query_batch("a b*", [root])
+        sharded.query_batch("a b*", [root])
+        assert sharded.shard_engines == (sharded,)
+        assert sum(e.compiler.hits for e in sharded.shard_engines) == 1
+        assert sum(e.compiler.misses for e in sharded.shard_engines) == 1
 
     def test_close_is_a_no_op(self):
         instance, root = web(20)
@@ -443,8 +363,7 @@ class TestShardedBatchedWitnesses:
 # ---------------------------------------------------------------------------
 def bridged_clusters(cluster_nodes=60, chain_depth=30, seed=5):
     """Two web clusters, one shard each, plus a deep ``a``-chain owned by
-    shard 0 and cross-cluster links, so every shard holds ghost nodes and
-    answers cross shards both ways.  The 80 sources span two mask words:
+    shard 0 and cross-cluster links, so answers cross shards both ways.  The 80 sources span two mask words:
     word 0 is spread over both shards, word 1 is the chain (shard 0 only)."""
     labels = ["a", "b", "c"]
     instance = Instance()
@@ -490,8 +409,7 @@ class TestMultiWordBatches:
 
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     def test_answers_and_counts_match_the_monolithic_engine(self, backend):
-        # Answers and the visited counts (owned pairs and objects only: a
-        # ghost's facts are its owner's) equal one monolithic run's.
+        # Answers and the visited counts equal one monolithic run's.
         instance, shard_map, sources = bridged_clusters()
         assert len(sources) > 64
         mono = Engine.open(instance, backend=backend)
@@ -539,8 +457,8 @@ class TestMultiWordBatches:
 
 
 class TestOneFixpoint:
-    """A sharded evaluation is one executor run over the view, traced like
-    the monolithic engine's."""
+    """A sharded evaluation is one executor run over the one graph, traced
+    like the monolithic engine's."""
 
     QUERIES = TestMultiWordBatches.QUERIES
 
@@ -590,7 +508,7 @@ class TestOneFixpoint:
 
 
 # ---------------------------------------------------------------------------
-# The shard view: one graph over the shard graphs.
+# One compiled graph: the monolithic engine's.
 # ---------------------------------------------------------------------------
 MAP_KINDS = ("hash-1", "hash-2", "hash-7", "by-site")
 
@@ -619,13 +537,20 @@ def lowering_edges(session, expression):
     return edges
 
 
+def oid_edges(graph):
+    """A graph's edges by object and label rather than by id."""
+    return {
+        (graph.oid_of(source), graph.labels.value_of(label), graph.oid_of(target))
+        for source, label, target in graph.iter_edges()
+    }
+
+
 def stale_reopen_with_new_labels(directory, backend="auto"):
     """Six nodes on three explicit shards, an ``a`` chain, saved; then
     ``n1 -z-> n2``, ``n2 -y-> n3`` and ``n2 -z-> n4`` behind the session's
-    back and a reopen with ``instance=``.  Shard 1 rebuilds and meets ``z``
-    before ``y`` in its edges, shard 2 rebuilds, and warm shard 0 loads the
-    manifest's ``('a',)``: left to their own edges, shard 1 would intern
-    ``('a', 'z', 'y')`` against the others' ``('a', 'y', 'z')``."""
+    back and a reopen with ``instance=``: shards 1 and 2 own the new edges
+    and are rebuilt, shard 0 loads warm, and the labels ``y`` and ``z``,
+    which no file names, join the manifest's order."""
     instance = Instance([(f"n{i}", "a", f"n{i + 1}") for i in range(5)])
     shard_map = ExplicitShardMap({f"n{i}": i % 3 for i in range(6)}, num_shards=3)
     ShardedEngine.open(instance, shard_map=shard_map, backend=backend).save(directory)
@@ -635,6 +560,19 @@ def stale_reopen_with_new_labels(directory, backend="auto"):
         directory, instance=instance, shard_map=shard_map, backend=backend
     )
     return instance, engine
+
+
+def spy_on_rebuilds(monkeypatch, shard_map):
+    """The shards whose rows a reopen builds from the instance, in order."""
+    rebuilt = []
+    build = sharding._instance_rows
+
+    def spy(instance, oids, *rest):
+        rebuilt.append({shard_map.shard_of(oid) for oid in oids})
+        return build(instance, oids, *rest)
+
+    monkeypatch.setattr(sharding, "_instance_rows", spy)
+    return rebuilt
 
 
 VIEW_EXPRESSIONS = ("(a + b)* c", "a b* (c + d)", "(a + b + c + d)*", "d a")
@@ -648,29 +586,20 @@ view_steps = st.lists(
 )
 
 
-class TestShardView:
+class TestOneGraph:
     @pytest.mark.parametrize("kind", MAP_KINDS)
-    def test_ids_are_exactly_the_instance_objects(self, kind):
+    def test_graph_is_the_monolithic_graph_cold_and_warm(self, kind, tmp_path):
         instance, _ = web(30)
         instance.add_object("isolated")
-        engine = ShardedEngine.open(instance, shard_map=shard_map_of(kind, instance))
-        view = engine.graph
-        assert view.num_nodes == len(instance)
-        assert set(view.nodes) == set(instance.objects)
-        # Numbered like a monolithic build: sorted by ``repr``.
-        assert list(view.nodes) == sorted(instance.objects, key=repr)
-        # Every shard node — owned or ghost — reads as its object's one id.
-        for shard, local in enumerate(engine.shard_engines):
-            for node, oid in enumerate(local.graph.nodes):
-                assert view.node_id(oid) is not None
-                targets = {
-                    view.oid_of(target)
-                    for label in range(view.num_labels)
-                    for target in view.successors(view.node_id(oid), label)
-                }
-                assert targets == {
-                    destination for _label, destination in instance.out_edges(oid)
-                }, (shard, oid)
+        shard_map = shard_map_of(kind, instance)
+        monolithic = Engine.open(instance).graph.to_parts()
+        engine = ShardedEngine.open(instance, shard_map=shard_map)
+        assert type(engine.graph) is CompiledGraph
+        assert engine.graph.to_parts() == monolithic
+        engine.save(str(tmp_path))
+        warm = ShardedEngine.open(str(tmp_path), instance=instance, shard_map=shard_map)
+        assert (warm.warm_shards, warm.rebuilt_shards) == (shard_map.num_shards, 0)
+        assert warm.graph.to_parts() == monolithic
 
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     @pytest.mark.parametrize("kind", MAP_KINDS)
@@ -688,40 +617,11 @@ class TestShardView:
         assert engine.stats.visited_pairs == mono.stats.visited_pairs
 
     @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
-    def test_no_ghost_is_a_source_an_answer_or_a_counted_pair(self, backend):
-        # ``v`` lives on shard 1 and is a ghost on shard 0; ``w`` the other
-        # way round.  Each is one node of the view, counted once.
-        instance = Instance([("u", "a", "v"), ("v", "b", "w"), ("w", "a", "v")])
-        shard_map = ExplicitShardMap({"u": 0, "v": 1, "w": 0}, num_shards=2)
-        engine = ShardedEngine.open(instance, shard_map=shard_map, backend=backend)
-        mono = Engine.open(instance, backend=backend)
-        assert engine.graph.num_nodes == 3
-        assert sum(local.graph.num_nodes for local in engine.shard_engines) == 5
-        for source in ("u", "v", "w"):
-            for query in ("(a b)*", "a (b a)*", "(a + b)*"):
-                served = engine.query(query, source)
-                reference = mono.query(query, source)
-                assert served.answers == reference.answers, (query, source)
-                assert (served.visited_pairs, served.visited_objects) == (
-                    reference.visited_pairs, reference.visited_objects
-                ), (query, source)
-        batch = engine.query_batch_results("(a + b)*", ["u", "v", "w"])
-        assert all(result.visited_objects == 3 for result in batch.values())
-
-    def test_a_stale_reopen_keeps_one_label_order(self, tmp_path):
-        _, engine = stale_reopen_with_new_labels(str(tmp_path))
-        assert [local.graph.labels_fingerprint() for local in engine.shard_engines] == [
-            ("a", "y", "z")
-        ] * 3
-        assert engine.graph.labels_fingerprint() == ("a", "y", "z")
-        # Shards 1 and 2 own the new edges and rebuild; shard 0 stays warm.
-        assert engine.rebuilt_shards == 2 and engine.warm_shards == 1
-
-    @pytest.mark.parametrize("backend", EXECUTOR_BACKENDS)
     def test_stale_reopen_with_new_labels_answers_like_the_monolithic_engine(
         self, backend, tmp_path
     ):
         instance, engine = stale_reopen_with_new_labels(str(tmp_path), backend)
+        assert (engine.warm_shards, engine.rebuilt_shards) == (1, 2)
         mono = Engine.open(instance, backend=backend)
         sources = sorted(instance.objects, key=repr)
         for query in ("a* z", "y a", "(a + y + z)*", "z* y a*", "a z y"):
@@ -745,22 +645,13 @@ class TestShardView:
         for query in ("a* z", "y a", "(a + y + z)*", "z* y a*"):
             assert lowering_edges(engine, query) == lowering_edges(mono, query), query
 
-    def test_a_shard_in_another_label_order_is_refused(self):
-        # The view reads every shard's label ids as its own, so a shard
-        # interning the same labels in another order would read wrong edges.
-        first = CompiledGraph.from_instance(Instance([("u", "y", "v")]), labels=["y", "z"])
-        second = CompiledGraph.from_instance(Instance([("v", "z", "u")]), labels=["z", "y"])
-        owner = {"u": 0, "v": 1}.__getitem__
-        with pytest.raises(ReproError, match="not in the session's order"):
-            ShardView([first, second], ["y", "z"], owner)
-
     @pytest.mark.skipif(not numpy_available(), reason="the lowering needs numpy")
     @pytest.mark.parametrize("kind", MAP_KINDS)
     @given(seed=st.integers(0, 2**16), steps=view_steps)
     def test_lowering_equals_the_monolithic_lowering_after_every_step(
         self, kind, seed, steps
     ):
-        def check(engine, mono):
+        def check(engine, mono, reopened):
             for expression in VIEW_EXPRESSIONS:
                 assert lowering_edges(engine, expression) == lowering_edges(
                     mono, expression
@@ -784,8 +675,11 @@ class TestShardView:
                 for target in graph.successors(node, lid)
             )
 
-        def check(engine, mono):
+        def check(engine, mono, reopened):
             assert adjacency(engine) == adjacency(mono)
+            # Edited alike since the cold open, the two are one graph.
+            if not reopened:
+                assert engine.graph.to_parts() == mono.graph.to_parts()
 
         replay_view_steps(kind, seed, steps, "packed", check)
 
@@ -794,17 +688,19 @@ def replay_view_steps(kind, seed, steps, backend, check):
     """Drive a sharded session and a monolithic one through ``steps`` —
     edits between existing nodes, to new nodes and under a new label,
     removals, compactions, and reopens after an edit behind the sharded
-    session's back (its stale shards rebuild, interning the new label
-    first) — and ``check(sharded, monolithic)`` after each."""
+    session's back (its stale shards rebuild their rows, the new label
+    joins the saved order) — and ``check(sharded, monolithic, reopened)``
+    after each, ``reopened`` once the sharded session has been reopened."""
     instance, _ = web_like_graph(24, ["a", "b", "c"], seed=seed)
     live = instance.copy()
     shard_map = shard_map_of(kind, live)
     mono = Engine.open(instance, backend=backend)
     engine = ShardedEngine.open(live, shard_map=shard_map, backend=backend)
     fresh = 0
+    reopened = False
 
     def checked(step):
-        check(engine, mono)
+        check(engine, mono, reopened)
         assert engine.graph.num_nodes == len(live), step
 
     checked("opened")
@@ -838,11 +734,12 @@ def replay_view_steps(kind, seed, steps, backend, check):
                 engine = ShardedEngine.open(
                     directory, instance=live, shard_map=shard_map, backend=backend
                 )
+                reopened = True
             checked((kind_of_step, first, second))
 
 
 # ---------------------------------------------------------------------------
-# Mutation routing.
+# Mutation.
 # ---------------------------------------------------------------------------
 class TestShardedMutation:
     def test_add_and_remove_route_to_owner_without_rebuilds(self):
@@ -853,14 +750,13 @@ class TestShardedMutation:
         sharded.add_edge("p1", "a", "p5")
         mono = Engine.open(instance.copy())
         assert sharded.query_all("a*") == mono.query_all("a*")
-        assert all(e.stats.graph_builds == 1 for e in sharded.shard_engines)
+        assert sharded.stats.graph_builds == 1
+        assert (sharded.warm_shards, sharded.rebuilt_shards) == (0, 3)
 
-    def test_new_label_reaches_every_shard_graph(self):
+    def test_new_label_is_served(self):
         instance, _ = web(20)
         sharded = ShardedEngine.open(instance, shards=3)
         sharded.add_edge("p0", "zz", "p9")
-        for engine in sharded.shard_engines:
-            assert engine.graph.label_id("zz") is not None
         mono = Engine.open(instance.copy())
         for query in ("zz", "a* zz", "(a + zz)*"):
             assert sharded.query_all(query) == mono.query_all(query), query
@@ -873,12 +769,14 @@ class TestShardedMutation:
         mono = Engine.open(instance.copy())
         assert sharded.query_all("a b") == mono.query_all("a b")
 
-    def test_out_of_band_instance_mutation_repartitions(self):
+    def test_out_of_band_instance_mutation_rebuilds(self):
         instance, _ = web(12)
         sharded = ShardedEngine.open(instance, shards=2)
         instance.add_edge("p0", "q", "p7")  # behind the engine's back
         mono = Engine.open(instance.copy())
         assert sharded.query_all("q") == mono.query_all("q")
+        assert sharded.graph.to_parts() == mono.graph.to_parts()
+        assert (sharded.stats.graph_builds, sharded.rebuilt_shards) == (2, 4)
 
     def test_remove_missing_edge_raises(self):
         instance, _ = web(8)
@@ -900,15 +798,22 @@ class TestShardedPersistence:
         return instance, sharded, reference, directory
 
     def test_save_writes_manifest_and_one_file_per_shard(self, tmp_path):
-        _, _, _, directory = self.sharded_setup(tmp_path)
+        _, engine, _, directory = self.sharded_setup(tmp_path)
         names = sorted(os.listdir(directory))
         assert MANIFEST_NAME in names
         assert sum(name.endswith(".snap") for name in names) == 4
         with open(os.path.join(directory, MANIFEST_NAME), encoding="utf-8") as fh:
             manifest = json.load(fh)
+        assert manifest["format_version"] == 3
         assert manifest["shard_map"]["kind"] == "hash"
         assert len(manifest["shards"]) == 4
-        assert manifest["labels"] == sorted("abc")
+        assert manifest["labels"] == list(engine.graph.labels_fingerprint())
+        assert sorted(manifest["labels"]) == sorted("abc")
+        assert manifest["nodes"] == engine.graph.num_nodes
+        assert sum(entry["objects"] for entry in manifest["shards"]) == 40
+        assert sum(entry["edges"] for entry in manifest["shards"]) == (
+            engine.graph.edge_count()
+        )
 
     def test_warm_reopen_with_instance(self, tmp_path):
         instance, _, reference, directory = self.sharded_setup(tmp_path)
@@ -922,7 +827,7 @@ class TestShardedPersistence:
         assert alone.instance == instance
         assert alone.query_all("a (b + c)*") == reference
 
-    def test_single_stale_shard_recompiles_alone(self, tmp_path):
+    def test_single_stale_shard_recompiles_alone(self, tmp_path, monkeypatch):
         instance, sharded, _, directory = self.sharded_setup(tmp_path)
         shard_map = sharded.shard_map
         victim = next(
@@ -930,18 +835,32 @@ class TestShardedPersistence:
             for oid in sorted(instance.objects, key=repr)
             if shard_map.shard_of(oid) == 2 and instance.out_degree(oid)
         )
+        # One object's description changes, under a label no file names.
         label, destination = instance.out_edges(victim)[0]
         instance.remove_edge(victim, label, destination)
+        instance.add_edge(victim, "zz", destination)
+        rebuilt = spy_on_rebuilds(monkeypatch, shard_map)
         stale = ShardedEngine.open(directory, instance=instance)
         assert stale.rebuilt_shards == 1 and stale.warm_shards == 3
-        rebuilt = [
-            i
-            for i, engine in enumerate(stale.shard_engines)
-            if engine.stats.graph_builds
-        ]
-        assert rebuilt == [2]
+        assert rebuilt == [{2}]
+        assert stale.stats.graph_builds == 0
         mono = Engine.open(instance)
-        assert stale.query_all("a (b + c)*") == mono.query_all("a (b + c)*")
+        assert list(stale.graph.nodes) == list(mono.graph.nodes)
+        assert oid_edges(stale.graph) == oid_edges(mono.graph)
+        assert stale.query_all("a (b + c)* zz") == mono.query_all("a (b + c)* zz")
+
+    def test_reopen_without_a_saved_object_rebuilds_whole(self, tmp_path):
+        # An edge list that lost an object's last edge drops the object:
+        # no saved node id can be kept, so every shard is built again.
+        instance, _, _, directory = self.sharded_setup(tmp_path)
+        gone = sorted(instance.objects, key=repr)[-1]
+        survivor = Instance(
+            edge for edge in instance.edges() if gone not in (edge[0], edge[2])
+        )
+        assert len(survivor) < len(instance)
+        reopened = ShardedEngine.open(directory, instance=survivor)
+        assert (reopened.warm_shards, reopened.rebuilt_shards) == (0, 4)
+        assert reopened.graph.to_parts() == Engine.open(survivor).graph.to_parts()
 
     def test_explicit_map_must_be_resupplied(self, tmp_path):
         instance, _ = web(15)
@@ -1000,3 +919,145 @@ class TestShardedPersistence:
         assert warm.rebuilt_shards == 0
         mono = Engine.open(instance.copy())
         assert warm.query_all("zz") == mono.query_all("zz")
+
+    def test_a_label_left_without_edges_saves_and_reopens(self, tmp_path):
+        # Interned after the build and emptied again: compaction has nothing
+        # to fold, so the label has no CSR rows at all when the rows leave.
+        instance, _ = web(12)
+        sharded = ShardedEngine.open(instance, shards=2)
+        sharded.add_edge("p0", "yy", "p1")
+        sharded.remove_edge("p0", "yy", "p1")
+        sharded.save(str(tmp_path))
+        warm = ShardedEngine.open(str(tmp_path), instance=instance)
+        assert warm.warm_shards == 2
+        mono = Engine.open(instance)
+        assert oid_edges(warm.graph) == oid_edges(mono.graph)
+        assert warm.query_all("a* yy") == mono.query_all("a* yy")
+
+    def test_warm_query_cache_survives_save_and_open(self, tmp_path):
+        instance, _, reference, directory = self.sharded_setup(tmp_path)
+        warm = ShardedEngine.open(directory, instance=instance)
+        assert warm.query_all("a (b + c)*") == reference
+        assert (warm.compiler.hits, warm.compiler.misses) == (1, 0)
+
+    def test_a_version_2_directory_is_refused(self, tmp_path):
+        _, _, _, directory = self.sharded_setup(tmp_path)
+        path = os.path.join(directory, MANIFEST_NAME)
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["format_version"] = 2
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ReproError, match="unsupported sharded manifest version 2"):
+            ShardedEngine.open(directory)
+
+
+def forge(directory, shard, change):
+    """Rewrite shard file ``shard`` as ``change(header, nodes, chunks)``
+    leaves it, with a valid digest that the manifest records: a file that
+    only the checks after the digest can refuse."""
+    path = os.path.join(directory, f"shard-{shard:04d}.snap")
+    header, nodes, chunks = read_container(path)
+    chunks = [list(chunk) for chunk in chunks]
+    change(header, nodes, chunks)
+    blob = encode_container(header, nodes, chunks, 2**40)
+    with open(path, "wb") as handle:
+        handle.write(blob)
+    manifest_path = os.path.join(directory, MANIFEST_NAME)
+    with open(manifest_path, encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    manifest["shards"][shard]["digest"] = blob[-16:].hex()
+    with open(manifest_path, "w", encoding="utf-8") as handle:
+        json.dump(manifest, handle)
+    return manifest
+
+
+class TestForgedShardFiles:
+    """A shard file whose digest holds but whose ids leave the manifest's
+    tables is a ReproError, never an IndexError or a wrong graph."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        instance, _ = web(30, seed=3)
+        ShardedEngine.open(instance, shards=2).save(str(tmp_path))
+        return str(tmp_path), instance
+
+    @pytest.mark.parametrize("with_instance", [False, True], ids=["alone", "instance"])
+    def test_a_target_outside_the_node_table(self, saved, with_instance):
+        directory, instance = saved
+
+        def change(header, nodes, chunks):
+            count = header["labels"]
+            target_chunk = next(chunk for chunk in chunks[1 + count :] if chunk)
+            target_chunk[0] = manifest_nodes
+
+        manifest_nodes = len(instance)
+        forge(directory, 1, change)
+        with pytest.raises(ReproError, match=f"node id {manifest_nodes}, outside"):
+            ShardedEngine.open(directory, instance=instance if with_instance else None)
+
+    def test_an_owned_node_outside_the_node_table(self, saved):
+        directory, instance = saved
+
+        def change(header, nodes, chunks):
+            chunks[0][-1] = len(instance) + 5
+
+        forge(directory, 0, change)
+        with pytest.raises(ReproError, match=f"node id {len(instance) + 5}, outside"):
+            ShardedEngine.open(directory, instance=instance)
+
+    def test_a_label_outside_the_label_table(self, saved):
+        directory, instance = saved
+
+        def change(header, nodes, chunks):
+            count = header["labels"]
+            header["labels"] = count + 1
+            rows = len(chunks[0])
+            chunks[1 + count : 1 + count] = [[0] * rows]  # one more degree chunk
+            chunks[2 + 2 * count : 2 + 2 * count] = [[]]  # and its targets
+
+        forge(directory, 1, change)
+        with pytest.raises(ReproError, match="label id 3, outside the manifest's 3 labels"):
+            ShardedEngine.open(directory, instance=instance)
+
+    def test_two_files_numbering_one_node(self, saved):
+        directory, instance = saved
+
+        def change(header, nodes, chunks):
+            chunks[0][0] = stolen
+
+        stolen = read_container(os.path.join(directory, "shard-0000.snap"))[2][0][0]
+        forge(directory, 1, change)
+        with pytest.raises(ReproError, match="do not number the nodes once each"):
+            ShardedEngine.open(directory, instance=instance)
+
+    def test_rows_that_do_not_add_up(self, saved):
+        directory, instance = saved
+
+        def change(header, nodes, chunks):
+            chunks[1][0] += 1  # one more edge than the targets hold
+
+        forge(directory, 0, change)
+        with pytest.raises(ReproError, match="rows that do not add up"):
+            ShardedEngine.open(directory, instance=instance)
+
+    def test_one_object_under_two_node_ids(self, saved):
+        directory, instance = saved
+
+        def change(header, nodes, chunks):
+            nodes[1] = nodes[0]
+
+        forge(directory, 1, change)
+        with pytest.raises(ReproError, match="one object under two node ids"):
+            ShardedEngine.open(directory)
+
+    def test_a_manifest_listing_a_label_twice(self, saved):
+        directory, instance = saved
+        path = os.path.join(directory, MANIFEST_NAME)
+        with open(path, encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        manifest["labels"][1] = manifest["labels"][0]
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(ReproError, match="lists a label twice"):
+            ShardedEngine.open(directory, instance=instance)
