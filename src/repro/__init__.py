@@ -27,6 +27,7 @@ from .exceptions import (
     BoundednessError,
     ConstraintError,
     DatalogError,
+    DeterminizationBudgetError,
     DistributedProtocolError,
     ImplicationUndecidedError,
     InstanceError,
@@ -44,6 +45,7 @@ __all__ = [
     "BoundednessError",
     "ConstraintError",
     "DatalogError",
+    "DeterminizationBudgetError",
     "DistributedProtocolError",
     "ImplicationUndecidedError",
     "Instance",

@@ -7,7 +7,9 @@ position states in their ``subquery`` messages, and the absence of
 ε-transitions keeps the per-message bookkeeping simple.
 
 The construction computes the classical ``first``, ``last``, ``follow`` and
-``nullable`` functions over *linearized* positions of the expression.
+``nullable`` functions over *linearized* positions of the expression.  The
+engine's lowering (:mod:`repro.engine.compiled_query`) determinizes those
+positions directly, as int bitsets, without building the NFA.
 """
 
 from __future__ import annotations
@@ -65,16 +67,29 @@ def _analyze(
     raise TypeError(f"unknown regex node: {expression!r}")
 
 
+def glushkov_positions(
+    expression: Regex,
+) -> "tuple[dict[int, str], dict[int, set[int]], _Positions]":
+    """The position analysis of ``expression``: ``(labels, follow, root)``.
+
+    Positions are numbered from ``1`` in left-to-right order; ``labels`` maps
+    each to its symbol, ``follow`` to the positions that may come next, and
+    ``root`` holds the whole expression's ``nullable``, ``first`` and
+    ``last``.  Position ``0`` is left free for the initial state.
+    """
+    labels: dict[int, str] = {}
+    follow: dict[int, set[int]] = {}
+    root = _analyze(expression, labels, follow, [1])
+    return labels, follow, root
+
+
 def regex_to_glushkov_nfa(expression: Regex) -> NFA:
     """Compile an expression into its ε-free Glushkov position automaton.
 
     State ``0`` is the initial state; state ``i`` (``i ≥ 1``) corresponds to
     the ``i``-th symbol occurrence of the expression (in left-to-right order).
     """
-    labels: dict[int, str] = {}
-    follow: dict[int, set[int]] = {}
-    counter = [1]
-    info = _analyze(expression, labels, follow, counter)
+    labels, follow, info = glushkov_positions(expression)
 
     nfa = NFA(initial=0)
     nfa.add_state(0)

@@ -1,22 +1,37 @@
-"""Lowering a regular path query to an integer DFA transition table.
+"""Lowering a regular path query to a minimal integer DFA over a graph's labels.
 
-The baseline evaluator re-derives NFA state *sets* (with ε-closures) at every
-edge of the product search.  The engine instead pays the subset construction
-once per query: the query's Thompson NFA is determinized and minimized with
-the existing automata machinery, then flattened into a dense table
+The baseline evaluator re-derives NFA state *sets* at every edge of the
+product search.  The engine instead pays the subset construction once per
+query and flattens the result into a dense table
 
     ``table[state][label_id] -> next_state  (or -1)``
 
-whose columns are the *graph's* interned label ids.  Two prunings happen
-during lowering, both invisible to the language but important for traversal
-cost:
+whose columns are the *graph's* interned label ids.  :func:`lower_query`
+goes there in one pass from the query's Glushkov positions
+(:func:`repro.automata.glushkov.glushkov_positions`):
 
-* labels that occur in the graph but not in the query map to ``-1`` in every
-  row, so the executor never follows those edge partitions at all;
-* DFA states that cannot reach an accepting state *using only labels present
-  in the graph* are dead on this graph — transitions into them become ``-1``,
-  which cuts the product search off exactly where the baseline would keep
-  expanding non-empty-but-hopeless NFA state sets.
+* **Subset construction on int bitsets**, over only the labels the graph
+  has.  A position whose label the graph lacks can never be read, so it is
+  dropped before any subset is built; graph labels the query does not name
+  are ``-1`` in every row, and the executor never follows those edge
+  partitions at all.  Past :data:`MAX_DFA_STATES` subsets the lowering
+  raises :class:`~repro.exceptions.DeterminizationBudgetError`.
+* **Dead states go**: a subset that cannot reach acceptance over the
+  graph's labels is dropped with every move into it, which cuts the product
+  search off exactly where the baseline would keep expanding
+  non-empty-but-hopeless NFA state sets.  A table therefore has no dead row,
+  except the lone initial state of a query whose language is empty here.
+* **Hopcroft on the partial DFA**, with the missing moves going to an
+  implicit sink that is never built (it is the one block left off the
+  initial worklist, so its predecessors are never needed).
+* **Breadth-first numbering** from the initial state, labels taken in name
+  order, as :meth:`repro.automata.dfa.DFA.relabel_states` numbers the
+  paper's minimal DFA.  Where that DFA names only labels the graph has and
+  has no dead state on it, the two tables are identical.
+
+The paper's ``nfa_to_dfa`` and ``minimize_dfa`` stay in
+:mod:`repro.automata` as the oracle this lowering is tested against
+(``tests/engine/test_lowering.py``).
 
 Compiled tables are cached in an LRU keyed by the canonical expression string
 and the graph's label-interner *fingerprint* (the id-ordered label tuple).
@@ -31,16 +46,22 @@ depends on anyone remembering to clear the cache around a rebuild.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
-from ..automata import minimize_dfa, nfa_to_dfa
+from ..automata.glushkov import glushkov_positions
+from ..exceptions import DeterminizationBudgetError
 from ..query.path_query import RegularPathQuery
 from ..regex import Regex, to_string
 from .csr import CompiledGraph
 from .telemetry import witnessed_lock
 
 DEAD = -1
+
+#: The most subset states one lowering may build before it gives up.  A
+#: deployment-wide bound, not a per-call knob: the site and web workloads'
+#: queries need fewer than ten, and ``(a + b)* a (a + b)^k`` needs ``2^(k+1)``.
+MAX_DFA_STATES = 4096
 
 
 @dataclass(frozen=True)
@@ -56,6 +77,8 @@ class CompiledQuery:
     moves: tuple[tuple[tuple[int, int], ...], ...]
     label_count: int
     dfa_size: int
+    # Subset states built before pruning and minimization (observability).
+    determinized: int
 
     @property
     def num_states(self) -> int:
@@ -74,11 +97,15 @@ class CompiledQuery:
         table: tuple[array, ...],
         label_count: int,
         dfa_size: int,
+        determinized: "int | None" = None,
     ) -> "CompiledQuery":
         """Rebuild a compiled query from its serialized fields.
 
         ``moves`` is fully determined by ``table`` and is re-derived rather
         than stored, so snapshots carry one copy of the transition relation.
+        Any table the executors accept may come back this way, dead rows
+        included (snapshots written before dead states were pruned);
+        ``determinized`` defaults to ``dfa_size`` where it was not recorded.
         """
         return cls(
             expression=expression,
@@ -88,6 +115,7 @@ class CompiledQuery:
             moves=_moves_from_table(table),
             label_count=label_count,
             dfa_size=dfa_size,
+            determinized=dfa_size if determinized is None else determinized,
         )
 
 
@@ -99,72 +127,208 @@ def _moves_from_table(table: tuple[array, ...]) -> tuple[tuple[tuple[int, int], 
     )
 
 
+def _expression_of(query: "RegularPathQuery | Regex | str") -> Regex:
+    if isinstance(query, RegularPathQuery):
+        return query.expression
+    if isinstance(query, Regex):
+        return query
+    return RegularPathQuery.from_string(query).expression
+
+
+def _bits(positions) -> int:
+    mask = 0
+    for position in positions:
+        mask |= 1 << position
+    return mask
+
+
+def _determinize(
+    expression: Regex, graph: CompiledGraph
+) -> "tuple[list[list[tuple[int, int]]], list[bool]]":
+    """Subset construction over the Glushkov positions of ``expression``.
+
+    A state is an int whose bits are positions (bit ``0``: the initial
+    state).  Returns, per state in discovery order (state ``0`` initial),
+    its moves as ``(label_id, target)`` pairs in label-name order, and
+    whether it accepts.
+    """
+    labels, follow, root = glushkov_positions(expression)
+    by_label: dict[str, int] = {}  # graph-known label -> its positions
+    for position, label in labels.items():
+        if graph.label_id(label) is not None:
+            by_label[label] = by_label.get(label, 0) | 1 << position
+    readable = 0
+    for mask in by_label.values():
+        readable |= mask
+    follow_of = [0] * (len(labels) + 1)
+    follow_of[0] = _bits(root.first) & readable
+    for position, successors in follow.items():
+        follow_of[position] = _bits(successors) & readable
+    accept_mask = _bits(root.last) | (1 if root.nullable else 0)
+    columns = [(graph.label_id(label), by_label[label]) for label in sorted(by_label)]
+
+    index = {1: 0}
+    subsets = [1]
+    rows: list[list[tuple[int, int]]] = []
+    for subset in subsets:  # grows while it is walked: breadth-first
+        reach = 0
+        rest = subset
+        while rest:
+            low = rest & -rest
+            reach |= follow_of[low.bit_length() - 1]
+            rest ^= low
+        row = []
+        if reach:
+            for lid, mask in columns:
+                target = reach & mask
+                if target:
+                    state = index.get(target)
+                    if state is None:
+                        if len(subsets) == MAX_DFA_STATES:
+                            raise DeterminizationBudgetError(
+                                f"{to_string(expression)!r} needs more than "
+                                f"{MAX_DFA_STATES} DFA states"
+                            )
+                        state = index[target] = len(subsets)
+                        subsets.append(target)
+                    row.append((lid, state))
+        rows.append(row)
+    return rows, [bool(subset & accept_mask) for subset in subsets]
+
+
+def _live_states(rows: "list[list[tuple[int, int]]]", accepting: "list[bool]") -> "list[bool]":
+    """Which states can reach an accepting one (reverse search)."""
+    predecessors: list[list[int]] = [[] for _ in rows]
+    for source, row in enumerate(rows):
+        for _, target in row:
+            predecessors[target].append(source)
+    live = list(accepting)
+    stack = [state for state, flag in enumerate(live) if flag]
+    while stack:
+        for source in predecessors[stack.pop()]:
+            if not live[source]:
+                live[source] = True
+                stack.append(source)
+    return live
+
+
+def _coarsest_blocks(
+    rows: "list[list[tuple[int, int]]]", accepting: "list[bool]", live: "list[bool]"
+) -> "list[int]":
+    """Hopcroft's refinement over the live states: a block id per state.
+
+    Missing moves go to an implicit sink, a block of its own that is never
+    split and never a splitter: refining by every other block of the
+    initial partition already separates by it.  Dead states get ``-1``.
+    """
+    inverse: dict[tuple[int, int], list[int]] = {}
+    for source, row in enumerate(rows):
+        if live[source]:
+            for move in row:
+                inverse.setdefault(move, []).append(source)
+    block_of = [-1] * len(rows)
+    blocks: list[set[int]] = []
+    for flag in (True, False):
+        members = {s for s, ok in enumerate(live) if ok and accepting[s] == flag}
+        if members:
+            for state in members:
+                block_of[state] = len(blocks)
+            blocks.append(members)
+    lids = sorted({lid for lid, _ in inverse})
+    pending = list(range(len(blocks)))
+    waiting = set(pending)
+    while pending:
+        chosen = pending.pop()
+        waiting.discard(chosen)
+        splitter = tuple(blocks[chosen])
+        for lid in lids:
+            hit: dict[int, list[int]] = {}
+            for target in splitter:
+                for source in inverse.get((lid, target), ()):
+                    hit.setdefault(block_of[source], []).append(source)
+            for block, members in hit.items():
+                remaining = blocks[block]
+                if len(members) == len(remaining):
+                    continue
+                moved = set(members)
+                remaining -= moved
+                split = len(blocks)
+                blocks.append(moved)
+                for state in moved:
+                    block_of[state] = split
+                if block in waiting or len(moved) <= len(remaining):
+                    added = split
+                else:
+                    added = block
+                pending.append(added)
+                waiting.add(added)
+    return block_of
+
+
+def _lower(expression: Regex, text: str, graph: CompiledGraph) -> CompiledQuery:
+    """:func:`lower_query` for a parsed ``expression`` printed as ``text``."""
+    rows, accepting = _determinize(expression, graph)
+    live = _live_states(rows, accepting)
+    label_count = graph.num_labels
+    if not live[0]:  # the language is empty over the graph's labels
+        return CompiledQuery(
+            expression=text,
+            initial=0,
+            accepting=(False,),
+            table=(array("q", [DEAD]) * label_count,),
+            moves=((),),
+            label_count=label_count,
+            dfa_size=1,
+            determinized=len(rows),
+        )
+    block_of = _coarsest_blocks(rows, accepting, live)
+    # Breadth-first over the quotient, one representative per block; rows
+    # already list their moves in label-name order.
+    number = {block_of[0]: 0}
+    representatives = [0]
+    for representative in representatives:
+        for _, target in rows[representative]:
+            block = block_of[target]
+            if block >= 0 and block not in number:
+                number[block] = len(representatives)
+                representatives.append(target)
+    table = []
+    moves = []
+    for representative in representatives:
+        kept = sorted(
+            (lid, number[block_of[target]])
+            for lid, target in rows[representative]
+            if block_of[target] >= 0
+        )
+        row = array("q", [DEAD]) * label_count
+        for lid, target in kept:
+            row[lid] = target
+        table.append(row)
+        moves.append(tuple(kept))
+    return CompiledQuery(
+        expression=text,
+        initial=0,
+        accepting=tuple(accepting[state] for state in representatives),
+        table=tuple(table),
+        moves=tuple(moves),
+        label_count=label_count,
+        dfa_size=len(representatives),
+        determinized=len(rows),
+    )
+
+
 def lower_query(
     query: "RegularPathQuery | Regex | str", graph: CompiledGraph
 ) -> CompiledQuery:
-    """Compile ``query`` into an integer transition table over ``graph``'s labels."""
-    rpq = query if isinstance(query, RegularPathQuery) else RegularPathQuery.of(query)
-    dfa = minimize_dfa(nfa_to_dfa(rpq.nfa))
-
-    states = sorted(dfa.states)
-    index = {state: position for position, state in enumerate(states)}
-    label_count = graph.num_labels
-
-    # Raw table over graph label ids (minimized DFAs are total over their own
-    # alphabet, so a missing entry simply means "label unknown to the query").
-    raw: list[list[int]] = [[DEAD] * label_count for _ in states]
-    for state in states:
-        row = dfa.transitions.get(state, {})
-        for label, target in row.items():
-            lid = graph.label_id(label)
-            if lid is not None:
-                raw[index[state]][lid] = index[target]
-
-    # Liveness over the graph-restricted transition relation: reverse BFS
-    # from accepting states.  (The minimized DFA's sink, and any state whose
-    # path to acceptance needs a label this graph does not have, both die.)
-    reverse: list[list[int]] = [[] for _ in states]
-    for source_position, row in enumerate(raw):
-        for target_position in row:
-            if target_position != DEAD:
-                reverse[target_position].append(source_position)
-    live = [dfa_state in dfa.accepting for dfa_state in states]
-    queue = deque(position for position, flag in enumerate(live) if flag)
-    while queue:
-        position = queue.popleft()
-        for predecessor in reverse[position]:
-            if not live[predecessor]:
-                live[predecessor] = True
-                queue.append(predecessor)
-
-    table = tuple(
-        array(
-            "q",
-            [
-                target if target != DEAD and live[target] else DEAD
-                for target in row
-            ],
-        )
-        for row in raw
-    )
-    return CompiledQuery(
-        expression=to_string(rpq.expression),
-        initial=index[dfa.initial],
-        accepting=tuple(state in dfa.accepting for state in states),
-        table=table,
-        moves=_moves_from_table(table),
-        label_count=label_count,
-        dfa_size=len(states),
-    )
+    """Compile ``query`` into a minimal integer transition table over
+    ``graph``'s labels (see the module docstring)."""
+    expression = _expression_of(query)
+    return _lower(expression, to_string(expression), graph)
 
 
 def query_key(query: "RegularPathQuery | Regex | str") -> str:
     """Canonical cache key for a query: its printed expression."""
-    if isinstance(query, RegularPathQuery):
-        return to_string(query.expression)
-    if isinstance(query, Regex):
-        return to_string(query)
-    return to_string(RegularPathQuery.from_string(query).expression)
+    return to_string(_expression_of(query))
 
 
 class QueryCompiler:
@@ -209,7 +373,9 @@ class QueryCompiler:
     def compile(
         self, query: "RegularPathQuery | Regex | str", graph: CompiledGraph
     ) -> CompiledQuery:
-        key = (query_key(query), graph.labels_fingerprint())
+        expression = _expression_of(query)
+        text = to_string(expression)
+        key = (text, graph.labels_fingerprint())
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:
@@ -217,7 +383,7 @@ class QueryCompiler:
                 self.hits += 1
                 return cached
             self.misses += 1
-        compiled = lower_query(query, graph)
+        compiled = _lower(expression, text, graph)
         with self._lock:
             self._cache[key] = compiled
             if len(self._cache) > self.capacity:

@@ -44,8 +44,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections import OrderedDict
-from itertools import groupby
+from collections import Counter, OrderedDict
+from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -68,6 +68,10 @@ _PRODUCT_CACHE_SIZE = 8
 
 # The version of a journal entry ``(version, sign, source, label, target)``.
 _VERSION = itemgetter(0)
+
+# The ends of a bucketed ``(source, target)`` edge.
+_SOURCE = itemgetter(0)
+_TARGET = itemgetter(1)
 
 
 class LabelEdges:
@@ -196,6 +200,29 @@ def _trim_journal(products: "dict", journal: list) -> None:
     journal.clear()
 
 
+def _row_pointers(edges: "list[tuple[int, int]]", n: int) -> array:
+    """CSR row pointers of source-sorted ``edges`` over ``n`` nodes:
+    ``indptr[i]`` counts the edges whose source is below ``i``."""
+    runs = Counter(map(_SOURCE, edges))  # ascending sources: edges are sorted
+    if len(runs) * 8 >= n:
+        # Most nodes have edges: one prefix sum, run in C.
+        counts = [0] * (n + 1)
+        for sid, run in runs.items():
+            counts[sid + 1] = run
+        return array("q", accumulate(counts))
+    # Few sources: every index from just past one run's source up to the
+    # next run's source holds the same offset, one slice fill per run.
+    indptr = array("q", bytes(8 * (n + 1)))
+    offset = 0
+    filled = 1
+    for sid, run in runs.items():
+        indptr[filled : sid + 1] = array("q", [offset]) * (sid + 1 - filled)
+        offset += run
+        filled = sid + 1
+    indptr[filled:] = array("q", [offset]) * (n + 1 - filled)
+    return indptr
+
+
 def _oid_table(table: "numpy.ndarray | None", values: "list[Oid]") -> "numpy.ndarray":
     """``table`` (node id -> oid, or ``None``) grown to cover ``values``,
     an append-only id-ordered oid list: the new tail is converted and the
@@ -319,14 +346,14 @@ class CompiledGraph:
         interned in the order those edges meet them.
         """
         graph = cls()
-        for oid in sorted(instance.objects, key=repr):
-            graph.nodes.intern(oid)
-        buckets: dict[int, list[tuple[int, int]]] = {}
+        graph.nodes = Interner(sorted(instance.objects, key=repr))
+        node_id = graph.nodes.id_of  # every edge's ends are objects
+        by_label: dict[str, list[tuple[int, int]]] = {}
         for source, label, destination in instance.edges():
-            sid = graph.nodes.intern(source)
-            did = graph.nodes.intern(destination)
-            lid = graph.labels.intern(label)
-            buckets.setdefault(lid, []).append((sid, did))
+            by_label.setdefault(label, []).append((node_id(source), node_id(destination)))
+        # A dict keeps first insertions first: labels get ids in the order
+        # the edges meet them.
+        buckets = {graph.labels.intern(label): edges for label, edges in by_label.items()}
         # An Instance's edges are a set already: nothing to deduplicate, so
         # the edge set stays unmaterialized (see ``__init__``).
         graph._edge_set = None
@@ -349,18 +376,8 @@ class CompiledGraph:
             # arrays in near-sequential order, and rebuilds of the same
             # edge set are bit-identical regardless of set-iteration order.
             edges = sorted(buckets.get(lid, ()))
-            counts = [0] * (n + 1)
-            for sid, _ in edges:
-                counts[sid + 1] += 1
-            for i in range(1, n + 1):
-                counts[i] += counts[i - 1]
-            targets = array("q", bytes(8 * len(edges)))
-            cursor = counts[:]
-            for sid, did in edges:
-                targets[cursor[sid]] = did
-                cursor[sid] += 1
-            self._indptr.append(array("q", counts))
-            self._targets.append(targets)
+            self._indptr.append(_row_pointers(edges, n))
+            self._targets.append(array("q", map(_TARGET, edges)))
             self._overflow.append({})
             self._dead.append(set())
         self.version += 1

@@ -81,7 +81,8 @@ def _group_or(keys: "np.ndarray", values: "np.ndarray"):
     # the default introsort is faster here with identical answers.  The
     # flip waits on the benchmark harness, which keeps every lap's answer
     # digests: a faster op fits more laps in a run and pushes its peak RSS
-    # past the bound — see ROADMAP item 2, "flip ``_group_or``".
+    # past the bound — see ROADMAP item 3, "Flip ``_group_or`` to the
+    # default sort".
     order = keys.argsort(kind="stable")
     keys, values = keys[order], values[order]
     starts = _run_heads(keys).nonzero()[0]

@@ -861,6 +861,7 @@ class Engine:
             compile_span.set(
                 cached=compiler.misses == misses_before,
                 dfa_size=compiled.dfa_size,
+                determinized=compiled.determinized,
             )
         self._hist_compile.observe(compile_span.duration)
         return compiled, graph

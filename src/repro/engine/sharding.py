@@ -161,11 +161,21 @@ class ExplicitShardMap(ShardMap):
         self.num_shards = inferred if num_shards is None else num_shards
         if self.num_shards < 1:
             raise ReproError("a sharded engine needs at least one shard")
+        digest = 0
         for oid, shard in self._assignment.items():
             if not 0 <= shard < self.num_shards:
                 raise ReproError(
                     f"shard {shard} of oid {oid!r} is outside 0..{self.num_shards - 1}"
                 )
+            digest ^= _oid_digest((repr(oid), shard))
+        # The assignment is a private copy that nothing mutates, so its
+        # digest is taken once, not on every save and open.
+        self._spec = {
+            "kind": "explicit",
+            "num_shards": self.num_shards,
+            "assignment_digest": format(digest, "016x"),
+            "assigned": len(self._assignment),
+        }
 
     def shard_of(self, oid: Oid) -> int:
         shard = self._assignment.get(oid)
@@ -174,15 +184,7 @@ class ExplicitShardMap(ShardMap):
         return shard
 
     def spec(self) -> dict:
-        digest = 0
-        for oid, shard in self._assignment.items():
-            digest ^= _oid_digest((repr(oid), shard))
-        return {
-            "kind": "explicit",
-            "num_shards": self.num_shards,
-            "assignment_digest": format(digest, "016x"),
-            "assigned": len(self._assignment),
-        }
+        return dict(self._spec)
 
     def __repr__(self) -> str:
         return (

@@ -199,6 +199,7 @@ def cache_header(entries: "list[tuple[str, CompiledQuery]]") -> list:
             "expression": compiled.expression,
             "initial": compiled.initial,
             "dfa_size": compiled.dfa_size,
+            "determinized": compiled.determinized,
             "label_count": compiled.label_count,
         }
         for key, compiled in entries
@@ -231,6 +232,7 @@ def cache_entries(meta: list, chunks: "list[array]") -> "list[tuple[str, Compile
             ),
             label_count=width,
             dfa_size=entry["dfa_size"],
+            determinized=entry.get("determinized"),
         )
         cache.append((entry["key"], compiled))
     return cache

@@ -61,3 +61,12 @@ class DistributedProtocolError(ReproError):
 
 class BoundednessError(ReproError):
     """Raised when a boundedness question is asked of an unsupported input."""
+
+
+class DeterminizationBudgetError(ReproError):
+    """Raised when a query's subset construction outgrows the engine's budget.
+
+    Determinizing a regular expression can take exponentially many states
+    (``(a + b)* a (a + b)…(a + b)`` needs ``2^k``); the engine refuses such a
+    query instead of pinning a worker on it.
+    """

@@ -8,6 +8,8 @@ hypothesis profile and the plain fixtures.
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -55,6 +57,22 @@ def medium_random_graph():
 @pytest.fixture
 def rng():
     return random.Random(1234)
+
+
+@pytest.fixture(scope="session")
+def e2e_workloads():
+    """The end-to-end benchmark's workload classes, by name.
+
+    They live in ``benchmarks/e2e`` (a top-level ``workloads`` package that
+    imports its ``harness``); tests read their generators and query texts.
+    """
+    e2e = str(Path(__file__).resolve().parents[1] / "benchmarks" / "e2e")
+    sys.path.insert(0, e2e)
+    try:
+        from workloads import WORKLOADS
+    finally:
+        sys.path.remove(e2e)
+    return WORKLOADS
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,14 @@ class TestEngineCommand:
         err = capsys.readouterr().err
         assert "engine_compile_misses" in err and "engine_batched_sources" in err
 
+    def test_explain_shows_what_minimization_removed(self, graph_file, query_file, capsys):
+        code = main(["engine", graph_file, query_file, "-s", "o1", "--explain"])
+        assert code == 0
+        err = capsys.readouterr().err
+        compiles = [line for line in err.splitlines() if "engine.compile" in line]
+        assert len(compiles) == 2
+        assert "determinized=3" in compiles[0] and "dfa_size=2" in compiles[0]
+
     def test_conflicting_source_flags_rejected(self, graph_file, query_file, capsys):
         code = main(["engine", graph_file, query_file, "-s", "o1", "--all-sources"])
         assert code == 2

@@ -25,12 +25,12 @@ def chain_graph():
 class TestOutOfRangeIds:
     # Pairs are addressed by the flat key ``state * n + node``, so an
     # unchecked node id lands in some *other* state's row: on the 3-node,
-    # 4-state product below, source ``n + 1`` at the initial state used to
+    # 3-state product below, source ``n + 1`` at the initial state used to
     # read as ``(next state, y)`` and answer ``{z}``.
     def product(self):
         graph, ids = chain_graph()
         compiled = lower_query("a b", graph)
-        assert (graph.num_nodes, compiled.num_states) == (3, 4)
+        assert (graph.num_nodes, compiled.num_states) == (3, 3)
         return graph, ids, compiled
 
     @pytest.mark.parametrize("stray", [4, 3, -1, 10**6])

@@ -91,6 +91,38 @@ class TestShardMaps:
         two = ExplicitShardMap({"b": 1, "a": 0}, num_shards=2)
         assert one.fingerprint() == two.fingerprint()
 
+    def test_explicit_spec_is_taken_once_and_unchanged(self, monkeypatch, tmp_path):
+        shard_map = ExplicitShardMap(
+            {"site-one": 0, "site-two": 1, ("t", 3): 2, 7: 1}, num_shards=4
+        )
+        # The digest manifests have always stored for this assignment.
+        assert shard_map.spec() == {
+            "kind": "explicit",
+            "num_shards": 4,
+            "assignment_digest": "15df54e7aa2a67a0",
+            "assigned": 4,
+        }
+        assert shard_map.fingerprint() == "0b452d0d692954e8b1bf1af52b8af6c2"
+        # Saving and reopening read the digest, never take it again: with
+        # every object assigned, no oid is digested at all.
+        instance, _ = web(15)
+        shard_map = ExplicitShardMap(
+            {oid: index % 3 for index, oid in enumerate(sorted(instance.objects))},
+            num_shards=3,
+        )
+        fingerprint = shard_map.fingerprint()
+        digested = []
+        original = sharding._oid_digest
+        monkeypatch.setattr(
+            sharding, "_oid_digest", lambda oid: digested.append(oid) or original(oid)
+        )
+        directory = str(tmp_path / "explicit")
+        ShardedEngine.open(instance, shard_map=shard_map).save(directory)
+        warm = ShardedEngine.open(directory, instance=instance, shard_map=shard_map)
+        assert (warm.warm_shards, warm.rebuilt_shards) == (3, 0)
+        assert digested == []
+        assert shard_map.fingerprint() == fingerprint
+
     def test_by_site_gives_every_object_its_own_shard(self):
         instance, _ = figure2_graph()
         shard_map = ShardMap.by_site(instance)

@@ -44,6 +44,9 @@ class TestRoundTrip:
         assert loaded.stats.snapshot_restores == 1
         assert loaded.compiler.misses == 0
         assert len(loaded.compiler) == 2
+        assert loaded.compiler.warm_entries(loaded.graph) == engine.compiler.warm_entries(
+            engine.graph
+        )  # tables, sizes and subset counts alike
         graph, restored = engine.graph, loaded.graph
         assert restored.nodes.values() == graph.nodes.values()
         assert restored.labels.values() == graph.labels.values()

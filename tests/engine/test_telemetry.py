@@ -472,6 +472,21 @@ class TestSessionInstrumentation:
         ]
         assert [span.attributes["cached"] for span in compiles] == [False, True]
 
+    def test_compile_span_says_what_minimization_removed(self, telemetry_on):
+        # "a b*" determinizes to {0} -a-> {1} -b-> {2} -b-> {2}; the two
+        # accepting subsets are equivalent and merge.
+        instance, _ = figure2_graph()
+        engine = Engine.open(instance)
+        engine.query("a b*", "o1")
+        engine.query("a b*", "o2")
+        compiles = [
+            span.attributes
+            for trace in engine.metrics.tracer.traces()
+            for span in trace.spans
+            if span.name == "engine.compile"
+        ]
+        assert [(c["determinized"], c["dfa_size"]) for c in compiles] == [(3, 2), (3, 2)]
+
     def test_rewrite_span_says_what_the_search_cost(self, telemetry_on):
         from repro.constraints import ConstraintSet, word_equality
 
